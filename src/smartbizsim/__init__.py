@@ -40,7 +40,6 @@ from .middleware import (
     Session,
     TapObservation,
     authenticate,
-    failover,
     tap,
     unwrap,
     wrap,

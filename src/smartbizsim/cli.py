@@ -21,10 +21,18 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import costs
-from .errors import ConfigError, DmaicStepError, SimulationError, SmartBizError
+from .errors import (
+    ConfigError,
+    DmaicStepError,
+    SimulationError,
+    SmartBizError,
+    parse_json,
+    read_document,
+)
 from .metering import meter
 from .risk import RiskAssessment, load_risk_catalog, rank, top_k
 from .scenario import default_scenario, load_scenario
+from .trace import canonical_json
 from .world import build_world
 
 EXIT_OK = 0
@@ -141,7 +149,7 @@ def _report_rows(report_dict: dict) -> list[list]:
 
 def _render_report(report_dict: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report_dict, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(report_dict) + "\n"
     rows = _report_rows(report_dict)
     if fmt == "csv":
         lines = ["key,value"] + [f"{_csv_cell(k)},{_csv_cell(v)}" for k, v in rows]
@@ -160,12 +168,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
-    document = None
-    if args.catalog:
-        try:
-            document = Path(args.catalog).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot read catalog {args.catalog}: {exc}") from exc
+    document = read_document(args.catalog, "catalog") if args.catalog else None
     assessment = rank(load_risk_catalog(document))
     output = _render_ranking(assessment, args.format)
     if args.top_k is not None:
@@ -213,12 +216,7 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
         config = costs.load_dmaic_config(args.config)
         overrides = {}
         if args.catalog:
-            try:
-                text = Path(args.catalog).read_text(encoding="utf-8")
-            except OSError as exc:
-                raise ConfigError(
-                    f"cannot read catalog {args.catalog}: {exc}"
-                ) from exc
+            text = read_document(args.catalog, "catalog")
             overrides["risk_catalog"] = load_risk_catalog(text)
         if args.scenario:
             overrides["scenario"] = load_scenario(args.scenario)
@@ -253,13 +251,8 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        report_dict = json.loads(Path(args.infile).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {args.infile}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report is not valid JSON: {exc}") from exc
-    _emit(_render_report(report_dict, args.format), args.out)
+    text = read_document(args.infile, "report")
+    _emit(_render_report(parse_json(text, "report"), args.format), args.out)
     return EXIT_OK
 
 

@@ -10,10 +10,7 @@ has something to price.
 
 from __future__ import annotations
 
-import json
-import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -21,37 +18,33 @@ from .errors import (
     ParseError,
     UnknownRiskId,
     UnknownSectionId,
+    parse_json,
 )
+from .risk import LabeledEnum, id_order
 
 
-class ChangeLevel(Enum):
+class ChangeLevel(LabeledEnum):
     LOW = "Low"
     LOW_MODERATE = "LowModerate"
     MODERATE = "Moderate"
     MODERATE_HIGH = "ModerateHigh"
     HIGH = "High"
 
-    @classmethod
-    def from_label(cls, label: str) -> "ChangeLevel":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ParseError(f"unknown change level {label!r}")
+    @staticmethod
+    def _unknown_label(label: str) -> Exception:
+        return ParseError(f"unknown change level {label!r}")
 
 
-class CostKind(Enum):
+class CostKind(LabeledEnum):
     CAPITAL = "capital"
     OPERATIONAL = "operational"
     PER_MESSAGE_LATENCY = "per_message_latency"
     PER_MESSAGE_BYTES = "per_message_bytes"
     PER_SESSION = "per_session"
 
-    @classmethod
-    def from_label(cls, label: str) -> "CostKind":
-        for member in cls:
-            if member.value == label:
-                return member
-        raise ParseError(f"unknown cost component kind {label!r}")
+    @staticmethod
+    def _unknown_label(label: str) -> Exception:
+        return ParseError(f"unknown cost component kind {label!r}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +106,17 @@ class MitigationAction:
     description: str
     cost_components: tuple[CostComponent, ...]
 
+    def to_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "control": self.control,
+            "description": self.description,
+            "cost_components": [
+                {"kind": c.kind.value, "magnitude": c.magnitude}
+                for c in self.cost_components
+            ],
+        }
+
 
 @dataclass(frozen=True)
 class ImplementationPlan:
@@ -135,18 +139,6 @@ _DEFAULT_SECTIONS: tuple[tuple[str, str, str], ...] = (
     ("S16", "Information Security Incident Management", "Moderate"),
     ("S17", "Information Security Aspects of Business Continuity", "Low"),
     ("S18", "Compliance", "ModerateHigh"),
-)
-
-# Cloud-specific controls the standard adds on top of the base sections.
-# Catalog metadata only; they carry no risk mapping and are not metered.
-CLOUD_SPECIFIC_CONTROLS: tuple[str, ...] = (
-    "shared responsibility split between customer and provider",
-    "removal and return of assets when a contract ends",
-    "protection and separation of the customer's virtual environment",
-    "virtual machine configuration hardening",
-    "administrative operations and procedures for the cloud environment",
-    "customer-side monitoring of activity in the cloud",
-    "alignment of virtual and cloud network environments",
 )
 
 
@@ -189,11 +181,6 @@ def change_level(
     return catalog.get(section_id).change_level
 
 
-def _section_order(section_id: str) -> tuple[int, str]:
-    m = re.search(r"(\d+)$", section_id)
-    return (int(m.group(1)) if m else 0, section_id)
-
-
 def build_plan(
     selected_risks: Sequence[str],
     mapping: RiskControlMapping | None = None,
@@ -215,12 +202,12 @@ def build_plan(
         wanted.update(mapping.sections_for(risk_id))
     actions = [a for a in library if a.control in wanted]
     covered = {a.control for a in actions}
-    missing = sorted(wanted - covered, key=_section_order)
+    missing = sorted(wanted - covered, key=id_order)
     if missing:
         raise MissingActionsForControl(
             f"no actions in library for control(s): {', '.join(missing)}"
         )
-    actions.sort(key=lambda a: (_section_order(a.control), a.id))
+    actions.sort(key=lambda a: (id_order(a.control), a.id))
     return ImplementationPlan(actions=tuple(actions), enabled_controls=frozenset(wanted))
 
 
@@ -287,10 +274,7 @@ def default_action_library(
 
 
 def parse_control_catalog(document: str) -> ControlCatalog:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"control catalog is not valid JSON: {exc}") from exc
+    data = parse_json(document, "control catalog")
     if not isinstance(data, dict) or not isinstance(data.get("sections"), list):
         raise ParseError('control catalog must be an object with a "sections" list')
     sections = []
@@ -311,10 +295,7 @@ def parse_control_catalog(document: str) -> ControlCatalog:
 
 
 def parse_mapping(document: str) -> RiskControlMapping:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"mapping file is not valid JSON: {exc}") from exc
+    data = parse_json(document, "mapping file")
     if not isinstance(data, dict):
         raise ParseError("mapping file must be a JSON object of risk -> sections")
     entries = {}
@@ -328,10 +309,7 @@ def parse_mapping(document: str) -> RiskControlMapping:
 
 
 def parse_action_library(document: str) -> tuple[MitigationAction, ...]:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"action library is not valid JSON: {exc}") from exc
+    data = parse_json(document, "action library")
     if not isinstance(data, dict) or not isinstance(data.get("actions"), list):
         raise ParseError('action library must be an object with an "actions" list')
     actions = []
@@ -357,17 +335,4 @@ def parse_action_library(document: str) -> tuple[MitigationAction, ...]:
 
 
 def library_to_dict(actions: Iterable[MitigationAction]) -> dict:
-    return {
-        "actions": [
-            {
-                "id": a.id,
-                "control": a.control,
-                "description": a.description,
-                "cost_components": [
-                    {"kind": c.kind.value, "magnitude": c.magnitude}
-                    for c in a.cost_components
-                ],
-            }
-            for a in actions
-        ]
-    }
+    return {"actions": [a.to_dict() for a in actions]}

@@ -12,8 +12,8 @@ cost path, so every breakdown is exactly additive.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -33,19 +33,26 @@ from .controls import (
     parse_control_catalog,
     parse_mapping,
 )
-from .errors import ConfigError, DmaicStepError, ParseError
+from .errors import (
+    ConfigError,
+    DmaicStepError,
+    ParseError,
+    parse_json,
+    read_document,
+)
 from .metering import MetricSet, SectionUsage, meter, meter_sections
-from .middleware import ControlLayerConfig
+from .middleware import ControlLayerConfig, updated_from_dict
 from .risk import (
     RiskAssessment,
     RiskCatalog,
+    id_order,
     load_risk_catalog,
     rank,
     reassess,
     top_k,
 )
 from .scenario import ScenarioConfig, default_scenario, load_scenario
-from .trace import Trace
+from .trace import Trace, canonical_json
 from .world import build_world
 
 
@@ -65,26 +72,11 @@ class CostRates:
                 raise ConfigError(f"rate {name} must be a non-negative integer")
 
     def to_dict(self) -> dict:
-        return {
-            "capital_item": self.capital_item,
-            "operational_event": self.operational_event,
-            "latency_ms": self.latency_ms,
-            "wire_byte": self.wire_byte,
-            "session": self.session,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "CostRates":
-        defaults = cls()
-        return cls(
-            capital_item=int(data.get("capital_item", defaults.capital_item)),
-            operational_event=int(
-                data.get("operational_event", defaults.operational_event)
-            ),
-            latency_ms=int(data.get("latency_ms", defaults.latency_ms)),
-            wire_byte=int(data.get("wire_byte", defaults.wire_byte)),
-            session=int(data.get("session", defaults.session)),
-        )
+        return updated_from_dict(cls(), data)
 
 
 @dataclass(frozen=True)
@@ -98,11 +90,7 @@ class SectionCost:
         return self.capital + self.operational + self.performance
 
     def to_dict(self) -> dict:
-        return {
-            "capital": self.capital,
-            "operational": self.operational,
-            "performance": self.performance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -148,15 +136,9 @@ class DmaicConfig:
             "risk_catalog": self.risk_catalog.to_dict(),
             "control_catalog": self.control_catalog.to_dict(),
             "mapping": self.mapping.to_dict(),
+            # descriptions stay out: the report prints this dict's digest
             "action_library": [
-                {
-                    "id": a.id,
-                    "control": a.control,
-                    "cost_components": [
-                        {"kind": c.kind.value, "magnitude": c.magnitude}
-                        for c in a.cost_components
-                    ],
-                }
+                {k: v for k, v in a.to_dict().items() if k != "description"}
                 for a in self.action_library
             ],
             "scenario": self.scenario.to_dict(),
@@ -167,9 +149,7 @@ class DmaicConfig:
         }
 
     def digest(self) -> str:
-        canonical = json.dumps(
-            self.resolved_dict(), sort_keys=True, separators=(",", ":")
-        )
+        canonical = canonical_json(self.resolved_dict())
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -193,7 +173,7 @@ class CostReport:
         }
 
     def to_canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_dict()) + "\n"
 
 
 @dataclass(frozen=True)
@@ -208,8 +188,6 @@ class DmaicOutcome:
 
 
 def monetize(
-    baseline: MetricSet,
-    secured: MetricSet,
     plan: ImplementationPlan,
     rates: CostRates,
     section_usage: Mapping[str, SectionUsage] | None = None,
@@ -221,7 +199,7 @@ def monetize(
     """
     usage = section_usage or {}
     sections = {}
-    for section_id in sorted(plan.enabled_controls, key=_section_sort):
+    for section_id in sorted(plan.enabled_controls, key=id_order):
         capital = 0
         for action in plan.actions:
             if action.control != section_id:
@@ -240,11 +218,6 @@ def monetize(
             capital=capital, operational=operational, performance=performance
         )
     return CostBreakdown(sections=sections)
-
-
-def _section_sort(section_id: str) -> tuple[int, str]:
-    digits = "".join(ch for ch in section_id if ch.isdigit())
-    return (int(digits) if digits else 0, section_id)
 
 
 def residual_assessment(
@@ -281,8 +254,9 @@ def _planned_hardware(scenario: ScenarioConfig, backups_per_site: int) -> tuple[
     return backups, locks
 
 
-def default_dmaic_library(scenario: ScenarioConfig, config) -> tuple[MitigationAction, ...]:
-    """Default action library sized to the scenario and control config."""
+def default_dmaic_library(scenario: ScenarioConfig) -> tuple[MitigationAction, ...]:
+    """Default action library sized to the scenario and its control config."""
+    config = scenario.controls
     backups, locks = _planned_hardware(scenario, config.s17.backups_per_site)
     return default_action_library(
         backup_devices=backups,
@@ -301,14 +275,7 @@ def load_dmaic_config(path: str | Path | None = None) -> DmaicConfig:
     data: dict = {}
     base = Path(".")
     if path is not None:
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot read config {path}: {exc}") from exc
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"config is not valid JSON: {exc}") from exc
+        data = parse_json(read_document(path, "config"), "config")
         if not isinstance(data, dict):
             raise ParseError("config must be a JSON object")
         base = Path(path).parent
@@ -317,11 +284,8 @@ def load_dmaic_config(path: str | Path | None = None) -> DmaicConfig:
         ref = data.get(key)
         if ref is None:
             return None
-        candidate = Path(ref)
-        if not candidate.is_absolute():
-            candidate = base / candidate
         try:
-            return candidate.read_text(encoding="utf-8")
+            return (base / ref).read_text(encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"cannot read {key} reference {ref!r}: {exc}") from exc
 
@@ -335,21 +299,18 @@ def load_dmaic_config(path: str | Path | None = None) -> DmaicConfig:
     mapping = parse_mapping(mapping_text) if mapping_text else default_mapping()
     scenario_ref = data.get("scenario")
     if scenario_ref is not None:
-        scenario_path = Path(scenario_ref)
-        if not scenario_path.is_absolute():
-            scenario_path = base / scenario_ref
-        scenario = load_scenario(scenario_path)
+        scenario = load_scenario(base / scenario_ref)  # absolute refs stay absolute
     else:
         scenario = default_scenario()
     if "controls" in data:
-        scenario = scenario.with_controls(
-            ControlLayerConfig.from_dict(data["controls"])
+        scenario = replace(
+            scenario, controls=ControlLayerConfig.from_dict(data["controls"])
         )
     library_text = read_ref("action_library")
     library = (
         parse_action_library(library_text)
         if library_text
-        else default_dmaic_library(scenario, scenario.controls)
+        else default_dmaic_library(scenario)
     )
     for action in library:
         if not control_catalog.has(action.control):
@@ -369,25 +330,21 @@ def load_dmaic_config(path: str | Path | None = None) -> DmaicConfig:
         action_library=library,
         scenario=scenario,
         rates=CostRates.from_dict(data.get("rates", {})),
-        top_k=int(data.get("top_k", 3)),
+        top_k=int(data.get("top_k", DmaicConfig.top_k)),
         seed=(None if data.get("seed") is None else int(data["seed"])),
         residual_factor=residual,
     )
 
 
+@contextmanager
 def _step(name: str):
     """Annotate any escaping error with the failing pipeline step."""
-
-    class _StepGuard:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, DmaicStepError):
-                raise DmaicStepError(name, exc) from exc
-            return False
-
-    return _StepGuard()
+    try:
+        yield
+    except DmaicStepError:
+        raise
+    except Exception as exc:
+        raise DmaicStepError(name, exc) from exc
 
 
 def run_dmaic(config: DmaicConfig) -> DmaicOutcome:
@@ -424,9 +381,7 @@ def run_dmaic(config: DmaicConfig) -> DmaicOutcome:
         baseline_metrics = meter(baseline_world.trace)
         secured_metrics = meter(secured_world.trace)
         usage = meter_sections(secured_world.trace)
-        breakdown = monetize(
-            baseline_metrics, secured_metrics, plan, config.rates, usage
-        )
+        breakdown = monetize(plan, config.rates, usage)
         residual = residual_assessment(
             assessment, plan.enabled_controls, mapping, config.residual_factor
         )

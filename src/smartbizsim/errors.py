@@ -1,4 +1,5 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the file reading and JSON decoding every
+input parser shares.
 
 Two branches matter for the CLI: ConfigError maps to exit code 2
 (bad input/config), SimulationError maps to exit code 3 (runtime
@@ -6,6 +7,9 @@ failure inside a run).
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class SmartBizError(Exception):
@@ -117,3 +121,21 @@ class DmaicStepError(SmartBizError):
         super().__init__(f"[{step}] {cause}")
         self.step = step
         self.cause = cause
+
+
+# -- input documents -------------------------------------------------------
+
+def read_document(path, what: str) -> str:
+    """Read a UTF-8 input file; an OS error becomes a ParseError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def parse_json(document: str, what: str):
+    """Decode a JSON document; a syntax error becomes a ParseError naming it."""
+    try:
+        return json.loads(document)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc

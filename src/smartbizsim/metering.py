@@ -9,7 +9,7 @@ s17_ms on deliveries, section tags on ops/capital records).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .errors import IncompleteTrace
@@ -36,17 +36,7 @@ class MetricSet:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "messages_sent": self.messages_sent,
-            "messages_delivered": self.messages_delivered,
-            "messages_lost": self.messages_lost,
-            "total_wire_bytes": self.total_wire_bytes,
-            "total_latency_ms": self.total_latency_ms,
-            "sessions": self.sessions,
-            "plaintext_exposures": self.plaintext_exposures,
-            "operational_events": self.operational_events,
-            "capital_items": self.capital_items,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -17,7 +17,7 @@ S17 at delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import AuthDenied, InvalidScenario, MissingKey, UnknownLink, UnknownUser
@@ -92,50 +92,29 @@ class ControlLayerConfig:
         return frozenset(out)
 
     def to_dict(self) -> dict:
-        return {
-            "s9": {
-                "enabled": self.s9.enabled,
-                "per_session_latency_ms": self.s9.per_session_latency_ms,
-                "credential_store": dict(self.s9.credential_store),
-                "review_period_days": self.s9.review_period_days,
-            },
-            "s10": {
-                "enabled": self.s10.enabled,
-                "per_message_latency_ms": self.s10.per_message_latency_ms,
-                "overhead_bytes": self.s10.overhead_bytes,
-                "key_ids": dict(self.s10.key_ids),
-            },
-            "s17": {
-                "enabled": self.s17.enabled,
-                "backups_per_site": self.s17.backups_per_site,
-                "detection_window_s": self.s17.detection_window_s,
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "ControlLayerConfig":
-        s9 = data.get("s9", {})
-        s10 = data.get("s10", {})
-        s17 = data.get("s17", {})
-        return cls(
-            s9=S9Config(
-                enabled=bool(s9.get("enabled", False)),
-                per_session_latency_ms=int(s9.get("per_session_latency_ms", 20)),
-                credential_store=dict(s9.get("credential_store", {})),
-                review_period_days=int(s9.get("review_period_days", 30)),
-            ),
-            s10=S10Config(
-                enabled=bool(s10.get("enabled", False)),
-                per_message_latency_ms=int(s10.get("per_message_latency_ms", 5)),
-                overhead_bytes=int(s10.get("overhead_bytes", 64)),
-                key_ids=dict(s10.get("key_ids", {})),
-            ),
-            s17=S17Config(
-                enabled=bool(s17.get("enabled", False)),
-                backups_per_site=int(s17.get("backups_per_site", 1)),
-                detection_window_s=int(s17.get("detection_window_s", 60)),
-            ),
-        )
+        return updated_from_dict(cls(), data)
+
+
+def updated_from_dict(default, data: Mapping):
+    """Copy of the dataclass `default` with the fields `data` names.
+
+    Each given value is coerced to the type of the default it replaces
+    (nested dataclasses recurse), so missing keys keep the dataclass
+    defaults and nothing repeats them.
+    """
+    changes = {}
+    for f in fields(default):
+        if f.name in data:
+            old = getattr(default, f.name)
+            new = data[f.name]
+            changes[f.name] = (
+                updated_from_dict(old, new) if is_dataclass(old) else type(old)(new)
+            )
+    return replace(default, **changes)
 
 
 @dataclass(frozen=True)
@@ -235,15 +214,3 @@ def tap(link_id: str, world: "World") -> list[TapObservation]:
             )
         )
     return observations
-
-
-def failover(world: "World", failed: str, config: ControlLayerConfig) -> str | None:
-    """Switch delivery for a failed node to the first healthy spare.
-
-    Returns the substitute's node id, or None when the pool is exhausted
-    (pending messages are then recorded as Lost). Inside a run the engine
-    invokes this automatically one detection window after a failure starts.
-    """
-    if not config.s17.enabled:
-        raise InvalidScenario("failover() requires the S17 layer to be enabled")
-    return world.activate_failover(failed)

@@ -8,7 +8,6 @@ tie-breaks, so the same catalog always yields the same ordering.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -21,12 +20,37 @@ from .errors import (
     KOutOfRange,
     ParseError,
     UnknownLevelLabel,
+    parse_json,
 )
+from .trace import canonical_json
 
 Score = Union[int, Fraction]
 
 
-class OrdinalLevel(Enum):
+def id_order(item_id: str) -> tuple[int, str]:
+    """Sort key for ids like R10 or S9: numeric suffix first, then the id."""
+    m = re.search(r"(\d+)$", item_id)
+    return (int(m.group(1)) if m else 0, item_id)
+
+
+class LabeledEnum(Enum):
+    """An enum read from text by its label, which is the value unless a
+    subclass overrides `label`. Subclasses name their error in
+    `_unknown_label`."""
+
+    @property
+    def label(self) -> str:
+        return self.value
+
+    @classmethod
+    def from_label(cls, label: str):
+        for member in cls:
+            if member.label == label:
+                return member
+        raise cls._unknown_label(label)
+
+
+class OrdinalLevel(LabeledEnum):
     """Five-step qualitative scale with a fixed 1..5 numeric encoding."""
 
     VERY_LOW = ("VeryLow", 1)
@@ -43,12 +67,9 @@ class OrdinalLevel(Enum):
     def level(self) -> int:
         return self.value[1]
 
-    @classmethod
-    def from_label(cls, label: str) -> "OrdinalLevel":
-        for member in cls:
-            if member.label == label:
-                return member
-        raise UnknownLevelLabel(f"unknown level label {label!r}")
+    @staticmethod
+    def _unknown_label(label: str) -> Exception:
+        return UnknownLevelLabel(f"unknown level label {label!r}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +79,15 @@ class Risk:
     relevance: OrdinalLevel
     severity: OrdinalLevel
     rationale: str = ""
+
+    def to_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "name": self.name,
+            "relevance": self.relevance.label,
+            "severity": self.severity.label,
+            "rationale": self.rationale,
+        }
 
 
 @dataclass(frozen=True)
@@ -88,18 +118,7 @@ class RiskCatalog:
         return tuple(r.id for r in self.risks)
 
     def to_dict(self) -> dict:
-        return {
-            "risks": [
-                {
-                    "id": r.id,
-                    "name": r.name,
-                    "relevance": r.relevance.label,
-                    "severity": r.severity.label,
-                    "rationale": r.rationale,
-                }
-                for r in self.risks
-            ]
-        }
+        return {"risks": [r.to_dict() for r in self.risks]}
 
 
 @dataclass(frozen=True)
@@ -108,27 +127,15 @@ class RiskAssessment:
     scores: Mapping[str, Score]
     ranking: tuple[str, ...]
 
-    def score_of(self, risk_id: str) -> Score:
-        return self.scores[risk_id]
-
     def to_dict(self) -> dict:
         return {
-            "risks": [
-                {
-                    "id": r.id,
-                    "name": r.name,
-                    "relevance": r.relevance.label,
-                    "severity": r.severity.label,
-                    "rationale": r.rationale,
-                }
-                for r in self.risks
-            ],
+            "risks": [r.to_dict() for r in self.risks],
             "scores": {rid: _score_json(s) for rid, s in self.scores.items()},
             "ranking": list(self.ranking),
         }
 
     def to_canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_dict())
 
 
 def _score_json(score: Score):
@@ -140,14 +147,9 @@ def _score_json(score: Score):
     return score
 
 
-def _id_suffix(risk_id: str) -> int:
-    m = re.search(r"(\d+)$", risk_id)
-    return int(m.group(1)) if m else 0
-
-
 def rank_key(risk: Risk, score: Score):
     """Shared sort key: score desc, relevance desc, numeric id suffix asc."""
-    return (-score, -risk.relevance.level, _id_suffix(risk.id), risk.id)
+    return (-score, -risk.relevance.level, *id_order(risk.id))
 
 
 def score(risk: Risk) -> int:
@@ -159,13 +161,7 @@ def rank(catalog: RiskCatalog) -> RiskAssessment:
     """Assess a catalog into a deterministic priority ranking."""
     if len(catalog) == 0:
         raise EmptyCatalog("cannot rank an empty risk catalog")
-    scores = {r.id: score(r) for r in catalog}
-    ordered = sorted(catalog, key=lambda r: rank_key(r, scores[r.id]))
-    return RiskAssessment(
-        risks=tuple(catalog),
-        scores=scores,
-        ranking=tuple(r.id for r in ordered),
-    )
+    return reassess(catalog, {r.id: score(r) for r in catalog})
 
 
 def top_k(assessment: RiskAssessment, k: int) -> list[str]:
@@ -231,10 +227,7 @@ def parse_risk_catalog(document: str) -> RiskCatalog:
     Expected shape: {"risks": [{"id", "name", "relevance", "severity",
     "rationale"?}, ...]} with level labels from the five-step scale.
     """
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"risk catalog is not valid JSON: {exc}") from exc
+    data = parse_json(document, "risk catalog")
     if not isinstance(data, dict) or "risks" not in data:
         raise ParseError('risk catalog must be an object with a "risks" list')
     entries = data["risks"]

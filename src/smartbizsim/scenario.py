@@ -11,12 +11,11 @@ the caller (baseline vs secured runs reuse one scenario).
 from __future__ import annotations
 
 import datetime as dt
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .calendars import WorkingHours
-from .errors import InvalidScenario, ParseError
+from .errors import InvalidScenario, ParseError, parse_json, read_document
 from .middleware import ControlLayerConfig, S9Config
 from .timeline import SECONDS_PER_DAY, parse_hhmm, parse_iso_date
 
@@ -107,6 +106,10 @@ class ScenarioConfig:
     meeting_horizon_days: int = 30
     controls: ControlLayerConfig = field(default_factory=ControlLayerConfig)
 
+    def __post_init__(self) -> None:
+        # Every instance is valid: parsed, built in code or a replace() copy.
+        validate_scenario(self)
+
     def working_hours(self) -> WorkingHours:
         return WorkingHours(
             start_minute=self.work_start.hour * 60 + self.work_start.minute,
@@ -115,52 +118,21 @@ class ScenarioConfig:
             epoch_weekday=self.epoch.weekday(),
         )
 
-    def with_controls(self, controls: ControlLayerConfig) -> "ScenarioConfig":
-        return replace(self, controls=controls)
-
     def to_dict(self) -> dict:
         return {
             "epoch": self.epoch.isoformat(),
             "horizon_s": self.horizon_s,
             "seed": self.seed,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind,
-                    "site": n.site,
-                    "backup_pool": list(n.backup_pool),
-                }
-                for n in self.nodes
-            ],
-            "links": [
-                {
-                    "a": l.a,
-                    "b": l.b,
-                    "latency_ms": l.latency_ms,
-                    "bandwidth_bps": l.bandwidth_bps,
-                }
-                for l in self.links
-            ],
+            "nodes": [asdict(n) for n in self.nodes],
+            "links": [asdict(l) for l in self.links],
+            # not asdict: it would copy each of thousands of busy intervals
             "attendees": [
-                {"id": a.id, "device": a.device, "busy": [list(iv) for iv in a.busy]}
-                for a in self.attendees
+                {"id": a.id, "device": a.device, "busy": a.busy} for a in self.attendees
             ],
-            "reminders": [
-                {
-                    "id": r.id,
-                    "author": r.author,
-                    "target": r.target,
-                    "payload": r.payload,
-                    "at": r.at,
-                }
-                for r in self.reminders
-            ],
-            "failures": [
-                {"node": f.node, "at": f.at, "duration_s": f.duration_s}
-                for f in self.failures
-            ],
+            "reminders": [asdict(r) for r in self.reminders],
+            "failures": [asdict(f) for f in self.failures],
             "commands": [_command_dict(c) for c in self.commands],
-            "thefts": [{"node": t.node, "at": t.at} for t in self.thefts],
+            "thefts": [asdict(t) for t in self.thefts],
             "working_hours": {
                 "start": self.work_start.strftime("%H:%M"),
                 "end": self.work_end.strftime("%H:%M"),
@@ -195,10 +167,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def parse_scenario(document: str) -> ScenarioConfig:
-    try:
-        data = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario is not valid JSON: {exc}") from exc
+    data = parse_json(document, "scenario")
     if not isinstance(data, dict):
         raise ParseError("scenario must be a JSON object")
     try:
@@ -248,30 +217,27 @@ def _scenario_from_dict(data: dict) -> ScenarioConfig:
         FailureSpec(node=str(f["node"]), at=int(f["at"]), duration_s=int(f["duration_s"]))
         for f in data.get("failures", ())
     )
-    commands = []
-    for c in data.get("commands", ()):
-        intent = str(c["intent"])
-        _require(intent in INTENT_KINDS, f"unknown intent kind {intent!r}")
-        commands.append(
-            CommandSpec(
-                at=int(c["at"]),
-                device=str(c["device"]),
-                user=str(c.get("user", "")),
-                credential=str(c.get("credential", "")),
-                intent=intent,
-                to=c.get("to"),
-                payload=str(c.get("payload", "")),
-                target=c.get("target"),
-                attendees=tuple(c.get("attendees", ())),
-                duration_min=int(c.get("duration_min", 0)),
-            )
+    commands = tuple(
+        CommandSpec(
+            at=int(c["at"]),
+            device=str(c["device"]),
+            user=str(c.get("user", "")),
+            credential=str(c.get("credential", "")),
+            intent=str(c["intent"]),
+            to=c.get("to"),
+            payload=str(c.get("payload", "")),
+            target=c.get("target"),
+            attendees=tuple(c.get("attendees", ())),
+            duration_min=int(c.get("duration_min", 0)),
         )
+        for c in data.get("commands", ())
+    )
     thefts = tuple(
         TheftSpec(node=str(t["node"]), at=int(t["at"]))
         for t in data.get("thefts", ())
     )
     wh = data.get("working_hours", {})
-    scenario = ScenarioConfig(
+    return ScenarioConfig(
         epoch=parse_iso_date(str(data.get("epoch", "2024-01-01"))),
         horizon_s=int(data.get("horizon_s", 35 * SECONDS_PER_DAY)),
         seed=int(data.get("seed", 42)),
@@ -280,7 +246,7 @@ def _scenario_from_dict(data: dict) -> ScenarioConfig:
         attendees=attendees,
         reminders=reminders,
         failures=failures,
-        commands=tuple(commands),
+        commands=commands,
         thefts=thefts,
         work_start=parse_hhmm(str(wh.get("start", "08:00"))),
         work_end=parse_hhmm(str(wh.get("end", "18:00"))),
@@ -289,20 +255,14 @@ def _scenario_from_dict(data: dict) -> ScenarioConfig:
         meeting_horizon_days=int(data.get("meeting_horizon_days", 30)),
         controls=ControlLayerConfig.from_dict(data.get("controls", {})),
     )
-    validate_scenario(scenario)
-    return scenario
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario {path}: {exc}") from exc
-    return parse_scenario(text)
+    return parse_scenario(read_document(path, "scenario"))
 
 
 def validate_scenario(scenario: ScenarioConfig) -> None:
-    """Structural checks shared by every consumer of a scenario."""
+    """Structural checks, run by ScenarioConfig on construction."""
     node_ids = [n.id for n in scenario.nodes]
     _require(len(node_ids) == len(set(node_ids)), "duplicate node ids")
     devices = [n for n in scenario.nodes if n.kind == "SmartDevice"]
@@ -319,11 +279,12 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             f"device {device.id!r} has invalid site {device.site!r}",
         )
     known = set(node_ids)
+    device_ids = {d.id for d in devices}
     for node in scenario.nodes:
         for backup in node.backup_pool:
             _require(backup in known, f"backup {backup!r} of {node.id!r} is unknown")
             _require(
-                any(d.id == backup for d in devices),
+                backup in device_ids,
                 f"backup {backup!r} of {node.id!r} is not a smart device",
             )
     for link in scenario.links:
@@ -340,7 +301,6 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             attendee.device in known,
             f"attendee {attendee.id!r} references unknown device {attendee.device!r}",
         )
-    device_ids = {d.id for d in devices}
     for reminder in scenario.reminders:
         _require(
             reminder.author in device_ids,
@@ -352,6 +312,9 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
         )
     attendee_ids = {a.id for a in scenario.attendees}
     for command in scenario.commands:
+        _require(
+            command.intent in INTENT_KINDS, f"unknown intent kind {command.intent!r}"
+        )
         _require(
             command.device in device_ids,
             f"command device {command.device!r} must be a smart device",

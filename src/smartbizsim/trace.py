@@ -12,6 +12,11 @@ import json
 from typing import Iterator
 
 
+def canonical_json(value) -> str:
+    """Sorted keys, no whitespace: equal values give equal bytes."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 class Trace:
     def __init__(self) -> None:
         self.records: list[dict] = []
@@ -32,10 +37,7 @@ class Trace:
         return [r for r in self.records if r["kind"] == kind]
 
     def to_ndjson(self) -> str:
-        lines = [
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            for record in self.records
-        ]
+        lines = [canonical_json(record) for record in self.records]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @staticmethod

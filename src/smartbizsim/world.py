@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import base64
 import heapq
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import middleware
@@ -33,7 +32,7 @@ from .errors import (
     UnknownUser,
 )
 from .middleware import ControlLayerConfig, Envelope
-from .scenario import CommandSpec, ScenarioConfig, validate_scenario
+from .scenario import CommandSpec, LinkSpec, ScenarioConfig
 from .timeline import SECONDS_PER_DAY, next_month_end_instant
 from .trace import Trace
 
@@ -50,19 +49,6 @@ class Node:
     @property
     def up(self) -> bool:
         return self.fail_depth == 0
-
-    @property
-    def status(self) -> str:
-        return "Up" if self.up else "Failed"
-
-
-@dataclass(frozen=True)
-class Link:
-    id: str
-    a: str
-    b: str
-    latency_ms: int
-    bandwidth_bps: int | None = None
 
 
 @dataclass
@@ -86,11 +72,6 @@ class Message:
     delivered_to: str | None = None
     on_delivered: Callable[[], None] | None = field(default=None, repr=False)
 
-    @property
-    def payload_visible(self) -> bool:
-        """Whether the payload rides the wire in the clear."""
-        return self.envelope is None
-
 
 @dataclass
 class Reminder:
@@ -99,18 +80,14 @@ class Reminder:
     target: str
     payload: bytes
     created_at: int
-    recurrence: str = "EndOfMonth"  # the only supported cadence
 
 
 class World:
     def __init__(self, scenario: ScenarioConfig, controls: ControlLayerConfig):
-        validate_scenario(scenario)
         self.scenario = scenario
         self.config = controls
         self.epoch = scenario.epoch
         self.horizon_s = scenario.horizon_s
-        self.rng_seed = scenario.seed
-        self.rng = random.Random(scenario.seed)
         self.clock = 0
         self.trace = Trace()
 
@@ -121,15 +98,7 @@ class World:
             )
         self.cloud_id = next(n.id for n in self.nodes.values() if n.kind == "CloudService")
 
-        self.links: dict[str, Link] = {}
-        for spec in scenario.links:
-            self.links[spec.id] = Link(
-                id=spec.id,
-                a=spec.a,
-                b=spec.b,
-                latency_ms=spec.latency_ms,
-                bandwidth_bps=spec.bandwidth_bps,
-            )
+        self.links: dict[str, LinkSpec] = {spec.id: spec for spec in scenario.links}
 
         self._provision_backups()
         self._assign_keys()
@@ -196,18 +165,12 @@ class World:
                     id=spare_id, kind="SmartDevice", site=primary.site
                 )
                 if mirror is not None:
-                    link_id = f"{spare_id}--{self.cloud_id}"
-                    self.links[link_id] = Link(
-                        id=link_id,
-                        a=spare_id,
-                        b=self.cloud_id,
-                        latency_ms=mirror.latency_ms,
-                        bandwidth_bps=mirror.bandwidth_bps,
-                    )
+                    link = replace(mirror, a=spare_id, b=self.cloud_id)
+                    self.links[link.id] = link
                 spares.append(spare_id)
             primary.backup_pool = tuple(spares)
 
-    def _direct_link(self, a: str, b: str) -> Link | None:
+    def _direct_link(self, a: str, b: str) -> LinkSpec | None:
         for link in self.links.values():
             if {link.a, link.b} == {a, b}:
                 return link
@@ -507,7 +470,16 @@ class World:
         return substitute
 
     def activate_failover(self, node_id: str) -> str | None:
-        """Immediately run the failover switch for a failed node."""
+        """Switch delivery for a failed node to its first healthy spare now.
+
+        Returns the substitute's node id, or None when the pool is
+        exhausted (pending messages are then recorded as Lost). Inside a
+        run the engine does this one detection window after a failure.
+        """
+        if not self.config.s17.enabled:
+            raise InvalidScenario(
+                "activate_failover() requires the S17 layer to be enabled"
+            )
         if node_id not in self.nodes:
             raise UnknownNode(f"unknown node {node_id!r}")
         state = self._failover.get(node_id)

@@ -33,7 +33,6 @@ from smartbizsim.costs import (
     run_dmaic,
 )
 from smartbizsim.errors import NoSlotAvailable
-from smartbizsim.metering import MetricSet
 from smartbizsim.middleware import ControlLayerConfig, S17Config, tap
 from smartbizsim.risk import default_risk_catalog, rank, top_k
 from smartbizsim.scenario import ReminderSpec
@@ -191,7 +190,7 @@ def test_criterion_7_cost_additivity_against_the_naive_oracle():
         plan = tc._random_plan(rng)
         rates = tc._random_rates(rng)
         usage = tc._random_usage(rng, plan)
-        breakdown = monetize(MetricSet(), MetricSet(), plan, rates, usage)
+        breakdown = monetize(plan, rates, usage)
         assert breakdown.total == naive_total_cost(plan, rates, usage)
 
     no_controls = replace(

@@ -19,6 +19,7 @@ from smartbizsim.controls import (
 )
 from smartbizsim.errors import (
     MissingActionsForControl,
+    ParseError,
     UnknownRiskId,
     UnknownSectionId,
 )
@@ -142,3 +143,13 @@ def test_cost_component_kinds_closed_set():
         "per_message_bytes",
         "per_session",
     }
+
+
+def test_enum_labels_round_trip_and_unknown_labels_are_parse_errors():
+    for enum_cls in (ChangeLevel, CostKind):
+        for member in enum_cls:
+            assert enum_cls.from_label(member.value) is member
+    with pytest.raises(ParseError, match="change level 'Huge'"):
+        ChangeLevel.from_label("Huge")
+    with pytest.raises(ParseError, match="cost component kind 'bribe'"):
+        CostKind.from_label("bribe")

@@ -24,10 +24,8 @@ from smartbizsim.costs import (
     run_dmaic,
 )
 from smartbizsim.errors import ConfigError, DmaicStepError
-from smartbizsim.metering import MetricSet, SectionUsage
+from smartbizsim.metering import SectionUsage
 from smartbizsim.risk import default_risk_catalog, rank
-
-EMPTY_METRICS = MetricSet()
 
 
 def _plan_with_capital(section: str, count: int) -> ImplementationPlan:
@@ -42,7 +40,7 @@ def test_capital_is_plan_count_times_rate():
     plan = _plan_with_capital("S17", 3)
     rates = CostRates(capital_item=10_000, operational_event=0, latency_ms=0,
                       wire_byte=0, session=0)
-    breakdown = monetize(EMPTY_METRICS, EMPTY_METRICS, plan, rates, {})
+    breakdown = monetize(plan, rates, {})
     assert breakdown.sections["S17"].capital == 30_000
     assert breakdown.total == 30_000
 
@@ -51,7 +49,7 @@ def test_zero_usage_means_zero_performance():
     plan = build_plan(["R6"], default_mapping())
     rates = CostRates()
     usage = {"S10": SectionUsage(extra_latency_ms=0, extra_bytes=0)}
-    breakdown = monetize(EMPTY_METRICS, EMPTY_METRICS, plan, rates, usage)
+    breakdown = monetize(plan, rates, usage)
     assert breakdown.sections["S10"].performance == 0
 
 
@@ -99,7 +97,7 @@ def test_randomized_totals_match_the_naive_oracle():
         plan = _random_plan(rng)
         rates = _random_rates(rng)
         usage = _random_usage(rng, plan)
-        breakdown = monetize(EMPTY_METRICS, EMPTY_METRICS, plan, rates, usage)
+        breakdown = monetize(plan, rates, usage)
         assert breakdown.total == naive_total_cost(plan, rates, usage)
 
 
@@ -108,10 +106,10 @@ def test_total_is_monotone_in_each_rate():
     plan = _random_plan(rng)
     usage = _random_usage(rng, plan)
     base_rates = _random_rates(rng)
-    base_total = monetize(EMPTY_METRICS, EMPTY_METRICS, plan, base_rates, usage).total
+    base_total = monetize(plan, base_rates, usage).total
     for field_name in ("capital_item", "operational_event", "latency_ms", "wire_byte", "session"):
         bumped = replace(base_rates, **{field_name: getattr(base_rates, field_name) + 17})
-        bumped_total = monetize(EMPTY_METRICS, EMPTY_METRICS, plan, bumped, usage).total
+        bumped_total = monetize(plan, bumped, usage).total
         assert bumped_total >= base_total
 
 
@@ -253,3 +251,11 @@ def test_baseline_and_secured_differ_only_in_middleware_events():
            if not (r["kind"] in ("delivered", "lost"))]
     base = [r for r in base if not (r["kind"] in ("delivered", "lost"))]
     assert base == sec
+
+
+def test_rate_defaults_have_one_source():
+    assert CostRates.from_dict({}) == CostRates()
+    assert CostRates.from_dict({"session": "7"}) == CostRates(session=7)
+    rates = CostRates(capital_item=1, operational_event=2, latency_ms=3,
+                      wire_byte=4, session=5)
+    assert CostRates.from_dict(rates.to_dict()) == rates

@@ -16,7 +16,6 @@ from smartbizsim.middleware import (
     S10Config,
     S17Config,
     authenticate,
-    failover,
     tap,
     unwrap,
     wrap,
@@ -243,7 +242,7 @@ def test_manual_failover_call_switches_immediately():
     scenario = _failover_scenario(failures=(("device-b", 1000, 3600),))
     world = build_world(scenario)
     world.run_until(1001)
-    substitute = failover(world, "device-b", world.config)
+    substitute = world.activate_failover("device-b")
     assert substitute == "device-b-r1"
     assert world.trace.by_kind("failover")[0]["substitute"] == "device-b-r1"
 
@@ -258,3 +257,30 @@ def test_layer_flags_compose_independent_of_construction_order():
     t1 = build_world(base, one).run_until(base.horizon_s).trace.to_ndjson()
     t2 = build_world(base, other).run_until(base.horizon_s).trace.to_ndjson()
     assert t1 == t2
+
+
+def test_activate_failover_requires_the_continuity_layer():
+    scenario = two_device_scenario(failures=(("device-b", 1000, 3600),))
+    world = build_world(scenario)
+    world.run_until(1001)
+    with pytest.raises(InvalidScenario):
+        world.activate_failover("device-b")
+
+
+def test_control_defaults_have_one_source():
+    assert ControlLayerConfig.from_dict({}) == ControlLayerConfig()
+    assert ControlLayerConfig.from_dict({"s10": {"enabled": True}}) == ControlLayerConfig(
+        s10=S10Config(enabled=True)
+    )
+
+
+def test_control_config_round_trips_with_every_field_set():
+    config = ControlLayerConfig(
+        s9=S9Config(enabled=True, per_session_latency_ms=7,
+                    credential_store={"alice": "sesame"}, review_period_days=9),
+        s10=S10Config(enabled=True, per_message_latency_ms=11, overhead_bytes=3,
+                      key_ids={"device-a": "ka"}),
+        s17=S17Config(enabled=True, backups_per_site=2, detection_window_s=13),
+    )
+    assert config != ControlLayerConfig()
+    assert ControlLayerConfig.from_dict(config.to_dict()) == config

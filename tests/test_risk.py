@@ -14,6 +14,7 @@ from smartbizsim.risk import (
     Risk,
     RiskCatalog,
     default_risk_catalog,
+    id_order,
     load_risk_catalog,
     parse_risk_catalog,
     rank,
@@ -122,7 +123,7 @@ def test_unknown_level_label_rejected():
     doc = json.dumps(
         {"risks": [{"id": "R1", "name": "a", "relevance": "Extreme", "severity": "Low"}]}
     )
-    with pytest.raises(UnknownLevelLabel):
+    with pytest.raises(UnknownLevelLabel, match="'Extreme'"):
         parse_risk_catalog(doc)
 
 
@@ -147,3 +148,9 @@ def test_top_k_bounds():
         top_k(assessment, 11)
     with pytest.raises(KOutOfRange):
         top_k(assessment, 0)
+
+
+def test_id_order_sorts_by_numeric_suffix():
+    assert sorted(["S17", "S9", "R10", "S10", "X"], key=id_order) == [
+        "X", "S9", "R10", "S10", "S17",
+    ]

@@ -2,8 +2,18 @@ import json
 
 import pytest
 
+from smartbizsim import scenario as scenario_module
+from smartbizsim import world as world_module
 from smartbizsim.errors import InvalidScenario, ParseError
-from smartbizsim.scenario import default_scenario, parse_scenario
+from smartbizsim.scenario import (
+    LinkSpec,
+    NodeSpec,
+    ScenarioConfig,
+    default_scenario,
+    parse_scenario,
+)
+from smartbizsim.timeline import parse_iso_date
+from smartbizsim.world import build_world
 
 
 def test_default_scenario_round_trips_through_json():
@@ -80,3 +90,36 @@ def test_sites_are_a_closed_set():
     }
     with pytest.raises(InvalidScenario):
         parse_scenario(json.dumps(doc))
+
+
+def test_a_scenario_is_validated_once_however_many_worlds_use_it(monkeypatch):
+    document = json.dumps(default_scenario().to_dict())
+    calls = []
+    validate = scenario_module.validate_scenario
+
+    def counted(scenario):
+        calls.append(scenario)
+        validate(scenario)
+
+    # also patch any binding the engine might import
+    for module in (scenario_module, world_module):
+        monkeypatch.setattr(module, "validate_scenario", counted, raising=False)
+    scenario = parse_scenario(document)
+    build_world(scenario, scenario.controls.all_disabled())
+    build_world(scenario, scenario.controls.with_enabled({"S9", "S10", "S17"}))
+    assert len(calls) == 1
+
+
+def test_constructing_an_invalid_scenario_raises_without_a_world():
+    with pytest.raises(InvalidScenario) as err:
+        ScenarioConfig(
+            epoch=parse_iso_date("2024-01-01"),
+            horizon_s=3600,
+            seed=1,
+            nodes=(
+                NodeSpec(id="d", kind="SmartDevice", site="CityA"),
+                NodeSpec(id="c", kind="CloudService"),
+            ),
+            links=(LinkSpec(a="d", b="ghost", latency_ms=1),),
+        )
+    assert "'ghost' is unknown" in str(err.value)
