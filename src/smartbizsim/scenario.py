@@ -287,6 +287,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
                 backup in device_ids,
                 f"backup {backup!r} of {node.id!r} is not a smart device",
             )
+    neighbors: dict[str, dict[str, str]] = {node_id: {} for node_id in node_ids}
     for link in scenario.links:
         _require(link.a in known, f"link endpoint {link.a!r} is unknown")
         _require(link.b in known, f"link endpoint {link.b!r} is unknown")
@@ -296,12 +297,31 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             link.bandwidth_bps is None or link.bandwidth_bps > 0,
             f"link {link.id!r} has non-positive bandwidth",
         )
+        earlier = neighbors[link.a].get(link.b)
+        if earlier is not None:
+            raise InvalidScenario(
+                f"links {earlier!r} and {link.id!r} join the same two nodes"
+            )
+        neighbors[link.a][link.b] = neighbors[link.b][link.a] = link.id
+    # every device must reach the cloud: one walk from the cloud
+    reached = {clouds[0].id}
+    stack = [clouds[0].id]
+    while stack:
+        for neighbor in neighbors[stack.pop()]:
+            if neighbor not in reached:
+                reached.add(neighbor)
+                stack.append(neighbor)
+    unreached = [d.id for d in devices if d.id not in reached]
+    if unreached:
+        raise InvalidScenario(f"device {unreached[0]!r} has no link path to the cloud")
     for attendee in scenario.attendees:
+        # not the cloud: it sends the invitations and cannot message itself
         _require(
-            attendee.device in known,
-            f"attendee {attendee.id!r} references unknown device {attendee.device!r}",
+            attendee.device in device_ids,
+            f"attendee {attendee.id!r} device {attendee.device!r} must be a smart device",
         )
     for reminder in scenario.reminders:
+        _require(reminder.at >= 0, f"reminder {reminder.id!r} time must be >= 0")
         _require(
             reminder.author in device_ids,
             f"reminder author {reminder.author!r} must be a smart device",
@@ -319,8 +339,17 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             command.device in device_ids,
             f"command device {command.device!r} must be a smart device",
         )
+        # plain ifs: these run per command and format only on failure
+        if command.at < 0:
+            raise InvalidScenario(
+                f"command time must be >= 0 (device {command.device!r}, at={command.at})"
+            )
         if command.intent == "voice_message":
             _require(command.to in known, f"voice message target {command.to!r} unknown")
+            if command.to == command.device:
+                raise InvalidScenario(
+                    f"voice message from {command.device!r} is addressed to itself"
+                )
         elif command.intent == "create_reminder":
             _require(
                 command.target in device_ids,
@@ -339,6 +368,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
         _require(failure.duration_s >= 0, "failure duration must be >= 0")
     for theft in scenario.thefts:
         _require(theft.node in known, f"theft node {theft.node!r} unknown")
+        _require(theft.at >= 0, "theft time must be >= 0")
     _require(scenario.horizon_s > 0, "horizon must be positive")
 
 

@@ -82,6 +82,42 @@ class Reminder:
     created_at: int
 
 
+def shortest_path(
+    neighbors: dict[str, dict[str, str]], src: str, dst: str
+) -> tuple[str, ...] | None:
+    """Link ids of the fewest-hop path from src to dst, or None.
+
+    `neighbors` maps each node to {neighbor: link id} in sorted neighbor
+    order. Ties go to the smallest sequence of node ids. The search is
+    breadth-first, and each frontier node is asked for a link to dst
+    before it is expanded: the first that has one is dst's parent, so a
+    star's hub is never scanned.
+    """
+    if src == dst:
+        return None
+    frontier = [src]
+    came_from: dict[str, tuple[str, str]] = {}
+    seen = {src}
+    while frontier:
+        nxt = []
+        for here in frontier:
+            adjacent = neighbors[here]
+            link_id = adjacent.get(dst)
+            if link_id is not None:
+                path = [link_id]
+                while here != src:
+                    here, link_id = came_from[here]
+                    path.append(link_id)
+                return tuple(reversed(path))
+            for neighbor, link_id in adjacent.items():
+                if neighbor not in seen:
+                    seen.add(neighbor)
+                    came_from[neighbor] = (here, link_id)
+                    nxt.append(neighbor)
+        frontier = nxt
+    return None
+
+
 class World:
     def __init__(self, scenario: ScenarioConfig, controls: ControlLayerConfig):
         self.scenario = scenario
@@ -98,17 +134,19 @@ class World:
             )
         self.cloud_id = next(n.id for n in self.nodes.values() if n.kind == "CloudService")
 
-        self.links: dict[str, LinkSpec] = {spec.id: spec for spec in scenario.links}
+        self.links: dict[str, LinkSpec] = {}
+        # node -> {neighbor: link id}; validation allows one link per pair
+        self._adjacency: dict[str, dict[str, str]] = {n: {} for n in self.nodes}
+        for spec in scenario.links:
+            self._add_link(spec)
 
         self._provision_backups()
         self._assign_keys()
-
-        self._adjacency: dict[str, list[tuple[str, str]]] = {n: [] for n in self.nodes}
-        for link in self.links.values():
-            self._adjacency[link.a].append((link.b, link.id))
-            self._adjacency[link.b].append((link.a, link.id))
-        for neighbors in self._adjacency.values():
-            neighbors.sort()
+        # sorted neighbors make route tie-breaks independent of link order
+        self._adjacency = {
+            node: dict(sorted(neighbors.items()))
+            for node, neighbors in self._adjacency.items()
+        }
 
         self.calendars: dict[str, Calendar] = {}
         self.attendee_device: dict[str, str] = {}
@@ -153,7 +191,8 @@ class World:
             if n.kind == "SmartDevice" and not n.backup_pool
         ]
         for primary in sorted(primaries, key=lambda n: n.id):
-            mirror = self._direct_link(primary.id, self.cloud_id)
+            mirror_id = self._adjacency[primary.id].get(self.cloud_id)
+            mirror = None if mirror_id is None else self.links[mirror_id]
             spares = []
             for k in range(1, self.config.s17.backups_per_site + 1):
                 spare_id = f"{primary.id}-r{k}"
@@ -164,17 +203,16 @@ class World:
                 self.nodes[spare_id] = Node(
                     id=spare_id, kind="SmartDevice", site=primary.site
                 )
+                self._adjacency[spare_id] = {}
                 if mirror is not None:
-                    link = replace(mirror, a=spare_id, b=self.cloud_id)
-                    self.links[link.id] = link
+                    self._add_link(replace(mirror, a=spare_id, b=self.cloud_id))
                 spares.append(spare_id)
             primary.backup_pool = tuple(spares)
 
-    def _direct_link(self, a: str, b: str) -> LinkSpec | None:
-        for link in self.links.values():
-            if {link.a, link.b} == {a, b}:
-                return link
-        return None
+    def _add_link(self, link: LinkSpec) -> None:
+        self.links[link.id] = link
+        self._adjacency[link.a][link.b] = link.id
+        self._adjacency[link.b][link.a] = link.id
 
     def _assign_keys(self) -> None:
         if not self.config.s10.enabled:
@@ -269,33 +307,6 @@ class World:
 
     # -- messaging -------------------------------------------------------
 
-    def _route(self, src: str, dst: str) -> tuple[str, ...] | None:
-        """Fewest-hop link path; neighbor order is sorted, so ties are stable."""
-        if src == dst:
-            return None
-        frontier = [src]
-        came_from: dict[str, tuple[str, str]] = {}
-        seen = {src}
-        while frontier:
-            nxt = []
-            for here in frontier:
-                for neighbor, link_id in self._adjacency[here]:
-                    if neighbor in seen:
-                        continue
-                    seen.add(neighbor)
-                    came_from[neighbor] = (here, link_id)
-                    if neighbor == dst:
-                        path = []
-                        walk = dst
-                        while walk != src:
-                            prev, lid = came_from[walk]
-                            path.append(lid)
-                            walk = prev
-                        return tuple(reversed(path))
-                    nxt.append(neighbor)
-            frontier = nxt
-        return None
-
     def send_message(
         self,
         src: str,
@@ -308,7 +319,7 @@ class World:
             raise UnknownNode(f"unknown sender {src!r}")
         if dst not in self.nodes:
             raise UnknownNode(f"unknown destination {dst!r}")
-        path = self._route(src, dst)
+        path = shortest_path(self._adjacency, src, dst)
         if path is None:
             raise NoRoute(f"no link path from {src!r} to {dst!r}")
 

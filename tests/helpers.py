@@ -168,3 +168,93 @@ def two_device_scenario(
         commands=commands,
         controls=controls if controls is not None else ControlLayerConfig(),
     )
+
+
+def multi_hop_scenario() -> ScenarioConfig:
+    """Six devices where most routes have several hops and equal-length
+    alternatives, so tie-breaks decide the path.
+
+    dev-a reaches the cloud via dev-b or dev-c (two hops each), dev-d via
+    dev-b or dev-c as well, and dev-f via dev-e (two hops) or via dev-d
+    (three). The cheaper link often lies on the path the tie-break does
+    not take. The cloud--dev-c link is declared cloud-first. A transit
+    device (dev-d) and a leaf (dev-f) fail, so S17 fails the leaf over.
+    """
+    from smartbizsim.middleware import ControlLayerConfig, S9Config
+    from smartbizsim.scenario import AttendeeSpec
+    from smartbizsim.timeline import parse_iso_date
+
+    users = {
+        "alice": ("dev-a", "alice-pass"),
+        "bob": ("dev-b", "bob-pass"),
+        "dora": ("dev-d", "dora-pass"),
+        "finn": ("dev-f", "finn-pass"),
+    }
+    sends = [
+        (3600, "alice", "dev-f"),
+        (3700, "alice", "dev-d"),
+        (3800, "finn", "dev-a"),
+        (3900, "dora", "dev-e"),
+        (4000, "bob", "dev-c"),
+        (4100, "finn", "cloud"),
+        (7300, "alice", "dev-f"),  # dev-f is down: S17 hands it to dev-f-r1
+        (7400, "dora", "dev-b"),
+        (7500, "finn", "dev-c"),  # crosses dev-d while it is down
+        (9000, "bob", "dev-f"),
+    ]
+    commands = [
+        CommandSpec(at=at, device=users[user][0], user=user,
+                    credential=users[user][1], intent="voice_message",
+                    to=to, payload=f"{user} to {to} at {at}")
+        for at, user, to in sends
+    ]
+    commands.append(CommandSpec(
+        at=5000, device="dev-d", user="dora", credential="wrong-pass",
+        intent="voice_message", to="dev-a", payload="denied",
+    ))
+    commands.append(CommandSpec(
+        at=5400, device="dev-a", user="alice", credential="alice-pass",
+        intent="create_reminder", target="dev-f", payload="month end",
+    ))
+    commands.append(CommandSpec(
+        at=6000, device="dev-f", user="finn", credential="finn-pass",
+        intent="schedule_meeting", attendees=("alice", "dora", "finn"),
+        duration_min=30,
+    ))
+    commands.sort(key=lambda c: c.at)
+    return ScenarioConfig(
+        epoch=parse_iso_date("2024-01-29"),
+        horizon_s=4 * 86_400,
+        seed=3,
+        nodes=(
+            NodeSpec(id="dev-a", kind="SmartDevice", site="CityA"),
+            NodeSpec(id="dev-b", kind="SmartDevice", site="CityA"),
+            NodeSpec(id="dev-c", kind="SmartDevice", site="CityB"),
+            NodeSpec(id="dev-d", kind="SmartDevice", site="CityB"),
+            NodeSpec(id="dev-e", kind="SmartDevice", site="Truck"),
+            NodeSpec(id="dev-f", kind="SmartDevice", site="Truck"),
+            NodeSpec(id="cloud", kind="CloudService"),
+        ),
+        links=(
+            LinkSpec(a="dev-b", b="cloud", latency_ms=40),
+            LinkSpec(a="cloud", b="dev-c", latency_ms=60),
+            LinkSpec(a="dev-e", b="cloud", latency_ms=80),
+            LinkSpec(a="dev-a", b="dev-c", latency_ms=5),
+            LinkSpec(a="dev-a", b="dev-b", latency_ms=10),
+            LinkSpec(a="dev-d", b="dev-c", latency_ms=15),
+            LinkSpec(a="dev-d", b="dev-b", latency_ms=20),
+            LinkSpec(a="dev-f", b="dev-e", latency_ms=30),
+            LinkSpec(a="dev-f", b="dev-d", latency_ms=25, bandwidth_bps=2000),
+        ),
+        attendees=tuple(
+            AttendeeSpec(id=user, device=device) for user, (device, _) in users.items()
+        ),
+        failures=(
+            FailureSpec(node="dev-f", at=7200, duration_s=600),
+            FailureSpec(node="dev-d", at=7450, duration_s=200),
+        ),
+        commands=tuple(commands),
+        controls=ControlLayerConfig(
+            s9=S9Config(credential_store={u: p for u, (_, p) in users.items()}),
+        ),
+    )

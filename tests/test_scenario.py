@@ -51,6 +51,27 @@ def test_not_json_is_a_parse_error():
         ({"commands": [{"at": 0, "device": "c", "intent": "voice_message", "to": "d"}]},
          "smart device"),
         ({"horizon_s": 0}, "horizon"),
+        # a second link between two nodes would replace or shadow the first
+        ({"links": [{"a": "d", "b": "c", "latency_ms": 10},
+                    {"a": "d", "b": "c", "latency_ms": 999}]},
+         "links 'd--c' and 'd--c' join the same two nodes"),
+        ({"links": [{"a": "d", "b": "c", "latency_ms": 10},
+                    {"a": "c", "b": "d", "latency_ms": 5}]},
+         "links 'd--c' and 'c--d' join the same two nodes"),
+        # the inputs below would otherwise stop the run with NoRoute
+        ({"nodes": [{"id": "d", "kind": "SmartDevice", "site": "CityA"},
+                    {"id": "x", "kind": "SmartDevice", "site": "Truck"},
+                    {"id": "c", "kind": "CloudService"}]},
+         "device 'x' has no link path to the cloud"),
+        ({"commands": [{"at": 0, "device": "d", "intent": "voice_message", "to": "d"}]},
+         "'d' is addressed to itself"),
+        ({"attendees": [{"id": "ops", "device": "c"}]},
+         "attendee 'ops' device 'c' must be a smart device"),
+        ({"commands": [{"at": -5, "device": "d", "intent": "voice_message", "to": "c"}]},
+         "command time must be >= 0"),
+        ({"reminders": [{"id": "r", "author": "d", "target": "d", "at": -5}]},
+         "reminder 'r' time must be >= 0"),
+        ({"thefts": [{"node": "d", "at": -5}]}, "theft time must be >= 0"),
     ],
 )
 def test_structural_problems_are_invalid_scenarios(patch, fragment):
@@ -123,3 +144,4 @@ def test_constructing_an_invalid_scenario_raises_without_a_world():
             links=(LinkSpec(a="d", b="ghost", latency_ms=1),),
         )
     assert "'ghost' is unknown" in str(err.value)
+

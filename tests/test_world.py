@@ -118,13 +118,15 @@ def test_unknown_destination_and_no_route():
     world = build_world(two_device_scenario())
     with pytest.raises(UnknownNode):
         world.send_message("device-a", "ghost", b"x")
-    scenario = replace(
-        two_device_scenario(),
-        nodes=two_device_scenario().nodes + (NodeSpec(id="island", kind="SmartDevice", site="Truck"),),
-    )
-    isolated = build_world(scenario)
     with pytest.raises(NoRoute):
-        isolated.send_message("device-a", "island", b"x")
+        world.send_message("device-a", "device-a", b"x")
+    # a device without a link path would raise NoRoute mid-run, so the
+    # scenario is rejected when it is built
+    with pytest.raises(InvalidScenario, match="'island'"):
+        replace(
+            two_device_scenario(),
+            nodes=two_device_scenario().nodes + (NodeSpec(id="island", kind="SmartDevice", site="Truck"),),
+        )
 
 
 def test_message_to_failed_node_without_backups_is_lost():
