@@ -6,8 +6,6 @@ from .controls import (
     ChangeLevel,
     ControlCatalog,
     ControlSection,
-    CostComponent,
-    CostKind,
     ImplementationPlan,
     MitigationAction,
     RiskControlMapping,
@@ -24,7 +22,6 @@ from .costs import (
     CostReport,
     DmaicConfig,
     SectionCost,
-    dmaic_run,
     load_dmaic_config,
     monetize,
     residual_assessment,

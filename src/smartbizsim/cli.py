@@ -213,19 +213,15 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
     # Reference resolution is the pipeline's Define step: any unreadable
     # or malformed input is reported under that name.
     try:
-        config = costs.load_dmaic_config(args.config)
-        overrides = {}
-        if args.catalog:
-            text = read_document(args.catalog, "catalog")
-            overrides["risk_catalog"] = load_risk_catalog(text)
-        if args.scenario:
-            overrides["scenario"] = load_scenario(args.scenario)
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.top_k is not None:
-            overrides["top_k"] = args.top_k
-        if overrides:
-            config = replace(config, **overrides)
+        flags = {
+            "risk_catalog": args.catalog,
+            "scenario": args.scenario,
+            "seed": args.seed,
+            "top_k": args.top_k,
+        }
+        config = costs.load_dmaic_config(
+            args.config, {k: v for k, v in flags.items() if v is not None}
+        )
     except SmartBizError as exc:
         raise DmaicStepError("Define", exc) from exc
 

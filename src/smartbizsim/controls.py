@@ -4,13 +4,14 @@ and mitigation planning.
 Sections carry the published level-of-change annotation. The default
 mapping ties the top three risks to one section each: R4 -> S17
 (continuity), R6 -> S10 (cryptography), R9 -> S9 (access control).
-Mitigation actions declare cost components so the metering step always
-has something to price.
+Mitigation actions name what each section does; they carry no cost
+figures. Every priced quantity comes from the secured run's trace
+(see `costs.monetize`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -33,18 +34,6 @@ class ChangeLevel(LabeledEnum):
     @staticmethod
     def _unknown_label(label: str) -> Exception:
         return ParseError(f"unknown change level {label!r}")
-
-
-class CostKind(LabeledEnum):
-    CAPITAL = "capital"
-    OPERATIONAL = "operational"
-    PER_MESSAGE_LATENCY = "per_message_latency"
-    PER_MESSAGE_BYTES = "per_message_bytes"
-    PER_SESSION = "per_session"
-
-    @staticmethod
-    def _unknown_label(label: str) -> Exception:
-        return ParseError(f"unknown cost component kind {label!r}")
 
 
 @dataclass(frozen=True)
@@ -88,34 +77,13 @@ class RiskControlMapping:
 
 
 @dataclass(frozen=True)
-class CostComponent:
-    kind: CostKind
-    magnitude: int
-
-    def __post_init__(self) -> None:
-        if self.magnitude < 0:
-            raise ParseError(
-                f"cost component magnitude must be non-negative, got {self.magnitude}"
-            )
-
-
-@dataclass(frozen=True)
 class MitigationAction:
     id: str
     control: str
     description: str
-    cost_components: tuple[CostComponent, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "control": self.control,
-            "description": self.description,
-            "cost_components": [
-                {"kind": c.kind.value, "magnitude": c.magnitude}
-                for c in self.cost_components
-            ],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -211,65 +179,22 @@ def build_plan(
     return ImplementationPlan(actions=tuple(actions), enabled_controls=frozenset(wanted))
 
 
-def default_action_library(
-    backup_devices: int = 3,
-    device_locks: int = 6,
-    encryption_latency_ms: int = 5,
-    encryption_overhead_bytes: int = 64,
-) -> tuple[MitigationAction, ...]:
-    """The built-in mitigation actions for S9/S10/S17.
+_DEFAULT_ACTIONS: tuple[tuple[str, str, str], ...] = (
+    ("backup-devices", "S17", "One spare smart device per site and truck"),
+    ("replacement-process", "S17", "Replacement ordering process run after a failover"),
+    ("message-encryption", "S10", "Encrypt every device/cloud message in transit"),
+    ("key-management", "S10", "Provision and manage per-node message keys"),
+    ("auth-gate", "S9", "Code or password check before each device command"),
+    ("device-locks", "S9", "Desk-mount lock per deployed device"),
+    ("access-review", "S9", "Periodic review and update of access rights"),
+)
 
-    Magnitudes are parameters, not facts: capital counts come from the
-    deployment at hand (how many spare devices, how many locks), and the
-    per-message figures mirror the encryption layer's configuration.
-    Operational components count one event per occurrence in the run.
-    """
-    return (
-        MitigationAction(
-            id="backup-devices",
-            control="S17",
-            description="One spare smart device per site and truck",
-            cost_components=(CostComponent(CostKind.CAPITAL, backup_devices),),
-        ),
-        MitigationAction(
-            id="replacement-process",
-            control="S17",
-            description="Replacement ordering process run after a failover",
-            cost_components=(CostComponent(CostKind.OPERATIONAL, 1),),
-        ),
-        MitigationAction(
-            id="message-encryption",
-            control="S10",
-            description="Encrypt every device/cloud message in transit",
-            cost_components=(
-                CostComponent(CostKind.PER_MESSAGE_LATENCY, encryption_latency_ms),
-                CostComponent(CostKind.PER_MESSAGE_BYTES, encryption_overhead_bytes),
-            ),
-        ),
-        MitigationAction(
-            id="key-management",
-            control="S10",
-            description="Provision and manage per-node message keys",
-            cost_components=(CostComponent(CostKind.OPERATIONAL, 1),),
-        ),
-        MitigationAction(
-            id="auth-gate",
-            control="S9",
-            description="Code or password check before each device command",
-            cost_components=(CostComponent(CostKind.PER_SESSION, 1),),
-        ),
-        MitigationAction(
-            id="device-locks",
-            control="S9",
-            description="Desk-mount lock per deployed device",
-            cost_components=(CostComponent(CostKind.CAPITAL, device_locks),),
-        ),
-        MitigationAction(
-            id="access-review",
-            control="S9",
-            description="Periodic review and update of access rights",
-            cost_components=(CostComponent(CostKind.OPERATIONAL, 1),),
-        ),
+
+def default_action_library() -> tuple[MitigationAction, ...]:
+    """The built-in mitigation actions for S9/S10/S17."""
+    return tuple(
+        MitigationAction(id=aid, control=control, description=description)
+        for aid, control, description in _DEFAULT_ACTIONS
     )
 
 
@@ -308,6 +233,9 @@ def parse_mapping(document: str) -> RiskControlMapping:
     return RiskControlMapping(entries=entries)
 
 
+_ACTION_FIELDS = frozenset(f.name for f in fields(MitigationAction))
+
+
 def parse_action_library(document: str) -> tuple[MitigationAction, ...]:
     data = parse_json(document, "action library")
     if not isinstance(data, dict) or not isinstance(data.get("actions"), list):
@@ -316,21 +244,23 @@ def parse_action_library(document: str) -> tuple[MitigationAction, ...]:
     for i, entry in enumerate(data["actions"]):
         if not isinstance(entry, dict):
             raise ParseError(f"actions[{i}] must be an object")
-        try:
-            components = tuple(
-                CostComponent(CostKind.from_label(c["kind"]), int(c["magnitude"]))
-                for c in entry["cost_components"]
+        extra = sorted(set(entry) - _ACTION_FIELDS)
+        if extra:
+            raise ParseError(
+                f"actions[{i}] ({entry.get('id')!r}) has unknown field(s) "
+                f"{', '.join(extra)}: an action is only id, control and "
+                "description; costs come from the rates and the secured run"
             )
+        try:
             actions.append(
                 MitigationAction(
                     id=str(entry["id"]),
                     control=str(entry["control"]),
                     description=str(entry.get("description", "")),
-                    cost_components=components,
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"actions[{i}] is malformed: {exc}") from exc
+        except KeyError as exc:
+            raise ParseError(f"actions[{i}] is missing field {exc}") from exc
     return tuple(actions)
 
 

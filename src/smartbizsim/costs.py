@@ -4,6 +4,9 @@ Define loads the reference data, Measure ranks the risks, Analyze maps
 the top-k risks onto control sections, Improve assembles the mitigation
 plan, and Control runs the same scenario twice (all layers off, then the
 plan's layers on), meters both traces and prices the difference.
+Every priced quantity -- hardware, operational events, latency, bytes
+and sessions -- is read from the secured run's trace; the plan only
+says which sections are on.
 
 Money is integer minor currency units throughout. No floats touch the
 cost path, so every breakdown is exactly additive.
@@ -20,7 +23,6 @@ from typing import Mapping
 
 from .controls import (
     ControlCatalog,
-    CostKind,
     ImplementationPlan,
     MitigationAction,
     RiskControlMapping,
@@ -41,7 +43,7 @@ from .errors import (
     read_document,
 )
 from .metering import MetricSet, SectionUsage, meter, meter_sections
-from .middleware import ControlLayerConfig, updated_from_dict
+from .middleware import updated_from_dict
 from .risk import (
     RiskAssessment,
     RiskCatalog,
@@ -116,7 +118,6 @@ class DmaicConfig:
     scenario: ScenarioConfig
     rates: CostRates = field(default_factory=CostRates)
     top_k: int = 3
-    seed: int | None = None
     residual_factor: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
@@ -127,10 +128,6 @@ class DmaicConfig:
                 f"residual_factor must be in 0..1, got {self.residual_factor}"
             )
 
-    @property
-    def effective_seed(self) -> int:
-        return self.scenario.seed if self.seed is None else self.seed
-
     def resolved_dict(self) -> dict:
         return {
             "risk_catalog": self.risk_catalog.to_dict(),
@@ -138,13 +135,11 @@ class DmaicConfig:
             "mapping": self.mapping.to_dict(),
             # descriptions stay out: the report prints this dict's digest
             "action_library": [
-                {k: v for k, v in a.to_dict().items() if k != "description"}
-                for a in self.action_library
+                {"id": a.id, "control": a.control} for a in self.action_library
             ],
             "scenario": self.scenario.to_dict(),
             "rates": self.rates.to_dict(),
             "top_k": self.top_k,
-            "seed": self.effective_seed,
             "residual_factor": str(self.residual_factor),
         }
 
@@ -192,22 +187,17 @@ def monetize(
     rates: CostRates,
     section_usage: Mapping[str, SectionUsage] | None = None,
 ) -> CostBreakdown:
-    """Price the plan: capital from the plan itself, operational and
-    performance from what the secured run actually metered.
+    """Price each section the plan enables from what the secured run
+    metered for it: capital items, operational events and performance
+    overhead. A section with no layer in the simulator prices 0.
 
     All integer arithmetic; the per-section totals add up exactly.
     """
     usage = section_usage or {}
     sections = {}
     for section_id in sorted(plan.enabled_controls, key=id_order):
-        capital = 0
-        for action in plan.actions:
-            if action.control != section_id:
-                continue
-            for component in action.cost_components:
-                if component.kind is CostKind.CAPITAL:
-                    capital += component.magnitude * rates.capital_item
         used = usage.get(section_id, SectionUsage())
+        capital = used.capital_items * rates.capital_item
         operational = used.operational_events * rates.operational_event
         performance = (
             used.extra_latency_ms * rates.latency_ms
@@ -244,33 +234,16 @@ def residual_assessment(
     return reassess(assessment.risks, scores)
 
 
-def _planned_hardware(scenario: ScenarioConfig, backups_per_site: int) -> tuple[int, int]:
-    """(backup devices, device locks) the secured world will provision."""
-    devices = [n for n in scenario.nodes if n.kind == "SmartDevice"]
-    declared = {m for n in scenario.nodes for m in n.backup_pool}
-    auto = sum(backups_per_site for d in devices if not d.backup_pool)
-    backups = len(declared) + auto
-    locks = len(devices) + auto
-    return backups, locks
-
-
-def default_dmaic_library(scenario: ScenarioConfig) -> tuple[MitigationAction, ...]:
-    """Default action library sized to the scenario and its control config."""
-    config = scenario.controls
-    backups, locks = _planned_hardware(scenario, config.s17.backups_per_site)
-    return default_action_library(
-        backup_devices=backups,
-        device_locks=locks,
-        encryption_latency_ms=config.s10.per_message_latency_ms,
-        encryption_overhead_bytes=config.s10.overhead_bytes,
-    )
-
-
-def load_dmaic_config(path: str | Path | None = None) -> DmaicConfig:
+def load_dmaic_config(
+    path: str | Path | None = None, overrides: Mapping | None = None
+) -> DmaicConfig:
     """Resolve a pipeline config document into a DmaicConfig.
 
     With no document at all, every reference falls back to its built-in
-    default, so the pipeline runs with zero arguments.
+    default, so the pipeline runs with zero arguments. `overrides` takes
+    the same keys as the document and wins over it (the CLI's flags);
+    its references are read relative to the working directory, the
+    document's relative to the document.
     """
     data: dict = {}
     base = Path(".")
@@ -279,38 +252,38 @@ def load_dmaic_config(path: str | Path | None = None) -> DmaicConfig:
         if not isinstance(data, dict):
             raise ParseError("config must be a JSON object")
         base = Path(path).parent
+    overrides = overrides or {}
+    data = {**data, **overrides}
 
-    def read_ref(key: str) -> str | None:
+    def ref_path(key: str) -> Path | None:
         ref = data.get(key)
         if ref is None:
             return None
-        try:
-            return (base / ref).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(f"cannot read {key} reference {ref!r}: {exc}") from exc
+        return Path(ref) if key in overrides else base / ref  # absolute stays absolute
 
-    catalog_text = read_ref("risk_catalog")
-    catalog = load_risk_catalog(catalog_text)
+    def read_ref(key: str) -> str | None:
+        ref = ref_path(key)
+        return None if ref is None else read_document(ref, f"{key} reference")
+
+    catalog = load_risk_catalog(read_ref("risk_catalog"))
     control_text = read_ref("control_catalog")
     control_catalog = (
         parse_control_catalog(control_text) if control_text else default_control_catalog()
     )
     mapping_text = read_ref("mapping")
     mapping = parse_mapping(mapping_text) if mapping_text else default_mapping()
-    scenario_ref = data.get("scenario")
-    if scenario_ref is not None:
-        scenario = load_scenario(base / scenario_ref)  # absolute refs stay absolute
-    else:
-        scenario = default_scenario()
+    scenario_path = ref_path("scenario")
+    scenario = default_scenario() if scenario_path is None else load_scenario(scenario_path)
+    changes = {}
     if "controls" in data:
-        scenario = replace(
-            scenario, controls=ControlLayerConfig.from_dict(data["controls"])
-        )
+        changes["controls"] = updated_from_dict(scenario.controls, data["controls"])
+    if data.get("seed") is not None:
+        changes["seed"] = int(data["seed"])
+    if changes:
+        scenario = replace(scenario, **changes)
     library_text = read_ref("action_library")
     library = (
-        parse_action_library(library_text)
-        if library_text
-        else default_dmaic_library(scenario)
+        parse_action_library(library_text) if library_text else default_action_library()
     )
     for action in library:
         if not control_catalog.has(action.control):
@@ -331,7 +304,6 @@ def load_dmaic_config(path: str | Path | None = None) -> DmaicConfig:
         scenario=scenario,
         rates=CostRates.from_dict(data.get("rates", {})),
         top_k=int(data.get("top_k", DmaicConfig.top_k)),
-        seed=(None if data.get("seed") is None else int(data["seed"])),
         residual_factor=residual,
     )
 
@@ -354,8 +326,6 @@ def run_dmaic(config: DmaicConfig) -> DmaicOutcome:
         mapping = config.mapping
         library = config.action_library
         scenario = config.scenario
-        if config.seed is not None and config.seed != scenario.seed:
-            scenario = replace(scenario, seed=config.seed)
 
     with _step("Measure"):
         assessment = rank(catalog)
@@ -404,7 +374,3 @@ def run_dmaic(config: DmaicConfig) -> DmaicOutcome:
         secured_trace=secured_world.trace,
     )
 
-
-def dmaic_run(config: DmaicConfig) -> CostReport:
-    """The pipeline's headline operation: config in, cost report out."""
-    return run_dmaic(config).report

@@ -14,7 +14,6 @@ import random
 import numpy as np
 
 from smartbizsim.calendars import WorkingHours
-from smartbizsim.controls import CostKind
 from smartbizsim.costs import CostRates
 from smartbizsim.metering import SectionUsage
 from smartbizsim.scenario import (
@@ -104,14 +103,9 @@ def naive_total_cost(plan, rates: CostRates, usage: dict[str, SectionUsage]) -> 
     """Spreadsheet-style recomputation: one flat list of quantity*rate
     products, summed."""
     products = []
-    for action in plan.actions:
-        if action.control not in plan.enabled_controls:
-            continue
-        for component in action.cost_components:
-            if component.kind is CostKind.CAPITAL:
-                products.append(component.magnitude * rates.capital_item)
     for section in plan.enabled_controls:
         used = usage.get(section, SectionUsage())
+        products.append(used.capital_items * rates.capital_item)
         products.append(used.operational_events * rates.operational_event)
         products.append(used.extra_latency_ms * rates.latency_ms)
         products.append(used.extra_bytes * rates.wire_byte)

@@ -26,7 +26,6 @@ from smartbizsim.controls import (
 )
 from smartbizsim.costs import (
     CostRates,
-    dmaic_run,
     load_dmaic_config,
     monetize,
     residual_assessment,
@@ -196,7 +195,7 @@ def test_criterion_7_cost_additivity_against_the_naive_oracle():
     no_controls = replace(
         load_dmaic_config(None), mapping=RiskControlMapping(entries={})
     )
-    assert dmaic_run(no_controls).total_security_cost == 0
+    assert run_dmaic(no_controls).report.total_security_cost == 0
     _ok(7, "120/120 randomized combos match; zero-controls run costs 0")
 
 
@@ -218,6 +217,6 @@ def test_criterion_9_residual_ranking_after_elimination():
         assessment, {"S9", "S10", "S17"}, default_mapping(), Fraction(0)
     )
     assert list(residual.ranking[:3]) == ["R10", "R3", "R7"]
-    report = dmaic_run(load_dmaic_config(None))
+    report = run_dmaic(load_dmaic_config(None)).report
     assert list(report.residual_ranking.ranking[:3]) == ["R10", "R3", "R7"]
     _ok(9, "residual top-3 is [R10, R3, R7]")

@@ -123,3 +123,61 @@ def test_report_rerenders_an_existing_report(tmp_path, capsys):
 
 def test_report_missing_file_exits_2(capsys):
     assert main(["report", "--in", "/no/such/report.json"]) == 2
+
+
+def _report(out_dir) -> dict:
+    return json.loads((out_dir / "report.json").read_text())
+
+
+def test_dmaic_top_k_2_prices_only_the_locks_it_builds(tmp_path, capsys):
+    # S17 is off, so no spares are built: 3 locks, not 6.
+    assert main(["dmaic", "--top-k", "2", "--out", str(tmp_path)]) == 0
+    sections = _report(tmp_path)["cost_breakdown"]
+    assert set(sections) == {"S9", "S10"}
+    assert sections["S9"]["capital"] == 3 * 150_000
+
+
+def _larger_scenario(path) -> None:
+    """The built-in scenario plus five devices: 8 devices, 8 spares."""
+    doc = default_scenario().to_dict()
+    for i in range(5):
+        doc["nodes"].append({"id": f"dev-extra-{i}", "kind": "SmartDevice",
+                             "site": "CityA"})
+        doc["links"].append({"a": f"dev-extra-{i}", "b": "cloud", "latency_ms": 50})
+    path.write_text(json.dumps(doc))
+
+
+def test_dmaic_scenario_flag_prices_that_scenarios_hardware(tmp_path, capsys):
+    scenario = tmp_path / "big.json"
+    _larger_scenario(scenario)
+    assert main(["dmaic", "--scenario", str(scenario), "--out", str(tmp_path / "o")]) == 0
+    sections = _report(tmp_path / "o")["cost_breakdown"]
+    assert sections["S9"]["capital"] == 16 * 150_000
+    assert sections["S17"]["capital"] == 8 * 150_000
+
+
+def test_dmaic_scenario_flag_equals_the_same_reference_in_the_config(tmp_path, capsys):
+    scenario = tmp_path / "big.json"
+    _larger_scenario(scenario)
+    block = {"controls": {"s10": {"overhead_bytes": 500}}, "seed": 9}
+    flag_cfg = tmp_path / "flag.json"
+    flag_cfg.write_text(json.dumps(block))
+    ref_cfg = tmp_path / "ref.json"
+    ref_cfg.write_text(json.dumps({**block, "scenario": "big.json"}))
+    assert main(["dmaic", "--config", str(flag_cfg), "--scenario", str(scenario),
+                 "--out", str(tmp_path / "flag")]) == 0
+    assert main(["dmaic", "--config", str(ref_cfg), "--out", str(tmp_path / "ref")]) == 0
+    report = (tmp_path / "flag" / "report.json").read_bytes()
+    assert report == (tmp_path / "ref" / "report.json").read_bytes()
+    assert _report(tmp_path / "flag")["provenance"]["seed"] == 9
+
+
+def test_dmaic_seed_flag_sets_the_scenario_seed(tmp_path, capsys):
+    assert main(["dmaic", "--seed", "777", "--out", str(tmp_path)]) == 0
+    assert _report(tmp_path)["provenance"]["seed"] == 777
+
+
+def test_dmaic_missing_catalog_flag_names_define(tmp_path, capsys):
+    assert main(["dmaic", "--catalog", str(tmp_path / "nope.json"),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "[Define]" in capsys.readouterr().err

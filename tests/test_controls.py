@@ -5,7 +5,6 @@ import pytest
 
 from smartbizsim.controls import (
     ChangeLevel,
-    CostKind,
     build_plan,
     change_level,
     controls_for,
@@ -109,9 +108,11 @@ def test_build_plan_monotone_under_growing_selection():
         assert set(a.id for a in plan.actions) <= set(a.id for a in bigger.actions)
 
 
-def test_every_default_action_has_a_cost_component():
-    for action in default_action_library():
-        assert action.cost_components, action.id
+def test_default_library_names_actions_for_the_three_layers():
+    library = default_action_library()
+    assert library == default_action_library()
+    assert {a.control for a in library} == {"S9", "S10", "S17"}
+    assert all(set(a.to_dict()) == {"id", "control", "description"} for a in library)
 
 
 def test_catalog_round_trip():
@@ -135,21 +136,23 @@ def test_custom_mapping_and_known_risks():
     assert [s.id for s in sections] == ["S13", "S12"]
 
 
-def test_cost_component_kinds_closed_set():
-    assert {k.value for k in CostKind} == {
-        "capital",
-        "operational",
-        "per_message_latency",
-        "per_message_bytes",
-        "per_session",
-    }
-
-
 def test_enum_labels_round_trip_and_unknown_labels_are_parse_errors():
-    for enum_cls in (ChangeLevel, CostKind):
-        for member in enum_cls:
-            assert enum_cls.from_label(member.value) is member
+    for member in ChangeLevel:
+        assert ChangeLevel.from_label(member.value) is member
     with pytest.raises(ParseError, match="change level 'Huge'"):
         ChangeLevel.from_label("Huge")
-    with pytest.raises(ParseError, match="cost component kind 'bribe'"):
-        CostKind.from_label("bribe")
+
+
+def test_library_entry_with_cost_components_is_rejected():
+    document = json.dumps({"actions": [
+        {"id": "auth-gate", "control": "S9", "description": "gate"},
+        {"id": "device-locks", "control": "S9",
+         "cost_components": [{"kind": "capital", "magnitude": 999}]},
+    ]})
+    with pytest.raises(ParseError, match=r"actions\[1\] \('device-locks'\).*cost_components.*rates"):
+        parse_action_library(document)
+
+
+def test_library_entry_without_a_control_is_rejected():
+    with pytest.raises(ParseError, match="missing field 'control'"):
+        parse_action_library(json.dumps({"actions": [{"id": "x"}]}))

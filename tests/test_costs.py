@@ -1,13 +1,12 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from helpers import naive_total_cost
+from helpers import multi_hop_scenario, naive_total_cost
 from smartbizsim.controls import (
-    CostComponent,
-    CostKind,
     ImplementationPlan,
     MitigationAction,
     RiskControlMapping,
@@ -17,7 +16,6 @@ from smartbizsim.controls import (
 from smartbizsim.costs import (
     CostRates,
     DmaicConfig,
-    dmaic_run,
     load_dmaic_config,
     monetize,
     residual_assessment,
@@ -28,20 +26,25 @@ from smartbizsim.metering import SectionUsage
 from smartbizsim.risk import default_risk_catalog, rank
 
 
-def _plan_with_capital(section: str, count: int) -> ImplementationPlan:
-    action = MitigationAction(
-        id="hardware", control=section, description="",
-        cost_components=(CostComponent(CostKind.CAPITAL, count),),
+def _plan_for(*sections: str) -> ImplementationPlan:
+    actions = tuple(
+        MitigationAction(id=f"a{i}", control=section, description="")
+        for i, section in enumerate(sections)
     )
-    return ImplementationPlan(actions=(action,), enabled_controls=frozenset((section,)))
+    return ImplementationPlan(actions=actions, enabled_controls=frozenset(sections))
 
 
-def test_capital_is_plan_count_times_rate():
-    plan = _plan_with_capital("S17", 3)
+def test_capital_is_metered_count_times_rate():
+    plan = _plan_for("S17", "S13")
     rates = CostRates(capital_item=10_000, operational_event=0, latency_ms=0,
                       wire_byte=0, session=0)
-    breakdown = monetize(plan, rates, {})
+    usage = {"S17": SectionUsage(capital_items=3), "S9": SectionUsage(capital_items=5)}
+    breakdown = monetize(plan, rates, usage)
     assert breakdown.sections["S17"].capital == 30_000
+    # S13 has no layer in the simulator, so nothing metered and nothing
+    # priced; S9 is metered but not in the plan.
+    assert breakdown.sections["S13"].total == 0
+    assert "S9" not in breakdown.sections
     assert breakdown.total == 30_000
 
 
@@ -54,18 +57,7 @@ def test_zero_usage_means_zero_performance():
 
 
 def _random_plan(rng: random.Random) -> ImplementationPlan:
-    sections = rng.sample(["S9", "S10", "S13", "S17"], rng.randint(0, 4))
-    actions = []
-    for i, section in enumerate(sections):
-        components = tuple(
-            CostComponent(rng.choice(list(CostKind)), rng.randint(0, 50))
-            for _ in range(rng.randint(1, 3))
-        )
-        actions.append(
-            MitigationAction(id=f"a{i}", control=section, description="",
-                             cost_components=components)
-        )
-    return ImplementationPlan(actions=tuple(actions), enabled_controls=frozenset(sections))
+    return _plan_for(*rng.sample(["S9", "S10", "S13", "S17"], rng.randint(0, 4)))
 
 
 def _random_usage(rng: random.Random, plan: ImplementationPlan):
@@ -179,8 +171,8 @@ def test_default_pipeline_enables_the_three_controls():
 
 
 def test_report_is_byte_deterministic():
-    a = dmaic_run(load_dmaic_config(None))
-    b = dmaic_run(load_dmaic_config(None))
+    a = run_dmaic(load_dmaic_config(None)).report
+    b = run_dmaic(load_dmaic_config(None)).report
     assert a.to_canonical_json() == b.to_canonical_json()
 
 
@@ -193,7 +185,7 @@ def test_top_k_zero_rejected_at_validation():
 def test_oversized_top_k_fails_in_the_analyze_step():
     config = replace(load_dmaic_config(None), top_k=11)
     with pytest.raises(DmaicStepError) as err:
-        dmaic_run(config)
+        run_dmaic(config)
     assert err.value.step == "Analyze"
     assert isinstance(err.value.cause, ConfigError)
 
@@ -202,7 +194,7 @@ def test_zero_rates_cost_zero_without_touching_the_metrics():
     zero = CostRates(capital_item=0, operational_event=0, latency_ms=0,
                      wire_byte=0, session=0)
     config = replace(load_dmaic_config(None), rates=zero)
-    report = dmaic_run(config)
+    report = run_dmaic(config).report
     assert report.total_security_cost == 0
     assert report.secured.messages_sent == report.baseline.messages_sent
 
@@ -218,9 +210,37 @@ def test_empty_mapping_runs_with_no_controls_and_zero_cost():
 
 
 def test_seed_override_lands_in_provenance():
-    config = replace(load_dmaic_config(None), seed=777)
-    report = dmaic_run(config)
+    config = load_dmaic_config(None, {"seed": 777})
+    assert config.scenario.seed == 777
+    report = run_dmaic(config).report
     assert report.provenance["seed"] == 777
+
+
+def test_config_seed_sets_the_scenario_seed(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 5}))
+    config = load_dmaic_config(path)
+    assert config.scenario.seed == 5
+    assert config.digest() != load_dmaic_config(None).digest()
+    assert run_dmaic(config).report.provenance["seed"] == 5
+
+
+def test_controls_block_updates_the_scenario_controls(tmp_path):
+    # Only the named field changes; the scenario's credential store and
+    # every other layer setting survive.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"controls": {"s10": {"overhead_bytes": 500}}}))
+    config = load_dmaic_config(path)
+    default = load_dmaic_config(None).scenario.controls
+    assert config.scenario.controls == replace(
+        default, s10=replace(default.s10, overhead_bytes=500)
+    )
+    outcome = run_dmaic(config)
+    assert not [r for r in outcome.secured_trace.by_kind("audit")
+                if not r["authenticated"]]
+    assert outcome.report.secured.messages_sent == 62
+    sent = outcome.secured_trace.by_kind("sent")
+    assert all(r["wire_bytes"] - r["size_bytes"] == 500 for r in sent)
 
 
 def test_negative_rate_rejected():
@@ -251,6 +271,27 @@ def test_baseline_and_secured_differ_only_in_middleware_events():
            if not (r["kind"] in ("delivered", "lost"))]
     base = [r for r in base if not (r["kind"] in ("delivered", "lost"))]
     assert base == sec
+
+
+def _traced_capital(trace) -> dict[str, int]:
+    counts: dict[str, int] = {}
+    for record in trace.by_kind("capital"):
+        counts[record["section"]] = counts.get(record["section"], 0) + record["count"]
+    return counts
+
+
+@pytest.mark.parametrize("top", [1, 2, 3])
+@pytest.mark.parametrize("scenario", ["default", "multi_hop"])
+def test_capital_is_what_the_secured_trace_counts(scenario, top):
+    config = replace(load_dmaic_config(None), top_k=top)
+    if scenario == "multi_hop":
+        config = replace(config, scenario=multi_hop_scenario())
+    outcome = run_dmaic(config)
+    counted = _traced_capital(outcome.secured_trace)
+    sections = outcome.report.cost_breakdown.sections
+    assert set(counted) <= set(sections)
+    for section_id, cost in sections.items():
+        assert cost.capital == counted.get(section_id, 0) * config.rates.capital_item
 
 
 def test_rate_defaults_have_one_source():

@@ -12,7 +12,7 @@ from smartbizsim.costs import load_dmaic_config, run_dmaic
 from smartbizsim.world import build_world
 
 GOLDEN_SHA256 = {
-    "report": "67fa27007a3440fefbf520b363983ef7f0d32656214ff35d549931a8fded5c55",
+    "report": "18ffa700f6822265d5ef692e58147954d11856ce0db87c69def26a78f4a7579e",
     "baseline_trace": "c7a26ad9f3f5b54fb28f30d37743a609be230c78cbb66dc038f132a154ec90e9",
     "secured_trace": "410b4b5b64fa025c4c809134517e70e50834004fac2c0d9295f540d86ce483c1",
 }
