@@ -228,13 +228,11 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
     outcome = costs.run_dmaic(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    report_dict = outcome.report.to_dict()
     suffix = {"json": "json", "csv": "csv", "table": "txt"}[args.format]
     report_path = out_dir / f"report.{suffix}"
-    if args.format == "json":
-        report_path.write_text(outcome.report.to_canonical_json(), encoding="utf-8")
-    else:
-        report_path.write_text(_render_report(report_dict, args.format), encoding="utf-8")
+    report_path.write_text(
+        _render_report(outcome.report.to_dict(), args.format), encoding="utf-8"
+    )
     (out_dir / "trace_baseline.ndjson").write_text(
         outcome.baseline_trace.to_ndjson(), encoding="utf-8"
     )

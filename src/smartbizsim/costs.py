@@ -276,9 +276,11 @@ def load_dmaic_config(
     scenario = default_scenario() if scenario_path is None else load_scenario(scenario_path)
     changes = {}
     if "controls" in data:
-        changes["controls"] = updated_from_dict(scenario.controls, data["controls"])
+        changes["controls"] = _config_value(
+            "controls", lambda v: updated_from_dict(scenario.controls, v), data["controls"]
+        )
     if data.get("seed") is not None:
-        changes["seed"] = int(data["seed"])
+        changes["seed"] = _config_value("seed", int, data["seed"])
     if changes:
         scenario = replace(scenario, **changes)
     library_text = read_ref("action_library")
@@ -291,21 +293,26 @@ def load_dmaic_config(
                 f"action {action.id!r} references unknown control "
                 f"section {action.control!r}"
             )
-    factor = data.get("residual_factor", 0)
-    try:
-        residual = Fraction(str(factor))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad residual_factor {factor!r}: {exc}") from exc
     return DmaicConfig(
         risk_catalog=catalog,
         control_catalog=control_catalog,
         mapping=mapping,
         action_library=library,
         scenario=scenario,
-        rates=CostRates.from_dict(data.get("rates", {})),
-        top_k=int(data.get("top_k", DmaicConfig.top_k)),
-        residual_factor=residual,
+        rates=_config_value("rates", CostRates.from_dict, data.get("rates", {})),
+        top_k=_config_value("top_k", int, data.get("top_k", DmaicConfig.top_k)),
+        residual_factor=_config_value(
+            "residual_factor", lambda v: Fraction(str(v)), data.get("residual_factor", 0)
+        ),
     )
+
+
+def _config_value(key: str, convert, value):
+    """`convert(value)`; a value it cannot convert is a ParseError naming `key`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad {key} {value!r}: {exc}") from exc
 
 
 @contextmanager
@@ -341,7 +348,7 @@ def run_dmaic(config: DmaicConfig) -> DmaicOutcome:
         plan = build_plan(selected, mapping, library, known_risks=catalog.ids)
 
     with _step("Control"):
-        baseline_world = build_world(scenario, scenario.controls.all_disabled())
+        baseline_world = build_world(scenario, scenario.controls.with_enabled(()))
         baseline_world.run_until(scenario.horizon_s)
         secured_world = build_world(
             scenario, scenario.controls.with_enabled(plan.enabled_controls)

@@ -18,7 +18,7 @@ S17 at delivery.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Collection, Mapping
 
 from .errors import AuthDenied, InvalidScenario, MissingKey, UnknownLink, UnknownUser
 
@@ -69,16 +69,13 @@ class ControlLayerConfig:
             if value < 0:
                 raise InvalidScenario(f"{name} must be non-negative, got {value}")
 
-    def with_enabled(self, sections: frozenset[str] | set[str]) -> "ControlLayerConfig":
+    def with_enabled(self, sections: Collection[str]) -> "ControlLayerConfig":
         """Copy of this config with exactly the given layers switched on."""
         return ControlLayerConfig(
             s9=replace(self.s9, enabled="S9" in sections),
             s10=replace(self.s10, enabled="S10" in sections),
             s17=replace(self.s17, enabled="S17" in sections),
         )
-
-    def all_disabled(self) -> "ControlLayerConfig":
-        return self.with_enabled(frozenset())
 
     @property
     def enabled_sections(self) -> frozenset[str]:
@@ -104,8 +101,11 @@ def updated_from_dict(default, data: Mapping):
 
     Each given value is coerced to the type of the default it replaces
     (nested dataclasses recurse), so missing keys keep the dataclass
-    defaults and nothing repeats them.
+    defaults and nothing repeats them. A `data` that is not a mapping is a
+    TypeError.
     """
+    if not isinstance(data, Mapping):
+        raise TypeError(f"expected an object, got {data!r}")
     changes = {}
     for f in fields(default):
         if f.name in data:

@@ -39,11 +39,3 @@ class Trace:
     def to_ndjson(self) -> str:
         lines = [canonical_json(record) for record in self.records]
         return "\n".join(lines) + ("\n" if lines else "")
-
-    @staticmethod
-    def parse_ndjson(text: str) -> "Trace":
-        trace = Trace()
-        for line in text.splitlines():
-            if line.strip():
-                trace.records.append(json.loads(line))
-        return trace

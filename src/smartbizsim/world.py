@@ -5,6 +5,10 @@ times run in insertion order, all state changes land in the trace, and
 nothing depends on wall-clock time or hash ordering, so a (scenario,
 seed) pair always reproduces the same trace byte for byte.
 
+The trace is the record of every message: its path, sizes, envelope,
+delivery and latency split live in its `sent`, `delivered` and `lost`
+records. `World.messages` holds only the messages still in flight.
+
 Failure semantics: a Failed node cannot receive. Messages whose delivery
 falls inside an outage are lost, unless the continuity layer (S17) is
 enabled, in which case they wait for the failover switch and land on a
@@ -31,7 +35,7 @@ from .errors import (
     UnknownNode,
     UnknownUser,
 )
-from .middleware import ControlLayerConfig, Envelope
+from .middleware import ControlLayerConfig
 from .scenario import CommandSpec, LinkSpec, ScenarioConfig
 from .timeline import SECONDS_PER_DAY, next_month_end_instant
 from .trace import Trace
@@ -53,33 +57,19 @@ class Node:
 
 @dataclass
 class Message:
+    """A message in flight; its `sent` trace record holds everything else."""
+
     msg_id: int
-    src: str
     dst: str
-    payload: bytes
-    envelope: Envelope | None
-    sent_at: int
     eta: int
-    size_bytes: int
-    wire_bytes: int
-    path: tuple[str, ...]
-    link_ms: int
-    s10_ms: int
-    s9_ms: int
-    s17_ms: int = 0
-    status: str = "InFlight"  # InFlight | Delivered | Lost
-    delivered_at: int | None = None
-    delivered_to: str | None = None
+    latency_ms: int  # link + S10 + S9; S17 adds the wait past `eta`
     on_delivered: Callable[[], None] | None = field(default=None, repr=False)
 
 
 @dataclass
 class Reminder:
-    id: str
-    author: str
     target: str
     payload: bytes
-    created_at: int
 
 
 def shortest_path(
@@ -157,28 +147,33 @@ class World:
         self.messages: dict[int, Message] = {}
         self.reminders: dict[str, Reminder] = {}
         self._next_msg_id = 1
-        self._queue: list[tuple[int, int, str, object]] = []
+        # (time, seq, handler, args): equal times run in insertion order
+        self._queue: list[tuple[int, int, Callable[..., object], tuple]] = []
         self._event_seq = 0
-        self._pending: dict[str, list[int]] = {}
+        self._pending: dict[str, list[Message]] = {}
         # per-node failover bookkeeping: episode counter + activation state
         self._failover: dict[str, dict] = {}
 
         self._record_provisioning()
         for failure in scenario.failures:
-            self._schedule(failure.at, "fail_start", failure.node)
-            self._schedule(failure.at + failure.duration_s, "fail_end", failure.node)
+            self.inject_failure(failure.node, failure.at, failure.duration_s)
         for command in scenario.commands:
-            self._schedule(command.at, "command", command)
+            self._schedule(command.at, self._handle_command, command)
         for reminder in scenario.reminders:
-            self._schedule(reminder.at, "reminder_register", reminder)
+            self._schedule(
+                reminder.at, self.create_reminder, reminder.author, reminder.target,
+                reminder.payload.encode("utf-8"), reminder.id,
+            )
         for theft in scenario.thefts:
-            self._schedule(theft.at, "theft", theft.node)
+            self._schedule(
+                theft.at, self._record, "theft",
+                dict(node=theft.node, guarded=self.config.s9.enabled),
+            )
         if self.config.s9.enabled and self.config.s9.review_period_days > 0:
             period = self.config.s9.review_period_days * SECONDS_PER_DAY
-            t = period
-            while t <= self.horizon_s:
-                self._schedule(t, "ops", ("S9", "access-review", 1))
-                t += period
+            review = dict(section="S9", action="access-review", events=1)
+            for t in range(period, self.horizon_s + 1, period):
+                self._schedule(t, self._record, "ops", review)
 
     # -- construction helpers ------------------------------------------
 
@@ -243,19 +238,31 @@ class World:
         """
         if self.config.s9.enabled:
             locks = sum(1 for n in self.nodes.values() if n.kind == "SmartDevice")
-            self._schedule(0, "capital", ("S9", "device-lock", locks))
+            self._schedule(
+                0, self._record, "capital",
+                dict(section="S9", item="device-lock", count=locks),
+            )
         if self.config.s10.enabled:
-            self._schedule(0, "ops", ("S10", "key-provisioning", 1))
+            self._schedule(
+                0, self._record, "ops",
+                dict(section="S10", action="key-provisioning", events=1),
+            )
         if self.config.s17.enabled:
             backups = len({m for n in self.nodes.values() for m in n.backup_pool})
             if backups:
-                self._schedule(0, "capital", ("S17", "backup-device", backups))
+                self._schedule(
+                    0, self._record, "capital",
+                    dict(section="S17", item="backup-device", count=backups),
+                )
 
     # -- event machinery -----------------------------------------------
 
-    def _schedule(self, time: int, kind: str, data: object) -> None:
-        heapq.heappush(self._queue, (time, self._event_seq, kind, data))
+    def _schedule(self, time: int, handler: Callable[..., object], *args) -> None:
+        heapq.heappush(self._queue, (time, self._event_seq, handler, args))
         self._event_seq += 1
+
+    def _record(self, kind: str, fields: dict) -> None:
+        self.trace.append(kind, self.clock, **fields)
 
     def run_until(self, t_end: int) -> "World":
         if t_end < self.clock:
@@ -263,47 +270,11 @@ class World:
                 f"cannot run backwards: t_end {t_end} < clock {self.clock}"
             )
         while self._queue and self._queue[0][0] <= t_end:
-            time, _, kind, data = heapq.heappop(self._queue)
+            time, _, handler, args = heapq.heappop(self._queue)
             self.clock = time
-            self._dispatch(kind, data)
+            handler(*args)
         self.clock = t_end
         return self
-
-    def _dispatch(self, kind: str, data: object) -> None:
-        if kind == "deliver":
-            self._handle_delivery(self.messages[data])
-        elif kind == "command":
-            self._handle_command(data)
-        elif kind == "fail_start":
-            self._fail_start(data)
-        elif kind == "fail_end":
-            self._fail_end(data)
-        elif kind == "failover":
-            node_id, episode = data
-            self._failover_activate(node_id, episode)
-        elif kind == "reminder_register":
-            self.create_reminder(
-                data.author, data.target, data.payload.encode("utf-8"),
-                reminder_id=data.id,
-            )
-        elif kind == "reminder_fire":
-            self._fire_reminder(data)
-        elif kind == "ops":
-            section, action, events = data
-            self.trace.append(
-                "ops", self.clock, section=section, action=action, events=events
-            )
-        elif kind == "capital":
-            section, item, count = data
-            self.trace.append(
-                "capital", self.clock, section=section, item=item, count=count
-            )
-        elif kind == "theft":
-            self.trace.append(
-                "theft", self.clock, node=data, guarded=self.config.s9.enabled
-            )
-        else:  # pragma: no cover
-            raise AssertionError(f"unknown event kind {kind!r}")
 
     # -- messaging -------------------------------------------------------
 
@@ -344,23 +315,7 @@ class World:
         s10_ms = self.config.s10.per_message_latency_ms if envelope else 0
         total_ms = link_ms + s10_ms + s9_ms
         eta = self.clock + -(-total_ms // 1000)  # round up to the second grid
-
-        msg = Message(
-            msg_id=msg_id,
-            src=src,
-            dst=dst,
-            payload=bytes(payload),
-            envelope=envelope,
-            sent_at=self.clock,
-            eta=eta,
-            size_bytes=size,
-            wire_bytes=wire,
-            path=path,
-            link_ms=link_ms,
-            s10_ms=s10_ms,
-            s9_ms=s9_ms,
-            on_delivered=on_delivered,
-        )
+        msg = Message(msg_id, dst, eta, total_ms, on_delivered)
         self.messages[msg_id] = msg
 
         fields = dict(
@@ -380,7 +335,7 @@ class World:
         else:
             fields["payload_b64"] = base64.b64encode(payload).decode("ascii")
         self.trace.append("sent", self.clock, **fields)
-        self._schedule(eta, "deliver", msg_id)
+        self._schedule(eta, self._handle_delivery, msg)
         return msg_id
 
     def _handle_delivery(self, msg: Message) -> None:
@@ -391,7 +346,7 @@ class World:
         if self.config.s17.enabled:
             state = self._failover.get(msg.dst)
             if state is not None and not state["active"]:
-                self._pending.setdefault(msg.dst, []).append(msg.msg_id)
+                self._pending.setdefault(msg.dst, []).append(msg)
                 return
             substitute = self._first_up_backup(msg.dst)
             if substitute is not None:
@@ -402,23 +357,21 @@ class World:
         self._lose(msg, "node-failed")
 
     def _deliver(self, msg: Message, to: str) -> None:
-        msg.s17_ms = (self.clock - msg.eta) * 1000
-        msg.status = "Delivered"
-        msg.delivered_at = self.clock
-        msg.delivered_to = to
+        del self.messages[msg.msg_id]
+        s17_ms = (self.clock - msg.eta) * 1000
         self.trace.append(
             "delivered",
             self.clock,
             msg_id=msg.msg_id,
             to=to,
-            latency_ms=msg.link_ms + msg.s10_ms + msg.s9_ms + msg.s17_ms,
-            s17_ms=msg.s17_ms,
+            latency_ms=msg.latency_ms + s17_ms,
+            s17_ms=s17_ms,
         )
         if msg.on_delivered is not None:
             msg.on_delivered()
 
     def _lose(self, msg: Message, reason: str) -> None:
-        msg.status = "Lost"
+        del self.messages[msg.msg_id]
         self.trace.append("lost", self.clock, msg_id=msg.msg_id, reason=reason)
 
     # -- failures and failover -------------------------------------------
@@ -428,8 +381,8 @@ class World:
             raise UnknownNode(f"unknown node {node_id!r}")
         if at < self.clock:
             raise InvalidScenario(f"cannot inject a failure in the past (at={at})")
-        self._schedule(at, "fail_start", node_id)
-        self._schedule(at + duration_s, "fail_end", node_id)
+        self._schedule(at, self._fail_start, node_id)
+        self._schedule(at + duration_s, self._fail_end, node_id)
 
     def _fail_start(self, node_id: str) -> None:
         node = self.nodes[node_id]
@@ -442,8 +395,7 @@ class World:
             self._failover[node_id] = {"episode": episode, "active": False}
             self._schedule(
                 self.clock + self.config.s17.detection_window_s,
-                "failover",
-                (node_id, episode),
+                self._failover_activate, node_id, episode,
             )
 
     def _fail_end(self, node_id: str) -> None:
@@ -454,8 +406,8 @@ class World:
         self.trace.append("failure", self.clock, node=node_id, phase="end")
         # recovery beats a pending detection window: queued messages go
         # straight back to the recovered node
-        for msg_id in self._pending.pop(node_id, []):
-            self._deliver(self.messages[msg_id], node_id)
+        for msg in self._pending.pop(node_id, []):
+            self._deliver(msg, node_id)
         self._failover.pop(node_id, None)
 
     def _failover_activate(self, node_id: str, episode: int) -> str | None:
@@ -472,8 +424,7 @@ class World:
         self.trace.append(
             "ops", self.clock, section="S17", action="replacement-order", events=1
         )
-        for msg_id in self._pending.pop(node_id, []):
-            msg = self.messages[msg_id]
+        for msg in self._pending.pop(node_id, []):
             if substitute is not None:
                 self._deliver(msg, substitute)
             else:
@@ -574,22 +525,23 @@ class World:
         rid = reminder_id or f"rem-{len(self.reminders) + 1}"
         if rid in self.reminders:
             raise InvalidScenario(f"duplicate reminder id {rid!r}")
-        self.reminders[rid] = Reminder(
-            id=rid, author=author, target=target,
-            payload=bytes(payload), created_at=self.clock,
-        )
+        self.reminders[rid] = Reminder(target=target, payload=bytes(payload))
         self.trace.append(
             "reminder", self.clock, event="created", reminder=rid,
             author=author, target=target,
         )
+        self._schedule_reminder(rid)
+        return rid
+
+    def _schedule_reminder(self, rid: str) -> None:
+        """Queue the reminder's next firing, at the next month end."""
         self._schedule(
             next_month_end_instant(
                 self.clock, self.scenario.reminder_fire_time, self.epoch
             ),
-            "reminder_fire",
+            self._fire_reminder,
             rid,
         )
-        return rid
 
     def _fire_reminder(self, rid: str) -> None:
         reminder = self.reminders[rid]
@@ -598,13 +550,7 @@ class World:
             target=reminder.target,
         )
         self.send_message(self.cloud_id, reminder.target, reminder.payload)
-        self._schedule(
-            next_month_end_instant(
-                self.clock, self.scenario.reminder_fire_time, self.epoch
-            ),
-            "reminder_fire",
-            rid,
-        )
+        self._schedule_reminder(rid)
 
     # -- meetings ------------------------------------------------------------
 

@@ -12,10 +12,12 @@ import datetime as dt
 import random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from smartbizsim.calendars import WorkingHours
 from smartbizsim.costs import CostRates
 from smartbizsim.metering import SectionUsage
+from smartbizsim.middleware import ControlLayerConfig, S17Config
 from smartbizsim.scenario import (
     CommandSpec,
     FailureSpec,
@@ -25,6 +27,29 @@ from smartbizsim.scenario import (
     ScenarioConfig,
 )
 from smartbizsim.timeline import MINUTES_PER_DAY
+from smartbizsim.world import build_world
+
+
+# -- message records ------------------------------------------------------------
+
+
+def message_records(trace) -> dict[int, dict]:
+    """msg_id -> its records, read from the trace alone.
+
+    Each entry holds the `sent` record and, once the message is settled,
+    its `delivered` or `lost` record, plus `status`: "InFlight",
+    "Delivered" or "Lost". Entries are in send order.
+    """
+    messages = {}
+    for record in trace:
+        kind = record["kind"]
+        if kind == "sent":
+            messages[record["msg_id"]] = {"sent": record, "status": "InFlight"}
+        elif kind in ("delivered", "lost"):
+            entry = messages[record["msg_id"]]
+            entry[kind] = record
+            entry["status"] = kind.capitalize()
+    return messages
 
 
 # -- earliest-slot oracle -----------------------------------------------------
@@ -129,7 +154,6 @@ def two_device_scenario(
     `message_times` sends device-a -> device-b at each instant;
     `failures` is (node, at, duration_s) triples.
     """
-    from smartbizsim.middleware import ControlLayerConfig
     from smartbizsim.timeline import parse_iso_date
 
     commands = tuple(
@@ -164,6 +188,71 @@ def two_device_scenario(
     )
 
 
+@st.composite
+def worlds(draw, max_devices: int = 29):
+    """A built world over a random scenario in which every device reaches
+    the cloud, some only through other devices; S17 may add spares, and a
+    spare of such a device has no link at all. Send destinations, the
+    cloud included, may fail around the time of their sends."""
+    count = draw(st.integers(1, max_devices))
+    devices = draw(st.permutations([f"d{k:02d}" for k in range(count)]))
+    cloud = draw(st.sampled_from(["aa-cloud", "d05-cloud", "zz-cloud"]))
+    nodes = [cloud] + devices
+    links, joined = [], set()
+
+    def join(a, b):
+        joined.add(frozenset((a, b)))
+        a, b = (a, b) if draw(st.booleans()) else (b, a)
+        links.append(LinkSpec(a=a, b=b, latency_ms=draw(st.integers(0, 120))))
+
+    for k, device in enumerate(devices):  # a random tree rooted at the cloud
+        join(device, draw(st.sampled_from(nodes[: k + 1])))
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                              max_size=2 * count)):
+        if a != b and frozenset((a, b)) not in joined:
+            join(a, b)
+
+    sends = draw(st.lists(
+        st.tuples(st.sampled_from(devices), st.sampled_from(nodes)).filter(
+            lambda pair: pair[0] != pair[1]
+        ),
+        max_size=12,
+    ))
+    commands = tuple(
+        CommandSpec(at=60 * (k + 1), device=src, user="u", credential="c",
+                    intent="voice_message", to=dst)
+        for k, (src, dst) in enumerate(sends)
+    )
+    reminders = tuple(
+        ReminderSpec(id=f"r{k}", author=devices[0], target=target, payload="p")
+        for k, target in enumerate(draw(st.lists(st.sampled_from(devices), max_size=2)))
+    )
+    # each outage hits one send's destination from up to a minute before
+    # that send, so the delivery falls inside it and, with S17, waits out
+    # the detection window
+    failures = tuple(
+        FailureSpec(node=sends[k][1], at=max(1, 60 * (k + 1) - lead), duration_s=duration)
+        for k, lead, duration in draw(st.lists(
+            st.tuples(st.integers(0, len(sends) - 1), st.integers(0, 59),
+                      st.integers(0, 600)),
+            max_size=4,
+        ))
+    ) if sends else ()
+    scenario = ScenarioConfig(
+        epoch=dt.date(2024, 1, 30),
+        horizon_s=3 * 86_400,
+        seed=1,
+        nodes=tuple(NodeSpec(id=d, kind="SmartDevice", site="CityA") for d in devices)
+        + (NodeSpec(id=cloud, kind="CloudService"),),
+        links=tuple(links),
+        commands=commands,
+        reminders=reminders,
+        failures=failures,
+    )
+    s17 = S17Config(enabled=draw(st.booleans()), backups_per_site=draw(st.integers(1, 2)))
+    return build_world(scenario, ControlLayerConfig(s17=s17))
+
+
 def multi_hop_scenario() -> ScenarioConfig:
     """Six devices where most routes have several hops and equal-length
     alternatives, so tie-breaks decide the path.
@@ -174,7 +263,7 @@ def multi_hop_scenario() -> ScenarioConfig:
     not take. The cloud--dev-c link is declared cloud-first. A transit
     device (dev-d) and a leaf (dev-f) fail, so S17 fails the leaf over.
     """
-    from smartbizsim.middleware import ControlLayerConfig, S9Config
+    from smartbizsim.middleware import S9Config
     from smartbizsim.scenario import AttendeeSpec
     from smartbizsim.timeline import parse_iso_date
 

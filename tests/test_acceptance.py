@@ -10,6 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from helpers import (
+    message_records,
     minute_scan_slot,
     month_end_dates_by_enumeration,
     naive_total_cost,
@@ -162,7 +163,8 @@ def test_criterion_6_failover_turns_exact_losses_into_delayed_deliveries():
 
     baseline = build_world(scenario)
     baseline.run_until(scenario.horizon_s)
-    lost = {baseline.messages[r["msg_id"]].sent_at for r in baseline.trace.by_kind("lost")}
+    by_msg = message_records(baseline.trace)
+    lost = {by_msg[r["msg_id"]]["sent"]["time"] for r in baseline.trace.by_kind("lost")}
     assert lost == expected_lost
     assert len(baseline.trace.by_kind("delivered")) == len(times) - len(expected_lost)
 

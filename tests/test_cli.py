@@ -181,3 +181,33 @@ def test_dmaic_missing_catalog_flag_names_define(tmp_path, capsys):
     assert main(["dmaic", "--catalog", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2
     assert "[Define]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "block, key",
+    [
+        ({"top_k": None}, "top_k"),
+        ({"seed": "abc"}, "seed"),
+        ({"rates": {"session": "y"}}, "rates"),
+        ({"rates": 5}, "rates"),
+        ({"controls": {"s10": {"overhead_bytes": "x"}}}, "controls"),
+        ({"controls": 5}, "controls"),
+        ({"controls": "s10"}, "controls"),
+    ],
+)
+def test_dmaic_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, block, key):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(block))
+    assert main(["dmaic", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Define] ")
+    assert f"bad {key} " in err
+
+
+def test_dmaic_numeric_string_top_k_is_accepted(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"top_k": "3"}))
+    assert main(["dmaic", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    default = tmp_path / "default"
+    assert main(["dmaic", "--out", str(default)]) == 0
+    assert _report(tmp_path / "o")["cost_breakdown"] == _report(default)["cost_breakdown"]

@@ -51,7 +51,7 @@ def test_incomplete_trace_rejected():
 
 def test_secured_run_adds_exactly_overhead_times_wrapped_count():
     scenario = default_scenario()
-    baseline = build_world(scenario, scenario.controls.all_disabled())
+    baseline = build_world(scenario, scenario.controls.with_enabled(()))
     baseline.run_until(scenario.horizon_s)
     secured_controls = scenario.controls.with_enabled(frozenset(("S10",)))
     secured = build_world(scenario, secured_controls)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from helpers import two_device_scenario
+from helpers import message_records, two_device_scenario
 from smartbizsim.errors import (
     AuthDenied,
     InvalidScenario,
@@ -221,10 +221,10 @@ def test_failed_backup_serves_again_after_it_recovers():
     world = build_world(scenario)
     world.inject_failure("device-b-r1", 900, 2500)  # spare down until 3400
     world.run_until(scenario.horizon_s)
-    by_msg = {m.msg_id: m for m in world.messages.values()}
-    statuses = [by_msg[i].status for i in sorted(by_msg)]
+    by_msg = message_records(world.trace)
+    statuses = [by_msg[i]["status"] for i in sorted(by_msg)]
     assert statuses == ["Lost", "Lost", "Delivered"]
-    assert by_msg[3].delivered_to == "device-b-r1"
+    assert by_msg[3]["delivered"]["to"] == "device-b-r1"
 
 
 def test_recovery_before_detection_window_flushes_to_the_primary():

@@ -21,14 +21,9 @@ import datetime as dt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import worlds
 from smartbizsim.middleware import ControlLayerConfig, S17Config
-from smartbizsim.scenario import (
-    CommandSpec,
-    LinkSpec,
-    NodeSpec,
-    ReminderSpec,
-    ScenarioConfig,
-)
+from smartbizsim.scenario import LinkSpec, NodeSpec, ScenarioConfig
 from smartbizsim.world import build_world, shortest_path
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -164,58 +159,6 @@ def random_graphs(draw, max_nodes: int = 30):
             joined.add(frozenset((i, j)))
             links.append(LinkSpec(a=nodes[i], b=nodes[j], latency_ms=1))
     return nodes, links
-
-
-@st.composite
-def worlds(draw, max_devices: int = 29):
-    """A built world over a random scenario in which every device reaches
-    the cloud, some only through other devices; S17 may add spares, and a
-    spare of such a device has no link at all."""
-    count = draw(st.integers(1, max_devices))
-    devices = draw(st.permutations([f"d{k:02d}" for k in range(count)]))
-    cloud = draw(st.sampled_from(["aa-cloud", "d05-cloud", "zz-cloud"]))
-    nodes = [cloud] + devices
-    links, joined = [], set()
-
-    def join(a, b):
-        joined.add(frozenset((a, b)))
-        a, b = (a, b) if draw(st.booleans()) else (b, a)
-        links.append(LinkSpec(a=a, b=b, latency_ms=draw(st.integers(0, 120))))
-
-    for k, device in enumerate(devices):  # a random tree rooted at the cloud
-        join(device, draw(st.sampled_from(nodes[: k + 1])))
-    for a, b in draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
-                              max_size=2 * count)):
-        if a != b and frozenset((a, b)) not in joined:
-            join(a, b)
-
-    sends = draw(st.lists(
-        st.tuples(st.sampled_from(devices), st.sampled_from(nodes)).filter(
-            lambda pair: pair[0] != pair[1]
-        ),
-        max_size=12,
-    ))
-    commands = tuple(
-        CommandSpec(at=60 * (k + 1), device=src, user="u", credential="c",
-                    intent="voice_message", to=dst)
-        for k, (src, dst) in enumerate(sends)
-    )
-    reminders = tuple(
-        ReminderSpec(id=f"r{k}", author=devices[0], target=target, payload="p")
-        for k, target in enumerate(draw(st.lists(st.sampled_from(devices), max_size=2)))
-    )
-    scenario = ScenarioConfig(
-        epoch=dt.date(2024, 1, 30),
-        horizon_s=3 * 86_400,
-        seed=1,
-        nodes=tuple(NodeSpec(id=d, kind="SmartDevice", site="CityA") for d in devices)
-        + (NodeSpec(id=cloud, kind="CloudService"),),
-        links=tuple(links),
-        commands=commands,
-        reminders=reminders,
-    )
-    s17 = S17Config(enabled=draw(st.booleans()), backups_per_site=draw(st.integers(1, 2)))
-    return build_world(scenario, ControlLayerConfig(s17=s17))
 
 
 # -- properties --------------------------------------------------------------------

@@ -126,7 +126,7 @@ def test_a_scenario_is_validated_once_however_many_worlds_use_it(monkeypatch):
     for module in (scenario_module, world_module):
         monkeypatch.setattr(module, "validate_scenario", counted, raising=False)
     scenario = parse_scenario(document)
-    build_world(scenario, scenario.controls.all_disabled())
+    build_world(scenario, scenario.controls.with_enabled(()))
     build_world(scenario, scenario.controls.with_enabled({"S9", "S10", "S17"}))
     assert len(calls) == 1
 

@@ -2,8 +2,10 @@ import datetime as dt
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import two_device_scenario
+from helpers import message_records, two_device_scenario, worlds
 from smartbizsim.errors import (
     CloudUnavailable,
     InvalidScenario,
@@ -99,19 +101,19 @@ def test_single_hop_latency_rounds_up_to_the_second_grid():
     world = build_world(two_device_scenario())
     msg_id = world.send_message("device-a", "cloud", b"hello")
     world.run_until(10)
-    msg = world.messages[msg_id]
-    assert msg.link_ms == 50
-    assert msg.delivered_at == 1  # 0.05 s rounded up to the next grid slot
-    assert msg.status == "Delivered"
+    msg = message_records(world.trace)[msg_id]
+    assert msg["sent"]["link_ms"] == 50
+    assert msg["delivered"]["time"] == 1  # 0.05 s rounded up to the next grid slot
+    assert msg["status"] == "Delivered"
 
 
 def test_two_hop_path_sums_link_latencies():
     world = build_world(two_device_scenario())
     msg_id = world.send_message("device-a", "device-b", b"x")
     world.run_until(10)
-    msg = world.messages[msg_id]
-    assert msg.link_ms == 100
-    assert msg.path == ("device-a--cloud", "device-b--cloud")
+    sent = message_records(world.trace)[msg_id]["sent"]
+    assert sent["link_ms"] == 100
+    assert tuple(sent["path"]) == ("device-a--cloud", "device-b--cloud")
 
 
 def test_unknown_destination_and_no_route():
@@ -152,6 +154,33 @@ def test_conservation_every_send_has_one_terminal_record():
     assert len(delivered) + len(lost) == len(sent)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(worlds(), st.lists(st.integers(0, 1600), max_size=3))
+def test_sent_is_delivered_plus_lost_plus_in_flight_at_every_stop(world, stops):
+    # each send instant (its delivery is still queued) and a moment inside
+    # the detection window after it, besides the drawn stop points
+    for command in world.scenario.commands:
+        stops += [command.at, command.at + 30]
+    for t in sorted(stops) + [world.horizon_s]:
+        world.run_until(t)
+        messages = message_records(world.trace)
+        in_flight = {m for m, msg in messages.items() if msg["status"] == "InFlight"}
+        settled = len(world.trace.by_kind("delivered")) + len(world.trace.by_kind("lost"))
+        assert len(messages) == settled + len(world.messages)
+        assert set(world.messages) == in_flight
+    assert world.messages == {}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(worlds(), st.integers(0, 1600))
+def test_a_run_split_at_any_time_writes_the_same_trace(world, split):
+    whole = build_world(world.scenario, world.config)
+    whole.run_until(whole.horizon_s)
+    world.run_until(split)
+    world.run_until(world.horizon_s)
+    assert world.trace.to_ndjson() == whole.trace.to_ndjson()
+
+
 # -- failure injection -------------------------------------------------------
 
 
@@ -165,9 +194,7 @@ def test_overlapping_failure_windows_merge_into_one_outage():
     failures = world.trace.by_kind("failure")
     assert [(f["phase"], f["time"]) for f in failures] == [("start", 100), ("end", 300)]
     # union window is [100, 300): eta 121 and 251 lost, 300 and 351 delivered
-    outcomes = {
-        world.messages[m].msg_id: world.messages[m].status for m in world.messages
-    }
+    outcomes = {m: msg["status"] for m, msg in message_records(world.trace).items()}
     assert list(outcomes.values()) == ["Lost", "Lost", "Delivered", "Delivered"]
 
 
