@@ -3,17 +3,27 @@
 Times are whole minutes since the scenario epoch. Busy intervals are
 half-open [start, end). A slot is only valid when it sits entirely
 inside one working-hours window on a working day.
+
+A calendar's busy list is always sorted and merged: it is normalized
+once when the calendar is built, and a booking keeps it so with one
+bisect and a merge of the neighbours it touches.
 """
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidScenario, NoSlotAvailable
 from .timeline import MINUTES_PER_DAY
 
 Interval = tuple[int, int]
+_START = itemgetter(0)
+_END = itemgetter(1)
 
 
 def normalize_intervals(intervals: Iterable[Interval]) -> list[Interval]:
@@ -53,6 +63,9 @@ class WorkingHours:
 
 @dataclass
 class Calendar:
+    """One attendee's busy intervals, kept sorted and merged: no two
+    intervals overlap or touch, so their ends are sorted too."""
+
     owner: str
     busy: list[Interval] = field(default_factory=list)
 
@@ -60,10 +73,16 @@ class Calendar:
         self.busy = normalize_intervals(self.busy)
 
     def add_busy(self, start: int, end: int) -> None:
-        self.busy = normalize_intervals(self.busy + [(start, end)])
-
-    def overlaps(self, start: int, end: int) -> bool:
-        return any(bs < end and be > start for bs, be in self.busy)
+        if end <= start:
+            return
+        busy = self.busy
+        # busy[lo:hi] are the intervals that overlap or touch [start, end)
+        lo = bisect_left(busy, start, key=_END)
+        hi = bisect_right(busy, end, lo, key=_START)
+        if lo < hi:
+            start = min(start, busy[lo][0])
+            end = max(end, busy[hi - 1][1])
+        busy[lo:hi] = [(start, end)]
 
 
 @dataclass(frozen=True)
@@ -97,9 +116,16 @@ def find_common_slot(
             f"search_from {search_from} must precede horizon {horizon}"
         )
     hours = hours or WorkingHours()
-    busy = normalize_intervals(
-        (s, e) for cal in calendars for s, e in cal.busy
-    )
+    # every calendar from its first interval that ends after search_from,
+    # merged lazily by start; intervals of different calendars may overlap
+    busy = heapq.merge(*(
+        islice(cal.busy, bisect_right(cal.busy, search_from, key=_END), None)
+        for cal in calendars
+    ))
+    pending = next(busy, None)
+    # every start before `reached` is blocked; an interval the walk passes
+    # is used up, even one that spans into later days
+    reached = search_from
 
     first_day = max(search_from // MINUTES_PER_DAY, 0)
     last_day = (horizon - 1) // MINUTES_PER_DAY
@@ -112,18 +138,19 @@ def find_common_slot(
         hi = min(window_end, horizon)
         if lo + duration > hi:
             continue
-        # Walk the merged busy list, pushing the candidate past each
-        # interval that blocks it; intervals are disjoint and sorted, so
-        # the first resting point is the earliest start in this window.
-        candidate = lo
-        for bs, be in busy:
-            if be <= candidate:
-                continue
+        # Push the candidate past each interval that blocks it; intervals
+        # come sorted by start, so the first resting point is the earliest
+        # start in this window.
+        candidate = max(lo, reached)
+        while pending is not None:
+            bs, be = pending
             if candidate + duration <= bs:
                 break
             candidate = max(candidate, be)
+            pending = next(busy, None)
         if candidate + duration <= hi:
             return Slot(start=candidate, duration=duration)
+        reached = candidate
     raise NoSlotAvailable(
         f"no {duration}-minute slot free for all calendars before minute {horizon}"
     )

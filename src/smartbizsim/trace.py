@@ -12,9 +12,12 @@ import json
 from typing import Iterator
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(value) -> str:
     """Sorted keys, no whitespace: equal values give equal bytes."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(value)
 
 
 class Trace:

@@ -31,6 +31,7 @@ from .errors import (
     InvalidScenario,
     MissingKey,
     NoRoute,
+    NoSlotAvailable,
     UnknownAttendee,
     UnknownNode,
     UnknownUser,
@@ -161,8 +162,9 @@ class World:
             self._schedule(command.at, self._handle_command, command)
         for reminder in scenario.reminders:
             self._schedule(
-                reminder.at, self.create_reminder, reminder.author, reminder.target,
-                reminder.payload.encode("utf-8"), reminder.id,
+                reminder.at, self._request, "create_reminder", self.create_reminder,
+                reminder.author, reminder.target, reminder.payload.encode("utf-8"),
+                reminder.id,
             )
         for theft in scenario.thefts:
             self._schedule(
@@ -497,7 +499,9 @@ class World:
             payload = command.payload.encode("utf-8")
             self.send_message(
                 command.device, self.cloud_id, payload, s9_ms,
-                on_delivered=lambda: self.create_reminder(author, target, payload),
+                on_delivered=lambda: self._request(
+                    "create_reminder", self.create_reminder, author, target, payload
+                ),
             )
         elif command.intent == "schedule_meeting":
             organizer = command.device
@@ -505,10 +509,21 @@ class World:
             duration = command.duration_min
             self.send_message(
                 command.device, self.cloud_id, b"meeting-request", s9_ms,
-                on_delivered=lambda: self.schedule_meeting(
-                    organizer, list(attendees), duration
+                on_delivered=lambda: self._request(
+                    "schedule_meeting", self.schedule_meeting,
+                    organizer, list(attendees), duration,
                 ),
             )
+
+    def _request(self, intent: str, action: Callable[..., object], *args) -> None:
+        """Carry out a request at the cloud. One it cannot serve is traced
+        as `request_failed`, and the run goes on."""
+        try:
+            action(*args)
+        except NoSlotAvailable:
+            self._record("request_failed", dict(intent=intent, reason="no-slot"))
+        except CloudUnavailable:
+            self._record("request_failed", dict(intent=intent, reason="cloud-down"))
 
     # -- reminders ---------------------------------------------------------
 

@@ -85,6 +85,11 @@ def minute_scan_slot(
     return None
 
 
+def overlaps_busy(busy: list[tuple[int, int]], start: int, end: int) -> bool:
+    """Whether [start, end) shares a minute with any busy interval."""
+    return any(bs < end and be > start for bs, be in busy)
+
+
 def random_slot_instance(rng: random.Random) -> dict:
     """One randomized scheduling problem: 3 calendars, <=20 busy blocks
     each, 30-day horizon."""

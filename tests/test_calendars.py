@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import minute_scan_slot, random_slot_instance
+from helpers import minute_scan_slot, overlaps_busy, random_slot_instance
 from smartbizsim.calendars import (
     Calendar,
     WorkingHours,
@@ -112,4 +114,98 @@ def test_returned_slot_is_safe_independent_of_the_oracle():
         assert slot.start >= inst["search_from"]
         assert slot.end <= inst["horizon"]
         for cal in cals:
-            assert not cal.overlaps(slot.start, slot.end)
+            assert not overlaps_busy(cal.busy, slot.start, slot.end)
+
+
+# -- the sorted-and-merged invariant under bookings ---------------------------
+
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+DAYS = 10
+
+
+def _interval(span: int, max_length: int):
+    """An interval that starts in [0, span]; some are empty or reversed,
+    and half sit on a 30-minute grid so neighbours often touch."""
+    on_grid = st.tuples(
+        st.integers(0, span // 30).map(lambda k: 30 * k),
+        st.integers(-1, max_length // 30).map(lambda k: 30 * k),
+    )
+    anywhere = st.tuples(st.integers(0, span), st.integers(-5, max_length))
+    return st.one_of(on_grid, anywhere).map(lambda p: (p[0], p[0] + p[1]))
+
+
+@SETTINGS
+@given(
+    initial=st.lists(_interval(20 * 60, 4 * 60), max_size=8),
+    added=st.lists(_interval(20 * 60, 4 * 60), max_size=20),
+)
+def test_add_busy_keeps_busy_equal_to_the_normalized_history(initial, added):
+    calendar = Calendar(owner="p", busy=list(initial))
+    history = list(initial)
+    for start, end in added:
+        calendar.add_busy(start, end)
+        history.append((start, end))
+        assert calendar.busy == normalize_intervals(history)
+
+
+@st.composite
+def _booking_runs(draw):
+    """Calendars and a sequence of meeting requests against them.
+
+    Busy blocks include ones that span several days (weekends too, since
+    the epoch weekday varies), chains of blocks that touch end to start
+    spread over the calendars, and ordinary short blocks. Each request's
+    search_from moves forward, often into a busy block.
+    """
+    count = draw(st.integers(1, 3))
+    short_blocks = st.lists(_interval(DAYS * MINUTES_PER_DAY, 12 * 60), max_size=12)
+    busy_lists = [draw(short_blocks) for _ in range(count)]
+    for start, days in draw(st.lists(
+        st.tuples(st.integers(0, DAYS * MINUTES_PER_DAY), st.integers(1, 4)), max_size=3
+    )):
+        busy_lists[draw(st.integers(0, count - 1))].append(
+            (start, start + days * MINUTES_PER_DAY + draw(st.integers(0, 600)))
+        )
+    for start, lengths in draw(st.lists(
+        st.tuples(st.integers(0, DAYS * MINUTES_PER_DAY),
+                  st.lists(st.integers(1, 240), min_size=2, max_size=5)),
+        max_size=2,
+    )):
+        for length in lengths:
+            busy_lists[draw(st.integers(0, count - 1))].append((start, start + length))
+            start += length
+    requests = []
+    search_from = draw(st.integers(0, 2 * MINUTES_PER_DAY))
+    for _ in range(draw(st.integers(1, 5))):
+        blocks = [b for busy in busy_lists for b in busy if b[1] > b[0] >= search_from]
+        if blocks and draw(st.booleans()):
+            start, end = draw(st.sampled_from(blocks))
+            search_from = draw(st.integers(start, end - 1))  # inside a busy block
+        else:
+            search_from += draw(st.integers(0, MINUTES_PER_DAY))
+        attendees = draw(st.sets(st.integers(0, count - 1), min_size=1))
+        duration = draw(st.sampled_from((1, 15, 30, 60, 90, 240, 600)))
+        requests.append((sorted(attendees), duration, search_from))
+    hours = WorkingHours(epoch_weekday=draw(st.integers(0, 6)))
+    return busy_lists, requests, hours
+
+
+@SETTINGS
+@given(run=_booking_runs())
+def test_booking_loop_matches_the_minute_scan_oracle_at_every_step(run):
+    busy_lists, requests, hours = run
+    calendars = [Calendar(owner=str(j), busy=list(b)) for j, b in enumerate(busy_lists)]
+    for attendees, duration, search_from in requests:
+        horizon = search_from + 7 * MINUTES_PER_DAY
+        booked = [calendars[j] for j in attendees]
+        expected = minute_scan_slot(
+            [cal.busy for cal in booked], duration, search_from, horizon, hours
+        )
+        try:
+            got = find_common_slot(booked, duration, search_from, horizon, hours).start
+        except NoSlotAvailable:
+            got = None
+        assert got == expected
+        if got is not None:
+            for cal in booked:
+                cal.add_busy(got, got + duration)

@@ -93,6 +93,24 @@ def test_dmaic_reruns_byte_identically(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+def test_dmaic_unplaceable_meeting_writes_request_failed_and_finishes(tmp_path, capsys):
+    doc = default_scenario().to_dict()
+    meeting = next(c for c in doc["commands"] if c["intent"] == "schedule_meeting")
+    meeting["duration_min"] = 660  # longer than the 10-hour working window
+    scenario = tmp_path / "long-meeting.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["dmaic", "--scenario", str(scenario), "--out", str(out)]) == 0
+    for name in ("trace_baseline.ndjson", "trace_secured.ndjson"):
+        records = [json.loads(line) for line in (out / name).read_text().splitlines()]
+        failed = [r for r in records if r["kind"] == "request_failed"]
+        assert [(r["intent"], r["reason"]) for r in failed] == [
+            ("schedule_meeting", "no-slot")
+        ]
+        assert not [r for r in records if r["kind"] == "meeting"]
+    assert _report(out)["total_security_cost"] > 0
+
+
 def test_dmaic_with_unresolvable_scenario_names_define(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"scenario": "missing-scenario.json"}))

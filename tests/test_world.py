@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import message_records, two_device_scenario, worlds
+from helpers import message_records, overlaps_busy, two_device_scenario, worlds
 from smartbizsim.errors import (
     CloudUnavailable,
     InvalidScenario,
@@ -15,8 +15,10 @@ from smartbizsim.errors import (
     UnknownNode,
 )
 from smartbizsim.middleware import ControlLayerConfig, S17Config
+from smartbizsim.metering import meter
 from smartbizsim.scenario import (
     AttendeeSpec,
+    CommandSpec,
     LinkSpec,
     NodeSpec,
     ReminderSpec,
@@ -264,6 +266,50 @@ def test_create_reminder_validates_nodes_and_cloud():
         world.create_reminder("device-a", "device-b", b"x")
 
 
+def _request_failures(world) -> list[tuple[int, str, str]]:
+    return [
+        (r["time"], r["intent"], r["reason"]) for r in world.trace.by_kind("request_failed")
+    ]
+
+
+def test_scenario_reminder_while_the_cloud_is_down_is_traced_and_the_run_goes_on():
+    reminder = ReminderSpec(id="eom", author="device-a", target="device-b",
+                            payload="p", at=100)
+    world = build_world(two_device_scenario(
+        message_times=(900,), failures=(("cloud", 50, 600),), reminders=(reminder,),
+    ))
+    world.run_until(world.horizon_s)
+    assert _request_failures(world) == [(100, "create_reminder", "cloud-down")]
+    assert world.reminders == {}
+    assert world.trace.by_kind("reminder") == []
+    metrics = meter(world.trace)  # metering skips the new kind
+    assert (metrics.messages_sent, metrics.messages_delivered) == (1, 1)
+
+
+def test_reminder_request_failed_over_from_a_down_cloud_is_traced():
+    # the cloud has a spare device: S17 hands the request to it after the
+    # detection window, but only the cloud can register a reminder
+    base = two_device_scenario(
+        failures=(("cloud", 50, 3600),),
+        controls=ControlLayerConfig(s17=S17Config(enabled=True)),
+    )
+    command = CommandSpec(at=100, device="device-a", user="operator",
+                          credential="op-pass", intent="create_reminder",
+                          target="device-b", payload="p")
+    world = build_world(replace(
+        base,
+        nodes=tuple(
+            replace(n, backup_pool=("device-b",)) if n.kind == "CloudService" else n
+            for n in base.nodes
+        ),
+        commands=(command,),
+    ))
+    world.run_until(world.horizon_s)
+    assert _request_failures(world) == [(110, "create_reminder", "cloud-down")]
+    assert world.reminders == {}
+    assert meter(world.trace).messages_delivered == 1
+
+
 # -- meetings ------------------------------------------------------------------
 
 
@@ -289,7 +335,7 @@ def test_meeting_books_everyone_and_sends_three_invitations():
     assert len(invitations) == 3
     assert {i["src"] for i in invitations} == {"cloud"}
     for attendee in ("chief", "finance", "driver"):
-        assert world.calendars[attendee].overlaps(slot.start, slot.end)
+        assert overlaps_busy(world.calendars[attendee].busy, slot.start, slot.end)
 
 
 def test_rescheduling_with_same_inputs_lands_strictly_later():
