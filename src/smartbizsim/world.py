@@ -162,9 +162,8 @@ class World:
             self._schedule(command.at, self._handle_command, command)
         for reminder in scenario.reminders:
             self._schedule(
-                reminder.at, self._request, "create_reminder", self.create_reminder,
-                reminder.author, reminder.target, reminder.payload.encode("utf-8"),
-                reminder.id,
+                reminder.at, self._request, "create_reminder", reminder.author,
+                reminder.target, reminder.payload.encode("utf-8"), reminder.id,
             )
         for theft in scenario.thefts:
             self._schedule(
@@ -500,7 +499,7 @@ class World:
             self.send_message(
                 command.device, self.cloud_id, payload, s9_ms,
                 on_delivered=lambda: self._request(
-                    "create_reminder", self.create_reminder, author, target, payload
+                    "create_reminder", author, target, payload
                 ),
             )
         elif command.intent == "schedule_meeting":
@@ -510,16 +509,16 @@ class World:
             self.send_message(
                 command.device, self.cloud_id, b"meeting-request", s9_ms,
                 on_delivered=lambda: self._request(
-                    "schedule_meeting", self.schedule_meeting,
-                    organizer, list(attendees), duration,
+                    "schedule_meeting", organizer, list(attendees), duration
                 ),
             )
 
-    def _request(self, intent: str, action: Callable[..., object], *args) -> None:
-        """Carry out a request at the cloud. One it cannot serve is traced
-        as `request_failed`, and the run goes on."""
+    def _request(self, intent: str, *args) -> None:
+        """Carry out a request at the cloud by calling the method named
+        `intent`. One it cannot serve is traced as `request_failed`, and the
+        run goes on."""
         try:
-            action(*args)
+            getattr(self, intent)(*args)
         except NoSlotAvailable:
             self._record("request_failed", dict(intent=intent, reason="no-slot"))
         except CloudUnavailable:

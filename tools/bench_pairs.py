@@ -3,10 +3,10 @@
     python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json
 
 Run from the root of a checkout. REV is exported with `git archive`
-into a temporary directory. For each workload and seed, both sides run
-`perfbench/run.py --seconds S --trace 0`, the first side alternating
-from one pair to the next; one more pair runs `meetings` with
-`--trace 1` for the per-layer metrics. The file holds every run's
+into a temporary directory. For each workload of BENCHMARK.json and each
+of SEEDS, both sides run `perfbench/run.py --trace 0` for BENCHMARK.json's
+`run_seconds`, the first side alternating from one pair to the next; one
+more pair runs `meetings` with `--trace 1` for the per-layer metrics. The file holds every run's
 digests and result line and, per workload and end-to-end metric, the
 medians of both sides, the distance between the parent's quartiles and
 the number of pairs in which the change is better. The report and trace
@@ -29,12 +29,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("branch", "fleet", "meetings")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+SECONDS = BENCHMARK["run_seconds"]
+SEEDS = range(21, 31)  # one pair per workload and seed
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     lines = out.splitlines()
     digests = next(line for line in lines if line.startswith("digests "))
@@ -48,11 +51,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--seeds", default=",".join(map(str, range(21, 31))),
-                        help="one pair per workload and seed; at least two seeds")
-    parser.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args()
-    seeds = [int(s) for s in args.seeds.split(",")]
 
     rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                          capture_output=True, text=True).stdout.strip()
@@ -62,21 +61,20 @@ def main() -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         sides = {"parent": Path(tmp), "change": ROOT}
-        plan = [(w, seed, 0) for w in WORKLOADS for seed in seeds]
-        plan.append(("meetings", seeds[0], 1))
+        plan = [(w, seed, 0) for w in WORKLOADS for seed in SEEDS]
+        plan.append(("meetings", SEEDS[0], 1))
         pairs = []
         for k, (workload, seed, trace) in enumerate(plan):
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
             pair = {"workload": workload, "seed": seed, "trace": trace, "first": order[0]}
             for side in order:
-                pair[side] = run(sides[side], workload, seed, args.seconds, trace)
+                pair[side] = run(sides[side], workload, seed, trace)
                 print(workload, seed, trace, side, pair[side]["result"]["metrics"],
                       file=sys.stderr)
             pair["digests_equal"] = pair["parent"]["digests"] == pair["change"]["digests"]
             pairs.append(pair)
 
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    better = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
     summary = {}
     for workload in WORKLOADS:
         timed = [p for p in pairs if p["workload"] == workload and p["trace"] == 0]
