@@ -30,15 +30,12 @@ from .costs import (
 from .metering import MetricSet, SectionUsage, meter, meter_sections
 from .middleware import (
     ControlLayerConfig,
-    Envelope,
     S9Config,
     S10Config,
     S17Config,
-    Session,
     TapObservation,
     authenticate,
     tap,
-    unwrap,
     wrap,
 )
 from .risk import (

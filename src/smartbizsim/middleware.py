@@ -6,8 +6,8 @@ Three layers, each switched by its own config block:
   sessions add latency to the command's outgoing message and land in the
   audit trail.
 * S10 -- cryptography: payloads travel inside a key-gated envelope.
-  Encryption is modeled, not computed: holders of the matching key id
-  recover the payload, everyone else sees an opaque marker plus sizes.
+  Encryption is modeled, not computed: the wire carries the sender's key
+  id, an opaque marker and sizes, never the payload.
 * S17 -- continuity: failed devices are detected and stood in for by
   spare devices after a detection window.
 
@@ -118,36 +118,6 @@ def updated_from_dict(default, data: Mapping):
 
 
 @dataclass(frozen=True)
-class Envelope:
-    """Key-gated payload opacity.
-
-    The sealed payload rides along inside the simulation but is only
-    readable through unwrap() with the matching key id; serialized forms
-    carry the marker and sizes, never the payload.
-    """
-
-    key_id: str
-    ciphertext_marker: str
-    inner_size: int
-    sealed: bytes = field(repr=False)
-
-    def wire_fields(self) -> dict:
-        return {
-            "key_id": self.key_id,
-            "marker": self.ciphertext_marker,
-            "inner_size": self.inner_size,
-        }
-
-
-@dataclass(frozen=True)
-class Session:
-    user: str
-    device: str
-    established_at: int
-    authenticated: bool
-
-
-@dataclass(frozen=True)
 class TapObservation:
     msg_id: int
     time: int
@@ -156,8 +126,8 @@ class TapObservation:
 
 
 def authenticate(
-    user: str, credential: str, device: str, config: ControlLayerConfig, at: int = 0
-) -> Session:
+    user: str, credential: str, device: str, config: ControlLayerConfig
+) -> None:
     """Check a credential against the store; only called with S9 enabled."""
     if not config.s9.enabled:
         raise InvalidScenario("authenticate() requires the S9 layer to be enabled")
@@ -166,31 +136,21 @@ def authenticate(
         raise UnknownUser(f"no credentials on file for user {user!r}")
     if store[user] != credential:
         raise AuthDenied(f"credential mismatch for user {user!r} at {device!r}")
-    return Session(user=user, device=device, established_at=at, authenticated=True)
 
 
 def wrap(
     payload: bytes, key_id: str | None, config: ControlLayerConfig, msg_id: int = 0
-) -> Envelope:
-    """Seal a payload under the sender's key id."""
+) -> dict:
+    """Seal a payload under the sender's key id.
+
+    Returns the envelope's wire fields: the key id, an opaque marker and
+    the payload size. The payload itself never leaves the sender.
+    """
     if not config.s10.enabled:
         raise InvalidScenario("wrap() requires the S10 layer to be enabled")
     if not key_id:
         raise MissingKey("sender holds no key id")
-    return Envelope(
-        key_id=key_id,
-        ciphertext_marker=f"ct:{key_id}:{msg_id}",
-        inner_size=len(payload),
-        sealed=bytes(payload),
-    )
-
-
-def unwrap(envelope: Envelope, key_id: str) -> bytes:
-    if key_id != envelope.key_id:
-        raise MissingKey(
-            f"key {key_id!r} does not open an envelope sealed under {envelope.key_id!r}"
-        )
-    return envelope.sealed
+    return {"key_id": key_id, "marker": f"ct:{key_id}:{msg_id}", "inner_size": len(payload)}
 
 
 def tap(link_id: str, world: "World") -> list[TapObservation]:

@@ -320,7 +320,13 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             attendee.device in device_ids,
             f"attendee {attendee.id!r} device {attendee.device!r} must be a smart device",
         )
-    for reminder in scenario.reminders:
+    reminder_ids: set[str] = set()
+    for i, reminder in enumerate(scenario.reminders):
+        _require(
+            reminder.id not in reminder_ids,
+            f"reminders[{i}].id {reminder.id!r} is a duplicate reminder id",
+        )
+        reminder_ids.add(reminder.id)
         _require(reminder.at >= 0, f"reminder {reminder.id!r} time must be >= 0")
         _require(
             reminder.author in device_ids,

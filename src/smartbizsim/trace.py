@@ -24,11 +24,12 @@ class Trace:
     def __init__(self) -> None:
         self.records: list[dict] = []
 
-    def append(self, kind: str, time: int, **fields) -> dict:
-        record = {"seq": len(self.records), "time": time, "kind": kind}
-        record.update(fields)
+    def append(self, kind: str, time: int, **record) -> None:
+        """Store the keyword arguments, plus seq, time and kind, as the record."""
+        record["seq"] = len(self.records)
+        record["time"] = time
+        record["kind"] = kind
         self.records.append(record)
-        return record
 
     def __len__(self) -> int:
         return len(self.records)

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import base64
 import heapq
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, replace
 
 from . import middleware
 from .calendars import Calendar, Slot, find_common_slot
@@ -64,7 +63,7 @@ class Message:
     dst: str
     eta: int
     latency_ms: int  # link + S10 + S9; S17 adds the wait past `eta`
-    on_delivered: Callable[[], None] | None = field(default=None, repr=False)
+    on_delivered: tuple | None = None  # (intent, *args) for `World._request`
 
 
 @dataclass
@@ -138,6 +137,8 @@ class World:
             node: dict(sorted(neighbors.items()))
             for node, neighbors in self._adjacency.items()
         }
+        # (src, dst) -> shortest_path; links are only added above
+        self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
 
         self.calendars: dict[str, Calendar] = {}
         self.attendee_device: dict[str, str] = {}
@@ -148,8 +149,10 @@ class World:
         self.messages: dict[int, Message] = {}
         self.reminders: dict[str, Reminder] = {}
         self._next_msg_id = 1
-        # (time, seq, handler, args): equal times run in insertion order
-        self._queue: list[tuple[int, int, Callable[..., object], tuple]] = []
+        # (time, seq, handler method name, args): equal times run in
+        # insertion order; names, not bound methods, so the world holds no
+        # reference to itself
+        self._queue: list[tuple[int, int, str, tuple]] = []
         self._event_seq = 0
         self._pending: dict[str, list[Message]] = {}
         # per-node failover bookkeeping: episode counter + activation state
@@ -159,22 +162,22 @@ class World:
         for failure in scenario.failures:
             self.inject_failure(failure.node, failure.at, failure.duration_s)
         for command in scenario.commands:
-            self._schedule(command.at, self._handle_command, command)
+            self._schedule(command.at, "_handle_command", command)
         for reminder in scenario.reminders:
             self._schedule(
-                reminder.at, self._request, "create_reminder", reminder.author,
+                reminder.at, "_request", "create_reminder", reminder.author,
                 reminder.target, reminder.payload.encode("utf-8"), reminder.id,
             )
         for theft in scenario.thefts:
             self._schedule(
-                theft.at, self._record, "theft",
+                theft.at, "_record", "theft",
                 dict(node=theft.node, guarded=self.config.s9.enabled),
             )
         if self.config.s9.enabled and self.config.s9.review_period_days > 0:
             period = self.config.s9.review_period_days * SECONDS_PER_DAY
             review = dict(section="S9", action="access-review", events=1)
             for t in range(period, self.horizon_s + 1, period):
-                self._schedule(t, self._record, "ops", review)
+                self._schedule(t, "_record", "ops", review)
 
     # -- construction helpers ------------------------------------------
 
@@ -240,25 +243,25 @@ class World:
         if self.config.s9.enabled:
             locks = sum(1 for n in self.nodes.values() if n.kind == "SmartDevice")
             self._schedule(
-                0, self._record, "capital",
+                0, "_record", "capital",
                 dict(section="S9", item="device-lock", count=locks),
             )
         if self.config.s10.enabled:
             self._schedule(
-                0, self._record, "ops",
+                0, "_record", "ops",
                 dict(section="S10", action="key-provisioning", events=1),
             )
         if self.config.s17.enabled:
             backups = len({m for n in self.nodes.values() for m in n.backup_pool})
             if backups:
                 self._schedule(
-                    0, self._record, "capital",
+                    0, "_record", "capital",
                     dict(section="S17", item="backup-device", count=backups),
                 )
 
     # -- event machinery -----------------------------------------------
 
-    def _schedule(self, time: int, handler: Callable[..., object], *args) -> None:
+    def _schedule(self, time: int, handler: str, *args) -> None:
         heapq.heappush(self._queue, (time, self._event_seq, handler, args))
         self._event_seq += 1
 
@@ -273,7 +276,7 @@ class World:
         while self._queue and self._queue[0][0] <= t_end:
             time, _, handler, args = heapq.heappop(self._queue)
             self.clock = time
-            handler(*args)
+            getattr(self, handler)(*args)
         self.clock = t_end
         return self
 
@@ -285,58 +288,66 @@ class World:
         dst: str,
         payload: bytes,
         s9_ms: int = 0,
-        on_delivered: Callable[[], None] | None = None,
+        on_delivered: tuple | None = None,
     ) -> int:
-        if src not in self.nodes:
-            raise UnknownNode(f"unknown sender {src!r}")
-        if dst not in self.nodes:
-            raise UnknownNode(f"unknown destination {dst!r}")
-        path = shortest_path(self._adjacency, src, dst)
+        """Send a message and queue its delivery; returns its msg_id.
+
+        `on_delivered` is an (intent, *args) request that `_request`
+        carries out when the message is delivered.
+        """
+        path = self._routes.get((src, dst))
         if path is None:
-            raise NoRoute(f"no link path from {src!r} to {dst!r}")
+            if src not in self.nodes:
+                raise UnknownNode(f"unknown sender {src!r}")
+            if dst not in self.nodes:
+                raise UnknownNode(f"unknown destination {dst!r}")
+            path = shortest_path(self._adjacency, src, dst)
+            if path is None:
+                raise NoRoute(f"no link path from {src!r} to {dst!r}")
+            self._routes[src, dst] = path
 
         msg_id = self._next_msg_id
         self._next_msg_id += 1
 
-        envelope = None
-        if self.config.s10.enabled:
+        wrapped = self.config.s10.enabled
+        if wrapped:
             key = self.nodes[src].key_id
             if not key:
                 raise MissingKey(f"node {src!r} holds no key id")
-            envelope = middleware.wrap(payload, key, self.config, msg_id=msg_id)
+            content = middleware.wrap(payload, key, self.config, msg_id=msg_id)
+        else:
+            content = {"payload_b64": base64.b64encode(payload).decode("ascii")}
 
         size = len(payload)
-        wire = size + (self.config.s10.overhead_bytes if envelope else 0)
+        wire = size + (self.config.s10.overhead_bytes if wrapped else 0)
         link_ms = 0
         for link_id in path:
             link = self.links[link_id]
             link_ms += link.latency_ms
             if link.bandwidth_bps:
                 link_ms += -(-wire * 1000 // link.bandwidth_bps)
-        s10_ms = self.config.s10.per_message_latency_ms if envelope else 0
+        s10_ms = self.config.s10.per_message_latency_ms if wrapped else 0
         total_ms = link_ms + s10_ms + s9_ms
         eta = self.clock + -(-total_ms // 1000)  # round up to the second grid
         msg = Message(msg_id, dst, eta, total_ms, on_delivered)
         self.messages[msg_id] = msg
 
-        fields = dict(
+        self.trace.append(
+            "sent",
+            self.clock,
             msg_id=msg_id,
             src=src,
             dst=dst,
             size_bytes=size,
             wire_bytes=wire,
-            wrapped=envelope is not None,
-            path=list(path),
+            wrapped=wrapped,
+            path=path,  # the route table's tuple, shared by every send on it
             link_ms=link_ms,
             s10_ms=s10_ms,
             s9_ms=s9_ms,
+            **content,
         )
-        if envelope is not None:
-            fields.update(envelope.wire_fields())
-        else:
-            fields["payload_b64"] = base64.b64encode(payload).decode("ascii")
-        self.trace.append("sent", self.clock, **fields)
-        self._schedule(eta, self._handle_delivery, msg)
+        self._schedule(eta, "_handle_delivery", msg)
         return msg_id
 
     def _handle_delivery(self, msg: Message) -> None:
@@ -369,7 +380,7 @@ class World:
             s17_ms=s17_ms,
         )
         if msg.on_delivered is not None:
-            msg.on_delivered()
+            self._request(*msg.on_delivered)
 
     def _lose(self, msg: Message, reason: str) -> None:
         del self.messages[msg.msg_id]
@@ -382,8 +393,8 @@ class World:
             raise UnknownNode(f"unknown node {node_id!r}")
         if at < self.clock:
             raise InvalidScenario(f"cannot inject a failure in the past (at={at})")
-        self._schedule(at, self._fail_start, node_id)
-        self._schedule(at + duration_s, self._fail_end, node_id)
+        self._schedule(at, "_fail_start", node_id)
+        self._schedule(at + duration_s, "_fail_end", node_id)
 
     def _fail_start(self, node_id: str) -> None:
         node = self.nodes[node_id]
@@ -396,7 +407,7 @@ class World:
             self._failover[node_id] = {"episode": episode, "active": False}
             self._schedule(
                 self.clock + self.config.s17.detection_window_s,
-                self._failover_activate, node_id, episode,
+                "_failover_activate", node_id, episode,
             )
 
     def _fail_end(self, node_id: str) -> None:
@@ -468,8 +479,7 @@ class World:
         if self.config.s9.enabled:
             try:
                 middleware.authenticate(
-                    command.user, command.credential, command.device,
-                    self.config, at=self.clock,
+                    command.user, command.credential, command.device, self.config
                 )
             except UnknownUser:
                 self.trace.append(
@@ -494,22 +504,17 @@ class World:
                 command.device, command.to, command.payload.encode("utf-8"), s9_ms
             )
         elif command.intent == "create_reminder":
-            author, target = command.device, command.target
             payload = command.payload.encode("utf-8")
             self.send_message(
                 command.device, self.cloud_id, payload, s9_ms,
-                on_delivered=lambda: self._request(
-                    "create_reminder", author, target, payload
-                ),
+                on_delivered=("create_reminder", command.device, command.target, payload),
             )
         elif command.intent == "schedule_meeting":
-            organizer = command.device
-            attendees = command.attendees
-            duration = command.duration_min
             self.send_message(
                 command.device, self.cloud_id, b"meeting-request", s9_ms,
-                on_delivered=lambda: self._request(
-                    "schedule_meeting", organizer, list(attendees), duration
+                on_delivered=(
+                    "schedule_meeting", command.device, list(command.attendees),
+                    command.duration_min,
                 ),
             )
 
@@ -536,7 +541,14 @@ class World:
                 raise UnknownNode(f"{node_id!r} is not a smart device")
         if not self.nodes[self.cloud_id].up:
             raise CloudUnavailable("cloud service is down; cannot register reminder")
-        rid = reminder_id or f"rem-{len(self.reminders) + 1}"
+        rid = reminder_id
+        if not rid:
+            # a generated id skips the ids the scenario declares
+            declared = {r.id for r in self.scenario.reminders}
+            n = len(self.reminders) + 1
+            while f"rem-{n}" in self.reminders or f"rem-{n}" in declared:
+                n += 1
+            rid = f"rem-{n}"
         if rid in self.reminders:
             raise InvalidScenario(f"duplicate reminder id {rid!r}")
         self.reminders[rid] = Reminder(target=target, payload=bytes(payload))
@@ -553,7 +565,7 @@ class World:
             next_month_end_instant(
                 self.clock, self.scenario.reminder_fire_time, self.epoch
             ),
-            self._fire_reminder,
+            "_fire_reminder",
             rid,
         )
 

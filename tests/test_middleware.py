@@ -1,8 +1,10 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import message_records, two_device_scenario
+from helpers import message_records, two_device_scenario, worlds
 from smartbizsim.errors import (
     AuthDenied,
     InvalidScenario,
@@ -17,9 +19,9 @@ from smartbizsim.middleware import (
     S17Config,
     authenticate,
     tap,
-    unwrap,
     wrap,
 )
+from smartbizsim.metering import meter
 from smartbizsim.scenario import CommandSpec
 from smartbizsim.world import build_world
 
@@ -33,9 +35,18 @@ S10_ON = ControlLayerConfig(s10=S10Config(enabled=True, overhead_bytes=64))
 
 
 def test_correct_credential_authenticates():
-    session = authenticate("alice", "sesame", "device-a", S9_ON, at=5)
-    assert session.authenticated
-    assert (session.user, session.device, session.established_at) == ("alice", "device-a", 5)
+    assert authenticate("alice", "sesame", "device-a", S9_ON) is None
+    # the session lands in the audit trail: who, where and when
+    command = CommandSpec(
+        at=5, device="device-a", user="alice", credential="sesame",
+        intent="voice_message", to="device-b", payload="hi",
+    )
+    scenario = replace(two_device_scenario(controls=S9_ON), commands=(command,))
+    world = build_world(scenario).run_until(scenario.horizon_s)
+    audit = world.trace.by_kind("audit")
+    assert [(a["user"], a["device"], a["time"], a["authenticated"]) for a in audit] == [
+        ("alice", "device-a", 5, True)
+    ]
 
 
 def test_wrong_credential_denied():
@@ -109,11 +120,19 @@ def test_wire_size_is_payload_plus_overhead():
     assert sent["inner_size"] == 100
 
 
-def test_unwrap_round_trips_with_matching_key():
-    envelope = wrap(b"secret payload", "k-device-a", S10_ON, msg_id=9)
-    assert unwrap(envelope, "k-device-a") == b"secret payload"
-    with pytest.raises(MissingKey):
-        unwrap(envelope, "k-other")
+def test_sealed_send_names_the_sender_key_and_carries_no_payload():
+    assert wrap(b"secret payload", "k-device-a", S10_ON, msg_id=9) == {
+        "key_id": "k-device-a", "marker": "ct:k-device-a:9", "inner_size": 14,
+    }
+    world = build_world(two_device_scenario(controls=S10_ON))
+    msg_id = world.send_message("device-a", "device-b", b"secret payload")
+    sent = world.trace.by_kind("sent")[0]
+    # only the sender's key opens it: the receiver's key is not named
+    assert sent["key_id"] == world.nodes["device-a"].key_id == "k-device-a"
+    assert sent["marker"] == f"ct:k-device-a:{msg_id}"
+    assert sent["inner_size"] == 14
+    assert "payload_b64" not in sent
+    assert b"secret" not in world.trace.to_ndjson().encode()
 
 
 def test_wrap_without_key_rejected():
@@ -121,6 +140,20 @@ def test_wrap_without_key_rejected():
         wrap(b"data", None, S10_ON)
     with pytest.raises(MissingKey):
         wrap(b"data", "", S10_ON)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(worlds(), st.integers(0, 512))
+def test_s10_seals_every_send_of_generated_worlds(world, overhead):
+    controls = replace(world.config, s10=S10Config(enabled=True, overhead_bytes=overhead))
+    world = build_world(world.scenario, controls).run_until(world.horizon_s)
+    assert meter(world.trace).plaintext_exposures == 0
+    for sent in world.trace.by_kind("sent"):
+        assert sent["key_id"] == world.nodes[sent["src"]].key_id
+        assert sent["marker"] == f"ct:{sent['key_id']}:{sent['msg_id']}"
+        assert sent["inner_size"] == sent["size_bytes"]
+        assert "payload_b64" not in sent
+        assert sent["wire_bytes"] == sent["size_bytes"] + overhead
 
 
 def test_partial_key_map_rejected_at_build():
@@ -132,10 +165,13 @@ def test_partial_key_map_rejected_at_build():
 
 
 def test_envelope_marker_is_payload_independent():
-    a = wrap(b"aaaa", "k", S10_ON, msg_id=3)
-    b = wrap(b"bbbb", "k", S10_ON, msg_id=3)
-    assert a.ciphertext_marker == b.ciphertext_marker
-    assert a.inner_size == b.inner_size
+    traces = []
+    for payload in (b"aaaa", b"bbbb"):
+        world = build_world(two_device_scenario(controls=S10_ON))
+        world.send_message("device-a", "device-b", payload)
+        traces.append(world.run_until(1000).trace.to_ndjson())
+    assert traces[0] == traces[1]
+    assert '"marker":"ct:k-device-a:1"' in traces[0]
 
 
 # -- wiretaps --------------------------------------------------------------------

@@ -72,6 +72,10 @@ def test_not_json_is_a_parse_error():
         ({"reminders": [{"id": "r", "author": "d", "target": "d", "at": -5}]},
          "reminder 'r' time must be >= 0"),
         ({"thefts": [{"node": "d", "at": -5}]}, "theft time must be >= 0"),
+        # the second registration would stop the run midway
+        ({"reminders": [{"id": "r", "author": "d", "target": "d"},
+                        {"id": "r", "author": "d", "target": "d", "at": 9}]},
+         "reminders[1].id 'r' is a duplicate reminder id"),
     ],
 )
 def test_structural_problems_are_invalid_scenarios(patch, fragment):

@@ -1,4 +1,6 @@
 import datetime as dt
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -183,6 +185,22 @@ def test_a_run_split_at_any_time_writes_the_same_trace(world, split):
     assert world.trace.to_ndjson() == whole.trace.to_ndjson()
 
 
+@pytest.mark.parametrize("layers", [(), ("S9", "S10", "S17")])
+def test_a_finished_world_is_freed_by_reference_counting(layers):
+    scenario = default_scenario()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        world = build_world(scenario, scenario.controls.with_enabled(layers))
+        world.run_until(scenario.horizon_s)
+        refs = (weakref.ref(world), weakref.ref(world.trace))
+        del world
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 # -- failure injection -------------------------------------------------------
 
 
@@ -264,6 +282,24 @@ def test_create_reminder_validates_nodes_and_cloud():
     world.nodes["cloud"].fail_depth = 1
     with pytest.raises(CloudUnavailable):
         world.create_reminder("device-a", "device-b", b"x")
+
+
+def test_generated_reminder_ids_skip_the_ids_the_scenario_declares():
+    # both voice-created reminders register before the scenario's `rem-1`
+    base = default_scenario()
+    first = next(c for c in base.commands if c.intent == "create_reminder")
+    second = replace(first, at=3 * DAY, target="dev-truck")
+    declared = ReminderSpec(id="rem-1", author="dev-city-a", target="dev-city-a",
+                            payload="p", at=4 * DAY)
+    world = build_world(replace(
+        base, commands=base.commands + (second,), reminders=(declared,)
+    ))
+    world.run_until(base.horizon_s)
+    created = [
+        (r["reminder"], r["target"]) for r in world.trace.by_kind("reminder")
+        if r["event"] == "created"
+    ]
+    assert created == [("rem-2", "dev-city-b"), ("rem-3", "dev-truck"), ("rem-1", "dev-city-a")]
 
 
 def _request_failures(world) -> list[tuple[int, str, str]]:
