@@ -50,7 +50,6 @@ from .risk import (
     top_k,
 )
 from .scenario import ScenarioConfig, default_scenario, load_scenario, parse_scenario
-from .timeline import end_of_month_instants
 from .trace import Trace
 from .world import World, build_world
 

@@ -28,7 +28,7 @@ _END = itemgetter(1)
 
 def normalize_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     """Sort and merge overlapping/adjacent half-open intervals."""
-    cleaned = sorted((int(s), int(e)) for s, e in intervals if e > s)
+    cleaned = sorted((s, e) for s, e in intervals if e > s)
     merged: list[Interval] = []
     for start, end in cleaned:
         if merged and start <= merged[-1][1]:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import costs
@@ -60,14 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--controls", default="none",
                        help='comma list of layers to enable: "s9,s10,s17", '
                             '"all" or "none" (default)')
-    p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--out", default="trace.ndjson", help="trace output path")
 
     p_dmaic = sub.add_parser("dmaic", help="run the full pipeline")
     p_dmaic.add_argument("--config", help="pipeline config JSON (default: built-ins)")
     p_dmaic.add_argument("--catalog", help="override the risk catalog reference")
     p_dmaic.add_argument("--scenario", help="override the scenario reference")
-    p_dmaic.add_argument("--seed", type=int, default=None)
     p_dmaic.add_argument("--top-k", type=int, default=None, dest="top_k")
     p_dmaic.add_argument("--format", choices=("json", "csv", "table"),
                          default="json")
@@ -194,8 +191,6 @@ def _parse_controls_flag(flag: str) -> frozenset[str]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
-    if args.seed is not None:
-        scenario = replace(scenario, seed=args.seed)
     enabled = _parse_controls_flag(args.controls)
     world = build_world(scenario, scenario.controls.with_enabled(enabled))
     world.run_until(scenario.horizon_s)
@@ -216,7 +211,6 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
         flags = {
             "risk_catalog": args.catalog,
             "scenario": args.scenario,
-            "seed": args.seed,
             "top_k": args.top_k,
         }
         config = costs.load_dmaic_config(

@@ -11,8 +11,8 @@ figures. Every priced quantity comes from the secured run's trace
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .errors import (
     MissingActionsForControl,
@@ -20,6 +20,7 @@ from .errors import (
     UnknownRiskId,
     UnknownSectionId,
     parse_json,
+    read,
 )
 from .risk import LabeledEnum, id_order
 
@@ -69,6 +70,11 @@ class ControlCatalog:
 class RiskControlMapping:
     entries: Mapping[str, tuple[str, ...]]
 
+    def __post_init__(self) -> None:
+        for risk_id, sections in self.entries.items():
+            if not sections:
+                raise ParseError(f"mapping for {risk_id!r} must not be empty")
+
     def sections_for(self, risk_id: str) -> tuple[str, ...]:
         return tuple(self.entries.get(risk_id, ()))
 
@@ -80,7 +86,12 @@ class RiskControlMapping:
 class MitigationAction:
     id: str
     control: str
-    description: str
+    description: str = ""
+
+    unknown_field_hint: ClassVar[str] = (
+        "an action is only id, control and description; "
+        "costs come from the rates and the secured run"
+    )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -199,70 +210,19 @@ def default_action_library() -> tuple[MitigationAction, ...]:
 
 
 def parse_control_catalog(document: str) -> ControlCatalog:
-    data = parse_json(document, "control catalog")
-    if not isinstance(data, dict) or not isinstance(data.get("sections"), list):
-        raise ParseError('control catalog must be an object with a "sections" list')
-    sections = []
-    for i, entry in enumerate(data["sections"]):
-        if not isinstance(entry, dict):
-            raise ParseError(f"sections[{i}] must be an object")
-        try:
-            sections.append(
-                ControlSection(
-                    id=str(entry["id"]),
-                    name=str(entry["name"]),
-                    change_level=ChangeLevel.from_label(entry["change_level"]),
-                )
-            )
-        except KeyError as exc:
-            raise ParseError(f"sections[{i}] is missing field {exc}") from exc
-    return ControlCatalog(sections=tuple(sections))
+    return read(ControlCatalog, parse_json(document, "control catalog"))
 
 
 def parse_mapping(document: str) -> RiskControlMapping:
-    data = parse_json(document, "mapping file")
-    if not isinstance(data, dict):
-        raise ParseError("mapping file must be a JSON object of risk -> sections")
-    entries = {}
-    for rid, secs in data.items():
-        if not isinstance(secs, list) or not all(isinstance(s, str) for s in secs):
-            raise ParseError(f"mapping for {rid!r} must be a list of section ids")
-        if not secs:
-            raise ParseError(f"mapping for {rid!r} must not be empty")
-        entries[str(rid)] = tuple(secs)
+    """Parse the mapping file, a JSON object of risk id -> section ids."""
+    entries = read(Mapping[str, tuple[str, ...]], parse_json(document, "mapping file"))
     return RiskControlMapping(entries=entries)
 
 
-_ACTION_FIELDS = frozenset(f.name for f in fields(MitigationAction))
+@dataclass(frozen=True)
+class _ActionLibrary:
+    actions: tuple[MitigationAction, ...]
 
 
 def parse_action_library(document: str) -> tuple[MitigationAction, ...]:
-    data = parse_json(document, "action library")
-    if not isinstance(data, dict) or not isinstance(data.get("actions"), list):
-        raise ParseError('action library must be an object with an "actions" list')
-    actions = []
-    for i, entry in enumerate(data["actions"]):
-        if not isinstance(entry, dict):
-            raise ParseError(f"actions[{i}] must be an object")
-        extra = sorted(set(entry) - _ACTION_FIELDS)
-        if extra:
-            raise ParseError(
-                f"actions[{i}] ({entry.get('id')!r}) has unknown field(s) "
-                f"{', '.join(extra)}: an action is only id, control and "
-                "description; costs come from the rates and the secured run"
-            )
-        try:
-            actions.append(
-                MitigationAction(
-                    id=str(entry["id"]),
-                    control=str(entry["control"]),
-                    description=str(entry.get("description", "")),
-                )
-            )
-        except KeyError as exc:
-            raise ParseError(f"actions[{i}] is missing field {exc}") from exc
-    return tuple(actions)
-
-
-def library_to_dict(actions: Iterable[MitigationAction]) -> dict:
-    return {"actions": [a.to_dict() for a in actions]}
+    return read(_ActionLibrary, parse_json(document, "action library")).actions

@@ -40,10 +40,11 @@ from .errors import (
     DmaicStepError,
     ParseError,
     parse_json,
+    read,
     read_document,
 )
 from .metering import MetricSet, SectionUsage, meter, meter_sections
-from .middleware import updated_from_dict
+from .middleware import ControlLayerConfig
 from .risk import (
     RiskAssessment,
     RiskCatalog,
@@ -75,10 +76,6 @@ class CostRates:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "CostRates":
-        return updated_from_dict(cls(), data)
 
 
 @dataclass(frozen=True)
@@ -243,7 +240,8 @@ def load_dmaic_config(
     default, so the pipeline runs with zero arguments. `overrides` takes
     the same keys as the document and wins over it (the CLI's flags);
     its references are read relative to the working directory, the
-    document's relative to the document.
+    document's relative to the document. `controls` updates the
+    scenario's control layers; every other key is a DmaicConfig knob.
     """
     data: dict = {}
     base = Path(".")
@@ -256,7 +254,7 @@ def load_dmaic_config(
     data = {**data, **overrides}
 
     def ref_path(key: str) -> Path | None:
-        ref = data.get(key)
+        ref = read(str | None, data.pop(key, None), at=key)
         if ref is None:
             return None
         return Path(ref) if key in overrides else base / ref  # absolute stays absolute
@@ -274,15 +272,11 @@ def load_dmaic_config(
     mapping = parse_mapping(mapping_text) if mapping_text else default_mapping()
     scenario_path = ref_path("scenario")
     scenario = default_scenario() if scenario_path is None else load_scenario(scenario_path)
-    changes = {}
     if "controls" in data:
-        changes["controls"] = _config_value(
-            "controls", lambda v: updated_from_dict(scenario.controls, v), data["controls"]
+        controls = read(
+            ControlLayerConfig, data.pop("controls"), base=scenario.controls, at="controls"
         )
-    if data.get("seed") is not None:
-        changes["seed"] = _config_value("seed", int, data["seed"])
-    if changes:
-        scenario = replace(scenario, **changes)
+        scenario = replace(scenario, controls=controls)
     library_text = read_ref("action_library")
     library = (
         parse_action_library(library_text) if library_text else default_action_library()
@@ -293,26 +287,14 @@ def load_dmaic_config(
                 f"action {action.id!r} references unknown control "
                 f"section {action.control!r}"
             )
-    return DmaicConfig(
+    config = DmaicConfig(
         risk_catalog=catalog,
         control_catalog=control_catalog,
         mapping=mapping,
         action_library=library,
         scenario=scenario,
-        rates=_config_value("rates", CostRates.from_dict, data.get("rates", {})),
-        top_k=_config_value("top_k", int, data.get("top_k", DmaicConfig.top_k)),
-        residual_factor=_config_value(
-            "residual_factor", lambda v: Fraction(str(v)), data.get("residual_factor", 0)
-        ),
     )
-
-
-def _config_value(key: str, convert, value):
-    """`convert(value)`; a value it cannot convert is a ParseError naming `key`."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad {key} {value!r}: {exc}") from exc
+    return read(DmaicConfig, data, base=config)
 
 
 @contextmanager

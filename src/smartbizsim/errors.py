@@ -1,5 +1,5 @@
-"""Exception hierarchy, and the file reading and JSON decoding every
-input parser shares.
+"""Exception hierarchy, and the file reading, JSON decoding and typed
+reading every input parser shares.
 
 Two branches matter for the CLI: ConfigError maps to exit code 2
 (bad input/config), SimulationError maps to exit code 3 (runtime
@@ -8,8 +8,16 @@ failure inside a run).
 
 from __future__ import annotations
 
+import datetime as dt
 import json
+import reprlib
+import types
+from collections import abc
+from dataclasses import MISSING, fields, is_dataclass, replace
+from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 
 class SmartBizError(Exception):
@@ -139,3 +147,196 @@ def parse_json(document: str, what: str):
         return json.loads(document)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def read(kind, value, *, base=None, at: str = ""):
+    """A decoded JSON `value` read as the type `kind`, never coerced.
+
+    An `int` is a JSON integer (not a bool, not 2.7), a `Fraction` an
+    integer or a rational string such as "1/2", a tuple an array, a
+    `Mapping` an object, a `LabeledEnum` its label, a date or time its
+    text. A dataclass is an object of its fields: an unknown key is an
+    error, a missing one takes the field's default or, given `base`,
+    the value in `base`, so `base` plus a partial document is an update.
+
+    A bad value raises a ConfigError that starts with its path, e.g.
+    `links[0].latency_ms: expected an integer, got 2.7`; `at` is the
+    path of `value` itself.
+    """
+    reader = _reader(kind)
+    try:
+        return reader(value) if base is None else reader(value, base)
+    except ConfigError as exc:
+        path = (at + getattr(exc, "path", "")).lstrip(". ")
+        if not path:
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+_READERS: dict = {}
+_EXPECTED = {int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _reader(kind):
+    reader = _READERS.get(kind)
+    if reader is None:
+        reader = _READERS[kind] = _compile(kind)
+    return reader
+
+
+def _compile(kind):
+    """The reader function of one type, built once from its annotations."""
+    # imported here: both modules import this one
+    from .risk import LabeledEnum
+    from .timeline import parse_hhmm, parse_iso_date
+
+    origin, args = get_origin(kind), get_args(kind)
+    if kind in _EXPECTED:
+        return _exact(kind)
+    if kind is Fraction:
+        return _fraction
+    if kind in (dt.date, dt.time):
+        return _text(parse_iso_date if kind is dt.date else parse_hhmm)
+    if isinstance(kind, type) and issubclass(kind, LabeledEnum):
+        return _text(kind.from_label)
+    if origin is types.UnionType and type(None) in args:
+        (inner,) = [_reader(arg) for arg in args if arg is not type(None)]
+        return lambda value: None if value is None else inner(value)
+    if origin is tuple and args[-1] is Ellipsis:
+        return _array(_reader(args[0]))
+    if origin is tuple:
+        return _fixed_array([_reader(arg) for arg in args])
+    if origin is abc.Mapping and args[0] is str:
+        return _mapping(_reader(args[1]))
+    if is_dataclass(kind):
+        return _object(kind)
+    raise TypeError(f"no reader for type {kind!r}")
+
+
+def _at(exc: ConfigError, segment: str) -> None:
+    """Prefix the path of a failure: paths are only built on failure."""
+    exc.path = segment + getattr(exc, "path", "")
+
+
+def _mismatch(expected: str, value) -> ParseError:
+    return ParseError(f"expected {expected}, got {reprlib.repr(value)}")
+
+
+
+def _exact(kind):
+    def read_exact(value):
+        if type(value) is kind:
+            return value
+        raise _mismatch(_EXPECTED[kind], value)
+
+    read_exact.kind = kind
+    return read_exact
+
+
+def _fraction(value):
+    try:
+        if type(value) in (int, str):
+            return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise _mismatch('an integer or a rational string such as "1/2"', value)
+
+
+def _text(parse):
+    read_str = _reader(str)
+    return lambda value: parse(read_str(value))
+
+
+def _items(pairs) -> tuple:
+    """Each (reader, item) pair read in turn; a failure names its index."""
+    out = []
+    try:
+        for read_item, item in pairs:
+            out.append(read_item(item))
+    except ConfigError as exc:
+        _at(exc, f"[{len(out)}]")
+        raise
+    return tuple(out)
+
+
+def _array(read_item):
+    def read_array(value):
+        if type(value) not in (list, tuple):
+            raise _mismatch("an array", value)
+        return _items(zip(repeat(read_item), value))
+
+    return read_array
+
+
+def _fixed_array(readers):
+    size = len(readers)
+    kinds = tuple(getattr(read_item, "kind", None) for read_item in readers)
+
+    def read_fixed(value):
+        if type(value) not in (list, tuple) or len(value) != size:
+            raise _mismatch(f"an array of {size}", value)
+        if tuple(map(type, value)) == kinds:  # plain leaves, such as a busy pair
+            return tuple(value)
+        return _items(zip(readers, value))
+
+    return read_fixed
+
+
+def _mapping(read_item):
+    def read_mapping(value):
+        if type(value) is not dict:
+            raise _mismatch("an object", value)
+        out = {}
+        try:
+            for key, item in value.items():
+                out[key] = read_item(item)
+        except ConfigError as exc:
+            _at(exc, f".{key}")
+            raise
+        return out
+
+    return read_mapping
+
+
+def _object(cls):
+    """The reader of a dataclass; the class may name `unknown_field_hint`."""
+    hints = get_type_hints(cls)
+    readers = {f.name: _reader(hints[f.name]) for f in fields(cls) if f.init}
+    required = [
+        f.name for f in fields(cls)
+        if f.init and f.default is MISSING and f.default_factory is MISSING
+    ]
+    nested = {name for name in readers if is_dataclass(hints[name])}
+    hint = getattr(cls, "unknown_field_hint", None)
+    unknown_field = f"unknown field; {hint}" if hint else "unknown field"
+
+    def failure(value, segment: str, problem: str) -> ParseError:
+        label = value.get("id")  # an entry with an id is named by it
+        exc = ParseError(problem)
+        exc.path = (f" ({label!r})" if type(label) is str else "") + segment
+        return exc
+
+    def read_object(value, base=None):
+        if type(value) is not dict:
+            raise _mismatch("an object", value)
+        if not value.keys() <= readers.keys():
+            unknown = next(key for key in value if key not in readers)
+            raise failure(value, f".{unknown}", unknown_field)
+        kwargs = {}
+        try:
+            for key, item in value.items():
+                if base is None or key not in nested:
+                    kwargs[key] = readers[key](item)
+                else:
+                    kwargs[key] = readers[key](item, getattr(base, key))
+        except ConfigError as exc:
+            _at(exc, f".{key}")
+            raise
+        if base is not None:
+            return replace(base, **kwargs)
+        for name in required:
+            if name not in kwargs:
+                raise failure(value, "", f"missing field {name!r}")
+        return cls(**kwargs)
+
+    return read_object

@@ -17,7 +17,7 @@ S17 at delivery.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING, Collection, Mapping
 
 from .errors import AuthDenied, InvalidScenario, MissingKey, UnknownLink, UnknownUser
@@ -90,31 +90,6 @@ class ControlLayerConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "ControlLayerConfig":
-        return updated_from_dict(cls(), data)
-
-
-def updated_from_dict(default, data: Mapping):
-    """Copy of the dataclass `default` with the fields `data` names.
-
-    Each given value is coerced to the type of the default it replaces
-    (nested dataclasses recurse), so missing keys keep the dataclass
-    defaults and nothing repeats them. A `data` that is not a mapping is a
-    TypeError.
-    """
-    if not isinstance(data, Mapping):
-        raise TypeError(f"expected an object, got {data!r}")
-    changes = {}
-    for f in fields(default):
-        if f.name in data:
-            old = getattr(default, f.name)
-            new = data[f.name]
-            changes[f.name] = (
-                updated_from_dict(old, new) if is_dataclass(old) else type(old)(new)
-            )
-    return replace(default, **changes)
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,9 @@ from .errors import (
     DuplicateRiskId,
     EmptyCatalog,
     KOutOfRange,
-    ParseError,
     UnknownLevelLabel,
     parse_json,
+    read,
 )
 from .trace import canonical_json
 
@@ -227,31 +227,7 @@ def parse_risk_catalog(document: str) -> RiskCatalog:
     Expected shape: {"risks": [{"id", "name", "relevance", "severity",
     "rationale"?}, ...]} with level labels from the five-step scale.
     """
-    data = parse_json(document, "risk catalog")
-    if not isinstance(data, dict) or "risks" not in data:
-        raise ParseError('risk catalog must be an object with a "risks" list')
-    entries = data["risks"]
-    if not isinstance(entries, list):
-        raise ParseError('"risks" must be a list')
-    risks = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ParseError(f"risks[{i}] must be an object")
-        for field in ("id", "name", "relevance", "severity"):
-            if field not in entry:
-                raise ParseError(f"risks[{i}] is missing field {field!r}")
-            if not isinstance(entry[field], str):
-                raise ParseError(f"risks[{i}].{field} must be a string")
-        risks.append(
-            Risk(
-                id=entry["id"],
-                name=entry["name"],
-                relevance=OrdinalLevel.from_label(entry["relevance"]),
-                severity=OrdinalLevel.from_label(entry["severity"]),
-                rationale=str(entry.get("rationale", "")),
-            )
-        )
-    return RiskCatalog(risks=tuple(risks))
+    return read(RiskCatalog, parse_json(document, "risk catalog"))
 
 
 def load_risk_catalog(document: str | None = None) -> RiskCatalog:

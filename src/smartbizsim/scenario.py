@@ -15,9 +15,9 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .calendars import WorkingHours
-from .errors import InvalidScenario, ParseError, parse_json, read_document
+from .errors import InvalidScenario, parse_json, read, read_document
 from .middleware import ControlLayerConfig, S9Config
-from .timeline import SECONDS_PER_DAY, parse_hhmm, parse_iso_date
+from .timeline import SECONDS_PER_DAY
 
 SITES = ("CityA", "CityB", "Truck")
 INTENT_KINDS = ("voice_message", "create_reminder", "schedule_meeting")
@@ -55,7 +55,7 @@ class ReminderSpec:
     id: str
     author: str
     target: str
-    payload: str
+    payload: str = ""
     at: int = 0
 
 
@@ -72,12 +72,12 @@ class TheftSpec:
     at: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CommandSpec:
     at: int
     device: str
-    user: str
-    credential: str
+    user: str = ""
+    credential: str = ""
     intent: str
     # intent parameters; meaning depends on the intent kind
     to: str | None = None
@@ -88,10 +88,19 @@ class CommandSpec:
 
 
 @dataclass(frozen=True)
+class WorkWeek:
+    """The daily working window and the working weekdays (0 = Monday)."""
+
+    start: dt.time = dt.time(8, 0)
+    end: dt.time = dt.time(18, 0)
+    days: tuple[int, ...] = (0, 1, 2, 3, 4)
+
+
+@dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
-    epoch: dt.date
-    horizon_s: int
-    seed: int
+    epoch: dt.date = dt.date(2024, 1, 1)
+    horizon_s: int = 35 * SECONDS_PER_DAY
+    seed: int = 42  # a provenance label: the engine never reads it
     nodes: tuple[NodeSpec, ...]
     links: tuple[LinkSpec, ...]
     attendees: tuple[AttendeeSpec, ...] = ()
@@ -99,9 +108,7 @@ class ScenarioConfig:
     failures: tuple[FailureSpec, ...] = ()
     commands: tuple[CommandSpec, ...] = ()
     thefts: tuple[TheftSpec, ...] = ()
-    work_start: dt.time = dt.time(8, 0)
-    work_end: dt.time = dt.time(18, 0)
-    workdays: tuple[int, ...] = (0, 1, 2, 3, 4)
+    working_hours: WorkWeek = WorkWeek()
     reminder_fire_time: dt.time = dt.time(9, 0)
     meeting_horizon_days: int = 30
     controls: ControlLayerConfig = field(default_factory=ControlLayerConfig)
@@ -110,11 +117,17 @@ class ScenarioConfig:
         # Every instance is valid: parsed, built in code or a replace() copy.
         validate_scenario(self)
 
-    def working_hours(self) -> WorkingHours:
+    @property
+    def work_start(self) -> dt.time:
+        return self.working_hours.start
+
+    def calendar_hours(self) -> WorkingHours:
+        """The working week in calendar minutes from the epoch."""
+        hours = self.working_hours
         return WorkingHours(
-            start_minute=self.work_start.hour * 60 + self.work_start.minute,
-            end_minute=self.work_end.hour * 60 + self.work_end.minute,
-            workdays=frozenset(self.workdays),
+            start_minute=hours.start.hour * 60 + hours.start.minute,
+            end_minute=hours.end.hour * 60 + hours.end.minute,
+            workdays=frozenset(hours.days),
             epoch_weekday=self.epoch.weekday(),
         )
 
@@ -134,9 +147,9 @@ class ScenarioConfig:
             "commands": [_command_dict(c) for c in self.commands],
             "thefts": [asdict(t) for t in self.thefts],
             "working_hours": {
-                "start": self.work_start.strftime("%H:%M"),
-                "end": self.work_end.strftime("%H:%M"),
-                "days": list(self.workdays),
+                "start": self.working_hours.start.strftime("%H:%M"),
+                "end": self.working_hours.end.strftime("%H:%M"),
+                "days": list(self.working_hours.days),
             },
             "reminder_fire_time": self.reminder_fire_time.strftime("%H:%M"),
             "meeting_horizon_days": self.meeting_horizon_days,
@@ -167,94 +180,7 @@ def _require(condition: bool, message: str) -> None:
 
 
 def parse_scenario(document: str) -> ScenarioConfig:
-    data = parse_json(document, "scenario")
-    if not isinstance(data, dict):
-        raise ParseError("scenario must be a JSON object")
-    try:
-        return _scenario_from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidScenario(f"malformed scenario: {exc!r}") from exc
-
-
-def _scenario_from_dict(data: dict) -> ScenarioConfig:
-    nodes = tuple(
-        NodeSpec(
-            id=str(n["id"]),
-            kind=str(n["kind"]),
-            site=n.get("site"),
-            backup_pool=tuple(n.get("backup_pool", ())),
-        )
-        for n in data.get("nodes", ())
-    )
-    links = tuple(
-        LinkSpec(
-            a=str(l["a"]),
-            b=str(l["b"]),
-            latency_ms=int(l["latency_ms"]),
-            bandwidth_bps=(None if l.get("bandwidth_bps") is None else int(l["bandwidth_bps"])),
-        )
-        for l in data.get("links", ())
-    )
-    attendees = tuple(
-        AttendeeSpec(
-            id=str(a["id"]),
-            device=str(a["device"]),
-            busy=tuple((int(s), int(e)) for s, e in a.get("busy", ())),
-        )
-        for a in data.get("attendees", ())
-    )
-    reminders = tuple(
-        ReminderSpec(
-            id=str(r["id"]),
-            author=str(r["author"]),
-            target=str(r["target"]),
-            payload=str(r.get("payload", "")),
-            at=int(r.get("at", 0)),
-        )
-        for r in data.get("reminders", ())
-    )
-    failures = tuple(
-        FailureSpec(node=str(f["node"]), at=int(f["at"]), duration_s=int(f["duration_s"]))
-        for f in data.get("failures", ())
-    )
-    commands = tuple(
-        CommandSpec(
-            at=int(c["at"]),
-            device=str(c["device"]),
-            user=str(c.get("user", "")),
-            credential=str(c.get("credential", "")),
-            intent=str(c["intent"]),
-            to=c.get("to"),
-            payload=str(c.get("payload", "")),
-            target=c.get("target"),
-            attendees=tuple(c.get("attendees", ())),
-            duration_min=int(c.get("duration_min", 0)),
-        )
-        for c in data.get("commands", ())
-    )
-    thefts = tuple(
-        TheftSpec(node=str(t["node"]), at=int(t["at"]))
-        for t in data.get("thefts", ())
-    )
-    wh = data.get("working_hours", {})
-    return ScenarioConfig(
-        epoch=parse_iso_date(str(data.get("epoch", "2024-01-01"))),
-        horizon_s=int(data.get("horizon_s", 35 * SECONDS_PER_DAY)),
-        seed=int(data.get("seed", 42)),
-        nodes=nodes,
-        links=links,
-        attendees=attendees,
-        reminders=reminders,
-        failures=failures,
-        commands=commands,
-        thefts=thefts,
-        work_start=parse_hhmm(str(wh.get("start", "08:00"))),
-        work_end=parse_hhmm(str(wh.get("end", "18:00"))),
-        workdays=tuple(int(d) for d in wh.get("days", (0, 1, 2, 3, 4))),
-        reminder_fire_time=parse_hhmm(str(data.get("reminder_fire_time", "09:00"))),
-        meeting_horizon_days=int(data.get("meeting_horizon_days", 30)),
-        controls=ControlLayerConfig.from_dict(data.get("controls", {})),
-    )
+    return read(ScenarioConfig, parse_json(document, "scenario"))
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
@@ -439,9 +365,6 @@ def default_scenario() -> ScenarioConfig:
         )
     commands.sort(key=lambda c: c.at)
     return ScenarioConfig(
-        epoch=parse_iso_date("2024-01-01"),
-        horizon_s=35 * day,
-        seed=42,
         nodes=(
             NodeSpec(id="dev-city-a", kind="SmartDevice", site="CityA"),
             NodeSpec(id="dev-city-b", kind="SmartDevice", site="CityB"),

@@ -46,29 +46,6 @@ def month_end(year: int, month: int) -> dt.date:
     return dt.date(year, month, calendar.monthrange(year, month)[1])
 
 
-def end_of_month_instants(
-    start: dt.date,
-    end: dt.date,
-    fire_time: dt.time,
-    epoch: dt.date,
-) -> list[int]:
-    """One instant per calendar month-end date inside [start, end].
-
-    Instants are seconds since the epoch at the month-end's fire time;
-    month lengths and leap years are respected.
-    """
-    if start > end:
-        raise ParseError(f"date range is reversed: {start} > {end}")
-    instants = []
-    year, month = start.year, start.month
-    while (year, month) <= (end.year, end.month):
-        eom = month_end(year, month)
-        if start <= eom <= end:
-            instants.append(seconds_at(epoch, eom, fire_time))
-        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
-    return instants
-
-
 def next_month_end_instant(
     after_seconds: int, fire_time: dt.time, epoch: dt.date
 ) -> int:

@@ -595,7 +595,7 @@ class World:
             duration_min,
             search_from,
             horizon,
-            self.scenario.working_hours(),
+            self.scenario.calendar_hours(),
         )
         for attendee in attendees:
             self.calendars[attendee].add_busy(slot.start, slot.end)

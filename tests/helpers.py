@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from smartbizsim.calendars import WorkingHours
 from smartbizsim.costs import CostRates
+from smartbizsim.errors import ParseError
 from smartbizsim.metering import SectionUsage
 from smartbizsim.middleware import ControlLayerConfig, S17Config
 from smartbizsim.scenario import (
@@ -26,7 +27,7 @@ from smartbizsim.scenario import (
     ReminderSpec,
     ScenarioConfig,
 )
-from smartbizsim.timeline import MINUTES_PER_DAY
+from smartbizsim.timeline import MINUTES_PER_DAY, month_end, seconds_at
 from smartbizsim.world import build_world
 
 
@@ -126,6 +127,37 @@ def month_end_dates_by_enumeration(start: dt.date, end: dt.date) -> list[dt.date
     return out
 
 
+def end_of_month_instants(
+    start: dt.date,
+    end: dt.date,
+    fire_time: dt.time,
+    epoch: dt.date,
+) -> list[int]:
+    """One instant per calendar month-end date inside [start, end].
+
+    Instants are seconds since the epoch at the month-end's fire time;
+    month lengths and leap years are respected.
+    """
+    if start > end:
+        raise ParseError(f"date range is reversed: {start} > {end}")
+    instants = []
+    year, month = start.year, start.month
+    while (year, month) <= (end.year, end.month):
+        eom = month_end(year, month)
+        if start <= eom <= end:
+            instants.append(seconds_at(epoch, eom, fire_time))
+        year, month = (year + 1, 1) if month == 12 else (year, month + 1)
+    return instants
+
+
+# -- documents -------------------------------------------------------------------
+
+
+def library_to_dict(actions) -> dict:
+    """An action library document, as `parse_action_library` reads it."""
+    return {"actions": [a.to_dict() for a in actions]}
+
+
 # -- cost oracle ---------------------------------------------------------------
 
 
@@ -194,11 +226,10 @@ def two_device_scenario(
 
 
 @st.composite
-def worlds(draw, max_devices: int = 29):
-    """A built world over a random scenario in which every device reaches
-    the cloud, some only through other devices; S17 may add spares, and a
-    spare of such a device has no link at all. Send destinations, the
-    cloud included, may fail around the time of their sends."""
+def scenarios(draw, max_devices: int = 29):
+    """A random scenario in which every device reaches the cloud, some
+    only through other devices. Send destinations, the cloud included,
+    may fail around the time of their sends."""
     count = draw(st.integers(1, max_devices))
     devices = draw(st.permutations([f"d{k:02d}" for k in range(count)]))
     cloud = draw(st.sampled_from(["aa-cloud", "d05-cloud", "zz-cloud"]))
@@ -243,7 +274,7 @@ def worlds(draw, max_devices: int = 29):
             max_size=4,
         ))
     ) if sends else ()
-    scenario = ScenarioConfig(
+    return ScenarioConfig(
         epoch=dt.date(2024, 1, 30),
         horizon_s=3 * 86_400,
         seed=1,
@@ -254,6 +285,13 @@ def worlds(draw, max_devices: int = 29):
         reminders=reminders,
         failures=failures,
     )
+
+
+@st.composite
+def worlds(draw, max_devices: int = 29):
+    """A built world over `scenarios()`; S17 may add spares, and a spare
+    of a device that reaches the cloud through others has no link at all."""
+    scenario = draw(scenarios(max_devices))
     s17 = S17Config(enabled=draw(st.booleans()), backups_per_site=draw(st.integers(1, 2)))
     return build_world(scenario, ControlLayerConfig(s17=s17))
 

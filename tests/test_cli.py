@@ -177,7 +177,7 @@ def test_dmaic_scenario_flag_prices_that_scenarios_hardware(tmp_path, capsys):
 def test_dmaic_scenario_flag_equals_the_same_reference_in_the_config(tmp_path, capsys):
     scenario = tmp_path / "big.json"
     _larger_scenario(scenario)
-    block = {"controls": {"s10": {"overhead_bytes": 500}}, "seed": 9}
+    block = {"controls": {"s10": {"overhead_bytes": 500}}}
     flag_cfg = tmp_path / "flag.json"
     flag_cfg.write_text(json.dumps(block))
     ref_cfg = tmp_path / "ref.json"
@@ -187,12 +187,6 @@ def test_dmaic_scenario_flag_equals_the_same_reference_in_the_config(tmp_path, c
     assert main(["dmaic", "--config", str(ref_cfg), "--out", str(tmp_path / "ref")]) == 0
     report = (tmp_path / "flag" / "report.json").read_bytes()
     assert report == (tmp_path / "ref" / "report.json").read_bytes()
-    assert _report(tmp_path / "flag")["provenance"]["seed"] == 9
-
-
-def test_dmaic_seed_flag_sets_the_scenario_seed(tmp_path, capsys):
-    assert main(["dmaic", "--seed", "777", "--out", str(tmp_path)]) == 0
-    assert _report(tmp_path)["provenance"]["seed"] == 777
 
 
 def test_dmaic_missing_catalog_flag_names_define(tmp_path, capsys):
@@ -202,30 +196,76 @@ def test_dmaic_missing_catalog_flag_names_define(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "block, key",
+    "block, path",
     [
         ({"top_k": None}, "top_k"),
-        ({"seed": "abc"}, "seed"),
-        ({"rates": {"session": "y"}}, "rates"),
+        ({"seed": "abc"}, "seed"),  # the seed override is gone: an unknown key
+        ({"rates": {"session": "y"}}, "rates.session"),
         ({"rates": 5}, "rates"),
-        ({"controls": {"s10": {"overhead_bytes": "x"}}}, "controls"),
+        ({"controls": {"s10": {"overhead_bytes": "x"}}}, "controls.s10.overhead_bytes"),
         ({"controls": 5}, "controls"),
         ({"controls": "s10"}, "controls"),
     ],
+    ids=lambda value: value.split(".")[0] if isinstance(value, str) else None,
 )
-def test_dmaic_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, block, key):
+def test_dmaic_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, block, path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(block))
     assert main(["dmaic", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: [Define] ")
-    assert f"bad {key} " in err
+    assert f"{path}: " in err
 
 
-def test_dmaic_numeric_string_top_k_is_accepted(tmp_path, capsys):
+def test_dmaic_numeric_string_top_k_is_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"top_k": "3"}))
-    assert main(["dmaic", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
-    default = tmp_path / "default"
-    assert main(["dmaic", "--out", str(default)]) == 0
-    assert _report(tmp_path / "o")["cost_breakdown"] == _report(default)["cost_breakdown"]
+    assert main(["dmaic", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "top_k: expected an integer, got '3'" in capsys.readouterr().err
+
+
+def _scenario_with(patch) -> dict:
+    doc = default_scenario().to_dict()
+    patch(doc)
+    return doc
+
+
+# Each input below ran at the parent with a coerced or dropped value (or,
+# for backup_pool, a string split into one-letter device ids).
+_PROBES = [
+    ({"rates": {"session": 1.9}}, None,
+     "rates.session: expected an integer, got 1.9"),
+    ({"top_k": 2.7}, None, "top_k: expected an integer, got 2.7"),
+    ({"top_k": True}, None, "top_k: expected an integer, got True"),
+    ({"residual_factor": True}, None,
+     "residual_factor: expected an integer or a rational string"),
+    ({"controls": {"s17": {"enabled": "no"}}}, None,
+     "controls.s17.enabled: expected true or false, got 'no'"),
+    ({"controls": {"s10": {"overhed_bytes": 500}}}, None,
+     "controls.s10.overhed_bytes: unknown field"),
+    ({}, lambda doc: doc["links"][0].update(latency_ms=2.7),
+     "links[0].latency_ms: expected an integer, got 2.7"),
+    ({}, lambda doc: doc["failures"][0].update(duration_s=True),
+     "failures[0].duration_s: expected an integer, got True"),
+    ({}, lambda doc: doc.update(horizon=86_400), "horizon: unknown field"),
+    ({}, lambda doc: doc["nodes"][0].update(backup_pool="dev-truck"),
+     "nodes[0].backup_pool: expected an array, got 'dev-truck'"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, scenario, message", _PROBES, ids=[m.split(":")[0] for *_, m in _PROBES]
+)
+def test_inputs_that_were_coerced_or_ignored_exit_2_naming_their_path(
+    tmp_path, capsys, config, scenario, message
+):
+    if scenario is not None:
+        (tmp_path / "scenario.json").write_text(json.dumps(_scenario_with(scenario)))
+        config = {**config, "scenario": "scenario.json"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["dmaic", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Define] ")
+    assert message in err
+    assert not out.exists()

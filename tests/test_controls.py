@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import library_to_dict
 from smartbizsim.controls import (
     ChangeLevel,
     build_plan,
@@ -11,7 +12,6 @@ from smartbizsim.controls import (
     default_action_library,
     default_control_catalog,
     default_mapping,
-    library_to_dict,
     parse_action_library,
     parse_control_catalog,
     parse_mapping,

@@ -21,7 +21,7 @@ from smartbizsim.costs import (
     residual_assessment,
     run_dmaic,
 )
-from smartbizsim.errors import ConfigError, DmaicStepError
+from smartbizsim.errors import ConfigError, DmaicStepError, ParseError, read
 from smartbizsim.metering import SectionUsage
 from smartbizsim.risk import default_risk_catalog, rank
 
@@ -209,22 +209,6 @@ def test_empty_mapping_runs_with_no_controls_and_zero_cost():
     )
 
 
-def test_seed_override_lands_in_provenance():
-    config = load_dmaic_config(None, {"seed": 777})
-    assert config.scenario.seed == 777
-    report = run_dmaic(config).report
-    assert report.provenance["seed"] == 777
-
-
-def test_config_seed_sets_the_scenario_seed(tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"seed": 5}))
-    config = load_dmaic_config(path)
-    assert config.scenario.seed == 5
-    assert config.digest() != load_dmaic_config(None).digest()
-    assert run_dmaic(config).report.provenance["seed"] == 5
-
-
 def test_controls_block_updates_the_scenario_controls(tmp_path):
     # Only the named field changes; the scenario's credential store and
     # every other layer setting survive.
@@ -241,6 +225,17 @@ def test_controls_block_updates_the_scenario_controls(tmp_path):
     assert outcome.report.secured.messages_sent == 62
     sent = outcome.secured_trace.by_kind("sent")
     assert all(r["wire_bytes"] - r["size_bytes"] == 500 for r in sent)
+
+
+def test_controls_block_keeps_the_unnamed_fields_of_a_layer_it_names(tmp_path):
+    # the default scenario's S9 credential store is not S9Config's default
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"controls": {"s9": {"per_session_latency_ms": 7}}}))
+    default = load_dmaic_config(None).scenario.controls
+    assert default.s9.credential_store
+    assert load_dmaic_config(path).scenario.controls == replace(
+        default, s9=replace(default.s9, per_session_latency_ms=7)
+    )
 
 
 def test_negative_rate_rejected():
@@ -295,8 +290,10 @@ def test_capital_is_what_the_secured_trace_counts(scenario, top):
 
 
 def test_rate_defaults_have_one_source():
-    assert CostRates.from_dict({}) == CostRates()
-    assert CostRates.from_dict({"session": "7"}) == CostRates(session=7)
+    assert read(CostRates, {}) == CostRates()
+    # a numeric string is not an integer: rejected, not coerced
+    with pytest.raises(ParseError, match=r"^session: expected an integer, got '7'$"):
+        read(CostRates, {"session": "7"})
     rates = CostRates(capital_item=1, operational_event=2, latency_ms=3,
                       wire_byte=4, session=5)
-    assert CostRates.from_dict(rates.to_dict()) == rates
+    assert read(CostRates, rates.to_dict()) == rates

@@ -11,6 +11,7 @@ from smartbizsim.errors import (
     MissingKey,
     UnknownLink,
     UnknownUser,
+    read,
 )
 from smartbizsim.middleware import (
     ControlLayerConfig,
@@ -304,8 +305,8 @@ def test_activate_failover_requires_the_continuity_layer():
 
 
 def test_control_defaults_have_one_source():
-    assert ControlLayerConfig.from_dict({}) == ControlLayerConfig()
-    assert ControlLayerConfig.from_dict({"s10": {"enabled": True}}) == ControlLayerConfig(
+    assert read(ControlLayerConfig, {}) == ControlLayerConfig()
+    assert read(ControlLayerConfig, {"s10": {"enabled": True}}) == ControlLayerConfig(
         s10=S10Config(enabled=True)
     )
 
@@ -319,4 +320,4 @@ def test_control_config_round_trips_with_every_field_set():
         s17=S17Config(enabled=True, backups_per_site=2, detection_window_s=13),
     )
     assert config != ControlLayerConfig()
-    assert ControlLayerConfig.from_dict(config.to_dict()) == config
+    assert read(ControlLayerConfig, config.to_dict()) == config

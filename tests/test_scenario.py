@@ -1,14 +1,26 @@
+import datetime as dt
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import scenarios
 from smartbizsim import scenario as scenario_module
 from smartbizsim import world as world_module
 from smartbizsim.errors import InvalidScenario, ParseError
+from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.scenario import (
+    SITES,
+    AttendeeSpec,
+    CommandSpec,
     LinkSpec,
     NodeSpec,
+    ReminderSpec,
     ScenarioConfig,
+    TheftSpec,
+    WorkWeek,
     default_scenario,
     parse_scenario,
 )
@@ -149,3 +161,100 @@ def test_constructing_an_invalid_scenario_raises_without_a_world():
         )
     assert "'ghost' is unknown" in str(err.value)
 
+
+
+_TEXT = st.text(max_size=6)
+_COUNT = st.integers(0, 10_000)
+
+
+@st.composite
+def spec_scenarios(draw):
+    """`helpers.scenarios()` with every spec field drawn: sites, spares,
+    bandwidths, calendars, all three intents, reminders, thefts, the
+    working week and the control layers."""
+    scenario = draw(scenarios(max_devices=6))
+    devices = [n.id for n in scenario.nodes if n.kind == "SmartDevice"]
+    node_ids = [n.id for n in scenario.nodes]
+    nodes = tuple(
+        replace(n, site=draw(st.sampled_from(SITES)),
+                backup_pool=tuple(draw(st.lists(st.sampled_from(devices), max_size=2))))
+        if n.kind == "SmartDevice" else n
+        for n in scenario.nodes
+    )
+    links = tuple(
+        replace(l, bandwidth_bps=draw(st.none() | st.integers(1, 10**9)))
+        for l in scenario.links
+    )
+    attendees = tuple(
+        AttendeeSpec(id=f"p{k}", device=device, busy=tuple(sorted(draw(st.lists(
+            st.tuples(_COUNT, _COUNT), max_size=3)))))
+        for k, device in enumerate(draw(st.lists(st.sampled_from(devices), max_size=3)))
+    )
+    extra = []
+    for k in range(draw(st.integers(0, 3))):
+        at, device = draw(_COUNT), draw(st.sampled_from(devices))
+        intent = draw(st.sampled_from(("voice_message", "create_reminder", "schedule_meeting")))
+        user, credential = draw(_TEXT), draw(_TEXT)
+        if intent == "voice_message":
+            to = draw(st.sampled_from([n for n in node_ids if n != device]))
+            command = CommandSpec(at=at, device=device, user=user, credential=credential,
+                                  intent=intent, to=to, payload=draw(_TEXT))
+        elif intent == "create_reminder":
+            command = CommandSpec(at=at, device=device, user=user, credential=credential,
+                                  intent=intent, target=draw(st.sampled_from(devices)),
+                                  payload=draw(_TEXT))
+        else:
+            names = draw(st.lists(st.sampled_from([a.id for a in attendees]),
+                                  max_size=3)) if attendees else []
+            command = CommandSpec(at=at, device=device, user=user, credential=credential,
+                                  intent=intent, attendees=tuple(names),
+                                  duration_min=draw(st.integers(1, 600)))
+        extra.append(command)
+    reminders = scenario.reminders + tuple(
+        ReminderSpec(id=f"x{k}", author=draw(st.sampled_from(devices)),
+                     target=draw(st.sampled_from(devices)), payload=draw(_TEXT),
+                     at=draw(_COUNT))
+        for k in range(draw(st.integers(0, 2)))
+    )
+    thefts = tuple(
+        TheftSpec(node=node, at=draw(_COUNT))
+        for node in draw(st.lists(st.sampled_from(node_ids), max_size=2))
+    )
+    start = draw(st.integers(0, 22))
+    working_hours = WorkWeek(
+        start=dt.time(start, draw(st.integers(0, 59))),
+        end=dt.time(draw(st.integers(start + 1, 23)), draw(st.integers(0, 59))),
+        days=tuple(draw(st.lists(st.integers(0, 6), max_size=7, unique=True))),
+    )
+    controls = ControlLayerConfig(
+        s9=S9Config(enabled=draw(st.booleans()), per_session_latency_ms=draw(_COUNT),
+                    credential_store=draw(st.dictionaries(_TEXT, _TEXT, max_size=3)),
+                    review_period_days=draw(_COUNT)),
+        s10=S10Config(enabled=draw(st.booleans()), per_message_latency_ms=draw(_COUNT),
+                      overhead_bytes=draw(_COUNT),
+                      key_ids=draw(st.dictionaries(st.sampled_from(node_ids), _TEXT))),
+        s17=S17Config(enabled=draw(st.booleans()), backups_per_site=draw(_COUNT),
+                      detection_window_s=draw(_COUNT)),
+    )
+    return replace(
+        scenario,
+        epoch=draw(st.dates(dt.date(2000, 1, 1), dt.date(2099, 12, 31))),
+        horizon_s=draw(st.integers(1, 10**8)),
+        seed=draw(st.integers(-(2**63), 2**63)),
+        nodes=nodes,
+        links=links,
+        attendees=attendees,
+        commands=scenario.commands + tuple(extra),
+        reminders=reminders,
+        thefts=thefts,
+        working_hours=working_hours,
+        reminder_fire_time=dt.time(draw(st.integers(0, 23)), draw(st.integers(0, 59))),
+        meeting_horizon_days=draw(st.integers(0, 400)),
+        controls=controls,
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec_scenarios())
+def test_every_spec_survives_to_dict_and_back(scenario):
+    assert parse_scenario(json.dumps(scenario.to_dict())) == scenario

@@ -2,11 +2,10 @@ import datetime as dt
 
 import pytest
 
-from helpers import month_end_dates_by_enumeration
+from helpers import end_of_month_instants, month_end_dates_by_enumeration
 from smartbizsim.errors import ParseError
 from smartbizsim.timeline import (
     SECONDS_PER_DAY,
-    end_of_month_instants,
     next_month_end_instant,
     parse_hhmm,
     seconds_at,
