@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -271,12 +271,17 @@ def load_dmaic_config(
     mapping_text = read_ref("mapping")
     mapping = parse_mapping(mapping_text) if mapping_text else default_mapping()
     scenario_path = ref_path("scenario")
-    scenario = default_scenario() if scenario_path is None else load_scenario(scenario_path)
+    update = None
     if "controls" in data:
-        controls = read(
-            ControlLayerConfig, data.pop("controls"), base=scenario.controls, at="controls"
-        )
-        scenario = replace(scenario, controls=controls)
+        block = data.pop("controls")
+
+        def update(own: ControlLayerConfig) -> ControlLayerConfig:
+            return read(ControlLayerConfig, block, base=own, at="controls")
+
+    if scenario_path is None:
+        scenario = default_scenario(update)
+    else:
+        scenario = load_scenario(scenario_path, update)
     library_text = read_ref("action_library")
     library = (
         parse_action_library(library_text) if library_text else default_action_library()

@@ -149,7 +149,7 @@ def parse_json(document: str, what: str):
         raise ParseError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def read(kind, value, *, base=None, at: str = ""):
+def read(kind, value, *, base=None, given=None, at: str = ""):
     """A decoded JSON `value` read as the type `kind`, never coerced.
 
     An `int` is a JSON integer (not a bool, not 2.7), a `Fraction` an
@@ -158,6 +158,8 @@ def read(kind, value, *, base=None, at: str = ""):
     text. A dataclass is an object of its fields: an unknown key is an
     error, a missing one takes the field's default or, given `base`,
     the value in `base`, so `base` plus a partial document is an update.
+    `given` maps field names to values already read, which take the
+    place of `value`'s, so a dataclass is built once from parts read apart.
 
     A bad value raises a ConfigError that starts with its path, e.g.
     `links[0].latency_ms: expected an integer, got 2.7`; `at` is the
@@ -165,6 +167,8 @@ def read(kind, value, *, base=None, at: str = ""):
     """
     reader = _reader(kind)
     try:
+        if given is not None:
+            return reader(value, base, given)
         return reader(value) if base is None else reader(value, base)
     except ConfigError as exc:
         path = (at + getattr(exc, "path", "")).lstrip(". ")
@@ -316,7 +320,7 @@ def _object(cls):
         exc.path = (f" ({label!r})" if type(label) is str else "") + segment
         return exc
 
-    def read_object(value, base=None):
+    def read_object(value, base=None, given=None):
         if type(value) is not dict:
             raise _mismatch("an object", value)
         if not value.keys() <= readers.keys():
@@ -332,6 +336,8 @@ def _object(cls):
         except ConfigError as exc:
             _at(exc, f".{key}")
             raise
+        if given is not None:
+            kwargs.update(given)
         if base is not None:
             return replace(base, **kwargs)
         for name in required:

@@ -50,22 +50,17 @@ class SectionUsage:
     capital_items: int = 0
 
 
-def _records(trace: Trace | Iterable[dict]) -> list[dict]:
-    return list(trace.records) if isinstance(trace, Trace) else list(trace)
-
-
 def meter(trace: Trace | Iterable[dict]) -> MetricSet:
     """Reduce a completed trace to its metric set.
 
     Raises IncompleteTrace when any sent message lacks a terminal
     delivered/lost record (the run stopped mid-flight).
     """
-    records = _records(trace)
     sent_ids = set()
     done_ids = set()
     sent = delivered = lost = wire = latency = 0
     sessions = plaintext = ops = capital = 0
-    for record in records:
+    for record in trace:
         kind = record["kind"]
         if kind == "sent":
             sent += 1
@@ -107,15 +102,21 @@ def meter(trace: Trace | Iterable[dict]) -> MetricSet:
 
 
 def meter_sections(trace: Trace | Iterable[dict]) -> dict[str, SectionUsage]:
-    """Split metered security overhead by originating control section."""
-    records = _records(trace)
+    """Split metered security overhead by originating control section.
+
+    One pass in trace order: a message's `sent` record comes before its
+    `delivered` record.
+    """
     usage: dict[str, SectionUsage] = {}
 
     def bucket(section: str) -> SectionUsage:
-        return usage.setdefault(section, SectionUsage())
+        found = usage.get(section)
+        if found is None:
+            found = usage[section] = SectionUsage()
+        return found
 
-    sends = {r["msg_id"]: r for r in records if r["kind"] == "sent"}
-    for record in records:
+    sends = {}
+    for record in trace:
         kind = record["kind"]
         if kind == "delivered":
             sent = sends[record["msg_id"]]
@@ -126,6 +127,7 @@ def meter_sections(trace: Trace | Iterable[dict]) -> dict[str, SectionUsage]:
             if record["s17_ms"]:
                 bucket("S17").extra_latency_ms += record["s17_ms"]
         elif kind == "sent":
+            sends[record["msg_id"]] = record
             overhead = record["wire_bytes"] - record["size_bytes"]
             if overhead:
                 bucket("S10").extra_bytes += overhead

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .calendars import WorkingHours
 from .errors import InvalidScenario, parse_json, read, read_document
@@ -179,12 +180,23 @@ def _require(condition: bool, message: str) -> None:
         raise InvalidScenario(message)
 
 
-def parse_scenario(document: str) -> ScenarioConfig:
-    return read(ScenarioConfig, parse_json(document, "scenario"))
+# Maps a scenario's own controls to the ones it runs with, such as a
+# pipeline config's `controls` block read over them.
+ControlsUpdate = Callable[[ControlLayerConfig], ControlLayerConfig]
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
-    return parse_scenario(read_document(path, "scenario"))
+def parse_scenario(document: str, update: ControlsUpdate | None = None) -> ScenarioConfig:
+    """The scenario of a JSON document, its controls passed through `update`
+    before it is built, so it is built and validated once."""
+    data = parse_json(document, "scenario")
+    if update is None or type(data) is not dict:
+        return read(ScenarioConfig, data)
+    own = read(ControlLayerConfig, data.pop("controls", {}), at="controls")
+    return read(ScenarioConfig, data, given={"controls": update(own)})
+
+
+def load_scenario(path: str | Path, update: ControlsUpdate | None = None) -> ScenarioConfig:
+    return parse_scenario(read_document(path, "scenario"), update)
 
 
 def validate_scenario(scenario: ScenarioConfig) -> None:
@@ -302,13 +314,26 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
         _require(theft.node in known, f"theft node {theft.node!r} unknown")
         _require(theft.at >= 0, "theft time must be >= 0")
     _require(scenario.horizon_s > 0, "horizon must be positive")
+    hours = scenario.working_hours
+    if hours.start >= hours.end:
+        raise InvalidScenario(
+            f"working_hours.start {hours.start:%H:%M} is not before "
+            f"working_hours.end {hours.end:%H:%M}"
+        )
+    _require(len(hours.days) > 0, "working_hours.days names no day")
+    for i, day in enumerate(hours.days):
+        _require(0 <= day <= 6, f"working_hours.days[{i}] {day} is not a weekday 0..6")
+        _require(
+            day not in hours.days[:i], f"working_hours.days[{i}] {day} is a repeated day"
+        )
 
 
-def default_scenario() -> ScenarioConfig:
+def default_scenario(update: ControlsUpdate | None = None) -> ScenarioConfig:
     """The two-branch delivery business: three devices, one cloud.
 
     Spare devices are not part of the base world; the continuity layer
-    provisions them when it is enabled.
+    provisions them when it is enabled. `update` works as in
+    `parse_scenario`.
     """
     day = SECONDS_PER_DAY
     credentials = {
@@ -364,6 +389,7 @@ def default_scenario() -> ScenarioConfig:
             )
         )
     commands.sort(key=lambda c: c.at)
+    controls = ControlLayerConfig(s9=S9Config(enabled=False, credential_store=credentials))
     return ScenarioConfig(
         nodes=(
             NodeSpec(id="dev-city-a", kind="SmartDevice", site="CityA"),
@@ -385,7 +411,5 @@ def default_scenario() -> ScenarioConfig:
         # 13:30 delivery confirmation unless the continuity layer is on.
         failures=(FailureSpec(node="dev-city-b", at=9 * day + 13 * 3600, duration_s=3600),),
         commands=tuple(commands),
-        controls=ControlLayerConfig(
-            s9=S9Config(enabled=False, credential_store=credentials),
-        ),
+        controls=controls if update is None else update(controls),
     )

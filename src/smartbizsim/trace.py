@@ -8,16 +8,26 @@ NDJSON.
 
 from __future__ import annotations
 
-import json
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Iterator
 
 
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+def _canonical_encoder():
+    """The C encoder that `json.dumps(v, sort_keys=True, separators=(",", ":"))`
+    builds for each call, with the same arguments, so it writes the same
+    bytes. Its fresh markers dict holds the containers being encoded, for
+    the circular-reference check; a failed encode can leave entries
+    behind, so an encoder is not reused after an error.
+    """
+    return c_make_encoder(
+        {}, JSONEncoder().default, encode_basestring_ascii, None,
+        ":", ",", True, False, True,  # sort_keys, skipkeys, allow_nan
+    )
 
 
 def canonical_json(value) -> str:
     """Sorted keys, no whitespace: equal values give equal bytes."""
-    return _CANONICAL.encode(value)
+    return "".join(_canonical_encoder()(value, 0))
 
 
 class Trace:
@@ -41,5 +51,9 @@ class Trace:
         return [r for r in self.records if r["kind"] == kind]
 
     def to_ndjson(self) -> str:
-        lines = [canonical_json(record) for record in self.records]
-        return "\n".join(lines) + ("\n" if lines else "")
+        """One canonical JSON line per record, each ended by a newline."""
+        encode = _canonical_encoder()  # one per document: an error ends the document
+        join = "".join
+        lines = [join(encode(record, 0)) for record in self.records]
+        lines.append("")  # the last newline, without copying the text again
+        return "\n".join(lines)

@@ -18,7 +18,7 @@ from smartbizsim.calendars import WorkingHours
 from smartbizsim.costs import CostRates
 from smartbizsim.errors import ParseError
 from smartbizsim.metering import SectionUsage
-from smartbizsim.middleware import ControlLayerConfig, S17Config
+from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.scenario import (
     CommandSpec,
     FailureSpec,
@@ -288,12 +288,27 @@ def scenarios(draw, max_devices: int = 29):
 
 
 @st.composite
-def worlds(draw, max_devices: int = 29):
+def worlds(draw, max_devices: int = 29, all_layers: bool = False):
     """A built world over `scenarios()`; S17 may add spares, and a spare
-    of a device that reaches the cloud through others has no link at all."""
+    of a device that reaches the cloud through others has no link at all.
+    With `all_layers`, S9 and S10 are drawn on or off too, and S9's
+    credential store may accept, refuse or not know the scenario's user."""
     scenario = draw(scenarios(max_devices))
     s17 = S17Config(enabled=draw(st.booleans()), backups_per_site=draw(st.integers(1, 2)))
-    return build_world(scenario, ControlLayerConfig(s17=s17))
+    controls = ControlLayerConfig(s17=s17)
+    if all_layers:
+        s9 = S9Config(
+            enabled=draw(st.booleans()),
+            per_session_latency_ms=draw(st.integers(0, 50)),
+            credential_store=draw(st.sampled_from([{"u": "c"}, {"u": "wrong"}, {}])),
+        )
+        s10 = S10Config(
+            enabled=draw(st.booleans()),
+            per_message_latency_ms=draw(st.integers(0, 20)),
+            overhead_bytes=draw(st.integers(0, 128)),
+        )
+        controls = ControlLayerConfig(s9=s9, s10=s10, s17=s17)
+    return build_world(scenario, controls)
 
 
 def multi_hop_scenario() -> ScenarioConfig:
@@ -306,7 +321,6 @@ def multi_hop_scenario() -> ScenarioConfig:
     not take. The cloud--dev-c link is declared cloud-first. A transit
     device (dev-d) and a leaf (dev-f) fail, so S17 fails the leaf over.
     """
-    from smartbizsim.middleware import S9Config
     from smartbizsim.scenario import AttendeeSpec
     from smartbizsim.timeline import parse_iso_date
 

@@ -205,6 +205,7 @@ def test_dmaic_missing_catalog_flag_names_define(tmp_path, capsys):
         ({"controls": {"s10": {"overhead_bytes": "x"}}}, "controls.s10.overhead_bytes"),
         ({"controls": 5}, "controls"),
         ({"controls": "s10"}, "controls"),
+        ({"controls": None}, "controls"),
     ],
     ids=lambda value: value.split(".")[0] if isinstance(value, str) else None,
 )
@@ -215,6 +216,33 @@ def test_dmaic_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, b
     err = capsys.readouterr().err
     assert err.startswith("error: [Define] ")
     assert f"{path}: " in err
+
+
+@pytest.mark.parametrize(
+    "hours, message",
+    [
+        ({"start": "18:00", "end": "08:00"},
+         "working_hours.start 18:00 is not before working_hours.end 08:00"),
+        ({"start": "08:00", "end": "08:00"},
+         "working_hours.start 08:00 is not before working_hours.end 08:00"),
+        ({"days": [9]}, "working_hours.days[0] 9 is not a weekday 0..6"),
+        ({"days": [0, -1]}, "working_hours.days[1] -1 is not a weekday 0..6"),
+        ({"days": [1, 2, 1]}, "working_hours.days[2] 1 is a repeated day"),
+        ({"days": []}, "working_hours.days names no day"),
+    ],
+    ids=["night", "empty-window", "day-9", "day-minus-1", "repeated-day", "no-days"],
+)
+def test_dmaic_rejects_a_bad_working_week_at_define(tmp_path, capsys, hours, message):
+    doc = default_scenario().to_dict()
+    doc["working_hours"].update(hours)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["dmaic", "--scenario", str(scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Define] ")
+    assert message in err
+    assert not out.exists()
 
 
 def test_dmaic_numeric_string_top_k_is_rejected(tmp_path, capsys):

@@ -1,8 +1,14 @@
-import pytest
+import json
+from collections import Counter, defaultdict
 
-from helpers import two_device_scenario
+import pytest
+from hypothesis import given, settings
+
+from helpers import naive_total_cost, two_device_scenario, worlds
+from smartbizsim.controls import ImplementationPlan
+from smartbizsim.costs import CostRates, monetize
 from smartbizsim.errors import IncompleteTrace
-from smartbizsim.metering import MetricSet, meter, meter_sections
+from smartbizsim.metering import MetricSet, SectionUsage, meter, meter_sections
 from smartbizsim.middleware import ControlLayerConfig, S10Config
 from smartbizsim.scenario import default_scenario
 from smartbizsim.world import build_world
@@ -87,3 +93,74 @@ def test_metric_set_serialization_is_plain_ints():
     world.run_until(scenario.horizon_s)
     as_dict = meter(world.trace).to_dict()
     assert all(isinstance(v, int) for v in as_dict.values())
+
+
+def _as_json(value):
+    """`value` as JSON decodes it: tuples (such as a path) become lists."""
+    if isinstance(value, dict):
+        return {key: _as_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_json(item) for item in value]
+    return value
+
+
+def _recount(records: list[dict]) -> tuple[MetricSet, dict[str, SectionUsage]]:
+    """The metric set and section usage, counted per kind from parsed lines."""
+    of = defaultdict(list)
+    for record in records:
+        of[record["kind"]].append(record)
+    sent, delivered = of["sent"], of["delivered"]
+    sessions = sum(1 for r in of["audit"] if r["authenticated"])
+    metrics = MetricSet(
+        messages_sent=len(sent),
+        messages_delivered=len(delivered),
+        messages_lost=len(of["lost"]),
+        total_wire_bytes=sum(r["wire_bytes"] for r in sent),
+        total_latency_ms=sum(r["latency_ms"] for r in delivered),
+        sessions=sessions,
+        plaintext_exposures=sum(1 for r in sent if not r["wrapped"]),
+        operational_events=sum(r["events"] for r in of["ops"]),
+        capital_items=sum(r["count"] for r in of["capital"]),
+    )
+    by_id = {r["msg_id"]: r for r in sent}
+    ops, capital = Counter(), Counter()
+    for r in of["ops"]:
+        ops[r["section"]] += r["events"]
+    for r in of["capital"]:
+        capital[r["section"]] += r["count"]
+    usage = {
+        section: SectionUsage(operational_events=ops[section], capital_items=capital[section])
+        for section in {*ops, *capital, "S9", "S10", "S17"}
+    }
+    usage["S9"].sessions = sessions
+    usage["S9"].extra_latency_ms = sum(by_id[r["msg_id"]]["s9_ms"] for r in delivered)
+    usage["S10"].extra_latency_ms = sum(by_id[r["msg_id"]]["s10_ms"] for r in delivered)
+    usage["S10"].extra_bytes = sum(r["wire_bytes"] - r["size_bytes"] for r in sent)
+    usage["S17"].extra_latency_ms = sum(r["s17_ms"] for r in delivered)
+    return metrics, usage
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(worlds(all_layers=True))
+def test_ndjson_lines_meter_and_price_like_the_records_they_encode(world):
+    world.run_until(world.horizon_s)
+    records = world.trace.records
+    lines = world.trace.to_ndjson().splitlines()
+    assert len(lines) == len(records)
+    for line, record in zip(lines, records):
+        assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
+        assert json.loads(line) == _as_json(record)
+    parsed = [json.loads(line) for line in lines]
+
+    metrics, usage = _recount(parsed)
+    assert meter(world.trace) == meter(parsed) == metrics
+    metered = meter_sections(world.trace)
+    assert metered == meter_sections(parsed)
+    assert {s: metered.get(s, SectionUsage()) for s in usage} == usage
+    assert set(metered) <= set(usage)
+
+    plan = ImplementationPlan(actions=(), enabled_controls=frozenset(usage))
+    rates = CostRates()
+    breakdown = monetize(plan, rates, metered)
+    assert sum(cost.total for cost in breakdown.sections.values()) == breakdown.total
+    assert breakdown.total == naive_total_cost(plan, rates, usage)

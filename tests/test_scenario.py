@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import scenarios
 from smartbizsim import scenario as scenario_module
 from smartbizsim import world as world_module
+from smartbizsim.costs import load_dmaic_config
 from smartbizsim.errors import InvalidScenario, ParseError
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.scenario import (
@@ -147,6 +148,32 @@ def test_a_scenario_is_validated_once_however_many_worlds_use_it(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("scenario_ref", [None, "scenario.json"], ids=["default", "file"])
+@pytest.mark.parametrize("controls", [None, {"s10": {"overhead_bytes": 500}}],
+                         ids=["no-controls", "controls"])
+def test_a_config_scenario_is_validated_once_with_or_without_controls(
+    monkeypatch, tmp_path, scenario_ref, controls
+):
+    (tmp_path / "scenario.json").write_text(json.dumps(default_scenario().to_dict()))
+    config = {} if scenario_ref is None else {"scenario": scenario_ref}
+    if controls is not None:
+        config["controls"] = controls
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    calls = []
+    validate = scenario_module.validate_scenario
+
+    def counted(scenario):
+        calls.append(scenario)
+        validate(scenario)
+
+    monkeypatch.setattr(scenario_module, "validate_scenario", counted)
+    loaded = load_dmaic_config(tmp_path / "config.json").scenario
+    assert len(calls) == 1
+    assert calls[0] is loaded
+    assert loaded.controls.s10.overhead_bytes == (500 if controls else 64)
+    assert loaded.controls.s9.credential_store == default_scenario().controls.s9.credential_store
+
+
 def test_constructing_an_invalid_scenario_raises_without_a_world():
     with pytest.raises(InvalidScenario) as err:
         ScenarioConfig(
@@ -224,7 +251,7 @@ def spec_scenarios(draw):
     working_hours = WorkWeek(
         start=dt.time(start, draw(st.integers(0, 59))),
         end=dt.time(draw(st.integers(start + 1, 23)), draw(st.integers(0, 59))),
-        days=tuple(draw(st.lists(st.integers(0, 6), max_size=7, unique=True))),
+        days=tuple(draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True))),
     )
     controls = ControlLayerConfig(
         s9=S9Config(enabled=draw(st.booleans()), per_session_latency_ms=draw(_COUNT),

@@ -1,0 +1,101 @@
+"""The canonical serializer writes exactly what `json.dumps` writes with
+sorted keys and no whitespace, for one value and for a whole trace."""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smartbizsim.trace import Trace, canonical_json
+
+
+def dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()  # non-ASCII and control characters included
+    | st.sampled_from(["\x00\x1f\x7f", " é\U0001f600", '"\\/', ""])
+)
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_VALUES)
+def test_canonical_json_is_json_dumps_sorted_and_compact(value):
+    assert canonical_json(value) == dumps(value)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.dictionaries(st.text(max_size=6), _VALUES, max_size=5), max_size=8))
+def test_every_ndjson_line_is_the_json_dumps_line_of_its_record(records):
+    trace = Trace()
+    trace.records.extend(records)
+    assert trace.to_ndjson() == "".join(dumps(record) + "\n" for record in records)
+
+
+def test_special_floats_keep_the_json_dumps_spelling():
+    value = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "tiny": 5e-324}
+    assert canonical_json(value) == dumps(value)
+    assert canonical_json(value) == '{"-inf":-Infinity,"inf":Infinity,"nan":NaN,"tiny":5e-324}'
+
+
+def test_an_empty_trace_is_an_empty_document():
+    assert Trace().to_ndjson() == ""
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, b"bytes", object()], ids=["set", "bytes", "object"])
+def test_an_unserializable_value_raises_the_json_dumps_type_error(bad):
+    value = {"ok": [1, {"nested": bad}]}
+    with pytest.raises(TypeError) as expected:
+        dumps(value)
+    with pytest.raises(TypeError) as got:
+        canonical_json(value)
+    assert str(got.value) == str(expected.value)
+    trace = Trace()
+    trace.append("sent", 0, payload=bad)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        trace.to_ndjson()
+
+
+def test_a_cyclic_value_raises_value_error():
+    cyclic: dict = {"a": []}
+    cyclic["a"].append(cyclic)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        canonical_json(cyclic)
+    trace = Trace()
+    trace.append("sent", 0, loop=cyclic)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        trace.to_ndjson()
+
+
+def test_an_encode_after_a_failed_one_carries_no_stale_markers():
+    # a failed encode leaves its open containers in the encoder's markers;
+    # encoding the same containers again must not see them as a cycle
+    inner = {"x": object()}
+    value = {"a": [inner], "b": inner}
+    with pytest.raises(TypeError):
+        canonical_json(value)
+    inner["x"] = 1
+    assert canonical_json(value) == dumps(value) == '{"a":[{"x":1}],"b":{"x":1}}'
+
+    trace = Trace()
+    trace.append("sent", 0, inner=inner, value=value)
+    inner["x"] = object()
+    with pytest.raises(TypeError):
+        trace.to_ndjson()
+    inner["x"] = 2
+    (record,) = trace.records
+    assert trace.to_ndjson() == dumps(record) + "\n"

@@ -6,7 +6,9 @@ Run from the root of a checkout. REV is exported with `git archive`
 into a temporary directory. For each workload of BENCHMARK.json and each
 of SEEDS, both sides run `perfbench/run.py --trace 0` for BENCHMARK.json's
 `run_seconds`, the first side alternating from one pair to the next; one
-more pair runs `meetings` with `--trace 1` for the per-layer metrics. The file holds every run's
+more pair per workload runs with `--trace 1` for the per-layer metrics,
+and the work counts that differ between its sides are listed per
+workload. The file holds every run's
 digests and result line and, per workload and end-to-end metric, the
 medians of both sides, the distance between the parent's quartiles and
 the number of pairs in which the change is better. The report and trace
@@ -62,7 +64,7 @@ def main() -> int:
             tar.extractall(tmp, filter="data")
         sides = {"parent": Path(tmp), "change": ROOT}
         plan = [(w, seed, 0) for w in WORKLOADS for seed in SEEDS]
-        plan.append(("meetings", SEEDS[0], 1))
+        plan += [(w, SEEDS[0], 1) for w in WORKLOADS]
         pairs = []
         for k, (workload, seed, trace) in enumerate(plan):
             order = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
@@ -93,22 +95,23 @@ def main() -> int:
                 "change_over_parent_median": round(
                     statistics.median(change) / statistics.median(parent), 4),
             }
-    traced = pairs[-1]
-    parent_layers = traced["parent"]["result"]["metrics"]
-    change_layers = traced["change"]["result"]["metrics"]
-    # bench.* counts are ops run, which depends on speed; the rest count work
-    counts_differ = sorted(
-        name for name, metric in parent_layers.items()
-        if metric["unit"] in ("count", "bytes") and not name.startswith("bench.")
-        and change_layers[name] != metric
-    )
+    counts_differ = {}
+    for traced in (p for p in pairs if p["trace"] == 1):
+        parent_layers = traced["parent"]["result"]["metrics"]
+        change_layers = traced["change"]["result"]["metrics"]
+        # bench.* counts are ops run, which depends on speed; the rest count work
+        counts_differ[traced["workload"]] = sorted(
+            name for name, metric in parent_layers.items()
+            if metric["unit"] in ("count", "bytes") and not name.startswith("bench.")
+            and change_layers[name] != metric
+        )
     doc = {
         "command": f"python3 tools/bench_pairs.py --parent {args.parent} --out {args.out}",
         "parent": rev,
         "host": {"cpus": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version()},
         "digests_equal": all(p["digests_equal"] for p in pairs),
-        "meetings_traced_work_counts_that_differ": counts_differ,
+        "traced_work_counts_that_differ": counts_differ,
         "summary": summary,
         "pairs": pairs,
     }
