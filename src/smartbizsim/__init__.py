@@ -17,7 +17,6 @@ from .controls import (
     default_mapping,
 )
 from .costs import (
-    CostBreakdown,
     CostRates,
     CostReport,
     DmaicConfig,

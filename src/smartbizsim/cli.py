@@ -23,8 +23,8 @@ from . import costs
 from .errors import (
     ConfigError,
     DmaicStepError,
-    SimulationError,
     SmartBizError,
+    json_default,
     parse_json,
     read_document,
 )
@@ -110,7 +110,7 @@ def _render_ranking(assessment: RiskAssessment, fmt: str) -> str:
     headers = ["rank", "id", "name", "relevance", "severity", "score"]
     rows = _ranking_rows(assessment)
     if fmt == "json":
-        return json.dumps(assessment.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(assessment, indent=2, sort_keys=True, default=json_default) + "\n"
     if fmt == "csv":
         lines = [",".join(headers)]
         for row in rows:
@@ -224,9 +224,8 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = {"json": "json", "csv": "csv", "table": "txt"}[args.format]
     report_path = out_dir / f"report.{suffix}"
-    report_path.write_text(
-        _render_report(outcome.report.to_dict(), args.format), encoding="utf-8"
-    )
+    report = json.loads(canonical_json(outcome.report))  # as `report --in` reads it
+    report_path.write_text(_render_report(report, args.format), encoding="utf-8")
     (out_dir / "trace_baseline.ndjson").write_text(
         outcome.baseline_trace.to_ndjson(), encoding="utf-8"
     )
@@ -255,20 +254,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except DmaicStepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, ConfigError):
-            return EXIT_CONFIG
-        return EXIT_SIMULATION
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
     except SmartBizError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
+        cause = getattr(exc, "cause", exc)  # a pipeline step's error wraps its cause
+        return EXIT_CONFIG if isinstance(cause, ConfigError) else EXIT_SIMULATION
 
 
 if __name__ == "__main__":

@@ -11,10 +11,11 @@ figures. Every priced quantity comes from the secured run's trace
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .errors import (
+    LabeledEnum,
     MissingActionsForControl,
     ParseError,
     UnknownRiskId,
@@ -22,7 +23,7 @@ from .errors import (
     parse_json,
     read,
 )
-from .risk import LabeledEnum, id_order
+from .risk import id_order
 
 
 class ChangeLevel(LabeledEnum):
@@ -57,14 +58,6 @@ class ControlCatalog:
     def has(self, section_id: str) -> bool:
         return any(s.id == section_id for s in self.sections)
 
-    def to_dict(self) -> dict:
-        return {
-            "sections": [
-                {"id": s.id, "name": s.name, "change_level": s.change_level.value}
-                for s in self.sections
-            ]
-        }
-
 
 @dataclass(frozen=True)
 class RiskControlMapping:
@@ -78,9 +71,6 @@ class RiskControlMapping:
     def sections_for(self, risk_id: str) -> tuple[str, ...]:
         return tuple(self.entries.get(risk_id, ()))
 
-    def to_dict(self) -> dict:
-        return {rid: list(secs) for rid, secs in self.entries.items()}
-
 
 @dataclass(frozen=True)
 class MitigationAction:
@@ -92,9 +82,6 @@ class MitigationAction:
         "an action is only id, control and description; "
         "costs come from the rates and the secured run"
     )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

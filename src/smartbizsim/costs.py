@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     DmaicStepError,
     ParseError,
+    json_default,
     parse_json,
     read,
     read_document,
@@ -54,7 +55,7 @@ from .risk import (
     reassess,
     top_k,
 )
-from .scenario import ScenarioConfig, default_scenario, load_scenario
+from .scenario import CommandSpec, ScenarioConfig, default_scenario, load_scenario
 from .trace import Trace, canonical_json
 from .world import build_world
 
@@ -70,12 +71,10 @@ class CostRates:
     session: int = 25
 
     def __post_init__(self) -> None:
-        for name, value in self.to_dict().items():
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not isinstance(value, int) or value < 0:
-                raise ConfigError(f"rate {name} must be a non-negative integer")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+                raise ConfigError(f"rate {f.name} must be a non-negative integer")
 
 
 @dataclass(frozen=True)
@@ -87,21 +86,6 @@ class SectionCost:
     @property
     def total(self) -> int:
         return self.capital + self.operational + self.performance
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    sections: Mapping[str, SectionCost]
-
-    @property
-    def total(self) -> int:
-        return sum(cost.total for cost in self.sections.values())
-
-    def to_dict(self) -> dict:
-        return {sid: cost.to_dict() for sid, cost in self.sections.items()}
 
 
 @dataclass(frozen=True)
@@ -126,17 +110,27 @@ class DmaicConfig:
             )
 
     def resolved_dict(self) -> dict:
+        """The document `digest` hashes: every resolved input in the spelling
+        `errors.json_default` gives it, with three exceptions, each kept so
+        that the digest of an unchanged configuration does not move."""
         return {
-            "risk_catalog": self.risk_catalog.to_dict(),
-            "control_catalog": self.control_catalog.to_dict(),
-            "mapping": self.mapping.to_dict(),
-            # descriptions stay out: the report prints this dict's digest
+            "risk_catalog": self.risk_catalog,
+            "control_catalog": self.control_catalog,
+            "mapping": self.mapping.entries,
+            # descriptions stay out: they price nothing, and the report
+            # prints this digest, so rewording one leaves the report as it is
             "action_library": [
                 {"id": a.id, "control": a.control} for a in self.action_library
             ],
-            "scenario": self.scenario.to_dict(),
-            "rates": self.rates.to_dict(),
+            # a command carries only its intent's parameters: the others
+            # hold defaults that mean nothing for it
+            "scenario": {
+                **json_default(self.scenario),
+                "commands": [_command_dict(c) for c in self.scenario.commands],
+            },
+            "rates": self.rates,
             "top_k": self.top_k,
+            # text, "0" and not 0: the spelling the digest was defined with
             "residual_factor": str(self.residual_factor),
         }
 
@@ -145,27 +139,32 @@ class DmaicConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _command_dict(c: CommandSpec) -> dict:
+    """A command with only the parameters its intent reads."""
+    out = {
+        "at": c.at,
+        "device": c.device,
+        "user": c.user,
+        "credential": c.credential,
+        "intent": c.intent,
+    }
+    if c.intent == "voice_message":
+        out.update({"to": c.to, "payload": c.payload})
+    elif c.intent == "create_reminder":
+        out.update({"target": c.target, "payload": c.payload})
+    elif c.intent == "schedule_meeting":
+        out.update({"attendees": c.attendees, "duration_min": c.duration_min})
+    return out
+
+
 @dataclass(frozen=True)
 class CostReport:
     baseline: MetricSet
     secured: MetricSet
-    cost_breakdown: CostBreakdown
+    cost_breakdown: Mapping[str, SectionCost]
     total_security_cost: int
     residual_ranking: RiskAssessment
     provenance: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "baseline": self.baseline.to_dict(),
-            "secured": self.secured.to_dict(),
-            "cost_breakdown": self.cost_breakdown.to_dict(),
-            "total_security_cost": self.total_security_cost,
-            "residual_ranking": self.residual_ranking.to_dict(),
-            "provenance": dict(self.provenance),
-        }
-
-    def to_canonical_json(self) -> str:
-        return canonical_json(self.to_dict()) + "\n"
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def monetize(
     plan: ImplementationPlan,
     rates: CostRates,
     section_usage: Mapping[str, SectionUsage] | None = None,
-) -> CostBreakdown:
+) -> dict[str, SectionCost]:
     """Price each section the plan enables from what the secured run
     metered for it: capital items, operational events and performance
     overhead. A section with no layer in the simulator prices 0.
@@ -204,7 +203,7 @@ def monetize(
         sections[section_id] = SectionCost(
             capital=capital, operational=operational, performance=performance
         )
-    return CostBreakdown(sections=sections)
+    return sections
 
 
 def residual_assessment(
@@ -353,7 +352,7 @@ def run_dmaic(config: DmaicConfig) -> DmaicOutcome:
             baseline=baseline_metrics,
             secured=secured_metrics,
             cost_breakdown=breakdown,
-            total_security_cost=breakdown.total,
+            total_security_cost=sum(cost.total for cost in breakdown.values()),
             residual_ranking=residual,
             provenance={
                 "seed": scenario.seed,

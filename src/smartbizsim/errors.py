@@ -1,5 +1,6 @@
-"""Exception hierarchy, and the file reading, JSON decoding and typed
-reading every input parser shares.
+"""Exception hierarchy, the file reading, JSON decoding and typed
+reading every input parser shares, and the JSON spelling every written
+document shares.
 
 Two branches matter for the CLI: ConfigError maps to exit code 2
 (bad input/config), SimulationError maps to exit code 3 (runtime
@@ -14,6 +15,7 @@ import reprlib
 import types
 from collections import abc
 from dataclasses import MISSING, fields, is_dataclass, replace
+from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
@@ -133,6 +135,23 @@ class DmaicStepError(SmartBizError):
 
 # -- input documents -------------------------------------------------------
 
+class LabeledEnum(Enum):
+    """An enum read from text by its label, which is the value unless a
+    subclass overrides `label`. Subclasses name their error in
+    `_unknown_label`."""
+
+    @property
+    def label(self) -> str:
+        return self.value
+
+    @classmethod
+    def from_label(cls, label: str):
+        for member in cls:
+            if member.label == label:
+                return member
+        raise cls._unknown_label(label)
+
+
 def read_document(path, what: str) -> str:
     """Read a UTF-8 input file; an OS error becomes a ParseError naming it."""
     try:
@@ -190,9 +209,7 @@ def _reader(kind):
 
 def _compile(kind):
     """The reader function of one type, built once from its annotations."""
-    # imported here: both modules import this one
-    from .risk import LabeledEnum
-    from .timeline import parse_hhmm, parse_iso_date
+    from .timeline import parse_hhmm, parse_iso_date  # here: it imports this module
 
     origin, args = get_origin(kind), get_args(kind)
     if kind in _EXPECTED:
@@ -346,3 +363,30 @@ def _object(cls):
         return cls(**kwargs)
 
     return read_object
+
+
+# -- output documents ------------------------------------------------------
+
+def json_default(value):
+    """The JSON spelling of one value the encoder cannot write itself, one
+    level deep: the encoder writes what this returns, calling it again on
+    what that holds.
+
+    The spelling is the one `read` reads: a dataclass is an object of its
+    fields, a `LabeledEnum` its label, a `Fraction` an integer when it is
+    integral and "n/d" otherwise, a date its ISO text, a time "HH:MM", a
+    `Mapping` an object. Anything else raises TypeError.
+    """
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, LabeledEnum):
+        return value.label
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else str(value)
+    if isinstance(value, dt.date):
+        return value.isoformat()
+    if isinstance(value, dt.time):
+        return f"{value:%H:%M}"
+    if isinstance(value, abc.Mapping):
+        return dict(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

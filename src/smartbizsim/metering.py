@@ -9,7 +9,7 @@ s17_ms on deliveries, section tags on ops/capital records).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import IncompleteTrace
@@ -34,9 +34,6 @@ class MetricSet:
                 f"delivered ({self.messages_delivered}) + lost "
                 f"({self.messages_lost}) != sent ({self.messages_sent})"
             )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass

@@ -17,7 +17,7 @@ S17 at delivery.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Collection, Mapping
 
 from .errors import AuthDenied, InvalidScenario, MissingKey, UnknownLink, UnknownUser
@@ -87,9 +87,6 @@ class ControlLayerConfig:
         if self.s17.enabled:
             out.add("S17")
         return frozenset(out)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)

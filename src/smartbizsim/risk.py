@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -18,11 +17,11 @@ from .errors import (
     DuplicateRiskId,
     EmptyCatalog,
     KOutOfRange,
+    LabeledEnum,
     UnknownLevelLabel,
     parse_json,
     read,
 )
-from .trace import canonical_json
 
 Score = Union[int, Fraction]
 
@@ -31,23 +30,6 @@ def id_order(item_id: str) -> tuple[int, str]:
     """Sort key for ids like R10 or S9: numeric suffix first, then the id."""
     m = re.search(r"(\d+)$", item_id)
     return (int(m.group(1)) if m else 0, item_id)
-
-
-class LabeledEnum(Enum):
-    """An enum read from text by its label, which is the value unless a
-    subclass overrides `label`. Subclasses name their error in
-    `_unknown_label`."""
-
-    @property
-    def label(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_label(cls, label: str):
-        for member in cls:
-            if member.label == label:
-                return member
-        raise cls._unknown_label(label)
 
 
 class OrdinalLevel(LabeledEnum):
@@ -80,15 +62,6 @@ class Risk:
     severity: OrdinalLevel
     rationale: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "relevance": self.relevance.label,
-            "severity": self.severity.label,
-            "rationale": self.rationale,
-        }
-
 
 @dataclass(frozen=True)
 class RiskCatalog:
@@ -117,34 +90,12 @@ class RiskCatalog:
     def ids(self) -> tuple[str, ...]:
         return tuple(r.id for r in self.risks)
 
-    def to_dict(self) -> dict:
-        return {"risks": [r.to_dict() for r in self.risks]}
-
 
 @dataclass(frozen=True)
 class RiskAssessment:
     risks: tuple[Risk, ...]
     scores: Mapping[str, Score]
     ranking: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "risks": [r.to_dict() for r in self.risks],
-            "scores": {rid: _score_json(s) for rid, s in self.scores.items()},
-            "ranking": list(self.ranking),
-        }
-
-    def to_canonical_json(self) -> str:
-        return canonical_json(self.to_dict())
-
-
-def _score_json(score: Score):
-    """Integral scores serialize as ints; fractional residuals as "num/den"."""
-    if isinstance(score, Fraction):
-        if score.denominator == 1:
-            return int(score)
-        return f"{score.numerator}/{score.denominator}"
-    return score
 
 
 def rank_key(risk: Risk, score: Score):

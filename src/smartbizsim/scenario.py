@@ -11,7 +11,7 @@ the caller (baseline vs secured runs reuse one scenario).
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -131,48 +131,6 @@ class ScenarioConfig:
             workdays=frozenset(hours.days),
             epoch_weekday=self.epoch.weekday(),
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch.isoformat(),
-            "horizon_s": self.horizon_s,
-            "seed": self.seed,
-            "nodes": [asdict(n) for n in self.nodes],
-            "links": [asdict(l) for l in self.links],
-            # not asdict: it would copy each of thousands of busy intervals
-            "attendees": [
-                {"id": a.id, "device": a.device, "busy": a.busy} for a in self.attendees
-            ],
-            "reminders": [asdict(r) for r in self.reminders],
-            "failures": [asdict(f) for f in self.failures],
-            "commands": [_command_dict(c) for c in self.commands],
-            "thefts": [asdict(t) for t in self.thefts],
-            "working_hours": {
-                "start": self.working_hours.start.strftime("%H:%M"),
-                "end": self.working_hours.end.strftime("%H:%M"),
-                "days": list(self.working_hours.days),
-            },
-            "reminder_fire_time": self.reminder_fire_time.strftime("%H:%M"),
-            "meeting_horizon_days": self.meeting_horizon_days,
-            "controls": self.controls.to_dict(),
-        }
-
-
-def _command_dict(c: CommandSpec) -> dict:
-    out = {
-        "at": c.at,
-        "device": c.device,
-        "user": c.user,
-        "credential": c.credential,
-        "intent": c.intent,
-    }
-    if c.intent == "voice_message":
-        out.update({"to": c.to, "payload": c.payload})
-    elif c.intent == "create_reminder":
-        out.update({"target": c.target, "payload": c.payload})
-    elif c.intent == "schedule_meeting":
-        out.update({"attendees": list(c.attendees), "duration_min": c.duration_min})
-    return out
 
 
 def _require(condition: bool, message: str) -> None:

@@ -182,16 +182,26 @@ class World:
     # -- construction helpers ------------------------------------------
 
     def _provision_backups(self) -> None:
-        """S17 adds one spare per site for every device without a pool."""
+        """S17 adds one spare per site for every device without a pool.
+
+        Each spare gets a copy of the first link on its primary's route
+        to the cloud, with the tie-break sends use. A spare is a leaf, so
+        adding one changes no route between other nodes.
+        """
         if not self.config.s17.enabled:
             return
         primaries = [
             n for n in list(self.nodes.values())
             if n.kind == "SmartDevice" and not n.backup_pool
         ]
+        neighbors = {
+            node: dict(sorted(adjacent.items()))
+            for node, adjacent in self._adjacency.items()
+        }
         for primary in sorted(primaries, key=lambda n: n.id):
-            mirror_id = self._adjacency[primary.id].get(self.cloud_id)
-            mirror = None if mirror_id is None else self.links[mirror_id]
+            # validation guarantees every device a route to the cloud
+            uplink = self.links[shortest_path(neighbors, primary.id, self.cloud_id)[0]]
+            via = uplink.b if uplink.a == primary.id else uplink.a
             spares = []
             for k in range(1, self.config.s17.backups_per_site + 1):
                 spare_id = f"{primary.id}-r{k}"
@@ -203,8 +213,7 @@ class World:
                     id=spare_id, kind="SmartDevice", site=primary.site
                 )
                 self._adjacency[spare_id] = {}
-                if mirror is not None:
-                    self._add_link(replace(mirror, a=spare_id, b=self.cloud_id))
+                self._add_link(replace(uplink, a=spare_id, b=via))
                 spares.append(spare_id)
             primary.backup_pool = tuple(spares)
 

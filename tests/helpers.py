@@ -9,6 +9,7 @@ breakdowns) so agreement actually means something.
 from __future__ import annotations
 
 import datetime as dt
+import json
 import random
 
 import numpy as np
@@ -28,6 +29,7 @@ from smartbizsim.scenario import (
     ScenarioConfig,
 )
 from smartbizsim.timeline import MINUTES_PER_DAY, month_end, seconds_at
+from smartbizsim.trace import canonical_json
 from smartbizsim.world import build_world
 
 
@@ -153,9 +155,9 @@ def end_of_month_instants(
 # -- documents -------------------------------------------------------------------
 
 
-def library_to_dict(actions) -> dict:
-    """An action library document, as `parse_action_library` reads it."""
-    return {"actions": [a.to_dict() for a in actions]}
+def document(value):
+    """`value` as the program writes it, decoded: plain dicts and lists."""
+    return json.loads(canonical_json(value))
 
 
 # -- cost oracle ---------------------------------------------------------------

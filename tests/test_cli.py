@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from helpers import document
+from smartbizsim import costs
 from smartbizsim.cli import main
+from smartbizsim.errors import ConfigError, DmaicStepError, SimulationError, SmartBizError
 from smartbizsim.scenario import default_scenario
 
 
@@ -55,7 +58,7 @@ def test_simulate_writes_trace_and_summary(tmp_path, capsys):
 
 def test_simulate_without_failures_loses_nothing(tmp_path, capsys):
     scenario = default_scenario()
-    doc = scenario.to_dict()
+    doc = document(scenario)
     doc["failures"] = []
     path = tmp_path / "calm.json"
     path.write_text(json.dumps(doc))
@@ -94,7 +97,7 @@ def test_dmaic_reruns_byte_identically(tmp_path, capsys):
 
 
 def test_dmaic_unplaceable_meeting_writes_request_failed_and_finishes(tmp_path, capsys):
-    doc = default_scenario().to_dict()
+    doc = document(default_scenario())
     meeting = next(c for c in doc["commands"] if c["intent"] == "schedule_meeting")
     meeting["duration_min"] = 660  # longer than the 10-hour working window
     scenario = tmp_path / "long-meeting.json"
@@ -139,6 +142,29 @@ def test_report_rerenders_an_existing_report(tmp_path, capsys):
     assert f"total_security_cost,{total}" in csv_text
 
 
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ConfigError("bad input"), 2),
+        (SimulationError("run failed"), 3),
+        (DmaicStepError("Control", ConfigError("bad input")), 2),
+        (DmaicStepError("Control", SimulationError("run failed")), 3),
+        (DmaicStepError("Control", ValueError("a bug")), 3),
+        (SmartBizError("other"), 3),
+    ],
+    ids=["config", "simulation", "step-config", "step-simulation", "step-value", "bare"],
+)
+def test_dmaic_exit_code_follows_the_error_or_its_cause(
+    monkeypatch, tmp_path, capsys, error, code
+):
+    def fail(config):
+        raise error
+
+    monkeypatch.setattr(costs, "run_dmaic", fail)
+    assert main(["dmaic", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 def test_report_missing_file_exits_2(capsys):
     assert main(["report", "--in", "/no/such/report.json"]) == 2
 
@@ -157,7 +183,7 @@ def test_dmaic_top_k_2_prices_only_the_locks_it_builds(tmp_path, capsys):
 
 def _larger_scenario(path) -> None:
     """The built-in scenario plus five devices: 8 devices, 8 spares."""
-    doc = default_scenario().to_dict()
+    doc = document(default_scenario())
     for i in range(5):
         doc["nodes"].append({"id": f"dev-extra-{i}", "kind": "SmartDevice",
                              "site": "CityA"})
@@ -233,7 +259,7 @@ def test_dmaic_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, b
     ids=["night", "empty-window", "day-9", "day-minus-1", "repeated-day", "no-days"],
 )
 def test_dmaic_rejects_a_bad_working_week_at_define(tmp_path, capsys, hours, message):
-    doc = default_scenario().to_dict()
+    doc = document(default_scenario())
     doc["working_hours"].update(hours)
     scenario = tmp_path / "scenario.json"
     scenario.write_text(json.dumps(doc))
@@ -253,7 +279,7 @@ def test_dmaic_numeric_string_top_k_is_rejected(tmp_path, capsys):
 
 
 def _scenario_with(patch) -> dict:
-    doc = default_scenario().to_dict()
+    doc = document(default_scenario())
     patch(doc)
     return doc
 

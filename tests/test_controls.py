@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import library_to_dict
+from helpers import document
 from smartbizsim.controls import (
     ChangeLevel,
     build_plan,
@@ -13,7 +13,6 @@ from smartbizsim.controls import (
     default_control_catalog,
     default_mapping,
     parse_action_library,
-    parse_control_catalog,
     parse_mapping,
 )
 from smartbizsim.errors import (
@@ -22,6 +21,7 @@ from smartbizsim.errors import (
     UnknownRiskId,
     UnknownSectionId,
 )
+from smartbizsim.trace import canonical_json
 
 ALL_LEVELS = {
     "S5": ChangeLevel.MODERATE,
@@ -58,7 +58,7 @@ def test_unknown_section_rejected():
 
 def test_default_mapping_is_exactly_the_three_pairs():
     mapping = default_mapping()
-    assert mapping.to_dict() == {"R4": ["S17"], "R6": ["S10"], "R9": ["S9"]}
+    assert document(mapping.entries) == {"R4": ["S17"], "R6": ["S10"], "R9": ["S9"]}
 
 
 @pytest.mark.parametrize("risk_id,sections", [("R6", ["S10"]), ("R9", ["S9"]), ("R4", ["S17"])])
@@ -112,22 +112,12 @@ def test_default_library_names_actions_for_the_three_layers():
     library = default_action_library()
     assert library == default_action_library()
     assert {a.control for a in library} == {"S9", "S10", "S17"}
-    assert all(set(a.to_dict()) == {"id", "control", "description"} for a in library)
-
-
-def test_catalog_round_trip():
-    catalog = default_control_catalog()
-    assert parse_control_catalog(json.dumps(catalog.to_dict())) == catalog
+    assert all(set(document(a)) == {"id", "control", "description"} for a in library)
 
 
 def test_mapping_round_trip():
     mapping = default_mapping()
-    assert parse_mapping(json.dumps(mapping.to_dict())).to_dict() == mapping.to_dict()
-
-
-def test_action_library_round_trip():
-    library = default_action_library()
-    assert parse_action_library(json.dumps(library_to_dict(library))) == library
+    assert parse_mapping(canonical_json(mapping.entries)) == mapping
 
 
 def test_custom_mapping_and_known_risks():

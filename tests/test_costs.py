@@ -24,6 +24,7 @@ from smartbizsim.costs import (
 from smartbizsim.errors import ConfigError, DmaicStepError, ParseError, read
 from smartbizsim.metering import SectionUsage
 from smartbizsim.risk import default_risk_catalog, rank
+from smartbizsim.trace import canonical_json
 
 
 def _plan_for(*sections: str) -> ImplementationPlan:
@@ -34,18 +35,22 @@ def _plan_for(*sections: str) -> ImplementationPlan:
     return ImplementationPlan(actions=actions, enabled_controls=frozenset(sections))
 
 
+def _total(breakdown) -> int:
+    return sum(cost.total for cost in breakdown.values())
+
+
 def test_capital_is_metered_count_times_rate():
     plan = _plan_for("S17", "S13")
     rates = CostRates(capital_item=10_000, operational_event=0, latency_ms=0,
                       wire_byte=0, session=0)
     usage = {"S17": SectionUsage(capital_items=3), "S9": SectionUsage(capital_items=5)}
     breakdown = monetize(plan, rates, usage)
-    assert breakdown.sections["S17"].capital == 30_000
+    assert breakdown["S17"].capital == 30_000
     # S13 has no layer in the simulator, so nothing metered and nothing
     # priced; S9 is metered but not in the plan.
-    assert breakdown.sections["S13"].total == 0
-    assert "S9" not in breakdown.sections
-    assert breakdown.total == 30_000
+    assert breakdown["S13"].total == 0
+    assert "S9" not in breakdown
+    assert _total(breakdown) == 30_000
 
 
 def test_zero_usage_means_zero_performance():
@@ -53,7 +58,7 @@ def test_zero_usage_means_zero_performance():
     rates = CostRates()
     usage = {"S10": SectionUsage(extra_latency_ms=0, extra_bytes=0)}
     breakdown = monetize(plan, rates, usage)
-    assert breakdown.sections["S10"].performance == 0
+    assert breakdown["S10"].performance == 0
 
 
 def _random_plan(rng: random.Random) -> ImplementationPlan:
@@ -90,7 +95,7 @@ def test_randomized_totals_match_the_naive_oracle():
         rates = _random_rates(rng)
         usage = _random_usage(rng, plan)
         breakdown = monetize(plan, rates, usage)
-        assert breakdown.total == naive_total_cost(plan, rates, usage)
+        assert _total(breakdown) == naive_total_cost(plan, rates, usage)
 
 
 def test_total_is_monotone_in_each_rate():
@@ -98,10 +103,10 @@ def test_total_is_monotone_in_each_rate():
     plan = _random_plan(rng)
     usage = _random_usage(rng, plan)
     base_rates = _random_rates(rng)
-    base_total = monetize(plan, base_rates, usage).total
+    base_total = _total(monetize(plan, base_rates, usage))
     for field_name in ("capital_item", "operational_event", "latency_ms", "wire_byte", "session"):
         bumped = replace(base_rates, **{field_name: getattr(base_rates, field_name) + 17})
-        bumped_total = monetize(plan, bumped, usage).total
+        bumped_total = _total(monetize(plan, bumped, usage))
         assert bumped_total >= base_total
 
 
@@ -167,13 +172,39 @@ def test_default_pipeline_enables_the_three_controls():
     assert list(report.residual_ranking.ranking[:3]) == ["R10", "R3", "R7"]
     for rid in ("R4", "R6", "R9"):
         assert report.residual_ranking.scores[rid] == 0
-    assert report.total_security_cost == report.cost_breakdown.total
+    assert report.total_security_cost == _total(report.cost_breakdown)
 
 
 def test_report_is_byte_deterministic():
     a = run_dmaic(load_dmaic_config(None)).report
     b = run_dmaic(load_dmaic_config(None)).report
-    assert a.to_canonical_json() == b.to_canonical_json()
+    assert canonical_json(a) == canonical_json(b)
+
+
+def _reworded(config: DmaicConfig) -> DmaicConfig:
+    library = tuple(replace(a, description="reworded") for a in config.action_library)
+    return replace(config, action_library=library)
+
+
+def _first_payload_changed(config: DmaicConfig) -> DmaicConfig:
+    first, *rest = config.scenario.commands
+    commands = (replace(first, payload=first.payload + "!"), *rest)
+    return replace(config, scenario=replace(config.scenario, commands=commands))
+
+
+@pytest.mark.parametrize(
+    "change, moves",
+    [
+        (_reworded, False),
+        (_first_payload_changed, True),
+        (lambda c: replace(c, rates=replace(c.rates, session=c.rates.session + 1)), True),
+        (lambda c: replace(c, residual_factor=Fraction(1, 2)), True),
+    ],
+    ids=["action-description", "command-payload", "rate", "residual-factor"],
+)
+def test_the_digest_moves_with_every_priced_input_but_not_with_prose(change, moves):
+    config = load_dmaic_config(None)
+    assert (change(config).digest() != config.digest()) is moves
 
 
 def test_top_k_zero_rejected_at_validation():
@@ -283,7 +314,7 @@ def test_capital_is_what_the_secured_trace_counts(scenario, top):
         config = replace(config, scenario=multi_hop_scenario())
     outcome = run_dmaic(config)
     counted = _traced_capital(outcome.secured_trace)
-    sections = outcome.report.cost_breakdown.sections
+    sections = outcome.report.cost_breakdown
     assert set(counted) <= set(sections)
     for section_id, cost in sections.items():
         assert cost.capital == counted.get(section_id, 0) * config.rates.capital_item
@@ -294,6 +325,3 @@ def test_rate_defaults_have_one_source():
     # a numeric string is not an integer: rejected, not coerced
     with pytest.raises(ParseError, match=r"^session: expected an integer, got '7'$"):
         read(CostRates, {"session": "7"})
-    rates = CostRates(capital_item=1, operational_event=2, latency_ms=3,
-                      wire_byte=4, session=5)
-    assert read(CostRates, rates.to_dict()) == rates

@@ -7,8 +7,12 @@ defect, and must then record the before/after diff in CHANGES.md.
 
 import hashlib
 
+import pytest
+
 from helpers import multi_hop_scenario
+from smartbizsim.cli import main
 from smartbizsim.costs import load_dmaic_config, run_dmaic
+from smartbizsim.trace import canonical_json
 from smartbizsim.world import build_world
 
 GOLDEN_SHA256 = {
@@ -23,6 +27,14 @@ MULTI_HOP_SECURED_SHA256 = (
     "276d1bad8751208614d607c8a7c591722faa5c6bb5dab06c5ce531e6100a26a0"
 )
 
+# The CLI's renderings: `assess --format json`, and the default report
+# re-rendered by `report --in report.json --format csv|table`.
+RENDERED_SHA256 = {
+    "assess_json": "cb50f604fce2d3ee6c8a42a79d3b1e9b3d2cd8c5890290c98505e4277a41e99a",
+    "report_csv": "6d1d8c421f12b108f4f063726274eee3dddfabfe798f2bf83650f81481d8d8a8",
+    "report_table": "fc47dfb49e7d6c0ecba99edb51bfee63f0da93eddec6f44437df2040ea0bd1a1",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -31,7 +43,7 @@ def _sha256(text: str) -> str:
 def test_default_dmaic_outputs_are_byte_identical_to_the_reference():
     outcome = run_dmaic(load_dmaic_config(None))
     outputs = {
-        "report": outcome.report.to_canonical_json(),
+        "report": canonical_json(outcome.report) + "\n",
         "baseline_trace": outcome.baseline_trace.to_ndjson(),
         "secured_trace": outcome.secured_trace.to_ndjson(),
     }
@@ -44,3 +56,30 @@ def test_multi_hop_secured_trace_is_byte_identical_to_the_reference():
     world = build_world(scenario, scenario.controls.with_enabled({"S9", "S10", "S17"}))
     world.run_until(scenario.horizon_s)
     assert _sha256(world.trace.to_ndjson()) == MULTI_HOP_SECURED_SHA256
+
+
+@pytest.fixture(scope="module")
+def default_report(tmp_path_factory):
+    out = tmp_path_factory.mktemp("dmaic")
+    assert main(["dmaic", "--out", str(out)]) == 0
+    return out / "report.json"
+
+
+def test_cli_renderings_are_byte_identical_to_the_reference(default_report, tmp_path):
+    paths = {name: tmp_path / name for name in RENDERED_SHA256}
+    assert main(["assess", "--format", "json", "--out", str(paths["assess_json"])]) == 0
+    for fmt in ("csv", "table"):
+        out = str(paths[f"report_{fmt}"])
+        assert main(["report", "--in", str(default_report), "--format", fmt,
+                     "--out", out]) == 0
+    digests = {name: _sha256(path.read_text(encoding="utf-8")) for name, path in paths.items()}
+    assert digests == RENDERED_SHA256
+
+
+@pytest.mark.parametrize("fmt, suffix", [("csv", "csv"), ("table", "txt")])
+def test_dmaic_renders_a_format_as_report_does(default_report, tmp_path, fmt, suffix):
+    assert main(["dmaic", "--format", fmt, "--out", str(tmp_path)]) == 0
+    rendered = tmp_path / "rendered"
+    assert main(["report", "--in", str(default_report), "--format", fmt,
+                 "--out", str(rendered)]) == 0
+    assert (tmp_path / f"report.{suffix}").read_bytes() == rendered.read_bytes()

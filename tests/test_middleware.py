@@ -310,14 +310,3 @@ def test_control_defaults_have_one_source():
         s10=S10Config(enabled=True)
     )
 
-
-def test_control_config_round_trips_with_every_field_set():
-    config = ControlLayerConfig(
-        s9=S9Config(enabled=True, per_session_latency_ms=7,
-                    credential_store={"alice": "sesame"}, review_period_days=9),
-        s10=S10Config(enabled=True, per_message_latency_ms=11, overhead_bytes=3,
-                      key_ids={"device-a": "ka"}),
-        s17=S17Config(enabled=True, backups_per_site=2, detection_window_s=13),
-    )
-    assert config != ControlLayerConfig()
-    assert read(ControlLayerConfig, config.to_dict()) == config

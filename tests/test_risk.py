@@ -21,6 +21,7 @@ from smartbizsim.risk import (
     score,
     top_k,
 )
+from smartbizsim.trace import canonical_json
 
 # Derived by applying the product scoring and tie rules to the default
 # grid placements by hand (R9 beats R4 on relevance; R3/R7/R8 and R1/R5
@@ -38,7 +39,7 @@ def test_default_catalog_has_ten_risks_with_expected_extremes():
 
 
 def test_no_document_returns_default_catalog():
-    assert load_risk_catalog(None).to_dict() == default_risk_catalog().to_dict()
+    assert load_risk_catalog(None) == default_risk_catalog()
 
 
 @pytest.mark.parametrize(
@@ -85,14 +86,14 @@ def test_ranking_invariant_under_scaling_of_encoded_values():
 def test_rank_is_pure_and_serialization_is_stable():
     a = rank(default_risk_catalog())
     b = rank(default_risk_catalog())
-    assert a.to_canonical_json() == b.to_canonical_json()
+    assert canonical_json(a) == canonical_json(b)
 
 
 def test_default_catalog_round_trips_through_serialization():
     catalog = default_risk_catalog()
-    reparsed = parse_risk_catalog(json.dumps(catalog.to_dict()))
+    reparsed = parse_risk_catalog(canonical_json(catalog))
     assert reparsed == catalog
-    assert rank(reparsed).to_canonical_json() == rank(catalog).to_canonical_json()
+    assert canonical_json(rank(reparsed)) == canonical_json(rank(catalog))
 
 
 def test_singleton_catalog_ranks_alone():

@@ -1,17 +1,25 @@
 import datetime as dt
 import json
 from dataclasses import replace
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import scenarios
+from helpers import document, scenarios
 from smartbizsim import scenario as scenario_module
 from smartbizsim import world as world_module
-from smartbizsim.costs import load_dmaic_config
-from smartbizsim.errors import InvalidScenario, ParseError
+from smartbizsim.controls import (
+    ControlCatalog,
+    MitigationAction,
+    default_action_library,
+    default_control_catalog,
+)
+from smartbizsim.costs import CostRates, load_dmaic_config
+from smartbizsim.errors import InvalidScenario, ParseError, read
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
+from smartbizsim.risk import RiskCatalog, default_risk_catalog
 from smartbizsim.scenario import (
     SITES,
     AttendeeSpec,
@@ -26,12 +34,13 @@ from smartbizsim.scenario import (
     parse_scenario,
 )
 from smartbizsim.timeline import parse_iso_date
+from smartbizsim.trace import canonical_json
 from smartbizsim.world import build_world
 
 
 def test_default_scenario_round_trips_through_json():
     scenario = default_scenario()
-    reparsed = parse_scenario(json.dumps(scenario.to_dict()))
+    reparsed = parse_scenario(canonical_json(scenario))
     assert reparsed == scenario
 
 
@@ -131,7 +140,7 @@ def test_sites_are_a_closed_set():
 
 
 def test_a_scenario_is_validated_once_however_many_worlds_use_it(monkeypatch):
-    document = json.dumps(default_scenario().to_dict())
+    document = canonical_json(default_scenario())
     calls = []
     validate = scenario_module.validate_scenario
 
@@ -154,7 +163,7 @@ def test_a_scenario_is_validated_once_however_many_worlds_use_it(monkeypatch):
 def test_a_config_scenario_is_validated_once_with_or_without_controls(
     monkeypatch, tmp_path, scenario_ref, controls
 ):
-    (tmp_path / "scenario.json").write_text(json.dumps(default_scenario().to_dict()))
+    (tmp_path / "scenario.json").write_text(canonical_json(default_scenario()))
     config = {} if scenario_ref is None else {"scenario": scenario_ref}
     if controls is not None:
         config["controls"] = controls
@@ -281,7 +290,29 @@ def spec_scenarios(draw):
     )
 
 
+@pytest.mark.parametrize(
+    "kind, values",
+    [
+        (ScenarioConfig, spec_scenarios()),
+        (RiskCatalog, st.just(default_risk_catalog())),
+        (ControlCatalog, st.just(default_control_catalog())),
+        (Mapping[str, tuple[MitigationAction, ...]],
+         st.just({"actions": default_action_library()})),
+        (CostRates, st.just(CostRates(capital_item=1, operational_event=2, latency_ms=3,
+                                      wire_byte=4, session=5))),
+        (ControlLayerConfig, st.just(ControlLayerConfig(
+            s9=S9Config(enabled=True, per_session_latency_ms=7,
+                        credential_store={"alice": "sesame"}, review_period_days=9),
+            s10=S10Config(enabled=True, per_message_latency_ms=11, overhead_bytes=3,
+                          key_ids={"device-a": "ka"}),
+            s17=S17Config(enabled=True, backups_per_site=2, detection_window_s=13),
+        ))),
+    ],
+    ids=["scenario", "risk-catalog", "control-catalog", "action-library", "rates",
+         "controls"],
+)
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(spec_scenarios())
-def test_every_spec_survives_to_dict_and_back(scenario):
-    assert parse_scenario(json.dumps(scenario.to_dict())) == scenario
+@given(data=st.data())
+def test_every_document_survives_writing_and_reading(kind, values, data):
+    value = data.draw(values)
+    assert read(kind, document(value)) == value

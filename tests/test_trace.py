@@ -1,13 +1,21 @@
 """The canonical serializer writes exactly what `json.dumps` writes with
-sorted keys and no whitespace, for one value and for a whole trace."""
+sorted keys and no whitespace, for one value and for a whole trace; a
+document's other values are spelled by `errors.json_default`, a trace
+record's are refused."""
 
+import datetime as dt
 import json
 import math
+from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smartbizsim.controls import ChangeLevel
+from smartbizsim.costs import SectionCost
+from smartbizsim.risk import OrdinalLevel
 from smartbizsim.trace import Trace, canonical_json
 
 
@@ -56,7 +64,10 @@ def test_an_empty_trace_is_an_empty_document():
     assert Trace().to_ndjson() == ""
 
 
-@pytest.mark.parametrize("bad", [{1, 2}, b"bytes", object()], ids=["set", "bytes", "object"])
+@pytest.mark.parametrize(
+    "bad", [{1, 2}, frozenset({1}), b"bytes", object()],
+    ids=["set", "frozenset", "bytes", "object"],
+)
 def test_an_unserializable_value_raises_the_json_dumps_type_error(bad):
     value = {"ok": [1, {"nested": bad}]}
     with pytest.raises(TypeError) as expected:
@@ -68,6 +79,30 @@ def test_an_unserializable_value_raises_the_json_dumps_type_error(bad):
     trace.append("sent", 0, payload=bad)
     with pytest.raises(TypeError, match="is not JSON serializable"):
         trace.to_ndjson()
+
+
+_SPELLINGS = [
+    (Fraction(3), 3),
+    (Fraction(-1, 2), "-1/2"),
+    (dt.date(2024, 2, 29), "2024-02-29"),
+    (dt.time(8, 5), "08:05"),
+    (OrdinalLevel.VERY_HIGH, "VeryHigh"),
+    (ChangeLevel.LOW_MODERATE, "LowModerate"),
+    (MappingProxyType({"b": 1, "a": 2}), {"a": 2, "b": 1}),
+    (SectionCost(capital=1, operational=2, performance=3),
+     {"capital": 1, "operational": 2, "performance": 3}),
+]
+
+
+@pytest.mark.parametrize(
+    "value, spelled", _SPELLINGS, ids=[type(v).__name__ for v, _ in _SPELLINGS]
+)
+def test_a_document_spells_each_value_json_has_no_type_for(value, spelled):
+    assert canonical_json({"v": [value]}) == dumps({"v": [spelled]})
+    trace = Trace()
+    trace.append("sent", 0, value=value)
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        trace.to_ndjson()  # a record holds JSON values only
 
 
 def test_a_cyclic_value_raises_value_error():

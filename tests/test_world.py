@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import message_records, overlaps_busy, two_device_scenario, worlds
+from helpers import (
+    message_records,
+    multi_hop_scenario,
+    overlaps_busy,
+    two_device_scenario,
+    worlds,
+)
 from smartbizsim.errors import (
     CloudUnavailable,
     InvalidScenario,
@@ -408,3 +414,19 @@ def test_s17_provisions_one_spare_per_device():
     world.run_until(0)  # provisioning records land at clock 0
     capital = world.trace.by_kind("capital")
     assert [(c["section"], c["count"]) for c in capital] == [("S17", 2)]
+
+
+def test_a_spare_copies_the_first_link_of_its_primarys_route_to_the_cloud():
+    # dev-a, dev-d and dev-f reach the cloud only through other devices;
+    # the route tie-break sends them through dev-b, dev-b and dev-e
+    scenario = multi_hop_scenario()
+    world = build_world(scenario, scenario.controls.with_enabled({"S9", "S10", "S17"}))
+    assert {spare: world._adjacency[spare] for spare in ("dev-a-r1", "dev-d-r1", "dev-f-r1")} == {
+        "dev-a-r1": {"dev-b": "dev-a-r1--dev-b"},
+        "dev-d-r1": {"dev-b": "dev-d-r1--dev-b"},
+        "dev-f-r1": {"dev-e": "dev-f-r1--dev-e"},
+    }
+    assert world.links["dev-f-r1--dev-e"].latency_ms == 30
+    world.send_message("dev-a-r1", "dev-c", b"from the spare")
+    (sent,) = world.trace.by_kind("sent")
+    assert sent["path"] == ("dev-a-r1--dev-b", "dev-b--cloud", "cloud--dev-c")
