@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 from . import costs
 from .errors import (
@@ -28,10 +31,11 @@ from .errors import (
     parse_json,
     read_document,
 )
-from .metering import meter
+# `meter` stays a name of this module: perfbench's tracer patches `cli.meter`
+from .metering import Meter, meter  # noqa: F401
 from .risk import RiskAssessment, load_risk_catalog, rank, top_k
 from .scenario import default_scenario, load_scenario
-from .trace import canonical_json
+from .trace import canonical_json, ndjson_writer
 from .world import build_world
 
 EXIT_OK = 0
@@ -128,13 +132,18 @@ def _csv_cell(value) -> str:
 
 def _report_rows(report_dict: dict) -> list[list]:
     """Flatten a report to key/value rows so every format carries the
-    same numbers."""
+    same numbers. A list of objects gives each object its own rows, keyed
+    by its `id` (its position if it has none); any other list is one row."""
     rows: list[list] = []
 
     def walk(prefix: str, value) -> None:
         if isinstance(value, dict):
             for key in sorted(value):
                 walk(f"{prefix}.{key}" if prefix else key, value[key])
+        elif value and isinstance(value, list) and all(isinstance(v, dict) for v in value):
+            for position, item in enumerate(value):
+                fields = {k: v for k, v in item.items() if k != "id"}
+                walk(f"{prefix}.{item.get('id', position)}", fields)
         elif isinstance(value, list):
             rows.append([prefix, " ".join(str(v) for v in value)])
         else:
@@ -159,6 +168,53 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+# -- trace files ---------------------------------------------------------------
+
+
+class _TraceFile(Meter):
+    """A trace written as its run goes and metered in the same pass.
+
+    Each batch is written, in one call, to a temporary file beside `path`,
+    then metered. `commit` moves the finished file to `path`; `discard`
+    closes the file and removes it if it was not committed.
+    """
+
+    def __init__(self, path: Path) -> None:
+        super().__init__()
+        self.path = path
+        self._partial = path.with_name(f".{path.name}.partial")
+        self._file = open(self._partial, "w", encoding="utf-8")
+        self._write = ndjson_writer(self._file)
+
+    def feed(self, records: list[dict]) -> None:
+        self._write(records)
+        super().feed(records)
+
+    def commit(self) -> None:
+        self._file.close()
+        os.replace(self._partial, self.path)
+
+    def discard(self) -> None:
+        self._file.close()
+        self._partial.unlink(missing_ok=True)
+
+
+@contextmanager
+def _trace_files(*paths: Path) -> Iterator[list[_TraceFile]]:
+    """A _TraceFile per path. They replace their paths only when the block
+    ends without an error, so a failed run leaves no complete-looking trace."""
+    files: list[_TraceFile] = []
+    try:
+        for path in paths:
+            files.append(_TraceFile(path))
+        yield files
+        for trace_file in files:
+            trace_file.commit()
+    finally:
+        for trace_file in files:
+            trace_file.discard()
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -192,10 +248,12 @@ def _parse_controls_flag(flag: str) -> frozenset[str]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
     enabled = _parse_controls_flag(args.controls)
-    world = build_world(scenario, scenario.controls.with_enabled(enabled))
-    world.run_until(scenario.horizon_s)
-    Path(args.out).write_text(world.trace.to_ndjson(), encoding="utf-8")
-    metrics = meter(world.trace)
+    with _trace_files(Path(args.out)) as (trace_file,):
+        world = build_world(
+            scenario, scenario.controls.with_enabled(enabled), trace_file.feed
+        )
+        world.run_until(scenario.horizon_s)
+        metrics = trace_file.metrics()
     print(
         f"sent={metrics.messages_sent} delivered={metrics.messages_delivered} "
         f"lost={metrics.messages_lost}"
@@ -219,19 +277,16 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
     except SmartBizError as exc:
         raise DmaicStepError("Define", exc) from exc
 
-    outcome = costs.run_dmaic(config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = {"json": "json", "csv": "csv", "table": "txt"}[args.format]
     report_path = out_dir / f"report.{suffix}"
-    report = json.loads(canonical_json(outcome.report))  # as `report --in` reads it
-    report_path.write_text(_render_report(report, args.format), encoding="utf-8")
-    (out_dir / "trace_baseline.ndjson").write_text(
-        outcome.baseline_trace.to_ndjson(), encoding="utf-8"
-    )
-    (out_dir / "trace_secured.ndjson").write_text(
-        outcome.secured_trace.to_ndjson(), encoding="utf-8"
-    )
+    with _trace_files(
+        out_dir / "trace_baseline.ndjson", out_dir / "trace_secured.ndjson"
+    ) as (baseline, secured):
+        outcome = costs.run_dmaic(config, {"baseline": baseline, "secured": secured})
+        report = json.loads(canonical_json(outcome.report))  # as `report --in` reads it
+        report_path.write_text(_render_report(report, args.format), encoding="utf-8")
     print(f"total_security_cost={outcome.report.total_security_cost}")
     print(f"report written to {report_path}")
     return EXIT_OK

@@ -44,7 +44,7 @@ from .errors import (
     read,
     read_document,
 )
-from .metering import MetricSet, SectionUsage, meter, meter_sections
+from .metering import Meter, MetricSet, SectionUsage, meter, meter_sections
 from .middleware import ControlLayerConfig
 from .risk import (
     RiskAssessment,
@@ -312,8 +312,17 @@ def _step(name: str):
         raise DmaicStepError(name, exc) from exc
 
 
-def run_dmaic(config: DmaicConfig) -> DmaicOutcome:
-    """Execute all five steps and return the report plus both traces."""
+def run_dmaic(
+    config: DmaicConfig, sinks: Mapping[str, Meter] | None = None
+) -> DmaicOutcome:
+    """Execute all five steps and return the report plus both traces.
+
+    With `sinks`, the runs named "baseline" and "secured" each stream
+    their trace in batches to the Meter of that name, which may also write
+    it, and are priced from those meters; the returned traces then hold no
+    records. Without, both traces keep every record and are metered after
+    their runs.
+    """
     with _step("Define"):
         catalog = config.risk_catalog
         mapping = config.mapping
@@ -334,16 +343,23 @@ def run_dmaic(config: DmaicConfig) -> DmaicOutcome:
         plan = build_plan(selected, mapping, library, known_risks=catalog.ids)
 
     with _step("Control"):
-        baseline_world = build_world(scenario, scenario.controls.with_enabled(()))
-        baseline_world.run_until(scenario.horizon_s)
-        secured_world = build_world(
-            scenario, scenario.controls.with_enabled(plan.enabled_controls)
-        )
-        secured_world.run_until(scenario.horizon_s)
-
-        baseline_metrics = meter(baseline_world.trace)
-        secured_metrics = meter(secured_world.trace)
-        usage = meter_sections(secured_world.trace)
+        traces = {}
+        for run, enabled in (("baseline", ()), ("secured", plan.enabled_controls)):
+            world = build_world(
+                scenario,
+                scenario.controls.with_enabled(enabled),
+                sinks[run].feed if sinks else None,
+            )
+            world.run_until(scenario.horizon_s)
+            traces[run] = world.trace
+        if sinks:
+            baseline_metrics = sinks["baseline"].metrics()
+            secured_metrics = sinks["secured"].metrics()
+            usage = sinks["secured"].sections()
+        else:
+            baseline_metrics = meter(traces["baseline"])
+            secured_metrics = meter(traces["secured"])
+            usage = meter_sections(traces["secured"])
         breakdown = monetize(plan, config.rates, usage)
         residual = residual_assessment(
             assessment, plan.enabled_controls, mapping, config.residual_factor
@@ -363,7 +379,7 @@ def run_dmaic(config: DmaicConfig) -> DmaicOutcome:
         report=report,
         assessment=assessment,
         plan=plan,
-        baseline_trace=baseline_world.trace,
-        secured_trace=secured_world.trace,
+        baseline_trace=traces["baseline"],
+        secured_trace=traces["secured"],
     )
 

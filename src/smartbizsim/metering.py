@@ -47,92 +47,119 @@ class SectionUsage:
     capital_items: int = 0
 
 
+class Meter:
+    """The one pass behind `meter` and `meter_sections`, fed a trace in
+    batches in trace order: a message's `sent` record comes before its
+    `delivered` or `lost` record, possibly in an earlier batch. It keeps
+    its totals, the section usage and the `sent` records of the messages
+    still in flight, and nothing else of the records.
+    """
+
+    def __init__(self) -> None:
+        # sent, delivered, lost, wire bytes, latency, sessions, plaintext,
+        # operational events, capital items: MetricSet's field order
+        self._totals = (0,) * 9
+        self._in_flight: dict[int, dict] = {}
+        self._usage: dict[str, SectionUsage] = {}
+
+    def _bucket(self, section: str) -> SectionUsage:
+        found = self._usage.get(section)
+        if found is None:
+            found = self._usage[section] = SectionUsage()
+        return found
+
+    def feed(self, records: Iterable[dict]) -> None:
+        """Fold a batch of records into the totals and the section usage."""
+        in_flight = self._in_flight
+        sent, delivered, lost, wire, latency, sessions, plaintext, ops, capital = (
+            self._totals
+        )
+        sessions_before = sessions
+        s9_ms = s10_ms = s17_ms = s10_bytes = 0
+        for record in records:
+            kind = record["kind"]
+            if kind == "sent":
+                sent += 1
+                in_flight[record["msg_id"]] = record
+                wire_bytes = record["wire_bytes"]
+                wire += wire_bytes
+                s10_bytes += wire_bytes - record["size_bytes"]
+                if not record["wrapped"]:
+                    plaintext += 1
+            elif kind == "delivered":
+                delivered += 1
+                latency += record["latency_ms"]
+                send = in_flight.pop(record["msg_id"], None)
+                if send is None:
+                    raise IncompleteTrace(
+                        f"message {record['msg_id']} delivered but not in flight"
+                    )
+                s9_ms += send["s9_ms"]
+                s10_ms += send["s10_ms"]
+                s17_ms += record["s17_ms"]
+            elif kind == "lost":
+                lost += 1
+                if in_flight.pop(record["msg_id"], None) is None:
+                    raise IncompleteTrace(
+                        f"message {record['msg_id']} lost but not in flight"
+                    )
+            elif kind == "audit":
+                if record["authenticated"]:
+                    sessions += 1
+            elif kind == "ops":
+                ops += record["events"]
+                self._bucket(record["section"]).operational_events += record["events"]
+            elif kind == "capital":
+                capital += record["count"]
+                self._bucket(record["section"]).capital_items += record["count"]
+        self._totals = (
+            sent, delivered, lost, wire, latency, sessions, plaintext, ops, capital
+        )
+        # a section gets a bucket once something is metered for it
+        if s10_bytes:
+            self._bucket("S10").extra_bytes += s10_bytes
+        if s10_ms:
+            self._bucket("S10").extra_latency_ms += s10_ms
+        if s9_ms:
+            self._bucket("S9").extra_latency_ms += s9_ms
+        if s17_ms:
+            self._bucket("S17").extra_latency_ms += s17_ms
+        if sessions > sessions_before:
+            self._bucket("S9").sessions += sessions - sessions_before
+
+    def metrics(self) -> MetricSet:
+        """The metric set of the records fed so far.
+
+        Raises IncompleteTrace when any sent message lacks a terminal
+        delivered/lost record (the run stopped mid-flight).
+        """
+        if self._in_flight:
+            in_flight = sorted(self._in_flight)
+            raise IncompleteTrace(
+                f"{len(in_flight)} message(s) without a terminal record: "
+                f"{in_flight[:5]}..."
+            )
+        return MetricSet(*self._totals)
+
+    def sections(self) -> dict[str, SectionUsage]:
+        """Metered security overhead of the records fed so far, by the
+        control section that caused it."""
+        return self._usage
+
+
 def meter(trace: Trace | Iterable[dict]) -> MetricSet:
     """Reduce a completed trace to its metric set.
 
     Raises IncompleteTrace when any sent message lacks a terminal
     delivered/lost record (the run stopped mid-flight).
     """
-    sent_ids = set()
-    done_ids = set()
-    sent = delivered = lost = wire = latency = 0
-    sessions = plaintext = ops = capital = 0
-    for record in trace:
-        kind = record["kind"]
-        if kind == "sent":
-            sent += 1
-            sent_ids.add(record["msg_id"])
-            wire += record["wire_bytes"]
-            if not record["wrapped"]:
-                plaintext += 1
-        elif kind == "delivered":
-            delivered += 1
-            done_ids.add(record["msg_id"])
-            latency += record["latency_ms"]
-        elif kind == "lost":
-            lost += 1
-            done_ids.add(record["msg_id"])
-        elif kind == "audit":
-            if record["authenticated"]:
-                sessions += 1
-        elif kind == "ops":
-            ops += record["events"]
-        elif kind == "capital":
-            capital += record["count"]
-    if sent_ids != done_ids:
-        in_flight = sorted(sent_ids - done_ids)
-        raise IncompleteTrace(
-            f"{len(in_flight)} message(s) without a terminal record: "
-            f"{in_flight[:5]}..."
-        )
-    return MetricSet(
-        messages_sent=sent,
-        messages_delivered=delivered,
-        messages_lost=lost,
-        total_wire_bytes=wire,
-        total_latency_ms=latency,
-        sessions=sessions,
-        plaintext_exposures=plaintext,
-        operational_events=ops,
-        capital_items=capital,
-    )
+    fold = Meter()
+    fold.feed(trace)
+    return fold.metrics()
 
 
 def meter_sections(trace: Trace | Iterable[dict]) -> dict[str, SectionUsage]:
-    """Split metered security overhead by originating control section.
-
-    One pass in trace order: a message's `sent` record comes before its
-    `delivered` record.
-    """
-    usage: dict[str, SectionUsage] = {}
-
-    def bucket(section: str) -> SectionUsage:
-        found = usage.get(section)
-        if found is None:
-            found = usage[section] = SectionUsage()
-        return found
-
-    sends = {}
-    for record in trace:
-        kind = record["kind"]
-        if kind == "delivered":
-            sent = sends[record["msg_id"]]
-            if sent["s10_ms"]:
-                bucket("S10").extra_latency_ms += sent["s10_ms"]
-            if sent["s9_ms"]:
-                bucket("S9").extra_latency_ms += sent["s9_ms"]
-            if record["s17_ms"]:
-                bucket("S17").extra_latency_ms += record["s17_ms"]
-        elif kind == "sent":
-            sends[record["msg_id"]] = record
-            overhead = record["wire_bytes"] - record["size_bytes"]
-            if overhead:
-                bucket("S10").extra_bytes += overhead
-        elif kind == "audit":
-            if record["authenticated"]:
-                bucket("S9").sessions += 1
-        elif kind == "ops":
-            bucket(record["section"]).operational_events += record["events"]
-        elif kind == "capital":
-            bucket(record["section"]).capital_items += record["count"]
-    return usage
+    """Split metered security overhead by originating control section."""
+    fold = Meter()
+    fold.feed(trace)
+    return fold.sections()

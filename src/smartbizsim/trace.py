@@ -3,13 +3,14 @@
 The trace is the single source of truth for metering: every observable
 event lands here as one record {seq, time, kind, ...}. Serialization is
 canonical (sorted keys, no whitespace), so equal runs produce byte-equal
-NDJSON.
+NDJSON. A trace either keeps its records or streams them, one batch at a
+time, to a sink such as `ndjson_writer`.
 """
 
 from __future__ import annotations
 
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from typing import Iterator
+from typing import Callable, Iterator, TextIO
 
 from .errors import json_default
 
@@ -33,32 +34,75 @@ def canonical_json(value) -> str:
     return "".join(_canonical_encoder(json_default)(value, 0))
 
 
+# Records a streamed trace holds before it hands them to its sink: large
+# enough that writing and metering a batch costs little per record, small
+# enough that a batch and its NDJSON text stay a few megabytes.
+BATCH_RECORDS = 4096
+
+
+def _record_encoder():
+    """One per document: an error ends the document. Records hold JSON
+    values only, so any other value is refused, not spelled."""
+    return _canonical_encoder(JSONEncoder().default)
+
+
+def _ndjson(encode, records: list[dict]) -> str:
+    """One canonical JSON line per record, each ended by a newline."""
+    join = "".join
+    lines = [join(encode(record, 0)) for record in records]
+    lines.append("")  # the last newline, without copying the text again
+    return "\n".join(lines)
+
+
+def ndjson_writer(file: TextIO) -> Callable[[list[dict]], None]:
+    """A sink that writes each batch of records to `file` as NDJSON, in
+    one call, with one encoder for the whole file: the lines are those of
+    `Trace.to_ndjson`."""
+    encode = _record_encoder()
+
+    def write(records: list[dict]) -> None:
+        file.write(_ndjson(encode, records))
+
+    return write
+
+
 class Trace:
-    def __init__(self) -> None:
+    """The records of one run, in order.
+
+    With no sink the trace keeps every record in `records`. With a sink,
+    `records` holds one batch at most: when it reaches BATCH_RECORDS, and
+    on `flush`, the batch goes to the sink and a new list starts.
+    """
+
+    def __init__(self, sink: Callable[[list[dict]], None] | None = None) -> None:
         self.records: list[dict] = []
+        self.count = 0  # records appended, the next record's seq
+        self._sink = sink
+        self._batch = BATCH_RECORDS if sink is not None else None  # None: never full
 
     def append(self, kind: str, time: int, **record) -> None:
         """Store the keyword arguments, plus seq, time and kind, as the record."""
-        record["seq"] = len(self.records)
+        record["seq"] = self.count
+        self.count += 1
         record["time"] = time
         record["kind"] = kind
-        self.records.append(record)
+        records = self.records
+        records.append(record)
+        if len(records) == self._batch:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand the records held to the sink, if there is one."""
+        if self._sink is not None and self.records:
+            self._sink(self.records)
+            self.records = []
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.count
 
     def __iter__(self) -> Iterator[dict]:
         return iter(self.records)
 
-    def by_kind(self, kind: str) -> list[dict]:
-        return [r for r in self.records if r["kind"] == kind]
-
     def to_ndjson(self) -> str:
-        """One canonical JSON line per record, each ended by a newline."""
-        # one per document: an error ends the document. Records hold JSON
-        # values only, so any other value is refused, not spelled.
-        encode = _canonical_encoder(JSONEncoder().default)
-        join = "".join
-        lines = [join(encode(record, 0)) for record in self.records]
-        lines.append("")  # the last newline, without copying the text again
-        return "\n".join(lines)
+        """The records held, one canonical JSON line each."""
+        return _ndjson(_record_encoder(), self.records)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import base64
 import heapq
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from . import middleware
 from .calendars import Calendar, Slot, find_common_slot
@@ -109,13 +110,18 @@ def shortest_path(
 
 
 class World:
-    def __init__(self, scenario: ScenarioConfig, controls: ControlLayerConfig):
+    def __init__(
+        self,
+        scenario: ScenarioConfig,
+        controls: ControlLayerConfig,
+        sink: Callable[[list[dict]], None] | None = None,
+    ):
         self.scenario = scenario
         self.config = controls
         self.epoch = scenario.epoch
         self.horizon_s = scenario.horizon_s
         self.clock = 0
-        self.trace = Trace()
+        self.trace = Trace(sink)
 
         self.nodes: dict[str, Node] = {}
         for spec in scenario.nodes:
@@ -287,6 +293,7 @@ class World:
             self.clock = time
             getattr(self, handler)(*args)
         self.clock = t_end
+        self.trace.flush()
         return self
 
     # -- messaging -------------------------------------------------------
@@ -619,10 +626,15 @@ class World:
 
 
 def build_world(
-    scenario: ScenarioConfig, controls: ControlLayerConfig | None = None
+    scenario: ScenarioConfig,
+    controls: ControlLayerConfig | None = None,
+    sink: Callable[[list[dict]], None] | None = None,
 ) -> World:
     """Construct a world at clock 0 with every node Up and an empty queue run.
 
     When `controls` is omitted the scenario's own control block applies.
+    With a `sink` the world's trace streams its records to it in batches
+    (see `Trace`), the last batch when `run_until` returns.
     """
-    return World(scenario, controls if controls is not None else scenario.controls)
+    controls = controls if controls is not None else scenario.controls
+    return World(scenario, controls, sink)

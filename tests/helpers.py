@@ -36,6 +36,11 @@ from smartbizsim.world import build_world
 # -- message records ------------------------------------------------------------
 
 
+def by_kind(trace, kind: str) -> list[dict]:
+    """The records of one kind, in trace order."""
+    return [r for r in trace if r["kind"] == kind]
+
+
 def message_records(trace) -> dict[int, dict]:
     """msg_id -> its records, read from the trace alone.
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from helpers import (
+    by_kind,
     document,
     message_records,
     minute_scan_slot,
@@ -87,7 +88,7 @@ def test_criterion_3_reminder_fires_36_times_over_three_years():
     )
     world = build_world(scenario)
     world.run_until(horizon)
-    fired = [r for r in world.trace.by_kind("reminder") if r["event"] == "fired"]
+    fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
     assert len(fired) == 36
 
     month_ends = {
@@ -99,7 +100,7 @@ def test_criterion_3_reminder_fires_36_times_over_three_years():
         assert record["time"] % SECONDS_PER_DAY == fire_second
         assert record["time"] // SECONDS_PER_DAY in month_ends
     # and each firing delivered its message to the target
-    assert len([d for d in world.trace.by_kind("delivered") if d["to"] == "device-b"]) == 36
+    assert len([d for d in by_kind(world.trace, "delivered") if d["to"] == "device-b"]) == 36
     _ok(3, "36 month-end firings, every one at a verified month-end 09:00")
 
 
@@ -166,9 +167,9 @@ def test_criterion_6_failover_turns_exact_losses_into_delayed_deliveries():
     baseline = build_world(scenario)
     baseline.run_until(scenario.horizon_s)
     by_msg = message_records(baseline.trace)
-    lost = {by_msg[r["msg_id"]]["sent"]["time"] for r in baseline.trace.by_kind("lost")}
+    lost = {by_msg[r["msg_id"]]["sent"]["time"] for r in by_kind(baseline.trace, "lost")}
     assert lost == expected_lost
-    assert len(baseline.trace.by_kind("delivered")) == len(times) - len(expected_lost)
+    assert len(by_kind(baseline.trace, "delivered")) == len(times) - len(expected_lost)
 
     secured = build_world(
         scenario,
@@ -177,8 +178,8 @@ def test_criterion_6_failover_turns_exact_losses_into_delayed_deliveries():
         ),
     )
     secured.run_until(scenario.horizon_s)
-    assert not secured.trace.by_kind("lost")
-    delivered = secured.trace.by_kind("delivered")
+    assert not by_kind(secured.trace, "lost")
+    delivered = by_kind(secured.trace, "delivered")
     assert len(delivered) == len(times)
     assert max(d["s17_ms"] for d in delivered) <= window * 1000
     _ok(6, f"{len(expected_lost)} exact losses without S17; 100% delivery, "

@@ -3,10 +3,11 @@ import json
 import pytest
 
 from helpers import document
-from smartbizsim import costs
+from smartbizsim import costs, trace
 from smartbizsim.cli import main
 from smartbizsim.errors import ConfigError, DmaicStepError, SimulationError, SmartBizError
 from smartbizsim.scenario import default_scenario
+from smartbizsim.world import World
 
 
 def test_assess_prints_the_ranking_with_r6_first(capsys):
@@ -142,6 +143,52 @@ def test_report_rerenders_an_existing_report(tmp_path, capsys):
     assert f"total_security_cost,{total}" in csv_text
 
 
+def test_report_gives_each_listed_risk_its_own_rows(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["dmaic", "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    capsys.readouterr()
+    assert main(["report", "--in", str(out_dir / "report.json"), "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert "residual_ranking.risks.R1.name,Accountability and Data Ownership" in rows
+    assert "residual_ranking.risks.R4.severity,VeryHigh" in rows
+    assert not any(row.startswith("residual_ranking.risks,") for row in rows)
+    assert not any("{'" in row for row in rows)
+    risk_rows = [row for row in rows if row.startswith("residual_ranking.risks.")]
+    assert len(risk_rows) == 4 * len(report["residual_ranking"]["risks"])
+    ranking = " ".join(report["residual_ranking"]["ranking"])
+    assert f"residual_ranking.ranking,{ranking}" in rows  # a plain list stays one row
+
+
+# dmaic fails in its secured run, after the baseline trace is complete
+@pytest.mark.parametrize("command, fail_at", [("dmaic", 80), ("simulate", 40)])
+def test_a_run_that_fails_midway_leaves_no_trace_file(
+    monkeypatch, tmp_path, capsys, command, fail_at
+):
+    # one record per batch: the failed run has already written part of its trace
+    monkeypatch.setattr(trace, "BATCH_RECORDS", 1)
+    handle_delivery = World._handle_delivery
+    deliveries = []
+
+    def failing_delivery(self, msg):
+        deliveries.append(msg.msg_id)
+        if len(deliveries) == fail_at:
+            raise SimulationError("delivery failed")
+        handle_delivery(self, msg)
+
+    monkeypatch.setattr(World, "_handle_delivery", failing_delivery)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "dmaic":
+        argv = ["dmaic", "--out", str(out)]
+    else:
+        argv = ["simulate", "--controls", "all", "--out", str(out / "trace_all.ndjson")]
+    assert main(argv) == 3
+    assert "delivery failed" in capsys.readouterr().err
+    assert len(deliveries) == fail_at
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "error, code",
     [
@@ -157,7 +204,7 @@ def test_report_rerenders_an_existing_report(tmp_path, capsys):
 def test_dmaic_exit_code_follows_the_error_or_its_cause(
     monkeypatch, tmp_path, capsys, error, code
 ):
-    def fail(config):
+    def fail(config, sinks=None):
         raise error
 
     monkeypatch.setattr(costs, "run_dmaic", fail)

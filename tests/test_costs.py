@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import multi_hop_scenario, naive_total_cost
+from helpers import by_kind, multi_hop_scenario, naive_total_cost
 from smartbizsim.controls import (
     ImplementationPlan,
     MitigationAction,
@@ -251,10 +251,10 @@ def test_controls_block_updates_the_scenario_controls(tmp_path):
         default, s10=replace(default.s10, overhead_bytes=500)
     )
     outcome = run_dmaic(config)
-    assert not [r for r in outcome.secured_trace.by_kind("audit")
+    assert not [r for r in by_kind(outcome.secured_trace, "audit")
                 if not r["authenticated"]]
     assert outcome.report.secured.messages_sent == 62
-    sent = outcome.secured_trace.by_kind("sent")
+    sent = by_kind(outcome.secured_trace, "sent")
     assert all(r["wire_bytes"] - r["size_bytes"] == 500 for r in sent)
 
 
@@ -301,7 +301,7 @@ def test_baseline_and_secured_differ_only_in_middleware_events():
 
 def _traced_capital(trace) -> dict[str, int]:
     counts: dict[str, int] = {}
-    for record in trace.by_kind("capital"):
+    for record in by_kind(trace, "capital"):
         counts[record["section"]] = counts.get(record["section"], 0) + record["count"]
     return counts
 

@@ -10,8 +10,10 @@ import hashlib
 import pytest
 
 from helpers import multi_hop_scenario
+from smartbizsim import trace
 from smartbizsim.cli import main
 from smartbizsim.costs import load_dmaic_config, run_dmaic
+from smartbizsim.scenario import default_scenario
 from smartbizsim.trace import canonical_json
 from smartbizsim.world import build_world
 
@@ -31,8 +33,8 @@ MULTI_HOP_SECURED_SHA256 = (
 # re-rendered by `report --in report.json --format csv|table`.
 RENDERED_SHA256 = {
     "assess_json": "cb50f604fce2d3ee6c8a42a79d3b1e9b3d2cd8c5890290c98505e4277a41e99a",
-    "report_csv": "6d1d8c421f12b108f4f063726274eee3dddfabfe798f2bf83650f81481d8d8a8",
-    "report_table": "fc47dfb49e7d6c0ecba99edb51bfee63f0da93eddec6f44437df2040ea0bd1a1",
+    "report_csv": "ae3e6142543e253661ed42ea1c713ed8a719ee8190dd1df536b03a8b12f3af0a",
+    "report_table": "a7fbd9f1376c84ce3b30488174fac4f02a239fed219e6e2052f48bcbde666b6e",
 }
 
 
@@ -49,6 +51,38 @@ def test_default_dmaic_outputs_are_byte_identical_to_the_reference():
     }
     digests = {name: _sha256(text) for name, text in outputs.items()}
     assert digests == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("batch", [trace.BATCH_RECORDS, 7], ids=["default-batch", "batch-7"])
+def test_dmaic_writes_the_reference_outputs_as_it_runs(monkeypatch, tmp_path, batch):
+    monkeypatch.setattr(trace, "BATCH_RECORDS", batch)
+    assert main(["dmaic", "--out", str(tmp_path)]) == 0
+    files = {
+        "report": "report.json",
+        "baseline_trace": "trace_baseline.ndjson",
+        "secured_trace": "trace_secured.ndjson",
+    }
+    digests = {name: _sha256((tmp_path / file).read_text(encoding="utf-8"))
+               for name, file in files.items()}
+    assert digests == GOLDEN_SHA256
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(files.values())
+
+
+@pytest.mark.parametrize(
+    "controls, enabled, golden",
+    [("none", (), "baseline_trace"), ("all", ("S9", "S10", "S17"), "secured_trace")],
+)
+def test_simulate_writes_the_trace_a_kept_run_encodes(
+    monkeypatch, tmp_path, capsys, controls, enabled, golden
+):
+    monkeypatch.setattr(trace, "BATCH_RECORDS", 7)
+    out = tmp_path / "trace.ndjson"
+    assert main(["simulate", "--controls", controls, "--out", str(out)]) == 0
+    scenario = default_scenario()
+    world = build_world(scenario, scenario.controls.with_enabled(enabled))
+    world.run_until(scenario.horizon_s)
+    assert out.read_text(encoding="utf-8") == world.trace.to_ndjson()
+    assert _sha256(world.trace.to_ndjson()) == GOLDEN_SHA256[golden]
 
 
 def test_multi_hop_secured_trace_is_byte_identical_to_the_reference():

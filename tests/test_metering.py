@@ -4,7 +4,7 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings
 
-from helpers import document, naive_total_cost, two_device_scenario, worlds
+from helpers import by_kind, document, naive_total_cost, two_device_scenario, worlds
 from smartbizsim.controls import ImplementationPlan
 from smartbizsim.costs import CostRates, monetize
 from smartbizsim.errors import IncompleteTrace
@@ -65,7 +65,7 @@ def test_secured_run_adds_exactly_overhead_times_wrapped_count():
 
     m_base = meter(baseline.trace)
     m_sec = meter(secured.trace)
-    wrapped = sum(1 for r in secured.trace.by_kind("sent") if r["wrapped"])
+    wrapped = sum(1 for r in by_kind(secured.trace, "sent") if r["wrapped"])
     overhead = secured_controls.s10.overhead_bytes
     assert m_sec.total_wire_bytes - m_base.total_wire_bytes == overhead * wrapped
     assert wrapped == m_sec.messages_sent

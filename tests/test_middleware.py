@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import message_records, two_device_scenario, worlds
+from helpers import by_kind, message_records, two_device_scenario, worlds
 from smartbizsim.errors import (
     AuthDenied,
     InvalidScenario,
@@ -44,7 +44,7 @@ def test_correct_credential_authenticates():
     )
     scenario = replace(two_device_scenario(controls=S9_ON), commands=(command,))
     world = build_world(scenario).run_until(scenario.horizon_s)
-    audit = world.trace.by_kind("audit")
+    audit = by_kind(world.trace, "audit")
     assert [(a["user"], a["device"], a["time"], a["authenticated"]) for a in audit] == [
         ("alice", "device-a", 5, True)
     ]
@@ -76,18 +76,18 @@ def test_denied_command_executes_nothing_in_a_run():
     scenario = replace(scenario, commands=(bad,))
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    audits = world.trace.by_kind("audit")
+    audits = by_kind(world.trace, "audit")
     assert [a["authenticated"] for a in audits] == [False]
     assert audits[0]["reason"] == "bad-credential"
-    assert not world.trace.by_kind("sent")
+    assert not by_kind(world.trace, "sent")
 
 
 def test_s9_disabled_runs_every_command_without_sessions():
     scenario = two_device_scenario(message_times=(100, 200, 300))
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    assert not world.trace.by_kind("audit")
-    assert len(world.trace.by_kind("sent")) == 3
+    assert not by_kind(world.trace, "audit")
+    assert len(by_kind(world.trace, "sent")) == 3
 
 
 def test_authenticated_command_charges_session_latency_to_next_send():
@@ -100,9 +100,9 @@ def test_authenticated_command_charges_session_latency_to_next_send():
     )
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    sent = world.trace.by_kind("sent")[0]
+    sent = by_kind(world.trace, "sent")[0]
     assert sent["s9_ms"] == 20
-    audits = world.trace.by_kind("audit")
+    audits = by_kind(world.trace, "audit")
     assert [a["authenticated"] for a in audits] == [True]
 
 
@@ -113,7 +113,7 @@ def test_wire_size_is_payload_plus_overhead():
     scenario = two_device_scenario(controls=S10_ON)
     world = build_world(scenario)
     world.send_message("device-a", "device-b", b"x" * 100)
-    sent = world.trace.by_kind("sent")[0]
+    sent = by_kind(world.trace, "sent")[0]
     assert sent["size_bytes"] == 100
     assert sent["wire_bytes"] == 164
     assert sent["wrapped"] is True
@@ -127,7 +127,7 @@ def test_sealed_send_names_the_sender_key_and_carries_no_payload():
     }
     world = build_world(two_device_scenario(controls=S10_ON))
     msg_id = world.send_message("device-a", "device-b", b"secret payload")
-    sent = world.trace.by_kind("sent")[0]
+    sent = by_kind(world.trace, "sent")[0]
     # only the sender's key opens it: the receiver's key is not named
     assert sent["key_id"] == world.nodes["device-a"].key_id == "k-device-a"
     assert sent["marker"] == f"ct:k-device-a:{msg_id}"
@@ -149,7 +149,7 @@ def test_s10_seals_every_send_of_generated_worlds(world, overhead):
     controls = replace(world.config, s10=S10Config(enabled=True, overhead_bytes=overhead))
     world = build_world(world.scenario, controls).run_until(world.horizon_s)
     assert meter(world.trace).plaintext_exposures == 0
-    for sent in world.trace.by_kind("sent"):
+    for sent in by_kind(world.trace, "sent"):
         assert sent["key_id"] == world.nodes[sent["src"]].key_id
         assert sent["marker"] == f"ct:{sent['key_id']}:{sent['msg_id']}"
         assert sent["inner_size"] == sent["size_bytes"]
@@ -227,12 +227,12 @@ def test_single_backup_catches_everything_with_bounded_delay():
     )
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    assert not world.trace.by_kind("lost")
-    delivered = world.trace.by_kind("delivered")
+    assert not by_kind(world.trace, "lost")
+    delivered = by_kind(world.trace, "delivered")
     assert len(delivered) == len(times)
     delays = [d["s17_ms"] for d in delivered]
     assert max(delays) <= 60_000
-    switches = world.trace.by_kind("failover")
+    switches = by_kind(world.trace, "failover")
     assert [(s["failed"], s["substitute"], s["time"]) for s in switches] == [
         ("device-b", "device-b-r1", 1060)
     ]
@@ -247,9 +247,9 @@ def test_empty_pool_loses_outage_traffic():
     )
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    lost = world.trace.by_kind("lost")
+    lost = by_kind(world.trace, "lost")
     assert [l["reason"] for l in lost] == ["pool-exhausted"]
-    assert world.trace.by_kind("failover")[0]["substitute"] is None
+    assert by_kind(world.trace, "failover")[0]["substitute"] is None
 
 
 def test_failed_backup_serves_again_after_it_recovers():
@@ -270,9 +270,9 @@ def test_recovery_before_detection_window_flushes_to_the_primary():
     )
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    delivered = world.trace.by_kind("delivered")
+    delivered = by_kind(world.trace, "delivered")
     assert [(d["to"], d["time"]) for d in delivered] == [("device-b", 1100)]
-    assert not world.trace.by_kind("failover")
+    assert not by_kind(world.trace, "failover")
 
 
 def test_manual_failover_call_switches_immediately():
@@ -281,7 +281,7 @@ def test_manual_failover_call_switches_immediately():
     world.run_until(1001)
     substitute = world.activate_failover("device-b")
     assert substitute == "device-b-r1"
-    assert world.trace.by_kind("failover")[0]["substitute"] == "device-b-r1"
+    assert by_kind(world.trace, "failover")[0]["substitute"] == "device-b-r1"
 
 
 def test_layer_flags_compose_independent_of_construction_order():

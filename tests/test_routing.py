@@ -21,7 +21,7 @@ import datetime as dt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import worlds
+from helpers import by_kind, worlds
 from smartbizsim.middleware import ControlLayerConfig, S17Config
 from smartbizsim.scenario import LinkSpec, NodeSpec, ScenarioConfig
 from smartbizsim.world import build_world, shortest_path
@@ -198,10 +198,10 @@ def test_search_matches_the_seed_on_generated_worlds(world):
 def test_every_sent_record_carries_the_seed_path(world):
     world.run_until(world.horizon_s)
     oracle = seed_neighbor_lists(world.links.values())
-    sent = world.trace.by_kind("sent")
+    sent = by_kind(world.trace, "sent")
     for record in sent:
         assert tuple(record["path"]) == seed_route(oracle, record["src"], record["dst"])
-    fired = [r for r in world.trace.by_kind("reminder") if r["event"] == "fired"]
+    fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
     assert len(sent) == len(world.scenario.commands) + len(fired)
 
 

@@ -1,22 +1,31 @@
 """The canonical serializer writes exactly what `json.dumps` writes with
 sorted keys and no whitespace, for one value and for a whole trace; a
 document's other values are spelled by `errors.json_default`, a trace
-record's are refused."""
+record's are refused. A trace streamed in batches writes and meters what
+a kept trace does."""
 
 import datetime as dt
 import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import worlds
+from smartbizsim import trace as trace_module
+from smartbizsim.cli import _trace_files
 from smartbizsim.controls import ChangeLevel
 from smartbizsim.costs import SectionCost
+from smartbizsim.metering import meter, meter_sections
 from smartbizsim.risk import OrdinalLevel
 from smartbizsim.trace import Trace, canonical_json
+from smartbizsim.world import build_world
 
 
 def dumps(value) -> str:
@@ -134,3 +143,32 @@ def test_an_encode_after_a_failed_one_carries_no_stale_markers():
     inner["x"] = 2
     (record,) = trace.records
     assert trace.to_ndjson() == dumps(record) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(worlds(), worlds(all_layers=True)))
+def test_a_streamed_trace_writes_and_meters_what_a_kept_one_does(world):
+    world.run_until(world.horizon_s)
+    kept = world.trace.records
+    # batches of 1, 2 and 7 put a message's sent and delivered records in
+    # different batches
+    for batch in (1, 2, 7):
+        with mock.patch.object(trace_module, "BATCH_RECORDS", batch), \
+                tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.ndjson"
+            sizes = []
+            with _trace_files(path) as (trace_file,):
+
+                def sink(records):
+                    sizes.append(len(records))
+                    trace_file.feed(records)
+
+                streamed = build_world(world.scenario, world.config, sink)
+                streamed.run_until(world.horizon_s)
+            assert path.read_text(encoding="utf-8") == world.trace.to_ndjson()
+            assert streamed.trace.records == []
+            assert len(streamed.trace) == len(kept) == sum(sizes)
+            assert all(size == batch for size in sizes[:-1])
+            assert 0 < sizes[-1] <= batch if kept else sizes == []
+            assert trace_file.metrics() == meter(kept)
+            assert trace_file.sections() == meter_sections(kept)

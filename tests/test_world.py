@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    by_kind,
     message_records,
     multi_hop_scenario,
     overlaps_busy,
@@ -93,11 +94,11 @@ def test_equal_time_events_run_in_insertion_order():
     scenario = two_device_scenario(message_times=(500, 500, 500))
     world = build_world(scenario)
     world.run_until(600)
-    sends = world.trace.by_kind("sent")
+    sends = by_kind(world.trace, "sent")
     assert [s["msg_id"] for s in sends] == [1, 2, 3]
     assert [s["time"] for s in sends] == [500, 500, 500]
     # deliveries at the same instant also keep their scheduling order
-    assert [d["msg_id"] for d in world.trace.by_kind("delivered")] == [1, 2, 3]
+    assert [d["msg_id"] for d in by_kind(world.trace, "delivered")] == [1, 2, 3]
 
 
 def test_same_scenario_twice_gives_identical_traces():
@@ -148,7 +149,7 @@ def test_message_to_failed_node_without_backups_is_lost():
     )
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    lost = world.trace.by_kind("lost")
+    lost = by_kind(world.trace, "lost")
     assert len(lost) == 1
     assert lost[0]["reason"] == "node-failed"
 
@@ -157,9 +158,9 @@ def test_conservation_every_send_has_one_terminal_record():
     scenario = default_scenario()
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    sent = {r["msg_id"] for r in world.trace.by_kind("sent")}
-    delivered = [r["msg_id"] for r in world.trace.by_kind("delivered")]
-    lost = [r["msg_id"] for r in world.trace.by_kind("lost")]
+    sent = {r["msg_id"] for r in by_kind(world.trace, "sent")}
+    delivered = [r["msg_id"] for r in by_kind(world.trace, "delivered")]
+    lost = [r["msg_id"] for r in by_kind(world.trace, "lost")]
     assert sorted(delivered + lost) == sorted(sent)
     assert len(delivered) + len(lost) == len(sent)
 
@@ -175,7 +176,7 @@ def test_sent_is_delivered_plus_lost_plus_in_flight_at_every_stop(world, stops):
         world.run_until(t)
         messages = message_records(world.trace)
         in_flight = {m for m, msg in messages.items() if msg["status"] == "InFlight"}
-        settled = len(world.trace.by_kind("delivered")) + len(world.trace.by_kind("lost"))
+        settled = len(by_kind(world.trace, "delivered")) + len(by_kind(world.trace, "lost"))
         assert len(messages) == settled + len(world.messages)
         assert set(world.messages) == in_flight
     assert world.messages == {}
@@ -217,7 +218,7 @@ def test_overlapping_failure_windows_merge_into_one_outage():
     )
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    failures = world.trace.by_kind("failure")
+    failures = by_kind(world.trace, "failure")
     assert [(f["phase"], f["time"]) for f in failures] == [("start", 100), ("end", 300)]
     # union window is [100, 300): eta 121 and 251 lost, 300 and 351 delivered
     outcomes = {m: msg["status"] for m, msg in message_records(world.trace).items()}
@@ -228,8 +229,8 @@ def test_zero_duration_failure_has_no_observable_effect():
     scenario = two_device_scenario(message_times=(399,), failures=(("device-b", 400, 0),))
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    assert len(world.trace.by_kind("delivered")) == 1
-    assert not world.trace.by_kind("lost")
+    assert len(by_kind(world.trace, "delivered")) == 1
+    assert not by_kind(world.trace, "lost")
 
 
 def test_inject_failure_validates_inputs():
@@ -259,13 +260,13 @@ def test_reminder_created_mid_january_fires_twelve_times_in_the_year():
     scenario = _reminder_scenario(created, horizon_days=366)
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    fired = [r for r in world.trace.by_kind("reminder") if r["event"] == "fired"]
+    fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
     assert len(fired) == 12
     epoch = scenario.epoch
     expected_first = seconds_at(epoch, dt.date(2024, 1, 31), dt.time(9, 0))
     assert fired[0]["time"] == expected_first
     # every firing reaches the target device as a message
-    deliveries = world.trace.by_kind("delivered")
+    deliveries = by_kind(world.trace, "delivered")
     fired_msgs = [d for d in deliveries if d["to"] == "device-b"]
     assert len(fired_msgs) == 12
 
@@ -275,7 +276,7 @@ def test_reminder_created_after_fire_time_on_month_end_waits_a_month():
     scenario = _reminder_scenario(created, horizon_days=70)
     world = build_world(scenario)
     world.run_until(scenario.horizon_s)
-    fired = [r for r in world.trace.by_kind("reminder") if r["event"] == "fired"]
+    fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
     assert fired[0]["time"] == seconds_at(scenario.epoch, dt.date(2024, 2, 29), dt.time(9, 0))
 
 
@@ -302,7 +303,7 @@ def test_generated_reminder_ids_skip_the_ids_the_scenario_declares():
     ))
     world.run_until(base.horizon_s)
     created = [
-        (r["reminder"], r["target"]) for r in world.trace.by_kind("reminder")
+        (r["reminder"], r["target"]) for r in by_kind(world.trace, "reminder")
         if r["event"] == "created"
     ]
     assert created == [("rem-2", "dev-city-b"), ("rem-3", "dev-truck"), ("rem-1", "dev-city-a")]
@@ -310,7 +311,7 @@ def test_generated_reminder_ids_skip_the_ids_the_scenario_declares():
 
 def _request_failures(world) -> list[tuple[int, str, str]]:
     return [
-        (r["time"], r["intent"], r["reason"]) for r in world.trace.by_kind("request_failed")
+        (r["time"], r["intent"], r["reason"]) for r in by_kind(world.trace, "request_failed")
     ]
 
 
@@ -323,7 +324,7 @@ def test_scenario_reminder_while_the_cloud_is_down_is_traced_and_the_run_goes_on
     world.run_until(world.horizon_s)
     assert _request_failures(world) == [(100, "create_reminder", "cloud-down")]
     assert world.reminders == {}
-    assert world.trace.by_kind("reminder") == []
+    assert by_kind(world.trace, "reminder") == []
     metrics = meter(world.trace)  # metering skips the new kind
     assert (metrics.messages_sent, metrics.messages_delivered) == (1, 1)
 
@@ -373,7 +374,7 @@ def test_meeting_books_everyone_and_sends_three_invitations():
     world = build_world(_meeting_scenario())
     slot = world.schedule_meeting("device-b", ["chief", "finance", "driver"], 60)
     assert slot.duration == 60
-    invitations = world.trace.by_kind("sent")
+    invitations = by_kind(world.trace, "sent")
     assert len(invitations) == 3
     assert {i["src"] for i in invitations} == {"cloud"}
     for attendee in ("chief", "finance", "driver"):
@@ -412,7 +413,7 @@ def test_s17_provisions_one_spare_per_device():
     spare_link = world.links["device-a-r1--cloud"]
     assert spare_link.latency_ms == 50  # mirrors the primary's cloud link
     world.run_until(0)  # provisioning records land at clock 0
-    capital = world.trace.by_kind("capital")
+    capital = by_kind(world.trace, "capital")
     assert [(c["section"], c["count"]) for c in capital] == [("S17", 2)]
 
 
@@ -428,5 +429,5 @@ def test_a_spare_copies_the_first_link_of_its_primarys_route_to_the_cloud():
     }
     assert world.links["dev-f-r1--dev-e"].latency_ms == 30
     world.send_message("dev-a-r1", "dev-c", b"from the spare")
-    (sent,) = world.trace.by_kind("sent")
+    (sent,) = by_kind(world.trace, "sent")
     assert sent["path"] == ("dev-a-r1--dev-b", "dev-b--cloud", "cloud--dev-c")

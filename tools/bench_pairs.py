@@ -37,6 +37,18 @@ SECONDS = BENCHMARK["run_seconds"]
 SEEDS = range(21, 31)  # one pair per workload and seed
 
 
+def export(rev: str, dest: str | Path) -> str:
+    """Write the files of git revision `rev` into the directory `dest`;
+    returns the revision's full commit id."""
+    rev = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+    return rev
+
+
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
@@ -55,13 +67,8 @@ def main() -> int:
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args()
 
-    rev = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
+        rev = export(args.parent, tmp)
         sides = {"parent": Path(tmp), "change": ROOT}
         plan = [(w, seed, 0) for w in WORKLOADS for seed in SEEDS]
         plan += [(w, SEEDS[0], 1) for w in WORKLOADS]
