@@ -16,7 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidScenario, NoSlotAvailable
 from .timeline import MINUTES_PER_DAY
@@ -85,8 +85,7 @@ class Calendar:
         busy[lo:hi] = [(start, end)]
 
 
-@dataclass(frozen=True)
-class Slot:
+class Slot(NamedTuple):
     start: int
     duration: int
 

@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 input/config error, 3 simulation error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -248,6 +249,10 @@ def _parse_controls_flag(flag: str) -> frozenset[str]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else default_scenario()
     enabled = _parse_controls_flag(args.controls)
+    # What was loaded lives until the process exits, so the cyclic collector
+    # need not walk it again: not in the run's collections and, above all,
+    # not at interpreter shutdown. Freeze it before any world is built.
+    gc.freeze()
     with _trace_files(Path(args.out)) as (trace_file,):
         world = build_world(
             scenario, scenario.controls.with_enabled(enabled), trace_file.feed
@@ -276,6 +281,7 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
         )
     except SmartBizError as exc:
         raise DmaicStepError("Define", exc) from exc
+    gc.freeze()  # the loaded input lives until exit: see _cmd_simulate
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .controls import (
     ControlCatalog,
@@ -167,8 +167,7 @@ class CostReport:
     provenance: dict
 
 
-@dataclass(frozen=True)
-class DmaicOutcome:
+class DmaicOutcome(NamedTuple):
     """Everything a pipeline run produces; the report plus both traces."""
 
     report: CostReport

@@ -18,12 +18,9 @@ S17 at delivery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Collection, Mapping
+from typing import Collection, Mapping
 
-from .errors import AuthDenied, InvalidScenario, MissingKey, UnknownLink, UnknownUser
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .world import World
+from .errors import AuthDenied, InvalidScenario, MissingKey, UnknownUser
 
 
 @dataclass(frozen=True)
@@ -89,14 +86,6 @@ class ControlLayerConfig:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
-class TapObservation:
-    msg_id: int
-    time: int
-    visibility: str  # "Plaintext" or "Opaque"
-    observed_bytes: int
-
-
 def authenticate(
     user: str, credential: str, device: str, config: ControlLayerConfig
 ) -> None:
@@ -124,25 +113,3 @@ def wrap(
         raise MissingKey("sender holds no key id")
     return {"key_id": key_id, "marker": f"ct:{key_id}:{msg_id}", "inner_size": len(payload)}
 
-
-def tap(link_id: str, world: "World") -> list[TapObservation]:
-    """What a wiretap on one link sees: every message whose path crosses it.
-
-    Unwrapped traffic is Plaintext (payload readable); enveloped traffic is
-    Opaque (marker and sizes only).
-    """
-    if link_id not in world.links:
-        raise UnknownLink(f"unknown link {link_id!r}")
-    observations = []
-    for record in world.trace.records:
-        if record["kind"] != "sent" or link_id not in record["path"]:
-            continue
-        observations.append(
-            TapObservation(
-                msg_id=record["msg_id"],
-                time=record["time"],
-                visibility="Opaque" if record["wrapped"] else "Plaintext",
-                observed_bytes=record["wire_bytes"],
-            )
-        )
-    return observations

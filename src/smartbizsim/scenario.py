@@ -118,10 +118,6 @@ class ScenarioConfig:
         # Every instance is valid: parsed, built in code or a replace() copy.
         validate_scenario(self)
 
-    @property
-    def work_start(self) -> dt.time:
-        return self.working_hours.start
-
     def calendar_hours(self) -> WorkingHours:
         """The working week in calendar minutes from the epoch."""
         hours = self.working_hours

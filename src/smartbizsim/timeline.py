@@ -7,7 +7,6 @@ same epoch.
 
 from __future__ import annotations
 
-import calendar
 import datetime as dt
 
 from .errors import ParseError
@@ -43,7 +42,8 @@ def seconds_at(epoch: dt.date, day: dt.date, time_of_day: dt.time) -> int:
 
 
 def month_end(year: int, month: int) -> dt.date:
-    return dt.date(year, month, calendar.monthrange(year, month)[1])
+    """The last day of the month: the day before the next month's first."""
+    return dt.date(year + month // 12, month % 12 + 1, 1) - dt.timedelta(days=1)
 
 
 def next_month_end_instant(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import base64
 import heapq
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import middleware
 from .calendars import Calendar, Slot, find_common_slot
@@ -56,8 +56,7 @@ class Node:
         return self.fail_depth == 0
 
 
-@dataclass
-class Message:
+class Message(NamedTuple):
     """A message in flight; its `sent` trace record holds everything else."""
 
     msg_id: int
@@ -67,8 +66,7 @@ class Message:
     on_delivered: tuple | None = None  # (intent, *args) for `World._request`
 
 
-@dataclass
-class Reminder:
+class Reminder(NamedTuple):
     target: str
     payload: bytes
 

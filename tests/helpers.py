@@ -11,13 +11,14 @@ from __future__ import annotations
 import datetime as dt
 import json
 import random
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
 from smartbizsim.calendars import WorkingHours
 from smartbizsim.costs import CostRates
-from smartbizsim.errors import ParseError
+from smartbizsim.errors import ParseError, UnknownLink
 from smartbizsim.metering import SectionUsage
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.scenario import (
@@ -58,6 +59,31 @@ def message_records(trace) -> dict[int, dict]:
             entry[kind] = record
             entry["status"] = kind.capitalize()
     return messages
+
+
+class TapObservation(NamedTuple):
+    msg_id: int
+    time: int
+    visibility: str  # "Plaintext" or "Opaque"
+    observed_bytes: int
+
+
+def tap(link_id: str, world) -> list[TapObservation]:
+    """What a wiretap on one link sees: every message whose `sent` record's
+    path crosses it. Unwrapped traffic is Plaintext (payload readable);
+    enveloped traffic is Opaque (marker and sizes only)."""
+    if link_id not in world.links:
+        raise UnknownLink(f"unknown link {link_id!r}")
+    return [
+        TapObservation(
+            record["msg_id"],
+            record["time"],
+            "Opaque" if record["wrapped"] else "Plaintext",
+            record["wire_bytes"],
+        )
+        for record in by_kind(world.trace, "sent")
+        if link_id in record["path"]
+    ]
 
 
 # -- earliest-slot oracle -----------------------------------------------------

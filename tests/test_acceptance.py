@@ -17,6 +17,7 @@ from helpers import (
     month_end_dates_by_enumeration,
     naive_total_cost,
     random_slot_instance,
+    tap,
     two_device_scenario,
 )
 from smartbizsim.calendars import Calendar, find_common_slot
@@ -35,7 +36,7 @@ from smartbizsim.costs import (
     run_dmaic,
 )
 from smartbizsim.errors import NoSlotAvailable
-from smartbizsim.middleware import ControlLayerConfig, S17Config, tap
+from smartbizsim.middleware import ControlLayerConfig, S17Config
 from smartbizsim.risk import default_risk_catalog, rank, top_k
 from smartbizsim.scenario import ReminderSpec
 from smartbizsim.timeline import SECONDS_PER_DAY

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -27,6 +28,12 @@ def test_assess_formats_carry_the_same_numbers(tmp_path, capsys):
     csv_scores = {row.split(",")[1]: int(row.split(",")[-1]) for row in csv_lines[1:]}
     assert csv_scores == {k: v for k, v in as_json["scores"].items()}
     assert [row.split(",")[1] for row in csv_lines[1:]] == as_json["ranking"]
+
+
+def test_dmaic_freezes_its_loaded_input_for_the_collector(tmp_path):
+    assert gc.get_freeze_count() == 0
+    assert main(["dmaic", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() > 0
 
 
 def test_assess_missing_catalog_file_exits_2(capsys):

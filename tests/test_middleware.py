@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import by_kind, message_records, two_device_scenario, worlds
+from helpers import by_kind, message_records, tap, two_device_scenario, worlds
 from smartbizsim.errors import (
     AuthDenied,
     InvalidScenario,
@@ -19,7 +19,6 @@ from smartbizsim.middleware import (
     S10Config,
     S17Config,
     authenticate,
-    tap,
     wrap,
 )
 from smartbizsim.metering import meter

@@ -53,7 +53,7 @@ def test_scenario_defaults_fill_in():
         "links": [{"a": "d", "b": "c", "latency_ms": 10}],
     }))
     assert scenario.seed == 42
-    assert scenario.work_start.hour == 8
+    assert scenario.working_hours.start.hour == 8
     assert scenario.reminder_fire_time.hour == 9
     assert not scenario.controls.s9.enabled
 

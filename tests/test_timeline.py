@@ -1,3 +1,4 @@
+import calendar
 import datetime as dt
 
 import pytest
@@ -34,12 +35,20 @@ def test_non_month_end_singleton_range_is_empty():
 
 
 def test_three_year_window_matches_enumeration_oracle():
-    epoch = dt.date(2024, 1, 1)
-    start, end = dt.date(2024, 1, 1), dt.date(2026, 12, 31)
-    instants = end_of_month_instants(start, end, NINE_AM, epoch)
-    oracle = month_end_dates_by_enumeration(start, end)
-    assert len(instants) == len(oracle) == 36
-    assert instants == [seconds_at(epoch, d, NINE_AM) for d in oracle]
+    # windows with a leap year (2024), a leap century (2000) and a century
+    # that is not leap (1900); the second oracle is the stdlib's calendar
+    for first_year in (2024, 1999, 1899):
+        epoch = start = dt.date(first_year, 1, 1)
+        end = dt.date(first_year + 2, 12, 31)
+        instants = end_of_month_instants(start, end, NINE_AM, epoch)
+        oracle = month_end_dates_by_enumeration(start, end)
+        assert oracle == [
+            dt.date(year, month, calendar.monthrange(year, month)[1])
+            for year in range(first_year, first_year + 3)
+            for month in range(1, 13)
+        ]
+        assert len(instants) == len(oracle) == 36
+        assert instants == [seconds_at(epoch, d, NINE_AM) for d in oracle]
 
 
 def test_reversed_range_rejected():
