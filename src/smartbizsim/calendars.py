@@ -18,7 +18,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InvalidScenario, NoSlotAvailable
+from .errors import NoSlotAvailable
 from .timeline import MINUTES_PER_DAY
 
 Interval = tuple[int, int]
@@ -47,18 +47,8 @@ class WorkingHours:
     workdays: frozenset[int] = frozenset({0, 1, 2, 3, 4})  # Mon..Fri
     epoch_weekday: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.start_minute < self.end_minute <= MINUTES_PER_DAY:
-            raise InvalidScenario(
-                f"working window {self.start_minute}..{self.end_minute} is invalid"
-            )
-
     def is_workday(self, day_index: int) -> bool:
         return (self.epoch_weekday + day_index) % 7 in self.workdays
-
-    @property
-    def window_minutes(self) -> int:
-        return self.end_minute - self.start_minute
 
 
 @dataclass
@@ -99,22 +89,13 @@ def find_common_slot(
     duration: int,
     search_from: int,
     horizon: int,
-    hours: WorkingHours | None = None,
+    hours: WorkingHours,
 ) -> Slot:
     """Earliest slot of `duration` minutes free in every calendar.
 
     The whole slot must fit inside a single working window and end no
     later than `horizon`. Raises NoSlotAvailable when nothing fits.
     """
-    if not calendars:
-        raise InvalidScenario("need at least one calendar to search")
-    if duration < 1:
-        raise InvalidScenario(f"duration must be >= 1 minute, got {duration}")
-    if search_from >= horizon:
-        raise InvalidScenario(
-            f"search_from {search_from} must precede horizon {horizon}"
-        )
-    hours = hours or WorkingHours()
     # every calendar from its first interval that ends after search_from,
     # merged lazily by start; intervals of different calendars may overlap
     busy = heapq.merge(*(

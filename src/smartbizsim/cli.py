@@ -32,8 +32,7 @@ from .errors import (
     parse_json,
     read_document,
 )
-# `meter` stays a name of this module: perfbench's tracer patches `cli.meter`
-from .metering import Meter, meter  # noqa: F401
+from .metering import Meter
 from .risk import RiskAssessment, load_risk_catalog, rank, top_k
 from .scenario import default_scenario, load_scenario
 from .trace import canonical_json, ndjson_writer
@@ -254,9 +253,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     # not at interpreter shutdown. Freeze it before any world is built.
     gc.freeze()
     with _trace_files(Path(args.out)) as (trace_file,):
-        world = build_world(
-            scenario, scenario.controls.with_enabled(enabled), trace_file.feed
-        )
+        world = build_world(scenario, enabled, trace_file.feed)
         world.run_until(scenario.horizon_s)
         metrics = trace_file.metrics()
     print(

@@ -344,11 +344,7 @@ def run_dmaic(
     with _step("Control"):
         traces = {}
         for run, enabled in (("baseline", ()), ("secured", plan.enabled_controls)):
-            world = build_world(
-                scenario,
-                scenario.controls.with_enabled(enabled),
-                sinks[run].feed if sinks else None,
-            )
+            world = build_world(scenario, enabled, sinks[run].feed if sinks else None)
             world.run_until(scenario.horizon_s)
             traces[run] = world.trace
         if sinks:

@@ -76,27 +76,11 @@ class InvalidScenario(ConfigError):
     pass
 
 
-class UnknownNode(SimulationError):
-    pass
-
-
-class NoRoute(SimulationError):
-    pass
-
-
 class CloudUnavailable(SimulationError):
     pass
 
 
 class NoSlotAvailable(SimulationError):
-    pass
-
-
-class UnknownAttendee(SimulationError):
-    pass
-
-
-class UnknownLink(SimulationError):
     pass
 
 
@@ -107,10 +91,6 @@ class AuthDenied(SimulationError):
 
 
 class UnknownUser(SimulationError):
-    pass
-
-
-class MissingKey(SimulationError):
     pass
 
 

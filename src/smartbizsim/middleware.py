@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Collection, Mapping
 
-from .errors import AuthDenied, InvalidScenario, MissingKey, UnknownUser
+from .errors import AuthDenied, InvalidScenario, UnknownUser
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class S10Config:
     enabled: bool = False
     per_message_latency_ms: int = 5
     overhead_bytes: int = 64
-    # node id -> key id; empty means "derive one key per node at build".
+    # node id -> key id for every declared node; empty means "derive one
+    # key per node at build". S17 spares missing from it get derived keys.
     key_ids: Mapping[str, str] = field(default_factory=dict)
 
 
@@ -90,8 +91,6 @@ def authenticate(
     user: str, credential: str, device: str, config: ControlLayerConfig
 ) -> None:
     """Check a credential against the store; only called with S9 enabled."""
-    if not config.s9.enabled:
-        raise InvalidScenario("authenticate() requires the S9 layer to be enabled")
     store = config.s9.credential_store
     if user not in store:
         raise UnknownUser(f"no credentials on file for user {user!r}")
@@ -99,17 +98,11 @@ def authenticate(
         raise AuthDenied(f"credential mismatch for user {user!r} at {device!r}")
 
 
-def wrap(
-    payload: bytes, key_id: str | None, config: ControlLayerConfig, msg_id: int = 0
-) -> dict:
-    """Seal a payload under the sender's key id.
+def wrap(payload: bytes, key_id: str, msg_id: int = 0) -> dict:
+    """Seal a payload under the sender's key id; only called with S10 enabled.
 
     Returns the envelope's wire fields: the key id, an opaque marker and
     the payload size. The payload itself never leaves the sender.
     """
-    if not config.s10.enabled:
-        raise InvalidScenario("wrap() requires the S10 layer to be enabled")
-    if not key_id:
-        raise MissingKey("sender holds no key id")
     return {"key_id": key_id, "marker": f"ct:{key_id}:{msg_id}", "inner_size": len(payload)}
 

@@ -170,6 +170,27 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             device.site in SITES,
             f"device {device.id!r} has invalid site {device.site!r}",
         )
+    # S17 names the spares of a device without a backup pool `<device>-r<k>`,
+    # k = 1..backups_per_site; a declared node may not hold one of those ids.
+    # Digits are counted before they are read, so no suffix is too long.
+    spares = scenario.controls.s17.backups_per_site
+    most_digits = len(str(spares))
+    poolless = {d.id for d in devices if not d.backup_pool}
+    for i, node_id in enumerate(node_ids):
+        primary, _, k = node_id.rpartition("-r")
+        if (
+            primary in poolless and k.isascii() and k.isdigit() and k[0] != "0"
+            and len(k) <= most_digits and int(k) <= spares
+        ):
+            raise InvalidScenario(
+                f"nodes[{i}].id {node_id!r} is the id of S17 spare {k} of {primary!r}"
+            )
+    key_ids = scenario.controls.s10.key_ids
+    if key_ids:  # empty: every node gets a derived key
+        for node_id in node_ids:
+            _require(
+                key_ids.get(node_id), f"controls.s10.key_ids gives node {node_id!r} no key id"
+            )
     known = set(node_ids)
     device_ids = {d.id for d in devices}
     for node in scenario.nodes:
@@ -254,6 +275,10 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
                 f"reminder target {command.target!r} must be a smart device",
             )
         elif command.intent == "schedule_meeting":
+            if not command.attendees:
+                raise InvalidScenario(
+                    f"meeting (device {command.device!r}, at={command.at}) has no attendees"
+                )
             for attendee in command.attendees:
                 _require(
                     attendee in attendee_ids,
@@ -268,6 +293,10 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
         _require(theft.node in known, f"theft node {theft.node!r} unknown")
         _require(theft.at >= 0, "theft time must be >= 0")
     _require(scenario.horizon_s > 0, "horizon must be positive")
+    _require(
+        scenario.meeting_horizon_days >= 1,
+        f"meeting_horizon_days must be >= 1, got {scenario.meeting_horizon_days}",
+    )
     hours = scenario.working_hours
     if hours.start >= hours.end:
         raise InvalidScenario(

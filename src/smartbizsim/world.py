@@ -21,22 +21,11 @@ from __future__ import annotations
 import base64
 import heapq
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Collection, NamedTuple
 
 from . import middleware
 from .calendars import Calendar, Slot, find_common_slot
-from .errors import (
-    AuthDenied,
-    CloudUnavailable,
-    InvalidScenario,
-    MissingKey,
-    NoRoute,
-    NoSlotAvailable,
-    UnknownAttendee,
-    UnknownNode,
-    UnknownUser,
-)
-from .middleware import ControlLayerConfig
+from .errors import AuthDenied, CloudUnavailable, InvalidScenario, NoSlotAvailable, UnknownUser
 from .scenario import CommandSpec, LinkSpec, ScenarioConfig
 from .timeline import SECONDS_PER_DAY, next_month_end_instant
 from .trace import Trace
@@ -108,14 +97,23 @@ def shortest_path(
 
 
 class World:
+    """A world at clock 0 with every node Up and no event run yet.
+
+    `enabled` names the control sections to switch on in the scenario's
+    own controls; when it is omitted they apply as given. With a `sink`
+    the world's trace streams its records to it in batches (see `Trace`),
+    the last batch when `run_until` returns.
+    """
+
     def __init__(
         self,
         scenario: ScenarioConfig,
-        controls: ControlLayerConfig,
+        enabled: Collection[str] | None = None,
         sink: Callable[[list[dict]], None] | None = None,
     ):
         self.scenario = scenario
-        self.config = controls
+        controls = scenario.controls
+        self.config = controls if enabled is None else controls.with_enabled(enabled)
         self.epoch = scenario.epoch
         self.horizon_s = scenario.horizon_s
         self.clock = 0
@@ -159,8 +157,9 @@ class World:
         self._queue: list[tuple[int, int, str, tuple]] = []
         self._event_seq = 0
         self._pending: dict[str, list[Message]] = {}
-        # per-node failover bookkeeping: episode counter + activation state
-        self._failover: dict[str, dict] = {}
+        # S17: failed node -> start of its outage, while the detection
+        # window is open; a down node not in it has been switched over
+        self._detecting: dict[str, int] = {}
 
         self._record_provisioning()
         for failure in scenario.failures:
@@ -208,11 +207,7 @@ class World:
             via = uplink.b if uplink.a == primary.id else uplink.a
             spares = []
             for k in range(1, self.config.s17.backups_per_site + 1):
-                spare_id = f"{primary.id}-r{k}"
-                if spare_id in self.nodes:
-                    raise InvalidScenario(
-                        f"cannot provision spare {spare_id!r}: id already taken"
-                    )
+                spare_id = f"{primary.id}-r{k}"  # validation keeps it free
                 self.nodes[spare_id] = Node(
                     id=spare_id, kind="SmartDevice", site=primary.site
                 )
@@ -229,23 +224,11 @@ class World:
     def _assign_keys(self) -> None:
         if not self.config.s10.enabled:
             return
-        holders = [
-            n for n in self.nodes.values()
-            if n.kind in ("SmartDevice", "CloudService")
-        ]
-        given = dict(self.config.s10.key_ids)
-        declared_ids = {n.id for n in self.scenario.nodes}
-        for node in holders:
-            if node.id in given:
-                node.key_id = given[node.id]
-            elif not given or node.id not in declared_ids:
-                # empty map: derive everything; partial map: spares created
-                # by this build still get derived keys
-                node.key_id = f"k-{node.id}"
-            else:
-                raise InvalidScenario(
-                    f"encryption enabled but node {node.id!r} has no key id"
-                )
+        # validation: the map is empty or names every declared node, so
+        # only the spares this build created may fall back to derived keys
+        given = self.config.s10.key_ids
+        for node in self.nodes.values():
+            node.key_id = given.get(node.id, f"k-{node.id}")
 
     def _record_provisioning(self) -> None:
         """Queue the capital and setup records for clock 0, by section.
@@ -311,24 +294,15 @@ class World:
         """
         path = self._routes.get((src, dst))
         if path is None:
-            if src not in self.nodes:
-                raise UnknownNode(f"unknown sender {src!r}")
-            if dst not in self.nodes:
-                raise UnknownNode(f"unknown destination {dst!r}")
-            path = shortest_path(self._adjacency, src, dst)
-            if path is None:
-                raise NoRoute(f"no link path from {src!r} to {dst!r}")
-            self._routes[src, dst] = path
+            # validation: both nodes exist and every device reaches the cloud
+            path = self._routes[src, dst] = shortest_path(self._adjacency, src, dst)
 
         msg_id = self._next_msg_id
         self._next_msg_id += 1
 
         wrapped = self.config.s10.enabled
         if wrapped:
-            key = self.nodes[src].key_id
-            if not key:
-                raise MissingKey(f"node {src!r} holds no key id")
-            content = middleware.wrap(payload, key, self.config, msg_id=msg_id)
+            content = middleware.wrap(payload, self.nodes[src].key_id, msg_id=msg_id)
         else:
             content = {"payload_b64": base64.b64encode(payload).decode("ascii")}
 
@@ -370,8 +344,7 @@ class World:
             self._deliver(msg, msg.dst)
             return
         if self.config.s17.enabled:
-            state = self._failover.get(msg.dst)
-            if state is not None and not state["active"]:
+            if msg.dst in self._detecting:
                 self._pending.setdefault(msg.dst, []).append(msg)
                 return
             substitute = self._first_up_backup(msg.dst)
@@ -403,10 +376,6 @@ class World:
     # -- failures and failover -------------------------------------------
 
     def inject_failure(self, node_id: str, at: int, duration_s: int) -> None:
-        if node_id not in self.nodes:
-            raise UnknownNode(f"unknown node {node_id!r}")
-        if at < self.clock:
-            raise InvalidScenario(f"cannot inject a failure in the past (at={at})")
         self._schedule(at, "_fail_start", node_id)
         self._schedule(at + duration_s, "_fail_end", node_id)
 
@@ -414,14 +383,13 @@ class World:
         node = self.nodes[node_id]
         node.fail_depth += 1
         if node.fail_depth > 1:
-            return  # overlapping windows merge into one episode
+            return  # overlapping windows merge into one outage
         self.trace.append("failure", self.clock, node=node_id, phase="start")
         if self.config.s17.enabled:
-            episode = self._failover.get(node_id, {}).get("episode", 0) + 1
-            self._failover[node_id] = {"episode": episode, "active": False}
+            self._detecting[node_id] = self.clock
             self._schedule(
                 self.clock + self.config.s17.detection_window_s,
-                "_failover_activate", node_id, episode,
+                "_failover_activate", node_id, self.clock,
             )
 
     def _fail_end(self, node_id: str) -> None:
@@ -434,15 +402,12 @@ class World:
         # straight back to the recovered node
         for msg in self._pending.pop(node_id, []):
             self._deliver(msg, node_id)
-        self._failover.pop(node_id, None)
+        self._detecting.pop(node_id, None)
 
-    def _failover_activate(self, node_id: str, episode: int) -> str | None:
-        state = self._failover.get(node_id)
-        if state is None or state["episode"] != episode or state["active"]:
-            return None  # stale timer: the node recovered or was handled
-        if self.nodes[node_id].up:
-            return None
-        state["active"] = True
+    def _failover_activate(self, node_id: str, started: int) -> None:
+        if self._detecting.get(node_id) != started:
+            return  # stale timer: the outage it timed has ended
+        del self._detecting[node_id]
         substitute = self._first_up_backup(node_id)
         self.trace.append(
             "failover", self.clock, failed=node_id, substitute=substitute
@@ -455,30 +420,6 @@ class World:
                 self._deliver(msg, substitute)
             else:
                 self._lose(msg, "pool-exhausted")
-        return substitute
-
-    def activate_failover(self, node_id: str) -> str | None:
-        """Switch delivery for a failed node to its first healthy spare now.
-
-        Returns the substitute's node id, or None when the pool is
-        exhausted (pending messages are then recorded as Lost). Inside a
-        run the engine does this one detection window after a failure.
-        """
-        if not self.config.s17.enabled:
-            raise InvalidScenario(
-                "activate_failover() requires the S17 layer to be enabled"
-            )
-        if node_id not in self.nodes:
-            raise UnknownNode(f"unknown node {node_id!r}")
-        state = self._failover.get(node_id)
-        if state is None:
-            episode = 1
-            self._failover[node_id] = {"episode": episode, "active": False}
-        elif state["active"]:
-            return self._first_up_backup(node_id)
-        else:
-            episode = state["episode"]
-        return self._failover_activate(node_id, episode)
 
     def _first_up_backup(self, node_id: str) -> str | None:
         for backup in self.nodes[node_id].backup_pool:
@@ -548,11 +489,6 @@ class World:
     def create_reminder(
         self, author: str, target: str, payload: bytes, reminder_id: str | None = None
     ) -> str:
-        for node_id in (author, target):
-            if node_id not in self.nodes:
-                raise UnknownNode(f"unknown node {node_id!r}")
-            if self.nodes[node_id].kind != "SmartDevice":
-                raise UnknownNode(f"{node_id!r} is not a smart device")
         if not self.nodes[self.cloud_id].up:
             raise CloudUnavailable("cloud service is down; cannot register reminder")
         rid = reminder_id
@@ -563,8 +499,6 @@ class World:
             while f"rem-{n}" in self.reminders or f"rem-{n}" in declared:
                 n += 1
             rid = f"rem-{n}"
-        if rid in self.reminders:
-            raise InvalidScenario(f"duplicate reminder id {rid!r}")
         self.reminders[rid] = Reminder(target=target, payload=bytes(payload))
         self.trace.append(
             "reminder", self.clock, event="created", reminder=rid,
@@ -597,11 +531,6 @@ class World:
     def schedule_meeting(
         self, organizer: str, attendees: list[str], duration_min: int
     ) -> Slot:
-        if organizer not in self.nodes:
-            raise UnknownNode(f"unknown organizer {organizer!r}")
-        for attendee in attendees:
-            if attendee not in self.calendars:
-                raise UnknownAttendee(f"attendee {attendee!r} has no calendar")
         search_from = -(-self.clock // 60)
         horizon = search_from + self.scenario.meeting_horizon_days * 1440
         slot = find_common_slot(
@@ -623,16 +552,4 @@ class World:
         return slot
 
 
-def build_world(
-    scenario: ScenarioConfig,
-    controls: ControlLayerConfig | None = None,
-    sink: Callable[[list[dict]], None] | None = None,
-) -> World:
-    """Construct a world at clock 0 with every node Up and an empty queue run.
-
-    When `controls` is omitted the scenario's own control block applies.
-    With a `sink` the world's trace streams its records to it in batches
-    (see `Trace`), the last batch when `run_until` returns.
-    """
-    controls = controls if controls is not None else scenario.controls
-    return World(scenario, controls, sink)
+build_world = World  # the public constructor: build_world(scenario, enabled, sink)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import random
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from smartbizsim.calendars import WorkingHours
 from smartbizsim.costs import CostRates
-from smartbizsim.errors import ParseError, UnknownLink
+from smartbizsim.errors import ParseError
 from smartbizsim.metering import SectionUsage
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.scenario import (
@@ -73,7 +74,7 @@ def tap(link_id: str, world) -> list[TapObservation]:
     path crosses it. Unwrapped traffic is Plaintext (payload readable);
     enveloped traffic is Opaque (marker and sizes only)."""
     if link_id not in world.links:
-        raise UnknownLink(f"unknown link {link_id!r}")
+        raise KeyError(f"unknown link {link_id!r}")
     return [
         TapObservation(
             record["msg_id"],
@@ -341,7 +342,7 @@ def worlds(draw, max_devices: int = 29, all_layers: bool = False):
             overhead_bytes=draw(st.integers(0, 128)),
         )
         controls = ControlLayerConfig(s9=s9, s10=s10, s17=s17)
-    return build_world(scenario, controls)
+    return build_world(replace(scenario, controls=controls))
 
 
 def multi_hop_scenario() -> ScenarioConfig:

@@ -136,7 +136,7 @@ def test_criterion_5_plaintext_exposure_is_all_or_nothing():
     scenario = config.scenario
 
     def run(enabled: frozenset) -> tuple[int, int]:
-        world = build_world(scenario, scenario.controls.with_enabled(enabled))
+        world = build_world(scenario, enabled)
         world.run_until(scenario.horizon_s)
         plaintext = observed = 0
         for link_id in sorted(world.links):
@@ -172,12 +172,12 @@ def test_criterion_6_failover_turns_exact_losses_into_delayed_deliveries():
     assert lost == expected_lost
     assert len(by_kind(baseline.trace, "delivered")) == len(times) - len(expected_lost)
 
-    secured = build_world(
+    secured = build_world(replace(
         scenario,
-        ControlLayerConfig(
+        controls=ControlLayerConfig(
             s17=S17Config(enabled=True, backups_per_site=1, detection_window_s=window)
         ),
-    )
+    ))
     secured.run_until(scenario.horizon_s)
     assert not by_kind(secured.trace, "lost")
     delivered = by_kind(secured.trace, "delivered")

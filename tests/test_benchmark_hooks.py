@@ -1,0 +1,38 @@
+"""The traced benchmark reads the program through names it patches.
+
+`perfbench/tracer.py` replaces public functions and methods of
+`smartbizsim.*` with timing wrappers by name, so renaming or deleting
+one of them breaks the traced benchmark, not the program. `install`
+patches modules for the whole process, so it runs in a child process.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_CHILD = """
+import sys
+from smartbizsim import cli
+from tracer import Tracer, install
+
+tracer = Tracer("t")
+install(tracer)
+code = cli.main(["dmaic", "--out", sys.argv[1]])
+calls = {name: stat[0] for name, stat in tracer.stats.items()}
+missed = [name for name in ("world.send_message", "middleware.wrap",
+                            "middleware.authenticate", "calendars.find_common_slot")
+          if not calls.get(name)]
+sys.exit(code or (f"traced names never called: {missed}" if missed else 0))
+"""
+
+
+def test_the_tracer_installs_and_times_a_dmaic_run(tmp_path):
+    # no bytecode: the run leaves nothing beside the benchmark's sources
+    env = {"PYTHONPATH": f"{ROOT / 'src'}:{ROOT / 'perfbench'}", "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -377,3 +377,50 @@ def test_inputs_that_were_coerced_or_ignored_exit_2_naming_their_path(
     assert err.startswith("error: [Define] ")
     assert message in err
     assert not out.exists()
+
+
+def _no_attendees(doc):
+    next(c for c in doc["commands"] if c["intent"] == "schedule_meeting")["attendees"] = []
+
+
+def _key_ids(doc, blank):
+    doc["controls"]["s10"]["key_ids"] = {
+        n["id"]: "" if n["id"] == blank else f"k{n['id']}" for n in doc["nodes"]
+    }
+
+
+def _spare_id(doc):
+    doc["nodes"].append({"id": "dev-city-a-r1", "kind": "SmartDevice", "site": "CityA"})
+    doc["links"].append({"a": "dev-city-a-r1", "b": "cloud", "latency_ms": 5})
+
+
+# Without its validation rule, each input below would stop the Control
+# step after the baseline run, the empty key id with exit code 3.
+_CONTROL_STEP_PROBES = [
+    (_no_attendees, "meeting (device 'dev-city-b', at=208800) has no attendees"),
+    (lambda doc: doc.update(meeting_horizon_days=0), "meeting_horizon_days must be >= 1"),
+    (lambda doc: doc.update(meeting_horizon_days=-3), "meeting_horizon_days must be >= 1"),
+    (lambda doc: doc["controls"]["s10"].update(key_ids={"dev-city-a": "ka"}),
+     "controls.s10.key_ids gives node 'dev-city-b' no key id"),
+    (lambda doc: _key_ids(doc, blank="dev-city-a"),
+     "controls.s10.key_ids gives node 'dev-city-a' no key id"),
+    (_spare_id, "nodes[4].id 'dev-city-a-r1' is the id of S17 spare 1 of 'dev-city-a'"),
+]
+
+
+@pytest.mark.parametrize(
+    "patch, message", _CONTROL_STEP_PROBES,
+    ids=["no-attendees", "horizon-0", "horizon-minus-3", "partial-key-map", "empty-key-id",
+         "spare-id"],
+)
+def test_inputs_that_stopped_the_control_step_exit_2_at_define(
+    tmp_path, capsys, patch, message
+):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(_scenario_with(patch)))
+    out = tmp_path / "out"
+    assert main(["dmaic", "--scenario", str(scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Define] ")
+    assert message in err
+    assert not out.exists()

@@ -79,7 +79,7 @@ def test_simulate_writes_the_trace_a_kept_run_encodes(
     out = tmp_path / "trace.ndjson"
     assert main(["simulate", "--controls", controls, "--out", str(out)]) == 0
     scenario = default_scenario()
-    world = build_world(scenario, scenario.controls.with_enabled(enabled))
+    world = build_world(scenario, enabled)
     world.run_until(scenario.horizon_s)
     assert out.read_text(encoding="utf-8") == world.trace.to_ndjson()
     assert _sha256(world.trace.to_ndjson()) == GOLDEN_SHA256[golden]
@@ -87,7 +87,7 @@ def test_simulate_writes_the_trace_a_kept_run_encodes(
 
 def test_multi_hop_secured_trace_is_byte_identical_to_the_reference():
     scenario = multi_hop_scenario()
-    world = build_world(scenario, scenario.controls.with_enabled({"S9", "S10", "S17"}))
+    world = build_world(scenario, {"S9", "S10", "S17"})
     world.run_until(scenario.horizon_s)
     assert _sha256(world.trace.to_ndjson()) == MULTI_HOP_SECURED_SHA256
 

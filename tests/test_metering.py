@@ -57,16 +57,15 @@ def test_incomplete_trace_rejected():
 
 def test_secured_run_adds_exactly_overhead_times_wrapped_count():
     scenario = default_scenario()
-    baseline = build_world(scenario, scenario.controls.with_enabled(()))
+    baseline = build_world(scenario, ())
     baseline.run_until(scenario.horizon_s)
-    secured_controls = scenario.controls.with_enabled(frozenset(("S10",)))
-    secured = build_world(scenario, secured_controls)
+    secured = build_world(scenario, {"S10"})
     secured.run_until(scenario.horizon_s)
 
     m_base = meter(baseline.trace)
     m_sec = meter(secured.trace)
     wrapped = sum(1 for r in by_kind(secured.trace, "sent") if r["wrapped"])
-    overhead = secured_controls.s10.overhead_bytes
+    overhead = secured.config.s10.overhead_bytes
     assert m_sec.total_wire_bytes - m_base.total_wire_bytes == overhead * wrapped
     assert wrapped == m_sec.messages_sent
 

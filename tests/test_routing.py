@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import by_kind, worlds
-from smartbizsim.middleware import ControlLayerConfig, S17Config
 from smartbizsim.scenario import LinkSpec, NodeSpec, ScenarioConfig
 from smartbizsim.world import build_world, shortest_path
 
@@ -216,7 +215,7 @@ def test_search_matches_the_seed_on_a_star_with_spares():
         links=tuple(LinkSpec(a=d, b="cloud", latency_ms=20 + k % 100)
                     for k, d in enumerate(devices)),
     )
-    world = build_world(scenario, ControlLayerConfig(s17=S17Config(enabled=True)))
+    world = build_world(scenario, {"S17"})
     assert len(world.nodes) == 601 and len(world.links) == 600
     oracle = seed_neighbor_lists(world.links.values())
     for src in world.nodes:

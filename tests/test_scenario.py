@@ -98,6 +98,35 @@ def test_not_json_is_a_parse_error():
         ({"reminders": [{"id": "r", "author": "d", "target": "d"},
                         {"id": "r", "author": "d", "target": "d", "at": 9}]},
          "reminders[1].id 'r' is a duplicate reminder id"),
+        # the pipeline switches layers on after validation, so each rule
+        # below holds whether or not its layer is on
+        ({"attendees": [{"id": "p", "device": "d"}],
+          "commands": [{"at": 0, "device": "d", "intent": "schedule_meeting",
+                        "duration_min": 30}]},
+         "meeting (device 'd', at=0) has no attendees"),
+        ({"meeting_horizon_days": 0}, "meeting_horizon_days must be >= 1, got 0"),
+        ({"controls": {"s10": {"key_ids": {"d": "kd"}}}},
+         "controls.s10.key_ids gives node 'c' no key id"),
+        ({"controls": {"s10": {"key_ids": {"d": "", "c": "kc"}}}},
+         "controls.s10.key_ids gives node 'd' no key id"),
+        ({"nodes": [{"id": "d", "kind": "SmartDevice", "site": "CityA"},
+                    {"id": "c", "kind": "CloudService"},
+                    {"id": "d-r1", "kind": "SmartDevice", "site": "CityA"}],
+          "links": [{"a": "d", "b": "c", "latency_ms": 10},
+                    {"a": "d-r1", "b": "c", "latency_ms": 10}]},
+         "nodes[2].id 'd-r1' is the id of S17 spare 1 of 'd'"),
+        # the engine runs these without a check of its own
+        ({"failures": [{"node": "ghost", "at": 0, "duration_s": 1}]},
+         "failure node 'ghost' unknown"),
+        ({"commands": [{"at": 0, "device": "d", "intent": "schedule_meeting",
+                        "attendees": ["nobody"], "duration_min": 30}]},
+         "meeting attendee 'nobody' has no calendar"),
+        ({"reminders": [{"id": "r", "author": "d", "target": "c"}]},
+         "reminder target 'c' must be a smart device"),
+        ({"attendees": [{"id": "p", "device": "d"}],
+          "commands": [{"at": 0, "device": "d", "intent": "schedule_meeting",
+                        "attendees": ["p"], "duration_min": 0}]},
+         "meeting duration must be >= 1 minute"),
     ],
 )
 def test_structural_problems_are_invalid_scenarios(patch, fragment):
@@ -112,6 +141,34 @@ def test_structural_problems_are_invalid_scenarios(patch, fragment):
     with pytest.raises(InvalidScenario) as err:
         parse_scenario(json.dumps(doc))
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "node_id, pool, spares",
+    [
+        ("d-r2", (), 1),  # past the last spare
+        ("d-r1", ("x",), 1),  # d has a pool, so S17 gives it no spares
+        ("d-r01", (), 1),  # S17 writes no leading zero
+        ("d-r1", (), 0),
+        ("d-r" + "9" * 5000, (), 10**9),  # compared without reading the digits
+    ],
+    ids=["past-last", "pooled", "leading-zero", "no-spares", "long-suffix"],
+)
+def test_ids_that_no_spare_takes_are_valid(node_id, pool, spares):
+    ScenarioConfig(
+        nodes=(
+            NodeSpec(id="d", kind="SmartDevice", site="CityA", backup_pool=pool),
+            NodeSpec(id="x", kind="SmartDevice", site="CityA"),
+            NodeSpec(id=node_id, kind="SmartDevice", site="CityA"),
+            NodeSpec(id="c", kind="CloudService"),
+        ),
+        links=(
+            LinkSpec(a="d", b="c", latency_ms=1),
+            LinkSpec(a="x", b="c", latency_ms=1),
+            LinkSpec(a=node_id, b="c", latency_ms=1),
+        ),
+        controls=ControlLayerConfig(s17=S17Config(backups_per_site=spares)),
+    )
 
 
 def test_unknown_intent_rejected():
@@ -152,8 +209,8 @@ def test_a_scenario_is_validated_once_however_many_worlds_use_it(monkeypatch):
     for module in (scenario_module, world_module):
         monkeypatch.setattr(module, "validate_scenario", counted, raising=False)
     scenario = parse_scenario(document)
-    build_world(scenario, scenario.controls.with_enabled(()))
-    build_world(scenario, scenario.controls.with_enabled({"S9", "S10", "S17"}))
+    build_world(scenario, ())
+    build_world(scenario, {"S9", "S10", "S17"})
     assert len(calls) == 1
 
 
@@ -207,7 +264,9 @@ _COUNT = st.integers(0, 10_000)
 def spec_scenarios(draw):
     """`helpers.scenarios()` with every spec field drawn: sites, spares,
     bandwidths, calendars, all three intents, reminders, thefts, the
-    working week and the control layers."""
+    working week and the control layers. Only valid input is drawn: a
+    meeting names at least one attendee, the meeting horizon is a day or
+    more, and the key map is empty or names every node."""
     scenario = draw(scenarios(max_devices=6))
     devices = [n.id for n in scenario.nodes if n.kind == "SmartDevice"]
     node_ids = [n.id for n in scenario.nodes]
@@ -229,7 +288,10 @@ def spec_scenarios(draw):
     extra = []
     for k in range(draw(st.integers(0, 3))):
         at, device = draw(_COUNT), draw(st.sampled_from(devices))
-        intent = draw(st.sampled_from(("voice_message", "create_reminder", "schedule_meeting")))
+        intents = ["voice_message", "create_reminder"]
+        if attendees:  # a meeting names at least one of them
+            intents.append("schedule_meeting")
+        intent = draw(st.sampled_from(intents))
         user, credential = draw(_TEXT), draw(_TEXT)
         if intent == "voice_message":
             to = draw(st.sampled_from([n for n in node_ids if n != device]))
@@ -241,7 +303,7 @@ def spec_scenarios(draw):
                                   payload=draw(_TEXT))
         else:
             names = draw(st.lists(st.sampled_from([a.id for a in attendees]),
-                                  max_size=3)) if attendees else []
+                                  min_size=1, max_size=3))
             command = CommandSpec(at=at, device=device, user=user, credential=credential,
                                   intent=intent, attendees=tuple(names),
                                   duration_min=draw(st.integers(1, 600)))
@@ -268,7 +330,8 @@ def spec_scenarios(draw):
                     review_period_days=draw(_COUNT)),
         s10=S10Config(enabled=draw(st.booleans()), per_message_latency_ms=draw(_COUNT),
                       overhead_bytes=draw(_COUNT),
-                      key_ids=draw(st.dictionaries(st.sampled_from(node_ids), _TEXT))),
+                      key_ids=draw(st.just({}) | st.fixed_dictionaries(
+                          {n: st.text(min_size=1, max_size=6) for n in node_ids}))),
         s17=S17Config(enabled=draw(st.booleans()), backups_per_site=draw(_COUNT),
                       detection_window_s=draw(_COUNT)),
     )
@@ -285,7 +348,7 @@ def spec_scenarios(draw):
         thefts=thefts,
         working_hours=working_hours,
         reminder_fire_time=dt.time(draw(st.integers(0, 23)), draw(st.integers(0, 59))),
-        meeting_horizon_days=draw(st.integers(0, 400)),
+        meeting_horizon_days=draw(st.integers(1, 400)),
         controls=controls,
     )
 
