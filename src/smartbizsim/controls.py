@@ -14,15 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping, Sequence
 
-from .errors import (
-    LabeledEnum,
-    MissingActionsForControl,
-    ParseError,
-    UnknownRiskId,
-    UnknownSectionId,
-    parse_json,
-    read,
-)
+from .errors import LabeledEnum, ParseError, parse_json, read
 from .risk import id_order
 
 
@@ -48,15 +40,6 @@ class ControlSection:
 @dataclass(frozen=True)
 class ControlCatalog:
     sections: tuple[ControlSection, ...]
-
-    def get(self, section_id: str) -> ControlSection:
-        for section in self.sections:
-            if section.id == section_id:
-                return section
-        raise UnknownSectionId(f"unknown control section {section_id!r}")
-
-    def has(self, section_id: str) -> bool:
-        return any(s.id == section_id for s in self.sections)
 
 
 @dataclass(frozen=True)
@@ -123,57 +106,24 @@ def default_mapping() -> RiskControlMapping:
     )
 
 
-DEFAULT_KNOWN_RISKS: tuple[str, ...] = tuple(f"R{i}" for i in range(1, 11))
-
-
-def controls_for(
-    risk_id: str,
-    mapping: RiskControlMapping | None = None,
-    catalog: ControlCatalog | None = None,
-    known_risks: Sequence[str] = DEFAULT_KNOWN_RISKS,
-) -> list[ControlSection]:
-    """Sections mitigating a risk; empty for known-but-unmapped risks."""
-    mapping = mapping or default_mapping()
-    catalog = catalog or default_control_catalog()
-    if risk_id not in mapping.entries and risk_id not in known_risks:
-        raise UnknownRiskId(f"unknown risk id {risk_id!r}")
-    return [catalog.get(sid) for sid in mapping.sections_for(risk_id)]
-
-
-def change_level(
-    section_id: str, catalog: ControlCatalog | None = None
-) -> ChangeLevel:
-    catalog = catalog or default_control_catalog()
-    return catalog.get(section_id).change_level
-
-
 def build_plan(
     selected_risks: Sequence[str],
-    mapping: RiskControlMapping | None = None,
-    action_library: Iterable[MitigationAction] | None = None,
-    known_risks: Sequence[str] = DEFAULT_KNOWN_RISKS,
+    mapping: RiskControlMapping,
+    action_library: Iterable[MitigationAction],
 ) -> ImplementationPlan:
     """Collect every library action whose control mitigates a selected risk.
 
-    Action order is deterministic: control id (numeric), then action id.
+    A `DmaicConfig` guarantees an action for every mapped section, so
+    the plan has one for each section it enables. Action order is
+    deterministic: control id (numeric), then action id.
     """
-    mapping = mapping or default_mapping()
-    library = tuple(
-        action_library if action_library is not None else default_action_library()
+    wanted = {
+        section for risk_id in selected_risks for section in mapping.sections_for(risk_id)
+    }
+    actions = sorted(
+        (a for a in action_library if a.control in wanted),
+        key=lambda a: (id_order(a.control), a.id),
     )
-    wanted: set[str] = set()
-    for risk_id in selected_risks:
-        if risk_id not in mapping.entries and risk_id not in known_risks:
-            raise UnknownRiskId(f"unknown risk id {risk_id!r}")
-        wanted.update(mapping.sections_for(risk_id))
-    actions = [a for a in library if a.control in wanted]
-    covered = {a.control for a in actions}
-    missing = sorted(wanted - covered, key=id_order)
-    if missing:
-        raise MissingActionsForControl(
-            f"no actions in library for control(s): {', '.join(missing)}"
-        )
-    actions.sort(key=lambda a: (id_order(a.control), a.id))
     return ImplementationPlan(actions=tuple(actions), enabled_controls=frozenset(wanted))
 
 

@@ -1,9 +1,11 @@
 """The five-step improvement pipeline and the cost-of-security report.
 
-Define loads the reference data, Measure ranks the risks, Analyze maps
-the top-k risks onto control sections, Improve assembles the mitigation
-plan, and Control runs the same scenario twice (all layers off, then the
-plan's layers on), meters both traces and prices the difference.
+Define loads the reference data into a `DmaicConfig`, which rejects any
+config that cannot run, so no later step raises on its input. Measure
+ranks the risks, Analyze selects the top k, Improve maps them onto
+control sections and assembles the mitigation plan, and Control runs the
+same scenario twice (all layers off, then the plan's layers on), meters
+both traces and prices the difference.
 Every priced quantity -- hardware, operational events, latency, bytes
 and sessions -- is read from the secured run's trace; the plan only
 says which sections are on.
@@ -27,7 +29,6 @@ from .controls import (
     MitigationAction,
     RiskControlMapping,
     build_plan,
-    controls_for,
     default_action_library,
     default_control_catalog,
     default_mapping,
@@ -38,7 +39,10 @@ from .controls import (
 from .errors import (
     ConfigError,
     DmaicStepError,
+    KOutOfRange,
+    MissingActionsForControl,
     ParseError,
+    UnknownSectionId,
     json_default,
     parse_json,
     read,
@@ -49,8 +53,9 @@ from .middleware import ControlLayerConfig
 from .risk import (
     RiskAssessment,
     RiskCatalog,
+    default_risk_catalog,
     id_order,
-    load_risk_catalog,
+    parse_risk_catalog,
     rank,
     reassess,
     top_k,
@@ -102,8 +107,28 @@ class DmaicConfig:
     residual_factor: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
+        # Every instance can run: loaded, built in code or a replace() copy.
+        # So no pipeline step checks its input again.
+        sections = {section.id for section in self.control_catalog.sections}
+        for i, action in enumerate(self.action_library):
+            if action.control not in sections:
+                raise UnknownSectionId(
+                    f"action_library[{i}] ({action.id!r}).control: "
+                    f"unknown control section {action.control!r}"
+                )
+        covered = {action.control for action in self.action_library}
+        # every entry, not only the risks top_k selects: a config that runs
+        # with one top_k runs with all of them
+        for risk_id, mapped in self.mapping.entries.items():
+            for j, sid in enumerate(mapped):
+                at = f"mapping.{risk_id}[{j}]"
+                if sid not in sections:
+                    raise UnknownSectionId(f"{at}: unknown control section {sid!r}")
+                if sid not in covered:
+                    raise MissingActionsForControl(f"{at}: no action covers section {sid!r}")
+        risks = len(self.risk_catalog)
+        if not 1 <= self.top_k <= risks:
+            raise KOutOfRange(f"top_k: {self.top_k} is outside 1..{risks}, the risk count")
         if not 0 <= self.residual_factor <= 1:
             raise ConfigError(
                 f"residual_factor must be in 0..1, got {self.residual_factor}"
@@ -257,18 +282,12 @@ def load_dmaic_config(
             return None
         return Path(ref) if key in overrides else base / ref  # absolute stays absolute
 
-    def read_ref(key: str) -> str | None:
+    def reference(key: str, parse, default):
+        """The parsed file `key` names, even an empty one; `default()` only
+        when the key is absent (or null)."""
         ref = ref_path(key)
-        return None if ref is None else read_document(ref, f"{key} reference")
+        return default() if ref is None else parse(read_document(ref, f"{key} reference"))
 
-    catalog = load_risk_catalog(read_ref("risk_catalog"))
-    control_text = read_ref("control_catalog")
-    control_catalog = (
-        parse_control_catalog(control_text) if control_text else default_control_catalog()
-    )
-    mapping_text = read_ref("mapping")
-    mapping = parse_mapping(mapping_text) if mapping_text else default_mapping()
-    scenario_path = ref_path("scenario")
     update = None
     if "controls" in data:
         block = data.pop("controls")
@@ -276,28 +295,23 @@ def load_dmaic_config(
         def update(own: ControlLayerConfig) -> ControlLayerConfig:
             return read(ControlLayerConfig, block, base=own, at="controls")
 
-    if scenario_path is None:
-        scenario = default_scenario(update)
-    else:
-        scenario = load_scenario(scenario_path, update)
-    library_text = read_ref("action_library")
-    library = (
-        parse_action_library(library_text) if library_text else default_action_library()
-    )
-    for action in library:
-        if not control_catalog.has(action.control):
-            raise ParseError(
-                f"action {action.id!r} references unknown control "
-                f"section {action.control!r}"
-            )
-    config = DmaicConfig(
-        risk_catalog=catalog,
-        control_catalog=control_catalog,
-        mapping=mapping,
-        action_library=library,
-        scenario=scenario,
-    )
-    return read(DmaicConfig, data, base=config)
+    scenario_path = ref_path("scenario")
+    given = {
+        "risk_catalog": reference("risk_catalog", parse_risk_catalog, default_risk_catalog),
+        "control_catalog": reference(
+            "control_catalog", parse_control_catalog, default_control_catalog
+        ),
+        "mapping": reference("mapping", parse_mapping, default_mapping),
+        "scenario": (
+            default_scenario(update) if scenario_path is None
+            else load_scenario(scenario_path, update)
+        ),
+        "action_library": reference(
+            "action_library", parse_action_library, default_action_library
+        ),
+    }
+    # built once from the parts and the knobs, so its rules see the top_k given
+    return read(DmaicConfig, data, given=given)
 
 
 @contextmanager
@@ -322,30 +336,20 @@ def run_dmaic(
     records. Without, both traces keep every record and are metered after
     their runs.
     """
-    with _step("Define"):
-        catalog = config.risk_catalog
-        mapping = config.mapping
-        library = config.action_library
-        scenario = config.scenario
-
     with _step("Measure"):
-        assessment = rank(catalog)
+        assessment = rank(config.risk_catalog)
 
     with _step("Analyze"):
         selected = top_k(assessment, config.top_k)
-        for risk_id in selected:
-            controls_for(
-                risk_id, mapping, config.control_catalog, known_risks=catalog.ids
-            )
 
     with _step("Improve"):
-        plan = build_plan(selected, mapping, library, known_risks=catalog.ids)
+        plan = build_plan(selected, config.mapping, config.action_library)
 
     with _step("Control"):
         traces = {}
         for run, enabled in (("baseline", ()), ("secured", plan.enabled_controls)):
-            world = build_world(scenario, enabled, sinks[run].feed if sinks else None)
-            world.run_until(scenario.horizon_s)
+            world = build_world(config.scenario, enabled, sinks[run].feed if sinks else None)
+            world.run_until(config.scenario.horizon_s)
             traces[run] = world.trace
         if sinks:
             baseline_metrics = sinks["baseline"].metrics()
@@ -357,7 +361,7 @@ def run_dmaic(
             usage = meter_sections(traces["secured"])
         breakdown = monetize(plan, config.rates, usage)
         residual = residual_assessment(
-            assessment, plan.enabled_controls, mapping, config.residual_factor
+            assessment, plan.enabled_controls, config.mapping, config.residual_factor
         )
         report = CostReport(
             baseline=baseline_metrics,
@@ -366,7 +370,7 @@ def run_dmaic(
             total_security_cost=sum(cost.total for cost in breakdown.values()),
             residual_ranking=residual,
             provenance={
-                "seed": scenario.seed,
+                "seed": config.scenario.seed,
                 "config_digest": config.digest(),
             },
         )

@@ -58,10 +58,6 @@ class KOutOfRange(ConfigError):
 
 # -- control catalog -------------------------------------------------------
 
-class UnknownRiskId(ConfigError):
-    pass
-
-
 class UnknownSectionId(ConfigError):
     pass
 

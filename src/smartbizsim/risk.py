@@ -68,6 +68,8 @@ class RiskCatalog:
     risks: tuple[Risk, ...]
 
     def __post_init__(self) -> None:
+        if not self.risks:
+            raise EmptyCatalog("the risk catalog lists no risks")
         seen: set[str] = set()
         for risk in self.risks:
             if risk.id in seen:
@@ -79,16 +81,6 @@ class RiskCatalog:
 
     def __iter__(self):
         return iter(self.risks)
-
-    def get(self, risk_id: str) -> Risk | None:
-        for risk in self.risks:
-            if risk.id == risk_id:
-                return risk
-        return None
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(r.id for r in self.risks)
 
 
 @dataclass(frozen=True)
@@ -110,8 +102,6 @@ def score(risk: Risk) -> int:
 
 def rank(catalog: RiskCatalog) -> RiskAssessment:
     """Assess a catalog into a deterministic priority ranking."""
-    if len(catalog) == 0:
-        raise EmptyCatalog("cannot rank an empty risk catalog")
     return reassess(catalog, {r.id: score(r) for r in catalog})
 
 

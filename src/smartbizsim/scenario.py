@@ -171,27 +171,41 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             f"device {device.id!r} has invalid site {device.site!r}",
         )
     # S17 names the spares of a device without a backup pool `<device>-r<k>`,
-    # k = 1..backups_per_site; a declared node may not hold one of those ids.
-    # Digits are counted before they are read, so no suffix is too long.
+    # k = 1..backups_per_site. Digits are counted before they are read, so
+    # no suffix is too long.
     spares = scenario.controls.s17.backups_per_site
     most_digits = len(str(spares))
     poolless = {d.id for d in devices if not d.backup_pool}
-    for i, node_id in enumerate(node_ids):
+
+    def spare_of(node_id: str) -> tuple[str, str] | None:
+        """(device, k) when `node_id` is the id S17 gives a spare."""
         primary, _, k = node_id.rpartition("-r")
         if (
             primary in poolless and k.isascii() and k.isdigit() and k[0] != "0"
             and len(k) <= most_digits and int(k) <= spares
         ):
+            return primary, k
+        return None
+
+    for i, node_id in enumerate(node_ids):
+        spare = spare_of(node_id)
+        if spare is not None:  # a declared node may not hold a spare's id
+            primary, k = spare
             raise InvalidScenario(
                 f"nodes[{i}].id {node_id!r} is the id of S17 spare {k} of {primary!r}"
             )
+    known = set(node_ids)
     key_ids = scenario.controls.s10.key_ids
     if key_ids:  # empty: every node gets a derived key
         for node_id in node_ids:
             _require(
                 key_ids.get(node_id), f"controls.s10.key_ids gives node {node_id!r} no key id"
             )
-    known = set(node_ids)
+        for key in key_ids:  # a misspelt node id would be ignored
+            if key not in known and spare_of(key) is None:
+                raise InvalidScenario(
+                    f"controls.s10.key_ids.{key} names neither a node nor an S17 spare"
+                )
     device_ids = {d.id for d in devices}
     for node in scenario.nodes:
         for backup in node.backup_pool:

@@ -23,8 +23,6 @@ from helpers import (
 from smartbizsim.calendars import Calendar, find_common_slot
 from smartbizsim.controls import (
     RiskControlMapping,
-    change_level,
-    controls_for,
     default_control_catalog,
     default_mapping,
 )
@@ -60,9 +58,9 @@ def test_criterion_1_default_ranking_matches_the_grid():
 def test_criterion_2_mapping_and_all_change_levels():
     mapping = default_mapping()
     assert document(mapping.entries) == {"R4": ["S17"], "R6": ["S10"], "R9": ["S9"]}
-    assert [s.id for s in controls_for("R4")] == ["S17"]
-    assert [s.id for s in controls_for("R6")] == ["S10"]
-    assert [s.id for s in controls_for("R9")] == ["S9"]
+    assert mapping.sections_for("R4") == ("S17",)
+    assert mapping.sections_for("R6") == ("S10",)
+    assert mapping.sections_for("R9") == ("S9",)
     expected_levels = {
         "S5": "Moderate", "S6": "Moderate", "S7": "LowModerate",
         "S8": "LowModerate", "S9": "High", "S10": "Moderate",
@@ -72,8 +70,8 @@ def test_criterion_2_mapping_and_all_change_levels():
     }
     catalog = default_control_catalog()
     assert len(catalog.sections) == 14
-    for section_id, label in expected_levels.items():
-        assert change_level(section_id, catalog).value == label, section_id
+    levels = {s.id: s.change_level.value for s in catalog.sections}
+    assert levels == expected_levels
     _ok(2, "risk->control mapping and all 14 change levels")
 
 

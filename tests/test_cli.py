@@ -424,3 +424,47 @@ def test_inputs_that_stopped_the_control_step_exit_2_at_define(
     assert err.startswith("error: [Define] ")
     assert message in err
     assert not out.exists()
+
+
+def _misspelt_key_id(doc):
+    _key_ids(doc, blank=None)
+    doc["controls"]["s10"]["key_ids"]["dev-citya"] = "typo"  # beside the real 'dev-city-a'
+
+
+# No config below can run. Before `DmaicConfig` checked them, all but the
+# action row ran to exit 0 (the empty files with the built-in reference) or
+# failed in a later step. A reference is given as its document or its text.
+_CONFIG_PROBES = [
+    ({"mapping": {"R1": ["S99"]}}, "mapping.R1[0]: unknown control section 'S99'"),
+    ({"mapping": {"R1": ["S13"]}}, "mapping.R1[0]: no action covers section 'S13'"),
+    ({"top_k": 11}, "top_k: 11 is outside 1..10"),
+    ({"risk_catalog": {"risks": []}}, "the risk catalog lists no risks"),
+    ({"action_library": {"actions": [{"id": "x", "control": "S99"}]}},
+     "action_library[0] ('x').control: unknown control section 'S99'"),
+    ({"mapping": ""}, "mapping file is not valid JSON"),
+    ({"control_catalog": ""}, "control catalog is not valid JSON"),
+    ({"action_library": ""}, "action library is not valid JSON"),
+    ({"scenario": _scenario_with(_misspelt_key_id)},
+     "controls.s10.key_ids.dev-citya names neither a node nor an S17 spare"),
+]
+
+
+@pytest.mark.parametrize(
+    "config, message", _CONFIG_PROBES,
+    ids=["unknown-section", "uncovered-section", "top-k-11", "empty-catalog",
+         "action-unknown-section", "empty-mapping-file", "empty-control-catalog-file",
+         "empty-action-library-file", "misspelt-key-id"],
+)
+def test_configs_that_cannot_run_exit_2_at_define(tmp_path, capsys, config, message):
+    for key, value in list(config.items()):
+        if key != "top_k":
+            text = value if isinstance(value, str) else json.dumps(value)
+            (tmp_path / f"{key}.json").write_text(text)
+            config = {**config, key: f"{key}.json"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["dmaic", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Define] ")
+    assert message in err
+    assert not out.exists()

@@ -1,26 +1,32 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import document
 from smartbizsim.controls import (
     ChangeLevel,
+    ControlCatalog,
+    RiskControlMapping,
     build_plan,
-    change_level,
-    controls_for,
     default_action_library,
     default_control_catalog,
     default_mapping,
     parse_action_library,
     parse_mapping,
 )
+from smartbizsim.costs import DmaicConfig, load_dmaic_config
 from smartbizsim.errors import (
+    ConfigError,
     MissingActionsForControl,
     ParseError,
-    UnknownRiskId,
     UnknownSectionId,
 )
+from smartbizsim.risk import RiskCatalog, default_risk_catalog, rank, top_k
+from smartbizsim.scenario import default_scenario
 from smartbizsim.trace import canonical_json
 
 ALL_LEVELS = {
@@ -47,13 +53,14 @@ def test_catalog_covers_exactly_s5_to_s18():
 
 
 def test_all_fourteen_change_levels():
-    for section_id, level in ALL_LEVELS.items():
-        assert change_level(section_id) == level, section_id
+    levels = {s.id: s.change_level for s in default_control_catalog().sections}
+    assert levels == ALL_LEVELS
 
 
 def test_unknown_section_rejected():
-    with pytest.raises(UnknownSectionId):
-        change_level("S4")
+    config = load_dmaic_config(None)
+    with pytest.raises(UnknownSectionId, match=r"mapping\.R2\[0\]: unknown control section 'S4'"):
+        replace(config, mapping=RiskControlMapping(entries={"R2": ("S4",)}))
 
 
 def test_default_mapping_is_exactly_the_three_pairs():
@@ -63,20 +70,19 @@ def test_default_mapping_is_exactly_the_three_pairs():
 
 @pytest.mark.parametrize("risk_id,sections", [("R6", ["S10"]), ("R9", ["S9"]), ("R4", ["S17"])])
 def test_controls_for_mapped_risks(risk_id, sections):
-    assert [s.id for s in controls_for(risk_id)] == sections
+    assert list(default_mapping().sections_for(risk_id)) == sections
 
 
 def test_controls_for_known_unmapped_risk_is_empty():
-    assert controls_for("R2") == []
+    assert default_mapping().sections_for("R2") == ()
 
 
-def test_controls_for_unknown_risk_rejected():
-    with pytest.raises(UnknownRiskId):
-        controls_for("R99")
+def _plan(selected):
+    return build_plan(selected, default_mapping(), default_action_library())
 
 
 def test_build_plan_top_three_enables_the_three_sections():
-    plan = build_plan(["R6", "R9", "R4"])
+    plan = _plan(["R6", "R9", "R4"])
     assert plan.enabled_controls == {"S9", "S10", "S17"}
     # deterministic ordering: numeric section order, then action id
     assert [a.control for a in plan.actions] == ["S9", "S9", "S9", "S10", "S10", "S17", "S17"]
@@ -85,15 +91,17 @@ def test_build_plan_top_three_enables_the_three_sections():
 
 
 def test_build_plan_empty_selection_is_empty():
-    plan = build_plan([])
+    plan = _plan([])
     assert plan.actions == ()
     assert plan.enabled_controls == frozenset()
 
 
 def test_build_plan_missing_actions_rejected():
-    no_s17 = [a for a in default_action_library() if a.control != "S17"]
-    with pytest.raises(MissingActionsForControl):
-        build_plan(["R4"], action_library=no_s17)
+    # rejected when the config is built, before any plan: every mapped
+    # section needs an action, whichever risks top_k selects
+    no_s17 = tuple(a for a in default_action_library() if a.control != "S17")
+    with pytest.raises(MissingActionsForControl, match=r"mapping\.R4\[0\].*'S17'"):
+        replace(load_dmaic_config(None), action_library=no_s17)
 
 
 def test_build_plan_monotone_under_growing_selection():
@@ -101,9 +109,9 @@ def test_build_plan_monotone_under_growing_selection():
     risks = ["R4", "R6", "R9", "R2", "R5"]
     for _ in range(25):
         selection = rng.sample(risks, rng.randint(0, len(risks)))
-        plan = build_plan(selection)
+        plan = _plan(selection)
         extra = rng.choice(risks)
-        bigger = build_plan(selection + [extra])
+        bigger = _plan(selection + [extra])
         assert plan.enabled_controls <= bigger.enabled_controls
         assert set(a.id for a in plan.actions) <= set(a.id for a in bigger.actions)
 
@@ -122,8 +130,8 @@ def test_mapping_round_trip():
 
 def test_custom_mapping_and_known_risks():
     mapping = parse_mapping(json.dumps({"R1": ["S13", "S12"]}))
-    sections = controls_for("R1", mapping=mapping)
-    assert [s.id for s in sections] == ["S13", "S12"]
+    assert mapping.sections_for("R1") == ("S13", "S12")
+    assert mapping.sections_for("R2") == ()
 
 
 def test_enum_labels_round_trip_and_unknown_labels_are_parse_errors():
@@ -146,3 +154,65 @@ def test_library_entry_with_cost_components_is_rejected():
 def test_library_entry_without_a_control_is_rejected():
     with pytest.raises(ParseError, match="missing field 'control'"):
         parse_action_library(json.dumps({"actions": [{"id": "x"}]}))
+
+
+_SCENARIO = default_scenario()
+
+
+def _runnable(risks, sections, library, entries, k) -> bool:
+    """Rules 1-4 of a pipeline config, restated over its parts."""
+    section_ids = {s.id for s in sections}
+    covered = {a.control for a in library}
+    return (
+        all(a.control in section_ids for a in library)
+        and all(s in section_ids and s in covered for mapped in entries.values() for s in mapped)
+        and 1 <= k <= len(risks)
+        and len(risks) >= 1
+    )
+
+
+def _subsets(items):
+    """Sub-lists of `items`, the whole of it about half the time."""
+    return st.just(list(items)) | st.lists(st.sampled_from(items), unique=True)
+
+
+# the sections the default library covers, and S1..S20, some of them unknown
+_SECTION_IDS = st.sampled_from(["S9", "S10", "S17"]) | st.sampled_from(
+    [f"S{i}" for i in range(1, 21)]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    risks=_subsets(default_risk_catalog().risks),
+    sections=_subsets(default_control_catalog().sections),
+    library=_subsets(default_action_library()),
+    entries=st.dictionaries(
+        st.sampled_from([f"R{i}" for i in range(1, 13)]),
+        st.lists(_SECTION_IDS, min_size=1, max_size=2).map(tuple),
+        max_size=3,
+    ),
+    k=st.integers(1, 3) | st.integers(-1, 12),
+)
+def test_a_config_exists_exactly_when_every_later_step_can_run(
+    risks, sections, library, entries, k
+):
+    runnable = _runnable(risks, sections, library, entries, k)
+    try:
+        config = DmaicConfig(
+            risk_catalog=RiskCatalog(risks=tuple(risks)),
+            control_catalog=ControlCatalog(sections=tuple(sections)),
+            mapping=RiskControlMapping(entries=entries),
+            action_library=tuple(library),
+            scenario=_SCENARIO,
+            top_k=k,
+        )
+    except ConfigError:
+        assert not runnable
+        return
+    assert runnable
+    # Measure, Analyze and Improve
+    selected = top_k(rank(config.risk_catalog), config.top_k)
+    plan = build_plan(selected, config.mapping, config.action_library)
+    assert plan.enabled_controls == {s for r in selected for s in entries.get(r, ())}
+    assert {a.control for a in plan.actions} == plan.enabled_controls

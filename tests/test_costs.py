@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import by_kind, multi_hop_scenario, naive_total_cost
+from helpers import by_kind, document, multi_hop_scenario, naive_total_cost
+from smartbizsim.cli import main
 from smartbizsim.controls import (
     ImplementationPlan,
     MitigationAction,
     RiskControlMapping,
     build_plan,
+    default_action_library,
     default_mapping,
 )
 from smartbizsim.costs import (
@@ -21,7 +23,7 @@ from smartbizsim.costs import (
     residual_assessment,
     run_dmaic,
 )
-from smartbizsim.errors import ConfigError, DmaicStepError, ParseError, read
+from smartbizsim.errors import ConfigError, KOutOfRange, ParseError, read
 from smartbizsim.metering import SectionUsage
 from smartbizsim.risk import default_risk_catalog, rank
 from smartbizsim.trace import canonical_json
@@ -54,7 +56,7 @@ def test_capital_is_metered_count_times_rate():
 
 
 def test_zero_usage_means_zero_performance():
-    plan = build_plan(["R6"], default_mapping())
+    plan = build_plan(["R6"], default_mapping(), default_action_library())
     rates = CostRates()
     usage = {"S10": SectionUsage(extra_latency_ms=0, extra_bytes=0)}
     breakdown = monetize(plan, rates, usage)
@@ -213,12 +215,28 @@ def test_top_k_zero_rejected_at_validation():
         replace(config, top_k=0)
 
 
-def test_oversized_top_k_fails_in_the_analyze_step():
-    config = replace(load_dmaic_config(None), top_k=11)
-    with pytest.raises(DmaicStepError) as err:
-        run_dmaic(config)
-    assert err.value.step == "Analyze"
-    assert isinstance(err.value.cause, ConfigError)
+def test_oversized_top_k_is_rejected_at_define(tmp_path, capsys):
+    config = load_dmaic_config(None)
+    assert replace(config, top_k=10).top_k == 10  # the whole catalog
+    with pytest.raises(KOutOfRange, match=r"top_k: 11 is outside 1\.\.10"):
+        replace(config, top_k=11)
+    assert main(["dmaic", "--top-k", "11", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: [Define] top_k: 11 ")
+
+
+def test_top_k_is_checked_against_the_catalog_it_comes_with(tmp_path):
+    # the config is built once, so the default top_k of 3 never meets
+    # the two-risk catalog
+    catalog = document(default_risk_catalog())
+    catalog["risks"] = [r for r in catalog["risks"] if r["id"] in ("R6", "R9")]
+    (tmp_path / "risks.json").write_text(json.dumps(catalog))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"risk_catalog": "risks.json", "top_k": 2}))
+    outcome = run_dmaic(load_dmaic_config(path))
+    assert outcome.plan.enabled_controls == {"S9", "S10"}
+    path.write_text(json.dumps({"risk_catalog": "risks.json"}))
+    with pytest.raises(KOutOfRange, match=r"top_k: 3 is outside 1\.\.2"):
+        load_dmaic_config(path)
 
 
 def test_zero_rates_cost_zero_without_touching_the_metrics():

@@ -29,12 +29,15 @@ from smartbizsim.trace import canonical_json
 FULL_ORDER = ["R6", "R9", "R4", "R10", "R3", "R7", "R8", "R1", "R5", "R2"]
 
 
+def _risk(risk_id: str) -> Risk:
+    return next(r for r in default_risk_catalog() if r.id == risk_id)
+
+
 def test_default_catalog_has_ten_risks_with_expected_extremes():
-    catalog = default_risk_catalog()
-    assert len(catalog) == 10
-    r6 = catalog.get("R6")
+    assert len(default_risk_catalog()) == 10
+    r6 = _risk("R6")
     assert (r6.relevance, r6.severity) == (OrdinalLevel.VERY_HIGH, OrdinalLevel.VERY_HIGH)
-    r2 = catalog.get("R2")
+    r2 = _risk("R2")
     assert (r2.relevance, r2.severity) == (OrdinalLevel.VERY_LOW, OrdinalLevel.VERY_LOW)
 
 
@@ -47,7 +50,7 @@ def test_no_document_returns_default_catalog():
     [("R6", 25), ("R2", 1), ("R4", 20), ("R9", 20), ("R10", 12)],
 )
 def test_score_of_default_placements(risk_id, expected):
-    assert score(default_risk_catalog().get(risk_id)) == expected
+    assert score(_risk(risk_id)) == expected
 
 
 def test_score_strictly_monotone_in_each_axis():
@@ -97,14 +100,16 @@ def test_default_catalog_round_trips_through_serialization():
 
 
 def test_singleton_catalog_ranks_alone():
-    catalog = default_risk_catalog()
-    single = RiskCatalog(risks=(catalog.get("R9"),))
+    single = RiskCatalog(risks=(_risk("R9"),))
     assert list(rank(single).ranking) == ["R9"]
 
 
 def test_empty_catalog_rejected():
+    # rejected when built, so `rank` never sees one
+    with pytest.raises(EmptyCatalog, match="the risk catalog lists no risks"):
+        RiskCatalog(risks=())
     with pytest.raises(EmptyCatalog):
-        rank(RiskCatalog(risks=()))
+        parse_risk_catalog(json.dumps({"risks": []}))
 
 
 def test_duplicate_risk_id_rejected():

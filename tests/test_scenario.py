@@ -127,6 +127,11 @@ def test_not_json_is_a_parse_error():
           "commands": [{"at": 0, "device": "d", "intent": "schedule_meeting",
                         "attendees": ["p"], "duration_min": 0}]},
          "meeting duration must be >= 1 minute"),
+        # a misspelt node id beside the real one would be ignored
+        ({"controls": {"s10": {"key_ids": {"d": "kd", "c": "kc", "D": "kD"}}}},
+         "controls.s10.key_ids.D names neither a node nor an S17 spare"),
+        ({"controls": {"s10": {"key_ids": {"d": "kd", "c": "kc", "d-r2": "k2"}}}},
+         "controls.s10.key_ids.d-r2 names neither a node nor an S17 spare"),
     ],
 )
 def test_structural_problems_are_invalid_scenarios(patch, fragment):
@@ -169,6 +174,19 @@ def test_ids_that_no_spare_takes_are_valid(node_id, pool, spares):
         ),
         controls=ControlLayerConfig(s17=S17Config(backups_per_site=spares)),
     )
+
+
+def test_key_ids_may_name_an_s17_spare():
+    scenario = parse_scenario(json.dumps({
+        "nodes": [
+            {"id": "d", "kind": "SmartDevice", "site": "CityA"},
+            {"id": "c", "kind": "CloudService"},
+        ],
+        "links": [{"a": "d", "b": "c", "latency_ms": 10}],
+        "controls": {"s10": {"key_ids": {"d": "kd", "c": "kc", "d-r1": "spare"}}},
+    }))
+    world = build_world(scenario, {"S10", "S17"})
+    assert world.nodes["d-r1"].key_id == "spare"
 
 
 def test_unknown_intent_rejected():

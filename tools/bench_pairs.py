@@ -10,7 +10,8 @@ more pair per workload runs with `--trace 1` for the per-layer metrics,
 and the work counts that differ between its sides are listed per
 workload. The file holds every run's
 digests and result line and, per workload and end-to-end metric, the
-medians of both sides, the distance between the parent's quartiles and
+medians of both sides, the distance between the parent's quartiles, the
+median and quartile distance of the per-pair ratios (change/parent) and
 the number of pairs in which the change is better. The report and trace
 digests of the two sides must be equal; the script exits 1 when they
 are not.
@@ -61,6 +62,26 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     }
 
 
+def compare(parent: list[float], change: list[float], better: str) -> dict:
+    """One metric over the pairs of one workload, `parent[i]` and `change[i]`
+    from pair i. Each ratio is taken within its pair: the pairs run
+    different seeds, so their sizes differ, and a ratio of medians taken
+    across them would divide runs of one seed by runs of another."""
+    sign = 1 if better == "higher" else -1
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    ratios = [c / p for p, c in zip(parent, change)]
+    r1, _, r3 = statistics.quantiles(ratios, n=4)
+    return {
+        "pairs": len(parent),
+        "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+        "parent_median": statistics.median(parent),
+        "parent_quartile_distance": q3 - q1,
+        "change_median": statistics.median(change),
+        "change_over_parent_ratio_median": round(statistics.median(ratios), 4),
+        "change_over_parent_ratio_quartile_distance": round(r3 - r1, 4),
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
@@ -87,21 +108,14 @@ def main() -> int:
     summary = {}
     for workload in WORKLOADS:
         timed = [p for p in pairs if p["workload"] == workload and p["trace"] == 0]
-        summary[workload] = {}
-        for name, direction in better.items():
-            parent = [p["parent"]["result"]["metrics"][name]["value"] for p in timed]
-            change = [p["change"]["result"]["metrics"][name]["value"] for p in timed]
-            sign = 1 if direction == "higher" else -1
-            q1, _, q3 = statistics.quantiles(parent, n=4)
-            summary[workload][name] = {
-                "pairs": len(timed),
-                "change_better_pairs": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-                "parent_median": statistics.median(parent),
-                "parent_quartile_distance": q3 - q1,
-                "change_median": statistics.median(change),
-                "change_over_parent_median": round(
-                    statistics.median(change) / statistics.median(parent), 4),
-            }
+        summary[workload] = {
+            name: compare(
+                [p["parent"]["result"]["metrics"][name]["value"] for p in timed],
+                [p["change"]["result"]["metrics"][name]["value"] for p in timed],
+                direction,
+            )
+            for name, direction in better.items()
+        }
     counts_differ = {}
     for traced in (p for p in pairs if p["trace"] == 1):
         parent_layers = traced["parent"]["result"]["metrics"]
