@@ -33,7 +33,7 @@ from .errors import (
     read_document,
 )
 from .metering import Meter
-from .risk import RiskAssessment, load_risk_catalog, rank, top_k
+from .risk import RiskAssessment, default_risk_catalog, parse_risk_catalog, rank, top_k
 from .scenario import default_scenario, load_scenario
 from .trace import canonical_json, ndjson_writer
 from .world import build_world
@@ -221,8 +221,11 @@ def _trace_files(*paths: Path) -> Iterator[list[_TraceFile]]:
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
-    document = read_document(args.catalog, "catalog") if args.catalog else None
-    assessment = rank(load_risk_catalog(document))
+    if args.catalog:
+        catalog = parse_risk_catalog(read_document(args.catalog, "catalog"))
+    else:
+        catalog = default_risk_catalog()
+    assessment = rank(catalog)
     output = _render_ranking(assessment, args.format)
     if args.top_k is not None:
         output += "top-%d: %s\n" % (args.top_k, ", ".join(top_k(assessment, args.top_k)))

@@ -5,7 +5,7 @@ config that cannot run, so no later step raises on its input. Measure
 ranks the risks, Analyze selects the top k, Improve maps them onto
 control sections and assembles the mitigation plan, and Control runs the
 same scenario twice (all layers off, then the plan's layers on), meters
-both traces and prices the difference.
+both traces as they stream and prices the difference.
 Every priced quantity -- hardware, operational events, latency, bytes
 and sessions -- is read from the secured run's trace; the plan only
 says which sections are on.
@@ -17,7 +17,6 @@ cost path, so every breakdown is exactly additive.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -48,7 +47,7 @@ from .errors import (
     read,
     read_document,
 )
-from .metering import Meter, MetricSet, SectionUsage, meter, meter_sections
+from .metering import Meter, MetricSet, SectionUsage
 from .middleware import ControlLayerConfig
 from .risk import (
     RiskAssessment,
@@ -61,7 +60,7 @@ from .risk import (
     top_k,
 )
 from .scenario import CommandSpec, ScenarioConfig, default_scenario, load_scenario
-from .trace import Trace, canonical_json
+from .trace import canonical_json
 from .world import build_world
 
 
@@ -136,8 +135,9 @@ class DmaicConfig:
 
     def resolved_dict(self) -> dict:
         """The document `digest` hashes: every resolved input in the spelling
-        `errors.json_default` gives it, with three exceptions, each kept so
+        `errors.json_default` gives it, with four exceptions, each kept so
         that the digest of an unchanged configuration does not move."""
+        controls = json_default(self.scenario.controls)
         return {
             "risk_catalog": self.risk_catalog,
             "control_catalog": self.control_catalog,
@@ -152,6 +152,12 @@ class DmaicConfig:
             "scenario": {
                 **json_default(self.scenario),
                 "commands": [_command_dict(c) for c in self.scenario.commands],
+                # `"enabled": false` on each layer: the spelling the digest
+                # was defined with; the plan, not the scenario, switches them
+                "controls": {
+                    name: {**json_default(layer), "enabled": False}
+                    for name, layer in controls.items()
+                },
             },
             "rates": self.rates,
             "top_k": self.top_k,
@@ -193,13 +199,11 @@ class CostReport:
 
 
 class DmaicOutcome(NamedTuple):
-    """Everything a pipeline run produces; the report plus both traces."""
+    """Everything a pipeline run produces but its traces."""
 
     report: CostReport
     assessment: RiskAssessment
     plan: ImplementationPlan
-    baseline_trace: Trace
-    secured_trace: Trace
 
 
 def monetize(
@@ -314,58 +318,33 @@ def load_dmaic_config(
     return read(DmaicConfig, data, given=given)
 
 
-@contextmanager
-def _step(name: str):
-    """Annotate any escaping error with the failing pipeline step."""
-    try:
-        yield
-    except DmaicStepError:
-        raise
-    except Exception as exc:
-        raise DmaicStepError(name, exc) from exc
-
-
 def run_dmaic(
     config: DmaicConfig, sinks: Mapping[str, Meter] | None = None
 ) -> DmaicOutcome:
-    """Execute all five steps and return the report plus both traces.
+    """Execute all five steps and return the report, ranking and plan.
 
-    With `sinks`, the runs named "baseline" and "secured" each stream
-    their trace in batches to the Meter of that name, which may also write
-    it, and are priced from those meters; the returned traces then hold no
-    records. Without, both traces keep every record and are metered after
-    their runs.
+    The runs named "baseline" and "secured" each stream their trace in
+    batches to the Meter of that name in `sinks`, which may also write or
+    keep it, and are priced from those meters. Without `sinks`, each run
+    streams to a fresh Meter.
     """
-    with _step("Measure"):
-        assessment = rank(config.risk_catalog)
+    # Measure, Analyze and Improve raise on no config that exists
+    assessment = rank(config.risk_catalog)
+    selected = top_k(assessment, config.top_k)
+    plan = build_plan(selected, config.mapping, config.action_library)
 
-    with _step("Analyze"):
-        selected = top_k(assessment, config.top_k)
-
-    with _step("Improve"):
-        plan = build_plan(selected, config.mapping, config.action_library)
-
-    with _step("Control"):
-        traces = {}
+    try:  # Control: any error is reported under the step's name
+        meters = sinks or {"baseline": Meter(), "secured": Meter()}
         for run, enabled in (("baseline", ()), ("secured", plan.enabled_controls)):
-            world = build_world(config.scenario, enabled, sinks[run].feed if sinks else None)
+            world = build_world(config.scenario, enabled, meters[run].feed)
             world.run_until(config.scenario.horizon_s)
-            traces[run] = world.trace
-        if sinks:
-            baseline_metrics = sinks["baseline"].metrics()
-            secured_metrics = sinks["secured"].metrics()
-            usage = sinks["secured"].sections()
-        else:
-            baseline_metrics = meter(traces["baseline"])
-            secured_metrics = meter(traces["secured"])
-            usage = meter_sections(traces["secured"])
-        breakdown = monetize(plan, config.rates, usage)
+        breakdown = monetize(plan, config.rates, meters["secured"].sections())
         residual = residual_assessment(
             assessment, plan.enabled_controls, config.mapping, config.residual_factor
         )
         report = CostReport(
-            baseline=baseline_metrics,
-            secured=secured_metrics,
+            baseline=meters["baseline"].metrics(),
+            secured=meters["secured"].metrics(),
             cost_breakdown=breakdown,
             total_security_cost=sum(cost.total for cost in breakdown.values()),
             residual_ranking=residual,
@@ -374,11 +353,6 @@ def run_dmaic(
                 "config_digest": config.digest(),
             },
         )
-    return DmaicOutcome(
-        report=report,
-        assessment=assessment,
-        plan=plan,
-        baseline_trace=traces["baseline"],
-        secured_trace=traces["secured"],
-    )
-
+    except Exception as exc:
+        raise DmaicStepError("Control", exc) from exc
+    return DmaicOutcome(report=report, assessment=assessment, plan=plan)

@@ -137,10 +137,12 @@ def read_document(path, what: str) -> str:
 
 
 def parse_json(document: str, what: str):
-    """Decode a JSON document; a syntax error becomes a ParseError naming it."""
+    """Decode a JSON document; any failure becomes a ParseError naming it:
+    bad syntax, an integer past the digit limit (ValueError), nesting past
+    the recursion limit (RecursionError)."""
     try:
         return json.loads(document)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{what} is not valid JSON: {exc}") from exc
 
 

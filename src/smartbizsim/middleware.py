@@ -1,6 +1,8 @@
 """Pluggable security control layers for the simulation.
 
-Three layers, each switched by its own config block:
+Three layers. The scenario holds their parameters; the caller of a run
+(the improvement plan, or `simulate --controls`) is the only one that
+switches them on:
 
 * S9  -- access control: a credential check gates every device command;
   sessions add latency to the command's outgoing message and land in the
@@ -17,15 +19,14 @@ S17 at delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Collection, Mapping
+from dataclasses import dataclass, field
+from typing import Collection, Mapping, NamedTuple
 
 from .errors import AuthDenied, InvalidScenario, UnknownUser
 
 
 @dataclass(frozen=True)
 class S9Config:
-    enabled: bool = False
     per_session_latency_ms: int = 20
     credential_store: Mapping[str, str] = field(default_factory=dict)
     review_period_days: int = 30
@@ -33,7 +34,6 @@ class S9Config:
 
 @dataclass(frozen=True)
 class S10Config:
-    enabled: bool = False
     per_message_latency_ms: int = 5
     overhead_bytes: int = 64
     # node id -> key id for every declared node, and optionally for S17
@@ -44,7 +44,6 @@ class S10Config:
 
 @dataclass(frozen=True)
 class S17Config:
-    enabled: bool = False
     backups_per_site: int = 1
     detection_window_s: int = 60
 
@@ -68,29 +67,31 @@ class ControlLayerConfig:
             if value < 0:
                 raise InvalidScenario(f"{name} must be non-negative, got {value}")
 
-    def with_enabled(self, sections: Collection[str]) -> "ControlLayerConfig":
-        """Copy of this config with exactly the given layers switched on."""
-        return ControlLayerConfig(
-            s9=replace(self.s9, enabled="S9" in sections),
-            s10=replace(self.s10, enabled="S10" in sections),
-            s17=replace(self.s17, enabled="S17" in sections),
+    def with_enabled(self, sections: Collection[str]) -> "Layers":
+        """The layers of a run that switches on exactly the given sections."""
+        return Layers(
+            self.s9 if "S9" in sections else None,
+            self.s10 if "S10" in sections else None,
+            self.s17 if "S17" in sections else None,
         )
+
+
+class Layers(NamedTuple):
+    """The control layers one run applies; a layer that is off is None."""
+
+    s9: S9Config | None
+    s10: S10Config | None
+    s17: S17Config | None
 
     @property
     def enabled_sections(self) -> frozenset[str]:
-        out = set()
-        if self.s9.enabled:
-            out.add("S9")
-        if self.s10.enabled:
-            out.add("S10")
-        if self.s17.enabled:
-            out.add("S17")
-        return frozenset(out)
+        return frozenset(
+            section for section, layer in zip(("S9", "S10", "S17"), self)
+            if layer is not None
+        )
 
 
-def authenticate(
-    user: str, credential: str, device: str, config: ControlLayerConfig
-) -> None:
+def authenticate(user: str, credential: str, device: str, config: Layers) -> None:
     """Check a credential against the store; only called with S9 enabled."""
     store = config.s9.credential_store
     if user not in store:

@@ -171,13 +171,6 @@ def parse_risk_catalog(document: str) -> RiskCatalog:
     return read(RiskCatalog, parse_json(document, "risk catalog"))
 
 
-def load_risk_catalog(document: str | None = None) -> RiskCatalog:
-    """Parse a catalog document, or return the built-in default when absent."""
-    if document is None:
-        return default_risk_catalog()
-    return parse_risk_catalog(document)
-
-
 def reassess(
     risks: Iterable[Risk], scores: Mapping[str, Score]
 ) -> RiskAssessment:

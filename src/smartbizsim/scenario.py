@@ -386,7 +386,7 @@ def default_scenario(update: ControlsUpdate | None = None) -> ScenarioConfig:
             )
         )
     commands.sort(key=lambda c: c.at)
-    controls = ControlLayerConfig(s9=S9Config(enabled=False, credential_store=credentials))
+    controls = ControlLayerConfig(s9=S9Config(credential_store=credentials))
     return ScenarioConfig(
         nodes=(
             NodeSpec(id="dev-city-a", kind="SmartDevice", site="CityA"),

@@ -99,8 +99,8 @@ def shortest_path(
 class World:
     """A world at clock 0 with every node Up and no event run yet.
 
-    `enabled` names the control sections to switch on in the scenario's
-    own controls; when it is omitted they apply as given. With a `sink`
+    `enabled` names the control sections the run switches on; the
+    scenario's controls give only their parameters. With a `sink`
     the world's trace streams its records to it in batches (see `Trace`),
     the last batch when `run_until` returns.
     """
@@ -108,12 +108,11 @@ class World:
     def __init__(
         self,
         scenario: ScenarioConfig,
-        enabled: Collection[str] | None = None,
+        enabled: Collection[str],
         sink: Callable[[list[dict]], None] | None = None,
     ):
         self.scenario = scenario
-        controls = scenario.controls
-        self.config = controls if enabled is None else controls.with_enabled(enabled)
+        self.config = scenario.controls.with_enabled(enabled)
         self.epoch = scenario.epoch
         self.horizon_s = scenario.horizon_s
         self.clock = 0
@@ -174,9 +173,9 @@ class World:
         for theft in scenario.thefts:
             self._schedule(
                 theft.at, "_record", "theft",
-                dict(node=theft.node, guarded=self.config.s9.enabled),
+                dict(node=theft.node, guarded=self.config.s9 is not None),
             )
-        if self.config.s9.enabled and self.config.s9.review_period_days > 0:
+        if self.config.s9 is not None and self.config.s9.review_period_days > 0:
             period = self.config.s9.review_period_days * SECONDS_PER_DAY
             review = dict(section="S9", action="access-review", events=1)
             for t in range(period, self.horizon_s + 1, period):
@@ -191,7 +190,7 @@ class World:
         to the cloud, with the tie-break sends use. A spare is a leaf, so
         adding one changes no route between other nodes.
         """
-        if not self.config.s17.enabled:
+        if self.config.s17 is None:
             return
         primaries = [
             n for n in list(self.nodes.values())
@@ -222,7 +221,7 @@ class World:
         self._adjacency[link.b][link.a] = link.id
 
     def _assign_keys(self) -> None:
-        if not self.config.s10.enabled:
+        if self.config.s10 is None:
             return
         # validation: the map is empty or names every declared node, so
         # only the spares this build created may fall back to derived keys
@@ -236,18 +235,18 @@ class World:
         These are events rather than direct appends so a freshly built
         world always starts with an empty trace.
         """
-        if self.config.s9.enabled:
+        if self.config.s9 is not None:
             locks = sum(1 for n in self.nodes.values() if n.kind == "SmartDevice")
             self._schedule(
                 0, "_record", "capital",
                 dict(section="S9", item="device-lock", count=locks),
             )
-        if self.config.s10.enabled:
+        if self.config.s10 is not None:
             self._schedule(
                 0, "_record", "ops",
                 dict(section="S10", action="key-provisioning", events=1),
             )
-        if self.config.s17.enabled:
+        if self.config.s17 is not None:
             backups = len({m for n in self.nodes.values() for m in n.backup_pool})
             if backups:
                 self._schedule(
@@ -300,7 +299,7 @@ class World:
         msg_id = self._next_msg_id
         self._next_msg_id += 1
 
-        wrapped = self.config.s10.enabled
+        wrapped = self.config.s10 is not None
         if wrapped:
             content = middleware.wrap(payload, self.nodes[src].key_id, msg_id=msg_id)
         else:
@@ -343,7 +342,7 @@ class World:
         if node.up:
             self._deliver(msg, msg.dst)
             return
-        if self.config.s17.enabled:
+        if self.config.s17 is not None:
             if msg.dst in self._detecting:
                 self._pending.setdefault(msg.dst, []).append(msg)
                 return
@@ -385,7 +384,7 @@ class World:
         if node.fail_depth > 1:
             return  # overlapping windows merge into one outage
         self.trace.append("failure", self.clock, node=node_id, phase="start")
-        if self.config.s17.enabled:
+        if self.config.s17 is not None:
             self._detecting[node_id] = self.clock
             self._schedule(
                 self.clock + self.config.s17.detection_window_s,
@@ -431,7 +430,7 @@ class World:
 
     def _handle_command(self, command: CommandSpec) -> None:
         s9_ms = 0
-        if self.config.s9.enabled:
+        if self.config.s9 is not None:
             try:
                 middleware.authenticate(
                     command.user, command.credential, command.device, self.config

@@ -9,6 +9,7 @@ breakdowns) so agreement actually means something.
 from __future__ import annotations
 
 import datetime as dt
+import io
 import json
 import random
 from dataclasses import replace
@@ -18,9 +19,9 @@ import numpy as np
 from hypothesis import strategies as st
 
 from smartbizsim.calendars import WorkingHours
-from smartbizsim.costs import CostRates
+from smartbizsim.costs import CostRates, DmaicConfig, DmaicOutcome, run_dmaic
 from smartbizsim.errors import ParseError
-from smartbizsim.metering import SectionUsage
+from smartbizsim.metering import Meter, SectionUsage
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.scenario import (
     CommandSpec,
@@ -31,7 +32,7 @@ from smartbizsim.scenario import (
     ScenarioConfig,
 )
 from smartbizsim.timeline import MINUTES_PER_DAY, month_end, seconds_at
-from smartbizsim.trace import canonical_json
+from smartbizsim.trace import canonical_json, ndjson_writer
 from smartbizsim.world import build_world
 
 
@@ -85,6 +86,33 @@ def tap(link_id: str, world) -> list[TapObservation]:
         for record in by_kind(world.trace, "sent")
         if link_id in record["path"]
     ]
+
+
+class RecordingMeter(Meter):
+    """A Meter that also keeps every record it is fed, in trace order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.records: list[dict] = []
+
+    def feed(self, records: list[dict]) -> None:
+        self.records.extend(records)
+        super().feed(records)
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def to_ndjson(self) -> str:
+        """The records as the CLI writes them to a trace file."""
+        out = io.StringIO()
+        ndjson_writer(out)(self.records)
+        return out.getvalue()
+
+
+def recorded_dmaic(config: DmaicConfig) -> tuple[DmaicOutcome, RecordingMeter, RecordingMeter]:
+    """`run_dmaic` with the baseline and secured traces kept."""
+    sinks = {"baseline": RecordingMeter(), "secured": RecordingMeter()}
+    return run_dmaic(config, sinks), sinks["baseline"], sinks["secured"]
 
 
 # -- earliest-slot oracle -----------------------------------------------------
@@ -328,21 +356,24 @@ def worlds(draw, max_devices: int = 29, all_layers: bool = False):
     With `all_layers`, S9 and S10 are drawn on or off too, and S9's
     credential store may accept, refuse or not know the scenario's user."""
     scenario = draw(scenarios(max_devices))
-    s17 = S17Config(enabled=draw(st.booleans()), backups_per_site=draw(st.integers(1, 2)))
+    enabled = {"S17"} if draw(st.booleans()) else set()
+    s17 = S17Config(backups_per_site=draw(st.integers(1, 2)))
     controls = ControlLayerConfig(s17=s17)
     if all_layers:
+        if draw(st.booleans()):
+            enabled.add("S9")
         s9 = S9Config(
-            enabled=draw(st.booleans()),
             per_session_latency_ms=draw(st.integers(0, 50)),
             credential_store=draw(st.sampled_from([{"u": "c"}, {"u": "wrong"}, {}])),
         )
+        if draw(st.booleans()):
+            enabled.add("S10")
         s10 = S10Config(
-            enabled=draw(st.booleans()),
             per_message_latency_ms=draw(st.integers(0, 20)),
             overhead_bytes=draw(st.integers(0, 128)),
         )
         controls = ControlLayerConfig(s9=s9, s10=s10, s17=s17)
-    return build_world(replace(scenario, controls=controls))
+    return build_world(replace(scenario, controls=controls), enabled)
 
 
 def multi_hop_scenario() -> ScenarioConfig:

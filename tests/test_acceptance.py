@@ -17,6 +17,7 @@ from helpers import (
     month_end_dates_by_enumeration,
     naive_total_cost,
     random_slot_instance,
+    recorded_dmaic,
     tap,
     two_device_scenario,
 )
@@ -85,7 +86,7 @@ def test_criterion_3_reminder_fires_36_times_over_three_years():
                          payload="month end", at=0),
         ),
     )
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(horizon)
     fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
     assert len(fired) == 36
@@ -163,7 +164,7 @@ def test_criterion_6_failover_turns_exact_losses_into_delayed_deliveries():
     # each send arrives one grid second later (100 ms rounded up)
     expected_lost = {t for t in times if fail_at <= t + 1 < fail_at + fail_len}
 
-    baseline = build_world(scenario)
+    baseline = build_world(scenario, ())
     baseline.run_until(scenario.horizon_s)
     by_msg = message_records(baseline.trace)
     lost = {by_msg[r["msg_id"]]["sent"]["time"] for r in by_kind(baseline.trace, "lost")}
@@ -173,9 +174,9 @@ def test_criterion_6_failover_turns_exact_losses_into_delayed_deliveries():
     secured = build_world(replace(
         scenario,
         controls=ControlLayerConfig(
-            s17=S17Config(enabled=True, backups_per_site=1, detection_window_s=window)
+            s17=S17Config(backups_per_site=1, detection_window_s=window)
         ),
-    ))
+    ), {"S17"})
     secured.run_until(scenario.horizon_s)
     assert not by_kind(secured.trace, "lost")
     delivered = by_kind(secured.trace, "delivered")
@@ -205,11 +206,11 @@ def test_criterion_7_cost_additivity_against_the_naive_oracle():
 
 
 def test_criterion_8_reruns_are_byte_identical():
-    first = run_dmaic(load_dmaic_config(None))
-    second = run_dmaic(load_dmaic_config(None))
+    first, *first_traces = recorded_dmaic(load_dmaic_config(None))
+    second, *second_traces = recorded_dmaic(load_dmaic_config(None))
     assert canonical_json(first.report) == canonical_json(second.report)
-    assert first.baseline_trace.to_ndjson() == second.baseline_trace.to_ndjson()
-    assert first.secured_trace.to_ndjson() == second.secured_trace.to_ndjson()
+    for one, other in zip(first_traces, second_traces):
+        assert one.to_ndjson() == other.to_ndjson()
     _ok(8, "report and both traces byte-identical across reruns")
 
 

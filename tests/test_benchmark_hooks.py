@@ -24,7 +24,9 @@ calls = {name: stat[0] for name, stat in tracer.stats.items()}
 missed = [name for name in ("world.send_message", "middleware.wrap",
                             "middleware.authenticate", "calendars.find_common_slot")
           if not calls.get(name)]
-sys.exit(code or (f"traced names never called: {missed}" if missed else 0))
+runs = {run: calls.get(f"world.run_until.{run}") for run in ("baseline", "secured")}
+booked = None if runs == {"baseline": 1, "secured": 1} else f"runs booked as {runs}"
+sys.exit(code or (f"traced names never called: {missed}" if missed else booked))
 """
 
 

@@ -347,8 +347,7 @@ _PROBES = [
     ({"top_k": True}, None, "top_k: expected an integer, got True"),
     ({"residual_factor": True}, None,
      "residual_factor: expected an integer or a rational string"),
-    ({"controls": {"s17": {"enabled": "no"}}}, None,
-     "controls.s17.enabled: expected true or false, got 'no'"),
+    ({"controls": {"s17": {"enabled": "no"}}}, None, "controls.s17.enabled: unknown field"),
     ({"controls": {"s10": {"overhed_bytes": 500}}}, None,
      "controls.s10.overhed_bytes: unknown field"),
     ({}, lambda doc: doc["links"][0].update(latency_ms=2.7),
@@ -377,6 +376,47 @@ def test_inputs_that_were_coerced_or_ignored_exit_2_naming_their_path(
     assert err.startswith("error: [Define] ")
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("layer", ["s9", "s10", "s17"])
+@pytest.mark.parametrize("where", ["config", "scenario"])
+def test_a_document_that_switches_a_layer_on_exits_2(tmp_path, capsys, where, layer):
+    # only the plan, or `simulate --controls`, switches a layer on
+    if where == "config":
+        doc = {"controls": {layer: {"enabled": True}}}
+    else:
+        doc = _scenario_with(lambda d: d["controls"][layer].update(enabled=True))
+    path = tmp_path / f"{where}.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["dmaic", f"--{where}", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Define] controls.{layer}.enabled: unknown field\n"
+    assert not out.exists()
+    if where == "scenario":
+        assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: controls.{layer}.enabled: unknown field\n"
+
+
+# Text on which `json.loads` raises something other than JSONDecodeError.
+_UNDECODABLE = {
+    "int-digits": '{"top_k": ' + "9" * 5000 + "}",  # past the int digit limit
+    "nesting": "[" * 200_000,  # past the recursion limit
+}
+
+
+@pytest.mark.parametrize("text", _UNDECODABLE.values(), ids=_UNDECODABLE.keys())
+@pytest.mark.parametrize(
+    "argv",
+    [["dmaic", "--config"], ["dmaic", "--scenario"], ["assess", "--catalog"], ["report", "--in"]],
+    ids=["dmaic-config", "dmaic-scenario", "assess-catalog", "report-in"],
+)
+def test_an_undecodable_document_exits_2_with_one_error_line(tmp_path, capsys, argv, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main([*argv, str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def _no_attendees(doc):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import by_kind, document, multi_hop_scenario, naive_total_cost
+from helpers import by_kind, document, multi_hop_scenario, naive_total_cost, recorded_dmaic
 from smartbizsim.cli import main
 from smartbizsim.controls import (
     ImplementationPlan,
@@ -250,12 +250,10 @@ def test_zero_rates_cost_zero_without_touching_the_metrics():
 
 def test_empty_mapping_runs_with_no_controls_and_zero_cost():
     config = replace(load_dmaic_config(None), mapping=RiskControlMapping(entries={}))
-    outcome = run_dmaic(config)
+    outcome, baseline, secured = recorded_dmaic(config)
     assert outcome.plan.enabled_controls == frozenset()
     assert outcome.report.total_security_cost == 0
-    assert (
-        outcome.baseline_trace.to_ndjson() == outcome.secured_trace.to_ndjson()
-    )
+    assert baseline.to_ndjson() == secured.to_ndjson()
 
 
 def test_controls_block_updates_the_scenario_controls(tmp_path):
@@ -268,11 +266,10 @@ def test_controls_block_updates_the_scenario_controls(tmp_path):
     assert config.scenario.controls == replace(
         default, s10=replace(default.s10, overhead_bytes=500)
     )
-    outcome = run_dmaic(config)
-    assert not [r for r in by_kind(outcome.secured_trace, "audit")
-                if not r["authenticated"]]
+    outcome, _, secured = recorded_dmaic(config)
+    assert not [r for r in by_kind(secured, "audit") if not r["authenticated"]]
     assert outcome.report.secured.messages_sent == 62
-    sent = by_kind(outcome.secured_trace, "sent")
+    sent = by_kind(secured, "sent")
     assert all(r["wire_bytes"] - r["size_bytes"] == 500 for r in sent)
 
 
@@ -293,7 +290,7 @@ def test_negative_rate_rejected():
 
 
 def test_baseline_and_secured_differ_only_in_middleware_events():
-    outcome = run_dmaic(load_dmaic_config(None))
+    _, baseline, secured = recorded_dmaic(load_dmaic_config(None))
     layer_kinds = {"audit", "ops", "capital", "failover"}
 
     def stripped(trace):
@@ -310,8 +307,8 @@ def test_baseline_and_secured_differ_only_in_middleware_events():
             out.append(clean)
         return out
 
-    base = stripped(outcome.baseline_trace)
-    sec = [r for r in stripped(outcome.secured_trace)
+    base = stripped(baseline)
+    sec = [r for r in stripped(secured)
            if not (r["kind"] in ("delivered", "lost"))]
     base = [r for r in base if not (r["kind"] in ("delivered", "lost"))]
     assert base == sec
@@ -330,8 +327,8 @@ def test_capital_is_what_the_secured_trace_counts(scenario, top):
     config = replace(load_dmaic_config(None), top_k=top)
     if scenario == "multi_hop":
         config = replace(config, scenario=multi_hop_scenario())
-    outcome = run_dmaic(config)
-    counted = _traced_capital(outcome.secured_trace)
+    outcome, _, secured = recorded_dmaic(config)
+    counted = _traced_capital(secured)
     sections = outcome.report.cost_breakdown
     assert set(counted) <= set(sections)
     for section_id, cost in sections.items():

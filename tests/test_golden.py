@@ -9,10 +9,10 @@ import hashlib
 
 import pytest
 
-from helpers import multi_hop_scenario
+from helpers import multi_hop_scenario, recorded_dmaic
 from smartbizsim import trace
 from smartbizsim.cli import main
-from smartbizsim.costs import load_dmaic_config, run_dmaic
+from smartbizsim.costs import load_dmaic_config
 from smartbizsim.scenario import default_scenario
 from smartbizsim.trace import canonical_json
 from smartbizsim.world import build_world
@@ -43,11 +43,11 @@ def _sha256(text: str) -> str:
 
 
 def test_default_dmaic_outputs_are_byte_identical_to_the_reference():
-    outcome = run_dmaic(load_dmaic_config(None))
+    outcome, baseline, secured = recorded_dmaic(load_dmaic_config(None))
     outputs = {
         "report": canonical_json(outcome.report) + "\n",
-        "baseline_trace": outcome.baseline_trace.to_ndjson(),
-        "secured_trace": outcome.secured_trace.to_ndjson(),
+        "baseline_trace": baseline.to_ndjson(),
+        "secured_trace": secured.to_ndjson(),
     }
     digests = {name: _sha256(text) for name, text in outputs.items()}
     assert digests == GOLDEN_SHA256

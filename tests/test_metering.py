@@ -74,10 +74,10 @@ def test_section_usage_attributes_overhead_to_the_right_layer():
     scenario = two_device_scenario(
         message_times=(100, 200, 300),
         controls=ControlLayerConfig(
-            s10=S10Config(enabled=True, per_message_latency_ms=5, overhead_bytes=64)
+            s10=S10Config(per_message_latency_ms=5, overhead_bytes=64)
         ),
     )
-    world = build_world(scenario)
+    world = build_world(scenario, {"S10"})
     world.run_until(scenario.horizon_s)
     usage = meter_sections(world.trace)
     assert usage["S10"].extra_bytes == 64 * 3
@@ -88,7 +88,7 @@ def test_section_usage_attributes_overhead_to_the_right_layer():
 
 def test_metric_set_serialization_is_plain_ints():
     scenario = default_scenario()
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(scenario.horizon_s)
     as_dict = document(meter(world.trace))
     assert all(isinstance(v, int) for v in as_dict.values())

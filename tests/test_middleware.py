@@ -18,24 +18,23 @@ from smartbizsim.metering import meter
 from smartbizsim.scenario import CommandSpec, FailureSpec, default_scenario
 from smartbizsim.world import build_world
 
-S9_ON = ControlLayerConfig(
-    s9=S9Config(enabled=True, credential_store={"alice": "sesame"})
-)
-S10_ON = ControlLayerConfig(s10=S10Config(enabled=True, overhead_bytes=64))
+# controls of scenarios whose runs switch on S9, or S10
+S9_ON = ControlLayerConfig(s9=S9Config(credential_store={"alice": "sesame"}))
+S10_ON = ControlLayerConfig(s10=S10Config(overhead_bytes=64))
 
 
 # -- authentication -------------------------------------------------------------
 
 
 def test_correct_credential_authenticates():
-    assert authenticate("alice", "sesame", "device-a", S9_ON) is None
+    assert authenticate("alice", "sesame", "device-a", S9_ON.with_enabled({"S9"})) is None
     # the session lands in the audit trail: who, where and when
     command = CommandSpec(
         at=5, device="device-a", user="alice", credential="sesame",
         intent="voice_message", to="device-b", payload="hi",
     )
     scenario = replace(two_device_scenario(controls=S9_ON), commands=(command,))
-    world = build_world(scenario).run_until(scenario.horizon_s)
+    world = build_world(scenario, {"S9"}).run_until(scenario.horizon_s)
     audit = by_kind(world.trace, "audit")
     assert [(a["user"], a["device"], a["time"], a["authenticated"]) for a in audit] == [
         ("alice", "device-a", 5, True)
@@ -44,24 +43,24 @@ def test_correct_credential_authenticates():
 
 def test_wrong_credential_denied():
     with pytest.raises(AuthDenied):
-        authenticate("alice", "wrong", "device-a", S9_ON)
+        authenticate("alice", "wrong", "device-a", S9_ON.with_enabled({"S9"}))
 
 
 def test_unknown_user_rejected():
     with pytest.raises(UnknownUser):
-        authenticate("mallory", "sesame", "device-a", S9_ON)
+        authenticate("mallory", "sesame", "device-a", S9_ON.with_enabled({"S9"}))
 
 
 def test_denied_command_executes_nothing_in_a_run():
     scenario = two_device_scenario(controls=ControlLayerConfig(
-        s9=S9Config(enabled=True, credential_store={"operator": "op-pass"})
+        s9=S9Config(credential_store={"operator": "op-pass"})
     ))
     bad = CommandSpec(
         at=100, device="device-a", user="operator", credential="nope",
         intent="voice_message", to="device-b", payload="stolen words",
     )
     scenario = replace(scenario, commands=(bad,))
-    world = build_world(scenario)
+    world = build_world(scenario, {"S9"})
     world.run_until(scenario.horizon_s)
     audits = by_kind(world.trace, "audit")
     assert [a["authenticated"] for a in audits] == [False]
@@ -71,7 +70,7 @@ def test_denied_command_executes_nothing_in_a_run():
 
 def test_s9_disabled_runs_every_command_without_sessions():
     scenario = two_device_scenario(message_times=(100, 200, 300))
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(scenario.horizon_s)
     assert not by_kind(world.trace, "audit")
     assert len(by_kind(world.trace, "sent")) == 3
@@ -81,11 +80,10 @@ def test_authenticated_command_charges_session_latency_to_next_send():
     scenario = two_device_scenario(
         message_times=(100,),
         controls=ControlLayerConfig(
-            s9=S9Config(enabled=True, per_session_latency_ms=20,
-                        credential_store={"operator": "op-pass"})
+            s9=S9Config(per_session_latency_ms=20, credential_store={"operator": "op-pass"})
         ),
     )
-    world = build_world(scenario)
+    world = build_world(scenario, {"S9"})
     world.run_until(scenario.horizon_s)
     sent = by_kind(world.trace, "sent")[0]
     assert sent["s9_ms"] == 20
@@ -98,7 +96,7 @@ def test_authenticated_command_charges_session_latency_to_next_send():
 
 def test_wire_size_is_payload_plus_overhead():
     scenario = two_device_scenario(controls=S10_ON)
-    world = build_world(scenario)
+    world = build_world(scenario, {"S10"})
     world.send_message("device-a", "device-b", b"x" * 100)
     sent = by_kind(world.trace, "sent")[0]
     assert sent["size_bytes"] == 100
@@ -112,7 +110,7 @@ def test_sealed_send_names_the_sender_key_and_carries_no_payload():
     assert wrap(b"secret payload", "k-device-a", msg_id=9) == {
         "key_id": "k-device-a", "marker": "ct:k-device-a:9", "inner_size": 14,
     }
-    world = build_world(two_device_scenario(controls=S10_ON))
+    world = build_world(two_device_scenario(controls=S10_ON), {"S10"})
     msg_id = world.send_message("device-a", "device-b", b"secret payload")
     sent = by_kind(world.trace, "sent")[0]
     # only the sender's key opens it: the receiver's key is not named
@@ -126,8 +124,10 @@ def test_sealed_send_names_the_sender_key_and_carries_no_payload():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(), st.integers(0, 512))
 def test_s10_seals_every_send_of_generated_worlds(world, overhead):
-    controls = replace(world.config, s10=S10Config(enabled=True, overhead_bytes=overhead))
-    world = build_world(replace(world.scenario, controls=controls)).run_until(world.horizon_s)
+    controls = replace(world.scenario.controls, s10=S10Config(overhead_bytes=overhead))
+    enabled = world.config.enabled_sections | {"S10"}
+    world = build_world(replace(world.scenario, controls=controls), enabled)
+    world.run_until(world.horizon_s)
     assert meter(world.trace).plaintext_exposures == 0
     for sent in by_kind(world.trace, "sent"):
         assert sent["key_id"] == world.nodes[sent["src"]].key_id
@@ -139,7 +139,7 @@ def test_s10_seals_every_send_of_generated_worlds(world, overhead):
 
 def test_partial_key_map_rejected_at_build():
     controls = ControlLayerConfig(
-        s10=S10Config(enabled=True, key_ids={"device-a": "k1"})
+        s10=S10Config(key_ids={"device-a": "k1"})
     )
     with pytest.raises(InvalidScenario, match="gives node 'device-b' no key id"):
         two_device_scenario(controls=controls)
@@ -148,7 +148,7 @@ def test_partial_key_map_rejected_at_build():
 def test_envelope_marker_is_payload_independent():
     traces = []
     for payload in (b"aaaa", b"bbbb"):
-        world = build_world(two_device_scenario(controls=S10_ON))
+        world = build_world(two_device_scenario(controls=S10_ON), {"S10"})
         world.send_message("device-a", "device-b", payload)
         traces.append(world.run_until(1000).trace.to_ndjson())
     assert traces[0] == traces[1]
@@ -160,7 +160,7 @@ def test_envelope_marker_is_payload_independent():
 
 def test_baseline_tap_sees_plaintext():
     scenario = two_device_scenario(message_times=tuple(range(100, 1100, 100)))
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(scenario.horizon_s)
     observations = tap("device-a--cloud", world)
     assert len(observations) == 10
@@ -171,7 +171,7 @@ def test_secured_tap_sees_only_opaque():
     scenario = two_device_scenario(
         message_times=tuple(range(100, 1100, 100)), controls=S10_ON
     )
-    world = build_world(scenario)
+    world = build_world(scenario, {"S10"})
     world.run_until(scenario.horizon_s)
     for link_id in world.links:
         for obs in tap(link_id, world):
@@ -181,7 +181,7 @@ def test_secured_tap_sees_only_opaque():
 
 
 def test_quiet_link_taps_empty_and_unknown_link_rejected():
-    world = build_world(two_device_scenario())
+    world = build_world(two_device_scenario(), ())
     world.send_message("device-a", "cloud", b"one hop only")
     world.run_until(1000)
     assert len(tap("device-a--cloud", world)) == 1
@@ -195,7 +195,7 @@ def test_quiet_link_taps_empty_and_unknown_link_rejected():
 
 def _failover_scenario(backups: int = 1, window: int = 60, **kwargs):
     controls = ControlLayerConfig(
-        s17=S17Config(enabled=True, backups_per_site=backups, detection_window_s=window)
+        s17=S17Config(backups_per_site=backups, detection_window_s=window)
     )
     return two_device_scenario(controls=controls, **kwargs)
 
@@ -205,7 +205,7 @@ def test_single_backup_catches_everything_with_bounded_delay():
     scenario = _failover_scenario(
         message_times=times, failures=(("device-b", 1000, 3600),)
     )
-    world = build_world(scenario)
+    world = build_world(scenario, {"S17"})
     world.run_until(scenario.horizon_s)
     assert not by_kind(world.trace, "lost")
     delivered = by_kind(world.trace, "delivered")
@@ -225,7 +225,7 @@ def test_empty_pool_loses_outage_traffic():
     scenario = _failover_scenario(
         backups=0, message_times=(1200,), failures=(("device-b", 1000, 3600),)
     )
-    world = build_world(scenario)
+    world = build_world(scenario, {"S17"})
     world.run_until(scenario.horizon_s)
     lost = by_kind(world.trace, "lost")
     assert [l["reason"] for l in lost] == ["pool-exhausted"]
@@ -235,7 +235,7 @@ def test_empty_pool_loses_outage_traffic():
 def test_failed_backup_serves_again_after_it_recovers():
     times = (1200, 2000, 4000)
     scenario = _failover_scenario(message_times=times, failures=(("device-b", 1000, 7200),))
-    world = build_world(scenario)
+    world = build_world(scenario, {"S17"})
     world.inject_failure("device-b-r1", 900, 2500)  # spare down until 3400
     world.run_until(scenario.horizon_s)
     by_msg = message_records(world.trace)
@@ -248,7 +248,7 @@ def test_recovery_before_detection_window_flushes_to_the_primary():
     scenario = _failover_scenario(
         window=300, message_times=(1050,), failures=(("device-b", 1000, 100),)
     )
-    world = build_world(scenario)
+    world = build_world(scenario, {"S17"})
     world.run_until(scenario.horizon_s)
     delivered = by_kind(world.trace, "delivered")
     assert [(d["to"], d["time"]) for d in delivered] == [("device-b", 1100)]
@@ -261,7 +261,7 @@ def test_manual_failover_call_switches_immediately():
     scenario = _failover_scenario(
         message_times=(1010,), failures=(("device-b", 1000, 3600),)
     )
-    world = build_world(scenario)
+    world = build_world(scenario, {"S17"})
     world.run_until(1059)
     assert not by_kind(world.trace, "failover")
     assert not by_kind(world.trace, "delivered")
@@ -313,7 +313,7 @@ def test_layer_flags_compose_independent_of_construction_order():
 
 def test_control_defaults_have_one_source():
     assert read(ControlLayerConfig, {}) == ControlLayerConfig()
-    assert read(ControlLayerConfig, {"s10": {"enabled": True}}) == ControlLayerConfig(
-        s10=S10Config(enabled=True)
+    assert read(ControlLayerConfig, {"s10": {"overhead_bytes": 32}}) == ControlLayerConfig(
+        s10=S10Config(overhead_bytes=32)
     )
 

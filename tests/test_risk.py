@@ -15,7 +15,6 @@ from smartbizsim.risk import (
     RiskCatalog,
     default_risk_catalog,
     id_order,
-    load_risk_catalog,
     parse_risk_catalog,
     rank,
     score,
@@ -39,10 +38,6 @@ def test_default_catalog_has_ten_risks_with_expected_extremes():
     assert (r6.relevance, r6.severity) == (OrdinalLevel.VERY_HIGH, OrdinalLevel.VERY_HIGH)
     r2 = _risk("R2")
     assert (r2.relevance, r2.severity) == (OrdinalLevel.VERY_LOW, OrdinalLevel.VERY_LOW)
-
-
-def test_no_document_returns_default_catalog():
-    assert load_risk_catalog(None) == default_risk_catalog()
 
 
 @pytest.mark.parametrize(

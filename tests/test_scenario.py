@@ -55,7 +55,7 @@ def test_scenario_defaults_fill_in():
     assert scenario.seed == 42
     assert scenario.working_hours.start.hour == 8
     assert scenario.reminder_fire_time.hour == 9
-    assert not scenario.controls.s9.enabled
+    assert scenario.controls == ControlLayerConfig()
 
 
 def test_not_json_is_a_parse_error():
@@ -343,14 +343,14 @@ def spec_scenarios(draw):
         days=tuple(draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True))),
     )
     controls = ControlLayerConfig(
-        s9=S9Config(enabled=draw(st.booleans()), per_session_latency_ms=draw(_COUNT),
+        s9=S9Config(per_session_latency_ms=draw(_COUNT),
                     credential_store=draw(st.dictionaries(_TEXT, _TEXT, max_size=3)),
                     review_period_days=draw(_COUNT)),
-        s10=S10Config(enabled=draw(st.booleans()), per_message_latency_ms=draw(_COUNT),
+        s10=S10Config(per_message_latency_ms=draw(_COUNT),
                       overhead_bytes=draw(_COUNT),
                       key_ids=draw(st.just({}) | st.fixed_dictionaries(
                           {n: st.text(min_size=1, max_size=6) for n in node_ids}))),
-        s17=S17Config(enabled=draw(st.booleans()), backups_per_site=draw(_COUNT),
+        s17=S17Config(backups_per_site=draw(_COUNT),
                       detection_window_s=draw(_COUNT)),
     )
     return replace(
@@ -382,11 +382,11 @@ def spec_scenarios(draw):
         (CostRates, st.just(CostRates(capital_item=1, operational_event=2, latency_ms=3,
                                       wire_byte=4, session=5))),
         (ControlLayerConfig, st.just(ControlLayerConfig(
-            s9=S9Config(enabled=True, per_session_latency_ms=7,
+            s9=S9Config(per_session_latency_ms=7,
                         credential_store={"alice": "sesame"}, review_period_days=9),
-            s10=S10Config(enabled=True, per_message_latency_ms=11, overhead_bytes=3,
+            s10=S10Config(per_message_latency_ms=11, overhead_bytes=3,
                           key_ids={"device-a": "ka"}),
-            s17=S17Config(enabled=True, backups_per_site=2, detection_window_s=13),
+            s17=S17Config(backups_per_site=2, detection_window_s=13),
         ))),
     ],
     ids=["scenario", "risk-catalog", "control-catalog", "action-library", "rates",

@@ -163,7 +163,7 @@ def test_a_streamed_trace_writes_and_meters_what_a_kept_one_does(world):
                     sizes.append(len(records))
                     trace_file.feed(records)
 
-                streamed = build_world(world.scenario, sink=sink)
+                streamed = build_world(world.scenario, world.config.enabled_sections, sink)
                 streamed.run_until(world.horizon_s)
             assert path.read_text(encoding="utf-8") == world.trace.to_ndjson()
             assert streamed.trace.records == []

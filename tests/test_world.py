@@ -33,7 +33,7 @@ DAY = SECONDS_PER_DAY
 
 
 def test_default_scenario_builds_three_devices_and_one_cloud():
-    world = build_world(default_scenario())
+    world = build_world(default_scenario(), ())
     kinds = sorted((n.kind, n.site) for n in world.nodes.values())
     assert kinds == [
         ("CloudService", None),
@@ -55,7 +55,7 @@ def test_minimal_world_is_valid():
         ),
         links=(LinkSpec(a="device-a", b="cloud", latency_ms=10),),
     )
-    assert len(build_world(scenario).nodes) == 2
+    assert len(build_world(scenario, ()).nodes) == 2
 
 
 @pytest.mark.parametrize(
@@ -70,11 +70,11 @@ def test_minimal_world_is_valid():
 )
 def test_invalid_scenarios_rejected(mutate):
     with pytest.raises(InvalidScenario):
-        build_world(mutate(two_device_scenario()))
+        build_world(mutate(two_device_scenario()), ())
 
 
 def test_run_until_with_empty_queue_only_moves_the_clock():
-    world = build_world(two_device_scenario())
+    world = build_world(two_device_scenario(), ())
     before = len(world.trace)
     world.run_until(3600)
     assert world.clock == 3600
@@ -85,7 +85,7 @@ def test_run_until_with_empty_queue_only_moves_the_clock():
 
 def test_equal_time_events_run_in_insertion_order():
     scenario = two_device_scenario(message_times=(500, 500, 500))
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(600)
     sends = by_kind(world.trace, "sent")
     assert [s["msg_id"] for s in sends] == [1, 2, 3]
@@ -96,13 +96,13 @@ def test_equal_time_events_run_in_insertion_order():
 
 def test_same_scenario_twice_gives_identical_traces():
     scenario = default_scenario()
-    t1 = build_world(scenario).run_until(scenario.horizon_s).trace.to_ndjson()
-    t2 = build_world(scenario).run_until(scenario.horizon_s).trace.to_ndjson()
+    t1 = build_world(scenario, ()).run_until(scenario.horizon_s).trace.to_ndjson()
+    t2 = build_world(scenario, ()).run_until(scenario.horizon_s).trace.to_ndjson()
     assert t1 == t2
 
 
 def test_single_hop_latency_rounds_up_to_the_second_grid():
-    world = build_world(two_device_scenario())
+    world = build_world(two_device_scenario(), ())
     msg_id = world.send_message("device-a", "cloud", b"hello")
     world.run_until(10)
     msg = message_records(world.trace)[msg_id]
@@ -112,7 +112,7 @@ def test_single_hop_latency_rounds_up_to_the_second_grid():
 
 
 def test_two_hop_path_sums_link_latencies():
-    world = build_world(two_device_scenario())
+    world = build_world(two_device_scenario(), ())
     msg_id = world.send_message("device-a", "device-b", b"x")
     world.run_until(10)
     sent = message_records(world.trace)[msg_id]["sent"]
@@ -135,7 +135,7 @@ def test_message_to_failed_node_without_backups_is_lost():
         message_times=(1000,),
         failures=(("device-b", 900, 3600),),
     )
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(scenario.horizon_s)
     lost = by_kind(world.trace, "lost")
     assert len(lost) == 1
@@ -144,7 +144,7 @@ def test_message_to_failed_node_without_backups_is_lost():
 
 def test_conservation_every_send_has_one_terminal_record():
     scenario = default_scenario()
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(scenario.horizon_s)
     sent = {r["msg_id"] for r in by_kind(world.trace, "sent")}
     delivered = [r["msg_id"] for r in by_kind(world.trace, "delivered")]
@@ -173,7 +173,7 @@ def test_sent_is_delivered_plus_lost_plus_in_flight_at_every_stop(world, stops):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(), st.integers(0, 1600))
 def test_a_run_split_at_any_time_writes_the_same_trace(world, split):
-    whole = build_world(world.scenario)
+    whole = build_world(world.scenario, world.config.enabled_sections)
     whole.run_until(whole.horizon_s)
     world.run_until(split)
     world.run_until(world.horizon_s)
@@ -204,7 +204,7 @@ def test_overlapping_failure_windows_merge_into_one_outage():
         message_times=(120, 250, 299, 350),
         failures=(("device-b", 100, 100), ("device-b", 150, 150)),
     )
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(scenario.horizon_s)
     failures = by_kind(world.trace, "failure")
     assert [(f["phase"], f["time"]) for f in failures] == [("start", 100), ("end", 300)]
@@ -215,7 +215,7 @@ def test_overlapping_failure_windows_merge_into_one_outage():
 
 def test_zero_duration_failure_has_no_observable_effect():
     scenario = two_device_scenario(message_times=(399,), failures=(("device-b", 400, 0),))
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(scenario.horizon_s)
     assert len(by_kind(world.trace, "delivered")) == 1
     assert not by_kind(world.trace, "lost")
@@ -237,7 +237,7 @@ def _reminder_scenario(created_at: int, horizon_days: int = 367):
 def test_reminder_created_mid_january_fires_twelve_times_in_the_year():
     created = 14 * DAY  # Jan 15, 2024
     scenario = _reminder_scenario(created, horizon_days=366)
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(scenario.horizon_s)
     fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
     assert len(fired) == 12
@@ -253,14 +253,14 @@ def test_reminder_created_mid_january_fires_twelve_times_in_the_year():
 def test_reminder_created_after_fire_time_on_month_end_waits_a_month():
     created = 30 * DAY + 10 * 3600  # Jan 31, 10:00 (fire time is 09:00)
     scenario = _reminder_scenario(created, horizon_days=70)
-    world = build_world(scenario)
+    world = build_world(scenario, ())
     world.run_until(scenario.horizon_s)
     fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
     assert fired[0]["time"] == seconds_at(scenario.epoch, dt.date(2024, 2, 29), dt.time(9, 0))
 
 
 def test_create_reminder_validates_nodes_and_cloud():
-    world = build_world(two_device_scenario())
+    world = build_world(two_device_scenario(), ())
     world.nodes["cloud"].fail_depth = 1
     with pytest.raises(CloudUnavailable):
         world.create_reminder("device-a", "device-b", b"x")
@@ -275,7 +275,7 @@ def test_generated_reminder_ids_skip_the_ids_the_scenario_declares():
                             payload="p", at=4 * DAY)
     world = build_world(replace(
         base, commands=base.commands + (second,), reminders=(declared,)
-    ))
+    ), ())
     world.run_until(base.horizon_s)
     created = [
         (r["reminder"], r["target"]) for r in by_kind(world.trace, "reminder")
@@ -295,7 +295,7 @@ def test_scenario_reminder_while_the_cloud_is_down_is_traced_and_the_run_goes_on
                             payload="p", at=100)
     world = build_world(two_device_scenario(
         message_times=(900,), failures=(("cloud", 50, 600),), reminders=(reminder,),
-    ))
+    ), ())
     world.run_until(world.horizon_s)
     assert _request_failures(world) == [(100, "create_reminder", "cloud-down")]
     assert world.reminders == {}
@@ -309,7 +309,6 @@ def test_reminder_request_failed_over_from_a_down_cloud_is_traced():
     # detection window, but only the cloud can register a reminder
     base = two_device_scenario(
         failures=(("cloud", 50, 3600),),
-        controls=ControlLayerConfig(s17=S17Config(enabled=True)),
     )
     command = CommandSpec(at=100, device="device-a", user="operator",
                           credential="op-pass", intent="create_reminder",
@@ -321,7 +320,7 @@ def test_reminder_request_failed_over_from_a_down_cloud_is_traced():
             for n in base.nodes
         ),
         commands=(command,),
-    ))
+    ), {"S17"})
     world.run_until(world.horizon_s)
     assert _request_failures(world) == [(110, "create_reminder", "cloud-down")]
     assert world.reminders == {}
@@ -346,7 +345,7 @@ def _meeting_scenario():
 
 
 def test_meeting_books_everyone_and_sends_three_invitations():
-    world = build_world(_meeting_scenario())
+    world = build_world(_meeting_scenario(), ())
     slot = world.schedule_meeting("device-b", ["chief", "finance", "driver"], 60)
     assert slot.duration == 60
     invitations = by_kind(world.trace, "sent")
@@ -357,14 +356,14 @@ def test_meeting_books_everyone_and_sends_three_invitations():
 
 
 def test_rescheduling_with_same_inputs_lands_strictly_later():
-    world = build_world(_meeting_scenario())
+    world = build_world(_meeting_scenario(), ())
     first = world.schedule_meeting("device-b", ["chief", "finance"], 45)
     second = world.schedule_meeting("device-b", ["chief", "finance"], 45)
     assert second.start > first.start
 
 
 def test_unplaceable_meeting_raises():
-    world = build_world(_meeting_scenario())
+    world = build_world(_meeting_scenario(), ())
     with pytest.raises(NoSlotAvailable):
         world.schedule_meeting("device-b", ["chief"], 10 * 60 + 1)
 
@@ -373,8 +372,8 @@ def test_unplaceable_meeting_raises():
 
 
 def test_s17_provisions_one_spare_per_device():
-    controls = ControlLayerConfig(s17=S17Config(enabled=True, backups_per_site=1))
-    world = build_world(two_device_scenario(controls=controls))
+    controls = ControlLayerConfig(s17=S17Config(backups_per_site=1))
+    world = build_world(two_device_scenario(controls=controls), {"S17"})
     assert set(world.nodes) == {
         "device-a", "device-b", "cloud", "device-a-r1", "device-b-r1",
     }
