@@ -36,9 +36,8 @@ class S9Config:
 class S10Config:
     per_message_latency_ms: int = 5
     overhead_bytes: int = 64
-    # node id -> key id for every declared node, and optionally for S17
-    # spares; empty means "derive one key per node at build". Spares
-    # missing from it get derived keys.
+    # node id -> key id for every declared node; empty means "derive one
+    # key per node at build". S17 spares never send, so they get no key.
     key_ids: Mapping[str, str] = field(default_factory=dict)
 
 

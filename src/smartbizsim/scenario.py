@@ -170,27 +170,18 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             device.site in SITES,
             f"device {device.id!r} has invalid site {device.site!r}",
         )
-    # S17 names the spares of a device without a backup pool `<device>-r<k>`,
-    # k = 1..backups_per_site. Digits are counted before they are read, so
-    # no suffix is too long.
+    # A declared node may not take the id `<device>-r<k>` that S17 gives
+    # spare k = 1..backups_per_site of a device without a backup pool: spare
+    # ids appear in deliveries and failovers. Digits are counted before they
+    # are read, so no suffix is too long.
     spares = scenario.controls.s17.backups_per_site
-    most_digits = len(str(spares))
     poolless = {d.id for d in devices if not d.backup_pool}
-
-    def spare_of(node_id: str) -> tuple[str, str] | None:
-        """(device, k) when `node_id` is the id S17 gives a spare."""
+    for i, node_id in enumerate(node_ids):
         primary, _, k = node_id.rpartition("-r")
         if (
             primary in poolless and k.isascii() and k.isdigit() and k[0] != "0"
-            and len(k) <= most_digits and int(k) <= spares
+            and len(k) <= len(str(spares)) and int(k) <= spares
         ):
-            return primary, k
-        return None
-
-    for i, node_id in enumerate(node_ids):
-        spare = spare_of(node_id)
-        if spare is not None:  # a declared node may not hold a spare's id
-            primary, k = spare
             raise InvalidScenario(
                 f"nodes[{i}].id {node_id!r} is the id of S17 spare {k} of {primary!r}"
             )
@@ -202,10 +193,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
                 key_ids.get(node_id), f"controls.s10.key_ids gives node {node_id!r} no key id"
             )
         for key in key_ids:  # a misspelt node id would be ignored
-            if key not in known and spare_of(key) is None:
-                raise InvalidScenario(
-                    f"controls.s10.key_ids.{key} names neither a node nor an S17 spare"
-                )
+            _require(key in known, f"controls.s10.key_ids.{key} names no declared node")
     device_ids = {d.id for d in devices}
     for node in scenario.nodes:
         for backup in node.backup_pool:
@@ -293,11 +281,16 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
                 raise InvalidScenario(
                     f"meeting (device {command.device!r}, at={command.at}) has no attendees"
                 )
-            for attendee in command.attendees:
+            for i, attendee in enumerate(command.attendees):
                 _require(
                     attendee in attendee_ids,
                     f"meeting attendee {attendee!r} has no calendar",
                 )
+                if attendee in command.attendees[:i]:
+                    raise InvalidScenario(
+                        f"meeting (device {command.device!r}, at={command.at}) "
+                        f"names attendee {attendee!r} twice"
+                    )
             _require(command.duration_min >= 1, "meeting duration must be >= 1 minute")
     for failure in scenario.failures:
         _require(failure.node in known, f"failure node {failure.node!r} unknown")

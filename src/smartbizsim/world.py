@@ -9,18 +9,20 @@ The trace is the record of every message: its path, sizes, envelope,
 delivery and latency split live in its `sent`, `delivered` and `lost`
 records. `World.messages` holds only the messages still in flight.
 
-Failure semantics: a Failed node cannot receive. Messages whose delivery
-falls inside an outage are lost, unless the continuity layer (S17) is
-enabled, in which case they wait for the failover switch and land on a
-spare device. Sending from a failed node is not restricted; the model
-cares about delivery exposure only.
+Failure semantics: a Failed node can neither receive nor forward. A
+message is lost when a node strictly between its sender and receiver is
+down at its delivery time (`transit-failed`, naming that node). One whose
+receiver is down then is lost too, unless the continuity layer (S17) is
+enabled, in which case it waits for the failover switch and lands on a
+spare device; S17 stands in for receivers only. Sending from a failed
+node is not restricted; the model cares about delivery exposure only.
 """
 
 from __future__ import annotations
 
 import base64
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Collection, NamedTuple
 
 from . import middleware
@@ -35,7 +37,6 @@ from .trace import Trace
 class Node:
     id: str
     kind: str
-    site: str | None
     backup_pool: tuple[str, ...] = ()
     fail_depth: int = 0
     key_id: str | None = None
@@ -50,6 +51,7 @@ class Message(NamedTuple):
 
     msg_id: int
     dst: str
+    via: tuple[str, ...]  # the nodes strictly between sender and receiver
     eta: int
     latency_ms: int  # link + S10 + S9; S17 adds the wait past `eta`
     on_delivered: tuple | None = None  # (intent, *args) for `World._request`
@@ -120,26 +122,24 @@ class World:
 
         self.nodes: dict[str, Node] = {}
         for spec in scenario.nodes:
-            self.nodes[spec.id] = Node(
-                id=spec.id, kind=spec.kind, site=spec.site, backup_pool=spec.backup_pool
-            )
+            self.nodes[spec.id] = Node(id=spec.id, kind=spec.kind, backup_pool=spec.backup_pool)
         self.cloud_id = next(n.id for n in self.nodes.values() if n.kind == "CloudService")
 
         self.links: dict[str, LinkSpec] = {}
         # node -> {neighbor: link id}; validation allows one link per pair
-        self._adjacency: dict[str, dict[str, str]] = {n: {} for n in self.nodes}
-        for spec in scenario.links:
-            self._add_link(spec)
-
-        self._provision_backups()
-        self._assign_keys()
+        adjacency: dict[str, dict[str, str]] = {n: {} for n in self.nodes}
+        for link in scenario.links:
+            self.links[link.id] = link
+            adjacency[link.a][link.b] = adjacency[link.b][link.a] = link.id
         # sorted neighbors make route tie-breaks independent of link order
         self._adjacency = {
-            node: dict(sorted(neighbors.items()))
-            for node, neighbors in self._adjacency.items()
+            node: dict(sorted(neighbors.items())) for node, neighbors in adjacency.items()
         }
-        # (src, dst) -> shortest_path; links are only added above
-        self._routes: dict[tuple[str, str], tuple[str, ...]] = {}
+        # (src, dst) -> (shortest_path, the nodes strictly between)
+        self._routes: dict[tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {}
+
+        self._assign_keys()  # before the spares: they never send, so get no key
+        self._provision_backups()
 
         self.calendars: dict[str, Calendar] = {}
         self.attendee_device: dict[str, str] = {}
@@ -183,51 +183,29 @@ class World:
 
     # -- construction helpers ------------------------------------------
 
-    def _provision_backups(self) -> None:
-        """S17 adds one spare per site for every device without a pool.
-
-        Each spare gets a copy of the first link on its primary's route
-        to the cloud, with the tie-break sends use. A spare is a leaf, so
-        adding one changes no route between other nodes.
-        """
-        if self.config.s17 is None:
-            return
-        primaries = [
-            n for n in list(self.nodes.values())
-            if n.kind == "SmartDevice" and not n.backup_pool
-        ]
-        neighbors = {
-            node: dict(sorted(adjacent.items()))
-            for node, adjacent in self._adjacency.items()
-        }
-        for primary in sorted(primaries, key=lambda n: n.id):
-            # validation guarantees every device a route to the cloud
-            uplink = self.links[shortest_path(neighbors, primary.id, self.cloud_id)[0]]
-            via = uplink.b if uplink.a == primary.id else uplink.a
-            spares = []
-            for k in range(1, self.config.s17.backups_per_site + 1):
-                spare_id = f"{primary.id}-r{k}"  # validation keeps it free
-                self.nodes[spare_id] = Node(
-                    id=spare_id, kind="SmartDevice", site=primary.site
-                )
-                self._adjacency[spare_id] = {}
-                self._add_link(replace(uplink, a=spare_id, b=via))
-                spares.append(spare_id)
-            primary.backup_pool = tuple(spares)
-
-    def _add_link(self, link: LinkSpec) -> None:
-        self.links[link.id] = link
-        self._adjacency[link.a][link.b] = link.id
-        self._adjacency[link.b][link.a] = link.id
-
     def _assign_keys(self) -> None:
         if self.config.s10 is None:
             return
-        # validation: the map is empty or names every declared node, so
-        # only the spares this build created may fall back to derived keys
+        # validation: the map is empty or names every declared node
         given = self.config.s10.key_ids
         for node in self.nodes.values():
             node.key_id = given.get(node.id, f"k-{node.id}")
+
+    def _provision_backups(self) -> None:
+        """S17 adds one spare per site for every device without a pool.
+
+        A spare only stands in for its primary as the receiver of a
+        delivery: it has no link and no key, and no message leaves it.
+        """
+        if self.config.s17 is None:
+            return
+        count = self.config.s17.backups_per_site
+        for primary in list(self.nodes.values()):
+            if primary.kind == "SmartDevice" and not primary.backup_pool:
+                # validation keeps these ids free
+                primary.backup_pool = tuple(f"{primary.id}-r{k}" for k in range(1, count + 1))
+                for spare_id in primary.backup_pool:
+                    self.nodes[spare_id] = Node(id=spare_id, kind="SmartDevice")
 
     def _record_provisioning(self) -> None:
         """Queue the capital and setup records for clock 0, by section.
@@ -291,10 +269,17 @@ class World:
         `on_delivered` is an (intent, *args) request that `_request`
         carries out when the message is delivered.
         """
-        path = self._routes.get((src, dst))
-        if path is None:
+        route = self._routes.get((src, dst))
+        if route is None:
             # validation: both nodes exist and every device reaches the cloud
-            path = self._routes[src, dst] = shortest_path(self._adjacency, src, dst)
+            links = shortest_path(self._adjacency, src, dst)
+            here, via = src, []
+            for link_id in links[:-1]:
+                link = self.links[link_id]
+                here = link.b if link.a == here else link.a
+                via.append(here)
+            route = self._routes[src, dst] = (links, tuple(via))
+        path, via = route
 
         msg_id = self._next_msg_id
         self._next_msg_id += 1
@@ -316,7 +301,7 @@ class World:
         s10_ms = self.config.s10.per_message_latency_ms if wrapped else 0
         total_ms = link_ms + s10_ms + s9_ms
         eta = self.clock + -(-total_ms // 1000)  # round up to the second grid
-        msg = Message(msg_id, dst, eta, total_ms, on_delivered)
+        msg = Message(msg_id, dst, via, eta, total_ms, on_delivered)
         self.messages[msg_id] = msg
 
         self.trace.append(
@@ -338,6 +323,10 @@ class World:
         return msg_id
 
     def _handle_delivery(self, msg: Message) -> None:
+        for hop in msg.via:
+            if not self.nodes[hop].up:
+                self._lose(msg, "transit-failed", node=hop)
+                return
         node = self.nodes[msg.dst]
         if node.up:
             self._deliver(msg, msg.dst)
@@ -368,9 +357,9 @@ class World:
         if msg.on_delivered is not None:
             self._request(*msg.on_delivered)
 
-    def _lose(self, msg: Message, reason: str) -> None:
+    def _lose(self, msg: Message, reason: str, **fields) -> None:
         del self.messages[msg.msg_id]
-        self.trace.append("lost", self.clock, msg_id=msg.msg_id, reason=reason)
+        self.trace.append("lost", self.clock, msg_id=msg.msg_id, reason=reason, **fields)
 
     # -- failures and failover -------------------------------------------
 

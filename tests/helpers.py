@@ -290,8 +290,9 @@ def two_device_scenario(
 @st.composite
 def scenarios(draw, max_devices: int = 29):
     """A random scenario in which every device reaches the cloud, some
-    only through other devices. Send destinations, the cloud included,
-    may fail around the time of their sends."""
+    only through other devices. Send destinations, devices on the way and
+    the cloud may fail around the time of the sends; every outage ends
+    long before the horizon."""
     count = draw(st.integers(1, max_devices))
     devices = draw(st.permutations([f"d{k:02d}" for k in range(count)]))
     cloud = draw(st.sampled_from(["aa-cloud", "d05-cloud", "zz-cloud"]))
@@ -325,14 +326,16 @@ def scenarios(draw, max_devices: int = 29):
         ReminderSpec(id=f"r{k}", author=devices[0], target=target, payload="p")
         for k, target in enumerate(draw(st.lists(st.sampled_from(devices), max_size=2)))
     )
-    # each outage hits one send's destination from up to a minute before
-    # that send, so the delivery falls inside it and, with S17, waits out
-    # the detection window
+    # each outage starts up to a minute before one send, so its delivery
+    # falls inside it. It hits that send's destination (None), which with
+    # S17 waits out the detection window, or any node, the cloud included,
+    # which may lie on the way.
     failures = tuple(
-        FailureSpec(node=sends[k][1], at=max(1, 60 * (k + 1) - lead), duration_s=duration)
-        for k, lead, duration in draw(st.lists(
-            st.tuples(st.integers(0, len(sends) - 1), st.integers(0, 59),
-                      st.integers(0, 600)),
+        FailureSpec(node=sends[k][1] if node is None else node,
+                    at=max(1, 60 * (k + 1) - lead), duration_s=duration)
+        for k, node, lead, duration in draw(st.lists(
+            st.tuples(st.integers(0, len(sends) - 1), st.none() | st.sampled_from(nodes),
+                      st.integers(0, 59), st.integers(0, 600)),
             max_size=4,
         ))
     ) if sends else ()
@@ -350,14 +353,19 @@ def scenarios(draw, max_devices: int = 29):
 
 
 @st.composite
-def worlds(draw, max_devices: int = 29, all_layers: bool = False):
-    """A built world over `scenarios()`; S17 may add spares, and a spare
-    of a device that reaches the cloud through others has no link at all.
-    With `all_layers`, S9 and S10 are drawn on or off too, and S9's
-    credential store may accept, refuse or not know the scenario's user."""
+def worlds(draw, max_devices: int = 29, all_layers: bool = False,
+           with_s17: bool | None = None):
+    """A built world over `scenarios()`. S17 is on as `with_s17` says, or
+    as drawn when it is None; it may add spares, which have no link:
+    they stand in for a receiver and never send. With `all_layers`, S9
+    and S10 are drawn on or off too, and S9's credential store may
+    accept, refuse or not know the scenario's user."""
     scenario = draw(scenarios(max_devices))
-    enabled = {"S17"} if draw(st.booleans()) else set()
-    s17 = S17Config(backups_per_site=draw(st.integers(1, 2)))
+    if with_s17 is None:
+        with_s17 = draw(st.booleans())
+    enabled = {"S17"} if with_s17 else set()
+    s17 = S17Config(backups_per_site=draw(st.integers(1, 2)),
+                    detection_window_s=draw(st.integers(0, 600)))
     controls = ControlLayerConfig(s17=s17)
     if all_layers:
         if draw(st.booleans()):

@@ -485,7 +485,7 @@ _CONFIG_PROBES = [
     ({"control_catalog": ""}, "control catalog is not valid JSON"),
     ({"action_library": ""}, "action library is not valid JSON"),
     ({"scenario": _scenario_with(_misspelt_key_id)},
-     "controls.s10.key_ids.dev-citya names neither a node nor an S17 spare"),
+     "controls.s10.key_ids.dev-citya names no declared node"),
 ]
 
 

@@ -129,9 +129,17 @@ def test_not_json_is_a_parse_error():
          "meeting duration must be >= 1 minute"),
         # a misspelt node id beside the real one would be ignored
         ({"controls": {"s10": {"key_ids": {"d": "kd", "c": "kc", "D": "kD"}}}},
-         "controls.s10.key_ids.D names neither a node nor an S17 spare"),
+         "controls.s10.key_ids.D names no declared node"),
         ({"controls": {"s10": {"key_ids": {"d": "kd", "c": "kc", "d-r2": "k2"}}}},
-         "controls.s10.key_ids.d-r2 names neither a node nor an S17 spare"),
+         "controls.s10.key_ids.d-r2 names no declared node"),
+        # an S17 spare never sends, so a key for it would change nothing
+        ({"controls": {"s10": {"key_ids": {"d": "kd", "c": "kc", "d-r1": "spare"}}}},
+         "controls.s10.key_ids.d-r1 names no declared node"),
+        # the cloud would book the calendar and invite the device twice
+        ({"attendees": [{"id": "p", "device": "d"}],
+          "commands": [{"at": 7, "device": "d", "intent": "schedule_meeting",
+                        "attendees": ["p", "p"], "duration_min": 30}]},
+         "meeting (device 'd', at=7) names attendee 'p' twice"),
     ],
 )
 def test_structural_problems_are_invalid_scenarios(patch, fragment):
@@ -174,19 +182,6 @@ def test_ids_that_no_spare_takes_are_valid(node_id, pool, spares):
         ),
         controls=ControlLayerConfig(s17=S17Config(backups_per_site=spares)),
     )
-
-
-def test_key_ids_may_name_an_s17_spare():
-    scenario = parse_scenario(json.dumps({
-        "nodes": [
-            {"id": "d", "kind": "SmartDevice", "site": "CityA"},
-            {"id": "c", "kind": "CloudService"},
-        ],
-        "links": [{"a": "d", "b": "c", "latency_ms": 10}],
-        "controls": {"s10": {"key_ids": {"d": "kd", "c": "kc", "d-r1": "spare"}}},
-    }))
-    world = build_world(scenario, {"S10", "S17"})
-    assert world.nodes["d-r1"].key_id == "spare"
 
 
 def test_unknown_intent_rejected():
@@ -283,8 +278,9 @@ def spec_scenarios(draw):
     """`helpers.scenarios()` with every spec field drawn: sites, spares,
     bandwidths, calendars, all three intents, reminders, thefts, the
     working week and the control layers. Only valid input is drawn: a
-    meeting names at least one attendee, the meeting horizon is a day or
-    more, and the key map is empty or names every node."""
+    meeting names at least one attendee and each only once, the meeting
+    horizon is a day or more, and the key map is empty or names every
+    node."""
     scenario = draw(scenarios(max_devices=6))
     devices = [n.id for n in scenario.nodes if n.kind == "SmartDevice"]
     node_ids = [n.id for n in scenario.nodes]
@@ -321,7 +317,7 @@ def spec_scenarios(draw):
                                   payload=draw(_TEXT))
         else:
             names = draw(st.lists(st.sampled_from([a.id for a in attendees]),
-                                  min_size=1, max_size=3))
+                                  min_size=1, max_size=3, unique=True))
             command = CommandSpec(at=at, device=device, user=user, credential=credential,
                                   intent=intent, attendees=tuple(names),
                                   duration_min=draw(st.integers(1, 600)))
