@@ -72,10 +72,6 @@ class InvalidScenario(ConfigError):
     pass
 
 
-class CloudUnavailable(SimulationError):
-    pass
-
-
 class NoSlotAvailable(SimulationError):
     pass
 

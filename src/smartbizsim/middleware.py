@@ -36,8 +36,8 @@ class S9Config:
 class S10Config:
     per_message_latency_ms: int = 5
     overhead_bytes: int = 64
-    # node id -> key id for every declared node; empty means "derive one
-    # key per node at build". S17 spares never send, so they get no key.
+    # node id -> key id for every declared node; empty means each node's
+    # key id is `k-<node id>`. S17 spares never send, so they get no key.
     key_ids: Mapping[str, str] = field(default_factory=dict)
 
 

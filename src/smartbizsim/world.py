@@ -15,35 +15,24 @@ down at its delivery time (`transit-failed`, naming that node). One whose
 receiver is down then is lost too, unless the continuity layer (S17) is
 enabled, in which case it waits for the failover switch and lands on a
 spare device; S17 stands in for receivers only. Sending from a failed
-node is not restricted; the model cares about delivery exposure only.
+device is not restricted; the model cares about delivery exposure only.
+A down cloud serves nothing: a reminder to register, a meeting to book
+or a reminder that falls due while it is down becomes `request_failed`
+with `cloud-down`, and a due reminder waits for the next month end.
 """
 
 from __future__ import annotations
 
 import base64
 import heapq
-from dataclasses import dataclass
 from typing import Callable, Collection, NamedTuple
 
 from . import middleware
 from .calendars import Calendar, Slot, find_common_slot
-from .errors import AuthDenied, CloudUnavailable, InvalidScenario, NoSlotAvailable, UnknownUser
+from .errors import AuthDenied, InvalidScenario, NoSlotAvailable, UnknownUser
 from .scenario import CommandSpec, LinkSpec, ScenarioConfig
 from .timeline import SECONDS_PER_DAY, next_month_end_instant
 from .trace import Trace
-
-
-@dataclass
-class Node:
-    id: str
-    kind: str
-    backup_pool: tuple[str, ...] = ()
-    fail_depth: int = 0
-    key_id: str | None = None
-
-    @property
-    def up(self) -> bool:
-        return self.fail_depth == 0
 
 
 class Message(NamedTuple):
@@ -120,14 +109,21 @@ class World:
         self.clock = 0
         self.trace = Trace(sink)
 
-        self.nodes: dict[str, Node] = {}
-        for spec in scenario.nodes:
-            self.nodes[spec.id] = Node(id=spec.id, kind=spec.kind, backup_pool=spec.backup_pool)
-        self.cloud_id = next(n.id for n in self.nodes.values() if n.kind == "CloudService")
+        self.cloud_id = next(n.id for n in scenario.nodes if n.kind == "CloudService")
+        # declared node -> how many of its outages are open; 0 means up
+        self._outages = {n.id: 0 for n in scenario.nodes}
+        # S17 stands a spare in for a device without a pool. Only spare 1
+        # can ever be picked, since no spare is ever down, so the pool
+        # names only it; `backups_per_site` sets just the capital counts.
+        spares = self.config.s17 is not None and self.config.s17.backups_per_site > 0
+        self._pools = {
+            n.id: n.backup_pool or ((f"{n.id}-r1",) if spares and n.kind == "SmartDevice" else ())
+            for n in scenario.nodes
+        }
 
         self.links: dict[str, LinkSpec] = {}
         # node -> {neighbor: link id}; validation allows one link per pair
-        adjacency: dict[str, dict[str, str]] = {n: {} for n in self.nodes}
+        adjacency: dict[str, dict[str, str]] = {n: {} for n in self._outages}
         for link in scenario.links:
             self.links[link.id] = link
             adjacency[link.a][link.b] = adjacency[link.b][link.a] = link.id
@@ -137,9 +133,6 @@ class World:
         }
         # (src, dst) -> (shortest_path, the nodes strictly between)
         self._routes: dict[tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {}
-
-        self._assign_keys()  # before the spares: they never send, so get no key
-        self._provision_backups()
 
         self.calendars: dict[str, Calendar] = {}
         self.attendee_device: dict[str, str] = {}
@@ -162,7 +155,8 @@ class World:
 
         self._record_provisioning()
         for failure in scenario.failures:
-            self.inject_failure(failure.node, failure.at, failure.duration_s)
+            self._schedule(failure.at, "_fail_start", failure.node)
+            self._schedule(failure.at + failure.duration_s, "_fail_end", failure.node)
         for command in scenario.commands:
             self._schedule(command.at, "_handle_command", command)
         for reminder in scenario.reminders:
@@ -183,38 +177,21 @@ class World:
 
     # -- construction helpers ------------------------------------------
 
-    def _assign_keys(self) -> None:
-        if self.config.s10 is None:
-            return
-        # validation: the map is empty or names every declared node
-        given = self.config.s10.key_ids
-        for node in self.nodes.values():
-            node.key_id = given.get(node.id, f"k-{node.id}")
-
-    def _provision_backups(self) -> None:
-        """S17 adds one spare per site for every device without a pool.
-
-        A spare only stands in for its primary as the receiver of a
-        delivery: it has no link and no key, and no message leaves it.
-        """
-        if self.config.s17 is None:
-            return
-        count = self.config.s17.backups_per_site
-        for primary in list(self.nodes.values()):
-            if primary.kind == "SmartDevice" and not primary.backup_pool:
-                # validation keeps these ids free
-                primary.backup_pool = tuple(f"{primary.id}-r{k}" for k in range(1, count + 1))
-                for spare_id in primary.backup_pool:
-                    self.nodes[spare_id] = Node(id=spare_id, kind="SmartDevice")
-
     def _record_provisioning(self) -> None:
         """Queue the capital and setup records for clock 0, by section.
 
         These are events rather than direct appends so a freshly built
-        world always starts with an empty trace.
+        world always starts with an empty trace. With S17 on, each device
+        without a pool has `backups_per_site` spares: deployed devices,
+        so each takes an S9 lock, but never built, since a spare is only
+        a name (validation keeps the names free).
         """
+        devices = [n for n in self.scenario.nodes if n.kind == "SmartDevice"]
+        spares = 0
+        if self.config.s17 is not None:
+            spares = self.config.s17.backups_per_site * sum(1 for d in devices if not d.backup_pool)
         if self.config.s9 is not None:
-            locks = sum(1 for n in self.nodes.values() if n.kind == "SmartDevice")
+            locks = len(devices) + spares
             self._schedule(
                 0, "_record", "capital",
                 dict(section="S9", item="device-lock", count=locks),
@@ -225,7 +202,7 @@ class World:
                 dict(section="S10", action="key-provisioning", events=1),
             )
         if self.config.s17 is not None:
-            backups = len({m for n in self.nodes.values() for m in n.backup_pool})
+            backups = len({m for n in self.scenario.nodes for m in n.backup_pool}) + spares
             if backups:
                 self._schedule(
                     0, "_record", "capital",
@@ -286,7 +263,9 @@ class World:
 
         wrapped = self.config.s10 is not None
         if wrapped:
-            content = middleware.wrap(payload, self.nodes[src].key_id, msg_id=msg_id)
+            # validation: the key map is empty or names every declared node
+            key_id = self.config.s10.key_ids.get(src) or f"k-{src}"
+            content = middleware.wrap(payload, key_id, msg_id=msg_id)
         else:
             content = {"payload_b64": base64.b64encode(payload).decode("ascii")}
 
@@ -324,11 +303,10 @@ class World:
 
     def _handle_delivery(self, msg: Message) -> None:
         for hop in msg.via:
-            if not self.nodes[hop].up:
+            if self._outages[hop]:
                 self._lose(msg, "transit-failed", node=hop)
                 return
-        node = self.nodes[msg.dst]
-        if node.up:
+        if not self._outages[msg.dst]:
             self._deliver(msg, msg.dst)
             return
         if self.config.s17 is not None:
@@ -363,14 +341,9 @@ class World:
 
     # -- failures and failover -------------------------------------------
 
-    def inject_failure(self, node_id: str, at: int, duration_s: int) -> None:
-        self._schedule(at, "_fail_start", node_id)
-        self._schedule(at + duration_s, "_fail_end", node_id)
-
     def _fail_start(self, node_id: str) -> None:
-        node = self.nodes[node_id]
-        node.fail_depth += 1
-        if node.fail_depth > 1:
+        self._outages[node_id] += 1
+        if self._outages[node_id] > 1:
             return  # overlapping windows merge into one outage
         self.trace.append("failure", self.clock, node=node_id, phase="start")
         if self.config.s17 is not None:
@@ -381,9 +354,8 @@ class World:
             )
 
     def _fail_end(self, node_id: str) -> None:
-        node = self.nodes[node_id]
-        node.fail_depth -= 1
-        if node.fail_depth > 0:
+        self._outages[node_id] -= 1
+        if self._outages[node_id]:
             return
         self.trace.append("failure", self.clock, node=node_id, phase="end")
         # recovery beats a pending detection window: queued messages go
@@ -410,8 +382,8 @@ class World:
                 self._lose(msg, "pool-exhausted")
 
     def _first_up_backup(self, node_id: str) -> str | None:
-        for backup in self.nodes[node_id].backup_pool:
-            if self.nodes[backup].up:
+        for backup in self._pools[node_id]:
+            if not self._outages.get(backup):  # a spare is never down
                 return backup
         return None
 
@@ -420,26 +392,21 @@ class World:
     def _handle_command(self, command: CommandSpec) -> None:
         s9_ms = 0
         if self.config.s9 is not None:
+            refused = {}
             try:
                 middleware.authenticate(
                     command.user, command.credential, command.device, self.config
                 )
             except UnknownUser:
-                self.trace.append(
-                    "audit", self.clock, user=command.user, device=command.device,
-                    authenticated=False, reason="unknown-user",
-                )
-                return
+                refused = dict(reason="unknown-user")
             except AuthDenied:
-                self.trace.append(
-                    "audit", self.clock, user=command.user, device=command.device,
-                    authenticated=False, reason="bad-credential",
-                )
-                return
+                refused = dict(reason="bad-credential")
             self.trace.append(
                 "audit", self.clock, user=command.user, device=command.device,
-                authenticated=True,
+                authenticated=not refused, **refused,
             )
+            if refused:
+                return
             s9_ms = self.config.s9.per_session_latency_ms
 
         if command.intent == "voice_message":
@@ -463,22 +430,21 @@ class World:
 
     def _request(self, intent: str, *args) -> None:
         """Carry out a request at the cloud by calling the method named
-        `intent`. One it cannot serve is traced as `request_failed`, and the
-        run goes on."""
+        `intent`. One it cannot serve, because it is down or no slot is
+        free, is traced as `request_failed`, and the run goes on."""
+        if self._outages[self.cloud_id]:
+            self._record("request_failed", dict(intent=intent, reason="cloud-down"))
+            return
         try:
             getattr(self, intent)(*args)
         except NoSlotAvailable:
             self._record("request_failed", dict(intent=intent, reason="no-slot"))
-        except CloudUnavailable:
-            self._record("request_failed", dict(intent=intent, reason="cloud-down"))
 
     # -- reminders ---------------------------------------------------------
 
     def create_reminder(
         self, author: str, target: str, payload: bytes, reminder_id: str | None = None
     ) -> str:
-        if not self.nodes[self.cloud_id].up:
-            raise CloudUnavailable("cloud service is down; cannot register reminder")
         rid = reminder_id
         if not rid:
             # a generated id skips the ids the scenario declares
@@ -501,18 +467,21 @@ class World:
             next_month_end_instant(
                 self.clock, self.scenario.reminder_fire_time, self.epoch
             ),
-            "_fire_reminder",
+            "_reminder_due",
             rid,
         )
 
-    def _fire_reminder(self, rid: str) -> None:
+    def _reminder_due(self, rid: str) -> None:
+        self._request("fire_reminder", rid)
+        self._schedule_reminder(rid)  # due again, whether or not it fired
+
+    def fire_reminder(self, rid: str) -> None:
         reminder = self.reminders[rid]
         self.trace.append(
             "reminder", self.clock, event="fired", reminder=rid,
             target=reminder.target,
         )
         self.send_message(self.cloud_id, reminder.target, reminder.payload)
-        self._schedule_reminder(rid)
 
     # -- meetings ------------------------------------------------------------
 

@@ -356,8 +356,9 @@ def scenarios(draw, max_devices: int = 29):
 def worlds(draw, max_devices: int = 29, all_layers: bool = False,
            with_s17: bool | None = None):
     """A built world over `scenarios()`. S17 is on as `with_s17` says, or
-    as drawn when it is None; it may add spares, which have no link:
-    they stand in for a receiver and never send. With `all_layers`, S9
+    as drawn when it is None; then each device, having no pool, has
+    spares, which are names only: spare 1 may stand in for a receiver,
+    and no message is sent to or from a spare. With `all_layers`, S9
     and S10 are drawn on or off too, and S9's credential store may
     accept, refuse or not know the scenario's user."""
     scenario = draw(scenarios(max_devices))

@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import by_kind, document, multi_hop_scenario, naive_total_cost, recorded_dmaic
 from smartbizsim.cli import main
@@ -25,7 +27,7 @@ from smartbizsim.costs import (
 )
 from smartbizsim.errors import ConfigError, KOutOfRange, ParseError, read
 from smartbizsim.metering import SectionUsage
-from smartbizsim.risk import default_risk_catalog, rank
+from smartbizsim.risk import OrdinalLevel, Risk, RiskCatalog, default_risk_catalog, rank
 from smartbizsim.trace import canonical_json
 
 
@@ -162,6 +164,54 @@ def test_partially_enabled_mapping_leaves_risks_untouched():
     assessment = rank(default_risk_catalog())
     residual = residual_assessment(assessment, {"S10"}, mapping, Fraction(0))
     assert residual.scores["R6"] == 25  # S13 missing, so R6 keeps its score
+
+
+SECTIONS = ("S9", "S10", "S13", "S17")
+
+
+@st.composite
+def residual_cases(draw):
+    """A catalog of 1-12 risks, a mapping over some of them, the enabled
+    sections and a factor in [0, 1], both ends drawn often."""
+    levels = st.sampled_from(list(OrdinalLevel))
+    risks = tuple(
+        Risk(id=f"R{k}", name=f"risk {k}", relevance=draw(levels), severity=draw(levels))
+        for k in draw(st.lists(st.integers(1, 30), min_size=1, max_size=12, unique=True))
+    )
+    sections = st.lists(st.sampled_from(SECTIONS), min_size=1, max_size=3, unique=True)
+    mapping = {r.id: tuple(draw(sections)) for r in risks if draw(st.booleans())}
+    enabled = set(draw(st.lists(st.sampled_from(SECTIONS), unique=True)))
+    factor = draw(st.sampled_from([Fraction(0), Fraction(1)])
+                  | st.fractions(min_value=0, max_value=1, max_denominator=12))
+    return RiskCatalog(risks), RiskControlMapping(entries=mapping), enabled, factor
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(residual_cases())
+def test_residual_ranking_scales_mitigated_risks_and_moves_them_only_down(case):
+    catalog, mapping, enabled, factor = case
+    before = rank(catalog)
+    after = residual_assessment(before, enabled, mapping, factor)
+    mitigated = {rid for rid, mapped in mapping.entries.items() if set(mapped) <= enabled}
+    for rid, score in before.scores.items():
+        assert after.scores[rid] == (score * factor if rid in mitigated else score)
+
+    def among(ranking, ids):
+        return [rid for rid in ranking if rid in ids]
+
+    unmitigated = set(before.scores) - mitigated
+    assert among(after.ranking, unmitigated) == among(before.ranking, unmitigated)
+    place = {rid: k for k, rid in enumerate(before.ranking)}
+    new_place = {rid: k for k, rid in enumerate(after.ranking)}
+    if factor == 0:
+        # mitigated risks all score 0 and re-tie, so only their block is fixed
+        assert after.ranking[:len(unmitigated)] == tuple(among(before.ranking, unmitigated))
+    else:
+        assert among(after.ranking, mitigated) == among(before.ranking, mitigated)
+        assert all(new_place[rid] >= place[rid] for rid in mitigated)
+        assert all(new_place[rid] <= place[rid] for rid in unmitigated)
+    if factor == 1:
+        assert after.ranking == before.ranking
 
 
 # -- the full pipeline -------------------------------------------------------------

@@ -15,7 +15,7 @@ from smartbizsim.middleware import (
     wrap,
 )
 from smartbizsim.metering import meter
-from smartbizsim.scenario import CommandSpec, FailureSpec, default_scenario
+from smartbizsim.scenario import CommandSpec, FailureSpec, LinkSpec, NodeSpec, default_scenario
 from smartbizsim.world import build_world
 
 # controls of scenarios whose runs switch on S9, or S10
@@ -114,7 +114,7 @@ def test_sealed_send_names_the_sender_key_and_carries_no_payload():
     msg_id = world.send_message("device-a", "device-b", b"secret payload")
     sent = by_kind(world.trace, "sent")[0]
     # only the sender's key opens it: the receiver's key is not named
-    assert sent["key_id"] == world.nodes["device-a"].key_id == "k-device-a"
+    assert sent["key_id"] == "k-device-a"
     assert sent["marker"] == f"ct:k-device-a:{msg_id}"
     assert sent["inner_size"] == 14
     assert "payload_b64" not in sent
@@ -130,7 +130,7 @@ def test_s10_seals_every_send_of_generated_worlds(world, overhead):
     world.run_until(world.horizon_s)
     assert meter(world.trace).plaintext_exposures == 0
     for sent in by_kind(world.trace, "sent"):
-        assert sent["key_id"] == world.nodes[sent["src"]].key_id
+        assert sent["key_id"] == f"k-{sent['src']}"  # generated worlds have no key map
         assert sent["marker"] == f"ct:{sent['key_id']}:{sent['msg_id']}"
         assert sent["inner_size"] == sent["size_bytes"]
         assert "payload_b64" not in sent
@@ -234,14 +234,23 @@ def test_empty_pool_loses_outage_traffic():
 
 def test_failed_backup_serves_again_after_it_recovers():
     times = (1200, 2000, 4000)
-    scenario = _failover_scenario(message_times=times, failures=(("device-b", 1000, 7200),))
+    base = _failover_scenario(message_times=times, failures=(("device-b", 1000, 7200),))
+    nodes = tuple(
+        replace(n, backup_pool=("device-c",)) if n.id == "device-b" else n for n in base.nodes
+    )
+    scenario = replace(
+        base,
+        nodes=nodes + (NodeSpec(id="device-c", kind="SmartDevice", site="CityB"),),
+        links=base.links + (LinkSpec(a="device-c", b="cloud", latency_ms=50),),
+        # device-b's backup is down until 3400
+        failures=base.failures + (FailureSpec(node="device-c", at=900, duration_s=2500),),
+    )
     world = build_world(scenario, {"S17"})
-    world.inject_failure("device-b-r1", 900, 2500)  # spare down until 3400
     world.run_until(scenario.horizon_s)
     by_msg = message_records(world.trace)
     statuses = [by_msg[i]["status"] for i in sorted(by_msg)]
     assert statuses == ["Lost", "Lost", "Delivered"]
-    assert by_msg[3]["delivered"]["to"] == "device-b-r1"
+    assert by_msg[3]["delivered"]["to"] == "device-c"
 
 
 def test_recovery_before_detection_window_flushes_to_the_primary():

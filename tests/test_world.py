@@ -1,5 +1,6 @@
 import datetime as dt
 import gc
+import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -16,7 +17,7 @@ from helpers import (
     two_device_scenario,
     worlds,
 )
-from smartbizsim.errors import CloudUnavailable, InvalidScenario, NoSlotAvailable
+from smartbizsim.errors import InvalidScenario, NoSlotAvailable
 from smartbizsim.middleware import ControlLayerConfig, S17Config
 from smartbizsim.metering import meter
 from smartbizsim.scenario import (
@@ -36,10 +37,10 @@ DAY = SECONDS_PER_DAY
 
 def test_default_scenario_builds_three_devices_and_one_cloud():
     world = build_world(default_scenario(), ())
-    kinds = sorted(n.kind for n in world.nodes.values())
-    assert kinds == ["CloudService", "SmartDevice", "SmartDevice", "SmartDevice"]
+    assert world.cloud_id == "cloud"
     assert world.clock == 0
-    assert all(n.up for n in world.nodes.values())
+    # every node is up: none has an open outage
+    assert world._outages == {"dev-city-a": 0, "dev-city-b": 0, "dev-truck": 0, "cloud": 0}
     assert len(world.trace) == 0  # nothing observed until the world runs
 
 
@@ -52,7 +53,10 @@ def test_minimal_world_is_valid():
         ),
         links=(LinkSpec(a="device-a", b="cloud", latency_ms=10),),
     )
-    assert len(build_world(scenario, ()).nodes) == 2
+    world = build_world(scenario, ())
+    assert world.cloud_id == "cloud"
+    assert world._outages == {"device-a": 0, "cloud": 0}
+    assert len(world.trace) == 0
 
 
 @pytest.mark.parametrize(
@@ -338,13 +342,6 @@ def test_reminder_created_after_fire_time_on_month_end_waits_a_month():
     assert fired[0]["time"] == seconds_at(scenario.epoch, dt.date(2024, 2, 29), dt.time(9, 0))
 
 
-def test_create_reminder_validates_nodes_and_cloud():
-    world = build_world(two_device_scenario(), ())
-    world.nodes["cloud"].fail_depth = 1
-    with pytest.raises(CloudUnavailable):
-        world.create_reminder("device-a", "device-b", b"x")
-
-
 def test_generated_reminder_ids_skip_the_ids_the_scenario_declares():
     # both voice-created reminders register before the scenario's `rem-1`
     base = default_scenario()
@@ -383,27 +380,56 @@ def test_scenario_reminder_while_the_cloud_is_down_is_traced_and_the_run_goes_on
     assert (metrics.messages_sent, metrics.messages_delivered) == (1, 1)
 
 
-def test_reminder_request_failed_over_from_a_down_cloud_is_traced():
-    # the cloud has a spare device: S17 hands the request to it after the
-    # detection window, but only the cloud can register a reminder
-    base = two_device_scenario(
-        failures=(("cloud", 50, 3600),),
-    )
-    command = CommandSpec(at=100, device="device-a", user="operator",
-                          credential="op-pass", intent="create_reminder",
-                          target="device-b", payload="p")
+def _failed_over_request(**command):
+    """A run in which device-a's one request at t=100 reaches a cloud that
+    is down from 50 to 3650. The cloud's backup pool is device-b, so S17
+    hands the request to it after the detection window, at t=110."""
+    base = two_device_scenario(failures=(("cloud", 50, 3600),))
     world = build_world(replace(
         base,
         nodes=tuple(
             replace(n, backup_pool=("device-b",)) if n.kind == "CloudService" else n
             for n in base.nodes
         ),
-        commands=(command,),
+        attendees=(AttendeeSpec(id="chief", device="device-b"),),
+        commands=(CommandSpec(at=100, device="device-a", user="operator",
+                              credential="op-pass", **command),),
     ), {"S17"})
-    world.run_until(world.horizon_s)
+    return world.run_until(world.horizon_s)
+
+
+def test_reminder_request_failed_over_from_a_down_cloud_is_traced():
+    # only the cloud can register a reminder
+    world = _failed_over_request(intent="create_reminder", target="device-b", payload="p")
     assert _request_failures(world) == [(110, "create_reminder", "cloud-down")]
     assert world.reminders == {}
     assert meter(world.trace).messages_delivered == 1
+
+
+def test_meeting_request_failed_over_from_a_down_cloud_books_nothing():
+    # only the cloud can book a meeting and send its invitations
+    world = _failed_over_request(intent="schedule_meeting", attendees=("chief",),
+                                 duration_min=30)
+    assert _request_failures(world) == [(110, "schedule_meeting", "cloud-down")]
+    assert by_kind(world.trace, "meeting") == []
+    assert world.calendars["chief"].busy == []
+    assert [s["src"] for s in by_kind(world.trace, "sent")] == ["device-a"]
+
+
+def test_a_reminder_due_while_the_cloud_is_down_fails_and_is_due_next_month():
+    base = two_device_scenario(horizon_s=60 * DAY)
+    due = seconds_at(base.epoch, dt.date(2024, 1, 31), dt.time(9, 0))
+    world = build_world(replace(
+        base,
+        failures=(FailureSpec(node="cloud", at=due - 60, duration_s=600),),
+        reminders=(ReminderSpec(id="eom", author="device-a", target="device-b",
+                                payload="p", at=0),),
+    ), ())
+    world.run_until(world.horizon_s)
+    assert _request_failures(world) == [(due, "fire_reminder", "cloud-down")]
+    fired = [r["time"] for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
+    assert fired == [seconds_at(base.epoch, dt.date(2024, 2, 29), dt.time(9, 0))]
+    assert [s["time"] for s in by_kind(world.trace, "sent")] == fired
 
 
 # -- meetings ------------------------------------------------------------------
@@ -450,29 +476,64 @@ def test_unplaceable_meeting_raises():
 # -- continuity provisioning ---------------------------------------------------
 
 
+def _capital(world) -> list[tuple[str, int]]:
+    world.run_until(0)  # provisioning records land at clock 0
+    return [(c["section"], c["count"]) for c in by_kind(world.trace, "capital")]
+
+
 def test_s17_provisions_one_spare_per_device():
     controls = ControlLayerConfig(s17=S17Config(backups_per_site=1))
     world = build_world(two_device_scenario(controls=controls), {"S17"})
-    assert set(world.nodes) == {
-        "device-a", "device-b", "cloud", "device-a-r1", "device-b-r1",
-    }
-    assert world.nodes["device-a"].backup_pool == ("device-a-r1",)
-    world.run_until(0)  # provisioning records land at clock 0
-    capital = by_kind(world.trace, "capital")
-    assert [(c["section"], c["count"]) for c in capital] == [("S17", 2)]
+    assert _capital(world) == [("S17", 2)]
+
+
+def test_capital_counts_each_pool_member_once_and_every_spare():
+    # c and d have no pool, so each has 3 spares; a and b share c
+    base = two_device_scenario(controls=ControlLayerConfig(s17=S17Config(backups_per_site=3)))
+    devices = ("device-a", "device-b", "device-c", "device-d")
+    pools = {"device-a": ("device-c",), "device-b": ("device-c", "device-d")}
+    scenario = replace(
+        base,
+        nodes=tuple(
+            NodeSpec(id=d, kind="SmartDevice", site="CityA", backup_pool=pools.get(d, ()))
+            for d in devices
+        ) + (NodeSpec(id="cloud", kind="CloudService"),),
+        links=tuple(LinkSpec(a=d, b="cloud", latency_ms=50) for d in devices),
+    )
+    world = build_world(scenario, {"S9", "S17"})
+    assert _capital(world) == [("S9", 4 + 6), ("S17", 2 + 6)]
+
+
+def test_a_world_builds_nothing_per_spare():
+    controls = ControlLayerConfig(s17=S17Config(backups_per_site=10_000))
+    scenario = two_device_scenario(controls=controls)
+    tracemalloc.start()
+    try:
+        world = build_world(scenario, {"S9", "S17"})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert _capital(world) == [("S9", 20_002), ("S17", 20_000)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(all_layers=True, with_s17=True))
 def test_a_spare_is_a_stand_in_and_no_network_node(world):
-    spares = set(world.nodes) - {n.id for n in world.scenario.nodes}
-    assert spares  # every device without a pool gets one
-    assert spares.isdisjoint(world._adjacency)
-    assert spares.isdisjoint({end for link in world.links.values() for end in (link.a, link.b)})
-    assert all(world.nodes[spare].key_id is None for spare in spares)
+    declared = {n.id for n in world.scenario.nodes}
+    poolless = {n.id for n in world.scenario.nodes
+                if n.kind == "SmartDevice" and not n.backup_pool}
     world.run_until(world.horizon_s)
+    dst = {}
     for sent in by_kind(world.trace, "sent"):
         ends = {end for link_id in sent["path"]
                 for end in (world.links[link_id].a, world.links[link_id].b)}
-        assert spares.isdisjoint({sent["src"], sent["dst"], *ends})
+        assert {sent["src"], sent["dst"], *ends} <= declared
+        dst[sent["msg_id"]] = sent["dst"]
+    # only spare 1 of a device without a pool ever stands in
+    stand_ins = [(dst[d["msg_id"]], d["to"]) for d in by_kind(world.trace, "delivered")]
+    stand_ins += [(f["failed"], f["substitute"]) for f in by_kind(world.trace, "failover")]
+    for primary, node in stand_ins:
+        if node is not None:  # a failover may find no one
+            assert node in declared or (primary in poolless and node == f"{primary}-r1")
 
