@@ -11,6 +11,7 @@ bisect and a merge of the neighbours it touches.
 
 from __future__ import annotations
 
+import datetime as dt
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -39,16 +40,12 @@ def normalize_intervals(intervals: Iterable[Interval]) -> list[Interval]:
 
 
 @dataclass(frozen=True)
-class WorkingHours:
-    """Daily working window plus the weekday the epoch falls on."""
+class WorkWeek:
+    """The daily working window and the working weekdays (0 = Monday)."""
 
-    start_minute: int = 8 * 60
-    end_minute: int = 18 * 60
-    workdays: frozenset[int] = frozenset({0, 1, 2, 3, 4})  # Mon..Fri
-    epoch_weekday: int = 0
-
-    def is_workday(self, day_index: int) -> bool:
-        return (self.epoch_weekday + day_index) % 7 in self.workdays
+    start: dt.time = dt.time(8, 0)
+    end: dt.time = dt.time(18, 0)
+    days: tuple[int, ...] = (0, 1, 2, 3, 4)
 
 
 @dataclass
@@ -56,7 +53,6 @@ class Calendar:
     """One attendee's busy intervals, kept sorted and merged: no two
     intervals overlap or touch, so their ends are sorted too."""
 
-    owner: str
     busy: list[Interval] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -89,13 +85,18 @@ def find_common_slot(
     duration: int,
     search_from: int,
     horizon: int,
-    hours: WorkingHours,
+    week: WorkWeek,
+    epoch_weekday: int,
 ) -> Slot:
     """Earliest slot of `duration` minutes free in every calendar.
 
-    The whole slot must fit inside a single working window and end no
-    later than `horizon`. Raises NoSlotAvailable when nothing fits.
+    The whole slot must fit inside a single working window of `week` and
+    end no later than `horizon`; day 0 falls on `epoch_weekday`. Raises
+    NoSlotAvailable when nothing fits.
     """
+    start_minute = week.start.hour * 60 + week.start.minute
+    end_minute = week.end.hour * 60 + week.end.minute
+    workdays = week.days
     # every calendar from its first interval that ends after search_from,
     # merged lazily by start; intervals of different calendars may overlap
     busy = heapq.merge(*(
@@ -108,14 +109,14 @@ def find_common_slot(
     reached = search_from
 
     first_day = max(search_from // MINUTES_PER_DAY, 0)
-    last_day = (horizon - 1) // MINUTES_PER_DAY
-    for day in range(first_day, last_day + 1):
-        if not hours.is_workday(day):
+    days = range(first_day, (horizon - 1) // MINUTES_PER_DAY + 1)
+    if duration > end_minute - start_minute:
+        days = range(0)  # longer than the working window: no day can hold it
+    for day in days:
+        if (epoch_weekday + day) % 7 not in workdays:
             continue
-        window_start = day * MINUTES_PER_DAY + hours.start_minute
-        window_end = day * MINUTES_PER_DAY + hours.end_minute
-        lo = max(window_start, search_from)
-        hi = min(window_end, horizon)
+        lo = max(day * MINUTES_PER_DAY + start_minute, search_from)
+        hi = min(day * MINUTES_PER_DAY + end_minute, horizon)
         if lo + duration > hi:
             continue
         # Push the candidate past each interval that blocks it; intervals

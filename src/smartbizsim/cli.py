@@ -9,7 +9,8 @@ Four subcommands:
               and both traces
 * report   -- re-render an existing cost report in another format
 
-Exit codes: 0 success, 2 input/config error, 3 simulation error.
+Exit codes: 0 success, 2 input/config error or an output that cannot be
+written, 3 simulation error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
-from . import costs
+from . import costs, middleware
 from .errors import (
     ConfigError,
     DmaicStepError,
@@ -238,11 +239,11 @@ def _parse_controls_flag(flag: str) -> frozenset[str]:
     if flag in ("none", ""):
         return frozenset()
     if flag == "all":
-        return frozenset({"S9", "S10", "S17"})
+        return frozenset(middleware.SECTIONS)
     sections = set()
     for part in flag.split(","):
         part = part.strip().upper()
-        if part not in ("S9", "S10", "S17"):
+        if part not in middleware.SECTIONS:
             raise ConfigError(f"unknown control layer {part!r} (use s9,s10,s17)")
         sections.add(part)
     return frozenset(sections)
@@ -319,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         cause = getattr(exc, "cause", exc)  # a pipeline step's error wraps its cause
         return EXIT_CONFIG if isinstance(cause, ConfigError) else EXIT_SIMULATION
+    except OSError as exc:  # writing an output; a failed read is a ParseError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -12,10 +12,9 @@ figures. Every priced quantity comes from the secured run's trace
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .errors import LabeledEnum, ParseError, parse_json, read
-from .risk import id_order
 
 
 class ChangeLevel(LabeledEnum):
@@ -67,12 +66,6 @@ class MitigationAction:
     )
 
 
-@dataclass(frozen=True)
-class ImplementationPlan:
-    actions: tuple[MitigationAction, ...]
-    enabled_controls: frozenset[str]
-
-
 _DEFAULT_SECTIONS: tuple[tuple[str, str, str], ...] = (
     ("S5", "Information Security Policy", "Moderate"),
     ("S6", "Organization of Information Security", "Moderate"),
@@ -106,25 +99,14 @@ def default_mapping() -> RiskControlMapping:
     )
 
 
-def build_plan(
-    selected_risks: Sequence[str],
-    mapping: RiskControlMapping,
-    action_library: Iterable[MitigationAction],
-) -> ImplementationPlan:
-    """Collect every library action whose control mitigates a selected risk.
+def build_plan(selected_risks: Sequence[str], mapping: RiskControlMapping) -> frozenset[str]:
+    """The plan: every section mapped to a selected risk, to be enabled.
 
-    A `DmaicConfig` guarantees an action for every mapped section, so
-    the plan has one for each section it enables. Action order is
-    deterministic: control id (numeric), then action id.
+    A `DmaicConfig` guarantees a library action for each of them.
     """
-    wanted = {
+    return frozenset(
         section for risk_id in selected_risks for section in mapping.sections_for(risk_id)
-    }
-    actions = sorted(
-        (a for a in action_library if a.control in wanted),
-        key=lambda a: (id_order(a.control), a.id),
     )
-    return ImplementationPlan(actions=tuple(actions), enabled_controls=frozenset(wanted))
 
 
 _DEFAULT_ACTIONS: tuple[tuple[str, str, str], ...] = (

@@ -2,8 +2,8 @@
 
 Define loads the reference data into a `DmaicConfig`, which rejects any
 config that cannot run, so no later step raises on its input. Measure
-ranks the risks, Analyze selects the top k, Improve maps them onto
-control sections and assembles the mitigation plan, and Control runs the
+ranks the risks, Analyze selects the top k, Improve maps them onto the
+control sections to enable (the plan), and Control runs the
 same scenario twice (all layers off, then the plan's layers on), meters
 both traces as they stream and prices the difference.
 Every priced quantity -- hardware, operational events, latency, bytes
@@ -24,7 +24,6 @@ from typing import Mapping, NamedTuple
 
 from .controls import (
     ControlCatalog,
-    ImplementationPlan,
     MitigationAction,
     RiskControlMapping,
     build_plan,
@@ -48,7 +47,6 @@ from .errors import (
     read_document,
 )
 from .metering import Meter, MetricSet, SectionUsage
-from .middleware import ControlLayerConfig
 from .risk import (
     RiskAssessment,
     RiskCatalog,
@@ -202,24 +200,20 @@ class DmaicOutcome(NamedTuple):
     """Everything a pipeline run produces but its traces."""
 
     report: CostReport
-    assessment: RiskAssessment
-    plan: ImplementationPlan
+    plan: frozenset[str]  # the sections the secured run enabled
 
 
 def monetize(
-    plan: ImplementationPlan,
-    rates: CostRates,
-    section_usage: Mapping[str, SectionUsage] | None = None,
+    enabled: frozenset[str], rates: CostRates, usage: Mapping[str, SectionUsage]
 ) -> dict[str, SectionCost]:
-    """Price each section the plan enables from what the secured run
-    metered for it: capital items, operational events and performance
-    overhead. A section with no layer in the simulator prices 0.
+    """Price each enabled section from what the secured run metered for
+    it: capital items, operational events and performance overhead. A
+    section with no layer in the simulator prices 0.
 
     All integer arithmetic; the per-section totals add up exactly.
     """
-    usage = section_usage or {}
     sections = {}
-    for section_id in sorted(plan.enabled_controls, key=id_order):
+    for section_id in sorted(enabled, key=id_order):
         used = usage.get(section_id, SectionUsage())
         capital = used.capital_items * rates.capital_item
         operational = used.operational_events * rates.operational_event
@@ -292,13 +286,7 @@ def load_dmaic_config(
         ref = ref_path(key)
         return default() if ref is None else parse(read_document(ref, f"{key} reference"))
 
-    update = None
-    if "controls" in data:
-        block = data.pop("controls")
-
-        def update(own: ControlLayerConfig) -> ControlLayerConfig:
-            return read(ControlLayerConfig, block, base=own, at="controls")
-
+    controls = data.pop("controls", {})
     scenario_path = ref_path("scenario")
     given = {
         "risk_catalog": reference("risk_catalog", parse_risk_catalog, default_risk_catalog),
@@ -307,8 +295,8 @@ def load_dmaic_config(
         ),
         "mapping": reference("mapping", parse_mapping, default_mapping),
         "scenario": (
-            default_scenario(update) if scenario_path is None
-            else load_scenario(scenario_path, update)
+            default_scenario(controls) if scenario_path is None
+            else load_scenario(scenario_path, controls)
         ),
         "action_library": reference(
             "action_library", parse_action_library, default_action_library
@@ -321,7 +309,7 @@ def load_dmaic_config(
 def run_dmaic(
     config: DmaicConfig, sinks: Mapping[str, Meter] | None = None
 ) -> DmaicOutcome:
-    """Execute all five steps and return the report, ranking and plan.
+    """Execute all five steps and return the report and plan.
 
     The runs named "baseline" and "secured" each stream their trace in
     batches to the Meter of that name in `sinks`, which may also write or
@@ -331,16 +319,16 @@ def run_dmaic(
     # Measure, Analyze and Improve raise on no config that exists
     assessment = rank(config.risk_catalog)
     selected = top_k(assessment, config.top_k)
-    plan = build_plan(selected, config.mapping, config.action_library)
+    plan = build_plan(selected, config.mapping)
 
     try:  # Control: any error is reported under the step's name
         meters = sinks or {"baseline": Meter(), "secured": Meter()}
-        for run, enabled in (("baseline", ()), ("secured", plan.enabled_controls)):
+        for run, enabled in (("baseline", ()), ("secured", plan)):
             world = build_world(config.scenario, enabled, meters[run].feed)
             world.run_until(config.scenario.horizon_s)
         breakdown = monetize(plan, config.rates, meters["secured"].sections())
         residual = residual_assessment(
-            assessment, plan.enabled_controls, config.mapping, config.residual_factor
+            assessment, plan, config.mapping, config.residual_factor
         )
         report = CostReport(
             baseline=meters["baseline"].metrics(),
@@ -355,4 +343,4 @@ def run_dmaic(
         )
     except Exception as exc:
         raise DmaicStepError("Control", exc) from exc
-    return DmaicOutcome(report=report, assessment=assessment, plan=plan)
+    return DmaicOutcome(report=report, plan=plan)

@@ -19,10 +19,14 @@ S17 at delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Collection, Mapping, NamedTuple
 
 from .errors import AuthDenied, InvalidScenario, UnknownUser
+
+# The sections with a layer, in `Layers` order; a layer's field is the
+# lower-case id.
+SECTIONS = ("S9", "S10", "S17")
 
 
 @dataclass(frozen=True)
@@ -54,25 +58,21 @@ class ControlLayerConfig:
     s17: S17Config = S17Config()
 
     def __post_init__(self) -> None:
-        checks = (
-            ("s9.per_session_latency_ms", self.s9.per_session_latency_ms),
-            ("s9.review_period_days", self.s9.review_period_days),
-            ("s10.per_message_latency_ms", self.s10.per_message_latency_ms),
-            ("s10.overhead_bytes", self.s10.overhead_bytes),
-            ("s17.backups_per_site", self.s17.backups_per_site),
-            ("s17.detection_window_s", self.s17.detection_window_s),
-        )
-        for name, value in checks:
-            if value < 0:
-                raise InvalidScenario(f"{name} must be non-negative, got {value}")
+        for outer in fields(self):
+            layer = getattr(self, outer.name)
+            for f in fields(layer):  # annotations are text: see the __future__ import
+                value = getattr(layer, f.name)
+                if f.type == "int" and value < 0:
+                    raise InvalidScenario(
+                        f"{outer.name}.{f.name} must be non-negative, got {value}"
+                    )
 
     def with_enabled(self, sections: Collection[str]) -> "Layers":
         """The layers of a run that switches on exactly the given sections."""
-        return Layers(
-            self.s9 if "S9" in sections else None,
-            self.s10 if "S10" in sections else None,
-            self.s17 if "S17" in sections else None,
-        )
+        return Layers(*(
+            getattr(self, section.lower()) if section in sections else None
+            for section in SECTIONS
+        ))
 
 
 class Layers(NamedTuple):
@@ -85,8 +85,7 @@ class Layers(NamedTuple):
     @property
     def enabled_sections(self) -> frozenset[str]:
         return frozenset(
-            section for section, layer in zip(("S9", "S10", "S17"), self)
-            if layer is not None
+            section for section, layer in zip(SECTIONS, self) if layer is not None
         )
 
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 import datetime as dt
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
-from .calendars import WorkingHours
+from .calendars import WorkWeek
 from .errors import InvalidScenario, parse_json, read, read_document
 from .middleware import ControlLayerConfig, S9Config
-from .timeline import SECONDS_PER_DAY
+from .timeline import SECONDS_PER_DAY, seconds_at
 
 SITES = ("CityA", "CityB", "Truck")
 INTENT_KINDS = ("voice_message", "create_reminder", "schedule_meeting")
@@ -88,15 +87,6 @@ class CommandSpec:
     duration_min: int = 0
 
 
-@dataclass(frozen=True)
-class WorkWeek:
-    """The daily working window and the working weekdays (0 = Monday)."""
-
-    start: dt.time = dt.time(8, 0)
-    end: dt.time = dt.time(18, 0)
-    days: tuple[int, ...] = (0, 1, 2, 3, 4)
-
-
 @dataclass(frozen=True, kw_only=True)
 class ScenarioConfig:
     epoch: dt.date = dt.date(2024, 1, 1)
@@ -118,39 +108,25 @@ class ScenarioConfig:
         # Every instance is valid: parsed, built in code or a replace() copy.
         validate_scenario(self)
 
-    def calendar_hours(self) -> WorkingHours:
-        """The working week in calendar minutes from the epoch."""
-        hours = self.working_hours
-        return WorkingHours(
-            start_minute=hours.start.hour * 60 + hours.start.minute,
-            end_minute=hours.end.hour * 60 + hours.end.minute,
-            workdays=frozenset(hours.days),
-            epoch_weekday=self.epoch.weekday(),
-        )
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidScenario(message)
 
 
-# Maps a scenario's own controls to the ones it runs with, such as a
-# pipeline config's `controls` block read over them.
-ControlsUpdate = Callable[[ControlLayerConfig], ControlLayerConfig]
-
-
-def parse_scenario(document: str, update: ControlsUpdate | None = None) -> ScenarioConfig:
-    """The scenario of a JSON document, its controls passed through `update`
+def parse_scenario(document: str, controls: object = {}) -> ScenarioConfig:
+    """The scenario of a JSON document, with `controls`, a decoded JSON
+    block such as a pipeline config's (only read), read over its own
     before it is built, so it is built and validated once."""
     data = parse_json(document, "scenario")
-    if update is None or type(data) is not dict:
-        return read(ScenarioConfig, data)
-    own = read(ControlLayerConfig, data.pop("controls", {}), at="controls")
-    return read(ScenarioConfig, data, given={"controls": update(own)})
+    block = data.pop("controls", {}) if type(data) is dict else {}  # no object: read rejects it
+    own = read(ControlLayerConfig, block, at="controls")
+    controls = read(ControlLayerConfig, controls, base=own, at="controls")
+    return read(ScenarioConfig, data, given={"controls": controls})
 
 
-def load_scenario(path: str | Path, update: ControlsUpdate | None = None) -> ScenarioConfig:
-    return parse_scenario(read_document(path, "scenario"), update)
+def load_scenario(path: str | Path, controls: object = {}) -> ScenarioConfig:
+    return parse_scenario(read_document(path, "scenario"), controls)
 
 
 def validate_scenario(scenario: ScenarioConfig) -> None:
@@ -300,6 +276,14 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
         _require(theft.node in known, f"theft node {theft.node!r} unknown")
         _require(theft.at >= 0, "theft time must be >= 0")
     _require(scenario.horizon_s > 0, "horizon must be positive")
+    # A reminder due by the horizon is due again at the next month end,
+    # which must be a date. Counted in whole days, so no date is built.
+    last_due = seconds_at(scenario.epoch, dt.date.max, scenario.reminder_fire_time)
+    if scenario.horizon_s >= last_due:
+        raise InvalidScenario(
+            f"horizon_s {scenario.horizon_s} reaches {dt.date.max} "
+            f"{scenario.reminder_fire_time:%H:%M}, the last month end a reminder can fall due"
+        )
     _require(
         scenario.meeting_horizon_days >= 1,
         f"meeting_horizon_days must be >= 1, got {scenario.meeting_horizon_days}",
@@ -318,12 +302,10 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
         )
 
 
-def default_scenario(update: ControlsUpdate | None = None) -> ScenarioConfig:
+def default_scenario(controls: object = {}) -> ScenarioConfig:
     """The two-branch delivery business: three devices, one cloud.
 
-    Spare devices are not part of the base world; the continuity layer
-    provisions them when it is enabled. `update` works as in
-    `parse_scenario`.
+    `controls` is read over the built-in controls, as in `parse_scenario`.
     """
     day = SECONDS_PER_DAY
     credentials = {
@@ -379,7 +361,7 @@ def default_scenario(update: ControlsUpdate | None = None) -> ScenarioConfig:
             )
         )
     commands.sort(key=lambda c: c.at)
-    controls = ControlLayerConfig(s9=S9Config(credential_store=credentials))
+    own = ControlLayerConfig(s9=S9Config(credential_store=credentials))
     return ScenarioConfig(
         nodes=(
             NodeSpec(id="dev-city-a", kind="SmartDevice", site="CityA"),
@@ -401,5 +383,5 @@ def default_scenario(update: ControlsUpdate | None = None) -> ScenarioConfig:
         # 13:30 delivery confirmation unless the continuity layer is on.
         failures=(FailureSpec(node="dev-city-b", at=9 * day + 13 * 3600, duration_s=3600),),
         commands=tuple(commands),
-        controls=controls if update is None else update(controls),
+        controls=read(ControlLayerConfig, controls, base=own, at="controls"),
     )

@@ -42,8 +42,11 @@ def seconds_at(epoch: dt.date, day: dt.date, time_of_day: dt.time) -> int:
 
 
 def month_end(year: int, month: int) -> dt.date:
-    """The last day of the month: the day before the next month's first."""
-    return dt.date(year + month // 12, month % 12 + 1, 1) - dt.timedelta(days=1)
+    """The last day of the month. December's is built without the next
+    year's, so December 9999 ends on `dt.date.max`."""
+    if month == 12:
+        return dt.date(year, 12, 31)
+    return dt.date(year, month + 1, 1) - dt.timedelta(days=1)
 
 
 def next_month_end_instant(

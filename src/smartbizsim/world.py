@@ -2,8 +2,8 @@
 
 The world advances on an integer-second event grid. Events at equal
 times run in insertion order, all state changes land in the trace, and
-nothing depends on wall-clock time or hash ordering, so a (scenario,
-seed) pair always reproduces the same trace byte for byte.
+nothing depends on wall-clock time or hash ordering, so a scenario
+always reproduces the same trace byte for byte.
 
 The trace is the record of every message: its path, sizes, envelope,
 delivery and latency split live in its `sent`, `delivered` and `lost`
@@ -104,8 +104,6 @@ class World:
     ):
         self.scenario = scenario
         self.config = scenario.controls.with_enabled(enabled)
-        self.epoch = scenario.epoch
-        self.horizon_s = scenario.horizon_s
         self.clock = 0
         self.trace = Trace(sink)
 
@@ -137,7 +135,7 @@ class World:
         self.calendars: dict[str, Calendar] = {}
         self.attendee_device: dict[str, str] = {}
         for att in scenario.attendees:
-            self.calendars[att.id] = Calendar(owner=att.id, busy=list(att.busy))
+            self.calendars[att.id] = Calendar(busy=list(att.busy))
             self.attendee_device[att.id] = att.device
 
         self.messages: dict[int, Message] = {}
@@ -172,7 +170,7 @@ class World:
         if self.config.s9 is not None and self.config.s9.review_period_days > 0:
             period = self.config.s9.review_period_days * SECONDS_PER_DAY
             review = dict(section="S9", action="access-review", events=1)
-            for t in range(period, self.horizon_s + 1, period):
+            for t in range(period, scenario.horizon_s + 1, period):
                 self._schedule(t, "_record", "ops", review)
 
     # -- construction helpers ------------------------------------------
@@ -465,7 +463,7 @@ class World:
         """Queue the reminder's next firing, at the next month end."""
         self._schedule(
             next_month_end_instant(
-                self.clock, self.scenario.reminder_fire_time, self.epoch
+                self.clock, self.scenario.reminder_fire_time, self.scenario.epoch
             ),
             "_reminder_due",
             rid,
@@ -488,14 +486,12 @@ class World:
     def schedule_meeting(
         self, organizer: str, attendees: list[str], duration_min: int
     ) -> Slot:
+        scenario = self.scenario
         search_from = -(-self.clock // 60)
-        horizon = search_from + self.scenario.meeting_horizon_days * 1440
+        horizon = search_from + scenario.meeting_horizon_days * 1440
         slot = find_common_slot(
-            [self.calendars[a] for a in attendees],
-            duration_min,
-            search_from,
-            horizon,
-            self.scenario.calendar_hours(),
+            [self.calendars[a] for a in attendees], duration_min, search_from, horizon,
+            scenario.working_hours, scenario.epoch.weekday(),
         )
         for attendee in attendees:
             self.calendars[attendee].add_busy(slot.start, slot.end)

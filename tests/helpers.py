@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from smartbizsim.calendars import WorkingHours
+from smartbizsim.calendars import WorkWeek
 from smartbizsim.costs import CostRates, DmaicConfig, DmaicOutcome, run_dmaic
 from smartbizsim.errors import ParseError
 from smartbizsim.metering import Meter, SectionUsage
@@ -123,7 +123,8 @@ def minute_scan_slot(
     duration: int,
     search_from: int,
     horizon: int,
-    hours: WorkingHours,
+    week: WorkWeek,
+    epoch_weekday: int,
 ) -> int | None:
     """Exhaustive scan over every candidate start minute.
 
@@ -133,10 +134,10 @@ def minute_scan_slot(
     """
     ok = np.zeros(horizon, dtype=np.int8)
     for day in range(horizon // MINUTES_PER_DAY + 1):
-        if not hours.is_workday(day):
+        if (epoch_weekday + day) % 7 not in week.days:
             continue
-        lo = day * MINUTES_PER_DAY + hours.start_minute
-        hi = day * MINUTES_PER_DAY + hours.end_minute
+        lo = day * MINUTES_PER_DAY + week.start.hour * 60 + week.start.minute
+        hi = day * MINUTES_PER_DAY + week.end.hour * 60 + week.end.minute
         ok[max(lo, 0):min(hi, horizon)] = 1
     for busy in busy_lists:
         for start, end in busy:
@@ -170,7 +171,8 @@ def random_slot_instance(rng: random.Random) -> dict:
         "duration": rng.choice((15, 30, 45, 60, 90, 120, 240, 480)),
         "search_from": rng.randrange(0, horizon - 600),
         "horizon": horizon,
-        "hours": WorkingHours(epoch_weekday=rng.randrange(7)),
+        "week": WorkWeek(),
+        "epoch_weekday": rng.randrange(7),
     }
 
 
@@ -223,11 +225,11 @@ def document(value):
 # -- cost oracle ---------------------------------------------------------------
 
 
-def naive_total_cost(plan, rates: CostRates, usage: dict[str, SectionUsage]) -> int:
+def naive_total_cost(enabled, rates: CostRates, usage: dict[str, SectionUsage]) -> int:
     """Spreadsheet-style recomputation: one flat list of quantity*rate
     products, summed."""
     products = []
-    for section in plan.enabled_controls:
+    for section in enabled:
         used = usage.get(section, SectionUsage())
         products.append(used.capital_items * rates.capital_item)
         products.append(used.operational_events * rates.operational_event)

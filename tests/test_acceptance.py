@@ -111,16 +111,13 @@ def test_criterion_4_scheduler_equals_the_minute_scan_oracle():
         inst = random_slot_instance(rng)
         expected = minute_scan_slot(
             inst["busy_lists"], inst["duration"], inst["search_from"],
-            inst["horizon"], inst["hours"],
+            inst["horizon"], inst["week"], inst["epoch_weekday"],
         )
-        calendars = [
-            Calendar(owner=str(j), busy=list(b))
-            for j, b in enumerate(inst["busy_lists"])
-        ]
+        calendars = [Calendar(busy=list(b)) for b in inst["busy_lists"]]
         try:
             got = find_common_slot(
                 calendars, inst["duration"], inst["search_from"],
-                inst["horizon"], inst["hours"],
+                inst["horizon"], inst["week"], inst["epoch_weekday"],
             ).start
         except NoSlotAvailable:
             got = None

@@ -22,7 +22,9 @@ install(tracer)
 code = cli.main(["dmaic", "--out", sys.argv[1]])
 calls = {name: stat[0] for name, stat in tracer.stats.items()}
 missed = [name for name in ("world.send_message", "middleware.wrap",
-                            "middleware.authenticate", "calendars.find_common_slot")
+                            "middleware.authenticate", "calendars.find_common_slot",
+                            "controls.build_plan", "calendars.add_busy",
+                            "world.schedule_meeting")
           if not calls.get(name)]
 runs = {run: calls.get(f"world.run_until.{run}") for run in ("baseline", "secured")}
 booked = None if runs == {"baseline": 1, "secured": 1} else f"runs booked as {runs}"

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 from helpers import minute_scan_slot, overlaps_busy, random_slot_instance
 from smartbizsim.calendars import (
     Calendar,
-    WorkingHours,
+    WorkWeek,
     find_common_slot,
     normalize_intervals,
 )
 from smartbizsim.errors import NoSlotAvailable
 from smartbizsim.timeline import MINUTES_PER_DAY
 
-HOURS = WorkingHours(epoch_weekday=0)  # day 0 is a Monday
+WEEK = WorkWeek()  # 08:00-18:00, Monday to Friday; day 0 is a Monday below
 
 
 def test_normalize_merges_and_sorts():
@@ -23,51 +23,76 @@ def test_normalize_merges_and_sorts():
 
 
 def test_empty_calendars_take_first_working_minute():
-    cals = [Calendar(owner=f"p{i}") for i in range(3)]
-    slot = find_common_slot(cals, 60, search_from=0, horizon=7 * MINUTES_PER_DAY, hours=HOURS)
-    assert slot.start == HOURS.start_minute
+    cals = [Calendar() for _ in range(3)]
+    slot = find_common_slot(cals, 60, 0, 7 * MINUTES_PER_DAY, WEEK, 0)
+    assert slot.start == 8 * 60
     assert slot.duration == 60
 
 
 def test_search_from_inside_working_day_is_respected():
-    cals = [Calendar(owner="p")]
+    cals = [Calendar()]
     start = 2 * MINUTES_PER_DAY + 600  # Wednesday 10:00
-    slot = find_common_slot(cals, 30, search_from=start, horizon=start + MINUTES_PER_DAY, hours=HOURS)
+    slot = find_common_slot(cals, 30, start, start + MINUTES_PER_DAY, WEEK, 0)
     assert slot.start == start
 
 
 def test_weekend_is_skipped():
-    cals = [Calendar(owner="p")]
+    cals = [Calendar()]
     saturday = 5 * MINUTES_PER_DAY
-    slot = find_common_slot(cals, 60, search_from=saturday, horizon=saturday + 7 * MINUTES_PER_DAY, hours=HOURS)
-    assert slot.start == 7 * MINUTES_PER_DAY + HOURS.start_minute  # next Monday 08:00
+    slot = find_common_slot(cals, 60, saturday, saturday + 7 * MINUTES_PER_DAY, WEEK, 0)
+    assert slot.start == 7 * MINUTES_PER_DAY + 8 * 60  # next Monday 08:00
 
 
 def test_duration_longer_than_a_working_day_never_fits():
-    cals = [Calendar(owner="p")]
+    cals = [Calendar()]
     with pytest.raises(NoSlotAvailable):
-        find_common_slot(cals, HOURS.end_minute - HOURS.start_minute + 1, 0, 30 * MINUTES_PER_DAY, HOURS)
+        find_common_slot(cals, 10 * 60 + 1, 0, 30 * MINUTES_PER_DAY, WEEK, 0)
+
+
+class _CountedDays(tuple):
+    """Working weekdays that count the membership tests made on them, and
+    stop a search that walks more than a week of days."""
+
+    tests = 0
+
+    def __contains__(self, weekday):
+        _CountedDays.tests += 1
+        assert _CountedDays.tests <= 7, "the search walks the horizon day by day"
+        return tuple.__contains__(self, weekday)
+
+
+def test_a_meeting_longer_than_the_window_fails_without_walking_a_day():
+    week = WorkWeek(days=_CountedDays((0, 1, 2, 3, 4)))
+    _CountedDays.tests = 0
+    with pytest.raises(
+        NoSlotAvailable, match=r"^no 601-minute slot free for all calendars before minute 10{12}$"
+    ):
+        find_common_slot([Calendar()], 10 * 60 + 1, 0, 10**12, week, 0)
+    assert _CountedDays.tests == 0
+    # the count works: a meeting that fits the window asks about day 0
+    assert find_common_slot([Calendar()], 10 * 60, 0, 10**12, week, 0).start == 8 * 60
+    assert _CountedDays.tests == 1
 
 
 def test_busy_blocks_push_the_slot_later():
     # Monday 08:00-09:00 and 09:30-10:00 busy; 60 minutes only fits at 10:00
     cals = [
-        Calendar(owner="a", busy=[(480, 540)]),
-        Calendar(owner="b", busy=[(570, 600)]),
+        Calendar(busy=[(480, 540)]),
+        Calendar(busy=[(570, 600)]),
     ]
-    slot = find_common_slot(cals, 60, 0, MINUTES_PER_DAY, HOURS)
+    slot = find_common_slot(cals, 60, 0, MINUTES_PER_DAY, WEEK, 0)
     assert slot.start == 600
     # but 30 minutes fits into the 09:00-09:30 gap
-    slot = find_common_slot(cals, 30, 0, MINUTES_PER_DAY, HOURS)
+    slot = find_common_slot(cals, 30, 0, MINUTES_PER_DAY, WEEK, 0)
     assert slot.start == 540
 
 
 def test_slot_never_crosses_the_working_window_end():
-    cals = [Calendar(owner="a", busy=[(480, 1020)])]  # Monday busy until 17:00
-    slot = find_common_slot(cals, 60, 0, MINUTES_PER_DAY, HOURS)
+    cals = [Calendar(busy=[(480, 1020)])]  # Monday busy until 17:00
+    slot = find_common_slot(cals, 60, 0, MINUTES_PER_DAY, WEEK, 0)
     assert slot.start == 1020
     with pytest.raises(NoSlotAvailable):
-        find_common_slot(cals, 61, 0, MINUTES_PER_DAY, HOURS)
+        find_common_slot(cals, 61, 0, MINUTES_PER_DAY, WEEK, 0)
 
 
 def test_matches_minute_scan_oracle_on_random_instances():
@@ -77,12 +102,13 @@ def test_matches_minute_scan_oracle_on_random_instances():
         inst = random_slot_instance(rng)
         expected = minute_scan_slot(
             inst["busy_lists"], inst["duration"], inst["search_from"],
-            inst["horizon"], inst["hours"],
+            inst["horizon"], inst["week"], inst["epoch_weekday"],
         )
-        cals = [Calendar(owner=str(j), busy=list(b)) for j, b in enumerate(inst["busy_lists"])]
+        cals = [Calendar(busy=list(b)) for b in inst["busy_lists"]]
         try:
             got = find_common_slot(
-                cals, inst["duration"], inst["search_from"], inst["horizon"], inst["hours"]
+                cals, inst["duration"], inst["search_from"], inst["horizon"], inst["week"],
+                inst["epoch_weekday"],
             ).start
         except NoSlotAvailable:
             got = None
@@ -95,10 +121,11 @@ def test_returned_slot_is_safe_independent_of_the_oracle():
     rng = random.Random(914)
     for _ in range(100):
         inst = random_slot_instance(rng)
-        cals = [Calendar(owner=str(j), busy=list(b)) for j, b in enumerate(inst["busy_lists"])]
+        cals = [Calendar(busy=list(b)) for b in inst["busy_lists"]]
         try:
             slot = find_common_slot(
-                cals, inst["duration"], inst["search_from"], inst["horizon"], inst["hours"]
+                cals, inst["duration"], inst["search_from"], inst["horizon"], inst["week"],
+                inst["epoch_weekday"],
             )
         except NoSlotAvailable:
             continue
@@ -131,7 +158,7 @@ def _interval(span: int, max_length: int):
     added=st.lists(_interval(20 * 60, 4 * 60), max_size=20),
 )
 def test_add_busy_keeps_busy_equal_to_the_normalized_history(initial, added):
-    calendar = Calendar(owner="p", busy=list(initial))
+    calendar = Calendar(busy=list(initial))
     history = list(initial)
     for start, end in added:
         calendar.add_busy(start, end)
@@ -177,23 +204,24 @@ def _booking_runs(draw):
         attendees = draw(st.sets(st.integers(0, count - 1), min_size=1))
         duration = draw(st.sampled_from((1, 15, 30, 60, 90, 240, 600)))
         requests.append((sorted(attendees), duration, search_from))
-    hours = WorkingHours(epoch_weekday=draw(st.integers(0, 6)))
-    return busy_lists, requests, hours
+    return busy_lists, requests, draw(st.integers(0, 6))
 
 
 @SETTINGS
 @given(run=_booking_runs())
 def test_booking_loop_matches_the_minute_scan_oracle_at_every_step(run):
-    busy_lists, requests, hours = run
-    calendars = [Calendar(owner=str(j), busy=list(b)) for j, b in enumerate(busy_lists)]
+    busy_lists, requests, epoch_weekday = run
+    calendars = [Calendar(busy=list(b)) for b in busy_lists]
     for attendees, duration, search_from in requests:
         horizon = search_from + 7 * MINUTES_PER_DAY
         booked = [calendars[j] for j in attendees]
         expected = minute_scan_slot(
-            [cal.busy for cal in booked], duration, search_from, horizon, hours
+            [cal.busy for cal in booked], duration, search_from, horizon, WEEK, epoch_weekday
         )
         try:
-            got = find_common_slot(booked, duration, search_from, horizon, hours).start
+            got = find_common_slot(
+                booked, duration, search_from, horizon, WEEK, epoch_weekday
+            ).start
         except NoSlotAvailable:
             got = None
         assert got == expected

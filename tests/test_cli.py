@@ -223,6 +223,31 @@ def test_report_missing_file_exits_2(capsys):
     assert main(["report", "--in", "/no/such/report.json"]) == 2
 
 
+# (argv, the path the error must name), given a regular file and a missing
+# directory; each raised out of `main` before an OSError meant exit 2
+_UNWRITABLE_OUTPUTS = {
+    "dmaic-out-is-a-file": lambda file, gone: (["dmaic", "--out", file], file),
+    "dmaic-out-under-a-file": lambda file, gone: (["dmaic", "--out", f"{file}/sub"], file),
+    "simulate-out-in-a-missing-dir": lambda file, gone: (
+        ["simulate", "--out", f"{gone}/t.ndjson"], gone),
+    "assess-out-in-a-missing-dir": lambda file, gone: (["assess", "--out", f"{gone}/x"], gone),
+    "report-out-in-a-missing-dir": lambda file, gone: (
+        ["report", "--in", file, "--out", f"{gone}/x"], gone),
+}
+
+
+@pytest.mark.parametrize("probe", _UNWRITABLE_OUTPUTS.values(), ids=_UNWRITABLE_OUTPUTS.keys())
+def test_an_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, probe):
+    file = tmp_path / "report.json"  # a regular file, and a report `report --in` reads
+    file.write_text('{"total_security_cost": 0}')
+    argv, named = probe(str(file), str(tmp_path / "gone"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["report.json"]  # no .partial
+
+
 def _report(out_dir) -> dict:
     return json.loads((out_dir / "report.json").read_text())
 

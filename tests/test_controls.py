@@ -78,22 +78,15 @@ def test_controls_for_known_unmapped_risk_is_empty():
 
 
 def _plan(selected):
-    return build_plan(selected, default_mapping(), default_action_library())
+    return build_plan(selected, default_mapping())
 
 
 def test_build_plan_top_three_enables_the_three_sections():
-    plan = _plan(["R6", "R9", "R4"])
-    assert plan.enabled_controls == {"S9", "S10", "S17"}
-    # deterministic ordering: numeric section order, then action id
-    assert [a.control for a in plan.actions] == ["S9", "S9", "S9", "S10", "S10", "S17", "S17"]
-    ids = [a.id for a in plan.actions]
-    assert ids == sorted(ids[:3]) + sorted(ids[3:5]) + sorted(ids[5:])
+    assert _plan(["R6", "R9", "R4"]) == {"S9", "S10", "S17"}
 
 
 def test_build_plan_empty_selection_is_empty():
-    plan = _plan([])
-    assert plan.actions == ()
-    assert plan.enabled_controls == frozenset()
+    assert _plan([]) == frozenset()
 
 
 def test_build_plan_missing_actions_rejected():
@@ -112,8 +105,7 @@ def test_build_plan_monotone_under_growing_selection():
         plan = _plan(selection)
         extra = rng.choice(risks)
         bigger = _plan(selection + [extra])
-        assert plan.enabled_controls <= bigger.enabled_controls
-        assert set(a.id for a in plan.actions) <= set(a.id for a in bigger.actions)
+        assert plan <= bigger
 
 
 def test_default_library_names_actions_for_the_three_layers():
@@ -213,6 +205,6 @@ def test_a_config_exists_exactly_when_every_later_step_can_run(
     assert runnable
     # Measure, Analyze and Improve
     selected = top_k(rank(config.risk_catalog), config.top_k)
-    plan = build_plan(selected, config.mapping, config.action_library)
-    assert plan.enabled_controls == {s for r in selected for s in entries.get(r, ())}
-    assert {a.control for a in plan.actions} == plan.enabled_controls
+    plan = build_plan(selected, config.mapping)
+    assert plan == {s for r in selected for s in entries.get(r, ())}
+    assert plan <= {a.control for a in config.action_library}

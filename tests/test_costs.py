@@ -9,14 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import by_kind, document, multi_hop_scenario, naive_total_cost, recorded_dmaic
 from smartbizsim.cli import main
-from smartbizsim.controls import (
-    ImplementationPlan,
-    MitigationAction,
-    RiskControlMapping,
-    build_plan,
-    default_action_library,
-    default_mapping,
-)
+from smartbizsim.controls import RiskControlMapping, build_plan, default_mapping
 from smartbizsim.costs import (
     CostRates,
     DmaicConfig,
@@ -31,20 +24,12 @@ from smartbizsim.risk import OrdinalLevel, Risk, RiskCatalog, default_risk_catal
 from smartbizsim.trace import canonical_json
 
 
-def _plan_for(*sections: str) -> ImplementationPlan:
-    actions = tuple(
-        MitigationAction(id=f"a{i}", control=section, description="")
-        for i, section in enumerate(sections)
-    )
-    return ImplementationPlan(actions=actions, enabled_controls=frozenset(sections))
-
-
 def _total(breakdown) -> int:
     return sum(cost.total for cost in breakdown.values())
 
 
 def test_capital_is_metered_count_times_rate():
-    plan = _plan_for("S17", "S13")
+    plan = frozenset({"S17", "S13"})
     rates = CostRates(capital_item=10_000, operational_event=0, latency_ms=0,
                       wire_byte=0, session=0)
     usage = {"S17": SectionUsage(capital_items=3), "S9": SectionUsage(capital_items=5)}
@@ -58,18 +43,18 @@ def test_capital_is_metered_count_times_rate():
 
 
 def test_zero_usage_means_zero_performance():
-    plan = build_plan(["R6"], default_mapping(), default_action_library())
+    plan = build_plan(["R6"], default_mapping())
     rates = CostRates()
     usage = {"S10": SectionUsage(extra_latency_ms=0, extra_bytes=0)}
     breakdown = monetize(plan, rates, usage)
     assert breakdown["S10"].performance == 0
 
 
-def _random_plan(rng: random.Random) -> ImplementationPlan:
-    return _plan_for(*rng.sample(["S9", "S10", "S13", "S17"], rng.randint(0, 4)))
+def _random_plan(rng: random.Random) -> frozenset[str]:
+    return frozenset(rng.sample(["S9", "S10", "S13", "S17"], rng.randint(0, 4)))
 
 
-def _random_usage(rng: random.Random, plan: ImplementationPlan):
+def _random_usage(rng: random.Random, plan: frozenset[str]):
     return {
         section: SectionUsage(
             extra_latency_ms=rng.randint(0, 10_000),
@@ -78,7 +63,7 @@ def _random_usage(rng: random.Random, plan: ImplementationPlan):
             operational_events=rng.randint(0, 50),
             capital_items=rng.randint(0, 10),
         )
-        for section in plan.enabled_controls
+        for section in sorted(plan)
     }
 
 
@@ -219,7 +204,7 @@ def test_residual_ranking_scales_mitigated_risks_and_moves_them_only_down(case):
 
 def test_default_pipeline_enables_the_three_controls():
     outcome = run_dmaic(load_dmaic_config(None))
-    assert outcome.plan.enabled_controls == {"S9", "S10", "S17"}
+    assert outcome.plan == {"S9", "S10", "S17"}
     report = outcome.report
     assert list(report.residual_ranking.ranking[:3]) == ["R10", "R3", "R7"]
     for rid in ("R4", "R6", "R9"):
@@ -283,7 +268,7 @@ def test_top_k_is_checked_against_the_catalog_it_comes_with(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"risk_catalog": "risks.json", "top_k": 2}))
     outcome = run_dmaic(load_dmaic_config(path))
-    assert outcome.plan.enabled_controls == {"S9", "S10"}
+    assert outcome.plan == {"S9", "S10"}
     path.write_text(json.dumps({"risk_catalog": "risks.json"}))
     with pytest.raises(KOutOfRange, match=r"top_k: 3 is outside 1\.\.2"):
         load_dmaic_config(path)
@@ -301,7 +286,7 @@ def test_zero_rates_cost_zero_without_touching_the_metrics():
 def test_empty_mapping_runs_with_no_controls_and_zero_cost():
     config = replace(load_dmaic_config(None), mapping=RiskControlMapping(entries={}))
     outcome, baseline, secured = recorded_dmaic(config)
-    assert outcome.plan.enabled_controls == frozenset()
+    assert outcome.plan == frozenset()
     assert outcome.report.total_security_cost == 0
     assert baseline.to_ndjson() == secured.to_ndjson()
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from helpers import by_kind, document, naive_total_cost, two_device_scenario, worlds
-from smartbizsim.controls import ImplementationPlan
 from smartbizsim.costs import CostRates, monetize
 from smartbizsim.errors import IncompleteTrace
 from smartbizsim.metering import MetricSet, SectionUsage, meter, meter_sections
@@ -142,7 +141,7 @@ def _recount(records: list[dict]) -> tuple[MetricSet, dict[str, SectionUsage]]:
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(all_layers=True))
 def test_ndjson_lines_meter_and_price_like_the_records_they_encode(world):
-    world.run_until(world.horizon_s)
+    world.run_until(world.scenario.horizon_s)
     records = world.trace.records
     lines = world.trace.to_ndjson().splitlines()
     assert len(lines) == len(records)
@@ -158,7 +157,7 @@ def test_ndjson_lines_meter_and_price_like_the_records_they_encode(world):
     assert {s: metered.get(s, SectionUsage()) for s in usage} == usage
     assert set(metered) <= set(usage)
 
-    plan = ImplementationPlan(actions=(), enabled_controls=frozenset(usage))
+    plan = frozenset(usage)
     rates = CostRates()
     breakdown = monetize(plan, rates, metered)
     total = sum(cost.total for cost in breakdown.values())

@@ -127,7 +127,7 @@ def test_s10_seals_every_send_of_generated_worlds(world, overhead):
     controls = replace(world.scenario.controls, s10=S10Config(overhead_bytes=overhead))
     enabled = world.config.enabled_sections | {"S10"}
     world = build_world(replace(world.scenario, controls=controls), enabled)
-    world.run_until(world.horizon_s)
+    world.run_until(world.scenario.horizon_s)
     assert meter(world.trace).plaintext_exposures == 0
     for sent in by_kind(world.trace, "sent"):
         assert sent["key_id"] == f"k-{sent['src']}"  # generated worlds have no key map

@@ -195,7 +195,7 @@ def test_search_matches_the_seed_on_generated_worlds(world):
 @WORLD_SETTINGS
 @given(worlds())
 def test_every_sent_record_carries_the_seed_path(world):
-    world.run_until(world.horizon_s)
+    world.run_until(world.scenario.horizon_s)
     oracle = seed_neighbor_lists(world.links.values())
     sent = by_kind(world.trace, "sent")
     for record in sent:

@@ -33,7 +33,7 @@ from smartbizsim.scenario import (
     default_scenario,
     parse_scenario,
 )
-from smartbizsim.timeline import parse_iso_date
+from smartbizsim.timeline import parse_iso_date, seconds_at
 from smartbizsim.trace import canonical_json
 from smartbizsim.world import build_world
 
@@ -140,6 +140,12 @@ def test_not_json_is_a_parse_error():
           "commands": [{"at": 7, "device": "d", "intent": "schedule_meeting",
                         "attendees": ["p", "p"], "duration_min": 30}]},
          "meeting (device 'd', at=7) names attendee 'p' twice"),
+        # a reminder due by the horizon is due again at the next month end,
+        # which must be a date: the run stopped in the year 10000
+        ({"epoch": "9999-12-01", "horizon_s": 3024000},
+         "horizon_s 3024000 reaches 9999-12-31 09:00, the last month end a reminder"),
+        ({"horizon_s": 10**12},
+         "horizon_s 1000000000000 reaches 9999-12-31 09:00, the last month end a reminder"),
     ],
 )
 def test_structural_problems_are_invalid_scenarios(patch, fragment):
@@ -266,6 +272,17 @@ def test_constructing_an_invalid_scenario_raises_without_a_world():
             links=(LinkSpec(a="d", b="ghost", latency_ms=1),),
         )
     assert "'ghost' is unknown" in str(err.value)
+
+
+def test_the_longest_horizon_runs_and_one_second_more_is_rejected():
+    epoch = dt.date(9999, 12, 1)
+    last_due = seconds_at(epoch, dt.date.max, dt.time(9, 0))
+    scenario = replace(default_scenario(), epoch=epoch, horizon_s=last_due - 1)
+    world = build_world(scenario, {"S9", "S10", "S17"}).run_until(scenario.horizon_s)
+    # the reminder registered on day 2 is next due on 9999-12-31
+    assert [r["event"] for r in world.trace if r["kind"] == "reminder"] == ["created"]
+    with pytest.raises(InvalidScenario, match=f"^horizon_s {last_due} reaches"):
+        replace(scenario, horizon_s=last_due)
 
 
 

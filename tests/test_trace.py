@@ -148,7 +148,7 @@ def test_an_encode_after_a_failed_one_carries_no_stale_markers():
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.one_of(worlds(), worlds(all_layers=True)))
 def test_a_streamed_trace_writes_and_meters_what_a_kept_one_does(world):
-    world.run_until(world.horizon_s)
+    world.run_until(world.scenario.horizon_s)
     kept = world.trace.records
     # batches of 1, 2 and 7 put a message's sent and delivered records in
     # different batches
@@ -164,7 +164,7 @@ def test_a_streamed_trace_writes_and_meters_what_a_kept_one_does(world):
                     trace_file.feed(records)
 
                 streamed = build_world(world.scenario, world.config.enabled_sections, sink)
-                streamed.run_until(world.horizon_s)
+                streamed.run_until(world.scenario.horizon_s)
             assert path.read_text(encoding="utf-8") == world.trace.to_ndjson()
             assert streamed.trace.records == []
             assert len(streamed.trace) == len(kept) == sum(sizes)

@@ -202,7 +202,7 @@ def _down(scenario, node: str, t: int) -> bool:
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(worlds(all_layers=True))
 def test_no_message_crosses_a_node_that_is_down_at_its_eta(world):
-    world.run_until(world.horizon_s)
+    world.run_until(world.scenario.horizon_s)
     for msg in message_records(world.trace).values():
         sent = msg["sent"]
         eta = _eta(sent)
@@ -219,7 +219,7 @@ def test_no_message_crosses_a_node_that_is_down_at_its_eta(world):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(with_s17=True))
 def test_no_s17_delivery_waits_longer_than_the_detection_window(world):
-    world.run_until(world.horizon_s)
+    world.run_until(world.scenario.horizon_s)
     window_ms = world.config.s17.detection_window_s * 1000
     for delivered in by_kind(world.trace, "delivered"):
         assert 0 <= delivered["s17_ms"] <= window_ms
@@ -243,7 +243,7 @@ def test_sent_is_delivered_plus_lost_plus_in_flight_at_every_stop(world, stops):
     # the detection window after it, besides the drawn stop points
     for command in world.scenario.commands:
         stops += [command.at, command.at + 30]
-    for t in sorted(stops) + [world.horizon_s]:
+    for t in sorted(stops) + [world.scenario.horizon_s]:
         world.run_until(t)
         messages = message_records(world.trace)
         in_flight = {m for m, msg in messages.items() if msg["status"] == "InFlight"}
@@ -257,9 +257,9 @@ def test_sent_is_delivered_plus_lost_plus_in_flight_at_every_stop(world, stops):
 @given(worlds(), st.integers(0, 1600))
 def test_a_run_split_at_any_time_writes_the_same_trace(world, split):
     whole = build_world(world.scenario, world.config.enabled_sections)
-    whole.run_until(whole.horizon_s)
+    whole.run_until(whole.scenario.horizon_s)
     world.run_until(split)
-    world.run_until(world.horizon_s)
+    world.run_until(world.scenario.horizon_s)
     assert world.trace.to_ndjson() == whole.trace.to_ndjson()
 
 
@@ -372,7 +372,7 @@ def test_scenario_reminder_while_the_cloud_is_down_is_traced_and_the_run_goes_on
     world = build_world(two_device_scenario(
         message_times=(900,), failures=(("cloud", 50, 600),), reminders=(reminder,),
     ), ())
-    world.run_until(world.horizon_s)
+    world.run_until(world.scenario.horizon_s)
     assert _request_failures(world) == [(100, "create_reminder", "cloud-down")]
     assert world.reminders == {}
     assert by_kind(world.trace, "reminder") == []
@@ -395,7 +395,7 @@ def _failed_over_request(**command):
         commands=(CommandSpec(at=100, device="device-a", user="operator",
                               credential="op-pass", **command),),
     ), {"S17"})
-    return world.run_until(world.horizon_s)
+    return world.run_until(world.scenario.horizon_s)
 
 
 def test_reminder_request_failed_over_from_a_down_cloud_is_traced():
@@ -425,7 +425,7 @@ def test_a_reminder_due_while_the_cloud_is_down_fails_and_is_due_next_month():
         reminders=(ReminderSpec(id="eom", author="device-a", target="device-b",
                                 payload="p", at=0),),
     ), ())
-    world.run_until(world.horizon_s)
+    world.run_until(world.scenario.horizon_s)
     assert _request_failures(world) == [(due, "fire_reminder", "cloud-down")]
     fired = [r["time"] for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
     assert fired == [seconds_at(base.epoch, dt.date(2024, 2, 29), dt.time(9, 0))]
@@ -523,7 +523,7 @@ def test_a_spare_is_a_stand_in_and_no_network_node(world):
     declared = {n.id for n in world.scenario.nodes}
     poolless = {n.id for n in world.scenario.nodes
                 if n.kind == "SmartDevice" and not n.backup_pool}
-    world.run_until(world.horizon_s)
+    world.run_until(world.scenario.horizon_s)
     dst = {}
     for sent in by_kind(world.trace, "sent"):
         ends = {end for link_id in sent["path"]
