@@ -186,7 +186,10 @@ class _TraceFile(Meter):
         super().__init__()
         self.path = path
         self._partial = path.with_name(f".{path.name}.partial")
-        self._file = open(self._partial, "w", encoding="utf-8")
+        try:
+            self._file = open(self._partial, "w", encoding="utf-8")
+        except OSError as exc:  # name the path given, not the hidden partial
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         self._write = ndjson_writer(self._file)
 
     def feed(self, records: list[dict]) -> None:
@@ -281,7 +284,7 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
             args.config, {k: v for k, v in flags.items() if v is not None}
         )
     except SmartBizError as exc:
-        raise DmaicStepError("Define", exc) from exc
+        raise DmaicStepError(f"[Define] {exc}") from exc
     gc.freeze()  # the loaded input lives until exit: see _cmd_simulate
 
     out_dir = Path(args.out)
@@ -291,10 +294,10 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
     with _trace_files(
         out_dir / "trace_baseline.ndjson", out_dir / "trace_secured.ndjson"
     ) as (baseline, secured):
-        outcome = costs.run_dmaic(config, {"baseline": baseline, "secured": secured})
-        report = json.loads(canonical_json(outcome.report))  # as `report --in` reads it
-        report_path.write_text(_render_report(report, args.format), encoding="utf-8")
-    print(f"total_security_cost={outcome.report.total_security_cost}")
+        report = costs.run_dmaic(config, {"baseline": baseline, "secured": secured})
+        document = json.loads(canonical_json(report))  # as `report --in` reads it
+        report_path.write_text(_render_report(document, args.format), encoding="utf-8")
+    print(f"total_security_cost={report.total_security_cost}")
     print(f"report written to {report_path}")
     return EXIT_OK
 
@@ -318,9 +321,10 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except SmartBizError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = getattr(exc, "cause", exc)  # a pipeline step's error wraps its cause
+        # a pipeline step's error wraps its cause
+        cause = exc.__cause__ if isinstance(exc, DmaicStepError) else exc
         return EXIT_CONFIG if isinstance(cause, ConfigError) else EXIT_SIMULATION
-    except OSError as exc:  # writing an output; a failed read is a ParseError
+    except OSError as exc:  # writing an output; a failed read is a ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
 
-from .errors import LabeledEnum, ParseError, parse_json, read
+from .errors import LabeledEnum, parse_json, read
 
 
 class ChangeLevel(LabeledEnum):
@@ -23,10 +23,6 @@ class ChangeLevel(LabeledEnum):
     MODERATE = "Moderate"
     MODERATE_HIGH = "ModerateHigh"
     HIGH = "High"
-
-    @staticmethod
-    def _unknown_label(label: str) -> Exception:
-        return ParseError(f"unknown change level {label!r}")
 
 
 @dataclass(frozen=True)
@@ -39,19 +35,6 @@ class ControlSection:
 @dataclass(frozen=True)
 class ControlCatalog:
     sections: tuple[ControlSection, ...]
-
-
-@dataclass(frozen=True)
-class RiskControlMapping:
-    entries: Mapping[str, tuple[str, ...]]
-
-    def __post_init__(self) -> None:
-        for risk_id, sections in self.entries.items():
-            if not sections:
-                raise ParseError(f"mapping for {risk_id!r} must not be empty")
-
-    def sections_for(self, risk_id: str) -> tuple[str, ...]:
-        return tuple(self.entries.get(risk_id, ()))
 
 
 @dataclass(frozen=True)
@@ -93,19 +76,20 @@ def default_control_catalog() -> ControlCatalog:
     )
 
 
-def default_mapping() -> RiskControlMapping:
-    return RiskControlMapping(
-        entries={"R4": ("S17",), "R6": ("S10",), "R9": ("S9",)}
-    )
+def default_mapping() -> Mapping[str, tuple[str, ...]]:
+    """Risk id -> the control sections that mitigate it."""
+    return {"R4": ("S17",), "R6": ("S10",), "R9": ("S9",)}
 
 
-def build_plan(selected_risks: Sequence[str], mapping: RiskControlMapping) -> frozenset[str]:
+def build_plan(
+    selected_risks: Sequence[str], mapping: Mapping[str, tuple[str, ...]]
+) -> frozenset[str]:
     """The plan: every section mapped to a selected risk, to be enabled.
 
     A `DmaicConfig` guarantees a library action for each of them.
     """
     return frozenset(
-        section for risk_id in selected_risks for section in mapping.sections_for(risk_id)
+        section for risk_id in selected_risks for section in mapping.get(risk_id, ())
     )
 
 
@@ -132,10 +116,9 @@ def parse_control_catalog(document: str) -> ControlCatalog:
     return read(ControlCatalog, parse_json(document, "control catalog"))
 
 
-def parse_mapping(document: str) -> RiskControlMapping:
+def parse_mapping(document: str) -> Mapping[str, tuple[str, ...]]:
     """Parse the mapping file, a JSON object of risk id -> section ids."""
-    entries = read(Mapping[str, tuple[str, ...]], parse_json(document, "mapping file"))
-    return RiskControlMapping(entries=entries)
+    return read(Mapping[str, tuple[str, ...]], parse_json(document, "mapping file"))
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,11 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .controls import (
     ControlCatalog,
     MitigationAction,
-    RiskControlMapping,
     build_plan,
     default_action_library,
     default_control_catalog,
@@ -37,10 +36,6 @@ from .controls import (
 from .errors import (
     ConfigError,
     DmaicStepError,
-    KOutOfRange,
-    MissingActionsForControl,
-    ParseError,
-    UnknownSectionId,
     json_default,
     parse_json,
     read,
@@ -96,7 +91,7 @@ class DmaicConfig:
 
     risk_catalog: RiskCatalog
     control_catalog: ControlCatalog
-    mapping: RiskControlMapping
+    mapping: Mapping[str, tuple[str, ...]]  # risk id -> its sections
     action_library: tuple[MitigationAction, ...]
     scenario: ScenarioConfig
     rates: CostRates = field(default_factory=CostRates)
@@ -109,23 +104,25 @@ class DmaicConfig:
         sections = {section.id for section in self.control_catalog.sections}
         for i, action in enumerate(self.action_library):
             if action.control not in sections:
-                raise UnknownSectionId(
+                raise ConfigError(
                     f"action_library[{i}] ({action.id!r}).control: "
                     f"unknown control section {action.control!r}"
                 )
         covered = {action.control for action in self.action_library}
         # every entry, not only the risks top_k selects: a config that runs
         # with one top_k runs with all of them
-        for risk_id, mapped in self.mapping.entries.items():
+        for risk_id, mapped in self.mapping.items():
+            if not mapped:
+                raise ConfigError(f"mapping.{risk_id}: names no section")
             for j, sid in enumerate(mapped):
                 at = f"mapping.{risk_id}[{j}]"
                 if sid not in sections:
-                    raise UnknownSectionId(f"{at}: unknown control section {sid!r}")
+                    raise ConfigError(f"{at}: unknown control section {sid!r}")
                 if sid not in covered:
-                    raise MissingActionsForControl(f"{at}: no action covers section {sid!r}")
-        risks = len(self.risk_catalog)
+                    raise ConfigError(f"{at}: no action covers section {sid!r}")
+        risks = len(self.risk_catalog.risks)
         if not 1 <= self.top_k <= risks:
-            raise KOutOfRange(f"top_k: {self.top_k} is outside 1..{risks}, the risk count")
+            raise ConfigError(f"top_k: {self.top_k} is outside 1..{risks}, the risk count")
         if not 0 <= self.residual_factor <= 1:
             raise ConfigError(
                 f"residual_factor must be in 0..1, got {self.residual_factor}"
@@ -139,7 +136,7 @@ class DmaicConfig:
         return {
             "risk_catalog": self.risk_catalog,
             "control_catalog": self.control_catalog,
-            "mapping": self.mapping.entries,
+            "mapping": self.mapping,
             # descriptions stay out: they price nothing, and the report
             # prints this digest, so rewording one leaves the report as it is
             "action_library": [
@@ -196,13 +193,6 @@ class CostReport:
     provenance: dict
 
 
-class DmaicOutcome(NamedTuple):
-    """Everything a pipeline run produces but its traces."""
-
-    report: CostReport
-    plan: frozenset[str]  # the sections the secured run enabled
-
-
 def monetize(
     enabled: frozenset[str], rates: CostRates, usage: Mapping[str, SectionUsage]
 ) -> dict[str, SectionCost]:
@@ -231,7 +221,7 @@ def monetize(
 def residual_assessment(
     assessment: RiskAssessment,
     enabled: frozenset[str] | set[str],
-    mapping: RiskControlMapping,
+    mapping: Mapping[str, tuple[str, ...]],
     residual_factor: Fraction = Fraction(0),
 ) -> RiskAssessment:
     """Scale down every risk whose mapped controls are all enabled, then
@@ -244,7 +234,7 @@ def residual_assessment(
     scores = {}
     for risk in assessment.risks:
         base = assessment.scores[risk.id]
-        mapped = mapping.sections_for(risk.id)
+        mapped = mapping.get(risk.id, ())
         if mapped and set(mapped) <= set(enabled):
             scores[risk.id] = Fraction(base) * factor
         else:
@@ -269,7 +259,7 @@ def load_dmaic_config(
     if path is not None:
         data = parse_json(read_document(path, "config"), "config")
         if not isinstance(data, dict):
-            raise ParseError("config must be a JSON object")
+            raise ConfigError("config must be a JSON object")
         base = Path(path).parent
     overrides = overrides or {}
     data = {**data, **overrides}
@@ -308,8 +298,9 @@ def load_dmaic_config(
 
 def run_dmaic(
     config: DmaicConfig, sinks: Mapping[str, Meter] | None = None
-) -> DmaicOutcome:
-    """Execute all five steps and return the report and plan.
+) -> CostReport:
+    """Execute all five steps and return the report; the plan, the sections
+    the secured run enabled, is the set of its `cost_breakdown` keys.
 
     The runs named "baseline" and "secured" each stream their trace in
     batches to the Meter of that name in `sinks`, which may also write or
@@ -342,5 +333,5 @@ def run_dmaic(
             },
         )
     except Exception as exc:
-        raise DmaicStepError("Control", exc) from exc
-    return DmaicOutcome(report=report, plan=plan)
+        raise DmaicStepError(f"[Control] {exc}") from exc
+    return report

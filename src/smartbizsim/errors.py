@@ -2,9 +2,9 @@
 reading every input parser shares, and the JSON spelling every written
 document shares.
 
-Two branches matter for the CLI: ConfigError maps to exit code 2
-(bad input/config), SimulationError maps to exit code 3 (runtime
-failure inside a run).
+An error's class is its exit code: ConfigError is exit 2 (bad input
+or config), SimulationError exit 3 (a failure inside a run). The few
+subclasses exist only because code catches them by name.
 """
 
 from __future__ import annotations
@@ -34,83 +34,28 @@ class SimulationError(SmartBizError):
     """Failure raised while executing a simulation or pipeline step."""
 
 
-# -- risk model ------------------------------------------------------------
-
-class ParseError(ConfigError):
-    pass
-
-
-class DuplicateRiskId(ConfigError):
-    pass
-
-
-class UnknownLevelLabel(ConfigError):
-    pass
-
-
-class EmptyCatalog(ConfigError):
-    pass
-
-
-class KOutOfRange(ConfigError):
-    pass
-
-
-# -- control catalog -------------------------------------------------------
-
-class UnknownSectionId(ConfigError):
-    pass
-
-
-class MissingActionsForControl(ConfigError):
-    pass
-
-
-# -- simulation world ------------------------------------------------------
-
-class InvalidScenario(ConfigError):
-    pass
-
-
 class NoSlotAvailable(SimulationError):
-    pass
+    """No common free slot for a meeting; the world records the failed request."""
 
-
-# -- security middleware ---------------------------------------------------
 
 class AuthDenied(SimulationError):
-    pass
+    """A command failed the S9 check; the world records the denial."""
 
 
 class UnknownUser(SimulationError):
-    pass
-
-
-# -- metering / pipeline ---------------------------------------------------
-
-class IncompleteTrace(SimulationError):
-    pass
+    """A command names a user S9 does not know; the world records the denial."""
 
 
 class DmaicStepError(SmartBizError):
-    """Wraps a failure from one of the five pipeline steps.
-
-    The CLI picks the exit code from the wrapped cause, so the original
-    error class is preserved on `cause`.
-    """
-
-    def __init__(self, step: str, cause: Exception):
-        super().__init__(f"[{step}] {cause}")
-        self.step = step
-        self.cause = cause
+    """A failure in a named pipeline step; the CLI picks the exit code from
+    its `__cause__`."""
 
 
 # -- input documents -------------------------------------------------------
 
 class LabeledEnum(Enum):
     """An enum read from text by its label, which is the value unless a
-    subclass overrides `label`. Subclasses name their error in
-    `_unknown_label`."""
+    subclass overrides `label`."""
 
     @property
     def label(self) -> str:
@@ -121,25 +66,25 @@ class LabeledEnum(Enum):
         for member in cls:
             if member.label == label:
                 return member
-        raise cls._unknown_label(label)
+        raise ConfigError(f"unknown label {label!r}")
 
 
 def read_document(path, what: str) -> str:
-    """Read a UTF-8 input file; an OS error becomes a ParseError naming it."""
+    """Read a UTF-8 input file; an OS error becomes a ConfigError naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ParseError(f"cannot read {what} {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 
 def parse_json(document: str, what: str):
-    """Decode a JSON document; any failure becomes a ParseError naming it:
+    """Decode a JSON document; any failure becomes a ConfigError naming it:
     bad syntax, an integer past the digit limit (ValueError), nesting past
     the recursion limit (RecursionError)."""
     try:
         return json.loads(document)
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def read(kind, value, *, base=None, given=None, at: str = ""):
@@ -167,7 +112,7 @@ def read(kind, value, *, base=None, given=None, at: str = ""):
         path = (at + getattr(exc, "path", "")).lstrip(". ")
         if not path:
             raise
-        raise type(exc)(f"{path}: {exc}") from None
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 _READERS: dict = {}
@@ -213,8 +158,8 @@ def _at(exc: ConfigError, segment: str) -> None:
     exc.path = segment + getattr(exc, "path", "")
 
 
-def _mismatch(expected: str, value) -> ParseError:
-    return ParseError(f"expected {expected}, got {reprlib.repr(value)}")
+def _mismatch(expected: str, value) -> ConfigError:
+    return ConfigError(f"expected {expected}, got {reprlib.repr(value)}")
 
 
 
@@ -305,9 +250,9 @@ def _object(cls):
     hint = getattr(cls, "unknown_field_hint", None)
     unknown_field = f"unknown field; {hint}" if hint else "unknown field"
 
-    def failure(value, segment: str, problem: str) -> ParseError:
+    def failure(value, segment: str, problem: str) -> ConfigError:
         label = value.get("id")  # an entry with an id is named by it
-        exc = ParseError(problem)
+        exc = ConfigError(problem)
         exc.path = (f" ({label!r})" if type(label) is str else "") + segment
         return exc
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import IncompleteTrace
+from .errors import SimulationError
 from .trace import Trace
 
 
@@ -30,7 +30,7 @@ class MetricSet:
 
     def __post_init__(self) -> None:
         if self.messages_delivered + self.messages_lost != self.messages_sent:
-            raise IncompleteTrace(
+            raise SimulationError(
                 f"delivered ({self.messages_delivered}) + lost "
                 f"({self.messages_lost}) != sent ({self.messages_sent})"
             )
@@ -91,7 +91,7 @@ class Meter:
                 latency += record["latency_ms"]
                 send = in_flight.pop(record["msg_id"], None)
                 if send is None:
-                    raise IncompleteTrace(
+                    raise SimulationError(
                         f"message {record['msg_id']} delivered but not in flight"
                     )
                 s9_ms += send["s9_ms"]
@@ -100,7 +100,7 @@ class Meter:
             elif kind == "lost":
                 lost += 1
                 if in_flight.pop(record["msg_id"], None) is None:
-                    raise IncompleteTrace(
+                    raise SimulationError(
                         f"message {record['msg_id']} lost but not in flight"
                     )
             elif kind == "audit":
@@ -130,12 +130,12 @@ class Meter:
     def metrics(self) -> MetricSet:
         """The metric set of the records fed so far.
 
-        Raises IncompleteTrace when any sent message lacks a terminal
+        Raises SimulationError when any sent message lacks a terminal
         delivered/lost record (the run stopped mid-flight).
         """
         if self._in_flight:
             in_flight = sorted(self._in_flight)
-            raise IncompleteTrace(
+            raise SimulationError(
                 f"{len(in_flight)} message(s) without a terminal record: "
                 f"{in_flight[:5]}..."
             )
@@ -150,7 +150,7 @@ class Meter:
 def meter(trace: Trace | Iterable[dict]) -> MetricSet:
     """Reduce a completed trace to its metric set.
 
-    Raises IncompleteTrace when any sent message lacks a terminal
+    Raises SimulationError when any sent message lacks a terminal
     delivered/lost record (the run stopped mid-flight).
     """
     fold = Meter()

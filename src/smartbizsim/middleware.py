@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Collection, Mapping, NamedTuple
 
-from .errors import AuthDenied, InvalidScenario, UnknownUser
+from .errors import AuthDenied, ConfigError, UnknownUser
 
 # The sections with a layer, in `Layers` order; a layer's field is the
 # lower-case id.
@@ -63,7 +63,7 @@ class ControlLayerConfig:
             for f in fields(layer):  # annotations are text: see the __future__ import
                 value = getattr(layer, f.name)
                 if f.type == "int" and value < 0:
-                    raise InvalidScenario(
+                    raise ConfigError(
                         f"{outer.name}.{f.name} must be non-negative, got {value}"
                     )
 

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import (
-    DuplicateRiskId,
-    EmptyCatalog,
-    KOutOfRange,
-    LabeledEnum,
-    UnknownLevelLabel,
-    parse_json,
-    read,
-)
+from .errors import ConfigError, LabeledEnum, parse_json, read
 
 Score = Union[int, Fraction]
 
@@ -49,10 +41,6 @@ class OrdinalLevel(LabeledEnum):
     def level(self) -> int:
         return self.value[1]
 
-    @staticmethod
-    def _unknown_label(label: str) -> Exception:
-        return UnknownLevelLabel(f"unknown level label {label!r}")
-
 
 @dataclass(frozen=True)
 class Risk:
@@ -69,18 +57,12 @@ class RiskCatalog:
 
     def __post_init__(self) -> None:
         if not self.risks:
-            raise EmptyCatalog("the risk catalog lists no risks")
+            raise ConfigError("the risk catalog lists no risks")
         seen: set[str] = set()
         for risk in self.risks:
             if risk.id in seen:
-                raise DuplicateRiskId(f"risk id {risk.id!r} appears more than once")
+                raise ConfigError(f"risk id {risk.id!r} appears more than once")
             seen.add(risk.id)
-
-    def __len__(self) -> int:
-        return len(self.risks)
-
-    def __iter__(self):
-        return iter(self.risks)
 
 
 @dataclass(frozen=True)
@@ -102,12 +84,12 @@ def score(risk: Risk) -> int:
 
 def rank(catalog: RiskCatalog) -> RiskAssessment:
     """Assess a catalog into a deterministic priority ranking."""
-    return reassess(catalog, {r.id: score(r) for r in catalog})
+    return reassess(catalog.risks, {r.id: score(r) for r in catalog.risks})
 
 
 def top_k(assessment: RiskAssessment, k: int) -> list[str]:
     if not 1 <= k <= len(assessment.ranking):
-        raise KOutOfRange(
+        raise ConfigError(
             f"k={k} outside 1..{len(assessment.ranking)} for this assessment"
         )
     return list(assessment.ranking[:k])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .calendars import WorkWeek
-from .errors import InvalidScenario, parse_json, read, read_document
+from .errors import ConfigError, parse_json, read, read_document
 from .middleware import ControlLayerConfig, S9Config
 from .timeline import SECONDS_PER_DAY, seconds_at
 
@@ -111,7 +111,7 @@ class ScenarioConfig:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise InvalidScenario(message)
+        raise ConfigError(message)
 
 
 def parse_scenario(document: str, controls: object = {}) -> ScenarioConfig:
@@ -158,7 +158,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             primary in poolless and k.isascii() and k.isdigit() and k[0] != "0"
             and len(k) <= len(str(spares)) and int(k) <= spares
         ):
-            raise InvalidScenario(
+            raise ConfigError(
                 f"nodes[{i}].id {node_id!r} is the id of S17 spare {k} of {primary!r}"
             )
     known = set(node_ids)
@@ -190,7 +190,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
         )
         earlier = neighbors[link.a].get(link.b)
         if earlier is not None:
-            raise InvalidScenario(
+            raise ConfigError(
                 f"links {earlier!r} and {link.id!r} join the same two nodes"
             )
         neighbors[link.a][link.b] = neighbors[link.b][link.a] = link.id
@@ -204,7 +204,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
                 stack.append(neighbor)
     unreached = [d.id for d in devices if d.id not in reached]
     if unreached:
-        raise InvalidScenario(f"device {unreached[0]!r} has no link path to the cloud")
+        raise ConfigError(f"device {unreached[0]!r} has no link path to the cloud")
     for attendee in scenario.attendees:
         # not the cloud: it sends the invitations and cannot message itself
         _require(
@@ -238,13 +238,13 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
         )
         # plain ifs: these run per command and format only on failure
         if command.at < 0:
-            raise InvalidScenario(
+            raise ConfigError(
                 f"command time must be >= 0 (device {command.device!r}, at={command.at})"
             )
         if command.intent == "voice_message":
             _require(command.to in known, f"voice message target {command.to!r} unknown")
             if command.to == command.device:
-                raise InvalidScenario(
+                raise ConfigError(
                     f"voice message from {command.device!r} is addressed to itself"
                 )
         elif command.intent == "create_reminder":
@@ -254,7 +254,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             )
         elif command.intent == "schedule_meeting":
             if not command.attendees:
-                raise InvalidScenario(
+                raise ConfigError(
                     f"meeting (device {command.device!r}, at={command.at}) has no attendees"
                 )
             for i, attendee in enumerate(command.attendees):
@@ -263,7 +263,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
                     f"meeting attendee {attendee!r} has no calendar",
                 )
                 if attendee in command.attendees[:i]:
-                    raise InvalidScenario(
+                    raise ConfigError(
                         f"meeting (device {command.device!r}, at={command.at}) "
                         f"names attendee {attendee!r} twice"
                     )
@@ -280,7 +280,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
     # which must be a date. Counted in whole days, so no date is built.
     last_due = seconds_at(scenario.epoch, dt.date.max, scenario.reminder_fire_time)
     if scenario.horizon_s >= last_due:
-        raise InvalidScenario(
+        raise ConfigError(
             f"horizon_s {scenario.horizon_s} reaches {dt.date.max} "
             f"{scenario.reminder_fire_time:%H:%M}, the last month end a reminder can fall due"
         )
@@ -290,7 +290,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
     )
     hours = scenario.working_hours
     if hours.start >= hours.end:
-        raise InvalidScenario(
+        raise ConfigError(
             f"working_hours.start {hours.start:%H:%M} is not before "
             f"working_hours.end {hours.end:%H:%M}"
         )

@@ -29,7 +29,7 @@ from typing import Callable, Collection, NamedTuple
 
 from . import middleware
 from .calendars import Calendar, Slot, find_common_slot
-from .errors import AuthDenied, InvalidScenario, NoSlotAvailable, UnknownUser
+from .errors import AuthDenied, ConfigError, NoSlotAvailable, UnknownUser
 from .scenario import CommandSpec, LinkSpec, ScenarioConfig
 from .timeline import SECONDS_PER_DAY, next_month_end_instant
 from .trace import Trace
@@ -218,7 +218,7 @@ class World:
 
     def run_until(self, t_end: int) -> "World":
         if t_end < self.clock:
-            raise InvalidScenario(
+            raise ConfigError(
                 f"cannot run backwards: t_end {t_end} < clock {self.clock}"
             )
         while self._queue and self._queue[0][0] <= t_end:

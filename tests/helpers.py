@@ -19,8 +19,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from smartbizsim.calendars import WorkWeek
-from smartbizsim.costs import CostRates, DmaicConfig, DmaicOutcome, run_dmaic
-from smartbizsim.errors import ParseError
+from smartbizsim.costs import CostRates, CostReport, DmaicConfig, run_dmaic
+from smartbizsim.errors import ConfigError
 from smartbizsim.metering import Meter, SectionUsage
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.scenario import (
@@ -109,7 +109,7 @@ class RecordingMeter(Meter):
         return out.getvalue()
 
 
-def recorded_dmaic(config: DmaicConfig) -> tuple[DmaicOutcome, RecordingMeter, RecordingMeter]:
+def recorded_dmaic(config: DmaicConfig) -> tuple[CostReport, RecordingMeter, RecordingMeter]:
     """`run_dmaic` with the baseline and secured traces kept."""
     sinks = {"baseline": RecordingMeter(), "secured": RecordingMeter()}
     return run_dmaic(config, sinks), sinks["baseline"], sinks["secured"]
@@ -203,7 +203,7 @@ def end_of_month_instants(
     month lengths and leap years are respected.
     """
     if start > end:
-        raise ParseError(f"date range is reversed: {start} > {end}")
+        raise ConfigError(f"date range is reversed: {start} > {end}")
     instants = []
     year, month = start.year, start.month
     while (year, month) <= (end.year, end.month):

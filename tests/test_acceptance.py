@@ -22,11 +22,7 @@ from helpers import (
     two_device_scenario,
 )
 from smartbizsim.calendars import Calendar, find_common_slot
-from smartbizsim.controls import (
-    RiskControlMapping,
-    default_control_catalog,
-    default_mapping,
-)
+from smartbizsim.controls import default_control_catalog, default_mapping
 from smartbizsim.costs import (
     CostRates,
     load_dmaic_config,
@@ -58,10 +54,8 @@ def test_criterion_1_default_ranking_matches_the_grid():
 
 def test_criterion_2_mapping_and_all_change_levels():
     mapping = default_mapping()
-    assert document(mapping.entries) == {"R4": ["S17"], "R6": ["S10"], "R9": ["S9"]}
-    assert mapping.sections_for("R4") == ("S17",)
-    assert mapping.sections_for("R6") == ("S10",)
-    assert mapping.sections_for("R9") == ("S9",)
+    assert document(mapping) == {"R4": ["S17"], "R6": ["S10"], "R9": ["S9"]}
+    assert mapping == {"R4": ("S17",), "R6": ("S10",), "R9": ("S9",)}
     expected_levels = {
         "S5": "Moderate", "S6": "Moderate", "S7": "LowModerate",
         "S8": "LowModerate", "S9": "High", "S10": "Moderate",
@@ -195,17 +189,15 @@ def test_criterion_7_cost_additivity_against_the_naive_oracle():
         total = sum(cost.total for cost in breakdown.values())
         assert total == naive_total_cost(plan, rates, usage)
 
-    no_controls = replace(
-        load_dmaic_config(None), mapping=RiskControlMapping(entries={})
-    )
-    assert run_dmaic(no_controls).report.total_security_cost == 0
+    no_controls = replace(load_dmaic_config(None), mapping={})
+    assert run_dmaic(no_controls).total_security_cost == 0
     _ok(7, "120/120 randomized combos match; zero-controls run costs 0")
 
 
 def test_criterion_8_reruns_are_byte_identical():
     first, *first_traces = recorded_dmaic(load_dmaic_config(None))
     second, *second_traces = recorded_dmaic(load_dmaic_config(None))
-    assert canonical_json(first.report) == canonical_json(second.report)
+    assert canonical_json(first) == canonical_json(second)
     for one, other in zip(first_traces, second_traces):
         assert one.to_ndjson() == other.to_ndjson()
     _ok(8, "report and both traces byte-identical across reruns")
@@ -220,6 +212,6 @@ def test_criterion_9_residual_ranking_after_elimination():
         assessment, {"S9", "S10", "S17"}, default_mapping(), Fraction(0)
     )
     assert list(residual.ranking[:3]) == ["R10", "R3", "R7"]
-    report = run_dmaic(load_dmaic_config(None)).report
+    report = run_dmaic(load_dmaic_config(None))
     assert list(report.residual_ranking.ranking[:3]) == ["R10", "R3", "R7"]
     _ok(9, "residual top-3 is [R10, R3, R7]")

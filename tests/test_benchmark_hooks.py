@@ -2,8 +2,11 @@
 
 `perfbench/tracer.py` replaces public functions and methods of
 `smartbizsim.*` with timing wrappers by name, so renaming or deleting
-one of them breaks the traced benchmark, not the program. `install`
-patches modules for the whole process, so it runs in a child process.
+one of them breaks the traced benchmark, not the program. It counts S9
+denials by catching `AuthDenied` and `UnknownUser` around
+`middleware.authenticate`, so the child's scenario has one wrong
+credential. `install` patches modules for the whole process, so it runs
+in a child process.
 """
 
 import subprocess
@@ -14,12 +17,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _CHILD = """
 import sys
+from dataclasses import replace
+from pathlib import Path
 from smartbizsim import cli
+from smartbizsim.scenario import default_scenario
+from smartbizsim.trace import canonical_json
 from tracer import Tracer, install
 
+scenario = default_scenario()
+first, *rest = scenario.commands
+wrong = replace(first, credential=first.credential + "-wrong")
+Path("scenario.json").write_text(canonical_json(replace(scenario, commands=(wrong, *rest))))
 tracer = Tracer("t")
 install(tracer)
-code = cli.main(["dmaic", "--out", sys.argv[1]])
+code = cli.main(["dmaic", "--scenario", "scenario.json", "--out", sys.argv[1]])
 calls = {name: stat[0] for name, stat in tracer.stats.items()}
 missed = [name for name in ("world.send_message", "middleware.wrap",
                             "middleware.authenticate", "calendars.find_common_slot",
@@ -28,7 +39,9 @@ missed = [name for name in ("world.send_message", "middleware.wrap",
           if not calls.get(name)]
 runs = {run: calls.get(f"world.run_until.{run}") for run in ("baseline", "secured")}
 booked = None if runs == {"baseline": 1, "secured": 1} else f"runs booked as {runs}"
-sys.exit(code or (f"traced names never called: {missed}" if missed else booked))
+denied = tracer.counters["auth_denied"]
+counted = None if denied >= 1 else f"{denied} S9 denials counted"
+sys.exit(code or (f"traced names never called: {missed}" if missed else booked or counted))
 """
 
 

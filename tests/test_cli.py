@@ -196,14 +196,21 @@ def test_a_run_that_fails_midway_leaves_no_trace_file(
     assert list(out.iterdir()) == []
 
 
+def _step_error(cause: Exception) -> DmaicStepError:
+    """The error `run_dmaic` raises when `cause` stops its Control step."""
+    error = DmaicStepError(f"[Control] {cause}")
+    error.__cause__ = cause
+    return error
+
+
 @pytest.mark.parametrize(
     "error, code",
     [
         (ConfigError("bad input"), 2),
         (SimulationError("run failed"), 3),
-        (DmaicStepError("Control", ConfigError("bad input")), 2),
-        (DmaicStepError("Control", SimulationError("run failed")), 3),
-        (DmaicStepError("Control", ValueError("a bug")), 3),
+        (_step_error(ConfigError("bad input")), 2),
+        (_step_error(SimulationError("run failed")), 3),
+        (_step_error(ValueError("a bug")), 3),
         (SmartBizError("other"), 3),
     ],
     ids=["config", "simulation", "step-config", "step-simulation", "step-value", "bare"],
@@ -229,7 +236,7 @@ _UNWRITABLE_OUTPUTS = {
     "dmaic-out-is-a-file": lambda file, gone: (["dmaic", "--out", file], file),
     "dmaic-out-under-a-file": lambda file, gone: (["dmaic", "--out", f"{file}/sub"], file),
     "simulate-out-in-a-missing-dir": lambda file, gone: (
-        ["simulate", "--out", f"{gone}/t.ndjson"], gone),
+        ["simulate", "--out", f"{gone}/t.ndjson"], f"{gone}/t.ndjson"),
     "assess-out-in-a-missing-dir": lambda file, gone: (["assess", "--out", f"{gone}/x"], gone),
     "report-out-in-a-missing-dir": lambda file, gone: (
         ["report", "--in", file, "--out", f"{gone}/x"], gone),
@@ -244,6 +251,7 @@ def test_an_output_that_cannot_be_written_exits_2_naming_it(tmp_path, capsys, pr
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+    assert ".partial" not in err  # the path given, not the temporary file beside it
     assert err.count("\n") == 1 and err.endswith("\n")
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["report.json"]  # no .partial
 
@@ -498,7 +506,8 @@ def _misspelt_key_id(doc):
 
 # No config below can run. Before `DmaicConfig` checked them, all but the
 # action row ran to exit 0 (the empty files with the built-in reference) or
-# failed in a later step. A reference is given as its document or its text.
+# failed in a later step; the empty entry was refused by the mapping file's
+# own type. A reference is given as its document or its text.
 _CONFIG_PROBES = [
     ({"mapping": {"R1": ["S99"]}}, "mapping.R1[0]: unknown control section 'S99'"),
     ({"mapping": {"R1": ["S13"]}}, "mapping.R1[0]: no action covers section 'S13'"),
@@ -511,6 +520,7 @@ _CONFIG_PROBES = [
     ({"action_library": ""}, "action library is not valid JSON"),
     ({"scenario": _scenario_with(_misspelt_key_id)},
      "controls.s10.key_ids.dev-citya names no declared node"),
+    ({"mapping": {"R4": []}}, "mapping.R4: names no section"),
 ]
 
 
@@ -518,7 +528,7 @@ _CONFIG_PROBES = [
     "config, message", _CONFIG_PROBES,
     ids=["unknown-section", "uncovered-section", "top-k-11", "empty-catalog",
          "action-unknown-section", "empty-mapping-file", "empty-control-catalog-file",
-         "empty-action-library-file", "misspelt-key-id"],
+         "empty-action-library-file", "misspelt-key-id", "empty-mapping-entry"],
 )
 def test_configs_that_cannot_run_exit_2_at_define(tmp_path, capsys, config, message):
     for key, value in list(config.items()):

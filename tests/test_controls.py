@@ -10,21 +10,16 @@ from helpers import document
 from smartbizsim.controls import (
     ChangeLevel,
     ControlCatalog,
-    RiskControlMapping,
     build_plan,
     default_action_library,
     default_control_catalog,
     default_mapping,
     parse_action_library,
+    parse_control_catalog,
     parse_mapping,
 )
 from smartbizsim.costs import DmaicConfig, load_dmaic_config
-from smartbizsim.errors import (
-    ConfigError,
-    MissingActionsForControl,
-    ParseError,
-    UnknownSectionId,
-)
+from smartbizsim.errors import ConfigError
 from smartbizsim.risk import RiskCatalog, default_risk_catalog, rank, top_k
 from smartbizsim.scenario import default_scenario
 from smartbizsim.trace import canonical_json
@@ -59,22 +54,22 @@ def test_all_fourteen_change_levels():
 
 def test_unknown_section_rejected():
     config = load_dmaic_config(None)
-    with pytest.raises(UnknownSectionId, match=r"mapping\.R2\[0\]: unknown control section 'S4'"):
-        replace(config, mapping=RiskControlMapping(entries={"R2": ("S4",)}))
+    with pytest.raises(ConfigError, match=r"^mapping\.R2\[0\]: unknown control section 'S4'$"):
+        replace(config, mapping={"R2": ("S4",)})
 
 
 def test_default_mapping_is_exactly_the_three_pairs():
     mapping = default_mapping()
-    assert document(mapping.entries) == {"R4": ["S17"], "R6": ["S10"], "R9": ["S9"]}
+    assert document(mapping) == {"R4": ["S17"], "R6": ["S10"], "R9": ["S9"]}
 
 
 @pytest.mark.parametrize("risk_id,sections", [("R6", ["S10"]), ("R9", ["S9"]), ("R4", ["S17"])])
 def test_controls_for_mapped_risks(risk_id, sections):
-    assert list(default_mapping().sections_for(risk_id)) == sections
+    assert list(default_mapping().get(risk_id, ())) == sections
 
 
 def test_controls_for_known_unmapped_risk_is_empty():
-    assert default_mapping().sections_for("R2") == ()
+    assert default_mapping().get("R2", ()) == ()
 
 
 def _plan(selected):
@@ -93,7 +88,7 @@ def test_build_plan_missing_actions_rejected():
     # rejected when the config is built, before any plan: every mapped
     # section needs an action, whichever risks top_k selects
     no_s17 = tuple(a for a in default_action_library() if a.control != "S17")
-    with pytest.raises(MissingActionsForControl, match=r"mapping\.R4\[0\].*'S17'"):
+    with pytest.raises(ConfigError, match=r"^mapping\.R4\[0\]: no action covers section 'S17'$"):
         replace(load_dmaic_config(None), action_library=no_s17)
 
 
@@ -117,20 +112,22 @@ def test_default_library_names_actions_for_the_three_layers():
 
 def test_mapping_round_trip():
     mapping = default_mapping()
-    assert parse_mapping(canonical_json(mapping.entries)) == mapping
+    assert parse_mapping(canonical_json(mapping)) == mapping
 
 
 def test_custom_mapping_and_known_risks():
     mapping = parse_mapping(json.dumps({"R1": ["S13", "S12"]}))
-    assert mapping.sections_for("R1") == ("S13", "S12")
-    assert mapping.sections_for("R2") == ()
+    assert mapping == {"R1": ("S13", "S12")}
 
 
 def test_enum_labels_round_trip_and_unknown_labels_are_parse_errors():
     for member in ChangeLevel:
         assert ChangeLevel.from_label(member.value) is member
-    with pytest.raises(ParseError, match="change level 'Huge'"):
+    with pytest.raises(ConfigError, match="^unknown label 'Huge'$"):
         ChangeLevel.from_label("Huge")
+    catalog = {"sections": [{"id": "S5", "name": "Policy", "change_level": "Huge"}]}
+    with pytest.raises(ConfigError, match=r"^sections\[0\]\.change_level: unknown label 'Huge'$"):
+        parse_control_catalog(json.dumps(catalog))
 
 
 def test_library_entry_with_cost_components_is_rejected():
@@ -139,12 +136,12 @@ def test_library_entry_with_cost_components_is_rejected():
         {"id": "device-locks", "control": "S9",
          "cost_components": [{"kind": "capital", "magnitude": 999}]},
     ]})
-    with pytest.raises(ParseError, match=r"actions\[1\] \('device-locks'\).*cost_components.*rates"):
+    with pytest.raises(ConfigError, match=r"^actions\[1\] \('device-locks'\).*cost_components.*rates"):
         parse_action_library(document)
 
 
 def test_library_entry_without_a_control_is_rejected():
-    with pytest.raises(ParseError, match="missing field 'control'"):
+    with pytest.raises(ConfigError, match=r"^actions\[0\] \('x'\): missing field 'control'$"):
         parse_action_library(json.dumps({"actions": [{"id": "x"}]}))
 
 
@@ -152,11 +149,12 @@ _SCENARIO = default_scenario()
 
 
 def _runnable(risks, sections, library, entries, k) -> bool:
-    """Rules 1-4 of a pipeline config, restated over its parts."""
+    """Rules 1-5 of a pipeline config, restated over its parts."""
     section_ids = {s.id for s in sections}
     covered = {a.control for a in library}
     return (
         all(a.control in section_ids for a in library)
+        and all(entries.values())  # no entry names no section
         and all(s in section_ids and s in covered for mapped in entries.values() for s in mapped)
         and 1 <= k <= len(risks)
         and len(risks) >= 1
@@ -181,7 +179,7 @@ _SECTION_IDS = st.sampled_from(["S9", "S10", "S17"]) | st.sampled_from(
     library=_subsets(default_action_library()),
     entries=st.dictionaries(
         st.sampled_from([f"R{i}" for i in range(1, 13)]),
-        st.lists(_SECTION_IDS, min_size=1, max_size=2).map(tuple),
+        st.lists(_SECTION_IDS, max_size=2).map(tuple),
         max_size=3,
     ),
     k=st.integers(1, 3) | st.integers(-1, 12),
@@ -194,7 +192,7 @@ def test_a_config_exists_exactly_when_every_later_step_can_run(
         config = DmaicConfig(
             risk_catalog=RiskCatalog(risks=tuple(risks)),
             control_catalog=ControlCatalog(sections=tuple(sections)),
-            mapping=RiskControlMapping(entries=entries),
+            mapping=entries,
             action_library=tuple(library),
             scenario=_SCENARIO,
             top_k=k,

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import by_kind, document, multi_hop_scenario, naive_total_cost, recorded_dmaic
 from smartbizsim.cli import main
-from smartbizsim.controls import RiskControlMapping, build_plan, default_mapping
+from smartbizsim.controls import build_plan, default_mapping
 from smartbizsim.costs import (
     CostRates,
     DmaicConfig,
@@ -18,7 +18,7 @@ from smartbizsim.costs import (
     residual_assessment,
     run_dmaic,
 )
-from smartbizsim.errors import ConfigError, KOutOfRange, ParseError, read
+from smartbizsim.errors import ConfigError, read
 from smartbizsim.metering import SectionUsage
 from smartbizsim.risk import OrdinalLevel, Risk, RiskCatalog, default_risk_catalog, rank
 from smartbizsim.trace import canonical_json
@@ -145,7 +145,7 @@ def test_half_factor_reorders_exactly():
 
 
 def test_partially_enabled_mapping_leaves_risks_untouched():
-    mapping = RiskControlMapping(entries={"R6": ("S10", "S13")})
+    mapping = {"R6": ("S10", "S13")}
     assessment = rank(default_risk_catalog())
     residual = residual_assessment(assessment, {"S10"}, mapping, Fraction(0))
     assert residual.scores["R6"] == 25  # S13 missing, so R6 keeps its score
@@ -168,7 +168,7 @@ def residual_cases(draw):
     enabled = set(draw(st.lists(st.sampled_from(SECTIONS), unique=True)))
     factor = draw(st.sampled_from([Fraction(0), Fraction(1)])
                   | st.fractions(min_value=0, max_value=1, max_denominator=12))
-    return RiskCatalog(risks), RiskControlMapping(entries=mapping), enabled, factor
+    return RiskCatalog(risks), mapping, enabled, factor
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -177,7 +177,7 @@ def test_residual_ranking_scales_mitigated_risks_and_moves_them_only_down(case):
     catalog, mapping, enabled, factor = case
     before = rank(catalog)
     after = residual_assessment(before, enabled, mapping, factor)
-    mitigated = {rid for rid, mapped in mapping.entries.items() if set(mapped) <= enabled}
+    mitigated = {rid for rid, mapped in mapping.items() if set(mapped) <= enabled}
     for rid, score in before.scores.items():
         assert after.scores[rid] == (score * factor if rid in mitigated else score)
 
@@ -203,9 +203,8 @@ def test_residual_ranking_scales_mitigated_risks_and_moves_them_only_down(case):
 
 
 def test_default_pipeline_enables_the_three_controls():
-    outcome = run_dmaic(load_dmaic_config(None))
-    assert outcome.plan == {"S9", "S10", "S17"}
-    report = outcome.report
+    report = run_dmaic(load_dmaic_config(None))
+    assert report.cost_breakdown.keys() == {"S9", "S10", "S17"}
     assert list(report.residual_ranking.ranking[:3]) == ["R10", "R3", "R7"]
     for rid in ("R4", "R6", "R9"):
         assert report.residual_ranking.scores[rid] == 0
@@ -213,8 +212,8 @@ def test_default_pipeline_enables_the_three_controls():
 
 
 def test_report_is_byte_deterministic():
-    a = run_dmaic(load_dmaic_config(None)).report
-    b = run_dmaic(load_dmaic_config(None)).report
+    a = run_dmaic(load_dmaic_config(None))
+    b = run_dmaic(load_dmaic_config(None))
     assert canonical_json(a) == canonical_json(b)
 
 
@@ -253,7 +252,7 @@ def test_top_k_zero_rejected_at_validation():
 def test_oversized_top_k_is_rejected_at_define(tmp_path, capsys):
     config = load_dmaic_config(None)
     assert replace(config, top_k=10).top_k == 10  # the whole catalog
-    with pytest.raises(KOutOfRange, match=r"top_k: 11 is outside 1\.\.10"):
+    with pytest.raises(ConfigError, match=r"^top_k: 11 is outside 1\.\.10, the risk count$"):
         replace(config, top_k=11)
     assert main(["dmaic", "--top-k", "11", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith("error: [Define] top_k: 11 ")
@@ -267,10 +266,10 @@ def test_top_k_is_checked_against_the_catalog_it_comes_with(tmp_path):
     (tmp_path / "risks.json").write_text(json.dumps(catalog))
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"risk_catalog": "risks.json", "top_k": 2}))
-    outcome = run_dmaic(load_dmaic_config(path))
-    assert outcome.plan == {"S9", "S10"}
+    report = run_dmaic(load_dmaic_config(path))
+    assert report.cost_breakdown.keys() == {"S9", "S10"}
     path.write_text(json.dumps({"risk_catalog": "risks.json"}))
-    with pytest.raises(KOutOfRange, match=r"top_k: 3 is outside 1\.\.2"):
+    with pytest.raises(ConfigError, match=r"^top_k: 3 is outside 1\.\.2, the risk count$"):
         load_dmaic_config(path)
 
 
@@ -278,16 +277,16 @@ def test_zero_rates_cost_zero_without_touching_the_metrics():
     zero = CostRates(capital_item=0, operational_event=0, latency_ms=0,
                      wire_byte=0, session=0)
     config = replace(load_dmaic_config(None), rates=zero)
-    report = run_dmaic(config).report
+    report = run_dmaic(config)
     assert report.total_security_cost == 0
     assert report.secured.messages_sent == report.baseline.messages_sent
 
 
 def test_empty_mapping_runs_with_no_controls_and_zero_cost():
-    config = replace(load_dmaic_config(None), mapping=RiskControlMapping(entries={}))
-    outcome, baseline, secured = recorded_dmaic(config)
-    assert outcome.plan == frozenset()
-    assert outcome.report.total_security_cost == 0
+    config = replace(load_dmaic_config(None), mapping={})
+    report, baseline, secured = recorded_dmaic(config)
+    assert report.cost_breakdown == {}
+    assert report.total_security_cost == 0
     assert baseline.to_ndjson() == secured.to_ndjson()
 
 
@@ -301,9 +300,9 @@ def test_controls_block_updates_the_scenario_controls(tmp_path):
     assert config.scenario.controls == replace(
         default, s10=replace(default.s10, overhead_bytes=500)
     )
-    outcome, _, secured = recorded_dmaic(config)
+    report, _, secured = recorded_dmaic(config)
     assert not [r for r in by_kind(secured, "audit") if not r["authenticated"]]
-    assert outcome.report.secured.messages_sent == 62
+    assert report.secured.messages_sent == 62
     sent = by_kind(secured, "sent")
     assert all(r["wire_bytes"] - r["size_bytes"] == 500 for r in sent)
 
@@ -362,9 +361,9 @@ def test_capital_is_what_the_secured_trace_counts(scenario, top):
     config = replace(load_dmaic_config(None), top_k=top)
     if scenario == "multi_hop":
         config = replace(config, scenario=multi_hop_scenario())
-    outcome, _, secured = recorded_dmaic(config)
+    report, _, secured = recorded_dmaic(config)
     counted = _traced_capital(secured)
-    sections = outcome.report.cost_breakdown
+    sections = report.cost_breakdown
     assert set(counted) <= set(sections)
     for section_id, cost in sections.items():
         assert cost.capital == counted.get(section_id, 0) * config.rates.capital_item
@@ -373,5 +372,5 @@ def test_capital_is_what_the_secured_trace_counts(scenario, top):
 def test_rate_defaults_have_one_source():
     assert read(CostRates, {}) == CostRates()
     # a numeric string is not an integer: rejected, not coerced
-    with pytest.raises(ParseError, match=r"^session: expected an integer, got '7'$"):
+    with pytest.raises(ConfigError, match=r"^session: expected an integer, got '7'$"):
         read(CostRates, {"session": "7"})

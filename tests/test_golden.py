@@ -44,9 +44,9 @@ def _sha256(text: str) -> str:
 
 
 def test_default_dmaic_outputs_are_byte_identical_to_the_reference():
-    outcome, baseline, secured = recorded_dmaic(load_dmaic_config(None))
+    report, baseline, secured = recorded_dmaic(load_dmaic_config(None))
     outputs = {
-        "report": canonical_json(outcome.report) + "\n",
+        "report": canonical_json(report) + "\n",
         "baseline_trace": baseline.to_ndjson(),
         "secured_trace": secured.to_ndjson(),
     }

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from helpers import by_kind, document, naive_total_cost, two_device_scenario, worlds
 from smartbizsim.costs import CostRates, monetize
-from smartbizsim.errors import IncompleteTrace
+from smartbizsim.errors import SimulationError
 from smartbizsim.metering import MetricSet, SectionUsage, meter, meter_sections
 from smartbizsim.middleware import ControlLayerConfig, S10Config
 from smartbizsim.scenario import default_scenario
@@ -48,9 +48,9 @@ def test_meter_is_pure():
 
 
 def test_incomplete_trace_rejected():
-    with pytest.raises(IncompleteTrace):
+    with pytest.raises(SimulationError, match=r"^1 message\(s\) without a terminal record: \[1\]"):
         meter([_sent(1)])
-    with pytest.raises(IncompleteTrace):
+    with pytest.raises(SimulationError, match=r"^delivered \(1\) \+ lost \(1\) != sent \(3\)$"):
         MetricSet(messages_sent=3, messages_delivered=1, messages_lost=1)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import by_kind, message_records, tap, two_device_scenario, worlds
-from smartbizsim.errors import AuthDenied, InvalidScenario, UnknownUser, read
+from smartbizsim.errors import AuthDenied, ConfigError, UnknownUser, read
 from smartbizsim.middleware import (
     ControlLayerConfig,
     S9Config,
@@ -141,7 +141,7 @@ def test_partial_key_map_rejected_at_build():
     controls = ControlLayerConfig(
         s10=S10Config(key_ids={"device-a": "k1"})
     )
-    with pytest.raises(InvalidScenario, match="gives node 'device-b' no key id"):
+    with pytest.raises(ConfigError, match="gives node 'device-b' no key id"):
         two_device_scenario(controls=controls)
 
 

@@ -4,7 +4,7 @@ import datetime as dt
 import pytest
 
 from helpers import end_of_month_instants, month_end_dates_by_enumeration
-from smartbizsim.errors import ParseError
+from smartbizsim.errors import ConfigError
 from smartbizsim.timeline import (
     SECONDS_PER_DAY,
     next_month_end_instant,
@@ -52,7 +52,7 @@ def test_three_year_window_matches_enumeration_oracle():
 
 
 def test_reversed_range_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError, match="^date range is reversed: 2024-02-01 > 2024-01-01$"):
         end_of_month_instants(dt.date(2024, 2, 1), dt.date(2024, 1, 1), NINE_AM, dt.date(2024, 1, 1))
 
 
@@ -73,5 +73,5 @@ def test_seconds_at_counts_whole_days():
 
 def test_parse_hhmm_validates():
     assert parse_hhmm("08:30") == dt.time(8, 30)
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigError, match=r"^bad time of day '8h30' \(expected HH:MM\)$"):
         parse_hhmm("8h30")

@@ -1,5 +1,6 @@
 import datetime as dt
 import gc
+import re
 import tracemalloc
 import weakref
 from collections import Counter
@@ -17,7 +18,7 @@ from helpers import (
     two_device_scenario,
     worlds,
 )
-from smartbizsim.errors import InvalidScenario, NoSlotAvailable
+from smartbizsim.errors import ConfigError, NoSlotAvailable
 from smartbizsim.middleware import ControlLayerConfig, S17Config
 from smartbizsim.metering import meter
 from smartbizsim.scenario import (
@@ -60,17 +61,24 @@ def test_minimal_world_is_valid():
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, problem",
     [
-        lambda s: replace(s, links=s.links + (LinkSpec(a="device-a", b="ghost", latency_ms=5),)),
-        lambda s: replace(s, links=(LinkSpec(a="device-a", b="cloud", latency_ms=-1),)),
-        lambda s: replace(s, nodes=tuple(n for n in s.nodes if n.kind != "SmartDevice")),
-        lambda s: replace(s, nodes=s.nodes + (NodeSpec(id="cloud2", kind="CloudService"),)),
-        lambda s: replace(s, nodes=s.nodes + (NodeSpec(id="device-a", kind="SmartDevice", site="CityA"),)),
+        (lambda s: replace(s, links=s.links + (LinkSpec(a="device-a", b="ghost", latency_ms=5),)),
+         "link endpoint 'ghost' is unknown"),
+        (lambda s: replace(s, links=(LinkSpec(a="device-a", b="cloud", latency_ms=-1),)),
+         "link 'device-a--cloud' has negative latency"),
+        (lambda s: replace(s, nodes=tuple(n for n in s.nodes if n.kind != "SmartDevice")),
+         "scenario needs at least one smart device"),
+        (lambda s: replace(s, nodes=s.nodes + (NodeSpec(id="cloud2", kind="CloudService"),)),
+         "scenario needs exactly one cloud service node"),
+        (lambda s: replace(
+            s, nodes=s.nodes + (NodeSpec(id="device-a", kind="SmartDevice", site="CityA"),)),
+         "duplicate node ids"),
     ],
+    ids=[f"<lambda>{i}" for i in range(5)],  # the ids these cases had as bare lambdas
 )
-def test_invalid_scenarios_rejected(mutate):
-    with pytest.raises(InvalidScenario):
+def test_invalid_scenarios_rejected(mutate, problem):
+    with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
         build_world(mutate(two_device_scenario()), ())
 
 
@@ -80,7 +88,7 @@ def test_run_until_with_empty_queue_only_moves_the_clock():
     world.run_until(3600)
     assert world.clock == 3600
     assert len(world.trace) == before
-    with pytest.raises(InvalidScenario):
+    with pytest.raises(ConfigError, match="^cannot run backwards: t_end 3599 < clock 3600$"):
         world.run_until(3599)
 
 
@@ -124,7 +132,7 @@ def test_two_hop_path_sums_link_latencies():
 def test_unknown_destination_and_no_route():
     # a device without a link path could not be routed to mid-run, so the
     # scenario is rejected when it is built
-    with pytest.raises(InvalidScenario, match="'island'"):
+    with pytest.raises(ConfigError, match="^device 'island' has no link path to the cloud$"):
         replace(
             two_device_scenario(),
             nodes=two_device_scenario().nodes + (NodeSpec(id="island", kind="SmartDevice", site="Truck"),),
