@@ -108,30 +108,32 @@ def find_common_slot(
     # is used up, even one that spans into later days
     reached = search_from
 
-    first_day = max(search_from // MINUTES_PER_DAY, 0)
-    days = range(first_day, (horizon - 1) // MINUTES_PER_DAY + 1)
+    day = max(search_from // MINUTES_PER_DAY, 0)
+    last_day = (horizon - 1) // MINUTES_PER_DAY
     if duration > end_minute - start_minute:
-        days = range(0)  # longer than the working window: no day can hold it
-    for day in days:
-        if (epoch_weekday + day) % 7 not in workdays:
-            continue
-        lo = max(day * MINUTES_PER_DAY + start_minute, search_from)
-        hi = min(day * MINUTES_PER_DAY + end_minute, horizon)
-        if lo + duration > hi:
-            continue
-        # Push the candidate past each interval that blocks it; intervals
-        # come sorted by start, so the first resting point is the earliest
-        # start in this window.
-        candidate = max(lo, reached)
-        while pending is not None:
-            bs, be = pending
-            if candidate + duration <= bs:
-                break
-            candidate = max(candidate, be)
-            pending = next(busy, None)
-        if candidate + duration <= hi:
-            return Slot(start=candidate, duration=duration)
-        reached = candidate
+        last_day = -1  # longer than the working window: no day can hold it
+    while day <= last_day:
+        if (epoch_weekday + day) % 7 in workdays:
+            lo = max(day * MINUTES_PER_DAY + start_minute, search_from)
+            hi = min(day * MINUTES_PER_DAY + end_minute, horizon)
+            if lo + duration <= hi:
+                # Push the candidate past each interval that blocks it;
+                # intervals come sorted by start, so the first resting point
+                # is the earliest start in this window.
+                candidate = max(lo, reached)
+                while pending is not None:
+                    bs, be = pending
+                    if candidate + duration <= bs:
+                        break
+                    candidate = max(candidate, be)
+                    pending = next(busy, None)
+                if candidate + duration <= hi:
+                    return Slot(start=candidate, duration=duration)
+                reached = candidate
+        # every start on the days before the one `reached` falls on is
+        # blocked, and each interval a walk of them would pass, the walk
+        # of the next open day passes too
+        day = max(day + 1, reached // MINUTES_PER_DAY)
     raise NoSlotAvailable(
         f"no {duration}-minute slot free for all calendars before minute {horizon}"
     )

@@ -85,6 +85,14 @@ class SectionCost:
         return self.capital + self.operational + self.performance
 
 
+# Commands the digest encodes at a time. At 100k commands, batches of
+# 128 to 512 hashed 1.05x faster than one list of all of them, and 1.5x
+# faster than batches of 4096 (Python 3.11, 2-vCPU x86-64 VM), most
+# likely because a small batch's dicts are still in the CPU cache when
+# they are encoded.
+BATCH_COMMANDS = 256
+
+
 @dataclass(frozen=True)
 class DmaicConfig:
     """Fully resolved pipeline configuration (all references loaded)."""
@@ -132,6 +140,10 @@ class DmaicConfig:
         """The document `digest` hashes: every resolved input in the spelling
         `errors.json_default` gives it, with four exceptions, each kept so
         that the digest of an unchanged configuration does not move."""
+        return self._resolved([_command_dict(c) for c in self.scenario.commands])
+
+    def _resolved(self, commands: list) -> dict:
+        """`resolved_dict` with `commands` as the scenario's commands."""
         controls = json_default(self.scenario.controls)
         return {
             "risk_catalog": self.risk_catalog,
@@ -146,7 +158,7 @@ class DmaicConfig:
             # hold defaults that mean nothing for it
             "scenario": {
                 **json_default(self.scenario),
-                "commands": [_command_dict(c) for c in self.scenario.commands],
+                "commands": commands,
                 # `"enabled": false` on each layer: the spelling the digest
                 # was defined with; the plan, not the scenario, switches them
                 "controls": {
@@ -161,8 +173,23 @@ class DmaicConfig:
         }
 
     def digest(self) -> str:
-        canonical = canonical_json(self.resolved_dict())
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        """The SHA-256 of `canonical_json(self.resolved_dict())`, fed in
+        pieces: the text around the commands, then the commands in batches
+        of BATCH_COMMANDS, so the text of all of them is never built."""
+        # Canonical JSON escapes every quote inside a string, so this text is
+        # a key "commands" holding an empty array: the scenario's, since
+        # every other key is a field name, or a mapping key whose value is a
+        # string or, in the mapping, an array that is never empty.
+        head, _, tail = canonical_json(self._resolved([])).partition('"commands":[]')
+        sha = hashlib.sha256(f'{head}"commands":['.encode("utf-8"))
+        commands, size = self.scenario.commands, BATCH_COMMANDS
+        for start in range(0, len(commands), size):
+            batch = canonical_json([_command_dict(c) for c in commands[start:start + size]])
+            if start:
+                sha.update(b",")
+            sha.update(batch[1:-1].encode("utf-8"))  # the items, without brackets
+        sha.update(f"]{tail}".encode("utf-8"))
+        return sha.hexdigest()
 
 
 def _command_dict(c: CommandSpec) -> dict:

@@ -149,7 +149,8 @@ def _compile(kind):
     if origin is abc.Mapping and args[0] is str:
         return _mapping(_reader(args[1]))
     if is_dataclass(kind):
-        return _object(kind)
+        generic = _object(kind)
+        return _leaf_record(kind, generic) or generic
     raise TypeError(f"no reader for type {kind!r}")
 
 
@@ -282,6 +283,64 @@ def _object(cls):
         return cls(**kwargs)
 
     return read_object
+
+
+def _leaf_test(kind, name: str) -> tuple[str, str] | None:
+    """The inline check that the value in variable `name` is one `read`
+    takes as `kind`, and the expression of what it reads as; None when
+    `kind` is not a leaf: an exact type, one of them or None, or a
+    tuple of strings."""
+    if kind in _EXPECTED:
+        return f"type({name}) is {kind.__name__}", name
+    args = get_args(kind)
+    if get_origin(kind) is types.UnionType and len(args) == 2 and type(None) in args:
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        if inner in _EXPECTED:
+            return f"({name} is None or type({name}) is {inner.__name__})", name
+    if kind == tuple[str, ...]:
+        test = f"type({name}) in (list, tuple) and all(type(s) is str for s in {name})"
+        return test, f"tuple({name})"
+    return None
+
+
+def _leaf_record(cls, generic):
+    """A reader of the dataclass `cls` compiled to one function, when
+    every field is a leaf and the class has no `__post_init__`; else None.
+
+    The function checks the keys and every field's type inline and fills
+    a new instance field by field, as the frozen `__init__` would, with no
+    keyword arguments built. A document it does not take, or a call with
+    `base` or `given`, goes to `generic`, which reads it or raises: so
+    every error is the generic reader's, text and path.
+    """
+    if hasattr(cls, "__post_init__"):
+        return None
+    hints = get_type_hints(cls)
+    namespace = {"_cls": cls, "_new": object.__new__, "_set": object.__setattr__,
+                 "_generic": generic}
+    reads, tests, sets = [], [], []
+    for i, f in enumerate(fields(cls)):
+        leaf = _leaf_test(hints[f.name], f"v{i}")
+        if leaf is None or not f.init or f.default_factory is not MISSING:
+            return None
+        namespace[f"_d{i}"] = f.default  # MISSING fails every test
+        reads.append(f"        v{i} = get({f.name!r}, _d{i})")
+        tests.append(leaf[0])
+        sets.append(f"            _set(obj, {f.name!r}, {leaf[1]})")
+    namespace["_names"] = frozenset(f.name for f in fields(cls))
+    source = "\n".join([
+        "def read_leaf_record(value, base=None, given=None):",
+        "    if base is None and given is None and type(value) is dict and value.keys() <= _names:",
+        "        get = value.get",
+        *reads,
+        "        if (" + "\n                and ".join(f"({test})" for test in tests) + "):",
+        "            obj = _new(_cls)",
+        *sets,
+        "            return obj",
+        "    return _generic(value, base, given)",
+    ])
+    exec(source, namespace)
+    return namespace["read_leaf_record"]
 
 
 # -- output documents ------------------------------------------------------

@@ -178,16 +178,20 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
                 backup in device_ids,
                 f"backup {backup!r} of {node.id!r} is not a smart device",
             )
+    # plain ifs in the loops over links, reminders and commands: they run
+    # per entry and format a message only on failure
     neighbors: dict[str, dict[str, str]] = {node_id: {} for node_id in node_ids}
     for link in scenario.links:
-        _require(link.a in known, f"link endpoint {link.a!r} is unknown")
-        _require(link.b in known, f"link endpoint {link.b!r} is unknown")
-        _require(link.a != link.b, f"link {link.id!r} is a self-loop")
-        _require(link.latency_ms >= 0, f"link {link.id!r} has negative latency")
-        _require(
-            link.bandwidth_bps is None or link.bandwidth_bps > 0,
-            f"link {link.id!r} has non-positive bandwidth",
-        )
+        if link.a not in known:
+            raise ConfigError(f"link endpoint {link.a!r} is unknown")
+        if link.b not in known:
+            raise ConfigError(f"link endpoint {link.b!r} is unknown")
+        if link.a == link.b:
+            raise ConfigError(f"link {link.id!r} is a self-loop")
+        if link.latency_ms < 0:
+            raise ConfigError(f"link {link.id!r} has negative latency")
+        if link.bandwidth_bps is not None and link.bandwidth_bps <= 0:
+            raise ConfigError(f"link {link.id!r} has non-positive bandwidth")
         earlier = neighbors[link.a].get(link.b)
         if earlier is not None:
             raise ConfigError(
@@ -213,61 +217,52 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
         )
     reminder_ids: set[str] = set()
     for i, reminder in enumerate(scenario.reminders):
-        _require(
-            reminder.id not in reminder_ids,
-            f"reminders[{i}].id {reminder.id!r} is a duplicate reminder id",
-        )
+        if reminder.id in reminder_ids:
+            raise ConfigError(f"reminders[{i}].id {reminder.id!r} is a duplicate reminder id")
         reminder_ids.add(reminder.id)
-        _require(reminder.at >= 0, f"reminder {reminder.id!r} time must be >= 0")
-        _require(
-            reminder.author in device_ids,
-            f"reminder author {reminder.author!r} must be a smart device",
-        )
-        _require(
-            reminder.target in device_ids,
-            f"reminder target {reminder.target!r} must be a smart device",
-        )
+        if reminder.at < 0:
+            raise ConfigError(f"reminder {reminder.id!r} time must be >= 0")
+        if reminder.author not in device_ids:
+            raise ConfigError(f"reminder author {reminder.author!r} must be a smart device")
+        if reminder.target not in device_ids:
+            raise ConfigError(f"reminder target {reminder.target!r} must be a smart device")
     attendee_ids = {a.id for a in scenario.attendees}
     for command in scenario.commands:
-        _require(
-            command.intent in INTENT_KINDS, f"unknown intent kind {command.intent!r}"
-        )
-        _require(
-            command.device in device_ids,
-            f"command device {command.device!r} must be a smart device",
-        )
-        # plain ifs: these run per command and format only on failure
+        if command.intent not in INTENT_KINDS:
+            raise ConfigError(f"unknown intent kind {command.intent!r}")
+        if command.device not in device_ids:
+            raise ConfigError(f"command device {command.device!r} must be a smart device")
         if command.at < 0:
             raise ConfigError(
                 f"command time must be >= 0 (device {command.device!r}, at={command.at})"
             )
         if command.intent == "voice_message":
-            _require(command.to in known, f"voice message target {command.to!r} unknown")
+            if command.to not in known:
+                raise ConfigError(f"voice message target {command.to!r} unknown")
             if command.to == command.device:
                 raise ConfigError(
                     f"voice message from {command.device!r} is addressed to itself"
                 )
         elif command.intent == "create_reminder":
-            _require(
-                command.target in device_ids,
-                f"reminder target {command.target!r} must be a smart device",
-            )
+            if command.target not in device_ids:
+                raise ConfigError(
+                    f"reminder target {command.target!r} must be a smart device"
+                )
         elif command.intent == "schedule_meeting":
             if not command.attendees:
                 raise ConfigError(
                     f"meeting (device {command.device!r}, at={command.at}) has no attendees"
                 )
             for i, attendee in enumerate(command.attendees):
-                _require(
-                    attendee in attendee_ids,
-                    f"meeting attendee {attendee!r} has no calendar",
-                )
+                if attendee not in attendee_ids:
+                    raise ConfigError(f"meeting attendee {attendee!r} has no calendar")
                 if attendee in command.attendees[:i]:
                     raise ConfigError(
                         f"meeting (device {command.device!r}, at={command.at}) "
                         f"names attendee {attendee!r} twice"
                     )
-            _require(command.duration_min >= 1, "meeting duration must be >= 1 minute")
+            if command.duration_min < 1:
+                raise ConfigError("meeting duration must be >= 1 minute")
     for failure in scenario.failures:
         _require(failure.node in known, f"failure node {failure.node!r} unknown")
         _require(failure.at >= 0, "failure injection time must be >= 0")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import base64
 import heapq
+import math
 from typing import Callable, Collection, NamedTuple
 
 from . import middleware
@@ -87,6 +88,10 @@ def shortest_path(
     return None
 
 
+# the bottom entry of `World._commands`: later than any event
+_NEVER = (math.inf, 0, None)
+
+
 class World:
     """A world at clock 0 with every node Up and no event run yet.
 
@@ -141,9 +146,10 @@ class World:
         self.messages: dict[int, Message] = {}
         self.reminders: dict[str, Reminder] = {}
         self._next_msg_id = 1
-        # (time, seq, handler method name, args): equal times run in
-        # insertion order; names, not bound methods, so the world holds no
-        # reference to itself
+        # (time, seq, handler method name, args): equal times run in seq
+        # order, the order of queueing, which commands and reviews keep
+        # though they are not queued up front; names, not bound methods,
+        # so the world holds no reference to itself
         self._queue: list[tuple[int, int, str, tuple]] = []
         self._event_seq = 0
         self._pending: dict[str, list[Message]] = {}
@@ -155,8 +161,16 @@ class World:
         for failure in scenario.failures:
             self._schedule(failure.at, "_fail_start", failure.node)
             self._schedule(failure.at + failure.duration_s, "_fail_end", failure.node)
-        for command in scenario.commands:
-            self._schedule(command.at, "_handle_command", command)
+        # Commands bypass the heap: (at, seq, command), latest first, so the
+        # next one is popped off the end and freed once it has run. Each
+        # keeps the seq it would have had in the queue. The sentinel at the
+        # bottom is never due.
+        first = self._event_seq
+        self._commands = sorted(
+            ((c.at, seq, c) for seq, c in enumerate(scenario.commands, first)), reverse=True
+        )
+        self._commands.insert(0, _NEVER)
+        self._event_seq = first + len(scenario.commands)
         for reminder in scenario.reminders:
             self._schedule(
                 reminder.at, "_request", "create_reminder", reminder.author,
@@ -168,10 +182,13 @@ class World:
                 dict(node=theft.node, guarded=self.config.s9 is not None),
             )
         if self.config.s9 is not None and self.config.s9.review_period_days > 0:
+            # one review per period up to the horizon, each under the seq
+            # it would have had if all were queued now; each queues the next
             period = self.config.s9.review_period_days * SECONDS_PER_DAY
-            review = dict(section="S9", action="access-review", events=1)
-            for t in range(period, scenario.horizon_s + 1, period):
-                self._schedule(t, "_record", "ops", review)
+            if period <= scenario.horizon_s:
+                seq = self._event_seq
+                heapq.heappush(self._queue, (period, seq, "_review", (seq,)))
+            self._event_seq += scenario.horizon_s // period
 
     # -- construction helpers ------------------------------------------
 
@@ -216,15 +233,34 @@ class World:
     def _record(self, kind: str, fields: dict) -> None:
         self.trace.append(kind, self.clock, **fields)
 
+    def _review(self, seq: int) -> None:
+        """An S9 access review; queues the next one, under the next seq."""
+        self.trace.append("ops", self.clock, section="S9", action="access-review", events=1)
+        period = self.config.s9.review_period_days * SECONDS_PER_DAY
+        if self.clock + period <= self.scenario.horizon_s:
+            heapq.heappush(self._queue, (self.clock + period, seq + 1, "_review", (seq + 1,)))
+
     def run_until(self, t_end: int) -> "World":
         if t_end < self.clock:
             raise ConfigError(
                 f"cannot run backwards: t_end {t_end} < clock {self.clock}"
             )
-        while self._queue and self._queue[0][0] <= t_end:
-            time, _, handler, args = heapq.heappop(self._queue)
-            self.clock = time
-            getattr(self, handler)(*args)
+        queue, commands = self._queue, self._commands
+        while True:
+            command = commands[-1]
+            if queue and queue[0] < command:  # seqs differ: decided by (time, seq)
+                time, _, handler, args = queue[0]
+                if time > t_end:
+                    break
+                heapq.heappop(queue)
+                self.clock = time
+                getattr(self, handler)(*args)
+            elif command[0] <= t_end:
+                commands.pop()
+                self.clock = command[0]
+                self._handle_command(command[2])
+            else:
+                break
         self.clock = t_end
         self.trace.flush()
         return self

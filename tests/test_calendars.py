@@ -74,6 +74,16 @@ def test_a_meeting_longer_than_the_window_fails_without_walking_a_day():
     assert _CountedDays.tests == 1
 
 
+def test_a_search_behind_a_long_busy_interval_skips_the_days_it_covers():
+    week = WorkWeek(days=_CountedDays((0, 1, 2, 3, 4)))
+    _CountedDays.tests = 0
+    busy_until = 10**6 * MINUTES_PER_DAY  # day 10**6 is a Tuesday
+    cals = [Calendar(busy=[(0, busy_until)]), Calendar()]
+    slot = find_common_slot(cals, 60, 0, 10**7 * MINUTES_PER_DAY, week, 0)
+    assert slot.start == busy_until + 8 * 60
+    assert _CountedDays.tests < 10
+
+
 def test_busy_blocks_push_the_slot_later():
     # Monday 08:00-09:00 and 09:30-10:00 busy; 60 minutes only fits at 10:00
     cals = [

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import by_kind, document, multi_hop_scenario, naive_total_cost, recorded_dmaic
+from smartbizsim import costs
 from smartbizsim.cli import main
 from smartbizsim.controls import build_plan, default_mapping
 from smartbizsim.costs import (
@@ -22,6 +25,7 @@ from smartbizsim.errors import ConfigError, read
 from smartbizsim.metering import SectionUsage
 from smartbizsim.risk import OrdinalLevel, Risk, RiskCatalog, default_risk_catalog, rank
 from smartbizsim.trace import canonical_json
+from test_scenario import spec_scenarios
 
 
 def _total(breakdown) -> int:
@@ -241,6 +245,15 @@ def _first_payload_changed(config: DmaicConfig) -> DmaicConfig:
 def test_the_digest_moves_with_every_priced_input_but_not_with_prose(change, moves):
     config = load_dmaic_config(None)
     assert (change(config).digest() != config.digest()) is moves
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spec_scenarios(), st.integers(1, 5))
+def test_the_digest_hashes_the_resolved_document_in_batches(scenario, batch):
+    config = replace(load_dmaic_config(None), scenario=scenario)
+    whole = canonical_json(config.resolved_dict()).encode("utf-8")
+    with mock.patch.object(costs, "BATCH_COMMANDS", batch):  # several batches
+        assert config.digest() == hashlib.sha256(whole).hexdigest()
 
 
 def test_top_k_zero_rejected_at_validation():

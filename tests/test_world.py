@@ -1,5 +1,6 @@
 import datetime as dt
 import gc
+import hashlib
 import re
 import tracemalloc
 import weakref
@@ -19,7 +20,7 @@ from helpers import (
     worlds,
 )
 from smartbizsim.errors import ConfigError, NoSlotAvailable
-from smartbizsim.middleware import ControlLayerConfig, S17Config
+from smartbizsim.middleware import ControlLayerConfig, S9Config, S17Config
 from smartbizsim.metering import meter
 from smartbizsim.scenario import (
     AttendeeSpec,
@@ -28,6 +29,7 @@ from smartbizsim.scenario import (
     LinkSpec,
     NodeSpec,
     ReminderSpec,
+    TheftSpec,
     default_scenario,
 )
 from smartbizsim.timeline import SECONDS_PER_DAY, seconds_at
@@ -101,6 +103,62 @@ def test_equal_time_events_run_in_insertion_order():
     assert [s["time"] for s in sends] == [500, 500, 500]
     # deliveries at the same instant also keep their scheduling order
     assert [d["msg_id"] for d in by_kind(world.trace, "delivered")] == [1, 2, 3]
+
+
+def _interleaved_scenario():
+    """Commands out of time order, two in one second, and commands in the
+    second of a failure start, a reminder, a theft and an S9 review."""
+    def voice(at, src, dst):
+        return CommandSpec(at=at, device=src, user="operator", credential="op-pass",
+                           intent="voice_message", to=dst, payload=f"{src} at {at}")
+
+    return replace(
+        two_device_scenario(
+            failures=(("device-b", 200, 30),),
+            reminders=(ReminderSpec(id="r1", author="device-a", target="device-b", at=150),),
+            controls=ControlLayerConfig(s9=S9Config(
+                credential_store={"operator": "op-pass"}, review_period_days=1,
+            )),
+        ),
+        commands=(
+            voice(300, "device-a", "device-b"),
+            voice(100, "device-a", "device-b"),
+            voice(100, "device-b", "device-a"),
+            voice(200, "device-a", "device-b"),
+            voice(DAY, "device-b", "device-a"),
+            voice(250, "device-a", "device-b"),
+            voice(150, "device-b", "device-a"),
+        ),
+        thefts=(TheftSpec(node="device-a", at=250),),
+    )
+
+
+# SHA-256 of the all-layers trace of `_interleaved_scenario`
+INTERLEAVED_SECURED_SHA256 = (
+    "76f9e1d23c6eb1c7f8a5d9dce28109a26f12b308963abecd9c55d552084255b1"
+)
+
+
+def test_commands_run_in_time_order_and_in_the_queue_order_of_their_second():
+    scenario = _interleaved_scenario()
+    world = build_world(scenario, ("S9", "S10", "S17")).run_until(scenario.horizon_s)
+    sends = [(r["time"], r["src"]) for r in by_kind(world.trace, "sent")
+             if r["src"] != "cloud"]
+    assert sends == [(100, "device-a"), (100, "device-b"), (150, "device-b"),
+                     (200, "device-a"), (250, "device-a"), (300, "device-a"),
+                     (DAY, "device-b")]
+    # in one second, the failure start (queued before the commands) runs
+    # first, and the reminder, the theft and the review (queued after) last
+    kinds = {t: [r["kind"] for r in world.trace if r["time"] == t]
+             for t in (150, 200, 250, DAY)}
+    assert kinds == {
+        150: ["audit", "sent", "reminder"],
+        200: ["failure", "audit", "sent"],
+        250: ["audit", "sent", "theft"],
+        DAY: ["audit", "sent", "ops"],
+    }
+    text = world.trace.to_ndjson()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == INTERLEAVED_SECURED_SHA256
 
 
 def test_same_scenario_twice_gives_identical_traces():
@@ -487,6 +545,23 @@ def test_unplaceable_meeting_raises():
 def _capital(world) -> list[tuple[str, int]]:
     world.run_until(0)  # provisioning records land at clock 0
     return [(c["section"], c["count"]) for c in by_kind(world.trace, "capital")]
+
+
+def test_access_reviews_are_queued_one_at_a_time():
+    # a review a day for about 6,000 years: queued at once, over 2 million
+    controls = ControlLayerConfig(s9=S9Config(review_period_days=1))
+    scenario = replace(two_device_scenario(controls=controls), horizon_s=2 * 10**11)
+    world = build_world(scenario, ("S9",))
+
+    def queued_reviews():
+        return [entry[2] for entry in world._queue].count("_review")
+
+    assert queued_reviews() == 1
+    world.run_until(10 * DAY)
+    reviews = [r["time"] for r in by_kind(world.trace, "ops")
+               if r["action"] == "access-review"]
+    assert reviews == [k * DAY for k in range(1, 11)]
+    assert queued_reviews() == 1
 
 
 def test_s17_provisions_one_spare_per_device():
