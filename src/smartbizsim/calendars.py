@@ -14,12 +14,11 @@ from __future__ import annotations
 import datetime as dt
 import heapq
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import NoSlotAvailable
+from .errors import NoSlotAvailable, Record
 from .timeline import MINUTES_PER_DAY
 
 Interval = tuple[int, int]
@@ -39,8 +38,7 @@ def normalize_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     return merged
 
 
-@dataclass(frozen=True)
-class WorkWeek:
+class WorkWeek(Record):
     """The daily working window and the working weekdays (0 = Monday)."""
 
     start: dt.time = dt.time(8, 0)
@@ -48,12 +46,11 @@ class WorkWeek:
     days: tuple[int, ...] = (0, 1, 2, 3, 4)
 
 
-@dataclass
-class Calendar:
+class Calendar(Record, frozen=False):
     """One attendee's busy intervals, kept sorted and merged: no two
     intervals overlap or touch, so their ends are sorted too."""
 
-    busy: list[Interval] = field(default_factory=list)
+    busy: list[Interval] = ()  # normalized into a new list
 
     def __post_init__(self) -> None:
         self.busy = normalize_intervals(self.busy)

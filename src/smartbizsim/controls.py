@@ -11,10 +11,9 @@ figures. Every priced quantity comes from the secured run's trace
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import ClassVar, Mapping, Sequence
 
-from .errors import LabeledEnum, parse_json, read
+from .errors import LabeledEnum, Record, parse_json, read
 
 
 class ChangeLevel(LabeledEnum):
@@ -25,20 +24,17 @@ class ChangeLevel(LabeledEnum):
     HIGH = "High"
 
 
-@dataclass(frozen=True)
-class ControlSection:
+class ControlSection(Record):
     id: str
     name: str
     change_level: ChangeLevel
 
 
-@dataclass(frozen=True)
-class ControlCatalog:
+class ControlCatalog(Record):
     sections: tuple[ControlSection, ...]
 
 
-@dataclass(frozen=True)
-class MitigationAction:
+class MitigationAction(Record):
     id: str
     control: str
     description: str = ""
@@ -121,8 +117,7 @@ def parse_mapping(document: str) -> Mapping[str, tuple[str, ...]]:
     return read(Mapping[str, tuple[str, ...]], parse_json(document, "mapping file"))
 
 
-@dataclass(frozen=True)
-class _ActionLibrary:
+class _ActionLibrary(Record):
     actions: tuple[MitigationAction, ...]
 
 

@@ -17,7 +17,6 @@ cost path, so every breakdown is exactly additive.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -36,6 +35,7 @@ from .controls import (
 from .errors import (
     ConfigError,
     DmaicStepError,
+    Record,
     json_default,
     parse_json,
     read,
@@ -57,8 +57,7 @@ from .trace import canonical_json
 from .world import build_world
 
 
-@dataclass(frozen=True)
-class CostRates:
+class CostRates(Record):
     """Minor currency units charged per metered unit."""
 
     capital_item: int = 150_000
@@ -68,14 +67,13 @@ class CostRates:
     session: int = 25
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._fields:
+            value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
-                raise ConfigError(f"rate {f.name} must be a non-negative integer")
+                raise ConfigError(f"rate {name} must be a non-negative integer")
 
 
-@dataclass(frozen=True)
-class SectionCost:
+class SectionCost(Record):
     capital: int
     operational: int
     performance: int
@@ -93,8 +91,7 @@ class SectionCost:
 BATCH_COMMANDS = 256
 
 
-@dataclass(frozen=True)
-class DmaicConfig:
+class DmaicConfig(Record):
     """Fully resolved pipeline configuration (all references loaded)."""
 
     risk_catalog: RiskCatalog
@@ -102,7 +99,7 @@ class DmaicConfig:
     mapping: Mapping[str, tuple[str, ...]]  # risk id -> its sections
     action_library: tuple[MitigationAction, ...]
     scenario: ScenarioConfig
-    rates: CostRates = field(default_factory=CostRates)
+    rates: CostRates = CostRates()
     top_k: int = 3
     residual_factor: Fraction = Fraction(0)
 
@@ -210,8 +207,7 @@ def _command_dict(c: CommandSpec) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     baseline: MetricSet
     secured: MetricSet
     cost_breakdown: Mapping[str, SectionCost]

@@ -1,10 +1,14 @@
-"""Exception hierarchy, the file reading, JSON decoding and typed
-reading every input parser shares, and the JSON spelling every written
-document shares.
+"""Exception hierarchy, the `Record` base of every record class, the
+file reading, JSON decoding and typed reading every input parser
+shares, and the JSON spelling every written document shares.
 
 An error's class is its exit code: ConfigError is exit 2 (bad input
 or config), SimulationError exit 3 (a failure inside a run). The few
 subclasses exist only because code catches them by name.
+
+A `Record` is defined by its annotations and class defaults alone, and
+nothing is generated for it: its methods are the base's, which read
+the class's `_fields`. `read` and `json_default` read the same fields.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import json
 import reprlib
 import types
 from collections import abc
-from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from itertools import repeat
@@ -49,6 +52,88 @@ class UnknownUser(SimulationError):
 class DmaicStepError(SmartBizError):
     """A failure in a named pipeline step; the CLI picks the exit code from
     its `__cause__`."""
+
+
+# -- records ---------------------------------------------------------------
+
+class Record:
+    """A class of named fields: its own annotations, in order, less any
+    `ClassVar`. A field's default is the class attribute of its name; a
+    field without one is required.
+
+    A record is built from its fields, by position or keyword, runs its
+    class's `__post_init__`, if any, once they are set, compares equal to
+    a record of the same class with equal fields and has a repr. It is
+    frozen and hashes by its fields, unless its class is declared with
+    `frozen=False`: then its fields can be set and it has no hash.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        annotations = cls.__dict__.get("__annotations__", {})
+        cls._fields = tuple(
+            name for name, kind in annotations.items()
+            if not str(kind).startswith(("ClassVar[", "typing.ClassVar["))
+        )
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        names = cls._fields
+        if len(args) > len(names):
+            raise TypeError(f"{cls.__name__} has {len(names)} fields, got {len(args)} values")
+        for name, value in zip(names, args):
+            if name in kwargs:
+                raise TypeError(f"{cls.__name__} got two values for field {name!r}")
+            kwargs[name] = value
+        values = {}
+        for name in names:
+            if name in kwargs:
+                values[name] = kwargs.pop(name)
+            elif name in cls.__dict__:
+                values[name] = cls.__dict__[name]
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))!r}")
+        self.__dict__.update(values)
+        post_init = getattr(self, "__post_init__", None)
+        if post_init is not None:
+            post_init()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+
+def replace(record: Record, **changes) -> Record:
+    """A copy of `record` with `changes`, built by its class: so the copy
+    runs `__post_init__`, and a record that validates itself validates
+    the copy too."""
+    values = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**values, **changes})
 
 
 # -- input documents -------------------------------------------------------
@@ -93,11 +178,12 @@ def read(kind, value, *, base=None, given=None, at: str = ""):
     An `int` is a JSON integer (not a bool, not 2.7), a `Fraction` an
     integer or a rational string such as "1/2", a tuple an array, a
     `Mapping` an object, a `LabeledEnum` its label, a date or time its
-    text. A dataclass is an object of its fields: an unknown key is an
+    text. A `Record` is an object of its fields: an unknown key is an
     error, a missing one takes the field's default or, given `base`,
     the value in `base`, so `base` plus a partial document is an update.
     `given` maps field names to values already read, which take the
-    place of `value`'s, so a dataclass is built once from parts read apart.
+    place of `value`'s, so a record is built once from parts read apart.
+    The reader of a type is built when a document first holds it.
 
     A bad value raises a ConfigError that starts with its path, e.g.
     `links[0].latency_ms: expected an integer, got 2.7`; `at` is the
@@ -148,7 +234,7 @@ def _compile(kind):
         return _fixed_array([_reader(arg) for arg in args])
     if origin is abc.Mapping and args[0] is str:
         return _mapping(_reader(args[1]))
-    if is_dataclass(kind):
+    if isinstance(kind, type) and issubclass(kind, Record):
         generic = _object(kind)
         return _leaf_record(kind, generic) or generic
     raise TypeError(f"no reader for type {kind!r}")
@@ -161,7 +247,6 @@ def _at(exc: ConfigError, segment: str) -> None:
 
 def _mismatch(expected: str, value) -> ConfigError:
     return ConfigError(f"expected {expected}, got {reprlib.repr(value)}")
-
 
 
 def _exact(kind):
@@ -240,14 +325,17 @@ def _mapping(read_item):
 
 
 def _object(cls):
-    """The reader of a dataclass; the class may name `unknown_field_hint`."""
+    """The reader of a `Record` class; the class may name
+    `unknown_field_hint`. A field's reader is built when a document
+    first holds the field."""
     hints = get_type_hints(cls)
-    readers = {f.name: _reader(hints[f.name]) for f in fields(cls) if f.init}
-    required = [
-        f.name for f in fields(cls)
-        if f.init and f.default is MISSING and f.default_factory is MISSING
-    ]
-    nested = {name for name in readers if is_dataclass(hints[name])}
+    names = frozenset(cls._fields)
+    readers = {}
+    required = [name for name in cls._fields if name not in vars(cls)]
+    nested = {
+        name for name in names
+        if isinstance(hints[name], type) and issubclass(hints[name], Record)
+    }
     hint = getattr(cls, "unknown_field_hint", None)
     unknown_field = f"unknown field; {hint}" if hint else "unknown field"
 
@@ -260,16 +348,19 @@ def _object(cls):
     def read_object(value, base=None, given=None):
         if type(value) is not dict:
             raise _mismatch("an object", value)
-        if not value.keys() <= readers.keys():
-            unknown = next(key for key in value if key not in readers)
+        if not value.keys() <= names:
+            unknown = next(key for key in value if key not in names)
             raise failure(value, f".{unknown}", unknown_field)
         kwargs = {}
         try:
             for key, item in value.items():
+                read_field = readers.get(key)
+                if read_field is None:
+                    read_field = readers[key] = _reader(hints[key])
                 if base is None or key not in nested:
-                    kwargs[key] = readers[key](item)
+                    kwargs[key] = read_field(item)
                 else:
-                    kwargs[key] = readers[key](item, getattr(base, key))
+                    kwargs[key] = read_field(item, getattr(base, key))
         except ConfigError as exc:
             _at(exc, f".{key}")
             raise
@@ -283,6 +374,9 @@ def _object(cls):
         return cls(**kwargs)
 
     return read_object
+
+
+_REQUIRED = object()  # the default of a required field: it fails every leaf test
 
 
 def _leaf_test(kind, name: str) -> tuple[str, str] | None:
@@ -304,7 +398,7 @@ def _leaf_test(kind, name: str) -> tuple[str, str] | None:
 
 
 def _leaf_record(cls, generic):
-    """A reader of the dataclass `cls` compiled to one function, when
+    """A reader of the `Record` class `cls` compiled to one function, when
     every field is a leaf and the class has no `__post_init__`; else None.
 
     The function checks the keys and every field's type inline and fills
@@ -319,15 +413,15 @@ def _leaf_record(cls, generic):
     namespace = {"_cls": cls, "_new": object.__new__, "_set": object.__setattr__,
                  "_generic": generic}
     reads, tests, sets = [], [], []
-    for i, f in enumerate(fields(cls)):
-        leaf = _leaf_test(hints[f.name], f"v{i}")
-        if leaf is None or not f.init or f.default_factory is not MISSING:
+    for i, name in enumerate(cls._fields):
+        leaf = _leaf_test(hints[name], f"v{i}")
+        if leaf is None:
             return None
-        namespace[f"_d{i}"] = f.default  # MISSING fails every test
-        reads.append(f"        v{i} = get({f.name!r}, _d{i})")
+        namespace[f"_d{i}"] = vars(cls).get(name, _REQUIRED)
+        reads.append(f"        v{i} = get({name!r}, _d{i})")
         tests.append(leaf[0])
-        sets.append(f"            _set(obj, {f.name!r}, {leaf[1]})")
-    namespace["_names"] = frozenset(f.name for f in fields(cls))
+        sets.append(f"            _set(obj, {name!r}, {leaf[1]})")
+    namespace["_names"] = frozenset(cls._fields)
     source = "\n".join([
         "def read_leaf_record(value, base=None, given=None):",
         "    if base is None and given is None and type(value) is dict and value.keys() <= _names:",
@@ -350,13 +444,13 @@ def json_default(value):
     level deep: the encoder writes what this returns, calling it again on
     what that holds.
 
-    The spelling is the one `read` reads: a dataclass is an object of its
-    fields, a `LabeledEnum` its label, a `Fraction` an integer when it is
+    The spelling is the one `read` reads: a `Record` is an object of its
+    fields in order, a `LabeledEnum` its label, a `Fraction` an integer when it is
     integral and "n/d" otherwise, a date its ISO text, a time "HH:MM", a
     `Mapping` an object. Anything else raises TypeError.
     """
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, Record):
+        return {name: getattr(value, name) for name in value._fields}
     if isinstance(value, LabeledEnum):
         return value.label
     if isinstance(value, Fraction):

@@ -9,15 +9,13 @@ s17_ms on deliveries, section tags on ops/capital records).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import SimulationError
+from .errors import Record, SimulationError
 from .trace import Trace
 
 
-@dataclass(frozen=True)
-class MetricSet:
+class MetricSet(Record):
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_lost: int = 0
@@ -36,8 +34,7 @@ class MetricSet:
             )
 
 
-@dataclass
-class SectionUsage:
+class SectionUsage(Record, frozen=False):
     """Metered quantities attributable to one control section's layer."""
 
     extra_latency_ms: int = 0

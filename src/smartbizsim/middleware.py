@@ -19,53 +19,48 @@ S17 at delivery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 from typing import Collection, Mapping, NamedTuple
 
-from .errors import AuthDenied, ConfigError, UnknownUser
+from .errors import AuthDenied, ConfigError, Record, UnknownUser
 
 # The sections with a layer, in `Layers` order; a layer's field is the
 # lower-case id.
 SECTIONS = ("S9", "S10", "S17")
 
 
-@dataclass(frozen=True)
-class S9Config:
+class S9Config(Record):
     per_session_latency_ms: int = 20
-    credential_store: Mapping[str, str] = field(default_factory=dict)
+    credential_store: Mapping[str, str] = MappingProxyType({})
     review_period_days: int = 30
 
 
-@dataclass(frozen=True)
-class S10Config:
+class S10Config(Record):
     per_message_latency_ms: int = 5
     overhead_bytes: int = 64
     # node id -> key id for every declared node; empty means each node's
     # key id is `k-<node id>`. S17 spares never send, so they get no key.
-    key_ids: Mapping[str, str] = field(default_factory=dict)
+    key_ids: Mapping[str, str] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class S17Config:
+class S17Config(Record):
     backups_per_site: int = 1
     detection_window_s: int = 60
 
 
-@dataclass(frozen=True)
-class ControlLayerConfig:
+class ControlLayerConfig(Record):
     s9: S9Config = S9Config()
     s10: S10Config = S10Config()
     s17: S17Config = S17Config()
 
     def __post_init__(self) -> None:
-        for outer in fields(self):
-            layer = getattr(self, outer.name)
-            for f in fields(layer):  # annotations are text: see the __future__ import
-                value = getattr(layer, f.name)
-                if f.type == "int" and value < 0:
-                    raise ConfigError(
-                        f"{outer.name}.{f.name} must be non-negative, got {value}"
-                    )
+        for outer in self._fields:
+            layer = getattr(self, outer)
+            kinds = type(layer).__annotations__  # text: see the __future__ import
+            for name in layer._fields:
+                value = getattr(layer, name)
+                if kinds[name] == "int" and value < 0:
+                    raise ConfigError(f"{outer}.{name} must be non-negative, got {value}")
 
     def with_enabled(self, sections: Collection[str]) -> "Layers":
         """The layers of a run that switches on exactly the given sections."""

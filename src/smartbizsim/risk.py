@@ -9,11 +9,10 @@ tie-breaks, so the same catalog always yields the same ordering.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import ConfigError, LabeledEnum, parse_json, read
+from .errors import ConfigError, LabeledEnum, Record, parse_json, read
 
 Score = Union[int, Fraction]
 
@@ -42,8 +41,7 @@ class OrdinalLevel(LabeledEnum):
         return self.value[1]
 
 
-@dataclass(frozen=True)
-class Risk:
+class Risk(Record):
     id: str
     name: str
     relevance: OrdinalLevel
@@ -51,8 +49,7 @@ class Risk:
     rationale: str = ""
 
 
-@dataclass(frozen=True)
-class RiskCatalog:
+class RiskCatalog(Record):
     risks: tuple[Risk, ...]
 
     def __post_init__(self) -> None:
@@ -65,8 +62,7 @@ class RiskCatalog:
             seen.add(risk.id)
 
 
-@dataclass(frozen=True)
-class RiskAssessment:
+class RiskAssessment(Record):
     risks: tuple[Risk, ...]
     scores: Mapping[str, Score]
     ranking: tuple[str, ...]

@@ -11,11 +11,10 @@ the caller (baseline vs secured runs reuse one scenario).
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .calendars import WorkWeek
-from .errors import ConfigError, parse_json, read, read_document
+from .errors import ConfigError, Record, parse_json, read, read_document
 from .middleware import ControlLayerConfig, S9Config
 from .timeline import SECONDS_PER_DAY, seconds_at
 
@@ -23,16 +22,14 @@ SITES = ("CityA", "CityB", "Truck")
 INTENT_KINDS = ("voice_message", "create_reminder", "schedule_meeting")
 
 
-@dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(Record):
     id: str
     kind: str  # SmartDevice | CloudService
     site: str | None = None
     backup_pool: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(Record):
     a: str
     b: str
     latency_ms: int
@@ -43,15 +40,13 @@ class LinkSpec:
         return f"{self.a}--{self.b}"
 
 
-@dataclass(frozen=True)
-class AttendeeSpec:
+class AttendeeSpec(Record):
     id: str
     device: str
     busy: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True)
-class ReminderSpec:
+class ReminderSpec(Record):
     id: str
     author: str
     target: str
@@ -59,21 +54,18 @@ class ReminderSpec:
     at: int = 0
 
 
-@dataclass(frozen=True)
-class FailureSpec:
+class FailureSpec(Record):
     node: str
     at: int
     duration_s: int
 
 
-@dataclass(frozen=True)
-class TheftSpec:
+class TheftSpec(Record):
     node: str
     at: int
 
 
-@dataclass(frozen=True, kw_only=True)
-class CommandSpec:
+class CommandSpec(Record):
     at: int
     device: str
     user: str = ""
@@ -87,8 +79,7 @@ class CommandSpec:
     duration_min: int = 0
 
 
-@dataclass(frozen=True, kw_only=True)
-class ScenarioConfig:
+class ScenarioConfig(Record):
     epoch: dt.date = dt.date(2024, 1, 1)
     horizon_s: int = 35 * SECONDS_PER_DAY
     seed: int = 42  # a provenance label: the engine never reads it
@@ -102,7 +93,7 @@ class ScenarioConfig:
     working_hours: WorkWeek = WorkWeek()
     reminder_fire_time: dt.time = dt.time(9, 0)
     meeting_horizon_days: int = 30
-    controls: ControlLayerConfig = field(default_factory=ControlLayerConfig)
+    controls: ControlLayerConfig = ControlLayerConfig()
 
     def __post_init__(self) -> None:
         # Every instance is valid: parsed, built in code or a replace() copy.
@@ -181,7 +172,10 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
     # plain ifs in the loops over links, reminders and commands: they run
     # per entry and format a message only on failure
     neighbors: dict[str, dict[str, str]] = {node_id: {} for node_id in node_ids}
-    for link in scenario.links:
+    # the engine keeps links by id, so a link whose id an earlier link
+    # derives (`x--y` to `z` and `x` to `y--z`) would take its place
+    link_index: dict[str, int] = {}
+    for i, link in enumerate(scenario.links):
         if link.a not in known:
             raise ConfigError(f"link endpoint {link.a!r} is unknown")
         if link.b not in known:
@@ -197,7 +191,15 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             raise ConfigError(
                 f"links {earlier!r} and {link.id!r} join the same two nodes"
             )
-        neighbors[link.a][link.b] = neighbors[link.b][link.a] = link.id
+        link_id = link.id
+        j = link_index.setdefault(link_id, i)
+        if j != i:
+            first = scenario.links[j]
+            raise ConfigError(
+                f"links[{j}] ({first.a!r} to {first.b!r}) and links[{i}] "
+                f"({link.a!r} to {link.b!r}) share the id {link_id!r}"
+            )
+        neighbors[link.a][link.b] = neighbors[link.b][link.a] = link_id
     # every device must reach the cloud: one walk from the cloud
     reached = {clouds[0].id}
     stack = [clouds[0].id]

@@ -12,7 +12,6 @@ import datetime as dt
 import io
 import json
 import random
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -20,7 +19,7 @@ from hypothesis import strategies as st
 
 from smartbizsim.calendars import WorkWeek
 from smartbizsim.costs import CostRates, CostReport, DmaicConfig, run_dmaic
-from smartbizsim.errors import ConfigError
+from smartbizsim.errors import ConfigError, replace
 from smartbizsim.metering import Meter, SectionUsage
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.scenario import (

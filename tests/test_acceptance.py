@@ -6,7 +6,6 @@ criterion; without -s the lines appear in pytest's captured output.
 
 import datetime as dt
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from helpers import (
@@ -30,7 +29,7 @@ from smartbizsim.costs import (
     residual_assessment,
     run_dmaic,
 )
-from smartbizsim.errors import NoSlotAvailable
+from smartbizsim.errors import NoSlotAvailable, replace
 from smartbizsim.middleware import ControlLayerConfig, S17Config
 from smartbizsim.risk import default_risk_catalog, rank, top_k
 from smartbizsim.scenario import ReminderSpec

@@ -17,9 +17,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _CHILD = """
 import sys
-from dataclasses import replace
 from pathlib import Path
 from smartbizsim import cli
+from smartbizsim.errors import replace
 from smartbizsim.scenario import default_scenario
 from smartbizsim.trace import canonical_json
 from tracer import Tracer, install

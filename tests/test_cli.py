@@ -85,6 +85,32 @@ def test_simulate_rejects_unknown_layer(tmp_path, capsys):
     assert main(["simulate", "--controls", "s42", "--out", str(tmp_path / "t")]) == 2
 
 
+# Both of the first two links derive the id 'x--y--z'. Kept by id, the
+# second took the place of the first, and message 1 (x--y to z) was
+# priced at link_ms 5000, the latency of the link from x.
+_SAME_LINK_ID = {
+    "nodes": [{"id": "z", "kind": "CloudService"},
+              {"id": "x--y", "kind": "SmartDevice", "site": "CityA"},
+              {"id": "x", "kind": "SmartDevice", "site": "CityB"},
+              {"id": "y--z", "kind": "SmartDevice", "site": "Truck"}],
+    "links": [{"a": "x--y", "b": "z", "latency_ms": 10},
+              {"a": "x", "b": "y--z", "latency_ms": 5000},
+              {"a": "y--z", "b": "z", "latency_ms": 20}],
+    "commands": [{"at": 0, "device": "x--y", "intent": "voice_message", "to": "z"}],
+}
+
+
+def test_simulate_rejects_two_links_with_one_id(tmp_path, capsys):
+    scenario, out = tmp_path / "scenario.json", tmp_path / "trace.ndjson"
+    scenario.write_text(json.dumps(_SAME_LINK_ID))
+    assert main(["simulate", "--scenario", str(scenario), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: links[0] ('x--y' to 'z') and links[1] ('x' to 'y--z') "
+        "share the id 'x--y--z'\n"
+    )
+    assert not out.exists()
+
+
 def test_dmaic_writes_report_and_traces(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["dmaic", "--out", str(out_dir)]) == 0

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,7 @@ from smartbizsim.controls import (
     parse_mapping,
 )
 from smartbizsim.costs import DmaicConfig, load_dmaic_config
-from smartbizsim.errors import ConfigError
+from smartbizsim.errors import ConfigError, replace
 from smartbizsim.risk import RiskCatalog, default_risk_catalog, rank, top_k
 from smartbizsim.scenario import default_scenario
 from smartbizsim.trace import canonical_json

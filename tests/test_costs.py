@@ -1,7 +1,6 @@
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +20,7 @@ from smartbizsim.costs import (
     residual_assessment,
     run_dmaic,
 )
-from smartbizsim.errors import ConfigError, read
+from smartbizsim.errors import ConfigError, read, replace
 from smartbizsim.metering import SectionUsage
 from smartbizsim.risk import OrdinalLevel, Risk, RiskCatalog, default_risk_catalog, rank
 from smartbizsim.trace import canonical_json

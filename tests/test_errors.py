@@ -1,6 +1,7 @@
-"""The compiled reader of flat records agrees with the generic reader."""
+"""The compiled reader of flat records agrees with the generic reader,
+and a reader is built only for what a document holds."""
 
-from dataclasses import MISSING, fields
+import json
 from typing import get_type_hints
 from unittest import mock
 
@@ -8,8 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import document
 from smartbizsim import errors
+from smartbizsim.controls import MitigationAction
+from smartbizsim.costs import load_dmaic_config
 from smartbizsim.errors import ConfigError, read
+from smartbizsim.middleware import S17Config
 from smartbizsim.scenario import (
     AttendeeSpec,
     CommandSpec,
@@ -18,6 +23,7 @@ from smartbizsim.scenario import (
     NodeSpec,
     ReminderSpec,
     TheftSpec,
+    default_scenario,
 )
 
 LEAF_RECORDS = [CommandSpec, NodeSpec, LinkSpec, FailureSpec, TheftSpec, ReminderSpec]
@@ -41,8 +47,8 @@ def documents(draw, cls):
     """A valid document of `cls`, its keys in a drawn order and each
     optional one present or not."""
     hints = get_type_hints(cls)
-    items = [(f.name, draw(_values(hints[f.name]))) for f in fields(cls)
-             if f.default is MISSING or draw(st.booleans())]
+    items = [(name, draw(_values(hints[name]))) for name in cls._fields
+             if name not in vars(cls) or draw(st.booleans())]
     return dict(draw(st.permutations(items)))
 
 
@@ -51,12 +57,12 @@ def _names(cls, fault: str) -> list[str]:
     unknown key or no object."""
     hints = get_type_hints(cls)
     test = {
-        "drop": lambda f: f.default is MISSING,
-        "int": lambda f: hints[f.name] in (int, int | None),
-        "null": lambda f: hints[f.name] is str,
-        "item": lambda f: hints[f.name] == tuple[str, ...],
-    }.get(fault, lambda f: True)
-    return [f.name for f in fields(cls) if test(f)]
+        "drop": lambda name: name not in vars(cls),  # no class default: required
+        "int": lambda name: hints[name] in (int, int | None),
+        "null": lambda name: hints[name] is str,
+        "item": lambda name: hints[name] == tuple[str, ...],
+    }.get(fault, lambda name: True)
+    return [name for name in cls._fields if test(name)]
 
 
 FAULTS = ["drop", "unknown", "int", "null", "item", "object"]
@@ -131,3 +137,17 @@ def test_the_compiled_reader_reads_what_the_generic_one_reads(cls, data):
 def test_the_compiled_reader_fails_as_the_generic_one_fails(cls, fault, data):
     document = data.draw(mutated(cls, fault))
     assert _outcome(cls, document, generic=False) == _outcome(cls, document, generic=True)
+
+
+def test_a_reader_is_built_when_a_document_first_holds_its_field(tmp_path):
+    scenario = document(default_scenario())
+    del scenario["controls"]
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    (tmp_path / "pipeline.json").write_text(json.dumps({"scenario": "scenario.json"}))
+    with mock.patch.dict(errors._READERS, clear=True):
+        load_dmaic_config(tmp_path / "pipeline.json")
+        built = set(errors._READERS)
+    assert CommandSpec in built  # the scenario holds commands
+    # no document holds an action library or an S17 block
+    assert MitigationAction not in built
+    assert S17Config not in built

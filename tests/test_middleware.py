@@ -1,11 +1,9 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import by_kind, message_records, tap, two_device_scenario, worlds
-from smartbizsim.errors import AuthDenied, ConfigError, UnknownUser, read
+from smartbizsim.errors import AuthDenied, ConfigError, UnknownUser, read, replace
 from smartbizsim.middleware import (
     ControlLayerConfig,
     S9Config,

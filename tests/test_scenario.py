@@ -1,7 +1,6 @@
 import datetime as dt
 import json
 import re
-from dataclasses import replace
 from typing import Mapping
 
 import pytest
@@ -18,7 +17,7 @@ from smartbizsim.controls import (
     default_control_catalog,
 )
 from smartbizsim.costs import CostRates, load_dmaic_config
-from smartbizsim.errors import ConfigError, read
+from smartbizsim.errors import ConfigError, read, replace
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.risk import RiskCatalog, default_risk_catalog
 from smartbizsim.scenario import (
@@ -81,6 +80,15 @@ def test_not_json_is_a_parse_error():
         ({"links": [{"a": "d", "b": "c", "latency_ms": 10},
                     {"a": "c", "b": "d", "latency_ms": 5}]},
          "links 'd--c' and 'c--d' join the same two nodes"),
+        # the engine keeps links by id: the second would replace the first
+        ({"nodes": [{"id": "c", "kind": "CloudService"},
+                    {"id": "d--e", "kind": "SmartDevice", "site": "CityA"},
+                    {"id": "d", "kind": "SmartDevice", "site": "CityB"},
+                    {"id": "e--c", "kind": "SmartDevice", "site": "Truck"}],
+          "links": [{"a": "d--e", "b": "c", "latency_ms": 10},
+                    {"a": "d", "b": "e--c", "latency_ms": 5000},
+                    {"a": "e--c", "b": "c", "latency_ms": 20}]},
+         "links[0] ('d--e' to 'c') and links[1] ('d' to 'e--c') share the id 'd--e--c'"),
         # the inputs below would otherwise stop the run with NoRoute
         ({"nodes": [{"id": "d", "kind": "SmartDevice", "site": "CityA"},
                     {"id": "x", "kind": "SmartDevice", "site": "Truck"},

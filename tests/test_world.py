@@ -5,7 +5,6 @@ import re
 import tracemalloc
 import weakref
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,7 @@ from helpers import (
     two_device_scenario,
     worlds,
 )
-from smartbizsim.errors import ConfigError, NoSlotAvailable
+from smartbizsim.errors import ConfigError, NoSlotAvailable, replace
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S17Config
 from smartbizsim.metering import meter
 from smartbizsim.scenario import (
