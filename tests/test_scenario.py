@@ -80,15 +80,6 @@ def test_not_json_is_a_parse_error():
         ({"links": [{"a": "d", "b": "c", "latency_ms": 10},
                     {"a": "c", "b": "d", "latency_ms": 5}]},
          "links 'd--c' and 'c--d' join the same two nodes"),
-        # the engine keeps links by id: the second would replace the first
-        ({"nodes": [{"id": "c", "kind": "CloudService"},
-                    {"id": "d--e", "kind": "SmartDevice", "site": "CityA"},
-                    {"id": "d", "kind": "SmartDevice", "site": "CityB"},
-                    {"id": "e--c", "kind": "SmartDevice", "site": "Truck"}],
-          "links": [{"a": "d--e", "b": "c", "latency_ms": 10},
-                    {"a": "d", "b": "e--c", "latency_ms": 5000},
-                    {"a": "e--c", "b": "c", "latency_ms": 20}]},
-         "links[0] ('d--e' to 'c') and links[1] ('d' to 'e--c') share the id 'd--e--c'"),
         # the inputs below would otherwise stop the run with NoRoute
         ({"nodes": [{"id": "d", "kind": "SmartDevice", "site": "CityA"},
                     {"id": "x", "kind": "SmartDevice", "site": "Truck"},
@@ -155,6 +146,15 @@ def test_not_json_is_a_parse_error():
          "horizon_s 3024000 reaches 9999-12-31 09:00, the last month end a reminder"),
         ({"horizon_s": 10**12},
          "horizon_s 1000000000000 reaches 9999-12-31 09:00, the last month end a reminder"),
+        # the engine keeps links by id: the second would replace the first
+        ({"nodes": [{"id": "c", "kind": "CloudService"},
+                    {"id": "d--e", "kind": "SmartDevice", "site": "CityA"},
+                    {"id": "d", "kind": "SmartDevice", "site": "CityB"},
+                    {"id": "e--c", "kind": "SmartDevice", "site": "Truck"}],
+          "links": [{"a": "d--e", "b": "c", "latency_ms": 10},
+                    {"a": "d", "b": "e--c", "latency_ms": 5000},
+                    {"a": "e--c", "b": "c", "latency_ms": 20}]},
+         "links[0] ('d--e' to 'c') and links[1] ('d' to 'e--c') share the id 'd--e--c'"),
     ],
 )
 def test_structural_problems_are_invalid_scenarios(patch, fragment):
