@@ -53,6 +53,7 @@ from .risk import (
     top_k,
 )
 from .scenario import CommandSpec, ScenarioConfig, default_scenario, load_scenario
+from . import trace
 from .trace import canonical_json
 from .world import build_world
 
@@ -81,14 +82,6 @@ class SectionCost(Record):
     @property
     def total(self) -> int:
         return self.capital + self.operational + self.performance
-
-
-# Commands the digest encodes at a time. At 100k commands, batches of
-# 128 to 512 hashed 1.05x faster than one list of all of them, and 1.5x
-# faster than batches of 4096 (Python 3.11, 2-vCPU x86-64 VM), most
-# likely because a small batch's dicts are still in the CPU cache when
-# they are encoded.
-BATCH_COMMANDS = 256
 
 
 class DmaicConfig(Record):
@@ -172,14 +165,14 @@ class DmaicConfig(Record):
     def digest(self) -> str:
         """The SHA-256 of `canonical_json(self.resolved_dict())`, fed in
         pieces: the text around the commands, then the commands in batches
-        of BATCH_COMMANDS, so the text of all of them is never built."""
+        of `trace.BATCH_RECORDS`, so the text of all of them is never built."""
         # Canonical JSON escapes every quote inside a string, so this text is
         # a key "commands" holding an empty array: the scenario's, since
         # every other key is a field name, or a mapping key whose value is a
         # string or, in the mapping, an array that is never empty.
         head, _, tail = canonical_json(self._resolved([])).partition('"commands":[]')
         sha = hashlib.sha256(f'{head}"commands":['.encode("utf-8"))
-        commands, size = self.scenario.commands, BATCH_COMMANDS
+        commands, size = self.scenario.commands, trace.BATCH_RECORDS
         for start in range(0, len(commands), size):
             batch = canonical_json([_command_dict(c) for c in commands[start:start + size]])
             if start:

@@ -8,7 +8,9 @@ subclasses exist only because code catches them by name.
 
 A `Record` is defined by its annotations and class defaults alone, and
 nothing is generated for it: its methods are the base's, which read
-the class's `_fields`. `read` and `json_default` read the same fields.
+the class's `_fields`. `read` and `json_default` read the same fields:
+one reader, built from closures, reads every record from a document,
+so reading generates no code either.
 """
 
 from __future__ import annotations
@@ -235,8 +237,7 @@ def _compile(kind):
     if origin is abc.Mapping and args[0] is str:
         return _mapping(_reader(args[1]))
     if isinstance(kind, type) and issubclass(kind, Record):
-        generic = _object(kind)
-        return _leaf_record(kind, generic) or generic
+        return _object(kind)
     raise TypeError(f"no reader for type {kind!r}")
 
 
@@ -326,18 +327,29 @@ def _mapping(read_item):
 
 def _object(cls):
     """The reader of a `Record` class; the class may name
-    `unknown_field_hint`. A field's reader is built when a document
-    first holds the field."""
+    `unknown_field_hint`.
+
+    A value of exactly its field's type `int`, `str` or `bool` is taken as
+    it is; any other is read by its field's reader, built when a document
+    first holds the field. The record's fields are then set one at a
+    time, in order, so its instances share their class's key table: each
+    to the value read, else the class default; a field with neither is
+    missing.
+    """
     hints = get_type_hints(cls)
-    names = frozenset(cls._fields)
+    fields = cls._fields
+    names = frozenset(fields)
+    exact = {name: hints[name] for name in fields if hints[name] in _EXPECTED}
+    defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
     readers = {}
-    required = [name for name in cls._fields if name not in vars(cls)]
     nested = {
         name for name in names
         if isinstance(hints[name], type) and issubclass(hints[name], Record)
     }
+    post_init = getattr(cls, "__post_init__", None)
     hint = getattr(cls, "unknown_field_hint", None)
     unknown_field = f"unknown field; {hint}" if hint else "unknown field"
+    new, set_field = object.__new__, object.__setattr__
 
     def failure(value, segment: str, problem: str) -> ConfigError:
         label = value.get("id")  # an entry with an id is named by it
@@ -351,90 +363,38 @@ def _object(cls):
         if not value.keys() <= names:
             unknown = next(key for key in value if key not in names)
             raise failure(value, f".{unknown}", unknown_field)
-        kwargs = {}
+        # with `base`, only what the document and `given` change
+        out = {} if base is not None else defaults.copy()
         try:
             for key, item in value.items():
+                if type(item) is exact.get(key):
+                    out[key] = item
+                    continue
                 read_field = readers.get(key)
                 if read_field is None:
                     read_field = readers[key] = _reader(hints[key])
                 if base is None or key not in nested:
-                    kwargs[key] = read_field(item)
+                    out[key] = read_field(item)
                 else:
-                    kwargs[key] = read_field(item, getattr(base, key))
+                    out[key] = read_field(item, getattr(base, key))
         except ConfigError as exc:
             _at(exc, f".{key}")
             raise
         if given is not None:
-            kwargs.update(given)
+            out.update(given)
         if base is not None:
-            return replace(base, **kwargs)
-        for name in required:
-            if name not in kwargs:
-                raise failure(value, "", f"missing field {name!r}")
-        return cls(**kwargs)
+            return replace(base, **out)
+        record = new(cls)
+        try:
+            for name in fields:
+                set_field(record, name, out[name])
+        except KeyError:
+            raise failure(value, "", f"missing field {name!r}") from None
+        if post_init is not None:
+            post_init(record)
+        return record
 
     return read_object
-
-
-_REQUIRED = object()  # the default of a required field: it fails every leaf test
-
-
-def _leaf_test(kind, name: str) -> tuple[str, str] | None:
-    """The inline check that the value in variable `name` is one `read`
-    takes as `kind`, and the expression of what it reads as; None when
-    `kind` is not a leaf: an exact type, one of them or None, or a
-    tuple of strings."""
-    if kind in _EXPECTED:
-        return f"type({name}) is {kind.__name__}", name
-    args = get_args(kind)
-    if get_origin(kind) is types.UnionType and len(args) == 2 and type(None) in args:
-        (inner,) = [arg for arg in args if arg is not type(None)]
-        if inner in _EXPECTED:
-            return f"({name} is None or type({name}) is {inner.__name__})", name
-    if kind == tuple[str, ...]:
-        test = f"type({name}) in (list, tuple) and all(type(s) is str for s in {name})"
-        return test, f"tuple({name})"
-    return None
-
-
-def _leaf_record(cls, generic):
-    """A reader of the `Record` class `cls` compiled to one function, when
-    every field is a leaf and the class has no `__post_init__`; else None.
-
-    The function checks the keys and every field's type inline and fills
-    a new instance field by field, as the frozen `__init__` would, with no
-    keyword arguments built. A document it does not take, or a call with
-    `base` or `given`, goes to `generic`, which reads it or raises: so
-    every error is the generic reader's, text and path.
-    """
-    if hasattr(cls, "__post_init__"):
-        return None
-    hints = get_type_hints(cls)
-    namespace = {"_cls": cls, "_new": object.__new__, "_set": object.__setattr__,
-                 "_generic": generic}
-    reads, tests, sets = [], [], []
-    for i, name in enumerate(cls._fields):
-        leaf = _leaf_test(hints[name], f"v{i}")
-        if leaf is None:
-            return None
-        namespace[f"_d{i}"] = vars(cls).get(name, _REQUIRED)
-        reads.append(f"        v{i} = get({name!r}, _d{i})")
-        tests.append(leaf[0])
-        sets.append(f"            _set(obj, {name!r}, {leaf[1]})")
-    namespace["_names"] = frozenset(cls._fields)
-    source = "\n".join([
-        "def read_leaf_record(value, base=None, given=None):",
-        "    if base is None and given is None and type(value) is dict and value.keys() <= _names:",
-        "        get = value.get",
-        *reads,
-        "        if (" + "\n                and ".join(f"({test})" for test in tests) + "):",
-        "            obj = _new(_cls)",
-        *sets,
-        "            return obj",
-        "    return _generic(value, base, given)",
-    ])
-    exec(source, namespace)
-    return namespace["read_leaf_record"]
 
 
 # -- output documents ------------------------------------------------------

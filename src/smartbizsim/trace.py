@@ -34,10 +34,13 @@ def canonical_json(value) -> str:
     return "".join(_canonical_encoder(json_default)(value, 0))
 
 
-# Records a streamed trace holds before it hands them to its sink: large
-# enough that writing and metering a batch costs little per record, small
-# enough that a batch and its NDJSON text stay a few megabytes.
-BATCH_RECORDS = 4096
+# Records a streamed trace holds before it hands them to its sink, and
+# commands the config digest encodes at a time: large enough that a
+# batch costs little per record, small enough that its dicts are still
+# in the CPU cache when they are encoded. At 100k commands the digest
+# hashed 1.5x faster in batches of 256 than of 4096, and a `dmaic` of a
+# perfbench workload peaked 2-4 MB lower (Python 3.11, 2-vCPU x86-64 VM).
+BATCH_RECORDS = 256
 
 
 def _record_encoder():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import by_kind, document, multi_hop_scenario, naive_total_cost, recorded_dmaic
-from smartbizsim import costs
+from smartbizsim import trace as trace_module
 from smartbizsim.cli import main
 from smartbizsim.controls import build_plan, default_mapping
 from smartbizsim.costs import (
@@ -251,7 +251,7 @@ def test_the_digest_moves_with_every_priced_input_but_not_with_prose(change, mov
 def test_the_digest_hashes_the_resolved_document_in_batches(scenario, batch):
     config = replace(load_dmaic_config(None), scenario=scenario)
     whole = canonical_json(config.resolved_dict()).encode("utf-8")
-    with mock.patch.object(costs, "BATCH_COMMANDS", batch):  # several batches
+    with mock.patch.object(trace_module, "BATCH_RECORDS", batch):  # several batches
         assert config.digest() == hashlib.sha256(whole).hexdigest()
 
 

@@ -1,7 +1,9 @@
-"""The compiled reader of flat records agrees with the generic reader,
-and a reader is built only for what a document holds."""
+"""One reader reads every record: a valid document gives the record its
+fields build, a faulty one an error at its path, and a reader is built
+only for what a document holds."""
 
 import json
+import re
 from typing import get_type_hints
 from unittest import mock
 
@@ -27,17 +29,20 @@ from smartbizsim.scenario import (
 )
 
 LEAF_RECORDS = [CommandSpec, NodeSpec, LinkSpec, FailureSpec, TheftSpec, ReminderSpec]
+RECORDS = LEAF_RECORDS + [AttendeeSpec]  # and one with a nested array
 _TEXT = st.text(max_size=4)
 
 
 def _values(kind):
-    """Valid JSON values of a leaf field type."""
+    """Valid JSON values of a field type."""
     if kind is int:
         return st.integers(-(2**70), 2**70)
     if kind is str:
         return _TEXT
     if kind == tuple[str, ...]:
         return st.lists(_TEXT, max_size=3)
+    if kind == tuple[tuple[int, int], ...]:
+        return st.lists(st.lists(_values(int), min_size=2, max_size=2), max_size=3)
     inner = next(arg for arg in kind.__args__ if arg is not type(None))  # X | None
     return st.none() | _values(inner)
 
@@ -67,16 +72,17 @@ def _names(cls, fault: str) -> list[str]:
 
 FAULTS = ["drop", "unknown", "int", "null", "item", "object"]
 # every record with each fault it can have
-CASES = [(cls, fault) for cls in LEAF_RECORDS for fault in FAULTS if _names(cls, fault)]
+CASES = [(cls, fault) for cls in RECORDS for fault in FAULTS if _names(cls, fault)]
 
 
 @st.composite
 def mutated(draw, cls, fault: str):
-    """A document of `cls` with the fault, and perhaps a second drawn one.
+    """A document of `cls` with the fault, and perhaps a second drawn one,
+    and the fields the faults broke (none when the document is no object).
     Faults: a required key dropped, an unknown key, a bool, float or
     string for an int, null for a string, a non-string in a string array,
     no object."""
-    document = draw(documents(cls))
+    document, broken = draw(documents(cls)), []
     for fault in [fault] + draw(st.lists(st.sampled_from(FAULTS), max_size=1)):
         names = _names(cls, fault)
         if not names:
@@ -85,7 +91,8 @@ def mutated(draw, cls, fault: str):
         if fault == "drop":
             document.pop(name, None)
         elif fault == "unknown":
-            document[draw(st.sampled_from(["colour", "At", ""]))] = 1
+            name = draw(st.sampled_from(["colour", "At", ""]))
+            document[name] = 1
         elif fault == "int":
             document[name] = draw(st.sampled_from([True, 2.7, "3"]))
         elif fault == "null":
@@ -95,48 +102,65 @@ def mutated(draw, cls, fault: str):
             items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from([3, None])))
             document[name] = items
         else:
-            return draw(st.sampled_from([[], "x", 3, None, [document]]))
-    return document
+            return draw(st.sampled_from([[], "x", 3, None, [document]])), []
+        broken.append(name)
+    return document, broken
 
 
-def _outcome(cls, document, generic: bool):
-    """What `read` gives for the document at a path, through the compiled
-    reader or, with `generic`, through the generic one."""
-    readers = {cls: errors._object(cls)} if generic else {}
-    with mock.patch.dict(errors._READERS, readers):
-        try:
-            value = read(cls, document, at="records[3]")
-        except ConfigError as exc:
-            return "error", str(exc)
-    return "read", value, list(vars(value))  # the fields, in order
+def _tuples(value):
+    """A decoded JSON value with its arrays as tuples, as a record holds them."""
+    return tuple(map(_tuples, value)) if type(value) is list else value
 
 
-@pytest.mark.parametrize("cls", LEAF_RECORDS, ids=lambda cls: cls.__name__)
-def test_each_flat_record_has_a_compiled_reader(cls):
-    assert errors._reader(cls).__name__ == "read_leaf_record"
+def _names_field(text: str, name: str) -> bool:
+    """Whether an error text names the field: in its path, or as missing."""
+    return (f"missing field {name!r}" in text
+            or re.search(rf"\.{re.escape(name)}[:\[]", text) is not None)
 
 
-def test_a_record_with_a_nested_array_has_none():
-    assert errors._reader(AttendeeSpec).__name__ == "read_object"
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_every_record_is_read_by_the_one_reader(cls):
+    assert errors._reader(cls).__name__ == "read_object"
 
 
-@pytest.mark.parametrize("cls", LEAF_RECORDS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_the_compiled_reader_reads_what_the_generic_one_reads(cls, data):
+def test_a_document_reads_as_the_record_its_fields_build(cls, data):
     document = data.draw(documents(cls))
-    outcome = _outcome(cls, document, generic=False)
-    assert outcome[0] == "read"
-    assert outcome == _outcome(cls, document, generic=True)
+    record = read(cls, document, at="records[3]")
+    assert record == cls(**{name: _tuples(value) for name, value in document.items()})
+    assert list(vars(record)) == list(cls._fields)
 
 
 @pytest.mark.parametrize("cls, fault", CASES,
                          ids=[f"{cls.__name__}-{fault}" for cls, fault in CASES])
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_the_compiled_reader_fails_as_the_generic_one_fails(cls, fault, data):
-    document = data.draw(mutated(cls, fault))
-    assert _outcome(cls, document, generic=False) == _outcome(cls, document, generic=True)
+def test_a_faulty_document_fails_at_its_path(cls, fault, data):
+    document, broken = data.draw(mutated(cls, fault))
+    with pytest.raises(ConfigError) as failed:
+        read(cls, document, at="records[3]")
+    text = str(failed.value)
+    assert text.startswith("records[3]")
+    if broken:
+        assert any(_names_field(text, name) for name in broken), text
+
+
+@pytest.mark.parametrize("cls, document, message", [
+    (ReminderSpec, {"id": "r1", "author": "a", "target": "b", "colour": 1},
+     "records[3] ('r1').colour: unknown field"),
+    (ReminderSpec, {"id": "r1", "at": 5}, "records[3] ('r1'): missing field 'author'"),
+    (ReminderSpec, {"at": True, "id": 7, "colour": 1}, "records[3].colour: unknown field"),
+    (FailureSpec, {"at": 1.5, "node": 3}, "records[3].at: expected an integer, got 1.5"),
+    (FailureSpec, {"node": 3, "at": 1.5}, "records[3].node: expected a string, got 3"),
+    (CommandSpec, {"at": 0, "device": "d", "intent": "x", "attendees": ["a", None]},
+     "records[3].attendees[1]: expected a string, got None"),
+], ids=["unknown", "missing", "unknown-first", "first-in-document", "other-order", "item"])
+def test_an_error_names_its_entry_and_its_first_fault(cls, document, message):
+    with pytest.raises(ConfigError) as failed:
+        read(cls, document, at="records[3]")
+    assert str(failed.value) == message
 
 
 def test_a_reader_is_built_when_a_document_first_holds_its_field(tmp_path):

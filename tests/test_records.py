@@ -1,13 +1,19 @@
 """Every record class keeps the contract its callers rely on: its fields
 in order, frozen unless declared otherwise, equality and hash by its
 fields, and a validated copy from `errors.replace`. None of it is
-generated, so the program starts without `dataclasses` or `inspect`."""
+generated, so the program starts without `dataclasses` or `inspect`
+and reads its documents without `exec`."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+
+from helpers import document
+from smartbizsim import errors
 
 from smartbizsim.calendars import Calendar, WorkWeek
 from smartbizsim.controls import (
@@ -205,3 +211,27 @@ def test_the_program_starts_without_generating_code():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_reading_documents_generates_no_code(tmp_path):
+    scenario = document(default_scenario())
+    scenario["nodes"][0]["backup_pool"] = ["dev-truck"]
+    scenario["links"][0]["bandwidth_bps"] = 1000
+    scenario["attendees"][0]["busy"] = [[0, 3600], [7200, 9000]]
+    scenario["reminders"] = [{"id": "r1", "author": "dev-city-a", "target": "dev-city-b",
+                              "payload": "call back", "at": 100}]
+    scenario["thefts"] = [{"node": "dev-truck", "at": 500}]
+    assert scenario["failures"] and scenario["controls"]
+    assert {c["intent"] for c in scenario["commands"]} == {
+        "voice_message", "create_reminder", "schedule_meeting"}
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    (tmp_path / "pipeline.json").write_text(json.dumps({"scenario": "scenario.json"}))
+    # patched only here: importing a module runs its code with `exec`
+    with mock.patch.dict(errors._READERS, clear=True), \
+            mock.patch("builtins.exec", side_effect=AssertionError("exec called")) as exec_:
+        config = load_dmaic_config(tmp_path / "pipeline.json")
+        built = set(errors._READERS)
+    assert not exec_.called
+    assert config.scenario.thefts == (TheftSpec(node="dev-truck", at=500),)
+    assert {NodeSpec, LinkSpec, AttendeeSpec, ReminderSpec, FailureSpec, TheftSpec,
+            CommandSpec, ControlLayerConfig} <= built

@@ -10,6 +10,8 @@ archive`) and this checkout run REPEATS times each, alternating which
 side goes first, every run in a fresh interpreter. A run records:
 
   wall_s            seconds from starting the process until it exited
+  cpu_s             CPU seconds the process used, user and system: the
+                    work done, which a busy host moves less than wall_s
   load_s            seconds in the call that loads the scenario or the
                     pipeline config
   post_load_rss_mb  peak resident memory when that call returned
@@ -52,7 +54,7 @@ COMMANDS = {
                      "--out", "out/trace.ndjson"],
     "dmaic": ["dmaic", "--config", "pipeline.json", "--out", "out"],
 }
-MEDIANS = ("wall_s", "load_s", "post_load_rss_mb", "peak_rss_mb")
+MEDIANS = ("wall_s", "cpu_s", "load_s", "post_load_rss_mb", "peak_rss_mb")
 
 # Runs the CLI from the checkout's src/ as the console script does, and
 # notes the time and peak memory of loading the input.
@@ -100,11 +102,13 @@ def run(src: Path, work: Path, argv: list[str]) -> dict:
                             cwd=work, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.monotonic() - start
-    code = os.waitstatus_to_exitcode(status)
+    # reaped by wait4 for its usage: tell proc, or it warns it still runs
+    proc.returncode = code = os.waitstatus_to_exitcode(status)
     if code != 0:
         raise SystemExit(f"scale: {' '.join(argv)} from {src} exited {code}")
     result = json.loads(stamp.read_text())
     result["wall_s"] = wall
+    result["cpu_s"] = usage.ru_utime + usage.ru_stime
     result["peak_rss_mb"] = usage.ru_maxrss / 1024
     result["records"] = 0
     result["digests"] = {}
