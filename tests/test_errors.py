@@ -118,9 +118,13 @@ def _names_field(text: str, name: str) -> bool:
             or re.search(rf"\.{re.escape(name)}[:\[]", text) is not None)
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", LEAF_RECORDS, ids=lambda cls: cls.__name__)
 def test_every_record_is_read_by_the_one_reader(cls):
     assert errors._reader(cls).__name__ == "read_object"
+
+
+def test_a_record_with_a_nested_array_has_none():
+    assert errors._reader(AttendeeSpec).__name__ == "read_object"
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
