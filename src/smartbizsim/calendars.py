@@ -16,7 +16,7 @@ import heapq
 from bisect import bisect_left, bisect_right
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NoSlotAvailable, Record
 from .timeline import MINUTES_PER_DAY
@@ -46,14 +46,13 @@ class WorkWeek(Record):
     days: tuple[int, ...] = (0, 1, 2, 3, 4)
 
 
-class Calendar(Record, frozen=False):
+class Calendar:
     """One attendee's busy intervals, kept sorted and merged: no two
-    intervals overlap or touch, so their ends are sorted too."""
+    intervals overlap or touch, so their ends are sorted too. It is run
+    state: no document holds one."""
 
-    busy: list[Interval] = ()  # normalized into a new list
-
-    def __post_init__(self) -> None:
-        self.busy = normalize_intervals(self.busy)
+    def __init__(self, busy: Iterable[Interval] = ()) -> None:
+        self.busy = normalize_intervals(busy)
 
     def add_busy(self, start: int, end: int) -> None:
         if end <= start:
@@ -68,15 +67,6 @@ class Calendar(Record, frozen=False):
         busy[lo:hi] = [(start, end)]
 
 
-class Slot(NamedTuple):
-    start: int
-    duration: int
-
-    @property
-    def end(self) -> int:
-        return self.start + self.duration
-
-
 def find_common_slot(
     calendars: Sequence[Calendar],
     duration: int,
@@ -84,8 +74,9 @@ def find_common_slot(
     horizon: int,
     week: WorkWeek,
     epoch_weekday: int,
-) -> Slot:
-    """Earliest slot of `duration` minutes free in every calendar.
+) -> int:
+    """The start minute of the earliest slot of `duration` minutes free
+    in every calendar.
 
     The whole slot must fit inside a single working window of `week` and
     end no later than `horizon`; day 0 falls on `epoch_weekday`. Raises
@@ -125,7 +116,7 @@ def find_common_slot(
                     candidate = max(candidate, be)
                     pending = next(busy, None)
                 if candidate + duration <= hi:
-                    return Slot(start=candidate, duration=duration)
+                    return candidate
                 reached = candidate
         # every start on the days before the one `reached` falls on is
         # blocked, and each interval a walk of them would pass, the walk

@@ -105,8 +105,8 @@ def _ranking_rows(assessment: RiskAssessment) -> list[list]:
     for position, rid in enumerate(assessment.ranking, start=1):
         risk = by_id[rid]
         rows.append([
-            position, rid, risk.name, risk.relevance.label,
-            risk.severity.label, assessment.scores[rid],
+            position, rid, risk.name, risk.relevance.value,
+            risk.severity.value, assessment.scores[rid],
         ])
     return rows
 

@@ -11,12 +11,13 @@ figures. Every priced quantity comes from the secured run's trace
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import ClassVar, Mapping, Sequence
 
-from .errors import LabeledEnum, Record, parse_json, read
+from .errors import Record, parse_json, read
 
 
-class ChangeLevel(LabeledEnum):
+class ChangeLevel(Enum):
     LOW = "Low"
     LOW_MODERATE = "LowModerate"
     MODERATE = "Moderate"
@@ -66,7 +67,7 @@ _DEFAULT_SECTIONS: tuple[tuple[str, str, str], ...] = (
 def default_control_catalog() -> ControlCatalog:
     return ControlCatalog(
         sections=tuple(
-            ControlSection(id=sid, name=name, change_level=ChangeLevel.from_label(lvl))
+            ControlSection(id=sid, name=name, change_level=ChangeLevel(lvl))
             for sid, name, lvl in _DEFAULT_SECTIONS
         )
     )

@@ -52,7 +52,9 @@ from .risk import (
     reassess,
     top_k,
 )
-from .scenario import CommandSpec, ScenarioConfig, default_scenario, load_scenario
+from .scenario import (
+    INTENT_PARAMS, CommandSpec, ScenarioConfig, default_scenario, load_scenario,
+)
 from . import trace
 from .trace import canonical_json
 from .world import build_world
@@ -184,19 +186,10 @@ class DmaicConfig(Record):
 
 def _command_dict(c: CommandSpec) -> dict:
     """A command with only the parameters its intent reads."""
-    out = {
-        "at": c.at,
-        "device": c.device,
-        "user": c.user,
-        "credential": c.credential,
-        "intent": c.intent,
-    }
-    if c.intent == "voice_message":
-        out.update({"to": c.to, "payload": c.payload})
-    elif c.intent == "create_reminder":
-        out.update({"target": c.target, "payload": c.payload})
-    elif c.intent == "schedule_meeting":
-        out.update({"attendees": c.attendees, "duration_min": c.duration_min})
+    out = {"at": c.at, "device": c.device, "user": c.user, "credential": c.credential,
+           "intent": c.intent}
+    for name in INTENT_PARAMS[c.intent]:
+        out[name] = getattr(c, name)
     return out
 
 

@@ -1,6 +1,7 @@
 """Exception hierarchy, the `Record` base of every record class, the
 file reading, JSON decoding and typed reading every input parser
-shares, and the JSON spelling every written document shares.
+shares, and the JSON spelling every written document shares, dates
+and times of day included. It imports nothing of the package.
 
 An error's class is its exit code: ConfigError is exit 2 (bad input
 or config), SimulationError exit 3 (a failure inside a run). The few
@@ -8,9 +9,12 @@ subclasses exist only because code catches them by name.
 
 A `Record` is defined by its annotations and class defaults alone, and
 nothing is generated for it: its methods are the base's, which read
-the class's `_fields`. `read` and `json_default` read the same fields:
-one reader, built from closures, reads every record from a document,
-so reading generates no code either.
+the class's `_fields`. Every record is frozen, and one function,
+`_fill`, sets the fields of every record, whether built by its class,
+copied by `replace` or read from a document. `read` and `json_default`
+read the same fields: one reader, built from closures, reads every
+record from a document, so reading generates no code either. A level
+(an `Enum`) is spelled by its value.
 """
 
 from __future__ import annotations
@@ -64,25 +68,20 @@ class Record:
     field without one is required.
 
     A record is built from its fields, by position or keyword, runs its
-    class's `__post_init__`, if any, once they are set, compares equal to
-    a record of the same class with equal fields and has a repr. It is
-    frozen and hashes by its fields, unless its class is declared with
-    `frozen=False`: then its fields can be set and it has no hash.
+    class's `__post_init__` once they are set, compares equal to a
+    record of the same class with equal fields and has a repr. It is
+    frozen and hashes by its fields.
     """
 
     _fields = ()
 
-    def __init_subclass__(cls, frozen: bool = True, **kwargs) -> None:
+    def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         annotations = cls.__dict__.get("__annotations__", {})
         cls._fields = tuple(
             name for name, kind in annotations.items()
             if not str(kind).startswith(("ClassVar[", "typing.ClassVar["))
         )
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)
@@ -93,20 +92,15 @@ class Record:
             if name in kwargs:
                 raise TypeError(f"{cls.__name__} got two values for field {name!r}")
             kwargs[name] = value
-        values = {}
-        for name in names:
-            if name in kwargs:
-                values[name] = kwargs.pop(name)
-            elif name in cls.__dict__:
-                values[name] = cls.__dict__[name]
-            else:
-                raise TypeError(f"{cls.__name__} is missing field {name!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__name__} has no field {next(iter(kwargs))!r}")
-        self.__dict__.update(values)
-        post_init = getattr(self, "__post_init__", None)
-        if post_init is not None:
-            post_init()
+        for name in kwargs:
+            if name not in names:
+                raise TypeError(f"{cls.__name__} has no field {name!r}")
+        missing = _fill(self, kwargs)
+        if missing is not None:
+            raise TypeError(f"{cls.__name__} is missing field {missing!r}")
+
+    def __post_init__(self) -> None:
+        """Check the fields once they are set: a class with rules overrides it."""
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -130,6 +124,28 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r} of a frozen record")
 
 
+_set_field = object.__setattr__
+
+
+def _fill(record: Record, values) -> str | None:
+    """Set the fields of a new `record`, in order, one `object.__setattr__`
+    each, so the records of a class share one key table: each to its
+    value in `values`, else the class default. Then run the class's
+    `__post_init__` and return None; or return the first field with
+    neither, leaving the record unfinished."""
+    cls = type(record)
+    defaults = cls.__dict__
+    for name in cls._fields:
+        if name in values:
+            _set_field(record, name, values[name])
+        elif name in defaults:
+            _set_field(record, name, defaults[name])
+        else:
+            return name
+    cls.__post_init__(record)
+    return None
+
+
 def replace(record: Record, **changes) -> Record:
     """A copy of `record` with `changes`, built by its class: so the copy
     runs `__post_init__`, and a record that validates itself validates
@@ -140,20 +156,19 @@ def replace(record: Record, **changes) -> Record:
 
 # -- input documents -------------------------------------------------------
 
-class LabeledEnum(Enum):
-    """An enum read from text by its label, which is the value unless a
-    subclass overrides `label`."""
+def parse_iso_date(text: str) -> dt.date:
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad date {text!r}: {exc}") from exc
 
-    @property
-    def label(self) -> str:
-        return self.value
 
-    @classmethod
-    def from_label(cls, label: str):
-        for member in cls:
-            if member.label == label:
-                return member
-        raise ConfigError(f"unknown label {label!r}")
+def parse_hhmm(text: str) -> dt.time:
+    try:
+        hh, mm = text.split(":")
+        return dt.time(int(hh), int(mm))
+    except (ValueError, AttributeError) as exc:
+        raise ConfigError(f"bad time of day {text!r} (expected HH:MM)") from exc
 
 
 def read_document(path, what: str) -> str:
@@ -179,7 +194,7 @@ def read(kind, value, *, base=None, given=None, at: str = ""):
 
     An `int` is a JSON integer (not a bool, not 2.7), a `Fraction` an
     integer or a rational string such as "1/2", a tuple an array, a
-    `Mapping` an object, a `LabeledEnum` its label, a date or time its
+    `Mapping` an object, an `Enum` its value, a date or time its
     text. A `Record` is an object of its fields: an unknown key is an
     error, a missing one takes the field's default or, given `base`,
     the value in `base`, so `base` plus a partial document is an update.
@@ -216,8 +231,6 @@ def _reader(kind):
 
 def _compile(kind):
     """The reader function of one type, built once from its annotations."""
-    from .timeline import parse_hhmm, parse_iso_date  # here: it imports this module
-
     origin, args = get_origin(kind), get_args(kind)
     if kind in _EXPECTED:
         return _exact(kind)
@@ -225,8 +238,8 @@ def _compile(kind):
         return _fraction
     if kind in (dt.date, dt.time):
         return _text(parse_iso_date if kind is dt.date else parse_hhmm)
-    if isinstance(kind, type) and issubclass(kind, LabeledEnum):
-        return _text(kind.from_label)
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return _text(_member(kind))
     if origin is types.UnionType and type(None) in args:
         (inner,) = [_reader(arg) for arg in args if arg is not type(None)]
         return lambda value: None if value is None else inner(value)
@@ -267,6 +280,16 @@ def _fraction(value):
     except (ValueError, ZeroDivisionError):
         pass
     raise _mismatch('an integer or a rational string such as "1/2"', value)
+
+
+def _member(kind):
+    def read_member(text):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigError(f"unknown label {text!r}") from None
+
+    return read_member
 
 
 def _text(parse):
@@ -331,25 +354,20 @@ def _object(cls):
 
     A value of exactly its field's type `int`, `str` or `bool` is taken as
     it is; any other is read by its field's reader, built when a document
-    first holds the field. The record's fields are then set one at a
-    time, in order, so its instances share their class's key table: each
-    to the value read, else the class default; a field with neither is
-    missing.
+    first holds the field. The record is then built by `_fill`.
     """
     hints = get_type_hints(cls)
     fields = cls._fields
     names = frozenset(fields)
     exact = {name: hints[name] for name in fields if hints[name] in _EXPECTED}
-    defaults = {name: vars(cls)[name] for name in fields if name in vars(cls)}
     readers = {}
     nested = {
         name for name in names
         if isinstance(hints[name], type) and issubclass(hints[name], Record)
     }
-    post_init = getattr(cls, "__post_init__", None)
     hint = getattr(cls, "unknown_field_hint", None)
     unknown_field = f"unknown field; {hint}" if hint else "unknown field"
-    new, set_field = object.__new__, object.__setattr__
+    new = object.__new__
 
     def failure(value, segment: str, problem: str) -> ConfigError:
         label = value.get("id")  # an entry with an id is named by it
@@ -363,8 +381,8 @@ def _object(cls):
         if not value.keys() <= names:
             unknown = next(key for key in value if key not in names)
             raise failure(value, f".{unknown}", unknown_field)
-        # with `base`, only what the document and `given` change
-        out = {} if base is not None else defaults.copy()
+        # only what the document and `given` hold: the rest is `base`'s or a default
+        out = {}
         try:
             for key, item in value.items():
                 if type(item) is exact.get(key):
@@ -385,13 +403,9 @@ def _object(cls):
         if base is not None:
             return replace(base, **out)
         record = new(cls)
-        try:
-            for name in fields:
-                set_field(record, name, out[name])
-        except KeyError:
-            raise failure(value, "", f"missing field {name!r}") from None
-        if post_init is not None:
-            post_init(record)
+        missing = _fill(record, out)
+        if missing is not None:
+            raise failure(value, "", f"missing field {missing!r}")
         return record
 
     return read_object
@@ -405,14 +419,14 @@ def json_default(value):
     what that holds.
 
     The spelling is the one `read` reads: a `Record` is an object of its
-    fields in order, a `LabeledEnum` its label, a `Fraction` an integer when it is
+    fields in order, an `Enum` its value, a `Fraction` an integer when it is
     integral and "n/d" otherwise, a date its ISO text, a time "HH:MM", a
     `Mapping` an object. Anything else raises TypeError.
     """
     if isinstance(value, Record):
         return {name: getattr(value, name) for name in value._fields}
-    if isinstance(value, LabeledEnum):
-        return value.label
+    if isinstance(value, Enum):
+        return value.value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else str(value)
     if isinstance(value, dt.date):

@@ -9,6 +9,7 @@ s17_ms on deliveries, section tags on ops/capital records).
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from typing import Iterable
 
 from .errors import Record, SimulationError
@@ -34,7 +35,7 @@ class MetricSet(Record):
             )
 
 
-class SectionUsage(Record, frozen=False):
+class SectionUsage(Record):
     """Metered quantities attributable to one control section's layer."""
 
     extra_latency_ms: int = 0
@@ -48,8 +49,9 @@ class Meter:
     """The one pass behind `meter` and `meter_sections`, fed a trace in
     batches in trace order: a message's `sent` record comes before its
     `delivered` or `lost` record, possibly in an earlier batch. It keeps
-    its totals, the section usage and the `sent` records of the messages
-    still in flight, and nothing else of the records.
+    its totals, the section usage (a counter of `SectionUsage` fields per
+    section) and the `sent` records of the messages still in flight, and
+    nothing else of the records.
     """
 
     def __init__(self) -> None:
@@ -57,17 +59,11 @@ class Meter:
         # operational events, capital items: MetricSet's field order
         self._totals = (0,) * 9
         self._in_flight: dict[int, dict] = {}
-        self._usage: dict[str, SectionUsage] = {}
-
-    def _bucket(self, section: str) -> SectionUsage:
-        found = self._usage.get(section)
-        if found is None:
-            found = self._usage[section] = SectionUsage()
-        return found
+        self._usage: dict[str, Counter] = defaultdict(Counter)
 
     def feed(self, records: Iterable[dict]) -> None:
         """Fold a batch of records into the totals and the section usage."""
-        in_flight = self._in_flight
+        in_flight, usage = self._in_flight, self._usage
         sent, delivered, lost, wire, latency, sessions, plaintext, ops, capital = (
             self._totals
         )
@@ -105,24 +101,24 @@ class Meter:
                     sessions += 1
             elif kind == "ops":
                 ops += record["events"]
-                self._bucket(record["section"]).operational_events += record["events"]
+                usage[record["section"]]["operational_events"] += record["events"]
             elif kind == "capital":
                 capital += record["count"]
-                self._bucket(record["section"]).capital_items += record["count"]
+                usage[record["section"]]["capital_items"] += record["count"]
         self._totals = (
             sent, delivered, lost, wire, latency, sessions, plaintext, ops, capital
         )
         # a section gets a bucket once something is metered for it
         if s10_bytes:
-            self._bucket("S10").extra_bytes += s10_bytes
+            usage["S10"]["extra_bytes"] += s10_bytes
         if s10_ms:
-            self._bucket("S10").extra_latency_ms += s10_ms
+            usage["S10"]["extra_latency_ms"] += s10_ms
         if s9_ms:
-            self._bucket("S9").extra_latency_ms += s9_ms
+            usage["S9"]["extra_latency_ms"] += s9_ms
         if s17_ms:
-            self._bucket("S17").extra_latency_ms += s17_ms
+            usage["S17"]["extra_latency_ms"] += s17_ms
         if sessions > sessions_before:
-            self._bucket("S9").sessions += sessions - sessions_before
+            usage["S9"]["sessions"] += sessions - sessions_before
 
     def metrics(self) -> MetricSet:
         """The metric set of the records fed so far.
@@ -141,7 +137,7 @@ class Meter:
     def sections(self) -> dict[str, SectionUsage]:
         """Metered security overhead of the records fed so far, by the
         control section that caused it."""
-        return self._usage
+        return {section: SectionUsage(**used) for section, used in self._usage.items()}
 
 
 def meter(trace: Trace | Iterable[dict]) -> MetricSet:

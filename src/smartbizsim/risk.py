@@ -9,10 +9,11 @@ tie-breaks, so the same catalog always yields the same ordering.
 from __future__ import annotations
 
 import re
+from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import ConfigError, LabeledEnum, Record, parse_json, read
+from .errors import ConfigError, Record, parse_json, read
 
 Score = Union[int, Fraction]
 
@@ -23,22 +24,19 @@ def id_order(item_id: str) -> tuple[int, str]:
     return (int(m.group(1)) if m else 0, item_id)
 
 
-class OrdinalLevel(LabeledEnum):
-    """Five-step qualitative scale with a fixed 1..5 numeric encoding."""
+class OrdinalLevel(Enum):
+    """Five-step qualitative scale, spelled by its value, with a fixed
+    1..5 numeric encoding: its place in the scale."""
 
-    VERY_LOW = ("VeryLow", 1)
-    LOW = ("Low", 2)
-    MEDIUM = ("Medium", 3)
-    HIGH = ("High", 4)
-    VERY_HIGH = ("VeryHigh", 5)
-
-    @property
-    def label(self) -> str:
-        return self.value[0]
+    VERY_LOW = "VeryLow"
+    LOW = "Low"
+    MEDIUM = "Medium"
+    HIGH = "High"
+    VERY_HIGH = "VeryHigh"
 
     @property
     def level(self) -> int:
-        return self.value[1]
+        return list(OrdinalLevel).index(self) + 1
 
 
 class Risk(Record):
@@ -131,8 +129,8 @@ def default_risk_catalog() -> RiskCatalog:
             Risk(
                 id=rid,
                 name=name,
-                relevance=OrdinalLevel.from_label(rel),
-                severity=OrdinalLevel.from_label(sev),
+                relevance=OrdinalLevel(rel),
+                severity=OrdinalLevel(sev),
                 rationale=why,
             )
             for rid, name, rel, sev, why in _DEFAULT_PLACEMENTS

@@ -19,7 +19,12 @@ from .middleware import ControlLayerConfig, S9Config
 from .timeline import SECONDS_PER_DAY, seconds_at
 
 SITES = ("CityA", "CityB", "Truck")
-INTENT_KINDS = ("voice_message", "create_reminder", "schedule_meeting")
+# the `CommandSpec` fields each intent reads beside the five every command has
+INTENT_PARAMS = {
+    "voice_message": ("to", "payload"),
+    "create_reminder": ("target", "payload"),
+    "schedule_meeting": ("attendees", "duration_min"),
+}
 
 
 class NodeSpec(Record):
@@ -230,7 +235,7 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             raise ConfigError(f"reminder target {reminder.target!r} must be a smart device")
     attendee_ids = {a.id for a in scenario.attendees}
     for command in scenario.commands:
-        if command.intent not in INTENT_KINDS:
+        if command.intent not in INTENT_PARAMS:
             raise ConfigError(f"unknown intent kind {command.intent!r}")
         if command.device not in device_ids:
             raise ConfigError(f"command device {command.device!r} must be a smart device")

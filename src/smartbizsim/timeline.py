@@ -9,25 +9,8 @@ from __future__ import annotations
 
 import datetime as dt
 
-from .errors import ConfigError
-
 SECONDS_PER_DAY = 86_400
 MINUTES_PER_DAY = 1_440
-
-
-def parse_iso_date(text: str) -> dt.date:
-    try:
-        return dt.date.fromisoformat(text)
-    except ValueError as exc:
-        raise ConfigError(f"bad date {text!r}: {exc}") from exc
-
-
-def parse_hhmm(text: str) -> dt.time:
-    try:
-        hh, mm = text.split(":")
-        return dt.time(int(hh), int(mm))
-    except (ValueError, AttributeError) as exc:
-        raise ConfigError(f"bad time of day {text!r} (expected HH:MM)") from exc
 
 
 def seconds_at(epoch: dt.date, day: dt.date, time_of_day: dt.time) -> int:

@@ -29,7 +29,7 @@ import math
 from typing import Callable, Collection, NamedTuple
 
 from . import middleware
-from .calendars import Calendar, Slot, find_common_slot
+from .calendars import Calendar, find_common_slot
 from .errors import AuthDenied, ConfigError, NoSlotAvailable, UnknownUser
 from .scenario import CommandSpec, LinkSpec, ScenarioConfig
 from .timeline import SECONDS_PER_DAY, next_month_end_instant
@@ -140,7 +140,7 @@ class World:
         self.calendars: dict[str, Calendar] = {}
         self.attendee_device: dict[str, str] = {}
         for att in scenario.attendees:
-            self.calendars[att.id] = Calendar(busy=list(att.busy))
+            self.calendars[att.id] = Calendar(att.busy)
             self.attendee_device[att.id] = att.device
 
         self.messages: dict[int, Message] = {}
@@ -521,24 +521,25 @@ class World:
 
     def schedule_meeting(
         self, organizer: str, attendees: list[str], duration_min: int
-    ) -> Slot:
+    ) -> int:
+        """Book the earliest common slot and invite everyone; returns its start minute."""
         scenario = self.scenario
         search_from = -(-self.clock // 60)
         horizon = search_from + scenario.meeting_horizon_days * 1440
-        slot = find_common_slot(
+        start = find_common_slot(
             [self.calendars[a] for a in attendees], duration_min, search_from, horizon,
             scenario.working_hours, scenario.epoch.weekday(),
         )
         for attendee in attendees:
-            self.calendars[attendee].add_busy(slot.start, slot.end)
+            self.calendars[attendee].add_busy(start, start + duration_min)
         self.trace.append(
             "meeting", self.clock, organizer=organizer, attendees=list(attendees),
-            start_min=slot.start, duration_min=duration_min,
+            start_min=start, duration_min=duration_min,
         )
-        invitation = f"invitation:{slot.start}:{duration_min}".encode("ascii")
+        invitation = f"invitation:{start}:{duration_min}".encode("ascii")
         for attendee in attendees:
             self.send_message(self.cloud_id, self.attendee_device[attendee], invitation)
-        return slot
+        return start
 
 
 build_world = World  # the public constructor: build_world(scenario, enabled, sink)

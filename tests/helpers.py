@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from smartbizsim.calendars import WorkWeek
 from smartbizsim.costs import CostRates, CostReport, DmaicConfig, run_dmaic
-from smartbizsim.errors import ConfigError, replace
+from smartbizsim.errors import ConfigError, parse_iso_date, replace
 from smartbizsim.metering import Meter, SectionUsage
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.scenario import (
@@ -254,8 +254,6 @@ def two_device_scenario(
     `message_times` sends device-a -> device-b at each instant;
     `failures` is (node, at, duration_s) triples.
     """
-    from smartbizsim.timeline import parse_iso_date
-
     commands = tuple(
         CommandSpec(
             at=t,
@@ -397,7 +395,6 @@ def multi_hop_scenario() -> ScenarioConfig:
     device (dev-d) and a leaf (dev-f) fail, so S17 fails the leaf over.
     """
     from smartbizsim.scenario import AttendeeSpec
-    from smartbizsim.timeline import parse_iso_date
 
     users = {
         "alice": ("dev-a", "alice-pass"),

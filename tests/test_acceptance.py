@@ -111,7 +111,7 @@ def test_criterion_4_scheduler_equals_the_minute_scan_oracle():
             got = find_common_slot(
                 calendars, inst["duration"], inst["search_from"],
                 inst["horizon"], inst["week"], inst["epoch_weekday"],
-            ).start
+            )
         except NoSlotAvailable:
             got = None
         if got != expected:

@@ -24,23 +24,23 @@ def test_normalize_merges_and_sorts():
 
 def test_empty_calendars_take_first_working_minute():
     cals = [Calendar() for _ in range(3)]
-    slot = find_common_slot(cals, 60, 0, 7 * MINUTES_PER_DAY, WEEK, 0)
-    assert slot.start == 8 * 60
-    assert slot.duration == 60
+    start = find_common_slot(cals, 60, 0, 7 * MINUTES_PER_DAY, WEEK, 0)
+    assert start == 8 * 60
+    assert type(start) is int  # the start minute alone: the caller knows the duration
 
 
 def test_search_from_inside_working_day_is_respected():
     cals = [Calendar()]
-    start = 2 * MINUTES_PER_DAY + 600  # Wednesday 10:00
-    slot = find_common_slot(cals, 30, start, start + MINUTES_PER_DAY, WEEK, 0)
-    assert slot.start == start
+    search_from = 2 * MINUTES_PER_DAY + 600  # Wednesday 10:00
+    start = find_common_slot(cals, 30, search_from, search_from + MINUTES_PER_DAY, WEEK, 0)
+    assert start == search_from
 
 
 def test_weekend_is_skipped():
     cals = [Calendar()]
     saturday = 5 * MINUTES_PER_DAY
-    slot = find_common_slot(cals, 60, saturday, saturday + 7 * MINUTES_PER_DAY, WEEK, 0)
-    assert slot.start == 7 * MINUTES_PER_DAY + 8 * 60  # next Monday 08:00
+    start = find_common_slot(cals, 60, saturday, saturday + 7 * MINUTES_PER_DAY, WEEK, 0)
+    assert start == 7 * MINUTES_PER_DAY + 8 * 60  # next Monday 08:00
 
 
 def test_duration_longer_than_a_working_day_never_fits():
@@ -70,7 +70,7 @@ def test_a_meeting_longer_than_the_window_fails_without_walking_a_day():
         find_common_slot([Calendar()], 10 * 60 + 1, 0, 10**12, week, 0)
     assert _CountedDays.tests == 0
     # the count works: a meeting that fits the window asks about day 0
-    assert find_common_slot([Calendar()], 10 * 60, 0, 10**12, week, 0).start == 8 * 60
+    assert find_common_slot([Calendar()], 10 * 60, 0, 10**12, week, 0) == 8 * 60
     assert _CountedDays.tests == 1
 
 
@@ -79,8 +79,8 @@ def test_a_search_behind_a_long_busy_interval_skips_the_days_it_covers():
     _CountedDays.tests = 0
     busy_until = 10**6 * MINUTES_PER_DAY  # day 10**6 is a Tuesday
     cals = [Calendar(busy=[(0, busy_until)]), Calendar()]
-    slot = find_common_slot(cals, 60, 0, 10**7 * MINUTES_PER_DAY, week, 0)
-    assert slot.start == busy_until + 8 * 60
+    start = find_common_slot(cals, 60, 0, 10**7 * MINUTES_PER_DAY, week, 0)
+    assert start == busy_until + 8 * 60
     assert _CountedDays.tests < 10
 
 
@@ -90,17 +90,17 @@ def test_busy_blocks_push_the_slot_later():
         Calendar(busy=[(480, 540)]),
         Calendar(busy=[(570, 600)]),
     ]
-    slot = find_common_slot(cals, 60, 0, MINUTES_PER_DAY, WEEK, 0)
-    assert slot.start == 600
+    start = find_common_slot(cals, 60, 0, MINUTES_PER_DAY, WEEK, 0)
+    assert start == 600
     # but 30 minutes fits into the 09:00-09:30 gap
-    slot = find_common_slot(cals, 30, 0, MINUTES_PER_DAY, WEEK, 0)
-    assert slot.start == 540
+    start = find_common_slot(cals, 30, 0, MINUTES_PER_DAY, WEEK, 0)
+    assert start == 540
 
 
 def test_slot_never_crosses_the_working_window_end():
     cals = [Calendar(busy=[(480, 1020)])]  # Monday busy until 17:00
-    slot = find_common_slot(cals, 60, 0, MINUTES_PER_DAY, WEEK, 0)
-    assert slot.start == 1020
+    start = find_common_slot(cals, 60, 0, MINUTES_PER_DAY, WEEK, 0)
+    assert start == 1020
     with pytest.raises(NoSlotAvailable):
         find_common_slot(cals, 61, 0, MINUTES_PER_DAY, WEEK, 0)
 
@@ -119,7 +119,7 @@ def test_matches_minute_scan_oracle_on_random_instances():
             got = find_common_slot(
                 cals, inst["duration"], inst["search_from"], inst["horizon"], inst["week"],
                 inst["epoch_weekday"],
-            ).start
+            )
         except NoSlotAvailable:
             got = None
         if got != expected:
@@ -133,16 +133,17 @@ def test_returned_slot_is_safe_independent_of_the_oracle():
         inst = random_slot_instance(rng)
         cals = [Calendar(busy=list(b)) for b in inst["busy_lists"]]
         try:
-            slot = find_common_slot(
+            start = find_common_slot(
                 cals, inst["duration"], inst["search_from"], inst["horizon"], inst["week"],
                 inst["epoch_weekday"],
             )
         except NoSlotAvailable:
             continue
-        assert slot.start >= inst["search_from"]
-        assert slot.end <= inst["horizon"]
+        end = start + inst["duration"]
+        assert start >= inst["search_from"]
+        assert end <= inst["horizon"]
         for cal in cals:
-            assert not overlaps_busy(cal.busy, slot.start, slot.end)
+            assert not overlaps_busy(cal.busy, start, end)
 
 
 # -- the sorted-and-merged invariant under bookings ---------------------------
@@ -231,7 +232,7 @@ def test_booking_loop_matches_the_minute_scan_oracle_at_every_step(run):
         try:
             got = find_common_slot(
                 booked, duration, search_from, horizon, WEEK, epoch_weekday
-            ).start
+            )
         except NoSlotAvailable:
             got = None
         assert got == expected

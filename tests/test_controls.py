@@ -18,8 +18,15 @@ from smartbizsim.controls import (
     parse_mapping,
 )
 from smartbizsim.costs import DmaicConfig, load_dmaic_config
-from smartbizsim.errors import ConfigError, replace
-from smartbizsim.risk import RiskCatalog, default_risk_catalog, rank, top_k
+from smartbizsim.errors import ConfigError, json_default, read, replace
+from smartbizsim.risk import (
+    OrdinalLevel,
+    RiskCatalog,
+    default_risk_catalog,
+    parse_risk_catalog,
+    rank,
+    top_k,
+)
 from smartbizsim.scenario import default_scenario
 from smartbizsim.trace import canonical_json
 
@@ -119,14 +126,26 @@ def test_custom_mapping_and_known_risks():
     assert mapping == {"R1": ("S13", "S12")}
 
 
-def test_enum_labels_round_trip_and_unknown_labels_are_parse_errors():
-    for member in ChangeLevel:
-        assert ChangeLevel.from_label(member.value) is member
+# each level, a document that spells one of them "Huge", and the error's path
+LEVEL_DOCUMENTS = {
+    ChangeLevel: (parse_control_catalog, r"sections\[0\]\.change_level",
+                  {"sections": [{"id": "S5", "name": "Policy", "change_level": "Huge"}]}),
+    OrdinalLevel: (parse_risk_catalog, r"risks\[0\]\.severity",
+                   {"risks": [{"id": "R1", "name": "Theft", "relevance": "Low",
+                               "severity": "Huge"}]}),
+}
+
+
+@pytest.mark.parametrize("levels", list(LEVEL_DOCUMENTS), ids=lambda levels: levels.__name__)
+def test_enum_labels_round_trip_and_unknown_labels_are_parse_errors(levels):
+    for member in levels:
+        assert read(levels, member.value) is member
+        assert json_default(member) == member.value
     with pytest.raises(ConfigError, match="^unknown label 'Huge'$"):
-        ChangeLevel.from_label("Huge")
-    catalog = {"sections": [{"id": "S5", "name": "Policy", "change_level": "Huge"}]}
-    with pytest.raises(ConfigError, match=r"^sections\[0\]\.change_level: unknown label 'Huge'$"):
-        parse_control_catalog(json.dumps(catalog))
+        read(levels, "Huge")
+    parse, path, catalog = LEVEL_DOCUMENTS[levels]
+    with pytest.raises(ConfigError, match=rf"^{path}: unknown label 'Huge'$"):
+        parse(json.dumps(catalog))
 
 
 def test_library_entry_with_cost_components_is_rejected():

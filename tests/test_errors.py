@@ -2,8 +2,10 @@
 fields build, a faulty one an error at its path, and a reader is built
 only for what a document holds."""
 
+import ast
 import json
 import re
+from pathlib import Path
 from typing import get_type_hints
 from unittest import mock
 
@@ -179,3 +181,11 @@ def test_a_reader_is_built_when_a_document_first_holds_its_field(tmp_path):
     # no document holds an action library or an S17 block
     assert MitigationAction not in built
     assert S17Config not in built
+
+
+def test_the_reader_imports_nothing_of_the_package():
+    # every module imports `errors`, so an import back would be a cycle
+    tree = ast.parse(Path(errors.__file__).read_text(encoding="utf-8"))
+    relative = [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level]
+    assert relative == []

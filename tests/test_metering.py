@@ -126,15 +126,18 @@ def _recount(records: list[dict]) -> tuple[MetricSet, dict[str, SectionUsage]]:
         ops[r["section"]] += r["events"]
     for r in of["capital"]:
         capital[r["section"]] += r["count"]
+    extra = {section: {} for section in {*ops, *capital, "S9", "S10", "S17"}}
+    extra["S9"]["sessions"] = sessions
+    extra["S9"]["extra_latency_ms"] = sum(by_id[r["msg_id"]]["s9_ms"] for r in delivered)
+    extra["S10"]["extra_latency_ms"] = sum(by_id[r["msg_id"]]["s10_ms"] for r in delivered)
+    extra["S10"]["extra_bytes"] = sum(r["wire_bytes"] - r["size_bytes"] for r in sent)
+    extra["S17"]["extra_latency_ms"] = sum(r["s17_ms"] for r in delivered)
     usage = {
-        section: SectionUsage(operational_events=ops[section], capital_items=capital[section])
-        for section in {*ops, *capital, "S9", "S10", "S17"}
+        section: SectionUsage(
+            operational_events=ops[section], capital_items=capital[section], **amounts
+        )
+        for section, amounts in extra.items()
     }
-    usage["S9"].sessions = sessions
-    usage["S9"].extra_latency_ms = sum(by_id[r["msg_id"]]["s9_ms"] for r in delivered)
-    usage["S10"].extra_latency_ms = sum(by_id[r["msg_id"]]["s10_ms"] for r in delivered)
-    usage["S10"].extra_bytes = sum(r["wire_bytes"] - r["size_bytes"] for r in sent)
-    usage["S17"].extra_latency_ms = sum(r["s17_ms"] for r in delivered)
     return metrics, usage
 
 

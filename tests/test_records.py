@@ -1,8 +1,9 @@
 """Every record class keeps the contract its callers rely on: its fields
-in order, frozen unless declared otherwise, equality and hash by its
-fields, and a validated copy from `errors.replace`. None of it is
-generated, so the program starts without `dataclasses` or `inspect`
-and reads its documents without `exec`."""
+in order, frozen, equality and hash by its fields, and a validated copy
+from `errors.replace`. None of it is generated, so the program starts
+without `dataclasses` or `inspect` and reads its documents without
+`exec`. However a record is built, by its class, by `replace` or by the
+reader, its fields are set the same way, so it costs the same memory."""
 
 import json
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 from helpers import document
 from smartbizsim import errors
 
-from smartbizsim.calendars import Calendar, WorkWeek
+from smartbizsim.calendars import WorkWeek
 from smartbizsim.controls import (
     ChangeLevel,
     ControlCatalog,
@@ -58,7 +59,6 @@ ROOT = Path(__file__).resolve().parent.parent
 # error follows this order, so no field may move.
 FIELDS = {
     WorkWeek: ("start", "end", "days"),
-    Calendar: ("busy",),
     ControlSection: ("id", "name", "change_level"),
     ControlCatalog: ("sections",),
     MitigationAction: ("id", "control", "description"),
@@ -94,12 +94,8 @@ FIELDS = {
                      "reminder_fire_time", "meeting_horizon_days", "controls"),
 }
 
-# the records the program changes in place
-MUTABLE = {Calendar, SectionUsage}
-
 SAMPLES = {
     WorkWeek: WorkWeek,
-    Calendar: lambda: Calendar(busy=[(5, 9), (0, 5)]),
     ControlSection: lambda: ControlSection(id="S9", name="Access", change_level=ChangeLevel.LOW),
     ControlCatalog: lambda: ControlCatalog(sections=()),
     MitigationAction: lambda: MitigationAction(id="A1", control="S9"),
@@ -157,11 +153,6 @@ def test_a_record_keeps_its_fields_equality_hash_and_freezing(cls):
     assert record != twin(**values) and twin(**values) != record
     assert record != tuple(values.values())
 
-    if cls in MUTABLE:
-        with pytest.raises(TypeError, match="unhashable"):
-            hash(record)
-        setattr(record, cls._fields[0], getattr(record, cls._fields[0]))
-        return
     try:
         hash(tuple(values.values()))
     except TypeError:  # a field holds a mapping, which has no hash
@@ -197,6 +188,50 @@ def test_a_record_is_built_from_its_fields_only():
         LinkSpec("d", a="d", b="c", latency_ms=10)
     with pytest.raises(TypeError, match="has 4 fields, got 5 values"):
         LinkSpec("d", "c", 10, None, 1)
+    # a copy and an update are built field by field, in order, like the rest
+    link = LinkSpec(a="d", b="c", latency_ms=10)
+    copied = replace(link, latency_ms=20)
+    updated = errors.read(LinkSpec, {"latency_ms": 30}, base=link)
+    for record in (link, copied, updated):
+        assert list(vars(record)) == list(LinkSpec._fields)
+    assert (copied.latency_ms, updated.latency_ms, updated.a) == (20, 30, "d")
+
+
+# Bytes per record of three batches of commands: read from a document,
+# built by the class, then read again, in one fresh interpreter.
+_BYTES_PER_RECORD = """
+import tracemalloc
+from smartbizsim.errors import read
+from smartbizsim.scenario import CommandSpec
+
+COUNT = 2000
+docs = [{"at": 10**6 + i, "device": "d", "intent": "voice_message", "to": "c",
+         "payload": "p"} for i in range(3 * COUNT)]
+batches = docs[:COUNT], docs[COUNT:2 * COUNT], docs[2 * COUNT:]
+read(CommandSpec, docs[0]), CommandSpec(**docs[0])  # build the reader first
+kept = []
+tracemalloc.start()
+for build, batch in zip(
+    (lambda doc: read(CommandSpec, doc), lambda doc: CommandSpec(**doc),
+     lambda doc: read(CommandSpec, doc)),
+    batches,
+):
+    before = tracemalloc.get_traced_memory()[0]
+    kept.append([build(doc) for doc in batch])
+    print((tracemalloc.get_traced_memory()[0] - before) / COUNT)
+"""
+
+
+def test_a_record_costs_the_same_memory_however_it_is_built():
+    done = subprocess.run(
+        [sys.executable, "-c", _BYTES_PER_RECORD],
+        env={"PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    read_first, built, read_after = map(float, done.stdout.split())
+    for size in (built, read_after):
+        assert abs(size - read_first) <= 0.1 * read_first, (read_first, built, read_after)
 
 
 def test_the_program_starts_without_generating_code():

@@ -17,7 +17,7 @@ from smartbizsim.controls import (
     default_control_catalog,
 )
 from smartbizsim.costs import CostRates, load_dmaic_config
-from smartbizsim.errors import ConfigError, read, replace
+from smartbizsim.errors import ConfigError, parse_iso_date, read, replace
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.risk import RiskCatalog, default_risk_catalog
 from smartbizsim.scenario import (
@@ -33,7 +33,7 @@ from smartbizsim.scenario import (
     default_scenario,
     parse_scenario,
 )
-from smartbizsim.timeline import parse_iso_date, seconds_at
+from smartbizsim.timeline import seconds_at
 from smartbizsim.trace import canonical_json
 from smartbizsim.world import build_world
 

@@ -4,13 +4,8 @@ import datetime as dt
 import pytest
 
 from helpers import end_of_month_instants, month_end_dates_by_enumeration
-from smartbizsim.errors import ConfigError
-from smartbizsim.timeline import (
-    SECONDS_PER_DAY,
-    next_month_end_instant,
-    parse_hhmm,
-    seconds_at,
-)
+from smartbizsim.errors import ConfigError, parse_hhmm
+from smartbizsim.timeline import SECONDS_PER_DAY, next_month_end_instant, seconds_at
 
 NINE_AM = dt.time(9, 0)
 

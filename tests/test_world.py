@@ -516,20 +516,21 @@ def _meeting_scenario():
 
 def test_meeting_books_everyone_and_sends_three_invitations():
     world = build_world(_meeting_scenario(), ())
-    slot = world.schedule_meeting("device-b", ["chief", "finance", "driver"], 60)
-    assert slot.duration == 60
+    start = world.schedule_meeting("device-b", ["chief", "finance", "driver"], 60)
+    (meeting,) = by_kind(world.trace, "meeting")
+    assert (meeting["start_min"], meeting["duration_min"]) == (start, 60)
     invitations = by_kind(world.trace, "sent")
     assert len(invitations) == 3
     assert {i["src"] for i in invitations} == {"cloud"}
     for attendee in ("chief", "finance", "driver"):
-        assert overlaps_busy(world.calendars[attendee].busy, slot.start, slot.end)
+        assert overlaps_busy(world.calendars[attendee].busy, start, start + 60)
 
 
 def test_rescheduling_with_same_inputs_lands_strictly_later():
     world = build_world(_meeting_scenario(), ())
     first = world.schedule_meeting("device-b", ["chief", "finance"], 45)
     second = world.schedule_meeting("device-b", ["chief", "finance"], 45)
-    assert second.start > first.start
+    assert second > first
 
 
 def test_unplaceable_meeting_raises():
