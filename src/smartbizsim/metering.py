@@ -27,13 +27,6 @@ class MetricSet(Record):
     operational_events: int = 0
     capital_items: int = 0
 
-    def __post_init__(self) -> None:
-        if self.messages_delivered + self.messages_lost != self.messages_sent:
-            raise SimulationError(
-                f"delivered ({self.messages_delivered}) + lost "
-                f"({self.messages_lost}) != sent ({self.messages_sent})"
-            )
-
 
 class SectionUsage(Record):
     """Metered quantities attributable to one control section's layer."""
@@ -51,7 +44,8 @@ class Meter:
     `delivered` or `lost` record, possibly in an earlier batch. It keeps
     its totals, the section usage (a counter of `SectionUsage` fields per
     section) and the `sent` records of the messages still in flight, and
-    nothing else of the records.
+    nothing else of the records. A message is in flight at most once, so
+    delivered + lost = sent whenever none is: the one conservation check.
     """
 
     def __init__(self) -> None:
@@ -73,6 +67,8 @@ class Meter:
             kind = record["kind"]
             if kind == "sent":
                 sent += 1
+                if record["msg_id"] in in_flight:
+                    raise SimulationError(f"message {record['msg_id']} sent again while in flight")
                 in_flight[record["msg_id"]] = record
                 wire_bytes = record["wire_bytes"]
                 wire += wire_bytes

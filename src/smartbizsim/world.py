@@ -30,7 +30,7 @@ from typing import Callable, Collection, NamedTuple
 
 from . import middleware
 from .calendars import Calendar, find_common_slot
-from .errors import AuthDenied, ConfigError, NoSlotAvailable, UnknownUser
+from .errors import AuthDenied, ConfigError, NoSlotAvailable, SmartBizError, UnknownUser
 from .scenario import CommandSpec, LinkSpec, ScenarioConfig
 from .timeline import SECONDS_PER_DAY, next_month_end_instant
 from .trace import Trace
@@ -88,10 +88,6 @@ def shortest_path(
     return None
 
 
-# the bottom entry of `World._commands`: later than any event
-_NEVER = (math.inf, 0, None)
-
-
 class World:
     """A world at clock 0 with every node Up and no event run yet.
 
@@ -145,11 +141,14 @@ class World:
 
         self.messages: dict[int, Message] = {}
         self.reminders: dict[str, Reminder] = {}
+        self._declared_reminders = frozenset(r.id for r in scenario.reminders)
         self._next_msg_id = 1
-        # (time, seq, handler method name, args): equal times run in seq
-        # order, the order of queueing, which commands and reviews keep
-        # though they are not queued up front; names, not bound methods,
-        # so the world holds no reference to itself
+        # Events are (time, seq, handler method name, args); equal times run
+        # in seq order. Names, not bound methods, so the world holds no
+        # reference to itself. The events the scenario declares are in
+        # `_declared`, latest first, each popped off the end and freed once
+        # run; the heap holds only the events the run creates.
+        self._declared: list[tuple] = []
         self._queue: list[tuple[int, int, str, tuple]] = []
         self._event_seq = 0
         self._pending: dict[str, list[Message]] = {}
@@ -159,44 +158,37 @@ class World:
 
         self._record_provisioning()
         for failure in scenario.failures:
-            self._schedule(failure.at, "_fail_start", failure.node)
-            self._schedule(failure.at + failure.duration_s, "_fail_end", failure.node)
-        # Commands bypass the heap: (at, seq, command), latest first, so the
-        # next one is popped off the end and freed once it has run. Each
-        # keeps the seq it would have had in the queue. The sentinel at the
-        # bottom is never due.
-        first = self._event_seq
-        self._commands = sorted(
-            ((c.at, seq, c) for seq, c in enumerate(scenario.commands, first)), reverse=True
-        )
-        self._commands.insert(0, _NEVER)
-        self._event_seq = first + len(scenario.commands)
+            self._declare(failure.at, "_fail_start", failure.node)
+            self._declare(failure.at + failure.duration_s, "_fail_end", failure.node)
+        for command in scenario.commands:
+            self._declare(command.at, "_handle_command", command)
         for reminder in scenario.reminders:
-            self._schedule(
+            self._declare(
                 reminder.at, "_request", "create_reminder", reminder.author,
                 reminder.target, reminder.payload.encode("utf-8"), reminder.id,
             )
         for theft in scenario.thefts:
-            self._schedule(
+            self._declare(
                 theft.at, "_record", "theft",
                 dict(node=theft.node, guarded=self.config.s9 is not None),
             )
         if self.config.s9 is not None and self.config.s9.review_period_days > 0:
             # one review per period up to the horizon, each under the seq
-            # it would have had if all were queued now; each queues the next
+            # it would have had if all were declared now; each queues the next
             period = self.config.s9.review_period_days * SECONDS_PER_DAY
             if period <= scenario.horizon_s:
-                seq = self._event_seq
-                heapq.heappush(self._queue, (period, seq, "_review", (seq,)))
-            self._event_seq += scenario.horizon_s // period
+                self._declare(period, "_review", self._event_seq)
+                self._event_seq += scenario.horizon_s // period - 1
+        self._declared.append((math.inf, 0, None, ()))  # at the bottom, never due
+        self._declared.sort(reverse=True)
 
     # -- construction helpers ------------------------------------------
 
     def _record_provisioning(self) -> None:
-        """Queue the capital and setup records for clock 0, by section.
+        """Declare the capital and setup records for clock 0, by section.
 
-        These are events rather than direct appends so a freshly built
-        world always starts with an empty trace. With S17 on, each device
+        These are declared events rather than direct appends so a freshly
+        built world always starts with an empty trace. With S17 on, each device
         without a pool has `backups_per_site` spares: deployed devices,
         so each takes an S9 lock, but never built, since a spare is only
         a name (validation keeps the names free).
@@ -207,24 +199,28 @@ class World:
             spares = self.config.s17.backups_per_site * sum(1 for d in devices if not d.backup_pool)
         if self.config.s9 is not None:
             locks = len(devices) + spares
-            self._schedule(
+            self._declare(
                 0, "_record", "capital",
                 dict(section="S9", item="device-lock", count=locks),
             )
         if self.config.s10 is not None:
-            self._schedule(
+            self._declare(
                 0, "_record", "ops",
                 dict(section="S10", action="key-provisioning", events=1),
             )
         if self.config.s17 is not None:
             backups = len({m for n in self.scenario.nodes for m in n.backup_pool}) + spares
             if backups:
-                self._schedule(
+                self._declare(
                     0, "_record", "capital",
                     dict(section="S17", item="backup-device", count=backups),
                 )
 
     # -- event machinery -----------------------------------------------
+
+    def _declare(self, time: int, handler: str, *args) -> None:
+        self._declared.append((time, self._event_seq, handler, args))
+        self._event_seq += 1
 
     def _schedule(self, time: int, handler: str, *args) -> None:
         heapq.heappush(self._queue, (time, self._event_seq, handler, args))
@@ -241,26 +237,30 @@ class World:
             heapq.heappush(self._queue, (self.clock + period, seq + 1, "_review", (seq + 1,)))
 
     def run_until(self, t_end: int) -> "World":
+        """Run every event due by `t_end` in (time, seq) order, the declared
+        and the queued alike, each by its handler name."""
         if t_end < self.clock:
             raise ConfigError(
                 f"cannot run backwards: t_end {t_end} < clock {self.clock}"
             )
-        queue, commands = self._queue, self._commands
-        while True:
-            command = commands[-1]
-            if queue and queue[0] < command:  # seqs differ: decided by (time, seq)
-                time, _, handler, args = queue[0]
-                if time > t_end:
+        queue, declared = self._queue, self._declared
+        try:
+            while True:
+                event = declared[-1]
+                if queue and queue[0] < event:  # seqs differ: decided by (time, seq)
+                    event = queue[0]
+                    if event[0] > t_end:
+                        break
+                    heapq.heappop(queue)
+                elif event[0] <= t_end:
+                    declared.pop()
+                else:
                     break
-                heapq.heappop(queue)
-                self.clock = time
+                self.clock, _, handler, args = event
                 getattr(self, handler)(*args)
-            elif command[0] <= t_end:
-                commands.pop()
-                self.clock = command[0]
-                self._handle_command(command[2])
-            else:
-                break
+        except SmartBizError as exc:
+            # the same class, so the exit code stays; other errors pass as they are
+            raise type(exc)(f"t={self.clock}s handler={handler}: {exc}") from exc
         self.clock = t_end
         self.trace.flush()
         return self
@@ -482,9 +482,8 @@ class World:
         rid = reminder_id
         if not rid:
             # a generated id skips the ids the scenario declares
-            declared = {r.id for r in self.scenario.reminders}
             n = len(self.reminders) + 1
-            while f"rem-{n}" in self.reminders or f"rem-{n}" in declared:
+            while f"rem-{n}" in self.reminders or f"rem-{n}" in self._declared_reminders:
                 n += 1
             rid = f"rem-{n}"
         self.reminders[rid] = Reminder(target=target, payload=bytes(payload))

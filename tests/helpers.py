@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import datetime as dt
 import io
+import itertools
 import json
 import random
 from typing import NamedTuple
@@ -211,6 +212,17 @@ def end_of_month_instants(
             instants.append(seconds_at(epoch, eom, fire_time))
         year, month = (year + 1, 1) if month == 12 else (year, month + 1)
     return instants
+
+
+def generated_reminder_id(registered: list[str], declared: set[str]) -> str:
+    """The id a world gives a reminder registered without one, by the rule
+    written out: count up from one past the number of reminders registered
+    so far to the first `rem-<n>` that is neither registered nor declared
+    by the scenario. Not a counter: the count starts afresh each time."""
+    taken = set(registered) | declared
+    return next(
+        f"rem-{n}" for n in itertools.count(len(registered) + 1) if f"rem-{n}" not in taken
+    )
 
 
 # -- documents -------------------------------------------------------------------

@@ -7,6 +7,10 @@ denials by catching `AuthDenied` and `UnknownUser` around
 `middleware.authenticate`, so the child's scenario has one wrong
 credential. `install` patches modules for the whole process, so it runs
 in a child process.
+
+The benchmark's own tests check that its generated documents still load
+and that its gate accepts the program's outputs; they run here too, in a
+child process, since they are not under `tests/`.
 """
 
 import subprocess
@@ -53,3 +57,12 @@ def test_the_tracer_installs_and_times_a_dmaic_run(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_the_benchmark_passes_its_own_tests():
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench/tests"],
+        cwd=ROOT, env={"PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -222,6 +222,44 @@ def test_a_run_that_fails_midway_leaves_no_trace_file(
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, step", [("simulate", ""), ("dmaic", "[Control] ")])
+def test_an_engine_error_names_the_time_and_the_handler(
+    monkeypatch, tmp_path, capsys, command, step
+):
+    def failing_start(self, node_id):
+        raise SimulationError("boom")
+
+    # the default scenario's first outage starts at t=824400
+    monkeypatch.setattr(World, "_fail_start", failing_start)
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "dmaic":
+        argv = ["dmaic", "--out", str(out)]
+    else:
+        argv = ["simulate", "--out", str(out / "trace.ndjson")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {step}t=824400s handler=_fail_start: boom\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("error, message", [
+    (ConfigError("bad"), "t=824400s handler=_fail_start: bad"),
+    (OSError("disk full"), "disk full"),
+], ids=["program-error", "os-error"])
+def test_a_handler_error_keeps_its_class(monkeypatch, error, message):
+    def failing_start(self, node_id):
+        raise error
+
+    monkeypatch.setattr(World, "_fail_start", failing_start)
+    scenario = default_scenario()
+    with pytest.raises(type(error), match=f"^{message}$") as raised:
+        World(scenario, ()).run_until(scenario.horizon_s)
+    if isinstance(error, SmartBizError):
+        assert type(raised.value) is ConfigError and raised.value.__cause__ is error
+    else:
+        assert raised.value is error  # passed through as it was raised
+
+
 def _step_error(cause: Exception) -> DmaicStepError:
     """The error `run_dmaic` raises when `cause` stops its Control step."""
     error = DmaicStepError(f"[Control] {cause}")

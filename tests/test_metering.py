@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from helpers import by_kind, document, naive_total_cost, two_device_scenario, worlds
 from smartbizsim.costs import CostRates, monetize
 from smartbizsim.errors import SimulationError
-from smartbizsim.metering import MetricSet, SectionUsage, meter, meter_sections
+from smartbizsim.metering import Meter, MetricSet, SectionUsage, meter, meter_sections
 from smartbizsim.middleware import ControlLayerConfig, S10Config
 from smartbizsim.scenario import default_scenario
 from smartbizsim.world import build_world
@@ -50,8 +50,13 @@ def test_meter_is_pure():
 def test_incomplete_trace_rejected():
     with pytest.raises(SimulationError, match=r"^1 message\(s\) without a terminal record: \[1\]"):
         meter([_sent(1)])
-    with pytest.raises(SimulationError, match=r"^delivered \(1\) \+ lost \(1\) != sent \(3\)$"):
-        MetricSet(messages_sent=3, messages_delivered=1, messages_lost=1)
+
+
+def test_a_second_send_of_a_message_in_flight_is_rejected():
+    # without the check the second send would overwrite the first, and
+    # delivered + lost would fall short of sent
+    with pytest.raises(SimulationError, match=r"^message 1 sent again while in flight$"):
+        Meter().feed([_sent(1), _sent(1), _delivered(1)])
 
 
 def test_secured_run_adds_exactly_overhead_times_wrapped_count():

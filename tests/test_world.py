@@ -7,11 +7,12 @@ import weakref
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     by_kind,
+    generated_reminder_id,
     message_records,
     multi_hop_scenario,
     overlaps_busy,
@@ -158,6 +159,16 @@ def test_commands_run_in_time_order_and_in_the_queue_order_of_their_second():
     }
     text = world.trace.to_ndjson()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == INTERLEAVED_SECURED_SHA256
+
+
+def test_a_built_world_has_queued_nothing_on_its_heap():
+    # outage, declared reminder, theft, out-of-order commands and a daily
+    # review: every one is declared, none is pushed onto the heap
+    world = build_world(_interleaved_scenario(), ("S9", "S10", "S17"))
+    assert world._queue == []
+    handlers = {entry[2] for entry in world._declared[1:]}
+    assert handlers == {"_record", "_fail_start", "_fail_end", "_handle_command",
+                        "_request", "_review"}
 
 
 def test_same_scenario_twice_gives_identical_traces():
@@ -425,6 +436,33 @@ def test_generated_reminder_ids_skip_the_ids_the_scenario_declares():
     assert created == [("rem-2", "dev-city-b"), ("rem-3", "dev-truck"), ("rem-1", "dev-city-a")]
 
 
+@st.composite
+def _registrations(draw):
+    """Declared reminder ids, some of them `rem-<k>`, and an order of
+    registration: each declared id once, None for a generated id."""
+    ids = st.one_of(st.integers(1, 12).map(lambda k: f"rem-{k}"),
+                    st.sampled_from(["a", "b", "c", "rem-x", "rem-0"]))
+    declared = draw(st.lists(ids, unique=True, max_size=8))
+    generated = draw(st.integers(0, 10))
+    return declared, draw(st.permutations(declared + [None] * generated))
+
+
+# three declared ids between two generated ones: the count starts afresh
+@example((["a", "b", "c"], [None, "a", "b", "c", None]))
+@given(_registrations())
+def test_generated_reminder_ids_follow_the_rule_written_out(registrations):
+    declared, order = registrations
+    world = build_world(two_device_scenario(reminders=tuple(
+        ReminderSpec(id=rid, author="device-a", target="device-b") for rid in declared
+    )), ())
+    registered = []
+    for rid in order:
+        expected = rid or generated_reminder_id(registered, set(declared))
+        assert world.create_reminder("device-a", "device-b", b"x", rid) == expected
+        registered.append(expected)
+    assert list(world.reminders) == registered
+
+
 def _request_failures(world) -> list[tuple[int, str, str]]:
     return [
         (r["time"], r["intent"], r["reason"]) for r in by_kind(world.trace, "request_failed")
@@ -554,7 +592,8 @@ def test_access_reviews_are_queued_one_at_a_time():
     world = build_world(scenario, ("S9",))
 
     def queued_reviews():
-        return [entry[2] for entry in world._queue].count("_review")
+        # a review is declared at build and queued on the heap once running
+        return [entry[2] for entry in world._queue + world._declared].count("_review")
 
     assert queued_reviews() == 1
     world.run_until(10 * DAY)
