@@ -10,7 +10,10 @@ Four subcommands:
 * report   -- re-render an existing cost report in another format
 
 Exit codes: 0 success, 2 input/config error or an output that cannot be
-written, 3 simulation error.
+written, 3 simulation error. `main` picks the code from the class of the
+error alone: a ConfigError or an OSError is 2, any other SmartBizError 3.
+A pipeline step's label keeps the class. Any other exception is a
+program error and escapes with its traceback.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from typing import Iterator
 from . import costs, middleware
 from .errors import (
     ConfigError,
-    DmaicStepError,
     SmartBizError,
     json_default,
     parse_json,
@@ -99,6 +101,18 @@ def _table(headers: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv(headers: list[str], rows: list[list]) -> str:
+    lines = [",".join(headers)] + [",".join(_csv_cell(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _csv_cell(value) -> str:
+    text = str(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _ranking_rows(assessment: RiskAssessment) -> list[list]:
     by_id = {r.id: r for r in assessment.risks}
     rows = []
@@ -112,23 +126,11 @@ def _ranking_rows(assessment: RiskAssessment) -> list[list]:
 
 
 def _render_ranking(assessment: RiskAssessment, fmt: str) -> str:
-    headers = ["rank", "id", "name", "relevance", "severity", "score"]
-    rows = _ranking_rows(assessment)
     if fmt == "json":
         return json.dumps(assessment, indent=2, sort_keys=True, default=json_default) + "\n"
-    if fmt == "csv":
-        lines = [",".join(headers)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(c) for c in row))
-        return "\n".join(lines) + "\n"
-    return _table(headers, rows)
-
-
-def _csv_cell(value) -> str:
-    text = str(value)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    headers = ["rank", "id", "name", "relevance", "severity", "score"]
+    rows = _ranking_rows(assessment)
+    return _csv(headers, rows) if fmt == "csv" else _table(headers, rows)
 
 
 def _report_rows(report_dict: dict) -> list[list]:
@@ -158,10 +160,8 @@ def _render_report(report_dict: dict, fmt: str) -> str:
     if fmt == "json":
         return canonical_json(report_dict) + "\n"
     rows = _report_rows(report_dict)
-    if fmt == "csv":
-        lines = ["key,value"] + [f"{_csv_cell(k)},{_csv_cell(v)}" for k, v in rows]
-        return "\n".join(lines) + "\n"
-    return _table(["key", "value"], rows)
+    headers = ["key", "value"]
+    return _csv(headers, rows) if fmt == "csv" else _table(headers, rows)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -283,8 +283,8 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
         config = costs.load_dmaic_config(
             args.config, {k: v for k, v in flags.items() if v is not None}
         )
-    except SmartBizError as exc:
-        raise DmaicStepError(f"[Define] {exc}") from exc
+    except SmartBizError as exc:  # the same class, so the exit code stays
+        raise type(exc)(f"[Define] {exc}") from exc
     gc.freeze()  # the loaded input lives until exit: see _cmd_simulate
 
     out_dir = Path(args.out)
@@ -319,14 +319,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SmartBizError as exc:
+    except (SmartBizError, OSError) as exc:  # OSError: an output cannot be written
         print(f"error: {exc}", file=sys.stderr)
-        # a pipeline step's error wraps its cause
-        cause = exc.__cause__ if isinstance(exc, DmaicStepError) else exc
-        return EXIT_CONFIG if isinstance(cause, ConfigError) else EXIT_SIMULATION
-    except OSError as exc:  # writing an output; a failed read is a ConfigError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG if isinstance(exc, (ConfigError, OSError)) else EXIT_SIMULATION
 
 
 if __name__ == "__main__":

@@ -34,8 +34,8 @@ from .controls import (
 )
 from .errors import (
     ConfigError,
-    DmaicStepError,
     Record,
+    SmartBizError,
     json_default,
     parse_json,
     read,
@@ -321,7 +321,7 @@ def run_dmaic(
     selected = top_k(assessment, config.top_k)
     plan = build_plan(selected, config.mapping)
 
-    try:  # Control: any error is reported under the step's name
+    try:  # Control: a package error is reported under the step's name
         meters = sinks or {"baseline": Meter(), "secured": Meter()}
         for run, enabled in (("baseline", ()), ("secured", plan)):
             world = build_world(config.scenario, enabled, meters[run].feed)
@@ -341,6 +341,6 @@ def run_dmaic(
                 "config_digest": config.digest(),
             },
         )
-    except Exception as exc:
-        raise DmaicStepError(f"[Control] {exc}") from exc
+    except SmartBizError as exc:  # the same class, so the exit code stays
+        raise type(exc)(f"[Control] {exc}") from exc
     return report

@@ -4,8 +4,10 @@ shares, and the JSON spelling every written document shares, dates
 and times of day included. It imports nothing of the package.
 
 An error's class is its exit code: ConfigError is exit 2 (bad input
-or config), SimulationError exit 3 (a failure inside a run). The few
-subclasses exist only because code catches them by name.
+or config), SimulationError exit 3 (a failure inside a run). A label
+added on the way out, such as a pipeline step's name or the simulated
+time, is raised as the same class. The few subclasses exist only
+because code catches them by name.
 
 A `Record` is defined by its annotations and class defaults alone, and
 nothing is generated for it: its methods are the base's, which read
@@ -53,11 +55,6 @@ class AuthDenied(SimulationError):
 
 class UnknownUser(SimulationError):
     """A command names a user S9 does not know; the world records the denial."""
-
-
-class DmaicStepError(SmartBizError):
-    """A failure in a named pipeline step; the CLI picks the exit code from
-    its `__cause__`."""
 
 
 # -- records ---------------------------------------------------------------
@@ -172,10 +169,11 @@ def parse_hhmm(text: str) -> dt.time:
 
 
 def read_document(path, what: str) -> str:
-    """Read a UTF-8 input file; an OS error becomes a ConfigError naming it."""
+    """Read a UTF-8 input file; an OS error or bytes that are not UTF-8
+    become a ConfigError naming it."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -216,7 +216,12 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
     unreached = [d.id for d in devices if d.id not in reached]
     if unreached:
         raise ConfigError(f"device {unreached[0]!r} has no link path to the cloud")
-    for attendee in scenario.attendees:
+    attendee_ids: set[str] = set()
+    for i, attendee in enumerate(scenario.attendees):
+        # the world keeps one calendar per id: a second would replace the first
+        if attendee.id in attendee_ids:
+            raise ConfigError(f"attendees[{i}].id {attendee.id!r} is a duplicate attendee id")
+        attendee_ids.add(attendee.id)
         # not the cloud: it sends the invitations and cannot message itself
         _require(
             attendee.device in device_ids,
@@ -233,7 +238,6 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             raise ConfigError(f"reminder author {reminder.author!r} must be a smart device")
         if reminder.target not in device_ids:
             raise ConfigError(f"reminder target {reminder.target!r} must be a smart device")
-    attendee_ids = {a.id for a in scenario.attendees}
     for command in scenario.commands:
         if command.intent not in INTENT_PARAMS:
             raise ConfigError(f"unknown intent kind {command.intent!r}")

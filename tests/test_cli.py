@@ -1,12 +1,14 @@
+import errno
 import gc
 import json
+import os
 
 import pytest
 
 from helpers import document
-from smartbizsim import costs, trace
+from smartbizsim import cli, costs, trace
 from smartbizsim.cli import main
-from smartbizsim.errors import ConfigError, DmaicStepError, SimulationError, SmartBizError
+from smartbizsim.errors import ConfigError, SimulationError, SmartBizError
 from smartbizsim.scenario import default_scenario
 from smartbizsim.world import World
 
@@ -260,24 +262,14 @@ def test_a_handler_error_keeps_its_class(monkeypatch, error, message):
         assert raised.value is error  # passed through as it was raised
 
 
-def _step_error(cause: Exception) -> DmaicStepError:
-    """The error `run_dmaic` raises when `cause` stops its Control step."""
-    error = DmaicStepError(f"[Control] {cause}")
-    error.__cause__ = cause
-    return error
-
-
 @pytest.mark.parametrize(
     "error, code",
     [
         (ConfigError("bad input"), 2),
         (SimulationError("run failed"), 3),
-        (_step_error(ConfigError("bad input")), 2),
-        (_step_error(SimulationError("run failed")), 3),
-        (_step_error(ValueError("a bug")), 3),
         (SmartBizError("other"), 3),
     ],
-    ids=["config", "simulation", "step-config", "step-simulation", "step-value", "bare"],
+    ids=["config", "simulation", "bare"],
 )
 def test_dmaic_exit_code_follows_the_error_or_its_cause(
     monkeypatch, tmp_path, capsys, error, code
@@ -288,6 +280,77 @@ def test_dmaic_exit_code_follows_the_error_or_its_cause(
     monkeypatch.setattr(costs, "run_dmaic", fail)
     assert main(["dmaic", "--out", str(tmp_path)]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "error, code", [(ConfigError("bad"), 2), (SimulationError("boom"), 3)],
+    ids=["config", "simulation"],
+)
+def test_a_control_error_keeps_its_class_and_exit_code(
+    monkeypatch, tmp_path, capsys, error, code
+):
+    def failing_start(self, node_id):
+        raise error
+
+    monkeypatch.setattr(World, "_fail_start", failing_start)
+    assert main(["dmaic", "--out", str(tmp_path)]) == code
+    assert capsys.readouterr().err == (
+        f"error: [Control] t=824400s handler=_fail_start: {error}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_full_disk_exits_2_from_simulate_and_dmaic_alike(monkeypatch, tmp_path, capsys):
+    def full_disk(self, records):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli._TraceFile, "feed", full_disk)
+    out = tmp_path / "out"
+    out.mkdir()
+    line = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert main(["simulate", "--controls", "all", "--out", str(out / "trace.ndjson")]) == 2
+    assert capsys.readouterr().err == line
+    assert main(["dmaic", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == line
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "dmaic"])
+def test_a_program_error_escapes_main(monkeypatch, tmp_path, capsys, command):
+    def failing_start(self, node_id):
+        raise KeyError("oops")
+
+    monkeypatch.setattr(World, "_fail_start", failing_start)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = [command, "--out", str(out / "trace.ndjson" if command == "simulate" else out)]
+    with pytest.raises(KeyError, match="oops"):
+        main(argv)
+    assert capsys.readouterr().err == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, what, step",
+    [
+        (["assess", "--catalog"], "catalog", ""),
+        (["simulate", "--scenario"], "scenario", ""),
+        (["dmaic", "--scenario"], "scenario", "[Define] "),
+        (["dmaic", "--config"], "config", "[Define] "),
+        (["report", "--in"], "report", ""),
+    ],
+    ids=["assess-catalog", "simulate-scenario", "dmaic-scenario", "dmaic-config", "report-in"],
+)
+def test_a_document_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys, argv, what, step):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{}")
+    out = tmp_path / "out"
+    assert main([*argv, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {step}cannot read {what} {path}: 'utf-8' codec can't decode byte 0xff"
+        " in position 0: invalid start byte\n"
+    )
+    assert not out.exists()
 
 
 def test_report_missing_file_exits_2(capsys):

@@ -1,0 +1,236 @@
+"""An invalid document exits 2: a small valid scenario and a pipeline
+config, each made invalid by one mutation, are run through `cli.main` in
+process and rejected on one `error:` line, with nothing written."""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+import types
+from collections import abc
+from fractions import Fraction
+from functools import reduce
+from operator import getitem
+from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from smartbizsim.cli import main
+from smartbizsim.costs import CostRates, load_dmaic_config
+from smartbizsim.errors import Record
+from smartbizsim.middleware import ControlLayerConfig
+from smartbizsim.scenario import ScenarioConfig, parse_scenario
+
+# a small scenario that holds every kind of entry, every intent and every layer
+SCENARIO = {
+    "epoch": "2024-01-01",
+    "horizon_s": 7 * 86400,
+    "seed": 7,
+    "nodes": [
+        {"id": "d", "kind": "SmartDevice", "site": "CityA", "backup_pool": ["e"]},
+        {"id": "e", "kind": "SmartDevice", "site": "Truck"},
+        {"id": "c", "kind": "CloudService"},
+    ],
+    "links": [
+        {"a": "d", "b": "c", "latency_ms": 10, "bandwidth_bps": 1000},
+        {"a": "e", "b": "c", "latency_ms": 20},
+    ],
+    "attendees": [
+        {"id": "p", "device": "d", "busy": [[0, 60]]},
+        {"id": "q", "device": "e"},
+    ],
+    "reminders": [{"id": "r", "author": "d", "target": "e", "payload": "rent", "at": 0}],
+    "failures": [{"node": "e", "at": 3600, "duration_s": 600}],
+    "thefts": [{"node": "d", "at": 7200}],
+    "commands": [
+        {"at": 60, "device": "d", "user": "u", "credential": "pw",
+         "intent": "voice_message", "to": "e", "payload": "hi"},
+        {"at": 120, "device": "e", "intent": "create_reminder", "target": "d"},
+        {"at": 180, "device": "d", "intent": "schedule_meeting",
+         "attendees": ["p", "q"], "duration_min": 30},
+    ],
+    "working_hours": {"start": "08:00", "end": "17:00", "days": [0, 1, 2, 3, 4]},
+    "reminder_fire_time": "09:00",
+    "meeting_horizon_days": 14,
+    "controls": {
+        "s9": {"per_session_latency_ms": 20, "credential_store": {"u": "pw"},
+               "review_period_days": 3},
+        "s10": {"per_message_latency_ms": 5, "overhead_bytes": 64,
+                "key_ids": {"d": "kd", "e": "ke", "c": "kc"}},
+        "s17": {"backups_per_site": 1, "detection_window_s": 60},
+    },
+}
+
+# a pipeline config that names the scenario above, which lies beside it
+CONFIG = {
+    "scenario": "scenario.json",
+    "top_k": 2,
+    "residual_factor": "1/2",
+    "rates": {"capital_item": 100, "operational_event": 10, "latency_ms": 1,
+              "wire_byte": 1, "session": 5},
+    "controls": {"s9": {"review_period_days": 7}, "s10": {"overhead_bytes": 32},
+                 "s17": {"detection_window_s": 30}},
+}
+
+
+class ConfigDocument(Record):
+    """The keys of a pipeline config document, as `load_dmaic_config` reads
+    them: five references, the control layers and the knobs."""
+
+    risk_catalog: str | None = None
+    control_catalog: str | None = None
+    mapping: str | None = None
+    action_library: str | None = None
+    scenario: str | None = None
+    controls: ControlLayerConfig = ControlLayerConfig()
+    rates: CostRates = CostRates()
+    top_k: int = 3
+    residual_factor: Fraction = Fraction(0)
+
+
+# The integers a rule bounds below, by path; "*" is any key or index.
+NON_NEGATIVE = {
+    "scenario": [
+        ("horizon_s",), ("meeting_horizon_days",), ("links", "*", "latency_ms"),
+        ("links", "*", "bandwidth_bps"), ("reminders", "*", "at"), ("failures", "*", "at"),
+        ("failures", "*", "duration_s"), ("thefts", "*", "at"), ("commands", "*", "at"),
+        ("commands", "*", "duration_min"), ("working_hours", "days", "*"),
+        ("controls", "*", "*"),
+    ],
+    "config": [("top_k",), ("rates", "*"), ("controls", "*", "*")],
+}
+# the lists whose entries an id or a link pair must tell apart
+REPEATABLE = ("nodes", "reminders", "attendees", "links")
+# one value of each JSON type
+JSON_VALUES = {int: 7, float: 2.5, bool: True, str: "x", list: [], dict: {}, type(None): None}
+HUGE = "\x00huge\x00"  # stands for an integer JSON cannot hold, spliced into the text
+
+
+def _is_record(kind) -> bool:
+    return isinstance(kind, type) and issubclass(kind, Record)
+
+
+def _accepted(kind) -> set:
+    """The JSON types the reader takes for `kind`, written out."""
+    if get_origin(kind) is types.UnionType:
+        return set().union(*map(_accepted, get_args(kind)))
+    if kind in (int, str, bool, type(None)):
+        return {kind}
+    if kind is Fraction:
+        return {int, str}
+    if get_origin(kind) is tuple:
+        return {list}
+    if _is_record(kind) or get_origin(kind) is abc.Mapping:
+        return {dict}
+    return {str}  # a date, a time of day or a label
+
+
+def _sites(value, kind, path=()):
+    """(path, type, value) of the document `value` and everything in it."""
+    yield path, kind, value
+    if type(value) is dict:
+        hints = get_type_hints(kind) if _is_record(kind) else None
+        for key, item in value.items():
+            yield from _sites(item, hints[key] if hints else get_args(kind)[1], path + (key,))
+    elif type(value) is list:
+        args = get_args(kind)
+        for i, item in enumerate(value):
+            yield from _sites(item, args[0] if args[-1] is Ellipsis else args[i], path + (i,))
+
+
+def _matches(path, patterns) -> bool:
+    return any(
+        len(path) == len(pattern) and all(p in ("*", part) for part, p in zip(path, pattern))
+        for pattern in patterns
+    )
+
+
+def mutations(name: str, document: dict, kind) -> list[tuple]:
+    """Every (family, path, type) that makes `document` invalid."""
+    out = []
+    for path, at, value in _sites(document, kind):
+        out += [("swap", path, at), ("huge", path, at)]
+        if _is_record(at):
+            out.append(("unknown", path, at))
+            out += [("drop", path + (key,), at) for key in at._fields
+                    if key in value and key not in vars(at)]  # no default: required
+        if type(value) is int and _matches(path, NON_NEGATIVE[name]):
+            out.append(("negative", path, at))
+    if name == "scenario":
+        out += [("repeat", (key, i), None) for key in REPEATABLE
+                for i in range(len(document[key]))]
+    return out
+
+
+def mutate(document: dict, family: str, path: tuple, at, draw) -> str:
+    """The text of `document` with one mutation applied at `path`."""
+    holder = [copy.deepcopy(document)]  # so that the document, too, has a parent
+    *parents, last = (0, *path)
+    parent = reduce(getitem, parents, holder)
+    if family == "swap":
+        rejected = [v for t, v in JSON_VALUES.items() if t not in _accepted(at)]
+        parent[last] = draw(st.sampled_from(rejected))
+    elif family == "negative":
+        parent[last] = draw(st.integers(max_value=-1))
+    elif family == "huge":
+        parent[last] = HUGE
+    elif family == "drop":
+        del parent[last]
+    elif family == "unknown":
+        key = draw(st.sampled_from([k for k in ("note", "Id", "latency") if k not in at._fields]))
+        parent[last][key] = draw(st.sampled_from(list(JSON_VALUES.values())))
+    else:  # repeat: a copy of the entry, a link perhaps the other way round
+        entry = dict(parent[last])
+        if parents[-1] == "links" and draw(st.booleans()):
+            entry["a"], entry["b"] = entry["b"], entry["a"]
+        parent.insert(draw(st.integers(0, len(parent))), entry)
+    digits = draw(st.integers(4301, 4400)) if family == "huge" else 0
+    return json.dumps(holder[0]).replace(json.dumps(HUGE), "9" * digits)
+
+
+SITES = {
+    "scenario": mutations("scenario", SCENARIO, ScenarioConfig),
+    "config": mutations("config", CONFIG, ConfigDocument),
+}
+
+
+def test_the_documents_are_valid_and_each_family_has_a_site(tmp_path):
+    (tmp_path / "scenario.json").write_text(json.dumps(SCENARIO))
+    (tmp_path / "config.json").write_text(json.dumps(CONFIG))
+    config = load_dmaic_config(tmp_path / "config.json")
+    assert config.scenario == parse_scenario(json.dumps(SCENARIO), CONFIG["controls"])
+    families = {name: {family for family, _, _ in sites} for name, sites in SITES.items()}
+    assert families["scenario"] == {"swap", "huge", "unknown", "drop", "negative", "repeat"}
+    # every key of a config has a default, and it holds no list of ids
+    assert families["config"] == {"swap", "huge", "unknown", "negative"}
+
+
+@pytest.mark.parametrize("name", ["scenario", "config"])
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_an_invalid_document_exits_2_on_one_error_line(name, data):
+    family, path, at = data.draw(st.sampled_from(SITES[name]))
+    text = mutate(SCENARIO if name == "scenario" else CONFIG, family, path, at, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / f"{name}.json").write_text(text)
+        if name == "scenario":
+            argv, step = ["simulate", "--scenario", str(tmp / "scenario.json")], ""
+            out = tmp / "trace.ndjson"
+        else:
+            (tmp / "scenario.json").write_text(json.dumps(SCENARIO))
+            argv, step = ["dmaic", "--config", str(tmp / "config.json")], "[Define] "
+            out = tmp / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(out)])
+        err = stderr.getvalue()
+        assert code == 2, (family, path, err)
+        assert err.startswith(f"error: {step}") and err.count("\n") == 1, err
+        assert stdout.getvalue() == ""
+        assert not out.exists()
+        assert sorted(p.name for p in tmp.iterdir()) == sorted({"scenario.json", f"{name}.json"})

@@ -155,6 +155,10 @@ def test_not_json_is_a_parse_error():
                     {"a": "d", "b": "e--c", "latency_ms": 5000},
                     {"a": "e--c", "b": "c", "latency_ms": 20}]},
          "links[0] ('d--e' to 'c') and links[1] ('d' to 'e--c') share the id 'd--e--c'"),
+        # the world keeps one calendar per id: the second would replace the first
+        ({"attendees": [{"id": "p", "device": "d"},
+                        {"id": "p", "device": "d", "busy": [[0, 60]]}]},
+         "attendees[1].id 'p' is a duplicate attendee id"),
     ],
 )
 def test_structural_problems_are_invalid_scenarios(patch, fragment):
