@@ -108,7 +108,7 @@ def _csv(headers: list[str], rows: list[list]) -> str:
 
 def _csv_cell(value) -> str:
     text = str(value)
-    if "," in text or '"' in text:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:  # RFC 4180
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -210,7 +210,9 @@ def read(kind, value, *, base=None, given=None, at: str = ""):
             return reader(value, base, given)
         return reader(value) if base is None else reader(value, base)
     except ConfigError as exc:
-        path = (at + getattr(exc, "path", "")).lstrip(". ")
+        path = at + getattr(exc, "path", "")
+        if len(path) > 1 and path[0] in ". ":  # the separator before the first name
+            path = path[1:]
         if not path:
             raise
         raise ConfigError(f"{path}: {exc}") from None

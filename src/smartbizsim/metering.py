@@ -13,7 +13,6 @@ from collections import Counter, defaultdict
 from typing import Iterable
 
 from .errors import Record, SimulationError
-from .trace import Trace
 
 
 class MetricSet(Record):
@@ -136,7 +135,7 @@ class Meter:
         return {section: SectionUsage(**used) for section, used in self._usage.items()}
 
 
-def meter(trace: Trace | Iterable[dict]) -> MetricSet:
+def meter(trace: Iterable[dict]) -> MetricSet:
     """Reduce a completed trace to its metric set.
 
     Raises SimulationError when any sent message lacks a terminal
@@ -147,7 +146,7 @@ def meter(trace: Trace | Iterable[dict]) -> MetricSet:
     return fold.metrics()
 
 
-def meter_sections(trace: Trace | Iterable[dict]) -> dict[str, SectionUsage]:
+def meter_sections(trace: Iterable[dict]) -> dict[str, SectionUsage]:
     """Split metered security overhead by originating control section."""
     fold = Meter()
     fold.feed(trace)

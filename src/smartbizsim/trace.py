@@ -3,14 +3,14 @@
 The trace is the single source of truth for metering: every observable
 event lands here as one record {seq, time, kind, ...}. Serialization is
 canonical (sorted keys, no whitespace), so equal runs produce byte-equal
-NDJSON. A trace either keeps its records or streams them, one batch at a
-time, to a sink such as `ndjson_writer`.
+NDJSON. A trace streams its records, one batch at a time, to a sink such
+as `ndjson_writer`; where the batches end changes no byte written.
 """
 
 from __future__ import annotations
 
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
-from typing import Callable, Iterator, TextIO
+from typing import Callable, TextIO
 
 from .errors import json_default
 
@@ -34,13 +34,15 @@ def canonical_json(value) -> str:
     return "".join(_canonical_encoder(json_default)(value, 0))
 
 
-# Records a streamed trace holds before it hands them to its sink, and
+# Records a trace holds before it hands them to its sink, and
 # commands the config digest encodes at a time: large enough that a
 # batch costs little per record, small enough that its dicts are still
 # in the CPU cache when they are encoded. At 100k commands the digest
 # hashed 1.5x faster in batches of 256 than of 4096, and a `dmaic` of a
 # perfbench workload peaked 2-4 MB lower (Python 3.11, 2-vCPU x86-64 VM).
 BATCH_RECORDS = 256
+
+Sink = Callable[[list[dict]], None]  # takes each batch of a trace's records, in order
 
 
 def _record_encoder():
@@ -57,10 +59,9 @@ def _ndjson(encode, records: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def ndjson_writer(file: TextIO) -> Callable[[list[dict]], None]:
+def ndjson_writer(file: TextIO) -> Sink:
     """A sink that writes each batch of records to `file` as NDJSON, in
-    one call, with one encoder for the whole file: the lines are those of
-    `Trace.to_ndjson`."""
+    one call, with one encoder for the whole file."""
     encode = _record_encoder()
 
     def write(records: list[dict]) -> None:
@@ -70,18 +71,14 @@ def ndjson_writer(file: TextIO) -> Callable[[list[dict]], None]:
 
 
 class Trace:
-    """The records of one run, in order.
+    """The records of one run, in order, streamed to `sink`: `records` holds
+    one batch at most, which goes to the sink, and a new list starts, when
+    it reaches BATCH_RECORDS and on `flush`."""
 
-    With no sink the trace keeps every record in `records`. With a sink,
-    `records` holds one batch at most: when it reaches BATCH_RECORDS, and
-    on `flush`, the batch goes to the sink and a new list starts.
-    """
-
-    def __init__(self, sink: Callable[[list[dict]], None] | None = None) -> None:
+    def __init__(self, sink: Sink) -> None:
         self.records: list[dict] = []
         self.count = 0  # records appended, the next record's seq
         self._sink = sink
-        self._batch = BATCH_RECORDS if sink is not None else None  # None: never full
 
     def append(self, kind: str, time: int, **record) -> None:
         """Store the keyword arguments, plus seq, time and kind, as the record."""
@@ -91,21 +88,17 @@ class Trace:
         record["kind"] = kind
         records = self.records
         records.append(record)
-        if len(records) == self._batch:
+        if len(records) == BATCH_RECORDS:  # read at call time, so a test may patch it
             self.flush()
 
     def flush(self) -> None:
-        """Hand the records held to the sink, if there is one."""
-        if self._sink is not None and self.records:
+        """Hand the records held to the sink."""
+        if self.records:
             self._sink(self.records)
             self.records = []
 
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self) -> Iterator[dict]:
-        return iter(self.records)
-
+    # Kept only because perfbench's tracer patches it by name; ROADMAP
+    # item 4's benchmark step deletes it.
     def to_ndjson(self) -> str:
-        """The records held, one canonical JSON line each."""
+        """The records held, one batch at most, one canonical JSON line each."""
         return _ndjson(_record_encoder(), self.records)

@@ -26,14 +26,14 @@ from __future__ import annotations
 import base64
 import heapq
 import math
-from typing import Callable, Collection, NamedTuple
+from typing import Collection, NamedTuple
 
 from . import middleware
 from .calendars import Calendar, find_common_slot
 from .errors import AuthDenied, ConfigError, NoSlotAvailable, SmartBizError, UnknownUser
 from .scenario import CommandSpec, LinkSpec, ScenarioConfig
 from .timeline import SECONDS_PER_DAY, next_month_end_instant
-from .trace import Trace
+from .trace import Sink, Trace
 
 
 class Message(NamedTuple):
@@ -92,17 +92,12 @@ class World:
     """A world at clock 0 with every node Up and no event run yet.
 
     `enabled` names the control sections the run switches on; the
-    scenario's controls give only their parameters. With a `sink`
-    the world's trace streams its records to it in batches (see `Trace`),
-    the last batch when `run_until` returns.
+    scenario's controls give only their parameters. The world's trace
+    streams its records to `sink` in batches (see `Trace`), the last
+    batch when `run_until` returns.
     """
 
-    def __init__(
-        self,
-        scenario: ScenarioConfig,
-        enabled: Collection[str],
-        sink: Callable[[list[dict]], None] | None = None,
-    ):
+    def __init__(self, scenario: ScenarioConfig, enabled: Collection[str], sink: Sink):
         self.scenario = scenario
         self.config = scenario.controls.with_enabled(enabled)
         self.clock = 0
@@ -151,10 +146,10 @@ class World:
         self._declared: list[tuple] = []
         self._queue: list[tuple[int, int, str, tuple]] = []
         self._event_seq = 0
-        self._pending: dict[str, list[Message]] = {}
-        # S17: failed node -> start of its outage, while the detection
-        # window is open; a down node not in it has been switched over
-        self._detecting: dict[str, int] = {}
+        # S17: failed node -> (start of its outage, the messages waiting for
+        # it) while the detection window is open; a down node not in it has
+        # been switched over
+        self._detecting: dict[str, tuple[int, list[Message]]] = {}
 
         self._record_provisioning()
         for failure in scenario.failures:
@@ -344,8 +339,9 @@ class World:
             self._deliver(msg, msg.dst)
             return
         if self.config.s17 is not None:
-            if msg.dst in self._detecting:
-                self._pending.setdefault(msg.dst, []).append(msg)
+            window = self._detecting.get(msg.dst)
+            if window is not None:
+                window[1].append(msg)
                 return
             substitute = self._first_up_backup(msg.dst)
             if substitute is not None:
@@ -381,7 +377,7 @@ class World:
             return  # overlapping windows merge into one outage
         self.trace.append("failure", self.clock, node=node_id, phase="start")
         if self.config.s17 is not None:
-            self._detecting[node_id] = self.clock
+            self._detecting[node_id] = (self.clock, [])
             self._schedule(
                 self.clock + self.config.s17.detection_window_s,
                 "_failover_activate", node_id, self.clock,
@@ -392,14 +388,14 @@ class World:
         if self._outages[node_id]:
             return
         self.trace.append("failure", self.clock, node=node_id, phase="end")
-        # recovery beats a pending detection window: queued messages go
+        # recovery beats an open detection window: waiting messages go
         # straight back to the recovered node
-        for msg in self._pending.pop(node_id, []):
+        for msg in self._detecting.pop(node_id, (0, ()))[1]:
             self._deliver(msg, node_id)
-        self._detecting.pop(node_id, None)
 
     def _failover_activate(self, node_id: str, started: int) -> None:
-        if self._detecting.get(node_id) != started:
+        start, waiting = self._detecting.get(node_id, (None, ()))
+        if start != started:
             return  # stale timer: the outage it timed has ended
         del self._detecting[node_id]
         substitute = self._first_up_backup(node_id)
@@ -409,7 +405,7 @@ class World:
         self.trace.append(
             "ops", self.clock, section="S17", action="replacement-order", events=1
         )
-        for msg in self._pending.pop(node_id, []):
+        for msg in waiting:
             if substitute is not None:
                 self._deliver(msg, substitute)
             else:
@@ -541,4 +537,7 @@ class World:
         return start
 
 
-build_world = World  # the public constructor: build_world(scenario, enabled, sink)
+# A second name for the constructor, kept only because perfbench's tracer
+# patches it on `world`, `costs` and `cli`; ROADMAP item 4's benchmark step
+# deletes it.
+build_world = World

@@ -33,18 +33,36 @@ from smartbizsim.scenario import (
 )
 from smartbizsim.timeline import MINUTES_PER_DAY, month_end, seconds_at
 from smartbizsim.trace import canonical_json, ndjson_writer
-from smartbizsim.world import build_world
+from smartbizsim.world import World
 
 
-# -- message records ------------------------------------------------------------
+# -- runs and their records -------------------------------------------------------
 
 
-def by_kind(trace, kind: str) -> list[dict]:
+def run(scenario: ScenarioConfig, enabled=(), until: int | None = None
+        ) -> tuple[World, list[dict]]:
+    """A world built on `scenario` with `enabled` on, run to `until` (the
+    horizon when None), and the list its trace streams every record to, as
+    the CLI's runs stream theirs. Running the world further adds to it."""
+    records: list[dict] = []
+    world = World(scenario, enabled, records.extend)
+    world.run_until(scenario.horizon_s if until is None else until)
+    return world, records
+
+
+def ndjson(records: list[dict]) -> str:
+    """The records as the CLI writes them to a trace file."""
+    out = io.StringIO()
+    ndjson_writer(out)(records)
+    return out.getvalue()
+
+
+def by_kind(records, kind: str) -> list[dict]:
     """The records of one kind, in trace order."""
-    return [r for r in trace if r["kind"] == kind]
+    return [r for r in records if r["kind"] == kind]
 
 
-def message_records(trace) -> dict[int, dict]:
+def message_records(records) -> dict[int, dict]:
     """msg_id -> its records, read from the trace alone.
 
     Each entry holds the `sent` record and, once the message is settled,
@@ -52,7 +70,7 @@ def message_records(trace) -> dict[int, dict]:
     "Delivered" or "Lost". Entries are in send order.
     """
     messages = {}
-    for record in trace:
+    for record in records:
         kind = record["kind"]
         if kind == "sent":
             messages[record["msg_id"]] = {"sent": record, "status": "InFlight"}
@@ -70,11 +88,11 @@ class TapObservation(NamedTuple):
     observed_bytes: int
 
 
-def tap(link_id: str, world) -> list[TapObservation]:
-    """What a wiretap on one link sees: every message whose `sent` record's
-    path crosses it. Unwrapped traffic is Plaintext (payload readable);
-    enveloped traffic is Opaque (marker and sizes only)."""
-    if link_id not in world.links:
+def tap(link_id: str, links, records) -> list[TapObservation]:
+    """What a wiretap on one of `links` sees: every message whose `sent`
+    record's path crosses it. Unwrapped traffic is Plaintext (payload
+    readable); enveloped traffic is Opaque (marker and sizes only)."""
+    if link_id not in links:
         raise KeyError(f"unknown link {link_id!r}")
     return [
         TapObservation(
@@ -83,7 +101,7 @@ def tap(link_id: str, world) -> list[TapObservation]:
             "Opaque" if record["wrapped"] else "Plaintext",
             record["wire_bytes"],
         )
-        for record in by_kind(world.trace, "sent")
+        for record in by_kind(records, "sent")
         if link_id in record["path"]
     ]
 
@@ -104,9 +122,7 @@ class RecordingMeter(Meter):
 
     def to_ndjson(self) -> str:
         """The records as the CLI writes them to a trace file."""
-        out = io.StringIO()
-        ndjson_writer(out)(self.records)
-        return out.getvalue()
+        return ndjson(self.records)
 
 
 def recorded_dmaic(config: DmaicConfig) -> tuple[CostReport, RecordingMeter, RecordingMeter]:
@@ -366,7 +382,8 @@ def scenarios(draw, max_devices: int = 29):
 @st.composite
 def worlds(draw, max_devices: int = 29, all_layers: bool = False,
            with_s17: bool | None = None):
-    """A built world over `scenarios()`. S17 is on as `with_s17` says, or
+    """A world to build over `scenarios()`: the scenario and the sections
+    it enables, the arguments of `run`. S17 is on as `with_s17` says, or
     as drawn when it is None; then each device, having no pool, has
     spares, which are names only: spare 1 may stand in for a receiver,
     and no message is sent to or from a spare. With `all_layers`, S9
@@ -393,7 +410,7 @@ def worlds(draw, max_devices: int = 29, all_layers: bool = False,
             overhead_bytes=draw(st.integers(0, 128)),
         )
         controls = ControlLayerConfig(s9=s9, s10=s10, s17=s17)
-    return build_world(replace(scenario, controls=controls), enabled)
+    return replace(scenario, controls=controls), frozenset(enabled)
 
 
 def multi_hop_scenario() -> ScenarioConfig:

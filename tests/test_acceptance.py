@@ -17,6 +17,7 @@ from helpers import (
     naive_total_cost,
     random_slot_instance,
     recorded_dmaic,
+    run,
     tap,
     two_device_scenario,
 )
@@ -35,7 +36,6 @@ from smartbizsim.risk import default_risk_catalog, rank, top_k
 from smartbizsim.scenario import ReminderSpec
 from smartbizsim.timeline import SECONDS_PER_DAY
 from smartbizsim.trace import canonical_json
-from smartbizsim.world import build_world
 
 
 def _ok(number: int, name: str) -> None:
@@ -79,9 +79,8 @@ def test_criterion_3_reminder_fires_36_times_over_three_years():
                          payload="month end", at=0),
         ),
     )
-    world = build_world(scenario, ())
-    world.run_until(horizon)
-    fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
+    _, records = run(scenario, (), until=horizon)
+    fired = [r for r in by_kind(records, "reminder") if r["event"] == "fired"]
     assert len(fired) == 36
 
     month_ends = {
@@ -93,7 +92,7 @@ def test_criterion_3_reminder_fires_36_times_over_three_years():
         assert record["time"] % SECONDS_PER_DAY == fire_second
         assert record["time"] // SECONDS_PER_DAY in month_ends
     # and each firing delivered its message to the target
-    assert len([d for d in by_kind(world.trace, "delivered") if d["to"] == "device-b"]) == 36
+    assert len([d for d in by_kind(records, "delivered") if d["to"] == "device-b"]) == 36
     _ok(3, "36 month-end firings, every one at a verified month-end 09:00")
 
 
@@ -124,18 +123,17 @@ def test_criterion_5_plaintext_exposure_is_all_or_nothing():
     config = load_dmaic_config(None)
     scenario = config.scenario
 
-    def run(enabled: frozenset) -> tuple[int, int]:
-        world = build_world(scenario, enabled)
-        world.run_until(scenario.horizon_s)
+    def exposure(enabled: frozenset) -> tuple[int, int]:
+        world, records = run(scenario, enabled)
         plaintext = observed = 0
         for link_id in sorted(world.links):
-            for obs in tap(link_id, world):
+            for obs in tap(link_id, world.links, records):
                 observed += 1
                 plaintext += obs.visibility == "Plaintext"
         return plaintext, observed
 
-    plain_off, seen_off = run(frozenset())
-    plain_on, seen_on = run(frozenset(("S10",)))
+    plain_off, seen_off = exposure(frozenset())
+    plain_on, seen_on = exposure(frozenset(("S10",)))
     assert seen_off > 0 and seen_on > 0
     assert plain_off == seen_off   # 100% plaintext without encryption
     assert plain_on == 0           # 0% with it
@@ -154,22 +152,20 @@ def test_criterion_6_failover_turns_exact_losses_into_delayed_deliveries():
     # each send arrives one grid second later (100 ms rounded up)
     expected_lost = {t for t in times if fail_at <= t + 1 < fail_at + fail_len}
 
-    baseline = build_world(scenario, ())
-    baseline.run_until(scenario.horizon_s)
-    by_msg = message_records(baseline.trace)
-    lost = {by_msg[r["msg_id"]]["sent"]["time"] for r in by_kind(baseline.trace, "lost")}
+    _, baseline = run(scenario, ())
+    by_msg = message_records(baseline)
+    lost = {by_msg[r["msg_id"]]["sent"]["time"] for r in by_kind(baseline, "lost")}
     assert lost == expected_lost
-    assert len(by_kind(baseline.trace, "delivered")) == len(times) - len(expected_lost)
+    assert len(by_kind(baseline, "delivered")) == len(times) - len(expected_lost)
 
-    secured = build_world(replace(
+    _, secured = run(replace(
         scenario,
         controls=ControlLayerConfig(
             s17=S17Config(backups_per_site=1, detection_window_s=window)
         ),
     ), {"S17"})
-    secured.run_until(scenario.horizon_s)
-    assert not by_kind(secured.trace, "lost")
-    delivered = by_kind(secured.trace, "delivered")
+    assert not by_kind(secured, "lost")
+    delivered = by_kind(secured, "delivered")
     assert len(delivered) == len(times)
     assert max(d["s17_ms"] for d in delivered) <= window * 1000
     _ok(6, f"{len(expected_lost)} exact losses without S17; 100% delivery, "

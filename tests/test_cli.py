@@ -1,3 +1,4 @@
+import csv
 import errno
 import gc
 import json
@@ -5,7 +6,7 @@ import os
 
 import pytest
 
-from helpers import document
+from helpers import document, run
 from smartbizsim import cli, costs, trace
 from smartbizsim.cli import main
 from smartbizsim.errors import ConfigError, SimulationError, SmartBizError
@@ -30,6 +31,25 @@ def test_assess_formats_carry_the_same_numbers(tmp_path, capsys):
     csv_scores = {row.split(",")[1]: int(row.split(",")[-1]) for row in csv_lines[1:]}
     assert csv_scores == {k: v for k, v in as_json["scores"].items()}
     assert [row.split(",")[1] for row in csv_lines[1:]] == as_json["ranking"]
+
+
+def test_a_csv_cell_with_a_line_break_reads_back_as_one_cell(tmp_path):
+    risks = [
+        {"id": "R1", "name": "Data\nloss", "relevance": "High", "severity": "VeryHigh"},
+        {"id": "R2", "name": 'Say "hi", then\r\nleave', "relevance": "Low",
+         "severity": "Low"},
+    ]
+    catalog, out = tmp_path / "catalog.json", tmp_path / "ranking.csv"
+    catalog.write_text(json.dumps({"risks": risks}))
+    assert main(["assess", "--catalog", str(catalog), "--format", "csv",
+                 "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as rendered:  # RFC 4180: as written
+        rows = list(csv.reader(rendered))
+    assert rows == [
+        ["rank", "id", "name", "relevance", "severity", "score"],
+        ["1", "R1", "Data\nloss", "High", "VeryHigh", "20"],
+        ["2", "R2", 'Say "hi", then\r\nleave', "Low", "Low", "4"],
+    ]
 
 
 def test_dmaic_freezes_its_loaded_input_for_the_collector(tmp_path):
@@ -255,7 +275,7 @@ def test_a_handler_error_keeps_its_class(monkeypatch, error, message):
     monkeypatch.setattr(World, "_fail_start", failing_start)
     scenario = default_scenario()
     with pytest.raises(type(error), match=f"^{message}$") as raised:
-        World(scenario, ()).run_until(scenario.horizon_s)
+        run(scenario, ())
     if isinstance(error, SmartBizError):
         assert type(raised.value) is ConfigError and raised.value.__cause__ is error
     else:

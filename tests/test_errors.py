@@ -28,6 +28,7 @@ from smartbizsim.scenario import (
     ReminderSpec,
     TheftSpec,
     default_scenario,
+    parse_scenario,
 )
 
 LEAF_RECORDS = [CommandSpec, NodeSpec, LinkSpec, FailureSpec, TheftSpec, ReminderSpec]
@@ -166,6 +167,19 @@ def test_a_faulty_document_fails_at_its_path(cls, fault, data):
 def test_an_error_names_its_entry_and_its_first_fault(cls, document, message):
     with pytest.raises(ConfigError) as failed:
         read(cls, document, at="records[3]")
+    assert str(failed.value) == message
+
+
+@pytest.mark.parametrize("key, message", [
+    (" horizon_s", " horizon_s: unknown field"),
+    (". x", ". x: unknown field"),
+    ("", ".: unknown field"),  # the key "" at the top, as `links[0].` names it in an entry
+    ("horizon", "horizon: unknown field"),
+], ids=["leading-space", "leading-dot", "empty", "plain"])
+def test_an_unknown_top_level_key_is_named_as_written(key, message):
+    # only the separator the reader puts before the first name is dropped
+    with pytest.raises(ConfigError) as failed:
+        parse_scenario(json.dumps({**document(default_scenario()), key: 1}))
     assert str(failed.value) == message
 
 

@@ -6,16 +6,20 @@ defect, and must then record the before/after diff in CHANGES.md.
 """
 
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from helpers import multi_hop_scenario, recorded_dmaic
+from helpers import multi_hop_scenario, ndjson, recorded_dmaic, run
 from smartbizsim import trace
 from smartbizsim.cli import main
 from smartbizsim.costs import load_dmaic_config
 from smartbizsim.scenario import default_scenario
 from smartbizsim.trace import canonical_json
-from smartbizsim.world import build_world
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLDEN_SHA256 = {
     "report": "18ffa700f6822265d5ef692e58147954d11856ce0db87c69def26a78f4a7579e",
@@ -79,18 +83,14 @@ def test_simulate_writes_the_trace_a_kept_run_encodes(
     monkeypatch.setattr(trace, "BATCH_RECORDS", 7)
     out = tmp_path / "trace.ndjson"
     assert main(["simulate", "--controls", controls, "--out", str(out)]) == 0
-    scenario = default_scenario()
-    world = build_world(scenario, enabled)
-    world.run_until(scenario.horizon_s)
-    assert out.read_text(encoding="utf-8") == world.trace.to_ndjson()
-    assert _sha256(world.trace.to_ndjson()) == GOLDEN_SHA256[golden]
+    _, records = run(default_scenario(), enabled)
+    assert out.read_text(encoding="utf-8") == ndjson(records)
+    assert _sha256(ndjson(records)) == GOLDEN_SHA256[golden]
 
 
 def test_multi_hop_secured_trace_is_byte_identical_to_the_reference():
-    scenario = multi_hop_scenario()
-    world = build_world(scenario, {"S9", "S10", "S17"})
-    world.run_until(scenario.horizon_s)
-    assert _sha256(world.trace.to_ndjson()) == MULTI_HOP_SECURED_SHA256
+    _, records = run(multi_hop_scenario(), {"S9", "S10", "S17"})
+    assert _sha256(ndjson(records)) == MULTI_HOP_SECURED_SHA256
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +118,32 @@ def test_dmaic_renders_a_format_as_report_does(default_report, tmp_path, fmt, su
     assert main(["report", "--in", str(default_report), "--format", fmt,
                  "--out", str(rendered)]) == 0
     assert (tmp_path / f"report.{suffix}").read_bytes() == rendered.read_bytes()
+
+
+def _outputs_under_hash_seed(argv, cwd: Path, seed: str) -> tuple[bytes, dict[str, bytes]]:
+    """stdout and every file in `cwd` after the CLI runs `argv` there in a
+    fresh interpreter whose str hashes are seeded by `seed`."""
+    env = {"PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed,
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-m", "smartbizsim.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    files = {path.relative_to(cwd).as_posix(): path.read_bytes()
+             for path in sorted(cwd.rglob("*")) if path.is_file()}
+    return done.stdout, files
+
+
+@pytest.mark.parametrize("argv", [
+    ["dmaic"],
+    ["simulate", "--controls", "all", "--scenario", "scenario.json"],
+], ids=["dmaic", "simulate-multi-hop"])
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, argv):
+    runs = []
+    for seed in ("0", "987654"):
+        cwd = tmp_path / seed
+        cwd.mkdir()
+        (cwd / "scenario.json").write_text(canonical_json(multi_hop_scenario()))
+        runs.append(_outputs_under_hash_seed(argv, cwd, seed))
+    (stdout, files), other = runs
+    assert len(files) > 1  # the scenario and what the command wrote
+    assert (stdout, files) == other

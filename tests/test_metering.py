@@ -4,13 +4,12 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings
 
-from helpers import by_kind, document, naive_total_cost, two_device_scenario, worlds
+from helpers import by_kind, document, naive_total_cost, ndjson, run, two_device_scenario, worlds
 from smartbizsim.costs import CostRates, monetize
 from smartbizsim.errors import SimulationError
 from smartbizsim.metering import Meter, MetricSet, SectionUsage, meter, meter_sections
 from smartbizsim.middleware import ControlLayerConfig, S10Config
 from smartbizsim.scenario import default_scenario
-from smartbizsim.world import build_world
 
 
 def _sent(msg_id, wrapped=False, wire=10, size=10):
@@ -61,15 +60,13 @@ def test_a_second_send_of_a_message_in_flight_is_rejected():
 
 def test_secured_run_adds_exactly_overhead_times_wrapped_count():
     scenario = default_scenario()
-    baseline = build_world(scenario, ())
-    baseline.run_until(scenario.horizon_s)
-    secured = build_world(scenario, {"S10"})
-    secured.run_until(scenario.horizon_s)
+    _, baseline = run(scenario, ())
+    secured_world, secured = run(scenario, {"S10"})
 
-    m_base = meter(baseline.trace)
-    m_sec = meter(secured.trace)
-    wrapped = sum(1 for r in by_kind(secured.trace, "sent") if r["wrapped"])
-    overhead = secured.config.s10.overhead_bytes
+    m_base = meter(baseline)
+    m_sec = meter(secured)
+    wrapped = sum(1 for r in by_kind(secured, "sent") if r["wrapped"])
+    overhead = secured_world.config.s10.overhead_bytes
     assert m_sec.total_wire_bytes - m_base.total_wire_bytes == overhead * wrapped
     assert wrapped == m_sec.messages_sent
 
@@ -81,9 +78,8 @@ def test_section_usage_attributes_overhead_to_the_right_layer():
             s10=S10Config(per_message_latency_ms=5, overhead_bytes=64)
         ),
     )
-    world = build_world(scenario, {"S10"})
-    world.run_until(scenario.horizon_s)
-    usage = meter_sections(world.trace)
+    _, records = run(scenario, {"S10"})
+    usage = meter_sections(records)
     assert usage["S10"].extra_bytes == 64 * 3
     assert usage["S10"].extra_latency_ms == 5 * 3
     assert usage["S10"].operational_events == 1  # key provisioning
@@ -91,10 +87,8 @@ def test_section_usage_attributes_overhead_to_the_right_layer():
 
 
 def test_metric_set_serialization_is_plain_ints():
-    scenario = default_scenario()
-    world = build_world(scenario, ())
-    world.run_until(scenario.horizon_s)
-    as_dict = document(meter(world.trace))
+    _, records = run(default_scenario(), ())
+    as_dict = document(meter(records))
     assert all(isinstance(v, int) for v in as_dict.values())
 
 
@@ -148,10 +142,9 @@ def _recount(records: list[dict]) -> tuple[MetricSet, dict[str, SectionUsage]]:
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(all_layers=True))
-def test_ndjson_lines_meter_and_price_like_the_records_they_encode(world):
-    world.run_until(world.scenario.horizon_s)
-    records = world.trace.records
-    lines = world.trace.to_ndjson().splitlines()
+def test_ndjson_lines_meter_and_price_like_the_records_they_encode(drawn):
+    _, records = run(*drawn)
+    lines = ndjson(records).splitlines()
     assert len(lines) == len(records)
     for line, record in zip(lines, records):
         assert line == json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -159,8 +152,8 @@ def test_ndjson_lines_meter_and_price_like_the_records_they_encode(world):
     parsed = [json.loads(line) for line in lines]
 
     metrics, usage = _recount(parsed)
-    assert meter(world.trace) == meter(parsed) == metrics
-    metered = meter_sections(world.trace)
+    assert meter(records) == meter(parsed) == metrics
+    metered = meter_sections(records)
     assert metered == meter_sections(parsed)
     assert {s: metered.get(s, SectionUsage()) for s in usage} == usage
     assert set(metered) <= set(usage)

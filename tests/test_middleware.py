@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import by_kind, message_records, tap, two_device_scenario, worlds
+from helpers import by_kind, message_records, ndjson, run, tap, two_device_scenario, worlds
 from smartbizsim.errors import AuthDenied, ConfigError, UnknownUser, read, replace
 from smartbizsim.middleware import (
     ControlLayerConfig,
@@ -14,7 +14,6 @@ from smartbizsim.middleware import (
 )
 from smartbizsim.metering import meter
 from smartbizsim.scenario import CommandSpec, FailureSpec, LinkSpec, NodeSpec, default_scenario
-from smartbizsim.world import build_world
 
 # controls of scenarios whose runs switch on S9, or S10
 S9_ON = ControlLayerConfig(s9=S9Config(credential_store={"alice": "sesame"}))
@@ -32,8 +31,8 @@ def test_correct_credential_authenticates():
         intent="voice_message", to="device-b", payload="hi",
     )
     scenario = replace(two_device_scenario(controls=S9_ON), commands=(command,))
-    world = build_world(scenario, {"S9"}).run_until(scenario.horizon_s)
-    audit = by_kind(world.trace, "audit")
+    _, records = run(scenario, {"S9"})
+    audit = by_kind(records, "audit")
     assert [(a["user"], a["device"], a["time"], a["authenticated"]) for a in audit] == [
         ("alice", "device-a", 5, True)
     ]
@@ -57,21 +56,17 @@ def test_denied_command_executes_nothing_in_a_run():
         at=100, device="device-a", user="operator", credential="nope",
         intent="voice_message", to="device-b", payload="stolen words",
     )
-    scenario = replace(scenario, commands=(bad,))
-    world = build_world(scenario, {"S9"})
-    world.run_until(scenario.horizon_s)
-    audits = by_kind(world.trace, "audit")
+    _, records = run(replace(scenario, commands=(bad,)), {"S9"})
+    audits = by_kind(records, "audit")
     assert [a["authenticated"] for a in audits] == [False]
     assert audits[0]["reason"] == "bad-credential"
-    assert not by_kind(world.trace, "sent")
+    assert not by_kind(records, "sent")
 
 
 def test_s9_disabled_runs_every_command_without_sessions():
-    scenario = two_device_scenario(message_times=(100, 200, 300))
-    world = build_world(scenario, ())
-    world.run_until(scenario.horizon_s)
-    assert not by_kind(world.trace, "audit")
-    assert len(by_kind(world.trace, "sent")) == 3
+    _, records = run(two_device_scenario(message_times=(100, 200, 300)), ())
+    assert not by_kind(records, "audit")
+    assert len(by_kind(records, "sent")) == 3
 
 
 def test_authenticated_command_charges_session_latency_to_next_send():
@@ -81,11 +76,10 @@ def test_authenticated_command_charges_session_latency_to_next_send():
             s9=S9Config(per_session_latency_ms=20, credential_store={"operator": "op-pass"})
         ),
     )
-    world = build_world(scenario, {"S9"})
-    world.run_until(scenario.horizon_s)
-    sent = by_kind(world.trace, "sent")[0]
+    _, records = run(scenario, {"S9"})
+    sent = by_kind(records, "sent")[0]
     assert sent["s9_ms"] == 20
-    audits = by_kind(world.trace, "audit")
+    audits = by_kind(records, "audit")
     assert [a["authenticated"] for a in audits] == [True]
 
 
@@ -93,10 +87,10 @@ def test_authenticated_command_charges_session_latency_to_next_send():
 
 
 def test_wire_size_is_payload_plus_overhead():
-    scenario = two_device_scenario(controls=S10_ON)
-    world = build_world(scenario, {"S10"})
+    world, records = run(two_device_scenario(controls=S10_ON), {"S10"}, until=0)
     world.send_message("device-a", "device-b", b"x" * 100)
-    sent = by_kind(world.trace, "sent")[0]
+    world.trace.flush()
+    sent = by_kind(records, "sent")[0]
     assert sent["size_bytes"] == 100
     assert sent["wire_bytes"] == 164
     assert sent["wrapped"] is True
@@ -108,26 +102,26 @@ def test_sealed_send_names_the_sender_key_and_carries_no_payload():
     assert wrap(b"secret payload", "k-device-a", msg_id=9) == {
         "key_id": "k-device-a", "marker": "ct:k-device-a:9", "inner_size": 14,
     }
-    world = build_world(two_device_scenario(controls=S10_ON), {"S10"})
+    world, records = run(two_device_scenario(controls=S10_ON), {"S10"}, until=0)
     msg_id = world.send_message("device-a", "device-b", b"secret payload")
-    sent = by_kind(world.trace, "sent")[0]
+    world.trace.flush()
+    sent = by_kind(records, "sent")[0]
     # only the sender's key opens it: the receiver's key is not named
     assert sent["key_id"] == "k-device-a"
     assert sent["marker"] == f"ct:k-device-a:{msg_id}"
     assert sent["inner_size"] == 14
     assert "payload_b64" not in sent
-    assert b"secret" not in world.trace.to_ndjson().encode()
+    assert b"secret" not in ndjson(records).encode()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(), st.integers(0, 512))
-def test_s10_seals_every_send_of_generated_worlds(world, overhead):
-    controls = replace(world.scenario.controls, s10=S10Config(overhead_bytes=overhead))
-    enabled = world.config.enabled_sections | {"S10"}
-    world = build_world(replace(world.scenario, controls=controls), enabled)
-    world.run_until(world.scenario.horizon_s)
-    assert meter(world.trace).plaintext_exposures == 0
-    for sent in by_kind(world.trace, "sent"):
+def test_s10_seals_every_send_of_generated_worlds(drawn, overhead):
+    scenario, enabled = drawn
+    controls = replace(scenario.controls, s10=S10Config(overhead_bytes=overhead))
+    _, records = run(replace(scenario, controls=controls), enabled | {"S10"})
+    assert meter(records).plaintext_exposures == 0
+    for sent in by_kind(records, "sent"):
         assert sent["key_id"] == f"k-{sent['src']}"  # generated worlds have no key map
         assert sent["marker"] == f"ct:{sent['key_id']}:{sent['msg_id']}"
         assert sent["inner_size"] == sent["size_bytes"]
@@ -146,9 +140,10 @@ def test_partial_key_map_rejected_at_build():
 def test_envelope_marker_is_payload_independent():
     traces = []
     for payload in (b"aaaa", b"bbbb"):
-        world = build_world(two_device_scenario(controls=S10_ON), {"S10"})
+        world, records = run(two_device_scenario(controls=S10_ON), {"S10"}, until=0)
         world.send_message("device-a", "device-b", payload)
-        traces.append(world.run_until(1000).trace.to_ndjson())
+        world.run_until(1000)
+        traces.append(ndjson(records))
     assert traces[0] == traces[1]
     assert '"marker":"ct:k-device-a:1"' in traces[0]
 
@@ -158,9 +153,8 @@ def test_envelope_marker_is_payload_independent():
 
 def test_baseline_tap_sees_plaintext():
     scenario = two_device_scenario(message_times=tuple(range(100, 1100, 100)))
-    world = build_world(scenario, ())
-    world.run_until(scenario.horizon_s)
-    observations = tap("device-a--cloud", world)
+    world, records = run(scenario, ())
+    observations = tap("device-a--cloud", world.links, records)
     assert len(observations) == 10
     assert all(o.visibility == "Plaintext" for o in observations)
 
@@ -169,23 +163,22 @@ def test_secured_tap_sees_only_opaque():
     scenario = two_device_scenario(
         message_times=tuple(range(100, 1100, 100)), controls=S10_ON
     )
-    world = build_world(scenario, {"S10"})
-    world.run_until(scenario.horizon_s)
+    world, records = run(scenario, {"S10"})
     for link_id in world.links:
-        for obs in tap(link_id, world):
+        for obs in tap(link_id, world.links, records):
             assert obs.visibility == "Opaque"
             assert obs.observed_bytes > 0
-    assert len(tap("device-b--cloud", world)) == 10  # second hop is visible too
+    assert len(tap("device-b--cloud", world.links, records)) == 10  # second hop is visible too
 
 
 def test_quiet_link_taps_empty_and_unknown_link_rejected():
-    world = build_world(two_device_scenario(), ())
+    world, records = run(two_device_scenario(), (), until=0)
     world.send_message("device-a", "cloud", b"one hop only")
     world.run_until(1000)
-    assert len(tap("device-a--cloud", world)) == 1
-    assert tap("device-b--cloud", world) == []
+    assert len(tap("device-a--cloud", world.links, records)) == 1
+    assert tap("device-b--cloud", world.links, records) == []
     with pytest.raises(KeyError):
-        tap("ghost-link", world)
+        tap("ghost-link", world.links, records)
 
 
 # -- failover --------------------------------------------------------------------
@@ -203,14 +196,13 @@ def test_single_backup_catches_everything_with_bounded_delay():
     scenario = _failover_scenario(
         message_times=times, failures=(("device-b", 1000, 3600),)
     )
-    world = build_world(scenario, {"S17"})
-    world.run_until(scenario.horizon_s)
-    assert not by_kind(world.trace, "lost")
-    delivered = by_kind(world.trace, "delivered")
+    _, records = run(scenario, {"S17"})
+    assert not by_kind(records, "lost")
+    delivered = by_kind(records, "delivered")
     assert len(delivered) == len(times)
     delays = [d["s17_ms"] for d in delivered]
     assert max(delays) <= 60_000
-    switches = by_kind(world.trace, "failover")
+    switches = by_kind(records, "failover")
     assert [(s["failed"], s["substitute"], s["time"]) for s in switches] == [
         ("device-b", "device-b-r1", 1060)
     ]
@@ -223,11 +215,10 @@ def test_empty_pool_loses_outage_traffic():
     scenario = _failover_scenario(
         backups=0, message_times=(1200,), failures=(("device-b", 1000, 3600),)
     )
-    world = build_world(scenario, {"S17"})
-    world.run_until(scenario.horizon_s)
-    lost = by_kind(world.trace, "lost")
+    _, records = run(scenario, {"S17"})
+    lost = by_kind(records, "lost")
     assert [l["reason"] for l in lost] == ["pool-exhausted"]
-    assert by_kind(world.trace, "failover")[0]["substitute"] is None
+    assert by_kind(records, "failover")[0]["substitute"] is None
 
 
 def test_failed_backup_serves_again_after_it_recovers():
@@ -243,9 +234,8 @@ def test_failed_backup_serves_again_after_it_recovers():
         # device-b's backup is down until 3400
         failures=base.failures + (FailureSpec(node="device-c", at=900, duration_s=2500),),
     )
-    world = build_world(scenario, {"S17"})
-    world.run_until(scenario.horizon_s)
-    by_msg = message_records(world.trace)
+    _, records = run(scenario, {"S17"})
+    by_msg = message_records(records)
     statuses = [by_msg[i]["status"] for i in sorted(by_msg)]
     assert statuses == ["Lost", "Lost", "Delivered"]
     assert by_msg[3]["delivered"]["to"] == "device-c"
@@ -255,11 +245,10 @@ def test_recovery_before_detection_window_flushes_to_the_primary():
     scenario = _failover_scenario(
         window=300, message_times=(1050,), failures=(("device-b", 1000, 100),)
     )
-    world = build_world(scenario, {"S17"})
-    world.run_until(scenario.horizon_s)
-    delivered = by_kind(world.trace, "delivered")
+    _, records = run(scenario, {"S17"})
+    delivered = by_kind(records, "delivered")
     assert [(d["to"], d["time"]) for d in delivered] == [("device-b", 1100)]
-    assert not by_kind(world.trace, "failover")
+    assert not by_kind(records, "failover")
 
 
 def test_manual_failover_call_switches_immediately():
@@ -268,15 +257,14 @@ def test_manual_failover_call_switches_immediately():
     scenario = _failover_scenario(
         message_times=(1010,), failures=(("device-b", 1000, 3600),)
     )
-    world = build_world(scenario, {"S17"})
-    world.run_until(1059)
-    assert not by_kind(world.trace, "failover")
-    assert not by_kind(world.trace, "delivered")
+    world, records = run(scenario, {"S17"}, until=1059)
+    assert not by_kind(records, "failover")
+    assert not by_kind(records, "delivered")
     world.run_until(1060)
-    assert [(s["time"], s["substitute"]) for s in by_kind(world.trace, "failover")] == [
+    assert [(s["time"], s["substitute"]) for s in by_kind(records, "failover")] == [
         (1060, "device-b-r1")
     ]
-    assert [(d["time"], d["to"]) for d in by_kind(world.trace, "delivered")] == [
+    assert [(d["time"], d["to"]) for d in by_kind(records, "delivered")] == [
         (1060, "device-b-r1")
     ]
 
@@ -300,10 +288,10 @@ def test_a_timer_left_by_an_ended_outage_does_not_switch_the_next_one():
         ),
         commands=scenario.commands + (probe,),
     )
-    world = build_world(scenario, {"S17"}).run_until(scenario.horizon_s)
-    assert [s["time"] for s in by_kind(world.trace, "failover")] == [start + 100]
-    sent = next(r for r in by_kind(world.trace, "sent") if r["time"] == start + 45)
-    (delivered,) = [r for r in by_kind(world.trace, "delivered") if r["msg_id"] == sent["msg_id"]]
+    _, records = run(scenario, {"S17"})
+    assert [s["time"] for s in by_kind(records, "failover")] == [start + 100]
+    sent = next(r for r in by_kind(records, "sent") if r["time"] == start + 45)
+    (delivered,) = [r for r in by_kind(records, "delivered") if r["msg_id"] == sent["msg_id"]]
     assert (delivered["time"], delivered["to"]) == (start + 100, "dev-city-b-r1")
     assert delivered["s17_ms"] == 54_000  # waited from its eta, start + 46
 
@@ -313,8 +301,8 @@ def test_layer_flags_compose_independent_of_construction_order():
         message_times=(100, 200, 300),
         controls=ControlLayerConfig(s9=S9Config(credential_store={"operator": "op-pass"})),
     )
-    t1 = build_world(base, ("S9", "S10", "S17")).run_until(base.horizon_s).trace.to_ndjson()
-    t2 = build_world(base, ("S17", "S10", "S9")).run_until(base.horizon_s).trace.to_ndjson()
+    t1 = ndjson(run(base, ("S9", "S10", "S17"))[1])
+    t2 = ndjson(run(base, ("S17", "S10", "S9"))[1])
     assert t1 == t2
 
 

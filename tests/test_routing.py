@@ -21,9 +21,9 @@ import datetime as dt
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import by_kind, worlds
+from helpers import by_kind, run, worlds
 from smartbizsim.scenario import LinkSpec, NodeSpec, ScenarioConfig
-from smartbizsim.world import build_world, shortest_path
+from smartbizsim.world import shortest_path
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 WORLD_SETTINGS = settings(SETTINGS, max_examples=60)  # each builds a world
@@ -184,7 +184,8 @@ def test_search_matches_the_seed_on_random_graphs(graph):
 
 @WORLD_SETTINGS
 @given(worlds())
-def test_search_matches_the_seed_on_generated_worlds(world):
+def test_search_matches_the_seed_on_generated_worlds(drawn):
+    world, _ = run(*drawn, until=0)
     oracle = seed_neighbor_lists(world.links.values())
     for src in world._adjacency:
         tree = seed_routes_from(oracle, src)
@@ -194,13 +195,13 @@ def test_search_matches_the_seed_on_generated_worlds(world):
 
 @WORLD_SETTINGS
 @given(worlds())
-def test_every_sent_record_carries_the_seed_path(world):
-    world.run_until(world.scenario.horizon_s)
+def test_every_sent_record_carries_the_seed_path(drawn):
+    world, records = run(*drawn)
     oracle = seed_neighbor_lists(world.links.values())
-    sent = by_kind(world.trace, "sent")
+    sent = by_kind(records, "sent")
     for record in sent:
         assert tuple(record["path"]) == seed_route(oracle, record["src"], record["dst"])
-    fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
+    fired = [r for r in by_kind(records, "reminder") if r["event"] == "fired"]
     assert len(sent) == len(world.scenario.commands) + len(fired)
 
 
@@ -215,7 +216,7 @@ def test_search_matches_the_seed_on_a_star_with_spares():
         links=tuple(LinkSpec(a=d, b="cloud", latency_ms=20 + k % 100)
                     for k, d in enumerate(devices)),
     )
-    world = build_world(scenario, {"S17"})
+    world, _ = run(scenario, {"S17"}, until=0)
     assert len(world.links) == 300
     assert set(world._adjacency) == {*devices, "cloud"}  # spares stand apart
     oracle = seed_neighbor_lists(world.links.values())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import document, scenarios
+from helpers import by_kind, document, run, scenarios
 from smartbizsim import scenario as scenario_module
 from smartbizsim import world as world_module
 from smartbizsim.controls import (
@@ -35,7 +35,6 @@ from smartbizsim.scenario import (
 )
 from smartbizsim.timeline import seconds_at
 from smartbizsim.trace import canonical_json
-from smartbizsim.world import build_world
 
 
 def test_default_scenario_round_trips_through_json():
@@ -240,8 +239,8 @@ def test_a_scenario_is_validated_once_however_many_worlds_use_it(monkeypatch):
     for module in (scenario_module, world_module):
         monkeypatch.setattr(module, "validate_scenario", counted, raising=False)
     scenario = parse_scenario(document)
-    build_world(scenario, ())
-    build_world(scenario, {"S9", "S10", "S17"})
+    run(scenario, (), until=0)
+    run(scenario, {"S9", "S10", "S17"}, until=0)
     assert len(calls) == 1
 
 
@@ -289,9 +288,9 @@ def test_the_longest_horizon_runs_and_one_second_more_is_rejected():
     epoch = dt.date(9999, 12, 1)
     last_due = seconds_at(epoch, dt.date.max, dt.time(9, 0))
     scenario = replace(default_scenario(), epoch=epoch, horizon_s=last_due - 1)
-    world = build_world(scenario, {"S9", "S10", "S17"}).run_until(scenario.horizon_s)
+    _, records = run(scenario, {"S9", "S10", "S17"})
     # the reminder registered on day 2 is next due on 9999-12-31
-    assert [r["event"] for r in world.trace if r["kind"] == "reminder"] == ["created"]
+    assert [r["event"] for r in by_kind(records, "reminder")] == ["created"]
     with pytest.raises(ConfigError, match=f"^horizon_s {last_due} reaches"):
         replace(scenario, horizon_s=last_due)
 

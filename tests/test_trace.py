@@ -1,8 +1,8 @@
 """The canonical serializer writes exactly what `json.dumps` writes with
 sorted keys and no whitespace, for one value and for a whole trace; a
 document's other values are spelled by `errors.json_default`, a trace
-record's are refused. A trace streamed in batches writes and meters what
-a kept trace does."""
+record's are refused. Where a trace's batches end changes neither the
+bytes written nor what is metered."""
 
 import datetime as dt
 import json
@@ -17,19 +17,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import worlds
+from helpers import ndjson, run, worlds
 from smartbizsim import trace as trace_module
 from smartbizsim.cli import _trace_files
 from smartbizsim.controls import ChangeLevel
 from smartbizsim.costs import SectionCost
 from smartbizsim.metering import meter, meter_sections
 from smartbizsim.risk import OrdinalLevel
-from smartbizsim.trace import Trace, canonical_json
-from smartbizsim.world import build_world
+from smartbizsim.trace import canonical_json
+from smartbizsim.world import World
 
 
 def dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _record(**fields) -> dict:
+    """A record as `Trace.append` builds it."""
+    return {**fields, "seq": 0, "time": 0, "kind": "sent"}
 
 
 _LEAVES = (
@@ -58,9 +63,7 @@ def test_canonical_json_is_json_dumps_sorted_and_compact(value):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.dictionaries(st.text(max_size=6), _VALUES, max_size=5), max_size=8))
 def test_every_ndjson_line_is_the_json_dumps_line_of_its_record(records):
-    trace = Trace()
-    trace.records.extend(records)
-    assert trace.to_ndjson() == "".join(dumps(record) + "\n" for record in records)
+    assert ndjson(records) == "".join(dumps(record) + "\n" for record in records)
 
 
 def test_special_floats_keep_the_json_dumps_spelling():
@@ -70,7 +73,7 @@ def test_special_floats_keep_the_json_dumps_spelling():
 
 
 def test_an_empty_trace_is_an_empty_document():
-    assert Trace().to_ndjson() == ""
+    assert ndjson([]) == ""
 
 
 @pytest.mark.parametrize(
@@ -84,10 +87,8 @@ def test_an_unserializable_value_raises_the_json_dumps_type_error(bad):
     with pytest.raises(TypeError) as got:
         canonical_json(value)
     assert str(got.value) == str(expected.value)
-    trace = Trace()
-    trace.append("sent", 0, payload=bad)
     with pytest.raises(TypeError, match="is not JSON serializable"):
-        trace.to_ndjson()
+        ndjson([_record(payload=bad)])
 
 
 _SPELLINGS = [
@@ -108,10 +109,8 @@ _SPELLINGS = [
 )
 def test_a_document_spells_each_value_json_has_no_type_for(value, spelled):
     assert canonical_json({"v": [value]}) == dumps({"v": [spelled]})
-    trace = Trace()
-    trace.append("sent", 0, value=value)
     with pytest.raises(TypeError, match="is not JSON serializable"):
-        trace.to_ndjson()  # a record holds JSON values only
+        ndjson([_record(value=value)])  # a record holds JSON values only
 
 
 def test_a_cyclic_value_raises_value_error():
@@ -119,10 +118,8 @@ def test_a_cyclic_value_raises_value_error():
     cyclic["a"].append(cyclic)
     with pytest.raises(ValueError, match="Circular reference detected"):
         canonical_json(cyclic)
-    trace = Trace()
-    trace.append("sent", 0, loop=cyclic)
     with pytest.raises(ValueError, match="Circular reference detected"):
-        trace.to_ndjson()
+        ndjson([_record(loop=cyclic)])
 
 
 def test_an_encode_after_a_failed_one_carries_no_stale_markers():
@@ -135,40 +132,38 @@ def test_an_encode_after_a_failed_one_carries_no_stale_markers():
     inner["x"] = 1
     assert canonical_json(value) == dumps(value) == '{"a":[{"x":1}],"b":{"x":1}}'
 
-    trace = Trace()
-    trace.append("sent", 0, inner=inner, value=value)
+    record = _record(inner=inner, value=value)
     inner["x"] = object()
     with pytest.raises(TypeError):
-        trace.to_ndjson()
+        ndjson([record])
     inner["x"] = 2
-    (record,) = trace.records
-    assert trace.to_ndjson() == dumps(record) + "\n"
+    assert ndjson([record]) == dumps(record) + "\n"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.one_of(worlds(), worlds(all_layers=True)))
-def test_a_streamed_trace_writes_and_meters_what_a_kept_one_does(world):
-    world.run_until(world.scenario.horizon_s)
-    kept = world.trace.records
+def test_where_the_batches_end_changes_no_byte_and_no_metric(drawn):
+    scenario, enabled = drawn
+    _, records = run(scenario, enabled)
     # batches of 1, 2 and 7 put a message's sent and delivered records in
-    # different batches
-    for batch in (1, 2, 7):
+    # different batches; 256 is the size the program streams in
+    for batch in (1, 2, 7, 256):
         with mock.patch.object(trace_module, "BATCH_RECORDS", batch), \
                 tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.ndjson"
             sizes = []
             with _trace_files(path) as (trace_file,):
 
-                def sink(records):
-                    sizes.append(len(records))
-                    trace_file.feed(records)
+                def sink(batch_records):
+                    sizes.append(len(batch_records))
+                    trace_file.feed(batch_records)
 
-                streamed = build_world(world.scenario, world.config.enabled_sections, sink)
-                streamed.run_until(world.scenario.horizon_s)
-            assert path.read_text(encoding="utf-8") == world.trace.to_ndjson()
+                streamed = World(scenario, enabled, sink)  # as the CLI builds its runs
+                streamed.run_until(scenario.horizon_s)
+            assert path.read_text(encoding="utf-8") == ndjson(records)
             assert streamed.trace.records == []
-            assert len(streamed.trace) == len(kept) == sum(sizes)
+            assert streamed.trace.count == len(records) == sum(sizes)
             assert all(size == batch for size in sizes[:-1])
-            assert 0 < sizes[-1] <= batch if kept else sizes == []
-            assert trace_file.metrics() == meter(kept)
-            assert trace_file.sections() == meter_sections(kept)
+            assert 0 < sizes[-1] <= batch if records else sizes == []
+            assert trace_file.metrics() == meter(records)
+            assert trace_file.sections() == meter_sections(records)

@@ -15,7 +15,9 @@ from helpers import (
     generated_reminder_id,
     message_records,
     multi_hop_scenario,
+    ndjson,
     overlaps_busy,
+    run,
     two_device_scenario,
     worlds,
 )
@@ -33,18 +35,19 @@ from smartbizsim.scenario import (
     default_scenario,
 )
 from smartbizsim.timeline import SECONDS_PER_DAY, seconds_at
-from smartbizsim.world import build_world
+from smartbizsim.world import World
 
 DAY = SECONDS_PER_DAY
 
 
 def test_default_scenario_builds_three_devices_and_one_cloud():
-    world = build_world(default_scenario(), ())
+    records = []
+    world = World(default_scenario(), (), records.extend)
     assert world.cloud_id == "cloud"
     assert world.clock == 0
     # every node is up: none has an open outage
     assert world._outages == {"dev-city-a": 0, "dev-city-b": 0, "dev-truck": 0, "cloud": 0}
-    assert len(world.trace) == 0  # nothing observed until the world runs
+    assert world.trace.count == 0 and records == []  # nothing observed until the world runs
 
 
 def test_minimal_world_is_valid():
@@ -56,10 +59,11 @@ def test_minimal_world_is_valid():
         ),
         links=(LinkSpec(a="device-a", b="cloud", latency_ms=10),),
     )
-    world = build_world(scenario, ())
+    records = []
+    world = World(scenario, (), records.extend)
     assert world.cloud_id == "cloud"
     assert world._outages == {"device-a": 0, "cloud": 0}
-    assert len(world.trace) == 0
+    assert world.trace.count == 0 and records == []
 
 
 @pytest.mark.parametrize(
@@ -81,28 +85,27 @@ def test_minimal_world_is_valid():
 )
 def test_invalid_scenarios_rejected(mutate, problem):
     with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):
-        build_world(mutate(two_device_scenario()), ())
+        run(mutate(two_device_scenario()), ())
 
 
 def test_run_until_with_empty_queue_only_moves_the_clock():
-    world = build_world(two_device_scenario(), ())
-    before = len(world.trace)
+    world, records = run(two_device_scenario(), (), until=0)
+    before = world.trace.count
     world.run_until(3600)
     assert world.clock == 3600
-    assert len(world.trace) == before
+    assert world.trace.count == len(records) == before
     with pytest.raises(ConfigError, match="^cannot run backwards: t_end 3599 < clock 3600$"):
         world.run_until(3599)
 
 
 def test_equal_time_events_run_in_insertion_order():
     scenario = two_device_scenario(message_times=(500, 500, 500))
-    world = build_world(scenario, ())
-    world.run_until(600)
-    sends = by_kind(world.trace, "sent")
+    _, records = run(scenario, (), until=600)
+    sends = by_kind(records, "sent")
     assert [s["msg_id"] for s in sends] == [1, 2, 3]
     assert [s["time"] for s in sends] == [500, 500, 500]
     # deliveries at the same instant also keep their scheduling order
-    assert [d["msg_id"] for d in by_kind(world.trace, "delivered")] == [1, 2, 3]
+    assert [d["msg_id"] for d in by_kind(records, "delivered")] == [1, 2, 3]
 
 
 def _interleaved_scenario():
@@ -141,15 +144,15 @@ INTERLEAVED_SECURED_SHA256 = (
 
 def test_commands_run_in_time_order_and_in_the_queue_order_of_their_second():
     scenario = _interleaved_scenario()
-    world = build_world(scenario, ("S9", "S10", "S17")).run_until(scenario.horizon_s)
-    sends = [(r["time"], r["src"]) for r in by_kind(world.trace, "sent")
+    _, records = run(scenario, ("S9", "S10", "S17"))
+    sends = [(r["time"], r["src"]) for r in by_kind(records, "sent")
              if r["src"] != "cloud"]
     assert sends == [(100, "device-a"), (100, "device-b"), (150, "device-b"),
                      (200, "device-a"), (250, "device-a"), (300, "device-a"),
                      (DAY, "device-b")]
     # in one second, the failure start (queued before the commands) runs
     # first, and the reminder, the theft and the review (queued after) last
-    kinds = {t: [r["kind"] for r in world.trace if r["time"] == t]
+    kinds = {t: [r["kind"] for r in records if r["time"] == t]
              for t in (150, 200, 250, DAY)}
     assert kinds == {
         150: ["audit", "sent", "reminder"],
@@ -157,14 +160,14 @@ def test_commands_run_in_time_order_and_in_the_queue_order_of_their_second():
         250: ["audit", "sent", "theft"],
         DAY: ["audit", "sent", "ops"],
     }
-    text = world.trace.to_ndjson()
+    text = ndjson(records)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == INTERLEAVED_SECURED_SHA256
 
 
 def test_a_built_world_has_queued_nothing_on_its_heap():
     # outage, declared reminder, theft, out-of-order commands and a daily
     # review: every one is declared, none is pushed onto the heap
-    world = build_world(_interleaved_scenario(), ("S9", "S10", "S17"))
+    world = World(_interleaved_scenario(), ("S9", "S10", "S17"), [].extend)
     assert world._queue == []
     handlers = {entry[2] for entry in world._declared[1:]}
     assert handlers == {"_record", "_fail_start", "_fail_end", "_handle_command",
@@ -173,26 +176,26 @@ def test_a_built_world_has_queued_nothing_on_its_heap():
 
 def test_same_scenario_twice_gives_identical_traces():
     scenario = default_scenario()
-    t1 = build_world(scenario, ()).run_until(scenario.horizon_s).trace.to_ndjson()
-    t2 = build_world(scenario, ()).run_until(scenario.horizon_s).trace.to_ndjson()
+    t1 = ndjson(run(scenario, ())[1])
+    t2 = ndjson(run(scenario, ())[1])
     assert t1 == t2
 
 
 def test_single_hop_latency_rounds_up_to_the_second_grid():
-    world = build_world(two_device_scenario(), ())
+    world, records = run(two_device_scenario(), (), until=0)
     msg_id = world.send_message("device-a", "cloud", b"hello")
     world.run_until(10)
-    msg = message_records(world.trace)[msg_id]
+    msg = message_records(records)[msg_id]
     assert msg["sent"]["link_ms"] == 50
     assert msg["delivered"]["time"] == 1  # 0.05 s rounded up to the next grid slot
     assert msg["status"] == "Delivered"
 
 
 def test_two_hop_path_sums_link_latencies():
-    world = build_world(two_device_scenario(), ())
+    world, records = run(two_device_scenario(), (), until=0)
     msg_id = world.send_message("device-a", "device-b", b"x")
     world.run_until(10)
-    sent = message_records(world.trace)[msg_id]["sent"]
+    sent = message_records(records)[msg_id]["sent"]
     assert sent["link_ms"] == 100
     assert tuple(sent["path"]) == ("device-a--cloud", "device-b--cloud")
 
@@ -212,9 +215,8 @@ def test_message_to_failed_node_without_backups_is_lost():
         message_times=(1000,),
         failures=(("device-b", 900, 3600),),
     )
-    world = build_world(scenario, ())
-    world.run_until(scenario.horizon_s)
-    lost = by_kind(world.trace, "lost")
+    _, records = run(scenario, ())
+    lost = by_kind(records, "lost")
     assert len(lost) == 1
     assert lost[0]["reason"] == "node-failed"
 
@@ -226,11 +228,10 @@ def test_a_message_through_a_failed_cloud_is_lost_in_transit():
     scenario = replace(scenario, failures=scenario.failures + (
         FailureSpec(node="cloud", at=0, duration_s=scenario.horizon_s),
     ))
-    world = build_world(scenario, ())
-    world.run_until(scenario.horizon_s)
-    lost = by_kind(world.trace, "lost")
-    assert (len(by_kind(world.trace, "sent")), len(lost)) == (58, 58)
-    assert by_kind(world.trace, "delivered") == []
+    _, records = run(scenario, ())
+    lost = by_kind(records, "lost")
+    assert (len(by_kind(records, "sent")), len(lost)) == (58, 58)
+    assert by_kind(records, "delivered") == []
     assert Counter((r["reason"], r.get("node")) for r in lost) == {
         ("transit-failed", "cloud"): 56,
         ("node-failed", None): 2,  # the two requests addressed to the cloud
@@ -240,10 +241,8 @@ def test_a_message_through_a_failed_cloud_is_lost_in_transit():
 def test_a_message_through_a_failed_device_is_lost_even_with_s17():
     # message 14 (dev-f to dev-c) is due at t=7501 and crosses dev-d, which
     # is down from 7450 to 7650; S17 stands in for receivers only
-    scenario = multi_hop_scenario()
-    world = build_world(scenario, {"S9", "S10", "S17"})
-    world.run_until(scenario.horizon_s)
-    msg = message_records(world.trace)[14]
+    _, records = run(multi_hop_scenario(), {"S9", "S10", "S17"})
+    msg = message_records(records)[14]
     assert (msg["sent"]["src"], msg["sent"]["dst"]) == ("dev-f", "dev-c")
     assert msg["status"] == "Lost"
     assert {k: msg["lost"][k] for k in ("time", "reason", "node")} == {
@@ -277,9 +276,9 @@ def _down(scenario, node: str, t: int) -> bool:
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(worlds(all_layers=True))
-def test_no_message_crosses_a_node_that_is_down_at_its_eta(world):
-    world.run_until(world.scenario.horizon_s)
-    for msg in message_records(world.trace).values():
+def test_no_message_crosses_a_node_that_is_down_at_its_eta(drawn):
+    world, records = run(*drawn)
+    for msg in message_records(records).values():
         sent = msg["sent"]
         eta = _eta(sent)
         down = [n for n in _transit(world, sent) if _down(world.scenario, n, eta)]
@@ -294,36 +293,35 @@ def test_no_message_crosses_a_node_that_is_down_at_its_eta(world):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(with_s17=True))
-def test_no_s17_delivery_waits_longer_than_the_detection_window(world):
-    world.run_until(world.scenario.horizon_s)
+def test_no_s17_delivery_waits_longer_than_the_detection_window(drawn):
+    world, records = run(*drawn)
     window_ms = world.config.s17.detection_window_s * 1000
-    for delivered in by_kind(world.trace, "delivered"):
+    for delivered in by_kind(records, "delivered"):
         assert 0 <= delivered["s17_ms"] <= window_ms
 
 
 def test_conservation_every_send_has_one_terminal_record():
-    scenario = default_scenario()
-    world = build_world(scenario, ())
-    world.run_until(scenario.horizon_s)
-    sent = {r["msg_id"] for r in by_kind(world.trace, "sent")}
-    delivered = [r["msg_id"] for r in by_kind(world.trace, "delivered")]
-    lost = [r["msg_id"] for r in by_kind(world.trace, "lost")]
+    _, records = run(default_scenario(), ())
+    sent = {r["msg_id"] for r in by_kind(records, "sent")}
+    delivered = [r["msg_id"] for r in by_kind(records, "delivered")]
+    lost = [r["msg_id"] for r in by_kind(records, "lost")]
     assert sorted(delivered + lost) == sorted(sent)
     assert len(delivered) + len(lost) == len(sent)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(), st.lists(st.integers(0, 1600), max_size=3))
-def test_sent_is_delivered_plus_lost_plus_in_flight_at_every_stop(world, stops):
+def test_sent_is_delivered_plus_lost_plus_in_flight_at_every_stop(drawn, stops):
+    world, records = run(*drawn, until=0)
     # each send instant (its delivery is still queued) and a moment inside
     # the detection window after it, besides the drawn stop points
     for command in world.scenario.commands:
         stops += [command.at, command.at + 30]
     for t in sorted(stops) + [world.scenario.horizon_s]:
         world.run_until(t)
-        messages = message_records(world.trace)
+        messages = message_records(records)
         in_flight = {m for m, msg in messages.items() if msg["status"] == "InFlight"}
-        settled = len(by_kind(world.trace, "delivered")) + len(by_kind(world.trace, "lost"))
+        settled = len(by_kind(records, "delivered")) + len(by_kind(records, "lost"))
         assert len(messages) == settled + len(world.messages)
         assert set(world.messages) == in_flight
     assert world.messages == {}
@@ -331,12 +329,11 @@ def test_sent_is_delivered_plus_lost_plus_in_flight_at_every_stop(world, stops):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(), st.integers(0, 1600))
-def test_a_run_split_at_any_time_writes_the_same_trace(world, split):
-    whole = build_world(world.scenario, world.config.enabled_sections)
-    whole.run_until(whole.scenario.horizon_s)
-    world.run_until(split)
+def test_a_run_split_at_any_time_writes_the_same_trace(drawn, split):
+    _, whole = run(*drawn)
+    world, records = run(*drawn, until=split)
     world.run_until(world.scenario.horizon_s)
-    assert world.trace.to_ndjson() == whole.trace.to_ndjson()
+    assert ndjson(records) == ndjson(whole)
 
 
 @pytest.mark.parametrize("layers", [(), ("S9", "S10", "S17")])
@@ -345,8 +342,7 @@ def test_a_finished_world_is_freed_by_reference_counting(layers):
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        world = build_world(scenario, layers)
-        world.run_until(scenario.horizon_s)
+        world, _ = run(scenario, layers)
         refs = (weakref.ref(world), weakref.ref(world.trace))
         del world
         assert [ref() for ref in refs] == [None, None]
@@ -363,21 +359,19 @@ def test_overlapping_failure_windows_merge_into_one_outage():
         message_times=(120, 250, 299, 350),
         failures=(("device-b", 100, 100), ("device-b", 150, 150)),
     )
-    world = build_world(scenario, ())
-    world.run_until(scenario.horizon_s)
-    failures = by_kind(world.trace, "failure")
+    _, records = run(scenario, ())
+    failures = by_kind(records, "failure")
     assert [(f["phase"], f["time"]) for f in failures] == [("start", 100), ("end", 300)]
     # union window is [100, 300): eta 121 and 251 lost, 300 and 351 delivered
-    outcomes = {m: msg["status"] for m, msg in message_records(world.trace).items()}
+    outcomes = {m: msg["status"] for m, msg in message_records(records).items()}
     assert list(outcomes.values()) == ["Lost", "Lost", "Delivered", "Delivered"]
 
 
 def test_zero_duration_failure_has_no_observable_effect():
     scenario = two_device_scenario(message_times=(399,), failures=(("device-b", 400, 0),))
-    world = build_world(scenario, ())
-    world.run_until(scenario.horizon_s)
-    assert len(by_kind(world.trace, "delivered")) == 1
-    assert not by_kind(world.trace, "lost")
+    _, records = run(scenario, ())
+    assert len(by_kind(records, "delivered")) == 1
+    assert not by_kind(records, "lost")
 
 
 # -- reminders ---------------------------------------------------------------
@@ -396,15 +390,14 @@ def _reminder_scenario(created_at: int, horizon_days: int = 367):
 def test_reminder_created_mid_january_fires_twelve_times_in_the_year():
     created = 14 * DAY  # Jan 15, 2024
     scenario = _reminder_scenario(created, horizon_days=366)
-    world = build_world(scenario, ())
-    world.run_until(scenario.horizon_s)
-    fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
+    _, records = run(scenario, ())
+    fired = [r for r in by_kind(records, "reminder") if r["event"] == "fired"]
     assert len(fired) == 12
     epoch = scenario.epoch
     expected_first = seconds_at(epoch, dt.date(2024, 1, 31), dt.time(9, 0))
     assert fired[0]["time"] == expected_first
     # every firing reaches the target device as a message
-    deliveries = by_kind(world.trace, "delivered")
+    deliveries = by_kind(records, "delivered")
     fired_msgs = [d for d in deliveries if d["to"] == "device-b"]
     assert len(fired_msgs) == 12
 
@@ -412,9 +405,8 @@ def test_reminder_created_mid_january_fires_twelve_times_in_the_year():
 def test_reminder_created_after_fire_time_on_month_end_waits_a_month():
     created = 30 * DAY + 10 * 3600  # Jan 31, 10:00 (fire time is 09:00)
     scenario = _reminder_scenario(created, horizon_days=70)
-    world = build_world(scenario, ())
-    world.run_until(scenario.horizon_s)
-    fired = [r for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
+    _, records = run(scenario, ())
+    fired = [r for r in by_kind(records, "reminder") if r["event"] == "fired"]
     assert fired[0]["time"] == seconds_at(scenario.epoch, dt.date(2024, 2, 29), dt.time(9, 0))
 
 
@@ -425,12 +417,11 @@ def test_generated_reminder_ids_skip_the_ids_the_scenario_declares():
     second = replace(first, at=3 * DAY, target="dev-truck")
     declared = ReminderSpec(id="rem-1", author="dev-city-a", target="dev-city-a",
                             payload="p", at=4 * DAY)
-    world = build_world(replace(
+    _, records = run(replace(
         base, commands=base.commands + (second,), reminders=(declared,)
     ), ())
-    world.run_until(base.horizon_s)
     created = [
-        (r["reminder"], r["target"]) for r in by_kind(world.trace, "reminder")
+        (r["reminder"], r["target"]) for r in by_kind(records, "reminder")
         if r["event"] == "created"
     ]
     assert created == [("rem-2", "dev-city-b"), ("rem-3", "dev-truck"), ("rem-1", "dev-city-a")]
@@ -452,9 +443,10 @@ def _registrations(draw):
 @given(_registrations())
 def test_generated_reminder_ids_follow_the_rule_written_out(registrations):
     declared, order = registrations
-    world = build_world(two_device_scenario(reminders=tuple(
+    # not run, so the declared reminders (due at 0) have not registered yet
+    world = World(two_device_scenario(reminders=tuple(
         ReminderSpec(id=rid, author="device-a", target="device-b") for rid in declared
-    )), ())
+    )), (), [].extend)
     registered = []
     for rid in order:
         expected = rid or generated_reminder_id(registered, set(declared))
@@ -463,23 +455,22 @@ def test_generated_reminder_ids_follow_the_rule_written_out(registrations):
     assert list(world.reminders) == registered
 
 
-def _request_failures(world) -> list[tuple[int, str, str]]:
+def _request_failures(records) -> list[tuple[int, str, str]]:
     return [
-        (r["time"], r["intent"], r["reason"]) for r in by_kind(world.trace, "request_failed")
+        (r["time"], r["intent"], r["reason"]) for r in by_kind(records, "request_failed")
     ]
 
 
 def test_scenario_reminder_while_the_cloud_is_down_is_traced_and_the_run_goes_on():
     reminder = ReminderSpec(id="eom", author="device-a", target="device-b",
                             payload="p", at=100)
-    world = build_world(two_device_scenario(
+    world, records = run(two_device_scenario(
         message_times=(900,), failures=(("cloud", 50, 600),), reminders=(reminder,),
     ), ())
-    world.run_until(world.scenario.horizon_s)
-    assert _request_failures(world) == [(100, "create_reminder", "cloud-down")]
+    assert _request_failures(records) == [(100, "create_reminder", "cloud-down")]
     assert world.reminders == {}
-    assert by_kind(world.trace, "reminder") == []
-    metrics = meter(world.trace)  # metering skips the new kind
+    assert by_kind(records, "reminder") == []
+    metrics = meter(records)  # metering skips the new kind
     assert (metrics.messages_sent, metrics.messages_delivered) == (1, 1)
 
 
@@ -488,7 +479,7 @@ def _failed_over_request(**command):
     is down from 50 to 3650. The cloud's backup pool is device-b, so S17
     hands the request to it after the detection window, at t=110."""
     base = two_device_scenario(failures=(("cloud", 50, 3600),))
-    world = build_world(replace(
+    return run(replace(
         base,
         nodes=tuple(
             replace(n, backup_pool=("device-b",)) if n.kind == "CloudService" else n
@@ -498,41 +489,40 @@ def _failed_over_request(**command):
         commands=(CommandSpec(at=100, device="device-a", user="operator",
                               credential="op-pass", **command),),
     ), {"S17"})
-    return world.run_until(world.scenario.horizon_s)
 
 
 def test_reminder_request_failed_over_from_a_down_cloud_is_traced():
     # only the cloud can register a reminder
-    world = _failed_over_request(intent="create_reminder", target="device-b", payload="p")
-    assert _request_failures(world) == [(110, "create_reminder", "cloud-down")]
+    world, records = _failed_over_request(intent="create_reminder", target="device-b",
+                                          payload="p")
+    assert _request_failures(records) == [(110, "create_reminder", "cloud-down")]
     assert world.reminders == {}
-    assert meter(world.trace).messages_delivered == 1
+    assert meter(records).messages_delivered == 1
 
 
 def test_meeting_request_failed_over_from_a_down_cloud_books_nothing():
     # only the cloud can book a meeting and send its invitations
-    world = _failed_over_request(intent="schedule_meeting", attendees=("chief",),
-                                 duration_min=30)
-    assert _request_failures(world) == [(110, "schedule_meeting", "cloud-down")]
-    assert by_kind(world.trace, "meeting") == []
+    world, records = _failed_over_request(intent="schedule_meeting", attendees=("chief",),
+                                          duration_min=30)
+    assert _request_failures(records) == [(110, "schedule_meeting", "cloud-down")]
+    assert by_kind(records, "meeting") == []
     assert world.calendars["chief"].busy == []
-    assert [s["src"] for s in by_kind(world.trace, "sent")] == ["device-a"]
+    assert [s["src"] for s in by_kind(records, "sent")] == ["device-a"]
 
 
 def test_a_reminder_due_while_the_cloud_is_down_fails_and_is_due_next_month():
     base = two_device_scenario(horizon_s=60 * DAY)
     due = seconds_at(base.epoch, dt.date(2024, 1, 31), dt.time(9, 0))
-    world = build_world(replace(
+    _, records = run(replace(
         base,
         failures=(FailureSpec(node="cloud", at=due - 60, duration_s=600),),
         reminders=(ReminderSpec(id="eom", author="device-a", target="device-b",
                                 payload="p", at=0),),
     ), ())
-    world.run_until(world.scenario.horizon_s)
-    assert _request_failures(world) == [(due, "fire_reminder", "cloud-down")]
-    fired = [r["time"] for r in by_kind(world.trace, "reminder") if r["event"] == "fired"]
+    assert _request_failures(records) == [(due, "fire_reminder", "cloud-down")]
+    fired = [r["time"] for r in by_kind(records, "reminder") if r["event"] == "fired"]
     assert fired == [seconds_at(base.epoch, dt.date(2024, 2, 29), dt.time(9, 0))]
-    assert [s["time"] for s in by_kind(world.trace, "sent")] == fired
+    assert [s["time"] for s in by_kind(records, "sent")] == fired
 
 
 # -- meetings ------------------------------------------------------------------
@@ -553,11 +543,12 @@ def _meeting_scenario():
 
 
 def test_meeting_books_everyone_and_sends_three_invitations():
-    world = build_world(_meeting_scenario(), ())
+    world, records = run(_meeting_scenario(), (), until=0)
     start = world.schedule_meeting("device-b", ["chief", "finance", "driver"], 60)
-    (meeting,) = by_kind(world.trace, "meeting")
+    world.trace.flush()
+    (meeting,) = by_kind(records, "meeting")
     assert (meeting["start_min"], meeting["duration_min"]) == (start, 60)
-    invitations = by_kind(world.trace, "sent")
+    invitations = by_kind(records, "sent")
     assert len(invitations) == 3
     assert {i["src"] for i in invitations} == {"cloud"}
     for attendee in ("chief", "finance", "driver"):
@@ -565,14 +556,14 @@ def test_meeting_books_everyone_and_sends_three_invitations():
 
 
 def test_rescheduling_with_same_inputs_lands_strictly_later():
-    world = build_world(_meeting_scenario(), ())
+    world, _ = run(_meeting_scenario(), (), until=0)
     first = world.schedule_meeting("device-b", ["chief", "finance"], 45)
     second = world.schedule_meeting("device-b", ["chief", "finance"], 45)
     assert second > first
 
 
 def test_unplaceable_meeting_raises():
-    world = build_world(_meeting_scenario(), ())
+    world, _ = run(_meeting_scenario(), (), until=0)
     with pytest.raises(NoSlotAvailable):
         world.schedule_meeting("device-b", ["chief"], 10 * 60 + 1)
 
@@ -580,16 +571,16 @@ def test_unplaceable_meeting_raises():
 # -- continuity provisioning ---------------------------------------------------
 
 
-def _capital(world) -> list[tuple[str, int]]:
-    world.run_until(0)  # provisioning records land at clock 0
-    return [(c["section"], c["count"]) for c in by_kind(world.trace, "capital")]
+def _capital(scenario, enabled) -> list[tuple[str, int]]:
+    _, records = run(scenario, enabled, until=0)  # provisioning records land at clock 0
+    return [(c["section"], c["count"]) for c in by_kind(records, "capital")]
 
 
 def test_access_reviews_are_queued_one_at_a_time():
     # a review a day for about 6,000 years: queued at once, over 2 million
     controls = ControlLayerConfig(s9=S9Config(review_period_days=1))
     scenario = replace(two_device_scenario(controls=controls), horizon_s=2 * 10**11)
-    world = build_world(scenario, ("S9",))
+    world, records = run(scenario, ("S9",), until=0)
 
     def queued_reviews():
         # a review is declared at build and queued on the heap once running
@@ -597,7 +588,7 @@ def test_access_reviews_are_queued_one_at_a_time():
 
     assert queued_reviews() == 1
     world.run_until(10 * DAY)
-    reviews = [r["time"] for r in by_kind(world.trace, "ops")
+    reviews = [r["time"] for r in by_kind(records, "ops")
                if r["action"] == "access-review"]
     assert reviews == [k * DAY for k in range(1, 11)]
     assert queued_reviews() == 1
@@ -605,8 +596,7 @@ def test_access_reviews_are_queued_one_at_a_time():
 
 def test_s17_provisions_one_spare_per_device():
     controls = ControlLayerConfig(s17=S17Config(backups_per_site=1))
-    world = build_world(two_device_scenario(controls=controls), {"S17"})
-    assert _capital(world) == [("S17", 2)]
+    assert _capital(two_device_scenario(controls=controls), {"S17"}) == [("S17", 2)]
 
 
 def test_capital_counts_each_pool_member_once_and_every_spare():
@@ -622,8 +612,7 @@ def test_capital_counts_each_pool_member_once_and_every_spare():
         ) + (NodeSpec(id="cloud", kind="CloudService"),),
         links=tuple(LinkSpec(a=d, b="cloud", latency_ms=50) for d in devices),
     )
-    world = build_world(scenario, {"S9", "S17"})
-    assert _capital(world) == [("S9", 4 + 6), ("S17", 2 + 6)]
+    assert _capital(scenario, {"S9", "S17"}) == [("S9", 4 + 6), ("S17", 2 + 6)]
 
 
 def test_a_world_builds_nothing_per_spare():
@@ -631,30 +620,30 @@ def test_a_world_builds_nothing_per_spare():
     scenario = two_device_scenario(controls=controls)
     tracemalloc.start()
     try:
-        world = build_world(scenario, {"S9", "S17"})
+        World(scenario, {"S9", "S17"}, [].extend)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
-    assert _capital(world) == [("S9", 20_002), ("S17", 20_000)]
+    assert _capital(scenario, {"S9", "S17"}) == [("S9", 20_002), ("S17", 20_000)]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(worlds(all_layers=True, with_s17=True))
-def test_a_spare_is_a_stand_in_and_no_network_node(world):
+def test_a_spare_is_a_stand_in_and_no_network_node(drawn):
+    world, records = run(*drawn)
     declared = {n.id for n in world.scenario.nodes}
     poolless = {n.id for n in world.scenario.nodes
                 if n.kind == "SmartDevice" and not n.backup_pool}
-    world.run_until(world.scenario.horizon_s)
     dst = {}
-    for sent in by_kind(world.trace, "sent"):
+    for sent in by_kind(records, "sent"):
         ends = {end for link_id in sent["path"]
                 for end in (world.links[link_id].a, world.links[link_id].b)}
         assert {sent["src"], sent["dst"], *ends} <= declared
         dst[sent["msg_id"]] = sent["dst"]
     # only spare 1 of a device without a pool ever stands in
-    stand_ins = [(dst[d["msg_id"]], d["to"]) for d in by_kind(world.trace, "delivered")]
-    stand_ins += [(f["failed"], f["substitute"]) for f in by_kind(world.trace, "failover")]
+    stand_ins = [(dst[d["msg_id"]], d["to"]) for d in by_kind(records, "delivered")]
+    stand_ins += [(f["failed"], f["substitute"]) for f in by_kind(records, "failover")]
     for primary, node in stand_ins:
         if node is not None:  # a failover may find no one
             assert node in declared or (primary in poolless and node == f"{primary}-r1")
