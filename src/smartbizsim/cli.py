@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_assess = sub.add_parser("assess", help="rank the risk catalog")
     p_assess.add_argument("--catalog", help="risk catalog JSON (default: built-in)")
     p_assess.add_argument("--top-k", type=int, default=None, dest="top_k",
-                          help="also print the top-k ids on one line")
+                          help="print the top-k ids on a line after the table (table only)")
     p_assess.add_argument("--format", choices=("json", "csv", "table"),
                           default="table")
     p_assess.add_argument("--out", help="write output here instead of stdout")
@@ -225,6 +225,8 @@ def _trace_files(*paths: Path) -> Iterator[list[_TraceFile]]:
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
+    if args.top_k is not None and args.format != "table":
+        raise ConfigError(f"--top-k needs --format table; --format {args.format} holds the rank")
     if args.catalog:
         catalog = parse_risk_catalog(read_document(args.catalog, "catalog"))
     else:

@@ -47,21 +47,17 @@ class Message(NamedTuple):
     on_delivered: tuple | None = None  # (intent, *args) for `World._request`
 
 
-class Reminder(NamedTuple):
-    target: str
-    payload: bytes
-
-
 def shortest_path(
     neighbors: dict[str, dict[str, str]], src: str, dst: str
-) -> tuple[str, ...] | None:
-    """Link ids of the fewest-hop path from src to dst, or None.
+) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """The fewest-hop path from src to dst as (link ids, relays), the
+    relays being the nodes strictly between, or None if there is none.
 
     `neighbors` maps each node to {neighbor: link id} in sorted neighbor
     order. Ties go to the smallest sequence of node ids. The search is
     breadth-first, and each frontier node is asked for a link to dst
     before it is expanded: the first that has one is dst's parent, so a
-    star's hub is never scanned.
+    star's hub is never scanned, and the walk back from it gives both.
     """
     if src == dst:
         return None
@@ -74,11 +70,12 @@ def shortest_path(
             adjacent = neighbors[here]
             link_id = adjacent.get(dst)
             if link_id is not None:
-                path = [link_id]
+                links, relays = [link_id], []
                 while here != src:
+                    relays.append(here)
                     here, link_id = came_from[here]
-                    path.append(link_id)
-                return tuple(reversed(path))
+                    links.append(link_id)
+                return tuple(reversed(links)), tuple(reversed(relays))
             for neighbor, link_id in adjacent.items():
                 if neighbor not in seen:
                     seen.add(neighbor)
@@ -94,7 +91,8 @@ class World:
     `enabled` names the control sections the run switches on; the
     scenario's controls give only their parameters. The world's trace
     streams its records to `sink` in batches (see `Trace`), the last
-    batch when `run_until` returns.
+    batch when `run_until` returns. A run ends at `scenario.horizon_s`,
+    so an event declared after it never runs and leaves no record.
     """
 
     def __init__(self, scenario: ScenarioConfig, enabled: Collection[str], sink: Sink):
@@ -125,7 +123,7 @@ class World:
         self._adjacency = {
             node: dict(sorted(neighbors.items())) for node, neighbors in adjacency.items()
         }
-        # (src, dst) -> (shortest_path, the nodes strictly between)
+        # (src, dst) -> shortest_path's (links, relays)
         self._routes: dict[tuple[str, str], tuple[tuple[str, ...], tuple[str, ...]]] = {}
 
         self.calendars: dict[str, Calendar] = {}
@@ -135,7 +133,7 @@ class World:
             self.attendee_device[att.id] = att.device
 
         self.messages: dict[int, Message] = {}
-        self.reminders: dict[str, Reminder] = {}
+        self.reminders: dict[str, tuple[str, bytes]] = {}  # id -> (target, payload)
         self._declared_reminders = frozenset(r.id for r in scenario.reminders)
         self._next_msg_id = 1
         # Events are (time, seq, handler method name, args); equal times run
@@ -168,12 +166,11 @@ class World:
                 dict(node=theft.node, guarded=self.config.s9 is not None),
             )
         if self.config.s9 is not None and self.config.s9.review_period_days > 0:
-            # one review per period up to the horizon, each under the seq
-            # it would have had if all were declared now; each queues the next
+            # one review per period up to the horizon, each queuing the next
+            # under the seq declared here (see `_review`)
             period = self.config.s9.review_period_days * SECONDS_PER_DAY
             if period <= scenario.horizon_s:
                 self._declare(period, "_review", self._event_seq)
-                self._event_seq += scenario.horizon_s // period - 1
         self._declared.append((math.inf, 0, None, ()))  # at the bottom, never due
         self._declared.sort(reverse=True)
 
@@ -225,11 +222,13 @@ class World:
         self.trace.append(kind, self.clock, **fields)
 
     def _review(self, seq: int) -> None:
-        """An S9 access review; queues the next one, under the next seq."""
+        """An S9 access review; queues the next under the same `seq`. Two
+        reviews never share a second, and `seq` is above every declared
+        event's and below every one the run creates, so one is enough."""
         self.trace.append("ops", self.clock, section="S9", action="access-review", events=1)
         period = self.config.s9.review_period_days * SECONDS_PER_DAY
         if self.clock + period <= self.scenario.horizon_s:
-            heapq.heappush(self._queue, (self.clock + period, seq + 1, "_review", (seq + 1,)))
+            heapq.heappush(self._queue, (self.clock + period, seq, "_review", (seq,)))
 
     def run_until(self, t_end: int) -> "World":
         """Run every event due by `t_end` in (time, seq) order, the declared
@@ -278,35 +277,27 @@ class World:
         route = self._routes.get((src, dst))
         if route is None:
             # validation: both nodes exist and every device reaches the cloud
-            links = shortest_path(self._adjacency, src, dst)
-            here, via = src, []
-            for link_id in links[:-1]:
-                link = self.links[link_id]
-                here = link.b if link.a == here else link.a
-                via.append(here)
-            route = self._routes[src, dst] = (links, tuple(via))
+            route = self._routes[src, dst] = shortest_path(self._adjacency, src, dst)
         path, via = route
 
         msg_id = self._next_msg_id
         self._next_msg_id += 1
 
-        wrapped = self.config.s10 is not None
-        if wrapped:
+        size = len(payload)
+        s10 = self.config.s10
+        if s10 is not None:
             # validation: the key map is empty or names every declared node
-            key_id = self.config.s10.key_ids.get(src) or f"k-{src}"
-            content = middleware.wrap(payload, key_id, msg_id=msg_id)
+            content = middleware.wrap(payload, s10.key_ids.get(src) or f"k-{src}", msg_id=msg_id)
+            wrapped, wire, s10_ms = True, size + s10.overhead_bytes, s10.per_message_latency_ms
         else:
             content = {"payload_b64": base64.b64encode(payload).decode("ascii")}
-
-        size = len(payload)
-        wire = size + (self.config.s10.overhead_bytes if wrapped else 0)
+            wrapped, wire, s10_ms = False, size, 0
         link_ms = 0
         for link_id in path:
             link = self.links[link_id]
             link_ms += link.latency_ms
             if link.bandwidth_bps:
                 link_ms += -(-wire * 1000 // link.bandwidth_bps)
-        s10_ms = self.config.s10.per_message_latency_ms if wrapped else 0
         total_ms = link_ms + s10_ms + s9_ms
         eta = self.clock + -(-total_ms // 1000)  # round up to the second grid
         msg = Message(msg_id, dst, via, eta, total_ms, on_delivered)
@@ -343,11 +334,7 @@ class World:
             if window is not None:
                 window[1].append(msg)
                 return
-            substitute = self._first_up_backup(msg.dst)
-            if substitute is not None:
-                self._deliver(msg, substitute)
-            else:
-                self._lose(msg, "pool-exhausted")
+            self._stand_in(msg, self._first_up_backup(msg.dst))
             return
         self._lose(msg, "node-failed")
 
@@ -406,10 +393,14 @@ class World:
             "ops", self.clock, section="S17", action="replacement-order", events=1
         )
         for msg in waiting:
-            if substitute is not None:
-                self._deliver(msg, substitute)
-            else:
-                self._lose(msg, "pool-exhausted")
+            self._stand_in(msg, substitute)
+
+    def _stand_in(self, msg: Message, substitute: str | None) -> None:
+        """S17: deliver to the substitute, or lose when the pool has none up."""
+        if substitute is not None:
+            self._deliver(msg, substitute)
+        else:
+            self._lose(msg, "pool-exhausted")
 
     def _first_up_backup(self, node_id: str) -> str | None:
         for backup in self._pools[node_id]:
@@ -482,7 +473,7 @@ class World:
             while f"rem-{n}" in self.reminders or f"rem-{n}" in self._declared_reminders:
                 n += 1
             rid = f"rem-{n}"
-        self.reminders[rid] = Reminder(target=target, payload=bytes(payload))
+        self.reminders[rid] = (target, bytes(payload))
         self.trace.append(
             "reminder", self.clock, event="created", reminder=rid,
             author=author, target=target,
@@ -505,12 +496,9 @@ class World:
         self._schedule_reminder(rid)  # due again, whether or not it fired
 
     def fire_reminder(self, rid: str) -> None:
-        reminder = self.reminders[rid]
-        self.trace.append(
-            "reminder", self.clock, event="fired", reminder=rid,
-            target=reminder.target,
-        )
-        self.send_message(self.cloud_id, reminder.target, reminder.payload)
+        target, payload = self.reminders[rid]
+        self.trace.append("reminder", self.clock, event="fired", reminder=rid, target=target)
+        self.send_message(self.cloud_id, target, payload)
 
     # -- meetings ------------------------------------------------------------
 

@@ -23,6 +23,18 @@ def test_assess_prints_the_ranking_with_r6_first(capsys):
     assert "top-3: R6, R9, R4" in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_top_k_with_a_document_format_exits_2_and_writes_nothing(tmp_path, capsys, fmt):
+    # the top-k line after the rows broke the json document and the csv table
+    out = tmp_path / f"ranking.{fmt}"
+    argv = ["assess", "--format", fmt, "--top-k", "3", "--out", str(out)]
+    assert main(argv + ["--catalog", str(tmp_path / "nope.json")]) == 2  # before the catalog
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --top-k needs --format table; --format {fmt} holds the rank"] * 2
+    assert not out.exists()
+
+
 def test_assess_formats_carry_the_same_numbers(tmp_path, capsys):
     assert main(["assess", "--format", "json"]) == 0
     as_json = json.loads(capsys.readouterr().out)
@@ -668,6 +680,9 @@ _CONFIG_PROBES = [
     ({"scenario": _scenario_with(_misspelt_key_id)},
      "controls.s10.key_ids.dev-citya names no declared node"),
     ({"mapping": {"R4": []}}, "mapping.R4: names no section"),
+    ({"action_library": {"actions": [{"id": "x", "control": "S9", "cost": 1}]}},
+     "actions[0] ('x').cost: unknown field; an action is only id, control and "
+     "description; costs come from the rates and the secured run"),
 ]
 
 
@@ -675,7 +690,8 @@ _CONFIG_PROBES = [
     "config, message", _CONFIG_PROBES,
     ids=["unknown-section", "uncovered-section", "top-k-11", "empty-catalog",
          "action-unknown-section", "empty-mapping-file", "empty-control-catalog-file",
-         "empty-action-library-file", "misspelt-key-id", "empty-mapping-entry"],
+         "empty-action-library-file", "misspelt-key-id", "empty-mapping-entry",
+         "action-cost"],
 )
 def test_configs_that_cannot_run_exit_2_at_define(tmp_path, capsys, config, message):
     for key, value in list(config.items()):

@@ -4,11 +4,11 @@
 taking its neighbor lists as an argument (a node without links may be
 missing from them): it walks each frontier node's sorted neighbor list
 and stops when it first meets the destination.
-`world.shortest_path` must return exactly its path for every ordered node
-pair of generated graphs, connected or not, and every `sent` record of a
-generated run must carry that path. `smallest_node_path` checks the
-documented rule itself: fewest hops, then the smallest sequence of node
-ids.
+`world.shortest_path` must return exactly its path, and the nodes strictly
+between the ends of that path, for every ordered node pair of generated
+graphs, connected or not, and every `sent` record of a generated run must
+carry that path. `smallest_node_path` checks the documented rule itself:
+fewest hops, then the smallest sequence of node ids.
 
 The Hypothesis runs are derandomized so the suite gives the same result
 on every run.
@@ -139,6 +139,14 @@ def node_path(links_by_id, src, link_ids) -> list[str]:
     return path
 
 
+def seed_search(links_by_id, src, link_ids):
+    """What `shortest_path` must return for the seed's link path: the links
+    and the nodes strictly between src and dst, or None without a path."""
+    if link_ids is None:
+        return None
+    return link_ids, tuple(node_path(links_by_id, src, link_ids)[1:-1])
+
+
 # -- generated graphs --------------------------------------------------------------
 
 
@@ -176,8 +184,9 @@ def test_search_matches_the_seed_on_random_graphs(graph):
     for src in nodes:
         tree = seed_routes_from(oracle, src)
         for dst in nodes:
-            path = shortest_path(index, src, dst)
-            assert path == seed_route(oracle, src, dst) == tree.get(dst)
+            path = seed_route(oracle, src, dst)
+            assert path == tree.get(dst)
+            assert shortest_path(index, src, dst) == seed_search(links_by_id, src, path)
             nodes_on_path = None if path is None else node_path(links_by_id, src, path)
             assert nodes_on_path == smallest_node_path(links, src, dst)
 
@@ -190,7 +199,8 @@ def test_search_matches_the_seed_on_generated_worlds(drawn):
     for src in world._adjacency:
         tree = seed_routes_from(oracle, src)
         for dst in world._adjacency:
-            assert shortest_path(world._adjacency, src, dst) == tree.get(dst)
+            route = seed_search(world.links, src, tree.get(dst))
+            assert shortest_path(world._adjacency, src, dst) == route
 
 
 @WORLD_SETTINGS
@@ -223,4 +233,5 @@ def test_search_matches_the_seed_on_a_star_with_spares():
     for src in world._adjacency:
         tree = seed_routes_from(oracle, src)
         for dst in world._adjacency:
-            assert shortest_path(world._adjacency, src, dst) == tree.get(dst)
+            route = seed_search(world.links, src, tree.get(dst))
+            assert shortest_path(world._adjacency, src, dst) == route

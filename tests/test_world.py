@@ -164,6 +164,68 @@ def test_commands_run_in_time_order_and_in_the_queue_order_of_their_second():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == INTERLEAVED_SECURED_SHA256
 
 
+def _review_tie_scenario():
+    """A daily S9 review and, 30 days in at the January month end, a
+    declared command, the reminder declared at 100 falling due and the
+    delivery of the command sent a second earlier: the review there is
+    queued by the one before it."""
+    return replace(
+        two_device_scenario(
+            horizon_s=35 * DAY,
+            message_times=(30 * DAY - 1, 30 * DAY),
+            reminders=(ReminderSpec(id="r1", author="device-a", target="device-b", at=100),),
+            controls=ControlLayerConfig(s9=S9Config(
+                credential_store={"operator": "op-pass"}, review_period_days=1,
+            )),
+        ),
+        reminder_fire_time=dt.time(0, 0),
+    )
+
+
+# SHA-256 of the all-layers trace of `_review_tie_scenario`
+REVIEW_TIE_SECURED_SHA256 = (
+    "4bb74fd6ac4711720e7c4e82b5b34c56e526fc4e19c6c61541481e1c50378f4b"
+)
+
+
+def test_a_queued_review_runs_after_the_declared_events_of_its_second_and_before_the_rest():
+    _, records = run(_review_tie_scenario(), ("S9", "S10", "S17"))
+    second = [r for r in records if r["time"] == 30 * DAY]
+    assert [r["kind"] for r in second] == [
+        "audit", "sent", "ops", "reminder", "sent", "delivered",
+    ]
+    assert (second[1]["src"], second[4]["src"]) == ("device-a", "cloud")
+    assert second[2]["action"] == "access-review"
+    assert (second[3]["event"], second[3]["reminder"]) == ("fired", "r1")
+    assert second[5]["msg_id"] == 1  # sent at 30 * DAY - 1
+    text = ndjson(records)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REVIEW_TIE_SECURED_SHA256
+
+
+def _after_the_horizon(scenario, kind):
+    late = scenario.horizon_s + 1000
+    if kind == "command":
+        return replace(scenario, commands=scenario.commands + (
+            replace(scenario.commands[0], at=late),))
+    if kind == "reminder":
+        return replace(scenario, reminders=scenario.reminders + (ReminderSpec(
+            id="late", author="dev-city-a", target="dev-city-b", at=late),))
+    if kind == "failure":
+        return replace(scenario, failures=scenario.failures + (
+            FailureSpec(node="cloud", at=late, duration_s=600),))
+    return replace(scenario, thefts=scenario.thefts + (TheftSpec(node="dev-truck", at=late),))
+
+
+@pytest.mark.parametrize("kind", ["command", "reminder", "failure", "theft"])
+@pytest.mark.parametrize("enabled", [(), ("S9", "S10", "S17")], ids=["baseline", "secured"])
+def test_an_event_declared_after_the_horizon_never_runs(kind, enabled):
+    scenario = default_scenario()
+    world, records = run(_after_the_horizon(scenario, kind), enabled)
+    assert ndjson(records) == ndjson(run(scenario, enabled)[1])
+    world.run_until(scenario.horizon_s + 1000)  # run on, the event is there
+    assert records[-1]["time"] == scenario.horizon_s + 1000
+
+
 def test_a_built_world_has_queued_nothing_on_its_heap():
     # outage, declared reminder, theft, out-of-order commands and a daily
     # review: every one is declared, none is pushed onto the heap
