@@ -12,7 +12,7 @@ figures. Every priced quantity comes from the secured run's trace
 from __future__ import annotations
 
 from enum import Enum
-from typing import ClassVar, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import Record, parse_json, read
 
@@ -40,7 +40,7 @@ class MitigationAction(Record):
     control: str
     description: str = ""
 
-    unknown_field_hint: ClassVar[str] = (
+    unknown_field_hint = (
         "an action is only id, control and description; "
         "costs come from the rates and the secured run"
     )
@@ -109,18 +109,18 @@ def default_action_library() -> tuple[MitigationAction, ...]:
     )
 
 
-def parse_control_catalog(document: str) -> ControlCatalog:
-    return read(ControlCatalog, parse_json(document, "control catalog"))
+def parse_control_catalog(document: str, at: str = "") -> ControlCatalog:
+    return read(ControlCatalog, parse_json(document, "control catalog"), at=at)
 
 
-def parse_mapping(document: str) -> Mapping[str, tuple[str, ...]]:
+def parse_mapping(document: str, at: str = "") -> Mapping[str, tuple[str, ...]]:
     """Parse the mapping file, a JSON object of risk id -> section ids."""
-    return read(Mapping[str, tuple[str, ...]], parse_json(document, "mapping file"))
+    return read(Mapping[str, tuple[str, ...]], parse_json(document, "mapping file"), at=at)
 
 
 class _ActionLibrary(Record):
     actions: tuple[MitigationAction, ...]
 
 
-def parse_action_library(document: str) -> tuple[MitigationAction, ...]:
-    return read(_ActionLibrary, parse_json(document, "action library")).actions
+def parse_action_library(document: str, at: str = "") -> tuple[MitigationAction, ...]:
+    return read(_ActionLibrary, parse_json(document, "action library"), at=at).actions

@@ -105,7 +105,7 @@ class DmaicConfig(Record):
         for i, action in enumerate(self.action_library):
             if action.control not in sections:
                 raise ConfigError(
-                    f"action_library[{i}] ({action.id!r}).control: "
+                    f"action_library.actions[{i}] ({action.id!r}).control: "
                     f"unknown control section {action.control!r}"
                 )
         covered = {action.control for action in self.action_library}
@@ -280,10 +280,10 @@ def load_dmaic_config(
         return Path(ref) if key in overrides else base / ref  # absolute stays absolute
 
     def reference(key: str, parse, default):
-        """The parsed file `key` names, even an empty one; `default()` only
-        when the key is absent (or null)."""
+        """The parsed file `key` names, even an empty one, its errors named
+        from `key`; `default()` only when the key is absent (or null)."""
         ref = ref_path(key)
-        return default() if ref is None else parse(read_document(ref, f"{key} reference"))
+        return default() if ref is None else parse(read_document(ref, f"{key} reference"), key)
 
     controls = data.pop("controls", {})
     scenario_path = ref_path("scenario")

@@ -60,9 +60,9 @@ class UnknownUser(SimulationError):
 # -- records ---------------------------------------------------------------
 
 class Record:
-    """A class of named fields: its own annotations, in order, less any
-    `ClassVar`. A field's default is the class attribute of its name; a
-    field without one is required.
+    """A class of named fields: its own annotations, in order. A field's
+    default is the class attribute of its name; a field without one is
+    required, and a class attribute without an annotation is no field.
 
     A record is built from its fields, by position or keyword, runs its
     class's `__post_init__` once they are set, compares equal to a
@@ -74,11 +74,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        annotations = cls.__dict__.get("__annotations__", {})
-        cls._fields = tuple(
-            name for name, kind in annotations.items()
-            if not str(kind).startswith(("ClassVar[", "typing.ClassVar["))
-        )
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
 
     def __init__(self, *args, **kwargs) -> None:
         cls = type(self)
@@ -349,8 +345,7 @@ def _mapping(read_item):
 
 
 def _object(cls):
-    """The reader of a `Record` class; the class may name
-    `unknown_field_hint`.
+    """The reader of a `Record` class, which may set `unknown_field_hint`.
 
     A value of exactly its field's type `int`, `str` or `bool` is taken as
     it is; any other is read by its field's reader, built when a document

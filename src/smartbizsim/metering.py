@@ -41,27 +41,24 @@ class Meter:
     """The one pass behind `meter` and `meter_sections`, fed a trace in
     batches in trace order: a message's `sent` record comes before its
     `delivered` or `lost` record, possibly in an earlier batch. It keeps
-    its totals, the section usage (a counter of `SectionUsage` fields per
-    section) and the `sent` records of the messages still in flight, and
-    nothing else of the records. A message is in flight at most once, so
-    delivered + lost = sent whenever none is: the one conservation check.
+    the message totals, the usage per section (a counter of `SectionUsage`
+    fields, whose sums are the run's sessions, operational events and
+    capital items) and the `sent` records of the messages in flight, and
+    nothing else. A message is in flight at most once, so delivered +
+    lost = sent whenever none is: the one conservation check.
     """
 
     def __init__(self) -> None:
-        # sent, delivered, lost, wire bytes, latency, sessions, plaintext,
-        # operational events, capital items: MetricSet's field order
-        self._totals = (0,) * 9
+        # sent, delivered, lost, wire bytes, latency, plaintext
+        self._totals = (0,) * 6
         self._in_flight: dict[int, dict] = {}
         self._usage: dict[str, Counter] = defaultdict(Counter)
 
     def feed(self, records: Iterable[dict]) -> None:
         """Fold a batch of records into the totals and the section usage."""
         in_flight, usage = self._in_flight, self._usage
-        sent, delivered, lost, wire, latency, sessions, plaintext, ops, capital = (
-            self._totals
-        )
-        sessions_before = sessions
-        s9_ms = s10_ms = s17_ms = s10_bytes = 0
+        sent, delivered, lost, wire, latency, plaintext = self._totals
+        s9_ms = s10_ms = s17_ms = s10_bytes = sessions = 0
         for record in records:
             kind = record["kind"]
             if kind == "sent":
@@ -95,14 +92,10 @@ class Meter:
                 if record["authenticated"]:
                     sessions += 1
             elif kind == "ops":
-                ops += record["events"]
                 usage[record["section"]]["operational_events"] += record["events"]
             elif kind == "capital":
-                capital += record["count"]
                 usage[record["section"]]["capital_items"] += record["count"]
-        self._totals = (
-            sent, delivered, lost, wire, latency, sessions, plaintext, ops, capital
-        )
+        self._totals = (sent, delivered, lost, wire, latency, plaintext)
         # a section gets a bucket once something is metered for it
         if s10_bytes:
             usage["S10"]["extra_bytes"] += s10_bytes
@@ -112,8 +105,8 @@ class Meter:
             usage["S9"]["extra_latency_ms"] += s9_ms
         if s17_ms:
             usage["S17"]["extra_latency_ms"] += s17_ms
-        if sessions > sessions_before:
-            usage["S9"]["sessions"] += sessions - sessions_before
+        if sessions:
+            usage["S9"]["sessions"] += sessions
 
     def metrics(self) -> MetricSet:
         """The metric set of the records fed so far.
@@ -127,7 +120,14 @@ class Meter:
                 f"{len(in_flight)} message(s) without a terminal record: "
                 f"{in_flight[:5]}..."
             )
-        return MetricSet(*self._totals)
+        sent, delivered, lost, wire, latency, plaintext = self._totals
+        used = sum(self._usage.values(), Counter())
+        return MetricSet(
+            messages_sent=sent, messages_delivered=delivered, messages_lost=lost,
+            total_wire_bytes=wire, total_latency_ms=latency, plaintext_exposures=plaintext,
+            sessions=used["sessions"], operational_events=used["operational_events"],
+            capital_items=used["capital_items"],
+        )
 
     def sections(self) -> dict[str, SectionUsage]:
         """Metered security overhead of the records fed so far, by the

@@ -56,10 +56,9 @@ class ControlLayerConfig(Record):
     def __post_init__(self) -> None:
         for outer in self._fields:
             layer = getattr(self, outer)
-            kinds = type(layer).__annotations__  # text: see the __future__ import
             for name in layer._fields:
-                value = getattr(layer, name)
-                if kinds[name] == "int" and value < 0:
+                value = getattr(layer, name)  # an int or a Mapping
+                if not isinstance(value, Mapping) and value < 0:
                     raise ConfigError(f"{outer}.{name} must be non-negative, got {value}")
 
     def with_enabled(self, sections: Collection[str]) -> "Layers":

@@ -138,13 +138,13 @@ def default_risk_catalog() -> RiskCatalog:
     )
 
 
-def parse_risk_catalog(document: str) -> RiskCatalog:
-    """Parse a JSON catalog document.
+def parse_risk_catalog(document: str, at: str = "") -> RiskCatalog:
+    """Parse a JSON catalog document; an error's path starts with `at`.
 
     Expected shape: {"risks": [{"id", "name", "relevance", "severity",
     "rationale"?}, ...]} with level labels from the five-step scale.
     """
-    return read(RiskCatalog, parse_json(document, "risk catalog"))
+    return read(RiskCatalog, parse_json(document, "risk catalog"), at=at)
 
 
 def reassess(

@@ -32,7 +32,7 @@ from . import middleware
 from .calendars import Calendar, find_common_slot
 from .errors import AuthDenied, ConfigError, NoSlotAvailable, SmartBizError, UnknownUser
 from .scenario import CommandSpec, LinkSpec, ScenarioConfig
-from .timeline import SECONDS_PER_DAY, next_month_end_instant
+from .timeline import MINUTES_PER_DAY, SECONDS_PER_DAY, next_month_end_instant
 from .trace import Sink, Trace
 
 
@@ -107,11 +107,11 @@ class World:
         # S17 stands a spare in for a device without a pool. Only spare 1
         # can ever be picked, since no spare is ever down, so the pool
         # names only it; `backups_per_site` sets just the capital counts.
-        spares = self.config.s17 is not None and self.config.s17.backups_per_site > 0
-        self._pools = {
-            n.id: n.backup_pool or ((f"{n.id}-r1",) if spares and n.kind == "SmartDevice" else ())
-            for n in scenario.nodes
-        }
+        devices = [n.id for n in scenario.nodes if n.kind == "SmartDevice"]
+        self._pools = {n.id: n.backup_pool for n in scenario.nodes}
+        poolless = [d for d in devices if not self._pools[d]]
+        if self.config.s17 is not None and self.config.s17.backups_per_site > 0:
+            self._pools.update((d, (f"{d}-r1",)) for d in poolless)
 
         self.links: dict[str, LinkSpec] = {}
         # node -> {neighbor: link id}; validation allows one link per pair
@@ -149,7 +149,7 @@ class World:
         # been switched over
         self._detecting: dict[str, tuple[int, list[Message]]] = {}
 
-        self._record_provisioning()
+        self._record_provisioning(len(devices), len(poolless))
         for failure in scenario.failures:
             self._declare(failure.at, "_fail_start", failure.node)
             self._declare(failure.at + failure.duration_s, "_fail_end", failure.node)
@@ -176,24 +176,20 @@ class World:
 
     # -- construction helpers ------------------------------------------
 
-    def _record_provisioning(self) -> None:
-        """Declare the capital and setup records for clock 0, by section.
+    def _record_provisioning(self, devices: int, poolless: int) -> None:
+        """Declare the capital and setup records for clock 0, by section, of
+        `devices` smart devices, `poolless` of them without a backup pool.
 
-        These are declared events rather than direct appends so a freshly
-        built world always starts with an empty trace. With S17 on, each device
-        without a pool has `backups_per_site` spares: deployed devices,
-        so each takes an S9 lock, but never built, since a spare is only
-        a name (validation keeps the names free).
+        They are declared events, not direct appends, so a new world's trace
+        is empty. With S17 on, each poolless device has `backups_per_site`
+        spares: deployed devices, so each takes an S9 lock, but never built,
+        since a spare is only a name (validation keeps the names free).
         """
-        devices = [n for n in self.scenario.nodes if n.kind == "SmartDevice"]
-        spares = 0
-        if self.config.s17 is not None:
-            spares = self.config.s17.backups_per_site * sum(1 for d in devices if not d.backup_pool)
+        spares = self.config.s17.backups_per_site * poolless if self.config.s17 is not None else 0
         if self.config.s9 is not None:
-            locks = len(devices) + spares
             self._declare(
                 0, "_record", "capital",
-                dict(section="S9", item="device-lock", count=locks),
+                dict(section="S9", item="device-lock", count=devices + spares),
             )
         if self.config.s10 is not None:
             self._declare(
@@ -508,7 +504,7 @@ class World:
         """Book the earliest common slot and invite everyone; returns its start minute."""
         scenario = self.scenario
         search_from = -(-self.clock // 60)
-        horizon = search_from + scenario.meeting_horizon_days * 1440
+        horizon = search_from + scenario.meeting_horizon_days * MINUTES_PER_DAY
         start = find_common_slot(
             [self.calendars[a] for a in attendees], duration_min, search_from, horizon,
             scenario.working_hours, scenario.epoch.weekday(),

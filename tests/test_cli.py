@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from helpers import document, run
+from helpers import document, ndjson, run
 from smartbizsim import cli, costs, trace
 from smartbizsim.cli import main
 from smartbizsim.errors import ConfigError, SimulationError, SmartBizError
@@ -117,6 +117,12 @@ def test_simulate_with_all_controls_recovers_the_outage(tmp_path, capsys):
 
 def test_simulate_rejects_unknown_layer(tmp_path, capsys):
     assert main(["simulate", "--controls", "s42", "--out", str(tmp_path / "t")]) == 2
+
+
+def test_simulate_reads_a_spaced_mixed_case_list_of_layers(tmp_path, capsys):
+    out = tmp_path / "trace.ndjson"
+    assert main(["simulate", "--controls", " S10, s9 ", "--out", str(out)]) == 0
+    assert out.read_text() == ndjson(run(default_scenario(), {"S9", "S10"})[1])
 
 
 # Both of the first two links derive the id 'x--y--z'. Kept by id, the
@@ -552,8 +558,22 @@ _PROBES = [
 ]
 
 
+# Input rules that no other test ran. Without its rule, each fraction row
+# escapes `main` as a ZeroDivisionError or ValueError, and 3/2 runs, raising
+# the residual score of every risk the plan mitigates.
+_RULE_PROBES = {
+    "residual-factor-3/2": ({"residual_factor": "3/2"}, None,
+                            "residual_factor must be in 0..1, got 3/2"),
+    "residual-factor-1/0": ({"residual_factor": "1/0"}, None,
+                            "residual_factor: expected an integer or a rational string"),
+    "residual-factor-x": ({"residual_factor": "x"}, None,
+                          "residual_factor: expected an integer or a rational string"),
+}
+
+
 @pytest.mark.parametrize(
-    "config, scenario, message", _PROBES, ids=[m.split(":")[0] for *_, m in _PROBES]
+    "config, scenario, message", _PROBES + list(_RULE_PROBES.values()),
+    ids=[m.split(":")[0] for *_, m in _PROBES] + list(_RULE_PROBES),
 )
 def test_inputs_that_were_coerced_or_ignored_exit_2_naming_their_path(
     tmp_path, capsys, config, scenario, message
@@ -666,14 +686,16 @@ def _misspelt_key_id(doc):
 # No config below can run. Before `DmaicConfig` checked them, all but the
 # action row ran to exit 0 (the empty files with the built-in reference) or
 # failed in a later step; the empty entry was refused by the mapping file's
-# own type. A reference is given as its document or its text.
+# own type. A reference is given as its document or its text, and an error
+# in it is named from its config key, whether the document's reader or
+# `DmaicConfig` finds it.
 _CONFIG_PROBES = [
     ({"mapping": {"R1": ["S99"]}}, "mapping.R1[0]: unknown control section 'S99'"),
     ({"mapping": {"R1": ["S13"]}}, "mapping.R1[0]: no action covers section 'S13'"),
     ({"top_k": 11}, "top_k: 11 is outside 1..10"),
-    ({"risk_catalog": {"risks": []}}, "the risk catalog lists no risks"),
+    ({"risk_catalog": {"risks": []}}, "risk_catalog: the risk catalog lists no risks"),
     ({"action_library": {"actions": [{"id": "x", "control": "S99"}]}},
-     "action_library[0] ('x').control: unknown control section 'S99'"),
+     "action_library.actions[0] ('x').control: unknown control section 'S99'"),
     ({"mapping": ""}, "mapping file is not valid JSON"),
     ({"control_catalog": ""}, "control catalog is not valid JSON"),
     ({"action_library": ""}, "action library is not valid JSON"),
@@ -681,8 +703,12 @@ _CONFIG_PROBES = [
      "controls.s10.key_ids.dev-citya names no declared node"),
     ({"mapping": {"R4": []}}, "mapping.R4: names no section"),
     ({"action_library": {"actions": [{"id": "x", "control": "S9", "cost": 1}]}},
-     "actions[0] ('x').cost: unknown field; an action is only id, control and "
+     "action_library.actions[0] ('x').cost: unknown field; an action is only id, control and "
      "description; costs come from the rates and the secured run"),
+    ({"mapping": {"R4": [5]}}, "mapping.R4[0]: expected a string, got 5"),
+    ({"risk_catalog": {"risks": [{"id": "R1", "name": "n", "relevance": "Huge",
+                                  "severity": "Low"}]}},
+     "risk_catalog.risks[0].relevance: unknown label 'Huge'"),
 ]
 
 
@@ -691,7 +717,7 @@ _CONFIG_PROBES = [
     ids=["unknown-section", "uncovered-section", "top-k-11", "empty-catalog",
          "action-unknown-section", "empty-mapping-file", "empty-control-catalog-file",
          "empty-action-library-file", "misspelt-key-id", "empty-mapping-entry",
-         "action-cost"],
+         "action-cost", "mapping-entry-type", "risk-level-label"],
 )
 def test_configs_that_cannot_run_exit_2_at_define(tmp_path, capsys, config, message):
     for key, value in list(config.items()):

@@ -1,0 +1,53 @@
+import importlib.util
+from pathlib import Path
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def _identity(monkeypatch):
+    monkeypatch.syspath_prepend(str(_TOOLS))  # identity imports bench_pairs beside it
+    spec = importlib.util.spec_from_file_location("identity", _TOOLS / "identity.py")
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    return identity
+
+
+def _tree(root: Path, files: dict[str, bytes]) -> Path:
+    for rel, data in files.items():
+        path = root / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    return root
+
+
+_OUTPUTS = {
+    "dmaic-json/out/report.json": b'{"total_security_cost": 1}\n',
+    "dmaic-json/1.stdout": b"report written to out/report.json\n",
+    "dmaic-json/1.stderr": b"",
+    "dmaic-json/1.exit": b"0\n",
+    "bad/1.stderr": b"error: top_k: expected an integer, got '3'\n",
+}
+
+
+def test_compare_names_only_the_output_one_byte_apart(tmp_path, monkeypatch):
+    identity = _identity(monkeypatch)
+    before = _tree(tmp_path / "before", _OUTPUTS)
+    after = _tree(tmp_path / "after", {**_OUTPUTS, "dmaic-json/out/report.json":
+                                       b'{"total_security_cost": 2}\n'})
+    assert identity.compare(before, after) == ["dmaic-json/out/report.json"]
+    assert identity.compare(after, before) == ["dmaic-json/out/report.json"]
+
+
+def test_compare_finds_nothing_between_equal_trees(tmp_path, monkeypatch):
+    identity = _identity(monkeypatch)
+    before = _tree(tmp_path / "before", _OUTPUTS)
+    after = _tree(tmp_path / "after", _OUTPUTS)
+    assert identity.compare(before, after) == []
+    assert sorted(identity.digests(after)) == sorted(_OUTPUTS)
+
+
+def test_compare_names_an_output_that_one_side_lacks(tmp_path, monkeypatch):
+    identity = _identity(monkeypatch)
+    before = _tree(tmp_path / "before", _OUTPUTS)
+    after = _tree(tmp_path / "after", {**_OUTPUTS, "dmaic-json/2.exit": b"0\n"})
+    assert identity.compare(before, after) == ["dmaic-json/2.exit"]

@@ -58,6 +58,16 @@ def test_a_second_send_of_a_message_in_flight_is_rejected():
         Meter().feed([_sent(1), _sent(1), _delivered(1)])
 
 
+@pytest.mark.parametrize(
+    "terminal, outcome", [(_delivered, "delivered"), (_lost, "lost")], ids=["delivered", "lost"]
+)
+def test_a_terminal_record_of_a_message_never_sent_is_rejected(terminal, outcome):
+    # without the check it would count as delivered or lost, and a delivery
+    # would fail on the send it reads its S9 and S10 latency from
+    with pytest.raises(SimulationError, match=rf"^message 2 {outcome} but not in flight$"):
+        Meter().feed([_sent(1), _delivered(1), terminal(2)])
+
+
 def test_secured_run_adds_exactly_overhead_times_wrapped_count():
     scenario = default_scenario()
     _, baseline = run(scenario, ())

@@ -1,6 +1,7 @@
 import datetime as dt
 import gc
 import hashlib
+import json
 import re
 import tracemalloc
 import weakref
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     by_kind,
+    document,
     generated_reminder_id,
     message_records,
     multi_hop_scenario,
@@ -33,6 +35,7 @@ from smartbizsim.scenario import (
     ReminderSpec,
     TheftSpec,
     default_scenario,
+    parse_scenario,
 )
 from smartbizsim.timeline import SECONDS_PER_DAY, seconds_at
 from smartbizsim.world import World
@@ -80,8 +83,27 @@ def test_minimal_world_is_valid():
         (lambda s: replace(
             s, nodes=s.nodes + (NodeSpec(id="device-a", kind="SmartDevice", site="CityA"),)),
          "duplicate node ids"),
+        # each rule below was run by no other test
+        (lambda s: replace(s, links=s.links + (LinkSpec(a="ghost", b="device-a", latency_ms=5),)),
+         "link endpoint 'ghost' is unknown"),
+        (lambda s: replace(s, links=s.links + (LinkSpec(a="cloud", b="cloud", latency_ms=5),)),
+         "link 'cloud--cloud' is a self-loop"),
+        (lambda s: replace(s, reminders=(ReminderSpec(id="r", author="cloud", target="device-b"),)),
+         "reminder author 'cloud' must be a smart device"),
+        (lambda s: replace(s, commands=(
+            CommandSpec(at=0, device="device-a", intent="voice_message", to="ghost"),)),
+         "voice message target 'ghost' unknown"),
+        (lambda s: replace(s, commands=(
+            CommandSpec(at=0, device="device-a", intent="create_reminder", target="cloud"),)),
+         "reminder target 'cloud' must be a smart device"),
+        (lambda s: parse_scenario(json.dumps({**document(s), "epoch": "2024-02-30"})),
+         "epoch: bad date '2024-02-30': day is out of range for month"),
     ],
-    ids=[f"<lambda>{i}" for i in range(5)],  # the ids these cases had as bare lambdas
+    # the first five keep the ids they had as bare lambdas
+    ids=[f"<lambda>{i}" for i in range(5)] + [
+        "link-from-unknown-node", "self-loop", "reminder-author-cloud",
+        "voice-target-unknown", "command-reminder-target-cloud", "epoch-bad-date",
+    ],
 )
 def test_invalid_scenarios_rejected(mutate, problem):
     with pytest.raises(ConfigError, match=f"^{re.escape(problem)}$"):

@@ -1,0 +1,273 @@
+"""Check that this checkout writes the same bytes as a parent commit.
+
+    python3 tools/identity.py --parent REV [--expect NAME ...]
+
+Run from the root of a checkout. REV is exported with `git archive`.
+Both sides run one fixed corpus (`corpus()`): every entry in a fresh
+work directory holding the same input files at the same relative paths,
+every command in a fresh interpreter with `PYTHONPATH=<side>/src`. An
+entry's outputs are the files its commands write and, for its k-th
+command, `k.stdout`, `k.stderr` and `k.exit`, each named under the
+entry (`dmaic-json/out/report.json`, `dmaic-json/1.stdout`). A side's
+own source path in stderr, as a traceback prints it, reads `<src>`.
+
+Exit 1 lists each output that differs: in one side only, or with other
+bytes. Exit 0 prints the SHA-256 of every output. An output named by
+`--expect`, or under an entry it names, is printed as before and after
+instead, and does not fail the run: a change that fixes a documented
+defect names the outputs it moves.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import ROOT, export
+
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
+import workloads  # noqa: E402
+from smartbizsim.scenario import default_scenario  # noqa: E402
+from smartbizsim.trace import canonical_json  # noqa: E402
+
+SEEDS = (21, 31)
+HASH_SEED = "987654"
+CLI = "import sys; from smartbizsim.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+class Entry:
+    """Commands run in order in one work directory that holds `files`
+    (relative path -> text or bytes), with `env` added to the environment."""
+
+    def __init__(self, *commands: list[str], files: dict | None = None,
+                 env: dict | None = None):
+        self.commands, self.files, self.env = commands, files or {}, env or {}
+
+
+def _scenario(patch=None) -> dict:
+    doc = json.loads(canonical_json(default_scenario()))
+    if patch is not None:
+        patch(doc)
+    return doc
+
+
+def _at_horizon(doc: dict) -> None:
+    """A voice message sent at the horizon itself."""
+    doc["commands"].append({**doc["commands"][-1], "at": doc["horizon_s"]})
+
+
+def _wait_past_horizon(doc: dict) -> None:
+    """City B down from 40 s before the horizon, with a message to it at
+    30 s before: S17's detection window ends after the horizon."""
+    end = doc["horizon_s"]
+    doc["failures"].append({"node": "dev-city-b", "at": end - 40, "duration_s": 200})
+    doc["commands"].append({**doc["commands"][-1], "at": end - 30, "to": "dev-city-b"})
+
+
+def _bad_documents() -> dict[str, Entry]:
+    """One document per input-rule family, the errors of a referenced
+    document, and documents with two faults (which one is reported)."""
+    risk = {"id": "R1", "name": "n", "relevance": "High", "severity": "Low"}
+    section = {"id": "S9", "name": "n", "change_level": "High"}
+    config = {
+        "config-unknown-key": {"topk": 3},
+        "config-wrong-type": {"top_k": "3"},
+        "config-float": {"rates": {"session": 1.9}},
+        "config-top-k-11": {"top_k": 11},
+        "config-residual-3/2": {"residual_factor": "3/2"},
+        "config-residual-1/0": {"residual_factor": "1/0"},
+        "config-layer-switched-on": {"controls": {"s9": {"enabled": True}}},
+        "config-negative-layer-value": {"controls": {"s17": {"detection_window_s": -1}}},
+        "config-missing-reference": {"mapping": "nope.json"},
+        # two faults: a bad knob and a bad reference
+        "config-two-faults": {"top_k": "x", "mapping": "nope.json"},
+    }
+    references = {
+        "ref-action-cost": ("action_library",
+                            {"actions": [{"id": "x", "control": "S9", "cost": 1}]}),
+        "ref-action-unknown-section": ("action_library",
+                                       {"actions": [{"id": "x", "control": "S99"}]}),
+        "ref-mapping-entry-type": ("mapping", {"R4": [5]}),
+        "ref-mapping-unknown-section": ("mapping", {"R4": ["S99"]}),
+        "ref-mapping-empty-entry": ("mapping", {"R4": []}),
+        "ref-risk-level-label": ("risk_catalog", {"risks": [{**risk, "relevance": "Huge"}]}),
+        "ref-risk-catalog-empty": ("risk_catalog", {"risks": []}),
+        "ref-control-level-label": ("control_catalog",
+                                    {"sections": [{**section, "change_level": "Huge"}]}),
+        "ref-missing-field": ("control_catalog", {"sections": [{"id": "S9"}]}),
+    }
+    texts = {
+        "text-bad-json": '{"top_k": 3,}',
+        "text-not-an-object": "[1]",
+        "text-long-integer": '{"top_k": ' + "9" * 5000 + "}",
+        "text-deep-nesting": "[" * 200_000,
+        "text-not-utf8": b'{"top_k": "\xff"}',
+    }
+    scenarios = {
+        "scenario-unknown-key": lambda d: d.update(horizon=86_400),
+        "scenario-float": lambda d: d["links"][0].update(latency_ms=2.7),
+        "scenario-missing-field": lambda d: d.pop("links"),
+        "scenario-self-loop": lambda d: d["links"].append(
+            {"a": "cloud", "b": "cloud", "latency_ms": 5}),
+        "scenario-unknown-endpoint": lambda d: d["links"].append(
+            {"a": "ghost", "b": "cloud", "latency_ms": 5}),
+        "scenario-bad-epoch": lambda d: d.update(epoch="2024-02-30"),
+        "scenario-duplicate-node": lambda d: d["nodes"].append(d["nodes"][0]),
+        # two faults: a structural one and, later in the document, a bad type
+        "scenario-two-faults": lambda d: (
+            d["links"].append({"a": "cloud", "b": "cloud", "latency_ms": 5}),
+            d.update(thefts=[{"node": "cloud", "at": "noon"}])),
+    }
+    dmaic = ["dmaic", "--config", "config.json", "--out", "out"]
+    entries = {}
+    for name, doc in config.items():
+        entries[name] = Entry(dmaic, files={"config.json": json.dumps(doc)})
+    for name, (key, doc) in references.items():
+        entries[name] = Entry(dmaic, files={"config.json": json.dumps({key: "ref.json"}),
+                                            "ref.json": json.dumps(doc)})
+    for name, text in texts.items():
+        entries[name] = Entry(dmaic, files={"config.json": text})
+    for name, patch in scenarios.items():
+        entries[name] = Entry(
+            ["simulate", "--scenario", "scenario.json", "--out", "trace.ndjson"],
+            files={"scenario.json": json.dumps(_scenario(patch))})
+    entries["assess-level-label"] = Entry(
+        ["assess", "--catalog", "catalog.json"],
+        files={"catalog.json": json.dumps({"risks": [{**risk, "relevance": "Huge"}]})})
+    return entries
+
+
+def corpus() -> dict[str, Entry]:
+    """Every entry by name, in the order it runs."""
+    entries = {}
+    entries["dmaic-json"] = Entry(
+        ["dmaic", "--out", "out"],
+        *(["report", "--in", "out/report.json", "--format", fmt]
+          for fmt in ("json", "csv", "table")))
+    for fmt in ("csv", "table"):
+        entries[f"dmaic-{fmt}"] = Entry(["dmaic", "--format", fmt, "--out", "out"])
+    for controls in ("none", "all", "s9,s10"):
+        entries[f"simulate-{controls}"] = Entry(
+            ["simulate", "--controls", controls, "--out", "trace.ndjson"])
+    for fmt in ("json", "csv", "table"):
+        entries[f"assess-{fmt}"] = Entry(["assess", "--format", fmt])
+    entries["assess-table-top-3"] = Entry(["assess", "--format", "table", "--top-k", "3"])
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            scenario, config = workloads.generate(workload, seed)
+            entries[f"{workload}-{seed}"] = Entry(
+                ["dmaic", "--config", "pipeline.json", "--out", "out"],
+                ["simulate", "--scenario", "scenario.json", "--controls", "all",
+                 "--out", "all.ndjson"],
+                files={"scenario.json": scenario, "pipeline.json": config})
+    for name, patch in (("probe-at-horizon", _at_horizon),
+                        ("probe-wait-past-horizon", _wait_past_horizon)):
+        entries[name] = Entry(
+            ["simulate", "--scenario", "scenario.json", "--controls", "none",
+             "--out", "none.ndjson"],
+            ["simulate", "--scenario", "scenario.json", "--controls", "all",
+             "--out", "all.ndjson"],
+            ["dmaic", "--scenario", "scenario.json", "--out", "out"],
+            files={"scenario.json": json.dumps(_scenario(patch))})
+    entries.update(_bad_documents())
+    entries["dmaic-hash-seed"] = Entry(["dmaic", "--out", "out"],
+                                       env={"PYTHONHASHSEED": HASH_SEED})
+    return entries
+
+
+def run_side(src: Path, tree: Path, entries: dict[str, Entry]) -> None:
+    """Run every entry on the source tree `src`, writing its outputs under
+    `tree/<entry name>`; the input files are removed once it has run."""
+    base = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    for name, entry in entries.items():
+        work = tree / name
+        for rel, text in entry.files.items():
+            path = work / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if isinstance(text, bytes):
+                path.write_bytes(text)
+            else:
+                path.write_text(text, encoding="utf-8")
+        work.mkdir(parents=True, exist_ok=True)
+        env = {**base, "PYTHONPATH": str(src), **entry.env}
+        for k, argv in enumerate(entry.commands, 1):
+            proc = subprocess.run([sys.executable, "-c", CLI, *argv], cwd=work, env=env,
+                                  capture_output=True)
+            (work / f"{k}.stdout").write_bytes(proc.stdout)
+            (work / f"{k}.stderr").write_bytes(proc.stderr.replace(bytes(src), b"<src>"))
+            (work / f"{k}.exit").write_text(f"{proc.returncode}\n")
+        for rel in entry.files:
+            (work / rel).unlink()
+
+
+def digests(tree: Path) -> dict[str, str]:
+    """The SHA-256 of every file under `tree`, by its path relative to it."""
+    return {
+        path.relative_to(tree).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tree.rglob("*")) if path.is_file()
+    }
+
+
+def compare(before: Path, after: Path) -> list[str]:
+    """The outputs that differ between two trees, sorted: a file in one
+    tree only, or one with other bytes."""
+    old, new = digests(before), digests(after)
+    return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+
+
+def _expected(name: str, expect: list[str]) -> bool:
+    return any(name == e or name.startswith(e.rstrip("/") + "/") for e in expect)
+
+
+def _show(path: Path) -> str:
+    if not path.exists():
+        return "(absent)"
+    data = path.read_bytes()
+    if len(data) > 2000:
+        return f"sha256 {hashlib.sha256(data).hexdigest()} ({len(data)} bytes)"
+    return data.decode("utf-8", "replace").rstrip("\n")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    parser.add_argument("--expect", nargs="*", default=[], metavar="NAME",
+                        help="an output, or an entry, that this change is meant to move")
+    args = parser.parse_args()
+
+    entries = corpus()
+    with tempfile.TemporaryDirectory() as tmp:
+        rev = export(args.parent, Path(tmp) / "parent")
+        trees = {"before": Path(tmp) / "before", "after": Path(tmp) / "after"}
+        run_side(Path(tmp) / "parent" / "src", trees["before"], entries)
+        run_side(ROOT / "src", trees["after"], entries)
+        moved = compare(trees["before"], trees["after"])
+        names = sorted(digests(trees["before"]).keys() | digests(trees["after"]).keys())
+        print(f"parent {rev}: {len(entries)} entries, {len(names)} outputs")
+        for name in names:
+            if _expected(name, args.expect):
+                state = "moved" if name in moved else "unchanged"
+                print(f"expected {name} ({state})")
+                print(f"  before: {_show(trees['before'] / name)}")
+                print(f"  after:  {_show(trees['after'] / name)}")
+        unexpected = [name for name in moved if not _expected(name, args.expect)]
+        if unexpected:
+            for name in unexpected:
+                print(f"differs {name}")
+            return 1
+        after = digests(trees["after"])
+        for name in names:
+            if not _expected(name, args.expect):
+                print(f"{after[name]}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
