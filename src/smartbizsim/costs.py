@@ -34,6 +34,7 @@ from .controls import (
 )
 from .errors import (
     ConfigError,
+    NonNegative,
     Record,
     SmartBizError,
     json_default,
@@ -60,7 +61,7 @@ from .trace import canonical_json
 from .world import build_world
 
 
-class CostRates(Record):
+class CostRates(NonNegative):
     """Minor currency units charged per metered unit."""
 
     capital_item: int = 150_000
@@ -68,12 +69,6 @@ class CostRates(Record):
     latency_ms: int = 2
     wire_byte: int = 1
     session: int = 25
-
-    def __post_init__(self) -> None:
-        for name in self._fields:
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ConfigError(f"rate {name} must be a non-negative integer")
 
 
 class SectionCost(Record):
@@ -124,9 +119,7 @@ class DmaicConfig(Record):
         if not 1 <= self.top_k <= risks:
             raise ConfigError(f"top_k: {self.top_k} is outside 1..{risks}, the risk count")
         if not 0 <= self.residual_factor <= 1:
-            raise ConfigError(
-                f"residual_factor must be in 0..1, got {self.residual_factor}"
-            )
+            raise ConfigError(f"residual_factor: must be in 0..1, got {self.residual_factor}")
 
     def resolved_dict(self) -> dict:
         """The document `digest` hashes: every resolved input in the spelling

@@ -64,10 +64,10 @@ class Record:
     default is the class attribute of its name; a field without one is
     required, and a class attribute without an annotation is no field.
 
-    A record is built from its fields, by position or keyword, runs its
-    class's `__post_init__` once they are set, compares equal to a
-    record of the same class with equal fields and has a repr. It is
-    frozen and hashes by its fields.
+    A record is built from its fields, by keyword, runs its class's
+    `__post_init__` once they are set, compares equal to a record of
+    the same class with equal fields and has a repr. It is frozen and
+    hashes by its fields.
     """
 
     _fields = ()
@@ -76,19 +76,12 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
 
-    def __init__(self, *args, **kwargs) -> None:
+    def __init__(self, **values) -> None:
         cls = type(self)
-        names = cls._fields
-        if len(args) > len(names):
-            raise TypeError(f"{cls.__name__} has {len(names)} fields, got {len(args)} values")
-        for name, value in zip(names, args):
-            if name in kwargs:
-                raise TypeError(f"{cls.__name__} got two values for field {name!r}")
-            kwargs[name] = value
-        for name in kwargs:
-            if name not in names:
+        for name in values:
+            if name not in cls._fields:
                 raise TypeError(f"{cls.__name__} has no field {name!r}")
-        missing = _fill(self, kwargs)
+        missing = _fill(self, values)
         if missing is not None:
             raise TypeError(f"{cls.__name__} is missing field {missing!r}")
 
@@ -115,6 +108,20 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r} of a frozen record")
+
+
+class NonNegative(Record):
+    """A record whose every field is a mapping or an `int` >= 0, whether
+    read or built in code. The error's path is the field's, so `read`
+    names the field in full."""
+
+    def __post_init__(self) -> None:
+        for name in self._fields:
+            value = getattr(self, name)
+            if not isinstance(value, abc.Mapping) and (type(value) is not int or value < 0):
+                exc = ConfigError(f"must be a non-negative integer, got {reprlib.repr(value)}")
+                exc.path = f".{name}"
+                raise exc
 
 
 _set_field = object.__setattr__
@@ -215,7 +222,7 @@ def read(kind, value, *, base=None, given=None, at: str = ""):
 
 
 _READERS: dict = {}
-_EXPECTED = {int: "an integer", bool: "true or false", str: "a string"}
+_EXPECTED = {int: "an integer", str: "a string"}
 
 
 def _reader(kind):
@@ -242,7 +249,7 @@ def _compile(kind):
     if origin is tuple and args[-1] is Ellipsis:
         return _array(_reader(args[0]))
     if origin is tuple:
-        return _fixed_array([_reader(arg) for arg in args])
+        return _fixed_array(args)
     if origin is abc.Mapping and args[0] is str:
         return _mapping(_reader(args[1]))
     if isinstance(kind, type) and issubclass(kind, Record):
@@ -265,7 +272,6 @@ def _exact(kind):
             return value
         raise _mismatch(_EXPECTED[kind], value)
 
-    read_exact.kind = kind
     return read_exact
 
 
@@ -314,9 +320,10 @@ def _array(read_item):
     return read_array
 
 
-def _fixed_array(readers):
+def _fixed_array(args):
+    readers = [_reader(arg) for arg in args]
     size = len(readers)
-    kinds = tuple(getattr(read_item, "kind", None) for read_item in readers)
+    kinds = tuple(arg if arg in _EXPECTED else None for arg in args)
 
     def read_fixed(value):
         if type(value) not in (list, tuple) or len(value) != size:
@@ -347,8 +354,8 @@ def _mapping(read_item):
 def _object(cls):
     """The reader of a `Record` class, which may set `unknown_field_hint`.
 
-    A value of exactly its field's type `int`, `str` or `bool` is taken as
-    it is; any other is read by its field's reader, built when a document
+    A value of exactly its field's type `int` or `str` is taken as it
+    is; any other is read by its field's reader, built when a document
     first holds the field. The record is then built by `_fill`.
     """
     hints = get_type_hints(cls)

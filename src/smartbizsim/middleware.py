@@ -22,20 +22,20 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Collection, Mapping, NamedTuple
 
-from .errors import AuthDenied, ConfigError, Record, UnknownUser
+from .errors import AuthDenied, NonNegative, Record, UnknownUser
 
 # The sections with a layer, in `Layers` order; a layer's field is the
 # lower-case id.
 SECTIONS = ("S9", "S10", "S17")
 
 
-class S9Config(Record):
+class S9Config(NonNegative):
     per_session_latency_ms: int = 20
     credential_store: Mapping[str, str] = MappingProxyType({})
     review_period_days: int = 30
 
 
-class S10Config(Record):
+class S10Config(NonNegative):
     per_message_latency_ms: int = 5
     overhead_bytes: int = 64
     # node id -> key id for every declared node; empty means each node's
@@ -43,7 +43,7 @@ class S10Config(Record):
     key_ids: Mapping[str, str] = MappingProxyType({})
 
 
-class S17Config(Record):
+class S17Config(NonNegative):
     backups_per_site: int = 1
     detection_window_s: int = 60
 
@@ -52,14 +52,6 @@ class ControlLayerConfig(Record):
     s9: S9Config = S9Config()
     s10: S10Config = S10Config()
     s17: S17Config = S17Config()
-
-    def __post_init__(self) -> None:
-        for outer in self._fields:
-            layer = getattr(self, outer)
-            for name in layer._fields:
-                value = getattr(layer, name)  # an int or a Mapping
-                if not isinstance(value, Mapping) and value < 0:
-                    raise ConfigError(f"{outer}.{name} must be non-negative, got {value}")
 
     def with_enabled(self, sections: Collection[str]) -> "Layers":
         """The layers of a run that switches on exactly the given sections."""

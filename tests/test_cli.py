@@ -563,7 +563,7 @@ _PROBES = [
 # the residual score of every risk the plan mitigates.
 _RULE_PROBES = {
     "residual-factor-3/2": ({"residual_factor": "3/2"}, None,
-                            "residual_factor must be in 0..1, got 3/2"),
+                            "residual_factor: must be in 0..1, got 3/2"),
     "residual-factor-1/0": ({"residual_factor": "1/0"}, None,
                             "residual_factor: expected an integer or a rational string"),
     "residual-factor-x": ({"residual_factor": "x"}, None,
@@ -709,6 +709,9 @@ _CONFIG_PROBES = [
     ({"risk_catalog": {"risks": [{"id": "R1", "name": "n", "relevance": "Huge",
                                   "severity": "Low"}]}},
      "risk_catalog.risks[0].relevance: unknown label 'Huge'"),
+    ({"controls": {"s17": {"detection_window_s": -1}}},
+     "controls.s17.detection_window_s: must be a non-negative integer, got -1"),
+    ({"rates": {"session": -1}}, "rates.session: must be a non-negative integer, got -1"),
 ]
 
 
@@ -717,11 +720,12 @@ _CONFIG_PROBES = [
     ids=["unknown-section", "uncovered-section", "top-k-11", "empty-catalog",
          "action-unknown-section", "empty-mapping-file", "empty-control-catalog-file",
          "empty-action-library-file", "misspelt-key-id", "empty-mapping-entry",
-         "action-cost", "mapping-entry-type", "risk-level-label"],
+         "action-cost", "mapping-entry-type", "risk-level-label", "negative-layer-value",
+         "negative-rate"],
 )
 def test_configs_that_cannot_run_exit_2_at_define(tmp_path, capsys, config, message):
     for key, value in list(config.items()):
-        if key != "top_k":
+        if key not in ("top_k", "controls", "rates"):  # the rest are references
             text = value if isinstance(value, str) else json.dumps(value)
             (tmp_path / f"{key}.json").write_text(text)
             config = {**config, key: f"{key}.json"}

@@ -171,7 +171,7 @@ def residual_cases(draw):
     enabled = set(draw(st.lists(st.sampled_from(SECTIONS), unique=True)))
     factor = draw(st.sampled_from([Fraction(0), Fraction(1)])
                   | st.fractions(min_value=0, max_value=1, max_denominator=12))
-    return RiskCatalog(risks), mapping, enabled, factor
+    return RiskCatalog(risks=risks), mapping, enabled, factor
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

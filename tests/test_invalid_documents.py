@@ -196,6 +196,31 @@ SITES = {
     "scenario": mutations("scenario", SCENARIO, ScenarioConfig),
     "config": mutations("config", CONFIG, ConfigDocument),
 }
+# the sites whose error starts with the dotted path of the mutated value
+NAMED = {
+    "scenario": [site for site in SITES["scenario"]
+                 if site[0] == "negative" and _matches(site[1], [("controls", "*", "*")])],
+    "config": [site for site in SITES["config"] if site[0] in ("swap", "negative") and site[1]],
+}
+STEP = {"scenario": "", "config": "[Define] "}
+
+
+def _run(name: str, text: str) -> tuple[int, str, str, list]:
+    """`main` on the document `text`, `simulate` for a scenario and `dmaic`
+    for a config, in a fresh directory: its exit code, stdout, stderr and
+    the names of the files the directory holds after it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / f"{name}.json").write_text(text)
+        if name == "scenario":
+            argv, out = ["simulate", "--scenario", str(tmp / "scenario.json")], "trace.ndjson"
+        else:
+            (tmp / "scenario.json").write_text(json.dumps(SCENARIO))
+            argv, out = ["dmaic", "--config", str(tmp / "config.json")], "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", str(tmp / out)])
+        return code, stdout.getvalue(), stderr.getvalue(), sorted(p.name for p in tmp.iterdir())
 
 
 def test_the_documents_are_valid_and_each_family_has_a_site(tmp_path):
@@ -215,22 +240,20 @@ def test_the_documents_are_valid_and_each_family_has_a_site(tmp_path):
 def test_an_invalid_document_exits_2_on_one_error_line(name, data):
     family, path, at = data.draw(st.sampled_from(SITES[name]))
     text = mutate(SCENARIO if name == "scenario" else CONFIG, family, path, at, data.draw)
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        (tmp / f"{name}.json").write_text(text)
-        if name == "scenario":
-            argv, step = ["simulate", "--scenario", str(tmp / "scenario.json")], ""
-            out = tmp / "trace.ndjson"
-        else:
-            (tmp / "scenario.json").write_text(json.dumps(SCENARIO))
-            argv, step = ["dmaic", "--config", str(tmp / "config.json")], "[Define] "
-            out = tmp / "out"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([*argv, "--out", str(out)])
-        err = stderr.getvalue()
-        assert code == 2, (family, path, err)
-        assert err.startswith(f"error: {step}") and err.count("\n") == 1, err
-        assert stdout.getvalue() == ""
-        assert not out.exists()
-        assert sorted(p.name for p in tmp.iterdir()) == sorted({"scenario.json", f"{name}.json"})
+    code, out, err, files = _run(name, text)
+    assert code == 2, (family, path, err)
+    assert err.startswith(f"error: {STEP[name]}") and err.count("\n") == 1, err
+    assert out == ""
+    # nothing written: neither the output nor anything else
+    assert files == sorted({"scenario.json", f"{name}.json"})
+
+
+@pytest.mark.parametrize("name", ["scenario", "config"])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_an_error_names_the_path_of_the_bad_value(name, data):
+    family, path, at = data.draw(st.sampled_from(NAMED[name]))
+    text = mutate(SCENARIO if name == "scenario" else CONFIG, family, path, at, data.draw)
+    code, _, err, _ = _run(name, text)
+    assert code == 2, (family, path, err)
+    assert err.startswith(f"error: {STEP[name]}{'.'.join(path)}: "), err

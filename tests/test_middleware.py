@@ -312,3 +312,11 @@ def test_control_defaults_have_one_source():
         s10=S10Config(overhead_bytes=32)
     )
 
+
+
+@pytest.mark.parametrize("value", [-1, True, 1.5])
+def test_a_layer_value_built_in_code_is_a_non_negative_integer(value):
+    # the path names the field, so a document's error names it in full
+    with pytest.raises(ConfigError, match="must be a non-negative integer") as caught:
+        S17Config(detection_window_s=value)
+    assert caught.value.path == ".detection_window_s"

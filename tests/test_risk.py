@@ -46,11 +46,11 @@ def test_score_strictly_monotone_in_each_axis():
     levels = list(OrdinalLevel)
     for i, rel in enumerate(levels[:-1]):
         for sev in levels:
-            low = Risk("Rx", "x", rel, sev)
-            high = Risk("Rx", "x", levels[i + 1], sev)
+            low = Risk(id="Rx", name="x", relevance=rel, severity=sev)
+            high = Risk(id="Rx", name="x", relevance=levels[i + 1], severity=sev)
             assert score(high) > score(low)
-            low = Risk("Rx", "x", sev, rel)
-            high = Risk("Rx", "x", sev, levels[i + 1])
+            low = Risk(id="Rx", name="x", relevance=sev, severity=rel)
+            high = Risk(id="Rx", name="x", relevance=sev, severity=levels[i + 1])
             assert score(high) > score(low)
 
 

@@ -85,6 +85,7 @@ def _bad_documents() -> dict[str, Entry]:
         "config-residual-1/0": {"residual_factor": "1/0"},
         "config-layer-switched-on": {"controls": {"s9": {"enabled": True}}},
         "config-negative-layer-value": {"controls": {"s17": {"detection_window_s": -1}}},
+        "config-negative-rate": {"rates": {"session": -1}},
         "config-missing-reference": {"mapping": "nope.json"},
         # two faults: a bad knob and a bad reference
         "config-two-faults": {"top_k": "x", "mapping": "nope.json"},
@@ -120,6 +121,8 @@ def _bad_documents() -> dict[str, Entry]:
             {"a": "ghost", "b": "cloud", "latency_ms": 5}),
         "scenario-bad-epoch": lambda d: d.update(epoch="2024-02-30"),
         "scenario-duplicate-node": lambda d: d["nodes"].append(d["nodes"][0]),
+        "scenario-negative-layer-value": lambda d: d["controls"]["s10"].update(
+            overhead_bytes=-2),
         # two faults: a structural one and, later in the document, a bad type
         "scenario-two-faults": lambda d: (
             d["links"].append({"a": "cloud", "b": "cloud", "latency_ms": 5}),
