@@ -46,12 +46,12 @@ from .metering import Meter, MetricSet, SectionUsage
 from .risk import (
     RiskAssessment,
     RiskCatalog,
+    check_top_k,
     default_risk_catalog,
     id_order,
     parse_risk_catalog,
     rank,
     reassess,
-    top_k,
 )
 from .scenario import (
     INTENT_PARAMS, CommandSpec, ScenarioConfig, default_scenario, load_scenario,
@@ -115,9 +115,7 @@ class DmaicConfig(Record):
                     raise ConfigError(f"{at}: unknown control section {sid!r}")
                 if sid not in covered:
                     raise ConfigError(f"{at}: no action covers section {sid!r}")
-        risks = len(self.risk_catalog.risks)
-        if not 1 <= self.top_k <= risks:
-            raise ConfigError(f"top_k: {self.top_k} is outside 1..{risks}, the risk count")
+        check_top_k(self.top_k, len(self.risk_catalog.risks))
         if not 0 <= self.residual_factor <= 1:
             raise ConfigError(f"residual_factor: must be in 0..1, got {self.residual_factor}")
 
@@ -311,8 +309,7 @@ def run_dmaic(
     """
     # Measure, Analyze and Improve raise on no config that exists
     assessment = rank(config.risk_catalog)
-    selected = top_k(assessment, config.top_k)
-    plan = build_plan(selected, config.mapping)
+    plan = build_plan(assessment.ranking[:config.top_k], config.mapping)
 
     try:  # Control: a package error is reported under the step's name
         meters = sinks or {"baseline": Meter(), "secured": Meter()}

@@ -81,11 +81,13 @@ def rank(catalog: RiskCatalog) -> RiskAssessment:
     return reassess(catalog.risks, {r.id: score(r) for r in catalog.risks})
 
 
+def check_top_k(k: int, risks: int) -> None:
+    if not 1 <= k <= risks:
+        raise ConfigError(f"top_k: {k} is outside 1..{risks}, the risk count")
+
+
 def top_k(assessment: RiskAssessment, k: int) -> list[str]:
-    if not 1 <= k <= len(assessment.ranking):
-        raise ConfigError(
-            f"k={k} outside 1..{len(assessment.ranking)} for this assessment"
-        )
+    check_top_k(k, len(assessment.ranking))
     return list(assessment.ranking[:k])
 
 

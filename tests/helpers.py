@@ -8,17 +8,24 @@ breakdowns) so agreement actually means something.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import io
 import itertools
 import json
+import os
 import random
+import tempfile
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
+from documents import EXIT, ROWS
 from smartbizsim.calendars import WorkWeek
+from smartbizsim.cli import main
 from smartbizsim.costs import CostRates, CostReport, DmaicConfig, run_dmaic
 from smartbizsim.errors import ConfigError, parse_iso_date, replace
 from smartbizsim.metering import Meter, SectionUsage
@@ -247,6 +254,38 @@ def generated_reminder_id(registered: list[str], declared: set[str]) -> str:
 def document(value):
     """`value` as the program writes it, decoded: plain dicts and lists."""
     return json.loads(canonical_json(value))
+
+
+def run_main(argv, files: dict) -> tuple[int, str, str, list[str]]:
+    """`cli.main(argv)` in a fresh working directory that holds `files`
+    (relative path -> text or bytes): its exit code, stdout, stderr and
+    the relative path of everything the directory holds after it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for rel, text in files.items():
+            Path(tmp, rel).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+        stdout, stderr, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(list(argv))
+        finally:
+            os.chdir(cwd)
+        left = sorted(path.relative_to(tmp).as_posix() for path in Path(tmp).rglob("*"))
+    return code, stdout.getvalue(), stderr.getvalue(), left
+
+
+def rejected(rows):
+    """A test that each row of `documents.ROWS` named by `rows` (a row name, or
+    test id -> its row or rows) exits 2 with its one stderr line, an empty
+    stdout and nothing written beside its input files."""
+    def test(names):
+        for name in names:
+            row = ROWS[name]
+            assert run_main(row.argv, row.files) == (EXIT, "", row.line + "\n", sorted(row.files))
+    if isinstance(rows, str):
+        return lambda: test([rows])
+    return pytest.mark.parametrize(
+        "names", [[v] if isinstance(v, str) else v for v in rows.values()], ids=list(rows))(test)
 
 
 # -- cost oracle ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+from documents import ROWS
+
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -51,3 +53,11 @@ def test_compare_names_an_output_that_one_side_lacks(tmp_path, monkeypatch):
     before = _tree(tmp_path / "before", _OUTPUTS)
     after = _tree(tmp_path / "after", {**_OUTPUTS, "dmaic-json/2.exit": b"0\n"})
     assert identity.compare(before, after) == ["dmaic-json/2.exit"]
+
+
+def test_the_corpus_runs_every_rejected_document_under_its_name(monkeypatch):
+    identity = _identity(monkeypatch)
+    entries = identity.corpus()
+    for name, row in ROWS.items():
+        assert entries[name].commands == (list(row.argv),), name
+        assert entries[name].files == row.files, name

@@ -1,12 +1,11 @@
-"""An invalid document exits 2: a small valid scenario and a pipeline
-config, each made invalid by one mutation, are run through `cli.main` in
-process and rejected on one `error:` line, with nothing written."""
+"""An invalid document exits 2, on one `error:` line and with nothing
+written: every row of the documents table, and a small valid scenario and
+pipeline config each made invalid by one mutation, are run through
+`cli.main` in process."""
 
-import contextlib
 import copy
-import io
 import json
-import tempfile
+import re
 import types
 from collections import abc
 from fractions import Fraction
@@ -19,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smartbizsim.cli import main
+from documents import ROWS
+from helpers import rejected, run_main
 from smartbizsim.costs import CostRates, load_dmaic_config
 from smartbizsim.errors import Record
 from smartbizsim.middleware import ControlLayerConfig
@@ -206,21 +206,12 @@ STEP = {"scenario": "", "config": "[Define] "}
 
 
 def _run(name: str, text: str) -> tuple[int, str, str, list]:
-    """`main` on the document `text`, `simulate` for a scenario and `dmaic`
-    for a config, in a fresh directory: its exit code, stdout, stderr and
-    the names of the files the directory holds after it."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        (tmp / f"{name}.json").write_text(text)
-        if name == "scenario":
-            argv, out = ["simulate", "--scenario", str(tmp / "scenario.json")], "trace.ndjson"
-        else:
-            (tmp / "scenario.json").write_text(json.dumps(SCENARIO))
-            argv, out = ["dmaic", "--config", str(tmp / "config.json")], "out"
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = main([*argv, "--out", str(tmp / out)])
-        return code, stdout.getvalue(), stderr.getvalue(), sorted(p.name for p in tmp.iterdir())
+    """`run_main` on `text`: `simulate` for a scenario, `dmaic` for a config."""
+    if name == "scenario":
+        return run_main(["simulate", "--scenario", "scenario.json", "--out", "trace.ndjson"],
+                        {"scenario.json": text})
+    return run_main(["dmaic", "--config", "config.json", "--out", "out"],
+                    {"config.json": text, "scenario.json": json.dumps(SCENARIO)})
 
 
 def test_the_documents_are_valid_and_each_family_has_a_site(tmp_path):
@@ -257,3 +248,23 @@ def test_an_error_names_the_path_of_the_bad_value(name, data):
     code, _, err, _ = _run(name, text)
     assert code == 2, (family, path, err)
     assert err.startswith(f"error: {STEP[name]}{'.'.join(path)}: "), err
+
+
+test_a_rejected_document_exits_2_on_its_own_error_line = rejected({name: name for name in ROWS})
+
+
+# how an input error that README quotes starts: a step, or a path and a colon
+_ERROR = re.compile(r"\[Define\] |[\w.\[\]()' -]+: ")
+
+
+def test_every_error_readme_quotes_is_written_by_a_row():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    quotes = [" ".join(quote.split()) for quote in re.findall(r"`([^`]+)`", prose)]
+    errors = [quote for quote in quotes if _ERROR.match(quote)]
+    lines = [row.line for row in ROWS.values()]
+    for quote in errors:  # one that ends in "..." is the start of a message
+        head = quote.removesuffix("...")
+        ends = head == quote
+        assert any(line.endswith(quote) if ends else head in line for line in lines), quote
+    assert len(errors) >= 14  # the pattern still finds them

@@ -143,9 +143,9 @@ def test_top_k_bounds():
     assessment = rank(default_risk_catalog())
     assert top_k(assessment, 3) == ["R6", "R9", "R4"]
     assert top_k(assessment, 10) == FULL_ORDER
-    with pytest.raises(ConfigError, match=r"^k=11 outside 1\.\.10 "):
+    with pytest.raises(ConfigError, match=r"^top_k: 11 is outside 1\.\.10, the risk count$"):
         top_k(assessment, 11)
-    with pytest.raises(ConfigError, match=r"^k=0 outside 1\.\.10 "):
+    with pytest.raises(ConfigError, match=r"^top_k: 0 is outside 1\.\.10, the risk count$"):
         top_k(assessment, 0)
 
 

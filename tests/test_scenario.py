@@ -1,13 +1,13 @@
 import datetime as dt
 import json
-import re
 from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import by_kind, document, run, scenarios
+from documents import ROWS
+from helpers import by_kind, document, rejected, run, scenarios
 from smartbizsim import scenario as scenario_module
 from smartbizsim import world as world_module
 from smartbizsim.controls import (
@@ -62,115 +62,29 @@ def test_not_json_is_a_parse_error():
         parse_scenario("{nope")
 
 
-@pytest.mark.parametrize(
-    "patch,fragment",
-    [
-        ({"nodes": []}, "smart device"),
-        ({"links": [{"a": "d", "b": "ghost", "latency_ms": 1}]}, "unknown"),
-        ({"links": [{"a": "d", "b": "c", "latency_ms": -5}]}, "negative"),
-        ({"failures": [{"node": "d", "at": -1, "duration_s": 10}]}, ">= 0"),
-        ({"commands": [{"at": 0, "device": "c", "intent": "voice_message", "to": "d"}]},
-         "smart device"),
-        ({"horizon_s": 0}, "horizon"),
-        # a second link between two nodes would replace or shadow the first
-        ({"links": [{"a": "d", "b": "c", "latency_ms": 10},
-                    {"a": "d", "b": "c", "latency_ms": 999}]},
-         "links 'd--c' and 'd--c' join the same two nodes"),
-        ({"links": [{"a": "d", "b": "c", "latency_ms": 10},
-                    {"a": "c", "b": "d", "latency_ms": 5}]},
-         "links 'd--c' and 'c--d' join the same two nodes"),
-        # the inputs below would otherwise stop the run with NoRoute
-        ({"nodes": [{"id": "d", "kind": "SmartDevice", "site": "CityA"},
-                    {"id": "x", "kind": "SmartDevice", "site": "Truck"},
-                    {"id": "c", "kind": "CloudService"}]},
-         "device 'x' has no link path to the cloud"),
-        ({"commands": [{"at": 0, "device": "d", "intent": "voice_message", "to": "d"}]},
-         "'d' is addressed to itself"),
-        ({"attendees": [{"id": "ops", "device": "c"}]},
-         "attendee 'ops' device 'c' must be a smart device"),
-        ({"commands": [{"at": -5, "device": "d", "intent": "voice_message", "to": "c"}]},
-         "command time must be >= 0"),
-        ({"reminders": [{"id": "r", "author": "d", "target": "d", "at": -5}]},
-         "reminder 'r' time must be >= 0"),
-        ({"thefts": [{"node": "d", "at": -5}]}, "theft time must be >= 0"),
-        # the second registration would stop the run midway
-        ({"reminders": [{"id": "r", "author": "d", "target": "d"},
-                        {"id": "r", "author": "d", "target": "d", "at": 9}]},
-         "reminders[1].id 'r' is a duplicate reminder id"),
-        # the pipeline switches layers on after validation, so each rule
-        # below holds whether or not its layer is on
-        ({"attendees": [{"id": "p", "device": "d"}],
-          "commands": [{"at": 0, "device": "d", "intent": "schedule_meeting",
-                        "duration_min": 30}]},
-         "meeting (device 'd', at=0) has no attendees"),
-        ({"meeting_horizon_days": 0}, "meeting_horizon_days must be >= 1, got 0"),
-        ({"controls": {"s10": {"key_ids": {"d": "kd"}}}},
-         "controls.s10.key_ids gives node 'c' no key id"),
-        ({"controls": {"s10": {"key_ids": {"d": "", "c": "kc"}}}},
-         "controls.s10.key_ids gives node 'd' no key id"),
-        ({"nodes": [{"id": "d", "kind": "SmartDevice", "site": "CityA"},
-                    {"id": "c", "kind": "CloudService"},
-                    {"id": "d-r1", "kind": "SmartDevice", "site": "CityA"}],
-          "links": [{"a": "d", "b": "c", "latency_ms": 10},
-                    {"a": "d-r1", "b": "c", "latency_ms": 10}]},
-         "nodes[2].id 'd-r1' is the id of S17 spare 1 of 'd'"),
-        # the engine runs these without a check of its own
-        ({"failures": [{"node": "ghost", "at": 0, "duration_s": 1}]},
-         "failure node 'ghost' unknown"),
-        ({"commands": [{"at": 0, "device": "d", "intent": "schedule_meeting",
-                        "attendees": ["nobody"], "duration_min": 30}]},
-         "meeting attendee 'nobody' has no calendar"),
-        ({"reminders": [{"id": "r", "author": "d", "target": "c"}]},
-         "reminder target 'c' must be a smart device"),
-        ({"attendees": [{"id": "p", "device": "d"}],
-          "commands": [{"at": 0, "device": "d", "intent": "schedule_meeting",
-                        "attendees": ["p"], "duration_min": 0}]},
-         "meeting duration must be >= 1 minute"),
-        # a misspelt node id beside the real one would be ignored
-        ({"controls": {"s10": {"key_ids": {"d": "kd", "c": "kc", "D": "kD"}}}},
-         "controls.s10.key_ids.D names no declared node"),
-        ({"controls": {"s10": {"key_ids": {"d": "kd", "c": "kc", "d-r2": "k2"}}}},
-         "controls.s10.key_ids.d-r2 names no declared node"),
-        # an S17 spare never sends, so a key for it would change nothing
-        ({"controls": {"s10": {"key_ids": {"d": "kd", "c": "kc", "d-r1": "spare"}}}},
-         "controls.s10.key_ids.d-r1 names no declared node"),
-        # the cloud would book the calendar and invite the device twice
-        ({"attendees": [{"id": "p", "device": "d"}],
-          "commands": [{"at": 7, "device": "d", "intent": "schedule_meeting",
-                        "attendees": ["p", "p"], "duration_min": 30}]},
-         "meeting (device 'd', at=7) names attendee 'p' twice"),
-        # a reminder due by the horizon is due again at the next month end,
-        # which must be a date: the run stopped in the year 10000
-        ({"epoch": "9999-12-01", "horizon_s": 3024000},
-         "horizon_s 3024000 reaches 9999-12-31 09:00, the last month end a reminder"),
-        ({"horizon_s": 10**12},
-         "horizon_s 1000000000000 reaches 9999-12-31 09:00, the last month end a reminder"),
-        # the engine keeps links by id: the second would replace the first
-        ({"nodes": [{"id": "c", "kind": "CloudService"},
-                    {"id": "d--e", "kind": "SmartDevice", "site": "CityA"},
-                    {"id": "d", "kind": "SmartDevice", "site": "CityB"},
-                    {"id": "e--c", "kind": "SmartDevice", "site": "Truck"}],
-          "links": [{"a": "d--e", "b": "c", "latency_ms": 10},
-                    {"a": "d", "b": "e--c", "latency_ms": 5000},
-                    {"a": "e--c", "b": "c", "latency_ms": 20}]},
-         "links[0] ('d--e' to 'c') and links[1] ('d' to 'e--c') share the id 'd--e--c'"),
-        # the world keeps one calendar per id: the second would replace the first
-        ({"attendees": [{"id": "p", "device": "d"},
-                        {"id": "p", "device": "d", "busy": [[0, 60]]}]},
-         "attendees[1].id 'p' is a duplicate attendee id"),
-    ],
-)
-def test_structural_problems_are_invalid_scenarios(patch, fragment):
-    doc = {
-        "nodes": [
-            {"id": "d", "kind": "SmartDevice", "site": "CityA"},
-            {"id": "c", "kind": "CloudService"},
-        ],
-        "links": [{"a": "d", "b": "c", "latency_ms": 10}],
-    }
-    doc.update(patch)
-    with pytest.raises(ConfigError, match=re.escape(fragment)):
-        parse_scenario(json.dumps(doc))
+# Each id ends in the text its case matched: the whole message, unless given.
+test_structural_problems_are_invalid_scenarios = rejected({
+    f"patch{i}-{matched or ROWS[f'small-{row}'].line.removeprefix('error: ')}": f"small-{row}"
+    for i, (row, matched) in enumerate([
+        ("no-nodes", "smart device"), ("link-to-ghost", "unknown"),
+        ("negative-latency", "negative"), ("failure-before-0", ">= 0"),
+        ("command-from-cloud", "smart device"), ("horizon-0", "horizon"),
+        ("repeated-link", None), ("reversed-link", None), ("unreachable-device", None),
+        ("voice-to-itself", "'d' is addressed to itself"), ("attendee-on-cloud", None),
+        ("command-before-0", "command time must be >= 0"), ("reminder-before-0", None),
+        ("theft-before-0", None), ("repeated-reminder-id", None),
+        ("meeting-without-attendees", None), ("meeting-horizon-0", None),
+        ("key-ids-partial", None), ("key-id-empty", None), ("spare-id", None),
+        ("failure-on-ghost", None), ("meeting-attendee-unknown", None),
+        ("reminder-target-cloud", None), ("meeting-duration-0", None),
+        ("key-id-misspelt", None), ("key-id-past-the-spares", None), ("key-id-of-a-spare", None),
+        ("meeting-attendee-twice", None),
+        ("horizon-past-9999", "horizon_s 3024000 reaches 9999-12-31 09:00, the last month end "
+                              "a reminder"),
+        ("horizon-10**12", "horizon_s 1000000000000 reaches 9999-12-31 09:00, the last month "
+                           "end a reminder"),
+        ("shared-link-id", None), ("repeated-attendee-id", None),
+    ])})
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,9 @@
     python3 tools/identity.py --parent REV [--expect NAME ...]
 
 Run from the root of a checkout. REV is exported with `git archive`.
-Both sides run one fixed corpus (`corpus()`): every entry in a fresh
-work directory holding the same input files at the same relative paths,
+Both sides run one fixed corpus (`corpus()`), whose bad documents are the
+rows of `tests/documents.py`: every entry in a fresh work directory
+holding the same input files at the same relative paths,
 every command in a fresh interpreter with `PYTHONPATH=<side>/src`. An
 entry's outputs are the files its commands write and, for its k-th
 command, `k.stdout`, `k.stderr` and `k.exit`, each named under the
@@ -33,9 +34,9 @@ from bench_pairs import ROOT, export
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 import workloads  # noqa: E402
-from smartbizsim.scenario import default_scenario  # noqa: E402
-from smartbizsim.trace import canonical_json  # noqa: E402
+from documents import ROWS, scenario_document  # noqa: E402
 
 SEEDS = (21, 31)
 HASH_SEED = "987654"
@@ -51,13 +52,6 @@ class Entry:
         self.commands, self.files, self.env = commands, files or {}, env or {}
 
 
-def _scenario(patch=None) -> dict:
-    doc = json.loads(canonical_json(default_scenario()))
-    if patch is not None:
-        patch(doc)
-    return doc
-
-
 def _at_horizon(doc: dict) -> None:
     """A voice message sent at the horizon itself."""
     doc["commands"].append({**doc["commands"][-1], "at": doc["horizon_s"]})
@@ -71,80 +65,15 @@ def _wait_past_horizon(doc: dict) -> None:
     doc["commands"].append({**doc["commands"][-1], "at": end - 30, "to": "dev-city-b"})
 
 
-def _bad_documents() -> dict[str, Entry]:
-    """One document per input-rule family, the errors of a referenced
-    document, and documents with two faults (which one is reported)."""
-    risk = {"id": "R1", "name": "n", "relevance": "High", "severity": "Low"}
-    section = {"id": "S9", "name": "n", "change_level": "High"}
-    config = {
-        "config-unknown-key": {"topk": 3},
-        "config-wrong-type": {"top_k": "3"},
-        "config-float": {"rates": {"session": 1.9}},
-        "config-top-k-11": {"top_k": 11},
-        "config-residual-3/2": {"residual_factor": "3/2"},
-        "config-residual-1/0": {"residual_factor": "1/0"},
-        "config-layer-switched-on": {"controls": {"s9": {"enabled": True}}},
-        "config-negative-layer-value": {"controls": {"s17": {"detection_window_s": -1}}},
-        "config-negative-rate": {"rates": {"session": -1}},
-        "config-missing-reference": {"mapping": "nope.json"},
-        # two faults: a bad knob and a bad reference
-        "config-two-faults": {"top_k": "x", "mapping": "nope.json"},
-    }
-    references = {
-        "ref-action-cost": ("action_library",
-                            {"actions": [{"id": "x", "control": "S9", "cost": 1}]}),
-        "ref-action-unknown-section": ("action_library",
-                                       {"actions": [{"id": "x", "control": "S99"}]}),
-        "ref-mapping-entry-type": ("mapping", {"R4": [5]}),
-        "ref-mapping-unknown-section": ("mapping", {"R4": ["S99"]}),
-        "ref-mapping-empty-entry": ("mapping", {"R4": []}),
-        "ref-risk-level-label": ("risk_catalog", {"risks": [{**risk, "relevance": "Huge"}]}),
-        "ref-risk-catalog-empty": ("risk_catalog", {"risks": []}),
-        "ref-control-level-label": ("control_catalog",
-                                    {"sections": [{**section, "change_level": "Huge"}]}),
-        "ref-missing-field": ("control_catalog", {"sections": [{"id": "S9"}]}),
-    }
-    texts = {
-        "text-bad-json": '{"top_k": 3,}',
-        "text-not-an-object": "[1]",
-        "text-long-integer": '{"top_k": ' + "9" * 5000 + "}",
-        "text-deep-nesting": "[" * 200_000,
-        "text-not-utf8": b'{"top_k": "\xff"}',
-    }
-    scenarios = {
-        "scenario-unknown-key": lambda d: d.update(horizon=86_400),
-        "scenario-float": lambda d: d["links"][0].update(latency_ms=2.7),
-        "scenario-missing-field": lambda d: d.pop("links"),
-        "scenario-self-loop": lambda d: d["links"].append(
-            {"a": "cloud", "b": "cloud", "latency_ms": 5}),
-        "scenario-unknown-endpoint": lambda d: d["links"].append(
-            {"a": "ghost", "b": "cloud", "latency_ms": 5}),
-        "scenario-bad-epoch": lambda d: d.update(epoch="2024-02-30"),
-        "scenario-duplicate-node": lambda d: d["nodes"].append(d["nodes"][0]),
-        "scenario-negative-layer-value": lambda d: d["controls"]["s10"].update(
-            overhead_bytes=-2),
-        # two faults: a structural one and, later in the document, a bad type
-        "scenario-two-faults": lambda d: (
-            d["links"].append({"a": "cloud", "b": "cloud", "latency_ms": 5}),
-            d.update(thefts=[{"node": "cloud", "at": "noon"}])),
-    }
-    dmaic = ["dmaic", "--config", "config.json", "--out", "out"]
-    entries = {}
-    for name, doc in config.items():
-        entries[name] = Entry(dmaic, files={"config.json": json.dumps(doc)})
-    for name, (key, doc) in references.items():
-        entries[name] = Entry(dmaic, files={"config.json": json.dumps({key: "ref.json"}),
-                                            "ref.json": json.dumps(doc)})
-    for name, text in texts.items():
-        entries[name] = Entry(dmaic, files={"config.json": text})
-    for name, patch in scenarios.items():
-        entries[name] = Entry(
-            ["simulate", "--scenario", "scenario.json", "--out", "trace.ndjson"],
-            files={"scenario.json": json.dumps(_scenario(patch))})
-    entries["assess-level-label"] = Entry(
-        ["assess", "--catalog", "catalog.json"],
-        files={"catalog.json": json.dumps({"risks": [{**risk, "relevance": "Huge"}]})})
-    return entries
+def _huge_latency(doc: dict) -> None:
+    """A link of 10**12 ms: its messages are due long after the horizon."""
+    doc["links"][0]["latency_ms"] = 10**12
+
+
+def _theft_and_bandwidth(doc: dict) -> None:
+    """A theft of the truck's device on day 2, and a link of 1000 bytes/s."""
+    doc["thefts"].append({"node": "dev-truck", "at": 2 * 86_400})
+    doc["links"][0]["bandwidth_bps"] = 1000
 
 
 def corpus() -> dict[str, Entry]:
@@ -171,15 +100,18 @@ def corpus() -> dict[str, Entry]:
                  "--out", "all.ndjson"],
                 files={"scenario.json": scenario, "pipeline.json": config})
     for name, patch in (("probe-at-horizon", _at_horizon),
-                        ("probe-wait-past-horizon", _wait_past_horizon)):
+                        ("probe-wait-past-horizon", _wait_past_horizon),
+                        ("probe-huge-latency", _huge_latency),
+                        ("theft-and-bandwidth", _theft_and_bandwidth)):
         entries[name] = Entry(
             ["simulate", "--scenario", "scenario.json", "--controls", "none",
              "--out", "none.ndjson"],
             ["simulate", "--scenario", "scenario.json", "--controls", "all",
              "--out", "all.ndjson"],
             ["dmaic", "--scenario", "scenario.json", "--out", "out"],
-            files={"scenario.json": json.dumps(_scenario(patch))})
-    entries.update(_bad_documents())
+            files={"scenario.json": json.dumps(scenario_document(patch))})
+    for name, row in ROWS.items():
+        entries[name] = Entry(list(row.argv), files=row.files)
     entries["dmaic-hash-seed"] = Entry(["dmaic", "--out", "out"],
                                        env={"PYTHONHASHSEED": HASH_SEED})
     return entries
