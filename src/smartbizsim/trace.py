@@ -1,15 +1,18 @@
 """Append-only simulation trace.
 
 The trace is the single source of truth for metering: every observable
-event lands here as one record {seq, time, kind, ...}. Serialization is
-canonical (sorted keys, no whitespace), so equal runs produce byte-equal
-NDJSON. A trace streams its records, one batch at a time, to a sink such
+event lands here as one record {seq, time, kind, ...}, of a variant that
+`SCHEMA` declares. Serialization is canonical (sorted keys, no
+whitespace), so equal runs produce byte-equal NDJSON: a document goes
+through `json`'s encoder, a record through the line template of its
+variant. A trace streams its records, one batch at a time, to a sink such
 as `ndjson_writer`; where the batches end changes no byte written.
 """
 
 from __future__ import annotations
 
-from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from operator import itemgetter
 from typing import Callable, TextIO
 
 from .errors import json_default
@@ -45,27 +48,85 @@ BATCH_RECORDS = 256
 Sink = Callable[[list[dict]], None]  # takes each batch of a trace's records, in order
 
 
-def _record_encoder():
-    """One per document: an error ends the document. Records hold JSON
-    values only, so any other value is refused, not spelled."""
-    return _canonical_encoder(JSONEncoder().default)
+# Every record a trace holds, by kind: each variant's fields besides seq,
+# time and kind, with their JSON types. A record's key set is exactly one
+# variant of its kind, and no two variants of a kind have as many fields,
+# so its kind and field count find the template that writes it.
+INT, STR, BOOL, NULLABLE_STR, STRS = "int", "str", "bool", "str or null", "[str]"
+_SENT = {"msg_id": INT, "src": STR, "dst": STR, "size_bytes": INT, "wire_bytes": INT,
+         "wrapped": BOOL, "path": STRS, "link_ms": INT, "s10_ms": INT, "s9_ms": INT}
+_AUDIT = {"user": STR, "device": STR, "authenticated": BOOL}
+_FIRED = {"event": STR, "reminder": STR, "target": STR}
+SCHEMA: dict[str, tuple[dict[str, str], ...]] = {
+    "capital": ({"section": STR, "item": STR, "count": INT},),
+    "ops": ({"section": STR, "action": STR, "events": INT},),
+    "theft": ({"node": STR, "guarded": BOOL},),
+    "sent": (_SENT | {"payload_b64": STR},
+             _SENT | {"key_id": STR, "marker": STR, "inner_size": INT}),
+    "delivered": ({"msg_id": INT, "to": STR, "latency_ms": INT, "s17_ms": INT},),
+    "lost": ({"msg_id": INT, "reason": STR}, {"msg_id": INT, "reason": STR, "node": STR}),
+    "failure": ({"node": STR, "phase": STR},),
+    "failover": ({"failed": STR, "substitute": NULLABLE_STR},),
+    "audit": (_AUDIT, _AUDIT | {"reason": STR}),
+    "request_failed": ({"intent": STR, "reason": STR},),
+    "reminder": (_FIRED | {"author": STR}, _FIRED),
+    "meeting": ({"organizer": STR, "attendees": STRS, "start_min": INT,
+                 "duration_min": INT},),
+}
+
+# How a value of each type other than INT is written; an INT is `%d`.
+_ENCODE = {
+    STR: encode_basestring_ascii,
+    BOOL: ("false", "true").__getitem__,
+    NULLABLE_STR: lambda v: "null" if v is None else encode_basestring_ascii(v),
+    STRS: lambda v: "[%s]" % ",".join(map(encode_basestring_ascii, v)),
+}
 
 
-def _ndjson(encode, records: list[dict]) -> str:
-    """One canonical JSON line per record, each ended by a newline."""
-    join = "".join
-    lines = [join(encode(record, 0)) for record in records]
-    lines.append("")  # the last newline, without copying the text again
-    return "\n".join(lines)
+def _writer(kind: str, variant: dict[str, str]) -> tuple:
+    """The line template of one variant, the getter of its values other
+    than the kind, in key order, and the (index, encode) of each non-INT."""
+    types = {**variant, "seq": INT, "time": INT}
+    keys = sorted(types)
+    items = {key: "%d" if types[key] == INT else "%s" for key in keys}
+    items["kind"] = encode_basestring_ascii(kind)
+    line = ",".join(f"{encode_basestring_ascii(key)}:{items[key]}" for key in sorted(items))
+    encodes = tuple((i, _ENCODE[types[key]]) for i, key in enumerate(keys) if types[key] != INT)
+    return "{%s}\n" % line, itemgetter(*keys), encodes
+
+
+_WRITERS = {
+    (kind, len(variant) + 3): _writer(kind, variant)
+    for kind, variants in SCHEMA.items() for variant in variants
+}
+
+
+def _ndjson(records: list[dict]) -> str:
+    """One canonical JSON line per record, each ended by a newline, from
+    the template of its variant. With values of the declared types, it is
+    the line `json.dumps(record, sort_keys=True, separators=(",", ":"))`
+    writes; the types are not checked (`%d` writes True as 1)."""
+    lines = []
+    for record in records:
+        try:
+            template, get, encodes = _WRITERS[record["kind"], len(record)]
+            values = get(record)
+        except KeyError:  # equal counts and every key found: equal key sets
+            raise TypeError(f"trace record of kind {record.get('kind')!r} matches no"
+                            f" variant of trace.SCHEMA: fields {sorted(record)}") from None
+        values = list(values)
+        for i, encode in encodes:
+            values[i] = encode(values[i])
+        lines.append(template % tuple(values))
+    return "".join(lines)
 
 
 def ndjson_writer(file: TextIO) -> Sink:
     """A sink that writes each batch of records to `file` as NDJSON, in
-    one call, with one encoder for the whole file."""
-    encode = _record_encoder()
+    one call, each line from the template of the record's variant."""
 
     def write(records: list[dict]) -> None:
-        file.write(_ndjson(encode, records))
+        file.write(_ndjson(records))
 
     return write
 
@@ -101,4 +162,4 @@ class Trace:
     # item 4's benchmark step deletes it.
     def to_ndjson(self) -> str:
         """The records held, one batch at most, one canonical JSON line each."""
-        return _ndjson(_record_encoder(), self.records)
+        return _ndjson(self.records)

@@ -1,4 +1,6 @@
 import importlib.util
+import platform
+import sys
 from pathlib import Path
 
 from documents import ROWS
@@ -61,3 +63,13 @@ def test_the_corpus_runs_every_rejected_document_under_its_name(monkeypatch):
     for name, row in ROWS.items():
         assert entries[name].commands == (list(row.argv),), name
         assert entries[name].files == row.files, name
+
+
+def test_an_interpreter_is_named_by_its_executable_or_its_install_directory(
+        tmp_path, monkeypatch):
+    identity = _identity(monkeypatch)
+    version = platform.python_version()
+    assert identity.interpreter(sys.executable) == (sys.executable, version)
+    (tmp_path / "bin").mkdir()
+    (tmp_path / "bin" / "python3").symlink_to(sys.executable)
+    assert identity.interpreter(str(tmp_path)) == (str(tmp_path / "bin" / "python3"), version)

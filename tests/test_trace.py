@@ -1,12 +1,17 @@
 """The canonical serializer writes exactly what `json.dumps` writes with
-sorted keys and no whitespace, for one value and for a whole trace; a
-document's other values are spelled by `errors.json_default`, a trace
-record's are refused. Where a trace's batches end changes neither the
-bytes written nor what is metered."""
+sorted keys and no whitespace; a document's other values are spelled by
+`errors.json_default`. A trace's records are the variants `trace.SCHEMA`
+declares: the engine writes no other key set and no value of another
+type, each variant is written by some run, and the NDJSON writer writes
+each record of a variant as `json.dumps` would, refuses a record of none
+and a text field holding anything but text. Where a trace's batches end
+changes neither the bytes written nor what is metered."""
 
 import datetime as dt
+import io
 import json
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -17,24 +22,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ndjson, run, worlds
+from helpers import multi_hop_scenario, ndjson, run, worlds
 from smartbizsim import trace as trace_module
 from smartbizsim.cli import _trace_files
 from smartbizsim.controls import ChangeLevel
 from smartbizsim.costs import SectionCost
+from smartbizsim.errors import replace
 from smartbizsim.metering import meter, meter_sections
 from smartbizsim.risk import OrdinalLevel
-from smartbizsim.trace import canonical_json
+from smartbizsim.scenario import FailureSpec, TheftSpec, default_scenario
+from smartbizsim.timeline import SECONDS_PER_DAY
+from smartbizsim.trace import (
+    BOOL, INT, NULLABLE_STR, SCHEMA, STR, STRS, canonical_json, ndjson_writer,
+)
 from smartbizsim.world import World
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _record(**fields) -> dict:
-    """A record as `Trace.append` builds it."""
-    return {**fields, "seq": 0, "time": 0, "kind": "sent"}
+_PLAIN = {"msg_id": 1, "src": "dev-a", "dst": "dev-b", "size_bytes": 2, "wire_bytes": 2,
+          "wrapped": False, "path": ("dev-a--cloud",), "link_ms": 50, "s10_ms": 0,
+          "s9_ms": 0, "payload_b64": "aGk="}
+
+
+def _sent(**fields) -> dict:
+    """A plain `sent` record as `Trace.append` builds it, `fields` replaced."""
+    return {**_PLAIN, **fields, "seq": 0, "time": 0, "kind": "sent"}
 
 
 _LEAVES = (
@@ -60,9 +77,28 @@ def test_canonical_json_is_json_dumps_sorted_and_compact(value):
     assert canonical_json(value) == dumps(value)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.dictionaries(st.text(max_size=6), _VALUES, max_size=5), max_size=8))
-def test_every_ndjson_line_is_the_json_dumps_line_of_its_record(records):
+_TEXT = st.text() | st.sampled_from(["\x00\x1f\x7f", " é\U0001f600", '"\\/', "%s%d%%", ""])
+_DRAWN = {
+    INT: st.integers(-(2**70), 2**70),
+    STR: _TEXT,
+    BOOL: st.booleans(),
+    NULLABLE_STR: st.none() | _TEXT,
+    STRS: st.lists(_TEXT, max_size=4) | st.lists(_TEXT, max_size=4).map(tuple),
+}
+_VARIANTS = [(kind, variant) for kind, variants in SCHEMA.items() for variant in variants]
+
+
+@st.composite
+def _records(draw) -> dict:
+    """A record of a declared variant, its values drawn from their types."""
+    kind, variant = draw(st.sampled_from(_VARIANTS))
+    record = {field: draw(_DRAWN[type_]) for field, type_ in variant.items()}
+    return {**record, "seq": draw(_DRAWN[INT]), "time": draw(_DRAWN[INT]), "kind": kind}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_records(), max_size=8))
+def test_every_line_of_a_declared_record_is_its_json_dumps_line(records):
     assert ndjson(records) == "".join(dumps(record) + "\n" for record in records)
 
 
@@ -87,8 +123,9 @@ def test_an_unserializable_value_raises_the_json_dumps_type_error(bad):
     with pytest.raises(TypeError) as got:
         canonical_json(value)
     assert str(got.value) == str(expected.value)
-    with pytest.raises(TypeError, match="is not JSON serializable"):
-        ndjson([_record(payload=bad)])
+    for field in _PLAIN:  # whatever its declared type, a field refuses it
+        with pytest.raises(TypeError):
+            ndjson([_sent(**{field: bad})])
 
 
 _SPELLINGS = [
@@ -109,8 +146,10 @@ _SPELLINGS = [
 )
 def test_a_document_spells_each_value_json_has_no_type_for(value, spelled):
     assert canonical_json({"v": [value]}) == dumps({"v": [spelled]})
-    with pytest.raises(TypeError, match="is not JSON serializable"):
-        ndjson([_record(value=value)])  # a record holds JSON values only
+    with pytest.raises(TypeError, match="must be a string"):
+        ndjson([_sent(src=value)])  # a record's text fields hold text only
+    with pytest.raises(TypeError, match="must be a string"):
+        ndjson([_sent(path=("dev-a--cloud", value))])
 
 
 def test_a_cyclic_value_raises_value_error():
@@ -118,8 +157,10 @@ def test_a_cyclic_value_raises_value_error():
     cyclic["a"].append(cyclic)
     with pytest.raises(ValueError, match="Circular reference detected"):
         canonical_json(cyclic)
-    with pytest.raises(ValueError, match="Circular reference detected"):
-        ndjson([_record(loop=cyclic)])
+    loop: list = []
+    loop.append(loop)
+    with pytest.raises(TypeError, match="must be a string"):
+        ndjson([_sent(path=loop)])  # a list of text nests nothing, so it cannot cycle
 
 
 def test_an_encode_after_a_failed_one_carries_no_stale_markers():
@@ -132,12 +173,101 @@ def test_an_encode_after_a_failed_one_carries_no_stale_markers():
     inner["x"] = 1
     assert canonical_json(value) == dumps(value) == '{"a":[{"x":1}],"b":{"x":1}}'
 
-    record = _record(inner=inner, value=value)
-    inner["x"] = object()
+    # the NDJSON writer keeps nothing between batches, and writes nothing
+    # of a batch it refuses
+    out = io.StringIO()
+    write = ndjson_writer(out)
     with pytest.raises(TypeError):
-        ndjson([record])
-    inner["x"] = 2
-    assert ndjson([record]) == dumps(record) + "\n"
+        write([_sent(), _sent(dst=object())])
+    assert out.getvalue() == ""
+    write([_sent()])
+    assert out.getvalue() == dumps(_sent()) + "\n"
+
+
+_UNDECLARED = {
+    "unknown-kind": {"node": "dev-a", "seq": 0, "time": 0, "kind": "outage"},
+    "no-kind": {"seq": 0, "time": 0},
+    "extra-field": {**_sent(), "note": "x"},
+    "missing-field": {k: v for k, v in _sent().items() if k != "payload_b64"},
+    "renamed-field": {("payload" if k == "payload_b64" else k): v for k, v in _sent().items()},
+    "fields-of-another-kind": {"node": "dev-a", "phase": "start", "seq": 0, "time": 0,
+                               "kind": "lost"},
+}
+
+
+@pytest.mark.parametrize("record", _UNDECLARED.values(), ids=_UNDECLARED)
+def test_a_record_of_no_declared_variant_raises_naming_its_kind_and_fields(record):
+    with pytest.raises(TypeError) as got:
+        ndjson([_sent(), record])
+    assert str(got.value) == (
+        f"trace record of kind {record.get('kind')!r} matches no variant of"
+        f" trace.SCHEMA: fields {sorted(record)}"
+    )
+
+
+_TYPES = {INT: (int,), STR: (str,), BOOL: (bool,), NULLABLE_STR: (str, type(None)),
+          STRS: (list, tuple)}
+
+
+def _variant(record: dict) -> tuple[str, int]:
+    """The record's variant as (kind, field count), after checking that
+    its key set is exactly one variant of its kind and that each value
+    has its declared type: `type(v) is int`, so a bool or float fails."""
+    fields = record.keys() - {"seq", "time", "kind"}
+    matches = [v for v in SCHEMA[record["kind"]] if v.keys() == fields]
+    assert len(matches) == 1, record
+    types = {**matches[0], "seq": INT, "time": INT}
+    wrong = [
+        field for field, type_ in types.items()
+        if type(record[field]) not in _TYPES[type_]
+        or type_ == STRS and any(type(item) is not str for item in record[field])
+    ]
+    assert not wrong, (record, wrong)
+    return record["kind"], len(fields)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(worlds(), worlds(all_layers=True)))
+def test_every_record_a_generated_world_writes_is_one_declared_variant(drawn):
+    for record in run(*drawn)[1]:
+        _variant(record)
+
+
+def test_every_declared_variant_is_written_and_no_other():
+    for kind, variants in SCHEMA.items():  # so a field count picks one variant
+        assert len({len(variant) for variant in variants}) == len(variants), kind
+    day = SECONDS_PER_DAY
+    scenario = default_scenario()
+    runs = {
+        "default": scenario,
+        "theft-and-bandwidth": replace(
+            scenario, thefts=(TheftSpec(node="dev-truck", at=2 * day),),
+            links=(replace(scenario.links[0], bandwidth_bps=1000), *scenario.links[1:])),
+        # the cloud has no backup pool, and the month-end reminder falls due
+        "cloud-down-at-month-end": replace(scenario, failures=(
+            *scenario.failures, FailureSpec(node="cloud", at=30 * day, duration_s=day))),
+        "multi-hop": multi_hop_scenario(),
+    }
+    written, substitutes = set(), set()
+    for name, scenario in runs.items():
+        for enabled in ((), ("S9", "S10", "S17")):
+            for record in run(scenario, enabled)[1]:
+                written.add(_variant(record))
+                if record["kind"] == "failover":
+                    substitutes.add(type(record["substitute"]))
+    assert written == {(kind, len(variant)) for kind, variant in _VARIANTS}
+    assert substitutes == {str, type(None)}  # why `substitute` is nullable
+
+
+def test_readme_lists_every_declared_variant_with_its_fields():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Trace records\n", 1)[1].split("\n#", 1)[0]
+    listed = sorted(
+        (kind, sorted(re.findall(r"`(\w+)` ([^,]+?)(?:,|$)", fields.strip())))
+        for kind, fields in re.findall(r"^\| `(\w+)` \| ([^|]*) \|", table, re.M)
+    )
+    declared = sorted((kind, sorted(variant.items())) for kind, variant in _VARIANTS)
+    assert listed == declared
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -1,8 +1,14 @@
-"""Check that this checkout writes the same bytes as a parent commit.
+"""Check that this checkout writes the same bytes as a parent commit, or
+under another Python interpreter.
 
     python3 tools/identity.py --parent REV [--expect NAME ...]
+    python3 tools/identity.py --python PATH [--expect NAME ...]
 
-Run from the root of a checkout. REV is exported with `git archive`.
+Run from the root of a checkout. REV is exported with `git archive`, and
+the parent's source runs under this interpreter; with `--python`, this
+checkout's source runs under this interpreter and under the one at PATH
+(a `python3` executable, or the directory of an installed version, such
+as `~/.pyenv/versions/3.13.0`).
 Both sides run one fixed corpus (`corpus()`), whose bad documents are the
 rows of `tests/documents.py`: every entry in a fresh work directory
 holding the same input files at the same relative paths,
@@ -117,9 +123,11 @@ def corpus() -> dict[str, Entry]:
     return entries
 
 
-def run_side(src: Path, tree: Path, entries: dict[str, Entry]) -> None:
-    """Run every entry on the source tree `src`, writing its outputs under
-    `tree/<entry name>`; the input files are removed once it has run."""
+def run_side(src: Path, tree: Path, entries: dict[str, Entry],
+             python: str = sys.executable) -> None:
+    """Run every entry on the source tree `src` under the interpreter
+    `python`, writing its outputs under `tree/<entry name>`; the input
+    files are removed once it has run."""
     base = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     for name, entry in entries.items():
         work = tree / name
@@ -133,7 +141,7 @@ def run_side(src: Path, tree: Path, entries: dict[str, Entry]) -> None:
         work.mkdir(parents=True, exist_ok=True)
         env = {**base, "PYTHONPATH": str(src), **entry.env}
         for k, argv in enumerate(entry.commands, 1):
-            proc = subprocess.run([sys.executable, "-c", CLI, *argv], cwd=work, env=env,
+            proc = subprocess.run([python, "-c", CLI, *argv], cwd=work, env=env,
                                   capture_output=True)
             (work / f"{k}.stdout").write_bytes(proc.stdout)
             (work / f"{k}.stderr").write_bytes(proc.stderr.replace(bytes(src), b"<src>"))
@@ -170,22 +178,43 @@ def _show(path: Path) -> str:
     return data.decode("utf-8", "replace").rstrip("\n")
 
 
+def interpreter(path: str) -> tuple[str, str]:
+    """The `python3` executable at `path`, or in its `bin` directory, and
+    its version, so that an unusable PATH fails before the corpus runs."""
+    exe = Path(path).expanduser()
+    if exe.is_dir():
+        exe = exe / "bin" / "python3"
+    version = subprocess.run([str(exe), "-c", "import sys; print(sys.version.split()[0])"],
+                             check=True, capture_output=True, text=True).stdout.strip()
+    return str(exe), version
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="git revision to compare against")
+    against = parser.add_mutually_exclusive_group(required=True)
+    against.add_argument("--parent", help="git revision to compare against")
+    against.add_argument("--python", metavar="PATH",
+                         help="interpreter to compare this checkout's bytes under")
     parser.add_argument("--expect", nargs="*", default=[], metavar="NAME",
                         help="an output, or an entry, that this change is meant to move")
     args = parser.parse_args()
 
     entries = corpus()
     with tempfile.TemporaryDirectory() as tmp:
-        rev = export(args.parent, Path(tmp) / "parent")
         trees = {"before": Path(tmp) / "before", "after": Path(tmp) / "after"}
-        run_side(Path(tmp) / "parent" / "src", trees["before"], entries)
-        run_side(ROOT / "src", trees["after"], entries)
+        if args.parent:
+            rev = export(args.parent, Path(tmp) / "parent")
+            run_side(Path(tmp) / "parent" / "src", trees["before"], entries)
+            run_side(ROOT / "src", trees["after"], entries)
+            label = f"parent {rev}"
+        else:
+            python, version = interpreter(args.python)
+            run_side(ROOT / "src", trees["before"], entries)
+            run_side(ROOT / "src", trees["after"], entries, python)
+            label = f"python {sys.version.split()[0]} against {version} ({python})"
         moved = compare(trees["before"], trees["after"])
         names = sorted(digests(trees["before"]).keys() | digests(trees["after"]).keys())
-        print(f"parent {rev}: {len(entries)} entries, {len(names)} outputs")
+        print(f"{label}: {len(entries)} entries, {len(names)} outputs")
         for name in names:
             if _expected(name, args.expect):
                 state = "moved" if name in moved else "unchanged"
