@@ -31,6 +31,7 @@ from . import costs, middleware
 from .errors import (
     ConfigError,
     SmartBizError,
+    canonical_json,
     json_default,
     parse_json,
     read_document,
@@ -38,7 +39,7 @@ from .errors import (
 from .metering import Meter
 from .risk import RiskAssessment, default_risk_catalog, parse_risk_catalog, rank, top_k
 from .scenario import default_scenario, load_scenario
-from .trace import canonical_json, ndjson_writer
+from .trace import ndjson
 from .world import build_world
 
 EXIT_OK = 0
@@ -190,10 +191,9 @@ class _TraceFile(Meter):
             self._file = open(self._partial, "w", encoding="utf-8")
         except OSError as exc:  # name the path given, not the hidden partial
             raise OSError(exc.errno, exc.strerror, str(path)) from None
-        self._write = ndjson_writer(self._file)
 
     def feed(self, records: list[dict]) -> None:
-        self._write(records)
+        self._file.write(ndjson(records))
         super().feed(records)
 
     def commit(self) -> None:

@@ -37,6 +37,7 @@ from .errors import (
     NonNegative,
     Record,
     SmartBizError,
+    canonical_json,
     json_default,
     parse_json,
     read,
@@ -57,7 +58,6 @@ from .scenario import (
     INTENT_PARAMS, CommandSpec, ScenarioConfig, default_scenario, load_scenario,
 )
 from . import trace
-from .trace import canonical_json
 from .world import build_world
 
 

@@ -1,7 +1,7 @@
 """Exception hierarchy, the `Record` base of every record class, the
 file reading, JSON decoding and typed reading every input parser
-shares, and the JSON spelling every written document shares, dates
-and times of day included. It imports nothing of the package.
+shares, and the encoder and JSON spelling every written document
+shares, dates and times of day included. It imports nothing of the package.
 
 An error's class is its exit code: ConfigError is exit 2 (bad input
 or config), SimulationError exit 3 (a failure inside a run). A label
@@ -438,3 +438,9 @@ def json_default(value):
     if isinstance(value, abc.Mapping):
         return dict(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def canonical_json(value) -> str:
+    """Sorted keys, no whitespace: equal values give equal bytes. Values
+    JSON has no type for are spelled by `json_default`."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=json_default)

@@ -2,39 +2,19 @@
 
 The trace is the single source of truth for metering: every observable
 event lands here as one record {seq, time, kind, ...}, of a variant that
-`SCHEMA` declares. Serialization is canonical (sorted keys, no
-whitespace), so equal runs produce byte-equal NDJSON: a document goes
-through `json`'s encoder, a record through the line template of its
-variant. A trace streams its records, one batch at a time, to a sink such
-as `ndjson_writer`; where the batches end changes no byte written.
+`SCHEMA` declares. `ndjson` writes each record canonically (sorted keys,
+no whitespace) from the line template of its variant, so equal runs
+produce byte-equal NDJSON. A trace streams its records, one batch at a
+time, to a sink, such as a CLI trace file that writes each batch with
+`ndjson`; where the batches end changes no byte written. The module
+imports nothing of the package.
 """
 
 from __future__ import annotations
 
-from json.encoder import c_make_encoder, encode_basestring_ascii
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Callable, TextIO
-
-from .errors import json_default
-
-
-def _canonical_encoder(default):
-    """The C encoder that `json.dumps(v, sort_keys=True, separators=(",", ":"),
-    default=default)` builds for each call, with the same arguments, so it
-    writes the same bytes. Its fresh markers dict holds the containers
-    being encoded, for the circular-reference check; a failed encode can
-    leave entries behind, so an encoder is not reused after an error.
-    """
-    return c_make_encoder(
-        {}, default, encode_basestring_ascii, None,
-        ":", ",", True, False, True,  # sort_keys, skipkeys, allow_nan
-    )
-
-
-def canonical_json(value) -> str:
-    """Sorted keys, no whitespace: equal values give equal bytes. Values
-    JSON has no type for are spelled by `errors.json_default`."""
-    return "".join(_canonical_encoder(json_default)(value, 0))
+from typing import Callable
 
 
 # Records a trace holds before it hands them to its sink, and
@@ -101,7 +81,7 @@ _WRITERS = {
 }
 
 
-def _ndjson(records: list[dict]) -> str:
+def ndjson(records: list[dict]) -> str:
     """One canonical JSON line per record, each ended by a newline, from
     the template of its variant. With values of the declared types, it is
     the line `json.dumps(record, sort_keys=True, separators=(",", ":"))`
@@ -119,16 +99,6 @@ def _ndjson(records: list[dict]) -> str:
             values[i] = encode(values[i])
         lines.append(template % tuple(values))
     return "".join(lines)
-
-
-def ndjson_writer(file: TextIO) -> Sink:
-    """A sink that writes each batch of records to `file` as NDJSON, in
-    one call, each line from the template of the record's variant."""
-
-    def write(records: list[dict]) -> None:
-        file.write(_ndjson(records))
-
-    return write
 
 
 class Trace:
@@ -162,4 +132,4 @@ class Trace:
     # item 4's benchmark step deletes it.
     def to_ndjson(self) -> str:
         """The records held, one batch at most, one canonical JSON line each."""
-        return _ndjson(self.records)
+        return ndjson(self.records)

@@ -14,8 +14,9 @@ message is lost when a node strictly between its sender and receiver is
 down at its delivery time (`transit-failed`, naming that node). One whose
 receiver is down then is lost too, unless the continuity layer (S17) is
 enabled, in which case it waits for the failover switch and lands on a
-spare device; S17 stands in for receivers only. Sending from a failed
-device is not restricted; the model cares about delivery exposure only.
+spare device; S17 stands in for receivers only, and orders a replacement
+only for a node with a backup pool. Sending from a failed device is not
+restricted; the model cares about delivery exposure only.
 A down cloud serves nothing: a reminder to register, a meeting to book
 or a reminder that falls due while it is down becomes `request_failed`
 with `cloud-down`, and a due reminder waits for the next month end.
@@ -385,9 +386,10 @@ class World:
         self.trace.append(
             "failover", self.clock, failed=node_id, substitute=substitute
         )
-        self.trace.append(
-            "ops", self.clock, section="S17", action="replacement-order", events=1
-        )
+        if self._pools[node_id]:  # a node S17 cannot substitute gets no replacement
+            self.trace.append(
+                "ops", self.clock, section="S17", action="replacement-order", events=1
+            )
         for msg in waiting:
             self._stand_in(msg, substitute)
 

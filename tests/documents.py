@@ -10,9 +10,8 @@ ends in the running interpreter's own message for the same text: Python
 
 import json
 
-from smartbizsim.errors import Record
+from smartbizsim.errors import Record, canonical_json
 from smartbizsim.scenario import default_scenario
-from smartbizsim.trace import canonical_json
 
 EXIT = 2
 

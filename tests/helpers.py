@@ -27,7 +27,7 @@ from documents import EXIT, ROWS
 from smartbizsim.calendars import WorkWeek
 from smartbizsim.cli import main
 from smartbizsim.costs import CostRates, CostReport, DmaicConfig, run_dmaic
-from smartbizsim.errors import ConfigError, parse_iso_date, replace
+from smartbizsim.errors import ConfigError, canonical_json, parse_iso_date, replace
 from smartbizsim.metering import Meter, SectionUsage
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.scenario import (
@@ -39,7 +39,7 @@ from smartbizsim.scenario import (
     ScenarioConfig,
 )
 from smartbizsim.timeline import MINUTES_PER_DAY, month_end, seconds_at
-from smartbizsim.trace import canonical_json, ndjson_writer
+from smartbizsim.trace import ndjson
 from smartbizsim.world import World
 
 
@@ -55,13 +55,6 @@ def run(scenario: ScenarioConfig, enabled=(), until: int | None = None
     world = World(scenario, enabled, records.extend)
     world.run_until(scenario.horizon_s if until is None else until)
     return world, records
-
-
-def ndjson(records: list[dict]) -> str:
-    """The records as the CLI writes them to a trace file."""
-    out = io.StringIO()
-    ndjson_writer(out)(records)
-    return out.getvalue()
 
 
 def by_kind(records, kind: str) -> list[dict]:

@@ -30,12 +30,11 @@ from smartbizsim.costs import (
     residual_assessment,
     run_dmaic,
 )
-from smartbizsim.errors import NoSlotAvailable, replace
+from smartbizsim.errors import NoSlotAvailable, canonical_json, replace
 from smartbizsim.middleware import ControlLayerConfig, S17Config
 from smartbizsim.risk import default_risk_catalog, rank, top_k
 from smartbizsim.scenario import ReminderSpec
 from smartbizsim.timeline import SECONDS_PER_DAY
-from smartbizsim.trace import canonical_json
 
 
 def _ok(number: int, name: str) -> None:

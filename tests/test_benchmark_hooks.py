@@ -23,9 +23,8 @@ _CHILD = """
 import sys
 from pathlib import Path
 from smartbizsim import cli
-from smartbizsim.errors import replace
+from smartbizsim.errors import canonical_json, replace
 from smartbizsim.scenario import default_scenario
-from smartbizsim.trace import canonical_json
 from tracer import Tracer, install
 
 scenario = default_scenario()

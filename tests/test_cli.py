@@ -6,11 +6,12 @@ import os
 
 import pytest
 
-from helpers import document, ndjson, rejected, run
+from helpers import document, rejected, run
 from smartbizsim import cli, costs, trace
 from smartbizsim.cli import main
 from smartbizsim.errors import ConfigError, SimulationError, SmartBizError
 from smartbizsim.scenario import default_scenario
+from smartbizsim.trace import ndjson
 from smartbizsim.world import World
 
 

@@ -18,7 +18,7 @@ from smartbizsim.controls import (
     parse_mapping,
 )
 from smartbizsim.costs import DmaicConfig, load_dmaic_config
-from smartbizsim.errors import ConfigError, json_default, read, replace
+from smartbizsim.errors import ConfigError, canonical_json, json_default, read, replace
 from smartbizsim.risk import (
     OrdinalLevel,
     RiskCatalog,
@@ -28,7 +28,6 @@ from smartbizsim.risk import (
     top_k,
 )
 from smartbizsim.scenario import default_scenario
-from smartbizsim.trace import canonical_json
 
 ALL_LEVELS = {
     "S5": ChangeLevel.MODERATE,

@@ -19,10 +19,11 @@ from smartbizsim.costs import (
     residual_assessment,
     run_dmaic,
 )
-from smartbizsim.errors import ConfigError, read, replace
+from smartbizsim.errors import ConfigError, canonical_json, read, replace
 from smartbizsim.metering import SectionUsage
 from smartbizsim.risk import OrdinalLevel, Risk, RiskCatalog, default_risk_catalog, rank
-from smartbizsim.trace import canonical_json
+from smartbizsim.scenario import FailureSpec, default_scenario
+from smartbizsim.timeline import SECONDS_PER_DAY
 from test_scenario import spec_scenarios
 
 
@@ -377,6 +378,24 @@ def test_capital_is_what_the_secured_trace_counts(scenario, top):
     assert set(counted) <= set(sections)
     for section_id, cost in sections.items():
         assert cost.capital == counted.get(section_id, 0) * config.rates.capital_item
+
+
+def test_s17_orders_no_replacement_for_a_node_it_cannot_substitute():
+    # the cloud has no backup pool: S17 switches it over to no substitute
+    # and orders no replacement, so only dev-city-b's outage is priced
+    default = default_scenario()
+    cloud_down = FailureSpec(node="cloud", at=30 * SECONDS_PER_DAY, duration_s=SECONDS_PER_DAY)
+    scenario = replace(default, failures=(*default.failures, cloud_down))
+    report, _, secured = recorded_dmaic(replace(load_dmaic_config(None), scenario=scenario))
+    assert [(r["failed"], r["substitute"]) for r in by_kind(secured, "failover")] == [
+        ("dev-city-b", "dev-city-b-r1"), ("cloud", None)
+    ]
+    orders = [r for r in by_kind(secured, "ops") if r["section"] == "S17"]
+    assert [(r["action"], r["time"]) for r in orders] == [
+        ("replacement-order", default.failures[0].at + default.controls.s17.detection_window_s)
+    ]
+    assert report.cost_breakdown["S17"].operational == 5000
+    assert report.total_security_cost == 1373284
 
 
 def test_rate_defaults_have_one_source():

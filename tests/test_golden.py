@@ -12,12 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import multi_hop_scenario, ndjson, recorded_dmaic, run
+from helpers import multi_hop_scenario, recorded_dmaic, run
 from smartbizsim import trace
 from smartbizsim.cli import main
 from smartbizsim.costs import load_dmaic_config
+from smartbizsim.errors import canonical_json
 from smartbizsim.scenario import default_scenario
-from smartbizsim.trace import canonical_json
+from smartbizsim.trace import ndjson
 
 ROOT = Path(__file__).resolve().parent.parent
 

@@ -4,12 +4,13 @@ from collections import Counter, defaultdict
 import pytest
 from hypothesis import given, settings
 
-from helpers import by_kind, document, naive_total_cost, ndjson, run, two_device_scenario, worlds
+from helpers import by_kind, document, naive_total_cost, run, two_device_scenario, worlds
 from smartbizsim.costs import CostRates, monetize
 from smartbizsim.errors import SimulationError
 from smartbizsim.metering import Meter, MetricSet, SectionUsage, meter, meter_sections
 from smartbizsim.middleware import ControlLayerConfig, S10Config
 from smartbizsim.scenario import default_scenario
+from smartbizsim.trace import ndjson
 
 
 def _sent(msg_id, wrapped=False, wire=10, size=10):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import by_kind, message_records, ndjson, run, tap, two_device_scenario, worlds
+from helpers import by_kind, message_records, run, tap, two_device_scenario, worlds
 from smartbizsim.errors import AuthDenied, ConfigError, UnknownUser, read, replace
 from smartbizsim.middleware import (
     ControlLayerConfig,
@@ -14,6 +14,7 @@ from smartbizsim.middleware import (
 )
 from smartbizsim.metering import meter
 from smartbizsim.scenario import CommandSpec, FailureSpec, LinkSpec, NodeSpec, default_scenario
+from smartbizsim.trace import ndjson
 
 # controls of scenarios whose runs switch on S9, or S10
 S9_ON = ControlLayerConfig(s9=S9Config(credential_store={"alice": "sesame"}))
@@ -219,6 +220,7 @@ def test_empty_pool_loses_outage_traffic():
     lost = by_kind(records, "lost")
     assert [l["reason"] for l in lost] == ["pool-exhausted"]
     assert by_kind(records, "failover")[0]["substitute"] is None
+    assert not by_kind(records, "ops")  # no replacement for a node S17 cannot substitute
 
 
 def test_failed_backup_serves_again_after_it_recovers():

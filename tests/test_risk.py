@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smartbizsim.errors import ConfigError
+from smartbizsim.errors import ConfigError, canonical_json
 from smartbizsim.risk import (
     OrdinalLevel,
     Risk,
@@ -14,7 +14,6 @@ from smartbizsim.risk import (
     score,
     top_k,
 )
-from smartbizsim.trace import canonical_json
 
 # Derived by applying the product scoring and tie rules to the default
 # grid placements by hand (R9 beats R4 on relevance; R3/R7/R8 and R1/R5

@@ -17,7 +17,7 @@ from smartbizsim.controls import (
     default_control_catalog,
 )
 from smartbizsim.costs import CostRates, load_dmaic_config
-from smartbizsim.errors import ConfigError, parse_iso_date, read, replace
+from smartbizsim.errors import ConfigError, canonical_json, parse_iso_date, read, replace
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S10Config, S17Config
 from smartbizsim.risk import RiskCatalog, default_risk_catalog
 from smartbizsim.scenario import (
@@ -34,7 +34,6 @@ from smartbizsim.scenario import (
     parse_scenario,
 )
 from smartbizsim.timeline import seconds_at
-from smartbizsim.trace import canonical_json
 
 
 def test_default_scenario_round_trips_through_json():

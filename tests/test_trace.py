@@ -1,17 +1,19 @@
-"""The canonical serializer writes exactly what `json.dumps` writes with
-sorted keys and no whitespace; a document's other values are spelled by
-`errors.json_default`. A trace's records are the variants `trace.SCHEMA`
-declares: the engine writes no other key set and no value of another
-type, each variant is written by some run, and the NDJSON writer writes
-each record of a variant as `json.dumps` would, refuses a record of none
-and a text field holding anything but text. Where a trace's batches end
-changes neither the bytes written nor what is metered."""
+"""`errors.canonical_json`, the encoder of every document, writes what
+`json.dumps` writes with sorted keys and no whitespace; the values JSON
+has no type for are spelled by `errors.json_default`. A trace's records
+are the variants `trace.SCHEMA` declares: the engine writes no other key
+set and no value of another type (generated worlds and the benchmark's
+workloads included), each variant is written by some run, and
+`trace.ndjson`, the one trace-line writer, writes each record of a
+variant as `json.dumps` would, refuses a record of none and a text field
+holding anything but text. Where a trace's batches end changes neither
+the bytes written nor what is metered."""
 
 import datetime as dt
-import io
 import json
 import math
 import re
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -22,22 +24,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import multi_hop_scenario, ndjson, run, worlds
+from helpers import multi_hop_scenario, run, worlds
 from smartbizsim import trace as trace_module
 from smartbizsim.cli import _trace_files
 from smartbizsim.controls import ChangeLevel
 from smartbizsim.costs import SectionCost
-from smartbizsim.errors import replace
+from smartbizsim.errors import canonical_json, replace
 from smartbizsim.metering import meter, meter_sections
 from smartbizsim.risk import OrdinalLevel
-from smartbizsim.scenario import FailureSpec, TheftSpec, default_scenario
+from smartbizsim.scenario import FailureSpec, TheftSpec, default_scenario, parse_scenario
 from smartbizsim.timeline import SECONDS_PER_DAY
-from smartbizsim.trace import (
-    BOOL, INT, NULLABLE_STR, SCHEMA, STR, STRS, canonical_json, ndjson_writer,
-)
+from smartbizsim.trace import BOOL, INT, NULLABLE_STR, SCHEMA, STR, STRS, ndjson
 from smartbizsim.world import World
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def dumps(value) -> str:
@@ -173,15 +175,12 @@ def test_an_encode_after_a_failed_one_carries_no_stale_markers():
     inner["x"] = 1
     assert canonical_json(value) == dumps(value) == '{"a":[{"x":1}],"b":{"x":1}}'
 
-    # the NDJSON writer keeps nothing between batches, and writes nothing
-    # of a batch it refuses
-    out = io.StringIO()
-    write = ndjson_writer(out)
+    # the NDJSON writer keeps nothing between batches: a batch it refuses
+    # raises, so it returns no text, and the next batch is written whole
     with pytest.raises(TypeError):
-        write([_sent(), _sent(dst=object())])
-    assert out.getvalue() == ""
-    write([_sent()])
-    assert out.getvalue() == dumps(_sent()) + "\n"
+        ndjson([_sent(), _sent(dst=object())])
+    first, second = _sent(), _sent(msg_id=2)
+    assert ndjson([first, second]) == dumps(first) + "\n" + dumps(second) + "\n"
 
 
 _UNDECLARED = {
@@ -231,6 +230,14 @@ def _variant(record: dict) -> tuple[str, int]:
 def test_every_record_a_generated_world_writes_is_one_declared_variant(drawn):
     for record in run(*drawn)[1]:
         _variant(record)
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_every_record_a_benchmark_workload_writes_is_one_declared_variant(workload):
+    scenario = parse_scenario(workloads.generate(workload, 21)[0])
+    for enabled in ((), ("S9", "S10", "S17")):
+        for record in run(scenario, enabled)[1]:
+            _variant(record)
 
 
 def test_every_declared_variant_is_written_and_no_other():

@@ -14,7 +14,6 @@ from helpers import (
     generated_reminder_id,
     message_records,
     multi_hop_scenario,
-    ndjson,
     overlaps_busy,
     rejected,
     run,
@@ -35,6 +34,7 @@ from smartbizsim.scenario import (
     default_scenario,
 )
 from smartbizsim.timeline import SECONDS_PER_DAY, seconds_at
+from smartbizsim.trace import ndjson
 from smartbizsim.world import World
 
 DAY = SECONDS_PER_DAY

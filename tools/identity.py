@@ -76,6 +76,11 @@ def _huge_latency(doc: dict) -> None:
     doc["links"][0]["latency_ms"] = 10**12
 
 
+def _cloud_outage(doc: dict) -> None:
+    """The cloud, which has no backup pool, down from day 30 for one day."""
+    doc["failures"].append({"node": "cloud", "at": 30 * 86_400, "duration_s": 86_400})
+
+
 def _theft_and_bandwidth(doc: dict) -> None:
     """A theft of the truck's device on day 2, and a link of 1000 bytes/s."""
     doc["thefts"].append({"node": "dev-truck", "at": 2 * 86_400})
@@ -108,6 +113,7 @@ def corpus() -> dict[str, Entry]:
     for name, patch in (("probe-at-horizon", _at_horizon),
                         ("probe-wait-past-horizon", _wait_past_horizon),
                         ("probe-huge-latency", _huge_latency),
+                        ("probe-cloud-outage", _cloud_outage),
                         ("theft-and-bandwidth", _theft_and_bandwidth)):
         entries[name] = Entry(
             ["simulate", "--scenario", "scenario.json", "--controls", "none",
