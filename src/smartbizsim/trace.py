@@ -2,8 +2,10 @@
 
 The trace is the single source of truth for metering: every observable
 event lands here as one record {seq, time, kind, ...}, of a variant that
-`SCHEMA` declares. `ndjson` writes each record canonically (sorted keys,
-no whitespace) from the line template of its variant, so equal runs
+`SCHEMA` declares. The dict a caller appends becomes that record, with
+seq, time and kind added and no copy made, so each call passes a new
+dict. `ndjson` writes each record canonically (sorted keys, no
+whitespace) from the line template of its variant, so equal runs
 produce byte-equal NDJSON. A trace streams its records, one batch at a
 time, to a sink, such as a CLI trace file that writes each batch with
 `ndjson`; where the batches end changes no byte written. The module
@@ -111,8 +113,9 @@ class Trace:
         self.count = 0  # records appended, the next record's seq
         self._sink = sink
 
-    def append(self, kind: str, time: int, **record) -> None:
-        """Store the keyword arguments, plus seq, time and kind, as the record."""
+    def append(self, kind: str, time: int, record: dict) -> None:
+        """Keep `record` itself, with seq, time and kind added, as the next
+        record: the dict is not copied, so each call passes a new one."""
         record["seq"] = self.count
         self.count += 1
         record["time"] = time

@@ -162,10 +162,8 @@ class World:
                 reminder.target, reminder.payload.encode("utf-8"), reminder.id,
             )
         for theft in scenario.thefts:
-            self._declare(
-                theft.at, "_record", "theft",
-                dict(node=theft.node, guarded=self.config.s9 is not None),
-            )
+            self._declare(theft.at, "_record", "theft",
+                          {"node": theft.node, "guarded": self.config.s9 is not None})
         if self.config.s9 is not None and self.config.s9.review_period_days > 0:
             # one review per period up to the horizon, each queuing the next
             # under the seq declared here (see `_review`)
@@ -188,22 +186,16 @@ class World:
         """
         spares = self.config.s17.backups_per_site * poolless if self.config.s17 is not None else 0
         if self.config.s9 is not None:
-            self._declare(
-                0, "_record", "capital",
-                dict(section="S9", item="device-lock", count=devices + spares),
-            )
+            self._declare(0, "_record", "capital",
+                          {"section": "S9", "item": "device-lock", "count": devices + spares})
         if self.config.s10 is not None:
-            self._declare(
-                0, "_record", "ops",
-                dict(section="S10", action="key-provisioning", events=1),
-            )
+            self._declare(0, "_record", "ops",
+                          {"section": "S10", "action": "key-provisioning", "events": 1})
         if self.config.s17 is not None:
             backups = len({m for n in self.scenario.nodes for m in n.backup_pool}) + spares
             if backups:
-                self._declare(
-                    0, "_record", "capital",
-                    dict(section="S17", item="backup-device", count=backups),
-                )
+                self._declare(0, "_record", "capital",
+                              {"section": "S17", "item": "backup-device", "count": backups})
 
     # -- event machinery -----------------------------------------------
 
@@ -216,13 +208,14 @@ class World:
         self._event_seq += 1
 
     def _record(self, kind: str, fields: dict) -> None:
-        self.trace.append(kind, self.clock, **fields)
+        self.trace.append(kind, self.clock, fields)
 
     def _review(self, seq: int) -> None:
         """An S9 access review; queues the next under the same `seq`. Two
         reviews never share a second, and `seq` is above every declared
         event's and below every one the run creates, so one is enough."""
-        self.trace.append("ops", self.clock, section="S9", action="access-review", events=1)
+        self.trace.append("ops", self.clock,
+                          {"section": "S9", "action": "access-review", "events": 1})
         period = self.config.s9.review_period_days * SECONDS_PER_DAY
         if self.clock + period <= self.scenario.horizon_s:
             heapq.heappush(self._queue, (self.clock + period, seq, "_review", (seq,)))
@@ -300,21 +293,12 @@ class World:
         msg = Message(msg_id, dst, via, eta, total_ms, on_delivered)
         self.messages[msg_id] = msg
 
-        self.trace.append(
-            "sent",
-            self.clock,
-            msg_id=msg_id,
-            src=src,
-            dst=dst,
-            size_bytes=size,
-            wire_bytes=wire,
-            wrapped=wrapped,
-            path=path,  # the route table's tuple, shared by every send on it
-            link_ms=link_ms,
-            s10_ms=s10_ms,
-            s9_ms=s9_ms,
-            **content,
-        )
+        self.trace.append("sent", self.clock, {
+            "msg_id": msg_id, "src": src, "dst": dst, "size_bytes": size, "wire_bytes": wire,
+            "wrapped": wrapped,
+            "path": path,  # the route table's tuple, shared by every send on it
+            "link_ms": link_ms, "s10_ms": s10_ms, "s9_ms": s9_ms, **content,
+        })
         self._schedule(eta, "_handle_delivery", msg)
         return msg_id
 
@@ -338,20 +322,16 @@ class World:
     def _deliver(self, msg: Message, to: str) -> None:
         del self.messages[msg.msg_id]
         s17_ms = (self.clock - msg.eta) * 1000
-        self.trace.append(
-            "delivered",
-            self.clock,
-            msg_id=msg.msg_id,
-            to=to,
-            latency_ms=msg.latency_ms + s17_ms,
-            s17_ms=s17_ms,
-        )
+        self.trace.append("delivered", self.clock, {
+            "msg_id": msg.msg_id, "to": to, "latency_ms": msg.latency_ms + s17_ms,
+            "s17_ms": s17_ms,
+        })
         if msg.on_delivered is not None:
             self._request(*msg.on_delivered)
 
     def _lose(self, msg: Message, reason: str, **fields) -> None:
         del self.messages[msg.msg_id]
-        self.trace.append("lost", self.clock, msg_id=msg.msg_id, reason=reason, **fields)
+        self.trace.append("lost", self.clock, {"msg_id": msg.msg_id, "reason": reason, **fields})
 
     # -- failures and failover -------------------------------------------
 
@@ -359,7 +339,7 @@ class World:
         self._outages[node_id] += 1
         if self._outages[node_id] > 1:
             return  # overlapping windows merge into one outage
-        self.trace.append("failure", self.clock, node=node_id, phase="start")
+        self.trace.append("failure", self.clock, {"node": node_id, "phase": "start"})
         if self.config.s17 is not None:
             self._detecting[node_id] = (self.clock, [])
             self._schedule(
@@ -371,7 +351,7 @@ class World:
         self._outages[node_id] -= 1
         if self._outages[node_id]:
             return
-        self.trace.append("failure", self.clock, node=node_id, phase="end")
+        self.trace.append("failure", self.clock, {"node": node_id, "phase": "end"})
         # recovery beats an open detection window: waiting messages go
         # straight back to the recovered node
         for msg in self._detecting.pop(node_id, (0, ()))[1]:
@@ -383,13 +363,10 @@ class World:
             return  # stale timer: the outage it timed has ended
         del self._detecting[node_id]
         substitute = self._first_up_backup(node_id)
-        self.trace.append(
-            "failover", self.clock, failed=node_id, substitute=substitute
-        )
+        self.trace.append("failover", self.clock, {"failed": node_id, "substitute": substitute})
         if self._pools[node_id]:  # a node S17 cannot substitute gets no replacement
-            self.trace.append(
-                "ops", self.clock, section="S17", action="replacement-order", events=1
-            )
+            self.trace.append("ops", self.clock,
+                              {"section": "S17", "action": "replacement-order", "events": 1})
         for msg in waiting:
             self._stand_in(msg, substitute)
 
@@ -417,13 +394,13 @@ class World:
                     command.user, command.credential, command.device, self.config
                 )
             except UnknownUser:
-                refused = dict(reason="unknown-user")
+                refused = {"reason": "unknown-user"}
             except AuthDenied:
-                refused = dict(reason="bad-credential")
-            self.trace.append(
-                "audit", self.clock, user=command.user, device=command.device,
-                authenticated=not refused, **refused,
-            )
+                refused = {"reason": "bad-credential"}
+            self.trace.append("audit", self.clock, {
+                "user": command.user, "device": command.device,
+                "authenticated": not refused, **refused,
+            })
             if refused:
                 return
             s9_ms = self.config.s9.per_session_latency_ms
@@ -452,12 +429,12 @@ class World:
         `intent`. One it cannot serve, because it is down or no slot is
         free, is traced as `request_failed`, and the run goes on."""
         if self._outages[self.cloud_id]:
-            self._record("request_failed", dict(intent=intent, reason="cloud-down"))
+            self._record("request_failed", {"intent": intent, "reason": "cloud-down"})
             return
         try:
             getattr(self, intent)(*args)
         except NoSlotAvailable:
-            self._record("request_failed", dict(intent=intent, reason="no-slot"))
+            self._record("request_failed", {"intent": intent, "reason": "no-slot"})
 
     # -- reminders ---------------------------------------------------------
 
@@ -472,10 +449,9 @@ class World:
                 n += 1
             rid = f"rem-{n}"
         self.reminders[rid] = (target, bytes(payload))
-        self.trace.append(
-            "reminder", self.clock, event="created", reminder=rid,
-            author=author, target=target,
-        )
+        self.trace.append("reminder", self.clock, {
+            "event": "created", "reminder": rid, "author": author, "target": target,
+        })
         self._schedule_reminder(rid)
         return rid
 
@@ -495,7 +471,8 @@ class World:
 
     def fire_reminder(self, rid: str) -> None:
         target, payload = self.reminders[rid]
-        self.trace.append("reminder", self.clock, event="fired", reminder=rid, target=target)
+        self.trace.append("reminder", self.clock,
+                          {"event": "fired", "reminder": rid, "target": target})
         self.send_message(self.cloud_id, target, payload)
 
     # -- meetings ------------------------------------------------------------
@@ -513,10 +490,10 @@ class World:
         )
         for attendee in attendees:
             self.calendars[attendee].add_busy(start, start + duration_min)
-        self.trace.append(
-            "meeting", self.clock, organizer=organizer, attendees=list(attendees),
-            start_min=start, duration_min=duration_min,
-        )
+        self.trace.append("meeting", self.clock, {
+            "organizer": organizer, "attendees": list(attendees), "start_min": start,
+            "duration_min": duration_min,
+        })
         invitation = f"invitation:{start}:{duration_min}".encode("ascii")
         for attendee in attendees:
             self.send_message(self.cloud_id, self.attendee_device[attendee], invitation)

@@ -7,8 +7,11 @@ workloads included), each variant is written by some run, and
 `trace.ndjson`, the one trace-line writer, writes each record of a
 variant as `json.dumps` would, refuses a record of none and a text field
 holding anything but text. Where a trace's batches end changes neither
-the bytes written nor what is metered."""
+the bytes written nor what is metered. `Trace.append` keeps the dict it
+is given as the record, so no two records of a run are one dict, and
+every call in the package passes that dict positionally."""
 
+import ast
 import datetime as dt
 import json
 import math
@@ -304,3 +307,44 @@ def test_where_the_batches_end_changes_no_byte_and_no_metric(drawn):
             assert 0 < sizes[-1] <= batch if records else sizes == []
             assert trace_file.metrics() == meter(records)
             assert trace_file.sections() == meter_sections(records)
+
+
+def test_append_keeps_the_dict_it_is_given_adding_only_seq_time_and_kind():
+    batches: list[list[dict]] = []
+    trace = trace_module.Trace(batches.append)
+    start, end = {"node": "d00", "phase": "start"}, {"node": "d00", "phase": "end"}
+    trace.append("failure", 5, start)
+    trace.append("failure", 9, end)
+    trace.flush()
+    assert batches[0][0] is start and batches[0][1] is end
+    assert start == {"node": "d00", "phase": "start", "seq": 0, "time": 5, "kind": "failure"}
+    assert end == {"node": "d00", "phase": "end", "seq": 1, "time": 9, "kind": "failure"}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(worlds(all_layers=True))
+def test_no_two_records_of_a_run_are_one_dict(drawn):
+    # a dict appended twice, such as a declared event's fields run again,
+    # would hold only the seq, time and kind of its last append
+    records = run(*drawn)[1]
+    assert len({id(record) for record in records}) == len(records)
+
+
+def test_every_trace_append_in_the_package_passes_three_positional_arguments():
+    # a keyword form, `append(kind, time, **fields)`, builds each record
+    # key by key, where a dict literal is one presized dict
+    calls = [
+        (path.name, node.lineno, node)
+        for path in sorted((ROOT / "src" / "smartbizsim").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "append" and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "trace"
+    ]
+    assert calls
+    wrong = [
+        (name, line) for name, line, call in calls
+        if len(call.args) != 3 or call.keywords
+        or any(isinstance(arg, ast.Starred) for arg in call.args)
+    ]
+    assert not wrong

@@ -386,6 +386,79 @@ def test_a_run_split_at_any_time_writes_the_same_trace(drawn, split):
     assert ndjson(records) == ndjson(whole)
 
 
+# Metamorphic relations: a change to a generated world that the engine
+# must answer with a known change to its trace, or with none.
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(worlds(all_layers=True))
+def test_moving_every_command_and_failure_later_only_moves_the_record_times(drawn):
+    # without reminders, which fall due at month ends, and with no S9
+    # review before the horizon; the provisioning records stay at t=0
+    scenario, enabled = drawn
+    scenario = replace(scenario, reminders=())
+    hour = 3600
+    later = replace(
+        scenario, horizon_s=scenario.horizon_s + hour,
+        commands=tuple(replace(c, at=c.at + hour) for c in scenario.commands),
+        failures=tuple(replace(f, at=f.at + hour) for f in scenario.failures),
+    )
+    expected = [{**r, "time": r["time"] + hour} if r["time"] else r
+                for r in run(scenario, enabled)[1]]
+    assert run(later, enabled)[1] == expected
+
+
+_NODE_FIELDS = ("src", "dst", "to", "node", "failed", "substitute", "device", "author",
+                "target")
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(worlds(all_layers=True))
+def test_an_order_preserving_rename_of_the_nodes_only_renames_the_records(drawn):
+    scenario, enabled = drawn
+
+    def q(node):  # a common prefix keeps every tie-break's order
+        return "q" + node
+
+    renamed = replace(
+        scenario,
+        nodes=tuple(replace(n, id=q(n.id), backup_pool=tuple(map(q, n.backup_pool)))
+                    for n in scenario.nodes),
+        links=tuple(replace(link, a=q(link.a), b=q(link.b)) for link in scenario.links),
+        commands=tuple(replace(c, device=q(c.device), to=q(c.to)) for c in scenario.commands),
+        failures=tuple(replace(f, node=q(f.node)) for f in scenario.failures),
+        reminders=tuple(replace(r, author=q(r.author), target=q(r.target))
+                        for r in scenario.reminders),
+    )
+    link_ids = {old.id: new.id for old, new in zip(scenario.links, renamed.links)}
+    expected = []
+    for record in run(scenario, enabled)[1]:
+        # a spare's name is its device's with a suffix, so it is renamed too
+        new = {k: q(v) if k in _NODE_FIELDS and v is not None else v
+               for k, v in record.items()}
+        if "path" in record:
+            new["path"] = tuple(link_ids[link_id] for link_id in record["path"])
+        if "key_id" in record:  # S10's default key id names the sender
+            new["key_id"] = record["key_id"].replace(record["src"], new["src"])
+            new["marker"] = record["marker"].replace(record["key_id"], new["key_id"])
+        expected.append(new)
+    assert run(renamed, enabled)[1] == expected
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(worlds(all_layers=True, with_s17=False))
+def test_an_idle_leaf_device_on_the_cloud_changes_no_record(drawn):
+    # S9 locks and S17 spares are counted per device
+    scenario, enabled = drawn
+    enabled -= {"S9"}
+    cloud = next(n.id for n in scenario.nodes if n.kind == "CloudService")
+    idle = replace(
+        scenario,
+        nodes=(*scenario.nodes, NodeSpec(id="idle", kind="SmartDevice", site="CityA")),
+        links=(*scenario.links, LinkSpec(a=cloud, b="idle", latency_ms=0)),
+    )
+    assert run(idle, enabled)[1] == run(scenario, enabled)[1]
+
+
 @pytest.mark.parametrize("layers", [(), ("S9", "S10", "S17")])
 def test_a_finished_world_is_freed_by_reference_counting(layers):
     scenario = default_scenario()
