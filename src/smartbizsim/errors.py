@@ -110,6 +110,10 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r} of a frozen record")
 
 
+# the words of the rule `value >= 0`, wherever it is checked
+NON_NEGATIVE = "must be a non-negative integer, got {}"
+
+
 class NonNegative(Record):
     """A record whose every field is a mapping or an `int` >= 0, whether
     read or built in code. The error's path is the field's, so `read`
@@ -119,7 +123,7 @@ class NonNegative(Record):
         for name in self._fields:
             value = getattr(self, name)
             if not isinstance(value, abc.Mapping) and (type(value) is not int or value < 0):
-                exc = ConfigError(f"must be a non-negative integer, got {reprlib.repr(value)}")
+                exc = ConfigError(NON_NEGATIVE.format(reprlib.repr(value)))
                 exc.path = f".{name}"
                 raise exc
 

@@ -11,10 +11,11 @@ the caller (baseline vs secured runs reuse one scenario).
 from __future__ import annotations
 
 import datetime as dt
+import reprlib
 from pathlib import Path
 
 from .calendars import WorkWeek
-from .errors import ConfigError, Record, parse_json, read, read_document
+from .errors import NON_NEGATIVE, ConfigError, Record, parse_json, read, read_document
 from .middleware import ControlLayerConfig, S9Config
 from .timeline import SECONDS_PER_DAY, seconds_at
 
@@ -29,7 +30,7 @@ INTENT_PARAMS = {
 
 class NodeSpec(Record):
     id: str
-    kind: str  # SmartDevice | CloudService
+    kind: str  # "SmartDevice" or "CloudService"
     site: str | None = None
     backup_pool: tuple[str, ...] = ()
 
@@ -105,11 +106,6 @@ class ScenarioConfig(Record):
         validate_scenario(self)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
 def parse_scenario(document: str, controls: object = {}) -> ScenarioConfig:
     """The scenario of a JSON document, with `controls`, a decoded JSON
     block such as a pipeline config's (only read), read over its own
@@ -125,187 +121,173 @@ def load_scenario(path: str | Path, controls: object = {}) -> ScenarioConfig:
     return parse_scenario(read_document(path, "scenario"), controls)
 
 
+# one wording per kind of rule, filled in by `_fault`
+NOT_NODE = "{} is not a declared node"
+NOT_DEVICE = "{} is not a smart device"
+NOT_ATTENDEE = "{} is not an attendee"
+POSITIVE = "must be a positive integer, got {}"
+
+
+def _fault(path: str, problem: str, *values) -> ConfigError:
+    """`<path>: <problem>`, `read`'s form: an id in full, a number as `read` spells one."""
+    spelt = (reprlib.repr(v) if type(v) is int else repr(v) for v in values)
+    return ConfigError(f"{path}: {problem.format(*spelt)}")
+
+
 def validate_scenario(scenario: ScenarioConfig) -> None:
-    """Structural checks, run by ScenarioConfig on construction."""
-    node_ids = [n.id for n in scenario.nodes]
-    _require(len(node_ids) == len(set(node_ids)), "duplicate node ids")
-    devices = [n for n in scenario.nodes if n.kind == "SmartDevice"]
-    clouds = [n for n in scenario.nodes if n.kind == "CloudService"]
-    _require(
-        len(devices) + len(clouds) == len(scenario.nodes),
-        "node kind must be SmartDevice or CloudService",
-    )
-    _require(len(devices) >= 1, "scenario needs at least one smart device")
-    _require(len(clouds) == 1, "scenario needs exactly one cloud service node")
-    for device in devices:
-        _require(
-            device.site in SITES,
-            f"device {device.id!r} has invalid site {device.site!r}",
-        )
-    # A declared node may not take the id `<device>-r<k>` that S17 gives
-    # spare k = 1..backups_per_site of a device without a backup pool: spare
-    # ids appear in deliveries and failovers. Digits are counted before they
-    # are read, so no suffix is too long.
+    """Run by ScenarioConfig on construction: a plain if formats a fault only on failure."""
+    nodes = scenario.nodes
+    known, device_ids, clouds = set(), set(), []
+    for i, node in enumerate(nodes):
+        if node.id in known:
+            raise _fault(f"nodes[{i}].id", "{} is a duplicate node id", node.id)
+        known.add(node.id)
+        if node.kind == "SmartDevice":
+            if node.site not in SITES:
+                raise _fault(f"nodes[{i}].site", "{} is not a site {}", node.site, SITES)
+            device_ids.add(node.id)
+        elif node.kind == "CloudService":
+            clouds.append(node.id)
+        else:
+            raise _fault(f"nodes[{i}].kind", "{} is not a node kind {}", node.kind,
+                         ("SmartDevice", "CloudService"))
+    if not device_ids:
+        raise _fault("nodes", "must declare at least one smart device, got 0")
+    if len(clouds) != 1:
+        raise _fault("nodes", "must declare exactly one cloud service, got {}", len(clouds))
+    # A declared node may not take the id `<device>-r<k>` that S17 gives spare k =
+    # 1..backups_per_site of a device without a backup pool (spare ids appear in deliveries
+    # and failovers). Digits are counted before they are read, so no suffix is too long.
     spares = scenario.controls.s17.backups_per_site
-    poolless = {d.id for d in devices if not d.backup_pool}
-    for i, node_id in enumerate(node_ids):
-        primary, _, k = node_id.rpartition("-r")
-        if (
-            primary in poolless and k.isascii() and k.isdigit() and k[0] != "0"
-            and len(k) <= len(str(spares)) and int(k) <= spares
-        ):
-            raise ConfigError(
-                f"nodes[{i}].id {node_id!r} is the id of S17 spare {k} of {primary!r}"
-            )
-    known = set(node_ids)
+    poolless = {n.id for n in nodes if n.id in device_ids and not n.backup_pool}
+    for i, node in enumerate(nodes):
+        primary, _, k = node.id.rpartition("-r")
+        if (primary in poolless and k.isascii() and k.isdigit() and k[0] != "0"
+                and len(k) <= len(str(spares)) and int(k) <= spares):
+            raise _fault(f"nodes[{i}].id", "{} is the id of S17 spare {} of {}",
+                         node.id, int(k), primary)
+        for j, backup in enumerate(node.backup_pool):
+            if backup not in device_ids:
+                raise _fault(f"nodes[{i}].backup_pool[{j}]", NOT_DEVICE, backup)
     key_ids = scenario.controls.s10.key_ids
     if key_ids:  # empty: every node gets a derived key
-        for node_id in node_ids:
-            _require(
-                key_ids.get(node_id), f"controls.s10.key_ids gives node {node_id!r} no key id"
-            )
+        for node in nodes:
+            if not key_ids.get(node.id):
+                raise _fault(f"controls.s10.key_ids.{node.id}", "no key id for node {}", node.id)
         for key in key_ids:  # a misspelt node id would be ignored
-            _require(key in known, f"controls.s10.key_ids.{key} names no declared node")
-    device_ids = {d.id for d in devices}
-    for node in scenario.nodes:
-        for backup in node.backup_pool:
-            _require(backup in known, f"backup {backup!r} of {node.id!r} is unknown")
-            _require(
-                backup in device_ids,
-                f"backup {backup!r} of {node.id!r} is not a smart device",
-            )
-    # plain ifs in the loops over links, reminders and commands: they run
-    # per entry and format a message only on failure
-    neighbors: dict[str, dict[str, str]] = {node_id: {} for node_id in node_ids}
-    # the engine keeps links by id, so a link whose id an earlier link
-    # derives (`x--y` to `z` and `x` to `y--z`) would take its place
+            if key not in known:
+                raise _fault(f"controls.s10.key_ids.{key}", NOT_NODE, key)
+    # a link's index under each of its ends; the engine keeps links by id, so a
+    # link whose id an earlier link derives (`x--y` to `z` and `x` to `y--z`) would take its place
+    neighbors: dict[str, dict[str, int]] = {node_id: {} for node_id in known}
     link_index: dict[str, int] = {}
     for i, link in enumerate(scenario.links):
         if link.a not in known:
-            raise ConfigError(f"link endpoint {link.a!r} is unknown")
+            raise _fault(f"links[{i}].a", NOT_NODE, link.a)
         if link.b not in known:
-            raise ConfigError(f"link endpoint {link.b!r} is unknown")
+            raise _fault(f"links[{i}].b", NOT_NODE, link.b)
         if link.a == link.b:
-            raise ConfigError(f"link {link.id!r} is a self-loop")
+            raise _fault(f"links[{i}]", "{} is a self-loop", link.id)
         if link.latency_ms < 0:
-            raise ConfigError(f"link {link.id!r} has negative latency")
-        if link.bandwidth_bps is not None and link.bandwidth_bps <= 0:
-            raise ConfigError(f"link {link.id!r} has non-positive bandwidth")
-        earlier = neighbors[link.a].get(link.b)
-        if earlier is not None:
-            raise ConfigError(
-                f"links {earlier!r} and {link.id!r} join the same two nodes"
-            )
-        link_id = link.id
-        j = link_index.setdefault(link_id, i)
+            raise _fault(f"links[{i}].latency_ms", NON_NEGATIVE, link.latency_ms)
+        if link.bandwidth_bps is not None and link.bandwidth_bps < 1:
+            raise _fault(f"links[{i}].bandwidth_bps", POSITIVE, link.bandwidth_bps)
+        j = neighbors[link.a].get(link.b)
+        if j is not None:
+            raise _fault(f"links[{i}]", "{} joins the same two nodes as links[{}]", link.id, j)
+        j = link_index.setdefault(link.id, i)
         if j != i:
-            first = scenario.links[j]
-            raise ConfigError(
-                f"links[{j}] ({first.a!r} to {first.b!r}) and links[{i}] "
-                f"({link.a!r} to {link.b!r}) share the id {link_id!r}"
-            )
-        neighbors[link.a][link.b] = neighbors[link.b][link.a] = link_id
-    # every device must reach the cloud: one walk from the cloud
-    reached = {clouds[0].id}
-    stack = [clouds[0].id]
+            raise _fault(f"links[{i}]", "{} is also the id of links[{}]", link.id, j)
+        neighbors[link.a][link.b] = neighbors[link.b][link.a] = i
+    # every device must reach the cloud: one walk from it
+    reached, stack = set(clouds), list(clouds)
     while stack:
         for neighbor in neighbors[stack.pop()]:
             if neighbor not in reached:
                 reached.add(neighbor)
                 stack.append(neighbor)
-    unreached = [d.id for d in devices if d.id not in reached]
-    if unreached:
-        raise ConfigError(f"device {unreached[0]!r} has no link path to the cloud")
-    attendee_ids: set[str] = set()
+    for i, node in enumerate(nodes):
+        if node.id not in reached:
+            raise _fault(f"nodes[{i}]", "{} has no link path to the cloud", node.id)
+    attendee_ids, reminder_ids = set(), set()
     for i, attendee in enumerate(scenario.attendees):
         # the world keeps one calendar per id: a second would replace the first
         if attendee.id in attendee_ids:
-            raise ConfigError(f"attendees[{i}].id {attendee.id!r} is a duplicate attendee id")
+            raise _fault(f"attendees[{i}].id", "{} is a duplicate attendee id", attendee.id)
         attendee_ids.add(attendee.id)
         # not the cloud: it sends the invitations and cannot message itself
-        _require(
-            attendee.device in device_ids,
-            f"attendee {attendee.id!r} device {attendee.device!r} must be a smart device",
-        )
-    reminder_ids: set[str] = set()
+        if attendee.device not in device_ids:
+            raise _fault(f"attendees[{i}].device", NOT_DEVICE, attendee.device)
     for i, reminder in enumerate(scenario.reminders):
         if reminder.id in reminder_ids:
-            raise ConfigError(f"reminders[{i}].id {reminder.id!r} is a duplicate reminder id")
+            raise _fault(f"reminders[{i}].id", "{} is a duplicate reminder id", reminder.id)
         reminder_ids.add(reminder.id)
         if reminder.at < 0:
-            raise ConfigError(f"reminder {reminder.id!r} time must be >= 0")
+            raise _fault(f"reminders[{i}].at", NON_NEGATIVE, reminder.at)
         if reminder.author not in device_ids:
-            raise ConfigError(f"reminder author {reminder.author!r} must be a smart device")
+            raise _fault(f"reminders[{i}].author", NOT_DEVICE, reminder.author)
         if reminder.target not in device_ids:
-            raise ConfigError(f"reminder target {reminder.target!r} must be a smart device")
-    for command in scenario.commands:
+            raise _fault(f"reminders[{i}].target", NOT_DEVICE, reminder.target)
+    for i, command in enumerate(scenario.commands):
         if command.intent not in INTENT_PARAMS:
-            raise ConfigError(f"unknown intent kind {command.intent!r}")
+            raise _fault(f"commands[{i}].intent", "{} is not an intent {}", command.intent,
+                         tuple(INTENT_PARAMS))
         if command.device not in device_ids:
-            raise ConfigError(f"command device {command.device!r} must be a smart device")
+            raise _fault(f"commands[{i}].device", NOT_DEVICE, command.device)
         if command.at < 0:
-            raise ConfigError(
-                f"command time must be >= 0 (device {command.device!r}, at={command.at})"
-            )
+            raise _fault(f"commands[{i}].at", NON_NEGATIVE, command.at)
         if command.intent == "voice_message":
             if command.to not in known:
-                raise ConfigError(f"voice message target {command.to!r} unknown")
+                raise _fault(f"commands[{i}].to", NOT_NODE, command.to)
             if command.to == command.device:
-                raise ConfigError(
-                    f"voice message from {command.device!r} is addressed to itself"
-                )
+                raise _fault(f"commands[{i}].to", "{} is the command's own device", command.to)
         elif command.intent == "create_reminder":
             if command.target not in device_ids:
-                raise ConfigError(
-                    f"reminder target {command.target!r} must be a smart device"
-                )
-        elif command.intent == "schedule_meeting":
+                raise _fault(f"commands[{i}].target", NOT_DEVICE, command.target)
+        else:  # schedule_meeting
             if not command.attendees:
-                raise ConfigError(
-                    f"meeting (device {command.device!r}, at={command.at}) has no attendees"
-                )
-            for i, attendee in enumerate(command.attendees):
+                raise _fault(f"commands[{i}].attendees", "names no attendee")
+            for j, attendee in enumerate(command.attendees):
                 if attendee not in attendee_ids:
-                    raise ConfigError(f"meeting attendee {attendee!r} has no calendar")
-                if attendee in command.attendees[:i]:
-                    raise ConfigError(
-                        f"meeting (device {command.device!r}, at={command.at}) "
-                        f"names attendee {attendee!r} twice"
-                    )
+                    raise _fault(f"commands[{i}].attendees[{j}]", NOT_ATTENDEE, attendee)
+                if attendee in command.attendees[:j]:
+                    raise _fault(f"commands[{i}].attendees[{j}]", "{} is a duplicate attendee",
+                                 attendee)
             if command.duration_min < 1:
-                raise ConfigError("meeting duration must be >= 1 minute")
-    for failure in scenario.failures:
-        _require(failure.node in known, f"failure node {failure.node!r} unknown")
-        _require(failure.at >= 0, "failure injection time must be >= 0")
-        _require(failure.duration_s >= 0, "failure duration must be >= 0")
-    for theft in scenario.thefts:
-        _require(theft.node in known, f"theft node {theft.node!r} unknown")
-        _require(theft.at >= 0, "theft time must be >= 0")
-    _require(scenario.horizon_s > 0, "horizon must be positive")
+                raise _fault(f"commands[{i}].duration_min", POSITIVE, command.duration_min)
+    for i, failure in enumerate(scenario.failures):
+        if failure.node not in known:
+            raise _fault(f"failures[{i}].node", NOT_NODE, failure.node)
+        if failure.at < 0:
+            raise _fault(f"failures[{i}].at", NON_NEGATIVE, failure.at)
+        if failure.duration_s < 0:
+            raise _fault(f"failures[{i}].duration_s", NON_NEGATIVE, failure.duration_s)
+    for i, theft in enumerate(scenario.thefts):
+        if theft.node not in known:
+            raise _fault(f"thefts[{i}].node", NOT_NODE, theft.node)
+        if theft.at < 0:
+            raise _fault(f"thefts[{i}].at", NON_NEGATIVE, theft.at)
+    if scenario.horizon_s < 1:
+        raise _fault("horizon_s", POSITIVE, scenario.horizon_s)
     # A reminder due by the horizon is due again at the next month end,
     # which must be a date. Counted in whole days, so no date is built.
-    last_due = seconds_at(scenario.epoch, dt.date.max, scenario.reminder_fire_time)
-    if scenario.horizon_s >= last_due:
-        raise ConfigError(
-            f"horizon_s {scenario.horizon_s} reaches {dt.date.max} "
-            f"{scenario.reminder_fire_time:%H:%M}, the last month end a reminder can fall due"
-        )
-    _require(
-        scenario.meeting_horizon_days >= 1,
-        f"meeting_horizon_days must be >= 1, got {scenario.meeting_horizon_days}",
-    )
+    fire = scenario.reminder_fire_time
+    if scenario.horizon_s >= seconds_at(scenario.epoch, dt.date.max, fire):
+        raise _fault("horizon_s", f"{{}} reaches {dt.date.max} {fire:%H:%M}, the last month end "
+                     "a reminder can fall due", scenario.horizon_s)
+    if scenario.meeting_horizon_days < 1:
+        raise _fault("meeting_horizon_days", POSITIVE, scenario.meeting_horizon_days)
     hours = scenario.working_hours
     if hours.start >= hours.end:
-        raise ConfigError(
-            f"working_hours.start {hours.start:%H:%M} is not before "
-            f"working_hours.end {hours.end:%H:%M}"
-        )
-    _require(len(hours.days) > 0, "working_hours.days names no day")
+        raise _fault("working_hours.start", f"{hours.start:%H:%M} is not before "
+                     f"working_hours.end {hours.end:%H:%M}")
+    if not hours.days:
+        raise _fault("working_hours.days", "names no day")
     for i, day in enumerate(hours.days):
-        _require(0 <= day <= 6, f"working_hours.days[{i}] {day} is not a weekday 0..6")
-        _require(
-            day not in hours.days[:i], f"working_hours.days[{i}] {day} is a repeated day"
-        )
+        if not 0 <= day <= 6:
+            raise _fault(f"working_hours.days[{i}]", "{} is not a weekday 0..6", day)
+        if day in hours.days[:i]:
+            raise _fault(f"working_hours.days[{i}]", "{} is a duplicate weekday", day)
 
 
 def default_scenario(controls: object = {}) -> ScenarioConfig:

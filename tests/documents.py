@@ -180,14 +180,17 @@ ROWS = {
     "scenario-float": _scenario("links[0].latency_ms: expected an integer, got 2.7",
                                 _put("links.0.latency_ms", 2.7)),
     "scenario-missing-field": _scenario("missing field 'links'", lambda d: d.pop("links")),
-    "scenario-self-loop": _scenario("link 'cloud--cloud' is a self-loop",
+    "scenario-self-loop": _scenario("links[3]: 'cloud--cloud' is a self-loop",
                                     lambda d: d["links"].append(_link("cloud", "cloud", 5))),
-    "scenario-unknown-endpoint": _scenario("link endpoint 'ghost' is unknown",
+    "scenario-unknown-endpoint": _scenario("links[3].a: 'ghost' is not a declared node",
                                            lambda d: d["links"].append(_link("ghost", "cloud"))),
     "scenario-bad-epoch": _scenario("epoch: bad date '2024-02-30': day is out of range for month",
                                     {"epoch": "2024-02-30"}),
-    "scenario-duplicate-node": _scenario("duplicate node ids",
+    "scenario-duplicate-node": _scenario("nodes[4].id: 'dev-city-a' is a duplicate node id",
                                          lambda d: d["nodes"].append(d["nodes"][0])),
+    "scenario-unknown-node-kind": _scenario(
+        "nodes[4].kind: 'Robot' is not a node kind ('SmartDevice', 'CloudService')",
+        lambda d: d["nodes"].append({"id": "robot", "kind": "Robot"})),
     "scenario-negative-layer-value": _scenario(
         "controls.s10.overhead_bytes: must be a non-negative integer, got -2",
         _put("controls.s10.overhead_bytes", -2)),
@@ -195,18 +198,18 @@ ROWS = {
     "scenario-two-faults": _scenario("thefts[0].at: expected an integer, got 'noon'",
                                      lambda d: d["links"].append(_link("cloud", "cloud", 5)),
                                      {"thefts": [{"node": "cloud", "at": "noon"}]}),
-    "scenario-no-device": _scenario("scenario needs at least one smart device",
+    "scenario-no-device": _scenario("nodes: must declare at least one smart device, got 0",
                                     {"nodes": [{"id": "cloud", "kind": "CloudService"}]}),
     "scenario-two-clouds": _scenario(
-        "scenario needs exactly one cloud service node",
+        "nodes: must declare exactly one cloud service, got 2",
         lambda d: d["nodes"].append({"id": "cloud2", "kind": "CloudService"})),
     "scenario-reminder-author-cloud": _scenario(
-        "reminder author 'cloud' must be a smart device",
+        "reminders[0].author: 'cloud' is not a smart device",
         {"reminders": [{"id": "r", "author": "cloud", "target": "dev-city-b"}]}),
-    "scenario-voice-target-unknown": _scenario("voice message target 'ghost' unknown",
+    "scenario-voice-target-unknown": _scenario("commands[0].to: 'ghost' is not a declared node",
                                                {"commands": [_voice("dev-city-a", "ghost")]}),
     "scenario-reminder-target-cloud": _scenario(
-        "reminder target 'cloud' must be a smart device",
+        "commands[0].target: 'cloud' is not a smart device",
         {"commands": [{"at": 0, "device": "dev-city-a", "intent": "create_reminder",
                        "target": "cloud"}]}),
     # only the plan, or `simulate --controls`, switches a layer on
@@ -215,93 +218,100 @@ ROWS = {
        for layer in ("s9", "s10", "s17")},
 
     # -- simulate: one device and the cloud, with one entry added -------------
-    "small-no-nodes": _small("scenario needs at least one smart device", nodes=[]),
-    "small-link-to-ghost": _small("link endpoint 'ghost' is unknown",
+    "small-no-nodes": _small("nodes: must declare at least one smart device, got 0", nodes=[]),
+    "small-link-to-ghost": _small("links[0].b: 'ghost' is not a declared node",
                                   links=[_link("d", "ghost", 1)]),
-    "small-negative-latency": _small("link 'd--c' has negative latency",
+    "small-negative-latency": _small("links[0].latency_ms: must be a non-negative integer, got -5",
                                      links=[_link("d", "c", -5)]),
-    "small-failure-before-0": _small("failure injection time must be >= 0",
+    "small-failure-before-0": _small("failures[0].at: must be a non-negative integer, got -1",
                                      failures=[{"node": "d", "at": -1, "duration_s": 10}]),
-    "small-command-from-cloud": _small("command device 'c' must be a smart device",
+    "small-command-from-cloud": _small("commands[0].device: 'c' is not a smart device",
                                        commands=[_voice("c", "d")]),
-    "small-horizon-0": _small("horizon must be positive", horizon_s=0),
+    "small-horizon-0": _small("horizon_s: must be a positive integer, got 0", horizon_s=0),
     # a second link between two nodes would replace or shadow the first
-    "small-repeated-link": _small("links 'd--c' and 'd--c' join the same two nodes",
+    "small-repeated-link": _small("links[1]: 'd--c' joins the same two nodes as links[0]",
                                   links=[_link("d", "c"), _link("d", "c", 999)]),
-    "small-reversed-link": _small("links 'd--c' and 'c--d' join the same two nodes",
+    "small-reversed-link": _small("links[1]: 'c--d' joins the same two nodes as links[0]",
                                   links=[_link("d", "c"), _link("c", "d", 5)]),
     # the inputs below would otherwise stop the run with NoRoute
-    "small-unreachable-device": _small("device 'x' has no link path to the cloud",
+    "small-unreachable-device": _small("nodes[1]: 'x' has no link path to the cloud",
                                        nodes=[_device("d"), _device("x", "Truck"), _CLOUD]),
-    "small-voice-to-itself": _small("voice message from 'd' is addressed to itself",
+    "small-voice-to-itself": _small("commands[0].to: 'd' is the command's own device",
                                     commands=[_voice("d", "d")]),
-    "small-attendee-on-cloud": _small("attendee 'ops' device 'c' must be a smart device",
+    "small-attendee-on-cloud": _small("attendees[0].device: 'c' is not a smart device",
                                       attendees=[{"id": "ops", "device": "c"}]),
-    "small-command-before-0": _small("command time must be >= 0 (device 'd', at=-5)",
+    "small-command-before-0": _small("commands[0].at: must be a non-negative integer, got -5",
                                      commands=[_voice("d", "c", at=-5)]),
     "small-reminder-before-0": _small(
-        "reminder 'r' time must be >= 0",
+        "reminders[0].at: must be a non-negative integer, got -5",
         reminders=[{"id": "r", "author": "d", "target": "d", "at": -5}]),
-    "small-theft-before-0": _small("theft time must be >= 0", thefts=[{"node": "d", "at": -5}]),
+    "small-theft-before-0": _small("thefts[0].at: must be a non-negative integer, got -5",
+                                   thefts=[{"node": "d", "at": -5}]),
     # the second registration would stop the run midway
     "small-repeated-reminder-id": _small(
-        "reminders[1].id 'r' is a duplicate reminder id",
+        "reminders[1].id: 'r' is a duplicate reminder id",
         reminders=[{"id": "r", "author": "d", "target": "d"},
                    {"id": "r", "author": "d", "target": "d", "at": 9}]),
     # the pipeline switches layers on after validation: these hold either way
-    "small-meeting-without-attendees": _small("meeting (device 'd', at=0) has no attendees",
+    "small-meeting-without-attendees": _small("commands[0].attendees: names no attendee",
                                               attendees=[{"id": "p", "device": "d"}],
                                               commands=[_meeting("d")]),
-    "small-meeting-horizon-0": _small("meeting_horizon_days must be >= 1, got 0",
+    "small-meeting-horizon-0": _small("meeting_horizon_days: must be a positive integer, got 0",
                                       meeting_horizon_days=0),
-    "small-key-ids-partial": _small("controls.s10.key_ids gives node 'c' no key id",
+    "small-key-ids-partial": _small("controls.s10.key_ids.c: no key id for node 'c'",
                                     controls={"s10": {"key_ids": {"d": "kd"}}}),
-    "small-key-id-empty": _small("controls.s10.key_ids gives node 'd' no key id",
+    "small-key-id-empty": _small("controls.s10.key_ids.d: no key id for node 'd'",
                                  controls={"s10": {"key_ids": {"d": "", "c": "kc"}}}),
-    "small-spare-id": _small("nodes[2].id 'd-r1' is the id of S17 spare 1 of 'd'",
+    "small-spare-id": _small("nodes[2].id: 'd-r1' is the id of S17 spare 1 of 'd'",
                              nodes=[_device("d"), _CLOUD, _device("d-r1")],
                              links=[_link("d", "c"), _link("d-r1", "c")]),
     # the engine runs these without a check of its own
-    "small-failure-on-ghost": _small("failure node 'ghost' unknown",
+    "small-failure-on-ghost": _small("failures[0].node: 'ghost' is not a declared node",
                                      failures=[{"node": "ghost", "at": 0, "duration_s": 1}]),
-    "small-meeting-attendee-unknown": _small("meeting attendee 'nobody' has no calendar",
-                                             commands=[_meeting("d", attendees=["nobody"])]),
-    "small-reminder-target-cloud": _small("reminder target 'c' must be a smart device",
+    # an id is named in full, however long: a misspelling may be in its middle
+    "small-failure-on-a-long-ghost": _small(
+        "failures[0].node: 'warehouse-north-dock-sensor-7-ghost' is not a declared node",
+        failures=[{"node": "warehouse-north-dock-sensor-7-ghost", "at": 0, "duration_s": 1}]),
+    "small-meeting-attendee-unknown": _small(
+        "commands[0].attendees[0]: 'nobody' is not an attendee",
+        commands=[_meeting("d", attendees=["nobody"])]),
+    "small-reminder-target-cloud": _small("reminders[0].target: 'c' is not a smart device",
                                           reminders=[{"id": "r", "author": "d", "target": "c"}]),
     "small-meeting-duration-0": _small(
-        "meeting duration must be >= 1 minute", attendees=[{"id": "p", "device": "d"}],
+        "commands[0].duration_min: must be a positive integer, got 0",
+        attendees=[{"id": "p", "device": "d"}],
         commands=[_meeting("d", duration_min=0, attendees=["p"])]),
     # a misspelt node id beside the real one would be ignored, and an S17
     # spare never sends, so a key for it would change nothing
     **{f"small-key-id-{name}": _small(
-        f"controls.s10.key_ids.{node} names no declared node",
+        f"controls.s10.key_ids.{node}: {node!r} is not a declared node",
         controls={"s10": {"key_ids": {"d": "kd", "c": "kc", node: "k"}}})
        for name, node in (("misspelt", "D"), ("past-the-spares", "d-r2"), ("of-a-spare", "d-r1"))},
     # the cloud would book the calendar and invite the device twice
     "small-meeting-attendee-twice": _small(
-        "meeting (device 'd', at=7) names attendee 'p' twice",
+        "commands[0].attendees[1]: 'p' is a duplicate attendee",
         attendees=[{"id": "p", "device": "d"}],
         commands=[_meeting("d", at=7, attendees=["p", "p"])]),
     # a reminder due by the horizon is due again at the next month end,
     # which must be a date: the run stopped in the year 10000
-    "small-horizon-past-9999": _small(f"horizon_s 3024000 {_HORIZON}",
+    "small-horizon-past-9999": _small(f"horizon_s: 3024000 {_HORIZON}",
                                       epoch="9999-12-01", horizon_s=3024000),
-    "small-horizon-10**12": _small(f"horizon_s 1000000000000 {_HORIZON}", horizon_s=10**12),
+    "small-horizon-10**12": _small(f"horizon_s: 1000000000000 {_HORIZON}", horizon_s=10**12),
     # the engine keeps links by id: the second would replace the first
     "small-shared-link-id": _small(
-        "links[0] ('d--e' to 'c') and links[1] ('d' to 'e--c') share the id 'd--e--c'",
+        "links[1]: 'd--e--c' is also the id of links[0]",
         nodes=[_CLOUD, _device("d--e"), _device("d", "CityB"), _device("e--c", "Truck")],
         links=[_link("d--e", "c"), _link("d", "e--c", 5000), _link("e--c", "c", 20)]),
     # the world keeps one calendar per id: the second would replace the first
     "small-repeated-attendee-id": _small(
-        "attendees[1].id 'p' is a duplicate attendee id",
+        "attendees[1].id: 'p' is a duplicate attendee id",
         attendees=[{"id": "p", "device": "d"}, {"id": "p", "device": "d", "busy": [[0, 60]]}]),
 
     # -- simulate: a scenario of its own -------------------------------------
     # both links derive the id 'x--y--z': kept by id, the second took the
     # place of the first, and x--y to z was priced at the latency from x
     "simulate-two-links-with-one-id": _small(
-        "links[0] ('x--y' to 'z') and links[1] ('x' to 'y--z') share the id 'x--y--z'",
+        "links[1]: 'x--y--z' is also the id of links[0]",
         nodes=[{"id": "z", "kind": "CloudService"}, _device("x--y"), _device("x", "CityB"),
                _device("y--z", "Truck")],
         links=[_link("x--y", "z"), _link("x", "y--z", 5000), _link("y--z", "z", 20)],
@@ -416,37 +426,40 @@ ROWS = {
         "nodes[0].backup_pool: expected an array, got 'dev-truck'",
         {}, scenario=scenario_document(_put("nodes.0.backup_pool", "dev-truck"))),
     "ref-scenario-misspelt-key-id": _config(
-        "controls.s10.key_ids.dev-citya names no declared node",
+        "controls.s10.key_ids.dev-citya: 'dev-citya' is not a declared node",
         {}, scenario=scenario_document(_key_ids(**{"dev-citya": "typo"}))),
 
     # -- dmaic --scenario -----------------------------------------------------
     **{f"define-{name}": _define(
-        f"working_hours.start {start} is not before working_hours.end {end}",
+        f"working_hours.start: {start} is not before working_hours.end {end}",
         _put("working_hours.start", start), _put("working_hours.end", end))
        for name, start, end in (("night", "18:00", "08:00"), ("empty-window", "08:00", "08:00"))},
     **{f"define-{name}": _define(f"working_hours.{message}", _put("working_hours.days", days))
        for name, days, message in (
-           ("day-9", [9], "days[0] 9 is not a weekday 0..6"),
-           ("day-minus-1", [0, -1], "days[1] -1 is not a weekday 0..6"),
-           ("repeated-day", [1, 2, 1], "days[2] 1 is a repeated day"),
-           ("no-days", [], "days names no day"))},
+           ("day-9", [9], "days[0]: 9 is not a weekday 0..6"),
+           ("day-minus-1", [0, -1], "days[1]: -1 is not a weekday 0..6"),
+           ("repeated-day", [1, 2, 1], "days[2]: 1 is a duplicate weekday"),
+           ("no-days", [], "days: names no day"))},
     **{f"define-{layer}-enabled": _define(f"controls.{layer}.enabled: unknown field",
                                           _put(f"controls.{layer}.enabled", True))
        for layer in ("s9", "s10", "s17")},
     # without its rule, each would stop the Control step after the baseline
     # run, the empty key id with exit code 3
     "define-meeting-without-attendees": _define(
-        "meeting (device 'dev-city-b', at=208800) has no attendees",
+        "commands[6].attendees: names no attendee",
         lambda d: next(c for c in d["commands"] if c.get("attendees")).update(attendees=[])),
     **{f"define-meeting-horizon-{str(days).replace('-', 'minus-')}": _define(
-        f"meeting_horizon_days must be >= 1, got {days}", {"meeting_horizon_days": days})
+        f"meeting_horizon_days: must be a positive integer, got {days}",
+        {"meeting_horizon_days": days})
        for days in (0, -3)},
-    "define-key-ids-partial": _define("controls.s10.key_ids gives node 'dev-city-b' no key id",
-                                      _put("controls.s10.key_ids", {"dev-city-a": "ka"})),
-    "define-key-id-empty": _define("controls.s10.key_ids gives node 'dev-city-a' no key id",
-                                   _key_ids(blank="dev-city-a")),
+    "define-key-ids-partial": _define(
+        "controls.s10.key_ids.dev-city-b: no key id for node 'dev-city-b'",
+        _put("controls.s10.key_ids", {"dev-city-a": "ka"})),
+    "define-key-id-empty": _define(
+        "controls.s10.key_ids.dev-city-a: no key id for node 'dev-city-a'",
+        _key_ids(blank="dev-city-a")),
     "define-spare-id": _define(
-        "nodes[4].id 'dev-city-a-r1' is the id of S17 spare 1 of 'dev-city-a'",
+        "nodes[4].id: 'dev-city-a-r1' is the id of S17 spare 1 of 'dev-city-a'",
         lambda d: d["nodes"].append(_device("dev-city-a-r1")),
         lambda d: d["links"].append(_link("dev-city-a-r1", "cloud", 5))),
 }

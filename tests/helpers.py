@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
+import importlib.util
 import io
 import itertools
 import json
@@ -19,7 +20,6 @@ import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -148,17 +148,22 @@ def minute_scan_slot(
     is valid when every minute of the slot is a working minute and busy
     in no calendar.
     """
-    ok = np.zeros(horizon, dtype=np.int8)
+    ok = bytearray(horizon)  # one byte a minute: 1 free to meet, 0 not
+
+    def mark(start: int, end: int, byte: bytes) -> None:
+        start, end = max(start, 0), min(end, horizon)
+        if start < end:
+            ok[start:end] = byte * (end - start)
+
     for day in range(horizon // MINUTES_PER_DAY + 1):
-        if (epoch_weekday + day) % 7 not in week.days:
-            continue
-        lo = day * MINUTES_PER_DAY + week.start.hour * 60 + week.start.minute
-        hi = day * MINUTES_PER_DAY + week.end.hour * 60 + week.end.minute
-        ok[max(lo, 0):min(hi, horizon)] = 1
+        if (epoch_weekday + day) % 7 in week.days:
+            midnight = day * MINUTES_PER_DAY
+            mark(midnight + week.start.hour * 60 + week.start.minute,
+                 midnight + week.end.hour * 60 + week.end.minute, b"\x01")
     for busy in busy_lists:
         for start, end in busy:
-            ok[max(start, 0):min(end, horizon)] = 0
-    cumulative = np.concatenate(([0], np.cumsum(ok)))
+            mark(start, end, b"\x00")
+    cumulative = list(itertools.accumulate(ok, initial=0))
     for start in range(max(search_from, 0), horizon - duration + 1):
         if cumulative[start + duration] - cumulative[start] == duration:
             return start
@@ -279,6 +284,23 @@ def rejected(rows):
         return lambda: test([rows])
     return pytest.mark.parametrize(
         "names", [[v] if isinstance(v, str) else v for v in rows.values()], ids=list(rows))(test)
+
+
+# -- tools -----------------------------------------------------------------------
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+def load_tool(name: str):
+    """`tools/<name>.py` as a fresh module. Its directory is on `sys.path`
+    while it loads, since `identity` and `scale` import `bench_pairs` from
+    beside them."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(TOOLS))
+        spec.loader.exec_module(module)
+    return module
 
 
 # -- cost oracle ---------------------------------------------------------------

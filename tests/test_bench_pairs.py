@@ -1,12 +1,8 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+from helpers import load_tool
+
+bench_pairs = load_tool("bench_pairs")
 
 
 def test_the_change_is_compared_within_each_pair():

@@ -1,19 +1,11 @@
-import importlib.util
 import platform
 import sys
 from pathlib import Path
 
 from documents import ROWS
+from helpers import load_tool
 
-_TOOLS = Path(__file__).resolve().parent.parent / "tools"
-
-
-def _identity(monkeypatch):
-    monkeypatch.syspath_prepend(str(_TOOLS))  # identity imports bench_pairs beside it
-    spec = importlib.util.spec_from_file_location("identity", _TOOLS / "identity.py")
-    identity = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(identity)
-    return identity
+identity = load_tool("identity")
 
 
 def _tree(root: Path, files: dict[str, bytes]) -> Path:
@@ -33,8 +25,7 @@ _OUTPUTS = {
 }
 
 
-def test_compare_names_only_the_output_one_byte_apart(tmp_path, monkeypatch):
-    identity = _identity(monkeypatch)
+def test_compare_names_only_the_output_one_byte_apart(tmp_path):
     before = _tree(tmp_path / "before", _OUTPUTS)
     after = _tree(tmp_path / "after", {**_OUTPUTS, "dmaic-json/out/report.json":
                                        b'{"total_security_cost": 2}\n'})
@@ -42,32 +33,27 @@ def test_compare_names_only_the_output_one_byte_apart(tmp_path, monkeypatch):
     assert identity.compare(after, before) == ["dmaic-json/out/report.json"]
 
 
-def test_compare_finds_nothing_between_equal_trees(tmp_path, monkeypatch):
-    identity = _identity(monkeypatch)
+def test_compare_finds_nothing_between_equal_trees(tmp_path):
     before = _tree(tmp_path / "before", _OUTPUTS)
     after = _tree(tmp_path / "after", _OUTPUTS)
     assert identity.compare(before, after) == []
     assert sorted(identity.digests(after)) == sorted(_OUTPUTS)
 
 
-def test_compare_names_an_output_that_one_side_lacks(tmp_path, monkeypatch):
-    identity = _identity(monkeypatch)
+def test_compare_names_an_output_that_one_side_lacks(tmp_path):
     before = _tree(tmp_path / "before", _OUTPUTS)
     after = _tree(tmp_path / "after", {**_OUTPUTS, "dmaic-json/2.exit": b"0\n"})
     assert identity.compare(before, after) == ["dmaic-json/2.exit"]
 
 
-def test_the_corpus_runs_every_rejected_document_under_its_name(monkeypatch):
-    identity = _identity(monkeypatch)
+def test_the_corpus_runs_every_rejected_document_under_its_name():
     entries = identity.corpus()
     for name, row in ROWS.items():
         assert entries[name].commands == (list(row.argv),), name
         assert entries[name].files == row.files, name
 
 
-def test_an_interpreter_is_named_by_its_executable_or_its_install_directory(
-        tmp_path, monkeypatch):
-    identity = _identity(monkeypatch)
+def test_an_interpreter_is_named_by_its_executable_or_its_install_directory(tmp_path):
     version = platform.python_version()
     assert identity.interpreter(sys.executable) == (sys.executable, version)
     (tmp_path / "bin").mkdir()

@@ -105,6 +105,15 @@ NON_NEGATIVE = {
 }
 # the lists whose entries an id or a link pair must tell apart
 REPEATABLE = ("nodes", "reminders", "attendees", "links")
+# the strings that name a declared node, device or attendee, by path
+REFERENCES = [
+    ("nodes", "*", "backup_pool", "*"), ("links", "*", "a"), ("links", "*", "b"),
+    ("attendees", "*", "device"), ("reminders", "*", "author"), ("reminders", "*", "target"),
+    ("failures", "*", "node"), ("thefts", "*", "node"), ("commands", "*", "device"),
+    ("commands", "*", "to"), ("commands", "*", "target"), ("commands", "*", "attendees", "*"),
+]
+# ids that no entry of the scenario declares; e-r1 is the id of an S17 spare
+UNDECLARED = ("ghost", "D", "e-r1", "")
 # one value of each JSON type
 JSON_VALUES = {int: 7, float: 2.5, bool: True, str: "x", list: [], dict: {}, type(None): None}
 HUGE = "\x00huge\x00"  # stands for an integer JSON cannot hold, spliced into the text
@@ -160,6 +169,8 @@ def mutations(name: str, document: dict, kind) -> list[tuple]:
                     if key in value and key not in vars(at)]  # no default: required
         if type(value) is int and _matches(path, NON_NEGATIVE[name]):
             out.append(("negative", path, at))
+        if name == "scenario" and _matches(path, REFERENCES):
+            out.append(("dangling", path, at))
     if name == "scenario":
         out += [("repeat", (key, i), None) for key in REPEATABLE
                 for i in range(len(document[key]))]
@@ -178,6 +189,8 @@ def mutate(document: dict, family: str, path: tuple, at, draw) -> str:
         parent[last] = draw(st.integers(max_value=-1))
     elif family == "huge":
         parent[last] = HUGE
+    elif family == "dangling":
+        parent[last] = draw(st.sampled_from(UNDECLARED))
     elif family == "drop":
         del parent[last]
     elif family == "unknown":
@@ -196,13 +209,17 @@ SITES = {
     "scenario": mutations("scenario", SCENARIO, ScenarioConfig),
     "config": mutations("config", CONFIG, ConfigDocument),
 }
-# the sites whose error starts with the dotted path of the mutated value
+# the sites whose error starts with the path of the mutated value
 NAMED = {
-    "scenario": [site for site in SITES["scenario"]
-                 if site[0] == "negative" and _matches(site[1], [("controls", "*", "*")])],
+    "scenario": [site for site in SITES["scenario"] if site[0] in ("negative", "dangling")],
     "config": [site for site in SITES["config"] if site[0] in ("swap", "negative") and site[1]],
 }
 STEP = {"scenario": "", "config": "[Define] "}
+
+
+def _spelled(path: tuple) -> str:
+    """A path as an error spells it: `links[0].latency_ms`."""
+    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path).lstrip(".")
 
 
 def _run(name: str, text: str) -> tuple[int, str, str, list]:
@@ -220,7 +237,11 @@ def test_the_documents_are_valid_and_each_family_has_a_site(tmp_path):
     config = load_dmaic_config(tmp_path / "config.json")
     assert config.scenario == parse_scenario(json.dumps(SCENARIO), CONFIG["controls"])
     families = {name: {family for family, _, _ in sites} for name, sites in SITES.items()}
-    assert families["scenario"] == {"swap", "huge", "unknown", "drop", "negative", "repeat"}
+    assert families["scenario"] == {"swap", "huge", "unknown", "drop", "negative", "repeat",
+                                    "dangling"}
+    # the document holds every kind of reference
+    dangling = [path for family, path, _ in SITES["scenario"] if family == "dangling"]
+    assert all(any(_matches(path, [pattern]) for path in dangling) for pattern in REFERENCES)
     # every key of a config has a default, and it holds no list of ids
     assert families["config"] == {"swap", "huge", "unknown", "negative"}
 
@@ -247,7 +268,7 @@ def test_an_error_names_the_path_of_the_bad_value(name, data):
     text = mutate(SCENARIO if name == "scenario" else CONFIG, family, path, at, data.draw)
     code, _, err, _ = _run(name, text)
     assert code == 2, (family, path, err)
-    assert err.startswith(f"error: {STEP[name]}{'.'.join(path)}: "), err
+    assert err.startswith(f"error: {STEP[name]}{_spelled(path)}: "), err
 
 
 test_a_rejected_document_exits_2_on_its_own_error_line = rejected({name: name for name in ROWS})

@@ -134,7 +134,8 @@ def test_partial_key_map_rejected_at_build():
     controls = ControlLayerConfig(
         s10=S10Config(key_ids={"device-a": "k1"})
     )
-    with pytest.raises(ConfigError, match="gives node 'device-b' no key id"):
+    with pytest.raises(ConfigError,
+                       match=r"^controls\.s10\.key_ids\.device-b: no key id for node 'device-b'$"):
         two_device_scenario(controls=controls)
 
 

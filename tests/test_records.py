@@ -171,7 +171,7 @@ def test_a_record_keeps_its_fields_equality_hash_and_freezing(cls):
 
 
 @pytest.mark.parametrize("record, changes, message", [
-    (default_scenario(), {"horizon_s": -1}, r"^horizon must be positive$"),
+    (default_scenario(), {"horizon_s": -1}, r"^horizon_s: must be a positive integer, got -1$"),
     (load_dmaic_config(None), {"top_k": 11}, r"^top_k: 11 is outside 1\.\.10"),
 ], ids=["scenario-horizon", "config-top-k"])
 def test_a_replaced_copy_is_validated(record, changes, message):

@@ -1,4 +1,6 @@
+import ast
 import datetime as dt
+import inspect
 import json
 from typing import Mapping
 
@@ -61,29 +63,61 @@ def test_not_json_is_a_parse_error():
         parse_scenario("{nope")
 
 
-# Each id ends in the text its case matched: the whole message, unless given.
+# Each id keeps the text its case matched when the messages did not yet
+# start with a path: the ids outlive a rewording of the rows' lines.
 test_structural_problems_are_invalid_scenarios = rejected({
-    f"patch{i}-{matched or ROWS[f'small-{row}'].line.removeprefix('error: ')}": f"small-{row}"
-    for i, (row, matched) in enumerate([
-        ("no-nodes", "smart device"), ("link-to-ghost", "unknown"),
-        ("negative-latency", "negative"), ("failure-before-0", ">= 0"),
-        ("command-from-cloud", "smart device"), ("horizon-0", "horizon"),
-        ("repeated-link", None), ("reversed-link", None), ("unreachable-device", None),
-        ("voice-to-itself", "'d' is addressed to itself"), ("attendee-on-cloud", None),
-        ("command-before-0", "command time must be >= 0"), ("reminder-before-0", None),
-        ("theft-before-0", None), ("repeated-reminder-id", None),
-        ("meeting-without-attendees", None), ("meeting-horizon-0", None),
-        ("key-ids-partial", None), ("key-id-empty", None), ("spare-id", None),
-        ("failure-on-ghost", None), ("meeting-attendee-unknown", None),
-        ("reminder-target-cloud", None), ("meeting-duration-0", None),
-        ("key-id-misspelt", None), ("key-id-past-the-spares", None), ("key-id-of-a-spare", None),
-        ("meeting-attendee-twice", None),
-        ("horizon-past-9999", "horizon_s 3024000 reaches 9999-12-31 09:00, the last month end "
-                              "a reminder"),
-        ("horizon-10**12", "horizon_s 1000000000000 reaches 9999-12-31 09:00, the last month "
-                           "end a reminder"),
-        ("shared-link-id", None), ("repeated-attendee-id", None),
-    ])})
+    "patch0-smart device": "small-no-nodes",
+    "patch1-unknown": "small-link-to-ghost",
+    "patch2-negative": "small-negative-latency",
+    "patch3->= 0": "small-failure-before-0",
+    "patch4-smart device": "small-command-from-cloud",
+    "patch5-horizon": "small-horizon-0",
+    "patch6-links 'd--c' and 'd--c' join the same two nodes": "small-repeated-link",
+    "patch7-links 'd--c' and 'c--d' join the same two nodes": "small-reversed-link",
+    "patch8-device 'x' has no link path to the cloud": "small-unreachable-device",
+    "patch9-'d' is addressed to itself": "small-voice-to-itself",
+    "patch10-attendee 'ops' device 'c' must be a smart device": "small-attendee-on-cloud",
+    "patch11-command time must be >= 0": "small-command-before-0",
+    "patch12-reminder 'r' time must be >= 0": "small-reminder-before-0",
+    "patch13-theft time must be >= 0": "small-theft-before-0",
+    "patch14-reminders[1].id 'r' is a duplicate reminder id": "small-repeated-reminder-id",
+    "patch15-meeting (device 'd', at=0) has no attendees": "small-meeting-without-attendees",
+    "patch16-meeting_horizon_days must be >= 1, got 0": "small-meeting-horizon-0",
+    "patch17-controls.s10.key_ids gives node 'c' no key id": "small-key-ids-partial",
+    "patch18-controls.s10.key_ids gives node 'd' no key id": "small-key-id-empty",
+    "patch19-nodes[2].id 'd-r1' is the id of S17 spare 1 of 'd'": "small-spare-id",
+    "patch20-failure node 'ghost' unknown": "small-failure-on-ghost",
+    "patch21-meeting attendee 'nobody' has no calendar": "small-meeting-attendee-unknown",
+    "patch22-reminder target 'c' must be a smart device": "small-reminder-target-cloud",
+    "patch23-meeting duration must be >= 1 minute": "small-meeting-duration-0",
+    "patch24-controls.s10.key_ids.D names no declared node": "small-key-id-misspelt",
+    "patch25-controls.s10.key_ids.d-r2 names no declared node": "small-key-id-past-the-spares",
+    "patch26-controls.s10.key_ids.d-r1 names no declared node": "small-key-id-of-a-spare",
+    "patch27-meeting (device 'd', at=7) names attendee 'p' twice":
+        "small-meeting-attendee-twice",
+    "patch28-horizon_s 3024000 reaches 9999-12-31 09:00, the last month end a reminder":
+        "small-horizon-past-9999",
+    "patch29-horizon_s 1000000000000 reaches 9999-12-31 09:00, the last month end a reminder":
+        "small-horizon-10**12",
+    "patch30-links[0] ('d--e' to 'c') and links[1] ('d' to 'e--c') share the id 'd--e--c'":
+        "small-shared-link-id",
+    "patch31-attendees[1].id 'p' is a duplicate attendee id": "small-repeated-attendee-id",
+})
+
+
+def test_every_fault_of_validate_scenario_is_built_by_its_one_builder():
+    # each raise builds `<path>: <problem>` from a path literal; none
+    # formats its own message or raises through a condition helper
+    tree = ast.parse(inspect.getsource(scenario_module))
+    validate = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "validate_scenario")
+    raises = [node.exc for node in ast.walk(validate) if isinstance(node, ast.Raise)]
+    assert len(raises) >= 40
+    for call in raises:
+        assert isinstance(call, ast.Call) and ast.unparse(call.func) == "_fault", ast.unparse(call)
+        assert isinstance(call.args[0], (ast.Constant, ast.JoinedStr)), ast.unparse(call)
+    calls = {ast.unparse(node.func) for node in ast.walk(validate) if isinstance(node, ast.Call)}
+    assert "ConfigError" not in calls and not hasattr(scenario_module, "_require")
 
 
 @pytest.mark.parametrize(
@@ -123,7 +157,10 @@ def test_unknown_intent_rejected():
         "links": [{"a": "d", "b": "c", "latency_ms": 10}],
         "commands": [{"at": 0, "device": "d", "intent": "teleport"}],
     }
-    with pytest.raises(ConfigError, match="^unknown intent kind 'teleport'$"):
+    with pytest.raises(ConfigError, match=(
+        r"^commands\[0\]\.intent: 'teleport' is not an intent "
+        r"\('voice_message', 'create_reminder', 'schedule_meeting'\)$"
+    )):
         parse_scenario(json.dumps(doc))
 
 
@@ -135,7 +172,9 @@ def test_sites_are_a_closed_set():
         ],
         "links": [],
     }
-    with pytest.raises(ConfigError, match="^device 'd' has invalid site 'Mars'$"):
+    with pytest.raises(ConfigError, match=(
+        r"^nodes\[0\]\.site: 'Mars' is not a site \('CityA', 'CityB', 'Truck'\)$"
+    )):
         parse_scenario(json.dumps(doc))
 
 
@@ -184,7 +223,7 @@ def test_a_config_scenario_is_validated_once_with_or_without_controls(
 
 
 def test_constructing_an_invalid_scenario_raises_without_a_world():
-    with pytest.raises(ConfigError, match="^link endpoint 'ghost' is unknown$"):
+    with pytest.raises(ConfigError, match=r"^links\[0\]\.b: 'ghost' is not a declared node$"):
         ScenarioConfig(
             epoch=parse_iso_date("2024-01-01"),
             horizon_s=3600,
@@ -204,7 +243,7 @@ def test_the_longest_horizon_runs_and_one_second_more_is_rejected():
     _, records = run(scenario, {"S9", "S10", "S17"})
     # the reminder registered on day 2 is next due on 9999-12-31
     assert [r["event"] for r in by_kind(records, "reminder")] == ["created"]
-    with pytest.raises(ConfigError, match=f"^horizon_s {last_due} reaches"):
+    with pytest.raises(ConfigError, match=f"^horizon_s: {last_due} reaches"):
         replace(scenario, horizon_s=last_due)
 
 

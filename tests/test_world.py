@@ -253,7 +253,7 @@ def test_two_hop_path_sums_link_latencies():
 def test_unknown_destination_and_no_route():
     # a device without a link path could not be routed to mid-run, so the
     # scenario is rejected when it is built
-    with pytest.raises(ConfigError, match="^device 'island' has no link path to the cloud$"):
+    with pytest.raises(ConfigError, match=r"^nodes\[3\]: 'island' has no link path to the cloud$"):
         replace(
             two_device_scenario(),
             nodes=two_device_scenario().nodes + (NodeSpec(id="island", kind="SmartDevice", site="Truck"),),
