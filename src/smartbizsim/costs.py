@@ -99,25 +99,22 @@ class DmaicConfig(Record):
         sections = {section.id for section in self.control_catalog.sections}
         for i, action in enumerate(self.action_library):
             if action.control not in sections:
-                raise ConfigError(
-                    f"action_library.actions[{i}] ({action.id!r}).control: "
-                    f"unknown control section {action.control!r}"
-                )
+                raise ConfigError(f"unknown control section {action.control!r}",
+                                  f".action_library.actions[{i}].control")
         covered = {action.control for action in self.action_library}
         # every entry, not only the risks top_k selects: a config that runs
         # with one top_k runs with all of them
-        for risk_id, mapped in self.mapping.items():
+        for rid, mapped in self.mapping.items():
             if not mapped:
-                raise ConfigError(f"mapping.{risk_id}: names no section")
+                raise ConfigError("names no section", f".mapping.{rid}")
             for j, sid in enumerate(mapped):
-                at = f"mapping.{risk_id}[{j}]"
                 if sid not in sections:
-                    raise ConfigError(f"{at}: unknown control section {sid!r}")
+                    raise ConfigError(f"unknown control section {sid!r}", f".mapping.{rid}[{j}]")
                 if sid not in covered:
-                    raise ConfigError(f"{at}: no action covers section {sid!r}")
+                    raise ConfigError(f"no action covers section {sid!r}", f".mapping.{rid}[{j}]")
         check_top_k(self.top_k, len(self.risk_catalog.risks))
         if not 0 <= self.residual_factor <= 1:
-            raise ConfigError(f"residual_factor: must be in 0..1, got {self.residual_factor}")
+            raise ConfigError(f"must be in 0..1, got {self.residual_factor}", ".residual_factor")
 
     def resolved_dict(self) -> dict:
         """The document `digest` hashes: every resolved input in the spelling
@@ -258,8 +255,8 @@ def load_dmaic_config(
     base = Path(".")
     if path is not None:
         data = parse_json(read_document(path, "config"), "config")
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
+        if type(data) is not dict:
+            read(DmaicConfig, data)  # raises the reader's own `expected an object, got ...`
         base = Path(path).parent
     overrides = overrides or {}
     data = {**data, **overrides}
@@ -286,7 +283,7 @@ def load_dmaic_config(
         "mapping": reference("mapping", parse_mapping, default_mapping),
         "scenario": (
             default_scenario(controls) if scenario_path is None
-            else load_scenario(scenario_path, controls)
+            else load_scenario(scenario_path, controls, "scenario")
         ),
         "action_library": reference(
             "action_library", parse_action_library, default_action_library

@@ -38,7 +38,17 @@ class SmartBizError(Exception):
 
 
 class ConfigError(SmartBizError):
-    """Invalid input document, reference, or configuration."""
+    """Invalid input document, reference, or configuration. `path` is the
+    chain of `.name` and `[i]` segments to the rejected value; the error
+    reads `<path>: <problem>` without the first `.`, or the problem alone."""
+
+    def __init__(self, problem: str, path: str = "") -> None:
+        super().__init__(problem)
+        self.path = path
+
+    def __str__(self) -> str:
+        path = self.path[1:] if len(self.path) > 1 and self.path[0] == "." else self.path
+        return f"{path}: {self.args[0]}" if path else self.args[0]
 
 
 class SimulationError(SmartBizError):
@@ -123,9 +133,7 @@ class NonNegative(Record):
         for name in self._fields:
             value = getattr(self, name)
             if not isinstance(value, abc.Mapping) and (type(value) is not int or value < 0):
-                exc = ConfigError(NON_NEGATIVE.format(reprlib.repr(value)))
-                exc.path = f".{name}"
-                raise exc
+                raise ConfigError(NON_NEGATIVE.format(reprlib.repr(value)), f".{name}")
 
 
 _set_field = object.__setattr__
@@ -207,9 +215,9 @@ def read(kind, value, *, base=None, given=None, at: str = ""):
     place of `value`'s, so a record is built once from parts read apart.
     The reader of a type is built when a document first holds it.
 
-    A bad value raises a ConfigError that starts with its path, e.g.
-    `links[0].latency_ms: expected an integer, got 2.7`; `at` is the
-    path of `value` itself.
+    A bad value raises a ConfigError at its path, which reads e.g.
+    `links[0].latency_ms: expected an integer, got 2.7`; `at`, the path
+    of `value` itself, starts the path of every error.
     """
     reader = _reader(kind)
     try:
@@ -217,12 +225,8 @@ def read(kind, value, *, base=None, given=None, at: str = ""):
             return reader(value, base, given)
         return reader(value) if base is None else reader(value, base)
     except ConfigError as exc:
-        path = at + getattr(exc, "path", "")
-        if len(path) > 1 and path[0] in ". ":  # the separator before the first name
-            path = path[1:]
-        if not path:
-            raise
-        raise ConfigError(f"{path}: {exc}") from None
+        _at(exc, at)
+        raise
 
 
 _READERS: dict = {}
@@ -263,7 +267,7 @@ def _compile(kind):
 
 def _at(exc: ConfigError, segment: str) -> None:
     """Prefix the path of a failure: paths are only built on failure."""
-    exc.path = segment + getattr(exc, "path", "")
+    exc.path = segment + exc.path
 
 
 def _mismatch(expected: str, value) -> ConfigError:
@@ -375,18 +379,11 @@ def _object(cls):
     unknown_field = f"unknown field; {hint}" if hint else "unknown field"
     new = object.__new__
 
-    def failure(value, segment: str, problem: str) -> ConfigError:
-        label = value.get("id")  # an entry with an id is named by it
-        exc = ConfigError(problem)
-        exc.path = (f" ({label!r})" if type(label) is str else "") + segment
-        return exc
-
     def read_object(value, base=None, given=None):
         if type(value) is not dict:
             raise _mismatch("an object", value)
         if not value.keys() <= names:
-            unknown = next(key for key in value if key not in names)
-            raise failure(value, f".{unknown}", unknown_field)
+            raise ConfigError(unknown_field, "." + next(k for k in value if k not in names))
         # only what the document and `given` hold: the rest is `base`'s or a default
         out = {}
         try:
@@ -411,7 +408,7 @@ def _object(cls):
         record = new(cls)
         missing = _fill(record, out)
         if missing is not None:
-            raise failure(value, "", f"missing field {missing!r}")
+            raise ConfigError(f"missing field {missing!r}")
         return record
 
     return read_object

@@ -52,11 +52,11 @@ class RiskCatalog(Record):
 
     def __post_init__(self) -> None:
         if not self.risks:
-            raise ConfigError("the risk catalog lists no risks")
+            raise ConfigError("names no risk", ".risks")
         seen: set[str] = set()
-        for risk in self.risks:
+        for i, risk in enumerate(self.risks):
             if risk.id in seen:
-                raise ConfigError(f"risk id {risk.id!r} appears more than once")
+                raise ConfigError(f"{risk.id!r} is a duplicate risk id", f".risks[{i}].id")
             seen.add(risk.id)
 
 
@@ -83,7 +83,7 @@ def rank(catalog: RiskCatalog) -> RiskAssessment:
 
 def check_top_k(k: int, risks: int) -> None:
     if not 1 <= k <= risks:
-        raise ConfigError(f"top_k: {k} is outside 1..{risks}, the risk count")
+        raise ConfigError(f"{k} is outside 1..{risks}, the risk count", ".top_k")
 
 
 def top_k(assessment: RiskAssessment, k: int) -> list[str]:

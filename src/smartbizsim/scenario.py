@@ -15,7 +15,7 @@ import reprlib
 from pathlib import Path
 
 from .calendars import WorkWeek
-from .errors import NON_NEGATIVE, ConfigError, Record, parse_json, read, read_document
+from .errors import NON_NEGATIVE, ConfigError, Record, _at, parse_json, read, read_document
 from .middleware import ControlLayerConfig, S9Config
 from .timeline import SECONDS_PER_DAY, seconds_at
 
@@ -106,19 +106,25 @@ class ScenarioConfig(Record):
         validate_scenario(self)
 
 
-def parse_scenario(document: str, controls: object = {}) -> ScenarioConfig:
+def parse_scenario(document: str, controls: object = {}, at: str = "") -> ScenarioConfig:
     """The scenario of a JSON document, with `controls`, a decoded JSON
     block such as a pipeline config's (only read), read over its own
-    before it is built, so it is built and validated once."""
+    before it is built, so it is built and validated once. An error's path
+    starts with `at`, or with `controls` where `controls` gave the value."""
     data = parse_json(document, "scenario")
     block = data.pop("controls", {}) if type(data) is dict else {}  # no object: read rejects it
-    own = read(ControlLayerConfig, block, at="controls")
-    controls = read(ControlLayerConfig, controls, base=own, at="controls")
-    return read(ScenarioConfig, data, given={"controls": controls})
+    own = read(ControlLayerConfig, block, at=f"{at}.controls")
+    merged = read(ControlLayerConfig, controls, base=own, at="controls")
+    try:
+        return read(ScenarioConfig, data, given={"controls": merged})
+    except ConfigError as exc:  # a key map `controls` gave is named in `controls`
+        if merged.s10.key_ids is own.s10.key_ids or not exc.path.startswith(".controls"):
+            _at(exc, at)
+        raise
 
 
-def load_scenario(path: str | Path, controls: object = {}) -> ScenarioConfig:
-    return parse_scenario(read_document(path, "scenario"), controls)
+def load_scenario(path: str | Path, controls: object = {}, at: str = "") -> ScenarioConfig:
+    return parse_scenario(read_document(path, "scenario"), controls, at)
 
 
 # one wording per kind of rule, filled in by `_fault`
@@ -129,9 +135,9 @@ POSITIVE = "must be a positive integer, got {}"
 
 
 def _fault(path: str, problem: str, *values) -> ConfigError:
-    """`<path>: <problem>`, `read`'s form: an id in full, a number as `read` spells one."""
+    """The error at `.<path>`: an id in full, a number as `read` spells one."""
     spelt = (reprlib.repr(v) if type(v) is int else repr(v) for v in values)
-    return ConfigError(f"{path}: {problem.format(*spelt)}")
+    return ConfigError(problem.format(*spelt), f".{path}")
 
 
 def validate_scenario(scenario: ScenarioConfig) -> None:

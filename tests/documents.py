@@ -76,8 +76,9 @@ def _scenario(message: str, *patches) -> Row:
 
 
 def _define(message: str, *patches) -> Row:
-    """`dmaic --scenario` on the built-in scenario changed by `patches`."""
-    return _row("dmaic --scenario scenario.json --out out", f"[Define] {message}",
+    """`dmaic --scenario` on the built-in scenario changed by `patches`: the
+    error is named from the `scenario` key, as in a config."""
+    return _row("dmaic --scenario scenario.json --out out", f"[Define] scenario.{message}",
                 {"scenario.json": scenario_document(*patches)})
 
 
@@ -124,6 +125,8 @@ _DOCUMENT_FLAGS = (("assess-catalog", "assess --catalog", "", "catalog", "risk c
                    ("dmaic-config", "dmaic --config", "[Define] ", "config", None),
                    ("report-in", "report --in", "", "report", "report"))
 _HUGE = {"risks": [{"id": "R1", "name": "n", "relevance": "Huge", "severity": "Low"}]}
+_TWICE = {"risks": [{"id": "R1", "name": n, "relevance": "Low", "severity": "Low"}
+                    for n in ("a", "b")]}
 _DIGITS = '{"top_k": ' + "9" * 5000 + "}"  # past the integer digit limit
 _NESTED = "[" * 200_000  # past the recursion limit
 _UNDECODABLE = (("int-digits", _DIGITS), ("nesting", _NESTED))
@@ -162,6 +165,11 @@ ROWS = {
                                "risks[0].relevance: unknown label 'Huge'",
                                {"catalog.json": _HUGE}),
     "assess-out-in-a-missing-dir": _row("assess --out gone/x", f"{_MISSING}: 'gone/x'"),
+    "assess-duplicate-risk-id": _row("assess --catalog catalog.json",
+                                     "risks[1].id: 'R1' is a duplicate risk id",
+                                     {"catalog.json": _TWICE}),
+    "assess-risk-catalog-empty": _row("assess --catalog catalog.json", "risks: names no risk",
+                                      {"catalog.json": {"risks": []}}),
 
     # -- report ---------------------------------------------------------------
     "report-missing-file": _row("report --in nope.json",
@@ -323,6 +331,9 @@ ROWS = {
     "dmaic-missing-catalog-flag": _row(
         "dmaic --catalog nope.json --out out",
         f"[Define] cannot read risk_catalog reference nope.json: {_MISSING}: 'nope.json'"),
+    "dmaic-scenario-not-an-object": _row("dmaic --scenario doc.json --out out",
+                                         "[Define] scenario: expected an object, got [1]",
+                                         {"doc.json": "[1]"}),
     "dmaic-out-is-a-file": _row("dmaic --out report.json",
                                 "[Errno 17] File exists: 'report.json'", _REPORT),
     "dmaic-out-under-a-file": _row("dmaic --out report.json/sub",
@@ -330,7 +341,8 @@ ROWS = {
 
     # -- dmaic: the config's text ---------------------------------------------
     "text-bad-json": _config(_not_json("config", '{"top_k": 3,}'), '{"top_k": 3,}'),
-    "text-not-an-object": _config("config must be a JSON object", "[1]"),
+    # the reader's words, as for a scenario or a catalog that is no object
+    "text-not-an-object": _config("expected an object, got [1]", "[1]"),
     "text-long-integer": _config(_not_json("config", _DIGITS), _DIGITS),
     "text-deep-nesting": _config(_not_json("config", _NESTED), _NESTED),
     "text-not-utf8": _config(
@@ -387,11 +399,11 @@ ROWS = {
 
     # -- dmaic: a referenced document -----------------------------------------
     "ref-action-cost": _config(
-        "action_library.actions[0] ('x').cost: unknown field; an action is only id, control "
+        "action_library.actions[0].cost: unknown field; an action is only id, control "
         "and description; costs come from the rates and the secured run",
         {}, action_library={"actions": [{"id": "x", "control": "S9", "cost": 1}]}),
     "ref-action-unknown-section": _config(
-        "action_library.actions[0] ('x').control: unknown control section 'S99'",
+        "action_library.actions[0].control: unknown control section 'S99'",
         {}, action_library={"actions": [{"id": "x", "control": "S99"}]}),
     "ref-mapping-entry-type": _config("mapping.R4[0]: expected a string, got 5",
                                       {}, mapping={"R4": [5]}),
@@ -403,31 +415,43 @@ ROWS = {
     "ref-mapping-empty-entry": _config("mapping.R4: names no section", {}, mapping={"R4": []}),
     "ref-risk-level-label": _config("risk_catalog.risks[0].relevance: unknown label 'Huge'",
                                     {}, risk_catalog=_HUGE),
-    "ref-risk-catalog-empty": _config("risk_catalog: the risk catalog lists no risks",
+    "ref-risk-catalog-empty": _config("risk_catalog.risks: names no risk",
                                       {}, risk_catalog={"risks": []}),
+    "ref-risk-duplicate-id": _config("risk_catalog.risks[1].id: 'R1' is a duplicate risk id",
+                                     {}, risk_catalog=_TWICE),
     "ref-control-level-label": _config(
         "control_catalog.sections[0].change_level: unknown label 'Huge'", {},
         control_catalog={"sections": [{"id": "S9", "name": "n", "change_level": "Huge"}]}),
-    "ref-missing-field": _config("control_catalog.sections[0] ('S9'): missing field 'name'",
+    "ref-missing-field": _config("control_catalog.sections[0]: missing field 'name'",
                                  {}, control_catalog={"sections": [{"id": "S9"}]}),
     **{f"ref-{key.replace('_', '-')}-empty-file": _config(_not_json(label, ""), {}, **{key: ""})
        for key, label in (("mapping", "mapping file"), ("control_catalog", "control catalog"),
                           ("action_library", "action library"))},
-    # the referenced scenario's own errors carry no prefix
-    "ref-scenario-float": _config("links[0].latency_ms: expected an integer, got 2.7",
+    # the referenced scenario's errors are named from its key, as every reference's are
+    "ref-scenario-float": _config("scenario.links[0].latency_ms: expected an integer, got 2.7",
                                   {}, scenario=scenario_document(_put("links.0.latency_ms", 2.7))),
     "ref-scenario-duration-true": _config(
-        "failures[0].duration_s: expected an integer, got True",
+        "scenario.failures[0].duration_s: expected an integer, got True",
         {}, scenario=scenario_document(_put("failures.0.duration_s", True))),
-    "ref-scenario-unknown-key": _config("horizon: unknown field",
+    "ref-scenario-unknown-key": _config("scenario.horizon: unknown field",
                                         {}, scenario=scenario_document({"horizon": 86_400})),
     # a string was split into one-letter device ids
     "ref-scenario-backup-pool-text": _config(
-        "nodes[0].backup_pool: expected an array, got 'dev-truck'",
+        "scenario.nodes[0].backup_pool: expected an array, got 'dev-truck'",
         {}, scenario=scenario_document(_put("nodes.0.backup_pool", "dev-truck"))),
     "ref-scenario-misspelt-key-id": _config(
-        "controls.s10.key_ids.dev-citya: 'dev-citya' is not a declared node",
+        "scenario.controls.s10.key_ids.dev-citya: 'dev-citya' is not a declared node",
         {}, scenario=scenario_document(_key_ids(**{"dev-citya": "typo"}))),
+    # a layer value is named in the document that gives it: config-negative-layer-value
+    "ref-scenario-negative-layer-value": _config(
+        "scenario.controls.s17.detection_window_s: must be a non-negative integer, got -1",
+        {}, scenario=scenario_document(_put("controls.s17.detection_window_s", -1))),
+    # the config's key map replaces the scenario's whole map, so the config's
+    # path names the node it leaves out (define-key-ids-partial: the scenario's)
+    "ref-scenario-key-ids-from-config": _config(
+        "controls.s10.key_ids.c: no key id for node 'c'",
+        {"controls": {"s10": {"key_ids": {"d": "kd"}}}},
+        scenario={"nodes": [_device("d"), _CLOUD], "links": [_link("d", "c")]}),
 
     # -- dmaic --scenario -----------------------------------------------------
     **{f"define-{name}": _define(

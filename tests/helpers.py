@@ -16,7 +16,10 @@ import itertools
 import json
 import os
 import random
+import re
+import reprlib
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -284,6 +287,95 @@ def rejected(rows):
         return lambda: test([rows])
     return pytest.mark.parametrize(
         "names", [[v] if isinstance(v, str) else v for v in rows.values()], ids=list(rows))(test)
+
+
+# -- error paths -------------------------------------------------------------------
+
+# the keys of a pipeline config that name a document, and the `dmaic` flags that set them
+REFERENCES = ("risk_catalog", "control_catalog", "mapping", "action_library", "scenario")
+_DMAIC_FLAGS = {"--catalog": "risk_catalog", "--scenario": "scenario"}
+_ROOT_FLAGS = {"simulate": "--scenario", "assess": "--catalog"}
+_SEGMENT = re.compile(r"\[(\d+)\]|\.?([^.\[]+)")
+ABSENT = object()  # the value at a path whose last key the object lacks
+
+
+def _flag(argv, name: str) -> str | None:
+    argv = list(argv)
+    return argv[argv.index(name) + 1] if name in argv else None
+
+
+def _decoded(files: dict, rel: str):
+    text = files[rel]
+    return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+
+
+def _spelling(value) -> set[str]:
+    """How a rule may spell a rejected value after `got`: as `reprlib.repr`
+    does, or a rational string as the fraction it reads as."""
+    spelt = {reprlib.repr(value)}
+    if type(value) is str:
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            spelt.add(str(Fraction(value)))
+    return spelt
+
+
+def resolve_error(argv, files: dict, line: str):
+    """The value an input error's line names, and the problem it states.
+
+    `line` is `error: `, perhaps a `[Step] ` label, then `<path>: <problem>`
+    or, at the top of a document, the problem alone, which only the reader
+    states there. The path is looked up in the input `files` of the
+    command line `argv`: from the top of the `simulate --scenario` or
+    `assess --catalog` document, or, for `dmaic`, from its config with the
+    `--catalog` and `--scenario` flags set, each reference key followed
+    into the document it names. It asserts that the path is real:
+    - a path to an absent key is real only for a problem that says
+      nothing is there (`no ...`, `names no ...`), such as a field left
+      to its empty default;
+    - `missing field 'k'` names an object that lacks `k`;
+    - a problem that ends in `got X` spells the value found as X (a count
+      of a list's entries for `must declare`);
+    - one that opens with a quoted id opens with the string found or the
+      path's last key.
+    """
+    text = re.sub(r"^\[\w+\] ", "", line.removeprefix("error: "))
+    head, sep, problem = text.partition(": ")
+    if not sep or re.search(r"\s", head):
+        head, problem = "", text
+        # at the top only the reader finds a fault: no object, or a field left out
+        assert problem.startswith(("expected ", "missing field ")), line
+    if argv[0] == "dmaic":
+        config = _flag(argv, "--config")
+        value = {} if config is None else _decoded(files, config)
+        if type(value) is dict:
+            value.update({key: _flag(argv, flag) for flag, key in _DMAIC_FLAGS.items()
+                          if flag in argv})
+    else:
+        value = _decoded(files, _flag(argv, _ROOT_FLAGS[argv[0]]))
+    segments = [int(index) if index else key for index, key in _SEGMENT.findall(head)]
+    references = REFERENCES if argv[0] == "dmaic" else ()
+    for depth, segment in enumerate(segments):
+        if type(value) is list and type(segment) is int and segment < len(value):
+            value = value[segment]
+        elif type(value) is dict and segment in value:
+            value = value[segment]
+            if depth == 0 and segment in references and type(value) is str:
+                value = _decoded(files, value)  # the document it names, beside the config
+        else:
+            assert type(value) is dict and depth == len(segments) - 1, (head, line)
+            assert re.match("(names )?no ", problem), line
+            return ABSENT, problem
+    missing = re.fullmatch(r"missing field '(.+)'", problem)
+    if missing:
+        assert type(value) is dict and missing[1] not in value, line
+    got = re.search(r", got (.+)$", problem)
+    if got and problem.startswith("must declare "):
+        assert type(value) is list and int(got[1]) <= len(value), line
+    elif got:
+        assert got[1] in _spelling(value), (got[1], value, line)
+    if type(value) is str and problem.startswith("'"):
+        assert problem.startswith((f"{value!r} ", f"{segments[-1]!r} ")), (value, line)
+    return value, problem
 
 
 # -- tools -----------------------------------------------------------------------

@@ -153,12 +153,12 @@ def test_library_entry_with_cost_components_is_rejected():
         {"id": "device-locks", "control": "S9",
          "cost_components": [{"kind": "capital", "magnitude": 999}]},
     ]})
-    with pytest.raises(ConfigError, match=r"^actions\[1\] \('device-locks'\).*cost_components.*rates"):
+    with pytest.raises(ConfigError, match=r"^actions\[1\]\.cost_components: .*rates"):
         parse_action_library(document)
 
 
 def test_library_entry_without_a_control_is_rejected():
-    with pytest.raises(ConfigError, match=r"^actions\[0\] \('x'\): missing field 'control'$"):
+    with pytest.raises(ConfigError, match=r"^actions\[0\]: missing field 'control'$"):
         parse_action_library(json.dumps({"actions": [{"id": "x"}]}))
 
 

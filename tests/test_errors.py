@@ -156,8 +156,8 @@ def test_a_faulty_document_fails_at_its_path(cls, fault, data):
 
 @pytest.mark.parametrize("cls, document, message", [
     (ReminderSpec, {"id": "r1", "author": "a", "target": "b", "colour": 1},
-     "records[3] ('r1').colour: unknown field"),
-    (ReminderSpec, {"id": "r1", "at": 5}, "records[3] ('r1'): missing field 'author'"),
+     "records[3].colour: unknown field"),
+    (ReminderSpec, {"id": "r1", "at": 5}, "records[3]: missing field 'author'"),
     (ReminderSpec, {"at": True, "id": 7, "colour": 1}, "records[3].colour: unknown field"),
     (FailureSpec, {"at": 1.5, "node": 3}, "records[3].at: expected an integer, got 1.5"),
     (FailureSpec, {"node": 3, "at": 1.5}, "records[3].node: expected a string, got 3"),

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from documents import ROWS
-from helpers import rejected, run_main
+from helpers import ABSENT, rejected, resolve_error, run_main
 from smartbizsim.costs import CostRates, load_dmaic_config
 from smartbizsim.errors import Record
 from smartbizsim.middleware import ControlLayerConfig
@@ -177,8 +177,10 @@ def mutations(name: str, document: dict, kind) -> list[tuple]:
     return out
 
 
-def mutate(document: dict, family: str, path: tuple, at, draw) -> str:
-    """The text of `document` with one mutation applied at `path`."""
+def mutate(document: dict, family: str, path: tuple, at, draw) -> tuple[str, tuple]:
+    """The text of `document` with one mutation applied at `path`, and the
+    path its error names: the value's, an unknown key's, or for a dropped
+    field the object that lacks it."""
     holder = [copy.deepcopy(document)]  # so that the document, too, has a parent
     *parents, last = (0, *path)
     parent = reduce(getitem, parents, holder)
@@ -193,42 +195,49 @@ def mutate(document: dict, family: str, path: tuple, at, draw) -> str:
         parent[last] = draw(st.sampled_from(UNDECLARED))
     elif family == "drop":
         del parent[last]
+        path = path[:-1]
     elif family == "unknown":
         key = draw(st.sampled_from([k for k in ("note", "Id", "latency") if k not in at._fields]))
         parent[last][key] = draw(st.sampled_from(list(JSON_VALUES.values())))
+        path += (key,)
     else:  # repeat: a copy of the entry, a link perhaps the other way round
         entry = dict(parent[last])
         if parents[-1] == "links" and draw(st.booleans()):
             entry["a"], entry["b"] = entry["b"], entry["a"]
         parent.insert(draw(st.integers(0, len(parent))), entry)
     digits = draw(st.integers(4301, 4400)) if family == "huge" else 0
-    return json.dumps(holder[0]).replace(json.dumps(HUGE), "9" * digits)
+    return json.dumps(holder[0]).replace(json.dumps(HUGE), "9" * digits), path
 
 
 SITES = {
     "scenario": mutations("scenario", SCENARIO, ScenarioConfig),
     "config": mutations("config", CONFIG, ConfigDocument),
 }
-# the sites whose error starts with the path of the mutated value
-NAMED = {
-    "scenario": [site for site in SITES["scenario"] if site[0] in ("negative", "dangling")],
-    "config": [site for site in SITES["config"] if site[0] in ("swap", "negative") and site[1]],
+# the sites whose error starts with a path: the mutated value's, an unknown
+# key's or that of the object a dropped field leaves
+NAMED = {name: [site for site in SITES[name]
+                if site[0] in ("swap", "negative", "dangling", "unknown", "drop")]
+         for name in SITES}
+# the command lines that read a document, with the path each puts before its errors
+COMMANDS = {
+    "scenario": [(["simulate", "--scenario", "scenario.json", "--out", "trace.ndjson"], ()),
+                 (["dmaic", "--scenario", "scenario.json", "--out", "out"], ("scenario",))],
+    "config": [(["dmaic", "--config", "config.json", "--out", "out"], ())],
 }
-STEP = {"scenario": "", "config": "[Define] "}
 
 
 def _spelled(path: tuple) -> str:
-    """A path as an error spells it: `links[0].latency_ms`."""
-    return "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path).lstrip(".")
+    """A path as an error spells it, `links[0].latency_ms`, then `: `; at the
+    top of a document, nothing."""
+    spelled = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)
+    return f"{spelled.lstrip('.')}: " if path else ""
 
 
-def _run(name: str, text: str) -> tuple[int, str, str, list]:
-    """`run_main` on `text`: `simulate` for a scenario, `dmaic` for a config."""
+def _files(name: str, text: str) -> dict:
+    """The input files of a run on `text`; a config names the scenario beside it."""
     if name == "scenario":
-        return run_main(["simulate", "--scenario", "scenario.json", "--out", "trace.ndjson"],
-                        {"scenario.json": text})
-    return run_main(["dmaic", "--config", "config.json", "--out", "out"],
-                    {"config.json": text, "scenario.json": json.dumps(SCENARIO)})
+        return {"scenario.json": text}
+    return {"config.json": text, "scenario.json": json.dumps(SCENARIO)}
 
 
 def test_the_documents_are_valid_and_each_family_has_a_site(tmp_path):
@@ -251,10 +260,12 @@ def test_the_documents_are_valid_and_each_family_has_a_site(tmp_path):
 @given(data=st.data())
 def test_an_invalid_document_exits_2_on_one_error_line(name, data):
     family, path, at = data.draw(st.sampled_from(SITES[name]))
-    text = mutate(SCENARIO if name == "scenario" else CONFIG, family, path, at, data.draw)
-    code, out, err, files = _run(name, text)
+    text, _ = mutate(SCENARIO if name == "scenario" else CONFIG, family, path, at, data.draw)
+    argv, _ = COMMANDS[name][0]
+    code, out, err, files = run_main(argv, _files(name, text))
     assert code == 2, (family, path, err)
-    assert err.startswith(f"error: {STEP[name]}") and err.count("\n") == 1, err
+    assert err.startswith("error: " if name == "scenario" else "error: [Define] ")
+    assert err.count("\n") == 1, err
     assert out == ""
     # nothing written: neither the output nor anything else
     assert files == sorted({"scenario.json", f"{name}.json"})
@@ -265,17 +276,63 @@ def test_an_invalid_document_exits_2_on_one_error_line(name, data):
 @given(data=st.data())
 def test_an_error_names_the_path_of_the_bad_value(name, data):
     family, path, at = data.draw(st.sampled_from(NAMED[name]))
-    text = mutate(SCENARIO if name == "scenario" else CONFIG, family, path, at, data.draw)
-    code, _, err, _ = _run(name, text)
-    assert code == 2, (family, path, err)
-    assert err.startswith(f"error: {STEP[name]}{_spelled(path)}: "), err
+    text, named = mutate(SCENARIO if name == "scenario" else CONFIG, family, path, at, data.draw)
+    files = _files(name, text)
+    for argv, key in COMMANDS[name]:
+        code, _, err, _ = run_main(argv, files)
+        assert code == 2, (family, path, err)
+        step = "[Define] " if argv[0] == "dmaic" else ""
+        assert err.startswith(f"error: {step}{_spelled(key + named)}"), err
+        _, problem = resolve_error(argv, files, err.rstrip("\n"))
+        if family == "swap":  # the reader's words for a value of the wrong type
+            assert problem.startswith("expected ") and ", got " in problem, err
+        if family == "unknown":
+            assert problem.startswith("unknown field"), err
 
 
 test_a_rejected_document_exits_2_on_its_own_error_line = rejected({name: name for name in ROWS})
 
 
+def _not_at_a_path(row) -> str | None:
+    """What a row's fault is, when it lies at no path of an input document."""
+    text = row.line.removeprefix("error: ").removeprefix("[Define] ")
+    if "codec can't decode" in text:
+        return "not UTF-8"
+    if " is not valid JSON: " in text:
+        return "not JSON"
+    if text.startswith("cannot read "):
+        return "a missing file"
+    if text.startswith("[Errno "):
+        return "an unwritable output"
+    if "--top-k" in row.argv or "--controls" in row.argv:
+        return "a command-line flag"
+    return None
+
+
+def test_every_row_names_a_real_path_or_is_a_named_exception():
+    kinds, failures = {}, []
+    for name, row in ROWS.items():
+        kinds[name] = _not_at_a_path(row)
+        if kinds[name] is None:
+            try:
+                found, _ = resolve_error(row.argv, row.files, row.line)
+            except (AssertionError, LookupError, ValueError) as exc:
+                failures.append((name, row.line, exc))
+            else:
+                kinds[name] = "absent" if found is ABSENT else None
+    assert failures == []
+    assert set(kinds.values()) == {None, "absent", "not UTF-8", "not JSON", "a missing file",
+                                   "an unwritable output", "a command-line flag"}
+    # the paths to a value not there: a key map that leaves a node out, and
+    # a meeting's attendees left to their default
+    assert sorted(name for name, kind in kinds.items() if kind == "absent") == [
+        "define-key-ids-partial", "ref-scenario-key-ids-from-config", "small-key-ids-partial",
+        "small-meeting-without-attendees"]
+    assert list(kinds.values()).count(None) >= 110  # the resolver still reads most rows
+
+
 # how an input error that README quotes starts: a step, or a path and a colon
-_ERROR = re.compile(r"\[Define\] |[\w.\[\]()' -]+: ")
+_ERROR = re.compile(r"\[Define\] |[\w.\[\] -]+: ")
 
 
 def test_every_error_readme_quotes_is_written_by_a_row():

@@ -94,9 +94,9 @@ def test_singleton_catalog_ranks_alone():
 
 def test_empty_catalog_rejected():
     # rejected when built, so `rank` never sees one
-    with pytest.raises(ConfigError, match="^the risk catalog lists no risks$"):
+    with pytest.raises(ConfigError, match="^risks: names no risk$"):
         RiskCatalog(risks=())
-    with pytest.raises(ConfigError, match="^the risk catalog lists no risks$"):
+    with pytest.raises(ConfigError, match="^risks: names no risk$"):
         parse_risk_catalog(json.dumps({"risks": []}))
 
 
@@ -109,7 +109,7 @@ def test_duplicate_risk_id_rejected():
             ]
         }
     )
-    with pytest.raises(ConfigError, match="^risk id 'R1' appears more than once$"):
+    with pytest.raises(ConfigError, match=r"^risks\[1\]\.id: 'R1' is a duplicate risk id$"):
         parse_risk_catalog(doc)
 
 
@@ -133,7 +133,7 @@ def test_malformed_documents_raise_parse_error(doc):
     problem = {
         "not json": "^risk catalog is not valid JSON: Expecting value",
         "[1, 2]": r"^expected an object, got \[1, 2\]$",
-    }.get(doc, r"^risks\[0\] \('R1'\): missing field 'severity'$")
+    }.get(doc, r"^risks\[0\]: missing field 'severity'$")
     with pytest.raises(ConfigError, match=problem):
         parse_risk_catalog(doc)
 
