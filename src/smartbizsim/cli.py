@@ -29,15 +29,10 @@ from typing import Iterator
 
 from . import costs, middleware
 from .errors import (
-    ConfigError,
-    SmartBizError,
-    canonical_json,
-    json_default,
-    parse_json,
-    read_document,
+    ConfigError, SmartBizError, canonical_json, decode, json_default, read, read_text,
 )
 from .metering import Meter
-from .risk import RiskAssessment, default_risk_catalog, parse_risk_catalog, rank, top_k
+from .risk import RiskAssessment, RiskCatalog, default_risk_catalog, rank, top_k
 from .scenario import default_scenario, load_scenario
 from .trace import ndjson
 from .world import build_world
@@ -157,10 +152,11 @@ def _report_rows(report_dict: dict) -> list[list]:
     return rows
 
 
-def _render_report(report_dict: dict, fmt: str) -> str:
+def _render_report(report: costs.CostReport, fmt: str) -> str:
+    text = canonical_json(report)
     if fmt == "json":
-        return canonical_json(report_dict) + "\n"
-    rows = _report_rows(report_dict)
+        return text + "\n"
+    rows = _report_rows(json.loads(text))  # the JSON's rows: each format, the same values
     headers = ["key", "value"]
     return _csv(headers, rows) if fmt == "csv" else _table(headers, rows)
 
@@ -228,7 +224,7 @@ def _cmd_assess(args: argparse.Namespace) -> int:
     if args.top_k is not None and args.format != "table":
         raise ConfigError(f"--top-k needs --format table; --format {args.format} holds the rank")
     if args.catalog:
-        catalog = parse_risk_catalog(read_document(args.catalog, "catalog"))
+        catalog = read(RiskCatalog, decode(read_text(args.catalog)))
     else:
         catalog = default_risk_catalog()
     assessment = rank(catalog)
@@ -297,16 +293,15 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
         out_dir / "trace_baseline.ndjson", out_dir / "trace_secured.ndjson"
     ) as (baseline, secured):
         report = costs.run_dmaic(config, {"baseline": baseline, "secured": secured})
-        document = json.loads(canonical_json(report))  # as `report --in` reads it
-        report_path.write_text(_render_report(document, args.format), encoding="utf-8")
+        report_path.write_text(_render_report(report, args.format), encoding="utf-8")
     print(f"total_security_cost={report.total_security_cost}")
     print(f"report written to {report_path}")
     return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    text = read_document(args.infile, "report")
-    _emit(_render_report(parse_json(text, "report"), args.format), args.out)
+    report = read(costs.CostReport, decode(read_text(args.infile)))
+    _emit(_render_report(report, args.format), args.out)
     return EXIT_OK
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .errors import Record, parse_json, read
+from .errors import Record
 
 
 class ChangeLevel(Enum):
@@ -109,18 +109,5 @@ def default_action_library() -> tuple[MitigationAction, ...]:
     )
 
 
-def parse_control_catalog(document: str, at: str = "") -> ControlCatalog:
-    return read(ControlCatalog, parse_json(document, "control catalog"), at=at)
-
-
-def parse_mapping(document: str, at: str = "") -> Mapping[str, tuple[str, ...]]:
-    """Parse the mapping file, a JSON object of risk id -> section ids."""
-    return read(Mapping[str, tuple[str, ...]], parse_json(document, "mapping file"), at=at)
-
-
-class _ActionLibrary(Record):
+class ActionLibrary(Record):
     actions: tuple[MitigationAction, ...]
-
-
-def parse_action_library(document: str, at: str = "") -> tuple[MitigationAction, ...]:
-    return read(_ActionLibrary, parse_json(document, "action library"), at=at).actions

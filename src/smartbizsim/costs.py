@@ -22,15 +22,13 @@ from pathlib import Path
 from typing import Mapping
 
 from .controls import (
+    ActionLibrary,
     ControlCatalog,
     MitigationAction,
     build_plan,
     default_action_library,
     default_control_catalog,
     default_mapping,
-    parse_action_library,
-    parse_control_catalog,
-    parse_mapping,
 )
 from .errors import (
     ConfigError,
@@ -38,10 +36,10 @@ from .errors import (
     Record,
     SmartBizError,
     canonical_json,
+    decode,
     json_default,
-    parse_json,
     read,
-    read_document,
+    read_text,
 )
 from .metering import Meter, MetricSet, SectionUsage
 from .risk import (
@@ -50,7 +48,6 @@ from .risk import (
     check_top_k,
     default_risk_catalog,
     id_order,
-    parse_risk_catalog,
     rank,
     reassess,
 )
@@ -181,13 +178,18 @@ def _command_dict(c: CommandSpec) -> dict:
     return out
 
 
+class Provenance(Record):
+    seed: int
+    config_digest: str
+
+
 class CostReport(Record):
     baseline: MetricSet
     secured: MetricSet
     cost_breakdown: Mapping[str, SectionCost]
     total_security_cost: int
     residual_ranking: RiskAssessment
-    provenance: dict
+    provenance: Provenance
 
 
 def monetize(
@@ -250,45 +252,40 @@ def load_dmaic_config(
     its references are read relative to the working directory, the
     document's relative to the document. `controls` updates the
     scenario's control layers; every other key is a DmaicConfig knob.
+    The five references are resolved in one loop, the scenario first; a
+    fault of a file or in it is named from its key (`mapping: ...`).
     """
     data: dict = {}
     base = Path(".")
     if path is not None:
-        data = parse_json(read_document(path, "config"), "config")
+        data = decode(read_text(path))
         if type(data) is not dict:
             read(DmaicConfig, data)  # raises the reader's own `expected an object, got ...`
         base = Path(path).parent
     overrides = overrides or {}
     data = {**data, **overrides}
-
-    def ref_path(key: str) -> Path | None:
-        ref = read(str | None, data.pop(key, None), at=key)
-        if ref is None:
-            return None
-        return Path(ref) if key in overrides else base / ref  # absolute stays absolute
-
-    def reference(key: str, parse, default):
-        """The parsed file `key` names, even an empty one, its errors named
-        from `key`; `default()` only when the key is absent (or null)."""
-        ref = ref_path(key)
-        return default() if ref is None else parse(read_document(ref, f"{key} reference"), key)
-
     controls = data.pop("controls", {})
-    scenario_path = ref_path("scenario")
-    given = {
-        "risk_catalog": reference("risk_catalog", parse_risk_catalog, default_risk_catalog),
-        "control_catalog": reference(
-            "control_catalog", parse_control_catalog, default_control_catalog
-        ),
-        "mapping": reference("mapping", parse_mapping, default_mapping),
-        "scenario": (
-            default_scenario(controls) if scenario_path is None
-            else load_scenario(scenario_path, controls, "scenario")
-        ),
-        "action_library": reference(
-            "action_library", parse_action_library, default_action_library
-        ),
+
+    def document(kind):
+        return lambda file, key: read(kind, decode(read_text(file, key), key), at=key)
+
+    # key -> the loader of the file it names, and the default when it names none
+    references = {
+        "scenario": (lambda file, key: load_scenario(file, controls, key),
+                     lambda: default_scenario(controls)),
+        "risk_catalog": (document(RiskCatalog), default_risk_catalog),
+        "control_catalog": (document(ControlCatalog), default_control_catalog),
+        "mapping": (document(Mapping[str, tuple[str, ...]]), default_mapping),
+        "action_library": (lambda file, key: document(ActionLibrary)(file, key).actions,
+                           default_action_library),
     }
+    given = {}
+    for key, (load, default) in references.items():
+        ref = read(str | None, data.pop(key, None), at=key)
+        if ref is None:  # absent or null; an empty file is read, and rejected
+            given[key] = default()
+        else:  # absolute stays absolute
+            given[key] = load(Path(ref) if key in overrides else base / ref, key)
     # built once from the parts and the knobs, so its rules see the top_k given
     return read(DmaicConfig, data, given=given)
 
@@ -323,10 +320,7 @@ def run_dmaic(
             cost_breakdown=breakdown,
             total_security_cost=sum(cost.total for cost in breakdown.values()),
             residual_ranking=residual,
-            provenance={
-                "seed": config.scenario.seed,
-                "config_digest": config.digest(),
-            },
+            provenance=Provenance(seed=config.scenario.seed, config_digest=config.digest()),
         )
     except SmartBizError as exc:  # the same class, so the exit code stays
         raise type(exc)(f"[Control] {exc}") from exc

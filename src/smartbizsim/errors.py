@@ -1,7 +1,7 @@
 """Exception hierarchy, the `Record` base of every record class, the
-file reading, JSON decoding and typed reading every input parser
-shares, and the encoder and JSON spelling every written document
-shares, dates and times of day included. It imports nothing of the package.
+one way to open an input file (`read_text`, then `decode`) and the typed
+reading every input parser shares, and the encoder and JSON spelling
+every written document shares, dates and times of day included. It imports nothing of the package.
 
 An error's class is its exit code: ConfigError is exit 2 (bad input
 or config), SimulationError exit 3 (a failure inside a run). A label
@@ -183,23 +183,22 @@ def parse_hhmm(text: str) -> dt.time:
         raise ConfigError(f"bad time of day {text!r} (expected HH:MM)") from exc
 
 
-def read_document(path, what: str) -> str:
-    """Read a UTF-8 input file; an OS error or bytes that are not UTF-8
-    become a ConfigError naming it."""
+def read_text(path, at: str = "") -> str:
+    """The text of the UTF-8 file `path`, which the config key `at` names ("" at the
+    top); an OS error or bytes that are not UTF-8 raise a ConfigError at `at`."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}", at) from exc
 
 
-def parse_json(document: str, what: str):
-    """Decode a JSON document; any failure becomes a ConfigError naming it:
-    bad syntax, an integer past the digit limit (ValueError), nesting past
-    the recursion limit (RecursionError)."""
+def decode(text: str, at: str = ""):
+    """The JSON value of `text`, from the file `at` names. Bad syntax, an integer past
+    the digit limit or nesting past the recursion limit raise a ConfigError at `at`."""
     try:
-        return json.loads(document)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"not valid JSON: {exc}", at) from exc
 
 
 def read(kind, value, *, base=None, given=None, at: str = ""):

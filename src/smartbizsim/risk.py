@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import ConfigError, Record, parse_json, read
+from .errors import ConfigError, Record
 
 Score = Union[int, Fraction]
 
@@ -62,7 +62,7 @@ class RiskCatalog(Record):
 
 class RiskAssessment(Record):
     risks: tuple[Risk, ...]
-    scores: Mapping[str, Score]
+    scores: Mapping[str, Fraction]  # an integer score reads as the equal Fraction
     ranking: tuple[str, ...]
 
 
@@ -138,15 +138,6 @@ def default_risk_catalog() -> RiskCatalog:
             for rid, name, rel, sev, why in _DEFAULT_PLACEMENTS
         )
     )
-
-
-def parse_risk_catalog(document: str, at: str = "") -> RiskCatalog:
-    """Parse a JSON catalog document; an error's path starts with `at`.
-
-    Expected shape: {"risks": [{"id", "name", "relevance", "severity",
-    "rationale"?}, ...]} with level labels from the five-step scale.
-    """
-    return read(RiskCatalog, parse_json(document, "risk catalog"), at=at)
 
 
 def reassess(

@@ -15,7 +15,7 @@ import reprlib
 from pathlib import Path
 
 from .calendars import WorkWeek
-from .errors import NON_NEGATIVE, ConfigError, Record, _at, parse_json, read, read_document
+from .errors import NON_NEGATIVE, ConfigError, Record, _at, decode, read, read_text
 from .middleware import ControlLayerConfig, S9Config
 from .timeline import SECONDS_PER_DAY, seconds_at
 
@@ -85,6 +85,11 @@ class CommandSpec(Record):
     duration_min: int = 0
 
 
+# per intent, the parameters it does not read, each of which must keep its default
+_UNREAD = {intent: {name: vars(CommandSpec)[name] for name in CommandSpec._fields[5:]
+                    if name not in params} for intent, params in INTENT_PARAMS.items()}
+
+
 class ScenarioConfig(Record):
     epoch: dt.date = dt.date(2024, 1, 1)
     horizon_s: int = 35 * SECONDS_PER_DAY
@@ -111,7 +116,7 @@ def parse_scenario(document: str, controls: object = {}, at: str = "") -> Scenar
     block such as a pipeline config's (only read), read over its own
     before it is built, so it is built and validated once. An error's path
     starts with `at`, or with `controls` where `controls` gave the value."""
-    data = parse_json(document, "scenario")
+    data = decode(document, at)
     block = data.pop("controls", {}) if type(data) is dict else {}  # no object: read rejects it
     own = read(ControlLayerConfig, block, at=f"{at}.controls")
     merged = read(ControlLayerConfig, controls, base=own, at="controls")
@@ -124,13 +129,14 @@ def parse_scenario(document: str, controls: object = {}, at: str = "") -> Scenar
 
 
 def load_scenario(path: str | Path, controls: object = {}, at: str = "") -> ScenarioConfig:
-    return parse_scenario(read_document(path, "scenario"), controls, at)
+    return parse_scenario(read_text(path, at), controls, at)
 
 
 # one wording per kind of rule, filled in by `_fault`
 NOT_NODE = "{} is not a declared node"
 NOT_DEVICE = "{} is not a smart device"
 NOT_ATTENDEE = "{} is not an attendee"
+NOT_READ = "is not read by a {} command"
 POSITIVE = "must be a positive integer, got {}"
 
 
@@ -224,6 +230,9 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
         # not the cloud: it sends the invitations and cannot message itself
         if attendee.device not in device_ids:
             raise _fault(f"attendees[{i}].device", NOT_DEVICE, attendee.device)
+        for j, (start, end) in enumerate(attendee.busy):
+            if start >= end:
+                raise _fault(f"attendees[{i}].busy[{j}]", "{} is not before {}", start, end)
     for i, reminder in enumerate(scenario.reminders):
         if reminder.id in reminder_ids:
             raise _fault(f"reminders[{i}].id", "{} is a duplicate reminder id", reminder.id)
@@ -261,6 +270,9 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
                                  attendee)
             if command.duration_min < 1:
                 raise _fault(f"commands[{i}].duration_min", POSITIVE, command.duration_min)
+        for name, default in _UNREAD[command.intent].items():
+            if getattr(command, name) != default:
+                raise _fault(f"commands[{i}].{name}", NOT_READ, command.intent)
     for i, failure in enumerate(scenario.failures):
         if failure.node not in known:
             raise _fault(f"failures[{i}].node", NOT_NODE, failure.node)

@@ -10,6 +10,7 @@ ends in the running interpreter's own message for the same text: Python
 
 import json
 
+from smartbizsim.costs import load_dmaic_config, run_dmaic
 from smartbizsim.errors import Record, canonical_json
 from smartbizsim.scenario import default_scenario
 
@@ -22,12 +23,12 @@ class Row(Record):
     line: str
 
 
-def _not_json(label: str, text: str) -> str:
+def _not_json(text: str) -> str:
     """The message for `text`, which the running interpreter cannot decode."""
     try:
         json.loads(text)
     except (ValueError, RecursionError) as exc:
-        return f"{label} is not valid JSON: {exc}"
+        return f"not valid JSON: {exc}"
     raise ValueError(f"{text[:20]!r} is valid JSON")
 
 
@@ -118,12 +119,13 @@ def _key_ids(blank=None, **extra):
 
 
 # the flags that name an input document: the row names' start, the command
-# line, its step's label, what it cannot read, and what it cannot decode
-_DOCUMENT_FLAGS = (("assess-catalog", "assess --catalog", "", "catalog", "risk catalog"),
-                   ("simulate-scenario", "simulate --scenario", "", "scenario", "scenario"),
-                   ("dmaic-scenario", "dmaic --scenario", "[Define] ", "scenario", "scenario"),
-                   ("dmaic-config", "dmaic --config", "[Define] ", "config", None),
-                   ("report-in", "report --in", "", "report", "report"))
+# line, and what its errors start with: the step's label and the config key
+# that names the document, if any
+_DOCUMENT_FLAGS = (("assess-catalog", "assess --catalog", ""),
+                   ("simulate-scenario", "simulate --scenario", ""),
+                   ("dmaic-scenario", "dmaic --scenario", "[Define] scenario: "),
+                   ("dmaic-config", "dmaic --config", "[Define] "),
+                   ("report-in", "report --in", ""))
 _HUGE = {"risks": [{"id": "R1", "name": "n", "relevance": "Huge", "severity": "Low"}]}
 _TWICE = {"risks": [{"id": "R1", "name": n, "relevance": "Low", "severity": "Low"}
                     for n in ("a", "b")]}
@@ -133,20 +135,20 @@ _UNDECODABLE = (("int-digits", _DIGITS), ("nesting", _NESTED))
 _NOT_UTF8 = b"\xff\xfe{}"
 _UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 _MISSING = "[Errno 2] No such file or directory"
-_REPORT = {"report.json": '{"total_security_cost": 0}'}
+_DEFAULT_REPORT = json.loads(canonical_json(run_dmaic(load_dmaic_config())))
+_REPORT = {"report.json": canonical_json(_DEFAULT_REPORT)}
 _FRACTION = "residual_factor: expected an integer or a rational string such as \"1/2\", got "
 _HORIZON = "reaches 9999-12-31 09:00, the last month end a reminder can fall due"
 
 ROWS = {
     # -- a document that is not UTF-8, or that JSON cannot decode -------------
     **{f"{name}-not-utf8": _row(f"{argv} doc.json --out out",
-                                f"{step}cannot read {what} doc.json: {_UTF8}",
-                                {"doc.json": _NOT_UTF8})
-       for name, argv, step, what, _ in _DOCUMENT_FLAGS},
+                                f"{at}cannot read doc.json: {_UTF8}", {"doc.json": _NOT_UTF8})
+       for name, argv, at in _DOCUMENT_FLAGS},
     # `dmaic --config`'s are the rows text-long-integer and text-deep-nesting
-    **{f"{name}-{kind}": _row(f"{argv} doc.json --out out", step + _not_json(label, text),
+    **{f"{name}-{kind}": _row(f"{argv} doc.json --out out", at + _not_json(text),
                               {"doc.json": text})
-       for name, argv, step, _, label in _DOCUMENT_FLAGS if label
+       for name, argv, at in _DOCUMENT_FLAGS if name != "dmaic-config"
        for kind, text in _UNDECODABLE},
 
     # -- assess ---------------------------------------------------------------
@@ -160,7 +162,7 @@ ROWS = {
     "assess-top-k-11": _row("assess --top-k 11", "top_k: 11 is outside 1..10, the risk count"),
     "assess-top-k-0": _row("assess --top-k 0", "top_k: 0 is outside 1..10, the risk count"),
     "assess-missing-catalog": _row("assess --catalog nope.json",
-                                   f"cannot read catalog nope.json: {_MISSING}: 'nope.json'"),
+                                   f"cannot read nope.json: {_MISSING}: 'nope.json'"),
     "assess-level-label": _row("assess --catalog catalog.json",
                                "risks[0].relevance: unknown label 'Huge'",
                                {"catalog.json": _HUGE}),
@@ -173,9 +175,17 @@ ROWS = {
 
     # -- report ---------------------------------------------------------------
     "report-missing-file": _row("report --in nope.json",
-                                f"cannot read report nope.json: {_MISSING}: 'nope.json'"),
+                                f"cannot read nope.json: {_MISSING}: 'nope.json'"),
     "report-out-in-a-missing-dir": _row("report --in report.json --out gone/x",
                                         f"{_MISSING}: 'gone/x'", _REPORT),
+    # each was rendered as it stood: `[1, 2]` as a csv row, NaN written back
+    "report-in-not-an-object": _row("report --in report.json", "expected an object, got [1, 2]",
+                                    {"report.json": "[1, 2]"}),
+    "report-in-nan": _row("report --in report.json", "a: unknown field",
+                          {"report.json": '{"a": NaN}'}),
+    "report-in-fractional-cost": _row(
+        "report --in report.json", "total_security_cost: expected an integer, got 1.5",
+        {"report.json": {**_DEFAULT_REPORT, "total_security_cost": 1.5}}),
 
     # -- simulate: flags and outputs ------------------------------------------
     "simulate-unknown-layer": _row("simulate --controls s42 --out trace.ndjson",
@@ -314,6 +324,22 @@ ROWS = {
     "small-repeated-attendee-id": _small(
         "attendees[1].id: 'p' is a duplicate attendee id",
         attendees=[{"id": "p", "device": "d"}, {"id": "p", "device": "d", "busy": [[0, 60]]}]),
+    # the calendar dropped it without a word
+    "small-busy-backwards": _small("attendees[0].busy[1]: 600 is not before 540",
+                                   attendees=[{"id": "p", "device": "d",
+                                               "busy": [[0, 60], [600, 540]]}]),
+    # a parameter the intent does not read changed nothing: each ran as if left out
+    "small-voice-with-a-duration": _small(
+        "commands[0].duration_min: is not read by a 'voice_message' command",
+        commands=[{**_voice("d", "c"), "duration_min": 45}]),
+    "small-reminder-with-a-recipient": _small(
+        "commands[0].to: is not read by a 'create_reminder' command",
+        commands=[{"at": 0, "device": "d", "intent": "create_reminder", "target": "d",
+                   "to": "c"}]),
+    "small-meeting-with-a-payload": _small(
+        "commands[0].payload: is not read by a 'schedule_meeting' command",
+        attendees=[{"id": "p", "device": "d"}],
+        commands=[_meeting("d", attendees=["p"], payload="agenda")]),
 
     # -- simulate: a scenario of its own -------------------------------------
     # both links derive the id 'x--y--z': kept by id, the second took the
@@ -330,7 +356,7 @@ ROWS = {
                            "[Define] top_k: 11 is outside 1..10, the risk count"),
     "dmaic-missing-catalog-flag": _row(
         "dmaic --catalog nope.json --out out",
-        f"[Define] cannot read risk_catalog reference nope.json: {_MISSING}: 'nope.json'"),
+        f"[Define] risk_catalog: cannot read nope.json: {_MISSING}: 'nope.json'"),
     "dmaic-scenario-not-an-object": _row("dmaic --scenario doc.json --out out",
                                          "[Define] scenario: expected an object, got [1]",
                                          {"doc.json": "[1]"}),
@@ -340,13 +366,13 @@ ROWS = {
                                    "[Errno 20] Not a directory: 'report.json/sub'", _REPORT),
 
     # -- dmaic: the config's text ---------------------------------------------
-    "text-bad-json": _config(_not_json("config", '{"top_k": 3,}'), '{"top_k": 3,}'),
+    "text-bad-json": _config(_not_json('{"top_k": 3,}'), '{"top_k": 3,}'),
     # the reader's words, as for a scenario or a catalog that is no object
     "text-not-an-object": _config("expected an object, got [1]", "[1]"),
-    "text-long-integer": _config(_not_json("config", _DIGITS), _DIGITS),
-    "text-deep-nesting": _config(_not_json("config", _NESTED), _NESTED),
+    "text-long-integer": _config(_not_json(_DIGITS), _DIGITS),
+    "text-deep-nesting": _config(_not_json(_NESTED), _NESTED),
     "text-not-utf8": _config(
-        "cannot read config config.json: 'utf-8' codec can't decode byte 0xff in position 11: "
+        "cannot read config.json: 'utf-8' codec can't decode byte 0xff in position 11: "
         "invalid start byte", b'{"top_k": "\xff"}'),
 
     # -- dmaic: the config's knobs --------------------------------------------
@@ -387,15 +413,18 @@ ROWS = {
                                                 {"controls": {layer: {"enabled": value}}})
        for layer, tail, value in (("s10", "", True), ("s17", "", True), ("s17", "-no", "no"))},
     "config-missing-reference": _config(
-        f"cannot read mapping reference nope.json: {_MISSING}: 'nope.json'",
-        {"mapping": "nope.json"}),
+        f"mapping: cannot read nope.json: {_MISSING}: 'nope.json'", {"mapping": "nope.json"}),
     # two faults: a bad knob and a bad reference
     "config-two-faults": _config(
-        f"cannot read mapping reference nope.json: {_MISSING}: 'nope.json'",
+        f"mapping: cannot read nope.json: {_MISSING}: 'nope.json'",
         {"top_k": "x", "mapping": "nope.json"}),
     "dmaic-missing-scenario": _config(
-        f"cannot read scenario missing-scenario.json: {_MISSING}: 'missing-scenario.json'",
+        f"scenario: cannot read missing-scenario.json: {_MISSING}: 'missing-scenario.json'",
         {"scenario": "missing-scenario.json"}),
+    # two missing references: the scenario is resolved first
+    "config-two-missing-references": _config(
+        f"scenario: cannot read missing-scenario.json: {_MISSING}: 'missing-scenario.json'",
+        {"mapping": "nope.json", "scenario": "missing-scenario.json"}),
 
     # -- dmaic: a referenced document -----------------------------------------
     "ref-action-cost": _config(
@@ -424,9 +453,9 @@ ROWS = {
         control_catalog={"sections": [{"id": "S9", "name": "n", "change_level": "Huge"}]}),
     "ref-missing-field": _config("control_catalog.sections[0]: missing field 'name'",
                                  {}, control_catalog={"sections": [{"id": "S9"}]}),
-    **{f"ref-{key.replace('_', '-')}-empty-file": _config(_not_json(label, ""), {}, **{key: ""})
-       for key, label in (("mapping", "mapping file"), ("control_catalog", "control catalog"),
-                          ("action_library", "action library"))},
+    **{f"ref-{key.replace('_', '-')}-empty-file": _config(f"{key}: {_not_json('')}", {},
+                                                          **{key: ""})
+       for key in ("mapping", "control_catalog", "action_library")},
     # the referenced scenario's errors are named from its key, as every reference's are
     "ref-scenario-float": _config("scenario.links[0].latency_ms: expected an integer, got 2.7",
                                   {}, scenario=scenario_document(_put("links.0.latency_ms", 2.7))),

@@ -294,7 +294,9 @@ def rejected(rows):
 # the keys of a pipeline config that name a document, and the `dmaic` flags that set them
 REFERENCES = ("risk_catalog", "control_catalog", "mapping", "action_library", "scenario")
 _DMAIC_FLAGS = {"--catalog": "risk_catalog", "--scenario": "scenario"}
-_ROOT_FLAGS = {"simulate": "--scenario", "assess": "--catalog"}
+_ROOT_FLAGS = {"simulate": "--scenario", "assess": "--catalog", "report": "--in"}
+# a fault of the file itself: it names the key that names the file
+_FILE_FAULT = re.compile(r"cannot read |not valid JSON: ")
 _SEGMENT = re.compile(r"\[(\d+)\]|\.?([^.\[]+)")
 ABSENT = object()  # the value at a path whose last key the object lacks
 
@@ -328,7 +330,10 @@ def resolve_error(argv, files: dict, line: str):
     command line `argv`: from the top of the `simulate --scenario` or
     `assess --catalog` document, or, for `dmaic`, from its config with the
     `--catalog` and `--scenario` flags set, each reference key followed
-    into the document it names. It asserts that the path is real:
+    into the document it names, unless the line is a fault of the file
+    itself (`cannot read <file>: ...`, `not valid JSON: ...`): that
+    names the reference key, whose value is the file's name. It asserts
+    that the path is real:
     - a path to an absent key is real only for a problem that says
       nothing is there (`no ...`, `names no ...`), such as a field left
       to its empty default;
@@ -359,12 +364,17 @@ def resolve_error(argv, files: dict, line: str):
             value = value[segment]
         elif type(value) is dict and segment in value:
             value = value[segment]
-            if depth == 0 and segment in references and type(value) is str:
+            if (depth == 0 and segment in references and type(value) is str
+                    and not _FILE_FAULT.match(problem)):
                 value = _decoded(files, value)  # the document it names, beside the config
         else:
             assert type(value) is dict and depth == len(segments) - 1, (head, line)
             assert re.match("(names )?no ", problem), line
             return ABSENT, problem
+    if _FILE_FAULT.match(problem):  # at the key that names the file, which holds its name
+        assert len(segments) == 1 and segments[0] in references, line
+        if problem.startswith("cannot read "):
+            assert problem.startswith(f"cannot read {value}: "), line
     missing = re.fullmatch(r"missing field '(.+)'", problem)
     if missing:
         assert type(value) is dict and missing[1] not in value, line

@@ -1,5 +1,6 @@
 import json
 import random
+from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
@@ -7,26 +8,25 @@ from hypothesis import strategies as st
 
 from helpers import document
 from smartbizsim.controls import (
+    ActionLibrary,
     ChangeLevel,
     ControlCatalog,
     build_plan,
     default_action_library,
     default_control_catalog,
     default_mapping,
-    parse_action_library,
-    parse_control_catalog,
-    parse_mapping,
 )
 from smartbizsim.costs import DmaicConfig, load_dmaic_config
-from smartbizsim.errors import ConfigError, canonical_json, json_default, read, replace
+from smartbizsim.errors import ConfigError, canonical_json, decode, json_default, read, replace
 from smartbizsim.risk import (
     OrdinalLevel,
     RiskCatalog,
     default_risk_catalog,
-    parse_risk_catalog,
     rank,
     top_k,
 )
+
+MAPPING = Mapping[str, tuple[str, ...]]  # the mapping file's type
 from smartbizsim.scenario import default_scenario
 
 ALL_LEVELS = {
@@ -117,19 +117,19 @@ def test_default_library_names_actions_for_the_three_layers():
 
 def test_mapping_round_trip():
     mapping = default_mapping()
-    assert parse_mapping(canonical_json(mapping)) == mapping
+    assert read(MAPPING, decode(canonical_json(mapping))) == mapping
 
 
 def test_custom_mapping_and_known_risks():
-    mapping = parse_mapping(json.dumps({"R1": ["S13", "S12"]}))
+    mapping = read(MAPPING, decode(json.dumps({"R1": ["S13", "S12"]})))
     assert mapping == {"R1": ("S13", "S12")}
 
 
 # each level, a document that spells one of them "Huge", and the error's path
 LEVEL_DOCUMENTS = {
-    ChangeLevel: (parse_control_catalog, r"sections\[0\]\.change_level",
+    ChangeLevel: (ControlCatalog, r"sections\[0\]\.change_level",
                   {"sections": [{"id": "S5", "name": "Policy", "change_level": "Huge"}]}),
-    OrdinalLevel: (parse_risk_catalog, r"risks\[0\]\.severity",
+    OrdinalLevel: (RiskCatalog, r"risks\[0\]\.severity",
                    {"risks": [{"id": "R1", "name": "Theft", "relevance": "Low",
                                "severity": "Huge"}]}),
 }
@@ -142,9 +142,9 @@ def test_enum_labels_round_trip_and_unknown_labels_are_parse_errors(levels):
         assert json_default(member) == member.value
     with pytest.raises(ConfigError, match="^unknown label 'Huge'$"):
         read(levels, "Huge")
-    parse, path, catalog = LEVEL_DOCUMENTS[levels]
+    kind, path, catalog = LEVEL_DOCUMENTS[levels]
     with pytest.raises(ConfigError, match=rf"^{path}: unknown label 'Huge'$"):
-        parse(json.dumps(catalog))
+        read(kind, decode(json.dumps(catalog)))
 
 
 def test_library_entry_with_cost_components_is_rejected():
@@ -154,12 +154,12 @@ def test_library_entry_with_cost_components_is_rejected():
          "cost_components": [{"kind": "capital", "magnitude": 999}]},
     ]})
     with pytest.raises(ConfigError, match=r"^actions\[1\]\.cost_components: .*rates"):
-        parse_action_library(document)
+        read(ActionLibrary, decode(document))
 
 
 def test_library_entry_without_a_control_is_rejected():
     with pytest.raises(ConfigError, match=r"^actions\[0\]: missing field 'control'$"):
-        parse_action_library(json.dumps({"actions": [{"id": "x"}]}))
+        read(ActionLibrary, decode(json.dumps({"actions": [{"id": "x"}]})))
 
 
 _SCENARIO = default_scenario()

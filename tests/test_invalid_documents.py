@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from documents import ROWS
 from helpers import ABSENT, rejected, resolve_error, run_main
+from helpers import REFERENCES as REFERENCE_KEYS
 from smartbizsim.costs import CostRates, load_dmaic_config
 from smartbizsim.errors import Record
 from smartbizsim.middleware import ControlLayerConfig
@@ -292,13 +293,32 @@ def test_an_error_names_the_path_of_the_bad_value(name, data):
 
 test_a_rejected_document_exits_2_on_its_own_error_line = rejected({name: name for name in ROWS})
 
+# a referenced file that is missing, not UTF-8 or empty, and how its error starts
+FILE_FAULTS = {"missing": ({}, "cannot read ref.json: [Errno 2] "),
+               "not-utf8": ({"ref.json": b"\xff"}, "cannot read ref.json: 'utf-8' codec "),
+               "empty": ({"ref.json": ""}, "not valid JSON: ")}
+
+
+@pytest.mark.parametrize("fault", list(FILE_FAULTS))
+@pytest.mark.parametrize("key", REFERENCE_KEYS)
+def test_a_fault_of_a_referenced_file_is_named_at_its_key(key, fault):
+    ref, problem = FILE_FAULTS[fault]
+    files = {"config.json": json.dumps({key: "ref.json"}), **ref}
+    argv = ["dmaic", "--config", "config.json", "--out", "out"]
+    code, out, err, left = run_main(argv, files)
+    assert (code, out, left) == (2, "", sorted(files)), err
+    assert err.startswith(f"error: [Define] {key}: {problem}"), err
+    # the value at the key is the file's name, which the resolver does not decode
+    assert resolve_error(argv, files, err.rstrip("\n"))[0] == "ref.json"
+
 
 def _not_at_a_path(row) -> str | None:
-    """What a row's fault is, when it lies at no path of an input document."""
+    """What a row's fault is, when it lies at no path of an input document:
+    a fault of a file that a flag names at the top is one."""
     text = row.line.removeprefix("error: ").removeprefix("[Define] ")
-    if "codec can't decode" in text:
+    if text.startswith("cannot read ") and "codec can't decode" in text:
         return "not UTF-8"
-    if " is not valid JSON: " in text:
+    if text.startswith("not valid JSON: "):
         return "not JSON"
     if text.startswith("cannot read "):
         return "a missing file"

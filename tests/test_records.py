@@ -21,13 +21,14 @@ from smartbizsim.controls import (
     ChangeLevel,
     ControlCatalog,
     ControlSection,
+    ActionLibrary,
     MitigationAction,
-    _ActionLibrary,
 )
 from smartbizsim.costs import (
     CostRates,
     CostReport,
     DmaicConfig,
+    Provenance,
     SectionCost,
     load_dmaic_config,
 )
@@ -62,13 +63,14 @@ FIELDS = {
     ControlSection: ("id", "name", "change_level"),
     ControlCatalog: ("sections",),
     MitigationAction: ("id", "control", "description"),
-    _ActionLibrary: ("actions",),
+    ActionLibrary: ("actions",),
     CostRates: ("capital_item", "operational_event", "latency_ms", "wire_byte", "session"),
     SectionCost: ("capital", "operational", "performance"),
     DmaicConfig: ("risk_catalog", "control_catalog", "mapping", "action_library",
                   "scenario", "rates", "top_k", "residual_factor"),
     CostReport: ("baseline", "secured", "cost_breakdown", "total_security_cost",
                  "residual_ranking", "provenance"),
+    Provenance: ("seed", "config_digest"),
     MetricSet: ("messages_sent", "messages_delivered", "messages_lost", "total_wire_bytes",
                 "total_latency_ms", "sessions", "plaintext_exposures",
                 "operational_events", "capital_items"),
@@ -99,15 +101,17 @@ SAMPLES = {
     ControlSection: lambda: ControlSection(id="S9", name="Access", change_level=ChangeLevel.LOW),
     ControlCatalog: lambda: ControlCatalog(sections=()),
     MitigationAction: lambda: MitigationAction(id="A1", control="S9"),
-    _ActionLibrary: lambda: _ActionLibrary(actions=()),
+    ActionLibrary: lambda: ActionLibrary(actions=()),
     CostRates: CostRates,
     SectionCost: lambda: SectionCost(capital=1, operational=2, performance=3),
     DmaicConfig: lambda: load_dmaic_config(None),
     CostReport: lambda: CostReport(
         baseline=MetricSet(), secured=MetricSet(), cost_breakdown={},
         total_security_cost=0,
-        residual_ranking=RiskAssessment(risks=(), scores={}, ranking=()), provenance={},
+        residual_ranking=RiskAssessment(risks=(), scores={}, ranking=()),
+        provenance=Provenance(seed=42, config_digest="0" * 64),
     ),
+    Provenance: lambda: Provenance(seed=42, config_digest="0" * 64),
     MetricSet: lambda: MetricSet(messages_sent=2, messages_delivered=1, messages_lost=1),
     SectionUsage: lambda: SectionUsage(sessions=4),
     S9Config: S9Config,

@@ -2,14 +2,13 @@ import json
 
 import pytest
 
-from smartbizsim.errors import ConfigError, canonical_json
+from smartbizsim.errors import ConfigError, canonical_json, decode, read
 from smartbizsim.risk import (
     OrdinalLevel,
     Risk,
     RiskCatalog,
     default_risk_catalog,
     id_order,
-    parse_risk_catalog,
     rank,
     score,
     top_k,
@@ -82,7 +81,7 @@ def test_rank_is_pure_and_serialization_is_stable():
 
 def test_default_catalog_round_trips_through_serialization():
     catalog = default_risk_catalog()
-    reparsed = parse_risk_catalog(canonical_json(catalog))
+    reparsed = read(RiskCatalog, decode(canonical_json(catalog)))
     assert reparsed == catalog
     assert canonical_json(rank(reparsed)) == canonical_json(rank(catalog))
 
@@ -97,7 +96,7 @@ def test_empty_catalog_rejected():
     with pytest.raises(ConfigError, match="^risks: names no risk$"):
         RiskCatalog(risks=())
     with pytest.raises(ConfigError, match="^risks: names no risk$"):
-        parse_risk_catalog(json.dumps({"risks": []}))
+        read(RiskCatalog, decode(json.dumps({"risks": []})))
 
 
 def test_duplicate_risk_id_rejected():
@@ -110,7 +109,7 @@ def test_duplicate_risk_id_rejected():
         }
     )
     with pytest.raises(ConfigError, match=r"^risks\[1\]\.id: 'R1' is a duplicate risk id$"):
-        parse_risk_catalog(doc)
+        read(RiskCatalog, decode(doc))
 
 
 def test_unknown_level_label_rejected():
@@ -118,7 +117,7 @@ def test_unknown_level_label_rejected():
         {"risks": [{"id": "R1", "name": "a", "relevance": "Extreme", "severity": "Low"}]}
     )
     with pytest.raises(ConfigError, match=r"^risks\[0\]\.relevance: unknown label 'Extreme'$"):
-        parse_risk_catalog(doc)
+        read(RiskCatalog, decode(doc))
 
 
 @pytest.mark.parametrize(
@@ -131,11 +130,11 @@ def test_unknown_level_label_rejected():
 )
 def test_malformed_documents_raise_parse_error(doc):
     problem = {
-        "not json": "^risk catalog is not valid JSON: Expecting value",
+        "not json": "^not valid JSON: Expecting value",
         "[1, 2]": r"^expected an object, got \[1, 2\]$",
     }.get(doc, r"^risks\[0\]: missing field 'severity'$")
     with pytest.raises(ConfigError, match=problem):
-        parse_risk_catalog(doc)
+        read(RiskCatalog, decode(doc))
 
 
 def test_top_k_bounds():

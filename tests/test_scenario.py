@@ -59,8 +59,10 @@ def test_scenario_defaults_fill_in():
 
 
 def test_not_json_is_a_parse_error():
-    with pytest.raises(ConfigError, match="^scenario is not valid JSON: Expecting property name"):
+    with pytest.raises(ConfigError, match="^not valid JSON: Expecting property name"):
         parse_scenario("{nope")
+    with pytest.raises(ConfigError, match="^scenario: not valid JSON: Expecting property name"):
+        parse_scenario("{nope", at="scenario")
 
 
 # Each id keeps the text its case matched when the messages did not yet
@@ -275,7 +277,8 @@ def spec_scenarios(draw):
     )
     attendees = tuple(
         AttendeeSpec(id=f"p{k}", device=device, busy=tuple(sorted(draw(st.lists(
-            st.tuples(_COUNT, _COUNT), max_size=3)))))
+            st.tuples(_COUNT, _COUNT).map(lambda pair: (pair[0], sum(pair) + 1)),
+            max_size=3)))))
         for k, device in enumerate(draw(st.lists(st.sampled_from(devices), max_size=3)))
     )
     extra = []
