@@ -6,7 +6,8 @@ inside one working-hours window on a working day.
 
 A calendar's busy list is always sorted and merged: it is normalized
 once when the calendar is built, and a booking keeps it so with one
-bisect and a merge of the neighbours it touches.
+bisect and a merge of the neighbours it touches. Validation keeps
+every interval non-empty, so neither checks it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import NoSlotAvailable, Record
+from .errors import Record
 from .timeline import MINUTES_PER_DAY
 
 Interval = tuple[int, int]
@@ -28,9 +29,8 @@ _END = itemgetter(1)
 
 def normalize_intervals(intervals: Iterable[Interval]) -> list[Interval]:
     """Sort and merge overlapping/adjacent half-open intervals."""
-    cleaned = sorted((s, e) for s, e in intervals if e > s)
     merged: list[Interval] = []
-    for start, end in cleaned:
+    for start, end in sorted(intervals):
         if merged and start <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], end))
         else:
@@ -55,8 +55,6 @@ class Calendar:
         self.busy = normalize_intervals(busy)
 
     def add_busy(self, start: int, end: int) -> None:
-        if end <= start:
-            return
         busy = self.busy
         # busy[lo:hi] are the intervals that overlap or touch [start, end)
         lo = bisect_left(busy, start, key=_END)
@@ -74,13 +72,13 @@ def find_common_slot(
     horizon: int,
     week: WorkWeek,
     epoch_weekday: int,
-) -> int:
+) -> int | None:
     """The start minute of the earliest slot of `duration` minutes free
     in every calendar.
 
     The whole slot must fit inside a single working window of `week` and
-    end no later than `horizon`; day 0 falls on `epoch_weekday`. Raises
-    NoSlotAvailable when nothing fits.
+    end no later than `horizon`; day 0 falls on `epoch_weekday`. None
+    when nothing fits.
     """
     start_minute = week.start.hour * 60 + week.start.minute
     end_minute = week.end.hour * 60 + week.end.minute
@@ -96,7 +94,7 @@ def find_common_slot(
     # is used up, even one that spans into later days
     reached = search_from
 
-    day = max(search_from // MINUTES_PER_DAY, 0)
+    day = search_from // MINUTES_PER_DAY
     last_day = (horizon - 1) // MINUTES_PER_DAY
     if duration > end_minute - start_minute:
         last_day = -1  # longer than the working window: no day can hold it
@@ -122,6 +120,4 @@ def find_common_slot(
         # blocked, and each interval a walk of them would pass, the walk
         # of the next open day passes too
         day = max(day + 1, reached // MINUTES_PER_DAY)
-    raise NoSlotAvailable(
-        f"no {duration}-minute slot free for all calendars before minute {horizon}"
-    )
+    return None

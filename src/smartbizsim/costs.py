@@ -68,7 +68,7 @@ class CostRates(NonNegative):
     session: int = 25
 
 
-class SectionCost(Record):
+class SectionCost(NonNegative):
     capital: int
     operational: int
     performance: int
@@ -190,6 +190,12 @@ class CostReport(Record):
     total_security_cost: int
     residual_ranking: RiskAssessment
     provenance: Provenance
+
+    def __post_init__(self) -> None:
+        total = sum(cost.total for cost in self.cost_breakdown.values())
+        if self.total_security_cost != total:
+            raise ConfigError(f"must be {total}, the sum of cost_breakdown, "
+                              f"got {self.total_security_cost}", ".total_security_cost")
 
 
 def monetize(

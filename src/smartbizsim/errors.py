@@ -55,10 +55,6 @@ class SimulationError(SmartBizError):
     """Failure raised while executing a simulation or pipeline step."""
 
 
-class NoSlotAvailable(SimulationError):
-    """No common free slot for a meeting; the world records the failed request."""
-
-
 class AuthDenied(SimulationError):
     """A command failed the S9 check; the world records the denial."""
 

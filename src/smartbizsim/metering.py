@@ -12,10 +12,10 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Iterable
 
-from .errors import Record, SimulationError
+from .errors import NonNegative, SimulationError
 
 
-class MetricSet(Record):
+class MetricSet(NonNegative):
     messages_sent: int = 0
     messages_delivered: int = 0
     messages_lost: int = 0
@@ -27,7 +27,7 @@ class MetricSet(Record):
     capital_items: int = 0
 
 
-class SectionUsage(Record):
+class SectionUsage(NonNegative):
     """Metered quantities attributable to one control section's layer."""
 
     extra_latency_ms: int = 0

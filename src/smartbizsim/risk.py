@@ -65,6 +65,12 @@ class RiskAssessment(Record):
     scores: Mapping[str, Fraction]  # an integer score reads as the equal Fraction
     ranking: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if self.scores.keys() != {risk.id for risk in self.risks}:
+            raise ConfigError("must score exactly the listed risks", ".scores")
+        if self.ranking != _ranked(self.risks, self.scores):
+            raise ConfigError("is not the order of the scores", ".ranking")
+
 
 def rank_key(risk: Risk, score: Score):
     """Shared sort key: score desc, relevance desc, numeric id suffix asc."""
@@ -145,9 +151,9 @@ def reassess(
 ) -> RiskAssessment:
     """Re-rank existing risks under replacement scores (same tie rules)."""
     risks = tuple(risks)
-    ordered = sorted(risks, key=lambda r: rank_key(r, scores[r.id]))
-    return RiskAssessment(
-        risks=risks,
-        scores=dict(scores),
-        ranking=tuple(r.id for r in ordered),
-    )
+    return RiskAssessment(risks=risks, scores=dict(scores), ranking=_ranked(risks, scores))
+
+
+def _ranked(risks: tuple[Risk, ...], scores: Mapping[str, Score]) -> tuple[str, ...]:
+    """The ids of `risks` in `rank_key` order under `scores`."""
+    return tuple(r.id for r in sorted(risks, key=lambda r: rank_key(r, scores[r.id])))

@@ -20,6 +20,7 @@ restricted; the model cares about delivery exposure only.
 A down cloud serves nothing: a reminder to register, a meeting to book
 or a reminder that falls due while it is down becomes `request_failed`
 with `cloud-down`, and a due reminder waits for the next month end.
+A meeting with no common free slot is `request_failed` with `no-slot`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Collection, NamedTuple
 
 from . import middleware
 from .calendars import Calendar, find_common_slot
-from .errors import AuthDenied, ConfigError, NoSlotAvailable, SmartBizError, UnknownUser
+from .errors import AuthDenied, ConfigError, SmartBizError, UnknownUser
 from .scenario import CommandSpec, LinkSpec, ScenarioConfig
 from .timeline import MINUTES_PER_DAY, SECONDS_PER_DAY, next_month_end_instant
 from .trace import Sink, Trace
@@ -165,11 +166,9 @@ class World:
             self._declare(theft.at, "_record", "theft",
                           {"node": theft.node, "guarded": self.config.s9 is not None})
         if self.config.s9 is not None and self.config.s9.review_period_days > 0:
-            # one review per period up to the horizon, each queuing the next
-            # under the seq declared here (see `_review`)
+            # one review per period, each queuing the next under this seq (see `_review`)
             period = self.config.s9.review_period_days * SECONDS_PER_DAY
-            if period <= scenario.horizon_s:
-                self._declare(period, "_review", self._event_seq)
+            self._declare(period, "_review", self._event_seq)
         self._declared.append((math.inf, 0, None, ()))  # at the bottom, never due
         self._declared.sort(reverse=True)
 
@@ -217,8 +216,7 @@ class World:
         self.trace.append("ops", self.clock,
                           {"section": "S9", "action": "access-review", "events": 1})
         period = self.config.s9.review_period_days * SECONDS_PER_DAY
-        if self.clock + period <= self.scenario.horizon_s:
-            heapq.heappush(self._queue, (self.clock + period, seq, "_review", (seq,)))
+        heapq.heappush(self._queue, (self.clock + period, seq, "_review", (seq,)))
 
     def run_until(self, t_end: int) -> "World":
         """Run every event due by `t_end` in (time, seq) order, the declared
@@ -415,7 +413,7 @@ class World:
                 command.device, self.cloud_id, payload, s9_ms,
                 on_delivered=("create_reminder", command.device, command.target, payload),
             )
-        elif command.intent == "schedule_meeting":
+        else:  # validation allows only the three intents
             self.send_message(
                 command.device, self.cloud_id, b"meeting-request", s9_ms,
                 on_delivered=(
@@ -426,15 +424,12 @@ class World:
 
     def _request(self, intent: str, *args) -> None:
         """Carry out a request at the cloud by calling the method named
-        `intent`. One it cannot serve, because it is down or no slot is
-        free, is traced as `request_failed`, and the run goes on."""
+        `intent`. While the cloud is down it serves none: the request is
+        traced as `request_failed`, and the run goes on."""
         if self._outages[self.cloud_id]:
             self._record("request_failed", {"intent": intent, "reason": "cloud-down"})
-            return
-        try:
+        else:
             getattr(self, intent)(*args)
-        except NoSlotAvailable:
-            self._record("request_failed", {"intent": intent, "reason": "no-slot"})
 
     # -- reminders ---------------------------------------------------------
 
@@ -442,7 +437,7 @@ class World:
         self, author: str, target: str, payload: bytes, reminder_id: str | None = None
     ) -> str:
         rid = reminder_id
-        if not rid:
+        if rid is None:
             # a generated id skips the ids the scenario declares
             n = len(self.reminders) + 1
             while f"rem-{n}" in self.reminders or f"rem-{n}" in self._declared_reminders:
@@ -479,8 +474,9 @@ class World:
 
     def schedule_meeting(
         self, organizer: str, attendees: list[str], duration_min: int
-    ) -> int:
-        """Book the earliest common slot and invite everyone; returns its start minute."""
+    ) -> int | None:
+        """Book the earliest common slot and invite everyone; returns its start
+        minute, or None when no slot is free, which is traced as `request_failed`."""
         scenario = self.scenario
         search_from = -(-self.clock // 60)
         horizon = search_from + scenario.meeting_horizon_days * MINUTES_PER_DAY
@@ -488,6 +484,9 @@ class World:
             [self.calendars[a] for a in attendees], duration_min, search_from, horizon,
             scenario.working_hours, scenario.epoch.weekday(),
         )
+        if start is None:
+            self._record("request_failed", {"intent": "schedule_meeting", "reason": "no-slot"})
+            return None
         for attendee in attendees:
             self.calendars[attendee].add_busy(start, start + duration_min)
         self.trace.append("meeting", self.clock, {

@@ -135,8 +135,16 @@ _UNDECODABLE = (("int-digits", _DIGITS), ("nesting", _NESTED))
 _NOT_UTF8 = b"\xff\xfe{}"
 _UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 _MISSING = "[Errno 2] No such file or directory"
-_DEFAULT_REPORT = json.loads(canonical_json(run_dmaic(load_dmaic_config())))
-_REPORT = {"report.json": canonical_json(_DEFAULT_REPORT)}
+_REPORT = {"report.json": canonical_json(run_dmaic(load_dmaic_config()))}
+
+
+def _report(patch) -> dict:
+    """The default report's document, changed in place by `patch`."""
+    doc = json.loads(_REPORT["report.json"])
+    patch(doc)
+    return doc
+
+
 _FRACTION = "residual_factor: expected an integer or a rational string such as \"1/2\", got "
 _HORIZON = "reaches 9999-12-31 09:00, the last month end a reminder can fall due"
 
@@ -185,7 +193,22 @@ ROWS = {
                           {"report.json": '{"a": NaN}'}),
     "report-in-fractional-cost": _row(
         "report --in report.json", "total_security_cost: expected an integer, got 1.5",
-        {"report.json": {**_DEFAULT_REPORT, "total_security_cost": 1.5}}),
+        {"report.json": _report(_put("total_security_cost", 1.5))}),
+    # a report that contradicts itself was rendered as it stood too
+    "report-in-total-not-the-sum": _row(
+        "report --in report.json",
+        "total_security_cost: must be 1373358, the sum of cost_breakdown, got 5",
+        {"report.json": _report(_put("total_security_cost", 5))}),
+    "report-in-negative-capital": _row(
+        "report --in report.json",
+        "cost_breakdown.S9.capital: must be a non-negative integer, got -7",
+        {"report.json": _report(_put("cost_breakdown.S9.capital", -7))}),
+    "report-in-ranking-of-no-risk": _row(
+        "report --in report.json", "residual_ranking.ranking: is not the order of the scores",
+        {"report.json": _report(_put("residual_ranking.ranking", ["R99"]))}),
+    "report-in-ranking-reversed": _row(
+        "report --in report.json", "residual_ranking.ranking: is not the order of the scores",
+        {"report.json": _report(lambda doc: doc["residual_ranking"]["ranking"].reverse())}),
 
     # -- simulate: flags and outputs ------------------------------------------
     "simulate-unknown-layer": _row("simulate --controls s42 --out trace.ndjson",

@@ -30,7 +30,7 @@ from smartbizsim.costs import (
     residual_assessment,
     run_dmaic,
 )
-from smartbizsim.errors import NoSlotAvailable, canonical_json, replace
+from smartbizsim.errors import canonical_json, replace
 from smartbizsim.middleware import ControlLayerConfig, S17Config
 from smartbizsim.risk import default_risk_catalog, rank, top_k
 from smartbizsim.scenario import ReminderSpec
@@ -105,13 +105,10 @@ def test_criterion_4_scheduler_equals_the_minute_scan_oracle():
             inst["horizon"], inst["week"], inst["epoch_weekday"],
         )
         calendars = [Calendar(busy=list(b)) for b in inst["busy_lists"]]
-        try:
-            got = find_common_slot(
-                calendars, inst["duration"], inst["search_from"],
-                inst["horizon"], inst["week"], inst["epoch_weekday"],
-            )
-        except NoSlotAvailable:
-            got = None
+        got = find_common_slot(
+            calendars, inst["duration"], inst["search_from"],
+            inst["horizon"], inst["week"], inst["epoch_weekday"],
+        )
         if got != expected:
             mismatches += 1
     assert mismatches == 0

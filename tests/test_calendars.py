@@ -1,6 +1,5 @@
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +10,6 @@ from smartbizsim.calendars import (
     find_common_slot,
     normalize_intervals,
 )
-from smartbizsim.errors import NoSlotAvailable
 from smartbizsim.timeline import MINUTES_PER_DAY
 
 WEEK = WorkWeek()  # 08:00-18:00, Monday to Friday; day 0 is a Monday below
@@ -19,7 +17,6 @@ WEEK = WorkWeek()  # 08:00-18:00, Monday to Friday; day 0 is a Monday below
 
 def test_normalize_merges_and_sorts():
     assert normalize_intervals([(10, 20), (15, 30), (40, 50), (30, 40)]) == [(10, 50)]
-    assert normalize_intervals([(5, 5), (3, 2)]) == []
 
 
 def test_empty_calendars_take_first_working_minute():
@@ -45,8 +42,7 @@ def test_weekend_is_skipped():
 
 def test_duration_longer_than_a_working_day_never_fits():
     cals = [Calendar()]
-    with pytest.raises(NoSlotAvailable):
-        find_common_slot(cals, 10 * 60 + 1, 0, 30 * MINUTES_PER_DAY, WEEK, 0)
+    assert find_common_slot(cals, 10 * 60 + 1, 0, 30 * MINUTES_PER_DAY, WEEK, 0) is None
 
 
 class _CountedDays(tuple):
@@ -64,10 +60,7 @@ class _CountedDays(tuple):
 def test_a_meeting_longer_than_the_window_fails_without_walking_a_day():
     week = WorkWeek(days=_CountedDays((0, 1, 2, 3, 4)))
     _CountedDays.tests = 0
-    with pytest.raises(
-        NoSlotAvailable, match=r"^no 601-minute slot free for all calendars before minute 10{12}$"
-    ):
-        find_common_slot([Calendar()], 10 * 60 + 1, 0, 10**12, week, 0)
+    assert find_common_slot([Calendar()], 10 * 60 + 1, 0, 10**12, week, 0) is None
     assert _CountedDays.tests == 0
     # the count works: a meeting that fits the window asks about day 0
     assert find_common_slot([Calendar()], 10 * 60, 0, 10**12, week, 0) == 8 * 60
@@ -101,8 +94,7 @@ def test_slot_never_crosses_the_working_window_end():
     cals = [Calendar(busy=[(480, 1020)])]  # Monday busy until 17:00
     start = find_common_slot(cals, 60, 0, MINUTES_PER_DAY, WEEK, 0)
     assert start == 1020
-    with pytest.raises(NoSlotAvailable):
-        find_common_slot(cals, 61, 0, MINUTES_PER_DAY, WEEK, 0)
+    assert find_common_slot(cals, 61, 0, MINUTES_PER_DAY, WEEK, 0) is None
 
 
 def test_matches_minute_scan_oracle_on_random_instances():
@@ -115,13 +107,10 @@ def test_matches_minute_scan_oracle_on_random_instances():
             inst["horizon"], inst["week"], inst["epoch_weekday"],
         )
         cals = [Calendar(busy=list(b)) for b in inst["busy_lists"]]
-        try:
-            got = find_common_slot(
-                cals, inst["duration"], inst["search_from"], inst["horizon"], inst["week"],
-                inst["epoch_weekday"],
-            )
-        except NoSlotAvailable:
-            got = None
+        got = find_common_slot(
+            cals, inst["duration"], inst["search_from"], inst["horizon"], inst["week"],
+            inst["epoch_weekday"],
+        )
         if got != expected:
             mismatches.append((i, expected, got))
     assert not mismatches, mismatches[:5]
@@ -132,12 +121,11 @@ def test_returned_slot_is_safe_independent_of_the_oracle():
     for _ in range(100):
         inst = random_slot_instance(rng)
         cals = [Calendar(busy=list(b)) for b in inst["busy_lists"]]
-        try:
-            start = find_common_slot(
-                cals, inst["duration"], inst["search_from"], inst["horizon"], inst["week"],
-                inst["epoch_weekday"],
-            )
-        except NoSlotAvailable:
+        start = find_common_slot(
+            cals, inst["duration"], inst["search_from"], inst["horizon"], inst["week"],
+            inst["epoch_weekday"],
+        )
+        if start is None:
             continue
         end = start + inst["duration"]
         assert start >= inst["search_from"]
@@ -153,13 +141,13 @@ DAYS = 10
 
 
 def _interval(span: int, max_length: int):
-    """An interval that starts in [0, span]; some are empty or reversed,
-    and half sit on a 30-minute grid so neighbours often touch."""
+    """A non-empty interval that starts in [0, span], as validation allows;
+    half sit on a 30-minute grid so neighbours often touch."""
     on_grid = st.tuples(
         st.integers(0, span // 30).map(lambda k: 30 * k),
-        st.integers(-1, max_length // 30).map(lambda k: 30 * k),
+        st.integers(1, max_length // 30).map(lambda k: 30 * k),
     )
-    anywhere = st.tuples(st.integers(0, span), st.integers(-5, max_length))
+    anywhere = st.tuples(st.integers(0, span), st.integers(1, max_length))
     return st.one_of(on_grid, anywhere).map(lambda p: (p[0], p[0] + p[1]))
 
 
@@ -206,7 +194,7 @@ def _booking_runs(draw):
     requests = []
     search_from = draw(st.integers(0, 2 * MINUTES_PER_DAY))
     for _ in range(draw(st.integers(1, 5))):
-        blocks = [b for busy in busy_lists for b in busy if b[1] > b[0] >= search_from]
+        blocks = [b for busy in busy_lists for b in busy if b[0] >= search_from]
         if blocks and draw(st.booleans()):
             start, end = draw(st.sampled_from(blocks))
             search_from = draw(st.integers(start, end - 1))  # inside a busy block
@@ -229,12 +217,7 @@ def test_booking_loop_matches_the_minute_scan_oracle_at_every_step(run):
         expected = minute_scan_slot(
             [cal.busy for cal in booked], duration, search_from, horizon, WEEK, epoch_weekday
         )
-        try:
-            got = find_common_slot(
-                booked, duration, search_from, horizon, WEEK, epoch_weekday
-            )
-        except NoSlotAvailable:
-            got = None
+        got = find_common_slot(booked, duration, search_from, horizon, WEEK, epoch_weekday)
         assert got == expected
         if got is not None:
             for cal in booked:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smartbizsim.errors import ConfigError, canonical_json, decode, read
+from smartbizsim.errors import ConfigError, canonical_json, decode, read, replace
 from smartbizsim.risk import (
     OrdinalLevel,
     Risk,
@@ -71,6 +71,17 @@ def test_ranking_invariant_under_scaling_of_encoded_values():
             ),
         )
         assert [r.id for r in scaled] == FULL_ORDER
+
+
+def test_an_assessment_scores_exactly_its_risks_and_ranks_them_by_the_rule():
+    assessment = rank(default_risk_catalog())
+    missing = {rid: s for rid, s in assessment.scores.items() if rid != "R2"}
+    for scores in (missing, {**assessment.scores, "R99": 1}):
+        with pytest.raises(ConfigError, match="^scores: must score exactly the listed risks$"):
+            replace(assessment, scores=scores)
+    for ranking in (FULL_ORDER[::-1], FULL_ORDER[1:], ["R99"]):
+        with pytest.raises(ConfigError, match="^ranking: is not the order of the scores$"):
+            replace(assessment, ranking=tuple(ranking))
 
 
 def test_rank_is_pure_and_serialization_is_stable():

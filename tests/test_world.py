@@ -20,7 +20,7 @@ from helpers import (
     two_device_scenario,
     worlds,
 )
-from smartbizsim.errors import ConfigError, NoSlotAvailable, replace
+from smartbizsim.errors import ConfigError, replace
 from smartbizsim.middleware import ControlLayerConfig, S9Config, S17Config
 from smartbizsim.metering import meter
 from smartbizsim.scenario import (
@@ -550,12 +550,20 @@ def test_generated_reminder_ids_skip_the_ids_the_scenario_declares():
     assert created == [("rem-2", "dev-city-b"), ("rem-3", "dev-truck"), ("rem-1", "dev-city-a")]
 
 
+def test_a_declared_reminder_keeps_an_empty_id():
+    # "" is an id: only a reminder registered without one is given `rem-<n>`
+    declared = ReminderSpec(id="", author="dev-city-a", target="dev-city-b", at=100)
+    _, records = run(replace(default_scenario(), reminders=(declared,)), ())
+    created = [r["reminder"] for r in by_kind(records, "reminder") if r["event"] == "created"]
+    assert created == ["", "rem-2"]  # the voice command's, by the `rem-<n>` rule
+
+
 @st.composite
 def _registrations(draw):
     """Declared reminder ids, some of them `rem-<k>`, and an order of
     registration: each declared id once, None for a generated id."""
     ids = st.one_of(st.integers(1, 12).map(lambda k: f"rem-{k}"),
-                    st.sampled_from(["a", "b", "c", "rem-x", "rem-0"]))
+                    st.sampled_from(["", "a", "b", "c", "rem-x", "rem-0"]))
     declared = draw(st.lists(ids, unique=True, max_size=8))
     generated = draw(st.integers(0, 10))
     return declared, draw(st.permutations(declared + [None] * generated))
@@ -572,7 +580,7 @@ def test_generated_reminder_ids_follow_the_rule_written_out(registrations):
     )), (), [].extend)
     registered = []
     for rid in order:
-        expected = rid or generated_reminder_id(registered, set(declared))
+        expected = rid if rid is not None else generated_reminder_id(registered, set(declared))
         assert world.create_reminder("device-a", "device-b", b"x", rid) == expected
         registered.append(expected)
     assert list(world.reminders) == registered
@@ -685,10 +693,13 @@ def test_rescheduling_with_same_inputs_lands_strictly_later():
     assert second > first
 
 
-def test_unplaceable_meeting_raises():
-    world, _ = run(_meeting_scenario(), (), until=0)
-    with pytest.raises(NoSlotAvailable):
-        world.schedule_meeting("device-b", ["chief"], 10 * 60 + 1)
+def test_unplaceable_meeting_books_nothing_and_is_traced_once():
+    world, records = run(_meeting_scenario(), (), until=0)
+    assert world.schedule_meeting("device-b", ["chief"], 10 * 60 + 1) is None
+    world.trace.flush()
+    assert len(records) == 1
+    assert _request_failures(records) == [(0, "schedule_meeting", "no-slot")]
+    assert world.calendars["chief"].busy == []
 
 
 # -- continuity provisioning ---------------------------------------------------
@@ -715,6 +726,17 @@ def test_access_reviews_are_queued_one_at_a_time():
                if r["action"] == "access-review"]
     assert reviews == [k * DAY for k in range(1, 11)]
     assert queued_reviews() == 1
+
+
+@pytest.mark.parametrize("horizon_days", [1, 3])
+def test_a_world_run_past_its_horizon_keeps_reviewing_every_period(horizon_days):
+    # the horizon ends a run, not the reviews: the first may fall past it
+    controls = ControlLayerConfig(s9=S9Config(review_period_days=2))
+    scenario = two_device_scenario(horizon_s=horizon_days * DAY, controls=controls)
+    world, records = run(scenario, ("S9",))
+    world.run_until(9 * DAY)
+    reviews = [r["time"] for r in by_kind(records, "ops") if r["action"] == "access-review"]
+    assert reviews == [2 * DAY, 4 * DAY, 6 * DAY, 8 * DAY]
 
 
 def test_s17_provisions_one_spare_per_device():

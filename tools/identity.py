@@ -87,6 +87,11 @@ def _theft_and_bandwidth(doc: dict) -> None:
     doc["links"][0]["bandwidth_bps"] = 1000
 
 
+def _empty_reminder_id(doc: dict) -> None:
+    """A reminder declared at 100 s with the empty id."""
+    doc["reminders"].append({"id": "", "author": "dev-city-a", "target": "dev-city-b", "at": 100})
+
+
 def corpus() -> dict[str, Entry]:
     """Every entry by name, in the order it runs."""
     entries = {}
@@ -114,6 +119,7 @@ def corpus() -> dict[str, Entry]:
                         ("probe-wait-past-horizon", _wait_past_horizon),
                         ("probe-huge-latency", _huge_latency),
                         ("probe-cloud-outage", _cloud_outage),
+                        ("probe-empty-reminder-id", _empty_reminder_id),
                         ("theft-and-bandwidth", _theft_and_bandwidth)):
         entries[name] = Entry(
             ["simulate", "--scenario", "scenario.json", "--controls", "none",
