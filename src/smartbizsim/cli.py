@@ -6,8 +6,8 @@ Four subcommands:
 * simulate -- run one scenario (optionally with control layers) and
               write its trace
 * dmaic    -- run the full five-step pipeline; writes the cost report
-              and both traces
-* report   -- re-render an existing cost report in another format
+              (report.json) and both traces
+* report   -- render a report.json as JSON, CSV or a table
 
 Exit codes: 0 success, 2 input/config error or an output that cannot be
 written, 3 simulation error. `main` picks the code from the class of the
@@ -32,7 +32,7 @@ from .errors import (
     ConfigError, SmartBizError, canonical_json, decode, json_default, read, read_text,
 )
 from .metering import Meter
-from .risk import RiskAssessment, RiskCatalog, default_risk_catalog, rank, top_k
+from .risk import RiskAssessment, RiskCatalog, default_risk_catalog, rank
 from .scenario import default_scenario, load_scenario
 from .trace import ndjson
 from .world import build_world
@@ -51,8 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_assess = sub.add_parser("assess", help="rank the risk catalog")
     p_assess.add_argument("--catalog", help="risk catalog JSON (default: built-in)")
-    p_assess.add_argument("--top-k", type=int, default=None, dest="top_k",
-                          help="print the top-k ids on a line after the table (table only)")
     p_assess.add_argument("--format", choices=("json", "csv", "table"),
                           default="table")
     p_assess.add_argument("--out", help="write output here instead of stdout")
@@ -69,11 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dmaic.add_argument("--catalog", help="override the risk catalog reference")
     p_dmaic.add_argument("--scenario", help="override the scenario reference")
     p_dmaic.add_argument("--top-k", type=int, default=None, dest="top_k")
-    p_dmaic.add_argument("--format", choices=("json", "csv", "table"),
-                         default="json")
     p_dmaic.add_argument("--out", default="dmaic-out", help="output directory")
 
-    p_report = sub.add_parser("report", help="re-render a cost report")
+    p_report = sub.add_parser("report", help="render a cost report")
     p_report.add_argument("--in", dest="infile", required=True,
                           help="existing report.json")
     p_report.add_argument("--format", choices=("json", "csv", "table"),
@@ -221,17 +217,11 @@ def _trace_files(*paths: Path) -> Iterator[list[_TraceFile]]:
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
-    if args.top_k is not None and args.format != "table":
-        raise ConfigError(f"--top-k needs --format table; --format {args.format} holds the rank")
     if args.catalog:
         catalog = read(RiskCatalog, decode(read_text(args.catalog)))
     else:
         catalog = default_risk_catalog()
-    assessment = rank(catalog)
-    output = _render_ranking(assessment, args.format)
-    if args.top_k is not None:
-        output += "top-%d: %s\n" % (args.top_k, ", ".join(top_k(assessment, args.top_k)))
-    _emit(output, args.out)
+    _emit(_render_ranking(rank(catalog), args.format), args.out)
     return EXIT_OK
 
 
@@ -287,13 +277,12 @@ def _cmd_dmaic(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    suffix = {"json": "json", "csv": "csv", "table": "txt"}[args.format]
-    report_path = out_dir / f"report.{suffix}"
+    report_path = out_dir / "report.json"
     with _trace_files(
         out_dir / "trace_baseline.ndjson", out_dir / "trace_secured.ndjson"
     ) as (baseline, secured):
         report = costs.run_dmaic(config, {"baseline": baseline, "secured": secured})
-        report_path.write_text(_render_report(report, args.format), encoding="utf-8")
+        report_path.write_text(canonical_json(report) + "\n", encoding="utf-8")
     print(f"total_security_cost={report.total_security_cost}")
     print(f"report written to {report_path}")
     return EXIT_OK

@@ -17,6 +17,7 @@ cost path, so every breakdown is exactly additive.
 from __future__ import annotations
 
 import hashlib
+import reprlib
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -45,7 +46,6 @@ from .metering import Meter, MetricSet, SectionUsage
 from .risk import (
     RiskAssessment,
     RiskCatalog,
-    check_top_k,
     default_risk_catalog,
     id_order,
     rank,
@@ -109,9 +109,12 @@ class DmaicConfig(Record):
                     raise ConfigError(f"unknown control section {sid!r}", f".mapping.{rid}[{j}]")
                 if sid not in covered:
                     raise ConfigError(f"no action covers section {sid!r}", f".mapping.{rid}[{j}]")
-        check_top_k(self.top_k, len(self.risk_catalog.risks))
+        risks = len(self.risk_catalog.risks)
+        if not 1 <= self.top_k <= risks:
+            raise ConfigError(f"{self.top_k} is outside 1..{risks}, the risk count", ".top_k")
         if not 0 <= self.residual_factor <= 1:
-            raise ConfigError(f"must be in 0..1, got {self.residual_factor}", ".residual_factor")
+            got = reprlib.repr(json_default(self.residual_factor))
+            raise ConfigError(f"must be in 0..1, got {got}", ".residual_factor")
 
     def resolved_dict(self) -> dict:
         """The document `digest` hashes: every resolved input in the spelling
@@ -227,21 +230,20 @@ def residual_assessment(
     assessment: RiskAssessment,
     enabled: frozenset[str] | set[str],
     mapping: Mapping[str, tuple[str, ...]],
-    residual_factor: Fraction = Fraction(0),
+    residual_factor: Fraction,
 ) -> RiskAssessment:
     """Scale down every risk whose mapped controls are all enabled, then
     re-rank with the same tie rules.
 
-    Risks without a mapping entry keep their score; "eliminate" is the
-    default factor of zero.
+    Risks without a mapping entry keep their score; "eliminate" is a
+    factor of zero, `DmaicConfig`'s default.
     """
-    factor = Fraction(residual_factor)
     scores = {}
     for risk in assessment.risks:
         base = assessment.scores[risk.id]
         mapped = mapping.get(risk.id, ())
         if mapped and set(mapped) <= set(enabled):
-            scores[risk.id] = Fraction(base) * factor
+            scores[risk.id] = base * residual_factor
         else:
             scores[risk.id] = base
     return reassess(assessment.risks, scores)

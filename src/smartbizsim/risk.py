@@ -87,16 +87,6 @@ def rank(catalog: RiskCatalog) -> RiskAssessment:
     return reassess(catalog.risks, {r.id: score(r) for r in catalog.risks})
 
 
-def check_top_k(k: int, risks: int) -> None:
-    if not 1 <= k <= risks:
-        raise ConfigError(f"{k} is outside 1..{risks}, the risk count", ".top_k")
-
-
-def top_k(assessment: RiskAssessment, k: int) -> list[str]:
-    check_top_k(k, len(assessment.ranking))
-    return list(assessment.ranking[:k])
-
-
 # The built-in grid placements. Relevance first, severity second.
 _DEFAULT_PLACEMENTS: tuple[tuple[str, str, str, str, str], ...] = (
     ("R1", "Accountability and Data Ownership", "VeryLow", "High",

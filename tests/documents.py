@@ -160,15 +160,6 @@ ROWS = {
        for kind, text in _UNDECODABLE},
 
     # -- assess ---------------------------------------------------------------
-    # a top-k line after the rows would break the json document and the csv
-    # table; the flag is refused before the catalog is read
-    **{f"assess-top-k-{fmt}{tail}": _row(
-        f"assess --format {fmt} --top-k 3 --out ranking.{fmt}{flags}",
-        f"--top-k needs --format table; --format {fmt} holds the rank")
-       for fmt in ("json", "csv")
-       for tail, flags in (("", ""), ("-before-catalog", " --catalog nope.json"))},
-    "assess-top-k-11": _row("assess --top-k 11", "top_k: 11 is outside 1..10, the risk count"),
-    "assess-top-k-0": _row("assess --top-k 0", "top_k: 0 is outside 1..10, the risk count"),
     "assess-missing-catalog": _row("assess --catalog nope.json",
                                    f"cannot read nope.json: {_MISSING}: 'nope.json'"),
     "assess-level-label": _row("assess --catalog catalog.json",
@@ -415,7 +406,7 @@ ROWS = {
                                     {"rates": {"session": -1}}),
     # without its rule, 3/2 would raise the residual score of every risk the
     # plan mitigates, and 1/0 and x escaped as a ZeroDivisionError or ValueError
-    "config-residual-3/2": _config("residual_factor: must be in 0..1, got 3/2",
+    "config-residual-3/2": _config("residual_factor: must be in 0..1, got '3/2'",
                                    {"residual_factor": "3/2"}),
     **{f"config-residual-{name}": _config(_FRACTION + repr(value), {"residual_factor": value})
        for name, value in (("1/0", "1/0"), ("x", "x"), ("true", True))},

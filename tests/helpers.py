@@ -19,7 +19,6 @@ import random
 import re
 import reprlib
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -311,16 +310,6 @@ def _decoded(files: dict, rel: str):
     return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
 
 
-def _spelling(value) -> set[str]:
-    """How a rule may spell a rejected value after `got`: as `reprlib.repr`
-    does, or a rational string as the fraction it reads as."""
-    spelt = {reprlib.repr(value)}
-    if type(value) is str:
-        with contextlib.suppress(ValueError, ZeroDivisionError):
-            spelt.add(str(Fraction(value)))
-    return spelt
-
-
 def resolve_error(argv, files: dict, line: str):
     """The value an input error's line names, and the problem it states.
 
@@ -382,7 +371,7 @@ def resolve_error(argv, files: dict, line: str):
     if got and problem.startswith("must declare "):
         assert type(value) is list and int(got[1]) <= len(value), line
     elif got:
-        assert got[1] in _spelling(value), (got[1], value, line)
+        assert got[1] == reprlib.repr(value), (got[1], value, line)
     if type(value) is str and problem.startswith("'"):
         assert problem.startswith((f"{value!r} ", f"{segments[-1]!r} ")), (value, line)
     return value, problem

@@ -32,7 +32,7 @@ from smartbizsim.costs import (
 )
 from smartbizsim.errors import canonical_json, replace
 from smartbizsim.middleware import ControlLayerConfig, S17Config
-from smartbizsim.risk import default_risk_catalog, rank, top_k
+from smartbizsim.risk import default_risk_catalog, rank
 from smartbizsim.scenario import ReminderSpec
 from smartbizsim.timeline import SECONDS_PER_DAY
 
@@ -46,7 +46,7 @@ def test_criterion_1_default_ranking_matches_the_grid():
     assert list(assessment.ranking) == [
         "R6", "R9", "R4", "R10", "R3", "R7", "R8", "R1", "R5", "R2",
     ]
-    assert top_k(assessment, 3) == ["R6", "R9", "R4"]
+    assert assessment.ranking[:3] == ("R6", "R9", "R4")
     _ok(1, "default assessment ranking and top-3")
 
 

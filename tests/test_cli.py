@@ -9,6 +9,7 @@ import pytest
 from helpers import document, rejected, run
 from smartbizsim import cli, costs, trace
 from smartbizsim.cli import main
+from smartbizsim.controls import build_plan, default_mapping
 from smartbizsim.errors import ConfigError, SimulationError, SmartBizError
 from smartbizsim.scenario import default_scenario
 from smartbizsim.trace import ndjson
@@ -16,12 +17,11 @@ from smartbizsim.world import World
 
 
 def test_assess_prints_the_ranking_with_r6_first(capsys):
-    assert main(["assess", "--top-k", "3"]) == 0
+    assert main(["assess"]) == 0
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l and not l.startswith(("rank", "-"))]
-    assert lines[0].split()[1] == "R6"
+    assert [l.split()[1] for l in lines[:3]] == ["R6", "R9", "R4"]
     assert len([l for l in lines if l[0].isdigit()]) == 10
-    assert "top-3: R6, R9, R4" in out
 
 
 def test_assess_formats_carry_the_same_numbers(tmp_path, capsys):
@@ -63,6 +63,28 @@ def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as err:
         main(["assess", "--bogus"])
     assert err.value.code == 2
+
+
+# `report --in report.json` is the one renderer, and the top k risks are the
+# first k rows of the ranking: neither `dmaic --format` nor `assess --top-k`
+# is a flag
+@pytest.mark.parametrize("argv", [
+    ["dmaic", "--format", fmt, "--out", "out"] for fmt in ("json", "csv", "table")
+] + [
+    ["assess", "--top-k", "3"],
+    *(["assess", "--format", fmt, "--top-k", "3", "--out", f"ranking.{fmt}"]
+      for fmt in ("csv", "json")),
+], ids=["dmaic-json", "dmaic-csv", "dmaic-table", "assess-table", "assess-csv", "assess-json"])
+def test_a_removed_flag_exits_2_and_writes_nothing(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    out, err_text = capsys.readouterr()
+    flag = {"dmaic": "--format", "assess": "--top-k"}[argv[0]]
+    assert out == ""
+    assert f"error: unrecognized arguments: {flag} " in err_text
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_writes_trace_and_summary(tmp_path, capsys):
@@ -135,13 +157,13 @@ def test_dmaic_unplaceable_meeting_writes_request_failed_and_finishes(tmp_path, 
     assert _report(out)["total_security_cost"] > 0
 
 
-def test_dmaic_table_format_carries_the_total(tmp_path, capsys):
+def test_report_table_format_carries_the_total(tmp_path, capsys):
     out_dir = tmp_path / "out"
-    assert main(["dmaic", "--format", "table", "--out", str(out_dir)]) == 0
-    json_dir = tmp_path / "json"
-    assert main(["dmaic", "--format", "json", "--out", str(json_dir)]) == 0
-    total = json.loads((json_dir / "report.json").read_text())["total_security_cost"]
-    table = (out_dir / "report.txt").read_text()
+    assert main(["dmaic", "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert main(["report", "--in", str(out_dir / "report.json"), "--format", "table"]) == 0
+    total = json.loads((out_dir / "report.json").read_text())["total_security_cost"]
+    table = capsys.readouterr().out
     row = next(l for l in table.splitlines() if l.startswith("total_security_cost"))
     assert row.split()[-1] == str(total)
 
@@ -320,6 +342,15 @@ def test_dmaic_top_k_2_prices_only_the_locks_it_builds(tmp_path, capsys):
     assert sections["S9"]["capital"] == 3 * 150_000
 
 
+@pytest.mark.parametrize("k", [1, 3, 10])
+def test_dmaic_top_k_plans_the_controls_of_the_first_k_risks_assess_ranks(tmp_path, capsys, k):
+    assert main(["assess"]) == 0
+    ranked = [l.split()[1] for l in capsys.readouterr().out.splitlines() if l[:1].isdigit()]
+    assert main(["dmaic", "--top-k", str(k), "--out", str(tmp_path)]) == 0
+    planned = _report(tmp_path)["cost_breakdown"].keys()
+    assert planned == build_plan(ranked[:k], default_mapping())
+
+
 def _larger_scenario(path) -> None:
     """The built-in scenario plus five devices: 8 devices, 8 spares."""
     doc = document(default_scenario())
@@ -355,8 +386,6 @@ def test_dmaic_scenario_flag_equals_the_same_reference_in_the_config(tmp_path, c
 
 
 # Each test below keeps its id and runs the rows of `documents.ROWS` it held.
-test_top_k_with_a_document_format_exits_2_and_writes_nothing = rejected({
-    fmt: (f"assess-top-k-{fmt}", f"assess-top-k-{fmt}-before-catalog") for fmt in ("json", "csv")})
 test_assess_missing_catalog_file_exits_2 = rejected("assess-missing-catalog")
 test_assess_malformed_catalog_exits_2 = rejected("assess-level-label")
 test_simulate_rejects_unknown_layer = rejected("simulate-unknown-layer")

@@ -23,7 +23,6 @@ from smartbizsim.risk import (
     RiskCatalog,
     default_risk_catalog,
     rank,
-    top_k,
 )
 
 MAPPING = Mapping[str, tuple[str, ...]]  # the mapping file's type
@@ -219,7 +218,7 @@ def test_a_config_exists_exactly_when_every_later_step_can_run(
         return
     assert runnable
     # Measure, Analyze and Improve
-    selected = top_k(rank(config.risk_catalog), config.top_k)
+    selected = rank(config.risk_catalog).ranking[:config.top_k]
     plan = build_plan(selected, config.mapping)
     assert plan == {s for r in selected for s in entries.get(r, ())}
     assert plan <= {a.control for a in config.action_library}

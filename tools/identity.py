@@ -99,14 +99,11 @@ def corpus() -> dict[str, Entry]:
         ["dmaic", "--out", "out"],
         *(["report", "--in", "out/report.json", "--format", fmt]
           for fmt in ("json", "csv", "table")))
-    for fmt in ("csv", "table"):
-        entries[f"dmaic-{fmt}"] = Entry(["dmaic", "--format", fmt, "--out", "out"])
     for controls in ("none", "all", "s9,s10"):
         entries[f"simulate-{controls}"] = Entry(
             ["simulate", "--controls", controls, "--out", "trace.ndjson"])
     for fmt in ("json", "csv", "table"):
         entries[f"assess-{fmt}"] = Entry(["assess", "--format", fmt])
-    entries["assess-table-top-3"] = Entry(["assess", "--format", "table", "--top-k", "3"])
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             scenario, config = workloads.generate(workload, seed)
