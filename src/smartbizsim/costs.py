@@ -258,8 +258,8 @@ def load_dmaic_config(
     default, so the pipeline runs with zero arguments. `overrides` takes
     the same keys as the document and wins over it (the CLI's flags);
     its references are read relative to the working directory, the
-    document's relative to the document. `controls` updates the
-    scenario's control layers; every other key is a DmaicConfig knob.
+    document's relative to the document. Every other key is a
+    DmaicConfig knob; the control layers' parameters are the scenario's.
     The five references are resolved in one loop, the scenario first; a
     fault of a file or in it is named from its key (`mapping: ...`).
     """
@@ -272,15 +272,13 @@ def load_dmaic_config(
         base = Path(path).parent
     overrides = overrides or {}
     data = {**data, **overrides}
-    controls = data.pop("controls", {})
 
     def document(kind):
         return lambda file, key: read(kind, decode(read_text(file, key), key), at=key)
 
     # key -> the loader of the file it names, and the default when it names none
     references = {
-        "scenario": (lambda file, key: load_scenario(file, controls, key),
-                     lambda: default_scenario(controls)),
+        "scenario": (load_scenario, default_scenario),
         "risk_catalog": (document(RiskCatalog), default_risk_catalog),
         "control_catalog": (document(ControlCatalog), default_control_catalog),
         "mapping": (document(Mapping[str, tuple[str, ...]]), default_mapping),

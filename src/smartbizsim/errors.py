@@ -197,17 +197,16 @@ def decode(text: str, at: str = ""):
         raise ConfigError(f"not valid JSON: {exc}", at) from exc
 
 
-def read(kind, value, *, base=None, given=None, at: str = ""):
+def read(kind, value, *, given=None, at: str = ""):
     """A decoded JSON `value` read as the type `kind`, never coerced.
 
     An `int` is a JSON integer (not a bool, not 2.7), a `Fraction` an
     integer or a rational string such as "1/2", a tuple an array, a
     `Mapping` an object, an `Enum` its value, a date or time its
     text. A `Record` is an object of its fields: an unknown key is an
-    error, a missing one takes the field's default or, given `base`,
-    the value in `base`, so `base` plus a partial document is an update.
-    `given` maps field names to values already read, which take the
-    place of `value`'s, so a record is built once from parts read apart.
+    error, a missing one takes the field's default. `given` maps field
+    names to values already read, which take the place of `value`'s,
+    so a record is built once from parts read apart.
     The reader of a type is built when a document first holds it.
 
     A bad value raises a ConfigError at its path, which reads e.g.
@@ -216,9 +215,7 @@ def read(kind, value, *, base=None, given=None, at: str = ""):
     """
     reader = _reader(kind)
     try:
-        if given is not None:
-            return reader(value, base, given)
-        return reader(value) if base is None else reader(value, base)
+        return reader(value) if given is None else reader(value, given)
     except ConfigError as exc:
         _at(exc, at)
         raise
@@ -366,20 +363,16 @@ def _object(cls):
     names = frozenset(fields)
     exact = {name: hints[name] for name in fields if hints[name] in _EXPECTED}
     readers = {}
-    nested = {
-        name for name in names
-        if isinstance(hints[name], type) and issubclass(hints[name], Record)
-    }
     hint = getattr(cls, "unknown_field_hint", None)
     unknown_field = f"unknown field; {hint}" if hint else "unknown field"
     new = object.__new__
 
-    def read_object(value, base=None, given=None):
+    def read_object(value, given=None):
         if type(value) is not dict:
             raise _mismatch("an object", value)
         if not value.keys() <= names:
             raise ConfigError(unknown_field, "." + next(k for k in value if k not in names))
-        # only what the document and `given` hold: the rest is `base`'s or a default
+        # only what the document and `given` hold: the rest takes its default
         out = {}
         try:
             for key, item in value.items():
@@ -389,17 +382,12 @@ def _object(cls):
                 read_field = readers.get(key)
                 if read_field is None:
                     read_field = readers[key] = _reader(hints[key])
-                if base is None or key not in nested:
-                    out[key] = read_field(item)
-                else:
-                    out[key] = read_field(item, getattr(base, key))
+                out[key] = read_field(item)
         except ConfigError as exc:
             _at(exc, f".{key}")
             raise
         if given is not None:
             out.update(given)
-        if base is not None:
-            return replace(base, **out)
         record = new(cls)
         missing = _fill(record, out)
         if missing is not None:

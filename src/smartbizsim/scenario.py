@@ -4,8 +4,8 @@ A scenario is a JSON document describing the fixed world (nodes, links),
 the people (attendees with calendars, credentials), the workload
 (pre-parsed voice commands), disruptions (failure injections, theft
 events) and the run horizon. The security layer parameters live in the
-same file under "controls"; which layers are switched on is decided by
-the caller (baseline vs secured runs reuse one scenario).
+same file under "controls", their one source; which layers are switched
+on is decided by the caller (baseline vs secured runs reuse one scenario).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import reprlib
 from pathlib import Path
 
 from .calendars import WorkWeek
-from .errors import NON_NEGATIVE, ConfigError, Record, _at, decode, read, read_text
+from .errors import NON_NEGATIVE, ConfigError, Record, decode, read, read_text
 from .middleware import ControlLayerConfig, S9Config
 from .timeline import SECONDS_PER_DAY, seconds_at
 
@@ -111,25 +111,14 @@ class ScenarioConfig(Record):
         validate_scenario(self)
 
 
-def parse_scenario(document: str, controls: object = {}, at: str = "") -> ScenarioConfig:
-    """The scenario of a JSON document, with `controls`, a decoded JSON
-    block such as a pipeline config's (only read), read over its own
-    before it is built, so it is built and validated once. An error's path
-    starts with `at`, or with `controls` where `controls` gave the value."""
-    data = decode(document, at)
-    block = data.pop("controls", {}) if type(data) is dict else {}  # no object: read rejects it
-    own = read(ControlLayerConfig, block, at=f"{at}.controls")
-    merged = read(ControlLayerConfig, controls, base=own, at="controls")
-    try:
-        return read(ScenarioConfig, data, given={"controls": merged})
-    except ConfigError as exc:  # a key map `controls` gave is named in `controls`
-        if merged.s10.key_ids is own.s10.key_ids or not exc.path.startswith(".controls"):
-            _at(exc, at)
-        raise
+def parse_scenario(document: str, at: str = "") -> ScenarioConfig:
+    """The scenario of a JSON document, read in document order and
+    validated once; an error's path starts with `at`."""
+    return read(ScenarioConfig, decode(document, at), at=at)
 
 
-def load_scenario(path: str | Path, controls: object = {}, at: str = "") -> ScenarioConfig:
-    return parse_scenario(read_text(path, at), controls, at)
+def load_scenario(path: str | Path, at: str = "") -> ScenarioConfig:
+    return parse_scenario(read_text(path, at), at)
 
 
 # one wording per kind of rule, filled in by `_fault`
@@ -308,11 +297,8 @@ def validate_scenario(scenario: ScenarioConfig) -> None:
             raise _fault(f"working_hours.days[{i}]", "{} is a duplicate weekday", day)
 
 
-def default_scenario(controls: object = {}) -> ScenarioConfig:
-    """The two-branch delivery business: three devices, one cloud.
-
-    `controls` is read over the built-in controls, as in `parse_scenario`.
-    """
+def default_scenario() -> ScenarioConfig:
+    """The two-branch delivery business: three devices, one cloud."""
     day = SECONDS_PER_DAY
     credentials = {
         "finance-manager": "fm-pass-7391",
@@ -367,7 +353,6 @@ def default_scenario(controls: object = {}) -> ScenarioConfig:
             )
         )
     commands.sort(key=lambda c: c.at)
-    own = ControlLayerConfig(s9=S9Config(credential_store=credentials))
     return ScenarioConfig(
         nodes=(
             NodeSpec(id="dev-city-a", kind="SmartDevice", site="CityA"),
@@ -389,5 +374,5 @@ def default_scenario(controls: object = {}) -> ScenarioConfig:
         # 13:30 delivery confirmation unless the continuity layer is on.
         failures=(FailureSpec(node="dev-city-b", at=9 * day + 13 * 3600, duration_s=3600),),
         commands=tuple(commands),
-        controls=read(ControlLayerConfig, controls, base=own, at="controls"),
+        controls=ControlLayerConfig(s9=S9Config(credential_store=credentials)),
     )

@@ -71,6 +71,14 @@ def _put(path: str, value):
     return patch
 
 
+def _to_front(key: str):
+    """A patch that moves `key` to the start of the document's keys."""
+    def patch(doc):
+        for other in [k for k in doc if k != key]:
+            doc[other] = doc.pop(other)
+    return patch
+
+
 def _scenario(message: str, *patches) -> Row:
     """`simulate` on the built-in scenario, changed by `patches`."""
     return _row(_SIMULATE, message, {"scenario.json": scenario_document(*patches)})
@@ -230,6 +238,13 @@ ROWS = {
     "scenario-two-faults": _scenario("thefts[0].at: expected an integer, got 'noon'",
                                      lambda d: d["links"].append(_link("cloud", "cloud", 5)),
                                      {"thefts": [{"node": "cloud", "at": "noon"}]}),
+    # two bad values, one in the controls block: the first in document order is named
+    "scenario-two-faults-controls-last": _scenario(
+        "attendees[0].id: expected a string, got 5",
+        _put("attendees.0.id", 5), _put("controls.s10.overhead_bytes", -2)),
+    "scenario-two-faults-controls-first": _scenario(
+        "controls.s10.overhead_bytes: must be a non-negative integer, got -2",
+        _put("attendees.0.id", 5), _put("controls.s10.overhead_bytes", -2), _to_front("controls")),
     "scenario-no-device": _scenario("nodes: must declare at least one smart device, got 0",
                                     {"nodes": [{"id": "cloud", "kind": "CloudService"}]}),
     "scenario-two-clouds": _scenario(
@@ -410,22 +425,9 @@ ROWS = {
                                    {"residual_factor": "3/2"}),
     **{f"config-residual-{name}": _config(_FRACTION + repr(value), {"residual_factor": value})
        for name, value in (("1/0", "1/0"), ("x", "x"), ("true", True))},
-    "config-controls-5": _config("controls: expected an object, got 5", {"controls": 5}),
-    "config-controls-text": _config("controls: expected an object, got 's10'",
-                                    {"controls": "s10"}),
-    "config-controls-null": _config("controls: expected an object, got None", {"controls": None}),
-    "config-layer-value-text": _config("controls.s10.overhead_bytes: expected an integer, got 'x'",
-                                       {"controls": {"s10": {"overhead_bytes": "x"}}}),
-    "config-misspelt-layer-key": _config("controls.s10.overhed_bytes: unknown field",
-                                         {"controls": {"s10": {"overhed_bytes": 500}}}),
-    "config-negative-layer-value": _config(
-        "controls.s17.detection_window_s: must be a non-negative integer, got -1",
-        {"controls": {"s17": {"detection_window_s": -1}}}),
-    "config-layer-switched-on": _config("controls.s9.enabled: unknown field",
-                                        {"controls": {"s9": {"enabled": True}}}),
-    **{f"config-{layer}-enabled{tail}": _config(f"controls.{layer}.enabled: unknown field",
-                                                {"controls": {layer: {"enabled": value}}})
-       for layer, tail, value in (("s10", "", True), ("s17", "", True), ("s17", "-no", "no"))},
+    # the layers' parameters have one home, the scenario's `controls` block
+    "config-controls": _config("controls: unknown field",
+                               {"controls": {"s10": {"overhead_bytes": 500}}}),
     "config-missing-reference": _config(
         f"mapping: cannot read nope.json: {_MISSING}: 'nope.json'", {"mapping": "nope.json"}),
     # two faults: a bad knob and a bad reference
@@ -485,16 +487,13 @@ ROWS = {
     "ref-scenario-misspelt-key-id": _config(
         "scenario.controls.s10.key_ids.dev-citya: 'dev-citya' is not a declared node",
         {}, scenario=scenario_document(_key_ids(**{"dev-citya": "typo"}))),
-    # a layer value is named in the document that gives it: config-negative-layer-value
     "ref-scenario-negative-layer-value": _config(
         "scenario.controls.s17.detection_window_s: must be a non-negative integer, got -1",
         {}, scenario=scenario_document(_put("controls.s17.detection_window_s", -1))),
-    # the config's key map replaces the scenario's whole map, so the config's
-    # path names the node it leaves out (define-key-ids-partial: the scenario's)
-    "ref-scenario-key-ids-from-config": _config(
-        "controls.s10.key_ids.c: no key id for node 'c'",
-        {"controls": {"s10": {"key_ids": {"d": "kd"}}}},
-        scenario={"nodes": [_device("d"), _CLOUD], "links": [_link("d", "c")]}),
+    **{f"ref-scenario-{layer}-enabled": _config(
+        f"scenario.controls.{layer}.enabled: unknown field",
+        {}, scenario=scenario_document(_put(f"controls.{layer}.enabled", True)))
+       for layer in ("s9", "s10", "s17")},
 
     # -- dmaic --scenario -----------------------------------------------------
     **{f"define-{name}": _define(
@@ -510,6 +509,15 @@ ROWS = {
     **{f"define-{layer}-enabled": _define(f"controls.{layer}.enabled: unknown field",
                                           _put(f"controls.{layer}.enabled", True))
        for layer in ("s9", "s10", "s17")},
+    "define-s17-enabled-no": _define("controls.s17.enabled: unknown field",
+                                     _put("controls.s17.enabled", "no")),
+    **{f"define-controls-{name}": _define(f"controls: expected an object, got {value!r}",
+                                          _put("controls", value))
+       for name, value in (("5", 5), ("text", "s10"), ("null", None))},
+    "define-misspelt-layer-key": _define("controls.s10.overhed_bytes: unknown field",
+                                         _put("controls.s10.overhed_bytes", 500)),
+    "define-layer-value-text": _define("controls.s10.overhead_bytes: expected an integer, got 'x'",
+                                       _put("controls.s10.overhead_bytes", "x")),
     # without its rule, each would stop the Control step after the baseline
     # run, the empty key id with exit code 3
     "define-meeting-without-attendees": _define(

@@ -10,7 +10,7 @@ from helpers import document, rejected, run
 from smartbizsim import cli, costs, trace
 from smartbizsim.cli import main
 from smartbizsim.controls import build_plan, default_mapping
-from smartbizsim.errors import ConfigError, SimulationError, SmartBizError
+from smartbizsim.errors import ConfigError, SimulationError, SmartBizError, canonical_json
 from smartbizsim.scenario import default_scenario
 from smartbizsim.trace import ndjson
 from smartbizsim.world import World
@@ -373,16 +373,27 @@ def test_dmaic_scenario_flag_prices_that_scenarios_hardware(tmp_path, capsys):
 def test_dmaic_scenario_flag_equals_the_same_reference_in_the_config(tmp_path, capsys):
     scenario = tmp_path / "big.json"
     _larger_scenario(scenario)
-    block = {"controls": {"s10": {"overhead_bytes": 500}}}
+    knobs = {"top_k": 4}
     flag_cfg = tmp_path / "flag.json"
-    flag_cfg.write_text(json.dumps(block))
+    flag_cfg.write_text(json.dumps(knobs))
     ref_cfg = tmp_path / "ref.json"
-    ref_cfg.write_text(json.dumps({**block, "scenario": "big.json"}))
+    ref_cfg.write_text(json.dumps({**knobs, "scenario": "big.json"}))
     assert main(["dmaic", "--config", str(flag_cfg), "--scenario", str(scenario),
                  "--out", str(tmp_path / "flag")]) == 0
     assert main(["dmaic", "--config", str(ref_cfg), "--out", str(tmp_path / "ref")]) == 0
     report = (tmp_path / "flag" / "report.json").read_bytes()
     assert report == (tmp_path / "ref" / "report.json").read_bytes()
+
+
+def test_the_built_in_scenario_from_a_file_gives_the_plain_dmaic_outputs(tmp_path, capsys):
+    # README's way to tune the layers: write the scenario out, edit its
+    # `controls` block and pass the file; unedited, nothing changes
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(canonical_json(default_scenario()))
+    assert main(["dmaic", "--scenario", str(scenario), "--out", str(tmp_path / "file")]) == 0
+    assert main(["dmaic", "--out", str(tmp_path / "plain")]) == 0
+    for name in ("report.json", "trace_baseline.ndjson", "trace_secured.ndjson"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 # Each test below keeps its id and runs the rows of `documents.ROWS` it held.
@@ -402,23 +413,23 @@ test_an_output_that_cannot_be_written_exits_2_naming_it = rejected({name: name f
     "dmaic-out-is-a-file", "dmaic-out-under-a-file", "simulate-out-in-a-missing-dir",
     "assess-out-in-a-missing-dir", "report-out-in-a-missing-dir")})
 test_dmaic_malformed_config_value_exits_2_naming_the_key = rejected({
-    f"block{i}-{key}": f"config-{row}" for i, (key, row) in enumerate([
-        ("top_k", "top-k-null"), ("seed", "seed"), ("rates", "rate-text"), ("rates", "rates-5"),
-        ("controls", "layer-value-text"), ("controls", "controls-5"),
-        ("controls", "controls-text"), ("controls", "controls-null")])})
+    f"block{i}-{key}": row for i, (key, row) in enumerate([
+        ("top_k", "config-top-k-null"), ("seed", "config-seed"), ("rates", "config-rate-text"),
+        ("rates", "config-rates-5"), ("controls", "define-layer-value-text"),
+        ("controls", "define-controls-5"), ("controls", "define-controls-text"),
+        ("controls", "define-controls-null")])})
 test_dmaic_rejects_a_bad_working_week_at_define = rejected({name: f"define-{name}" for name in (
     "night", "empty-window", "day-9", "day-minus-1", "repeated-day", "no-days")})
 test_inputs_that_were_coerced_or_ignored_exit_2_naming_their_path = rejected({
     "rates.session": "config-float", "top_k0": "config-top-k-2.7", "top_k1": "config-top-k-true",
-    "residual_factor": "config-residual-true", "controls.s17.enabled": "config-s17-enabled-no",
-    "controls.s10.overhed_bytes": "config-misspelt-layer-key",
+    "residual_factor": "config-residual-true", "controls.s17.enabled": "define-s17-enabled-no",
+    "controls.s10.overhed_bytes": "define-misspelt-layer-key",
     "links[0].latency_ms": "ref-scenario-float", "horizon": "ref-scenario-unknown-key",
     "failures[0].duration_s": "ref-scenario-duration-true",
     "nodes[0].backup_pool": "ref-scenario-backup-pool-text",
     **{f"residual-factor-{v}": f"config-residual-{v}" for v in ("3/2", "1/0", "x")}})
 test_a_document_that_switches_a_layer_on_exits_2 = rejected({
-    "config-s9": "config-layer-switched-on", "config-s10": "config-s10-enabled",
-    "config-s17": "config-s17-enabled",
+    **{f"config-{layer}": f"ref-scenario-{layer}-enabled" for layer in ("s9", "s10", "s17")},
     **{f"scenario-{layer}": (f"define-{layer}-enabled", f"scenario-{layer}-enabled")
        for layer in ("s9", "s10", "s17")}})
 test_an_undecodable_document_exits_2_with_one_error_line = rejected({
@@ -440,4 +451,5 @@ test_configs_that_cannot_run_exit_2_at_define = rejected({
        for key in ("mapping", "control-catalog", "action-library")},
     **{name: f"ref-{name}" for name in (
         "action-unknown-section", "action-cost", "mapping-entry-type", "risk-level-label")},
-    **{name: f"config-{name}" for name in ("negative-layer-value", "negative-rate")}})
+    "negative-layer-value": "ref-scenario-negative-layer-value",
+    "negative-rate": "config-negative-rate"})

@@ -21,6 +21,7 @@ from smartbizsim.costs import (
 )
 from smartbizsim.errors import ConfigError, canonical_json, read, replace
 from smartbizsim.metering import SectionUsage
+from smartbizsim.middleware import ControlLayerConfig, S9Config
 from smartbizsim.risk import OrdinalLevel, Risk, RiskCatalog, default_risk_catalog, rank
 from smartbizsim.scenario import FailureSpec, default_scenario
 from smartbizsim.timeline import SECONDS_PER_DAY
@@ -301,11 +302,14 @@ def test_empty_mapping_runs_with_no_controls_and_zero_cost():
     assert baseline.to_ndjson() == secured.to_ndjson()
 
 
-def test_controls_block_updates_the_scenario_controls(tmp_path):
-    # Only the named field changes; the scenario's credential store and
-    # every other layer setting survive.
+def test_a_scenario_files_layer_parameters_reach_the_secured_run(tmp_path):
+    # the built-in scenario's document with one layer value changed: its
+    # credential store and every other layer setting come along
+    doc = document(default_scenario())
+    doc["controls"]["s10"]["overhead_bytes"] = 500
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"controls": {"s10": {"overhead_bytes": 500}}}))
+    path.write_text(json.dumps({"scenario": "scenario.json"}))
     config = load_dmaic_config(path)
     default = load_dmaic_config(None).scenario.controls
     assert config.scenario.controls == replace(
@@ -318,14 +322,17 @@ def test_controls_block_updates_the_scenario_controls(tmp_path):
     assert all(r["wire_bytes"] - r["size_bytes"] == 500 for r in sent)
 
 
-def test_controls_block_keeps_the_unnamed_fields_of_a_layer_it_names(tmp_path):
-    # the default scenario's S9 credential store is not S9Config's default
+def test_a_scenario_files_layer_block_gives_its_defaults_for_what_it_leaves_out(tmp_path):
+    # the layer's own defaults, not the built-in scenario's, whose S9
+    # credential store is not S9Config's default
+    doc = document(default_scenario())
+    doc["controls"] = {"s9": {"per_session_latency_ms": 7}}
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"controls": {"s9": {"per_session_latency_ms": 7}}}))
-    default = load_dmaic_config(None).scenario.controls
-    assert default.s9.credential_store
-    assert load_dmaic_config(path).scenario.controls == replace(
-        default, s9=replace(default.s9, per_session_latency_ms=7)
+    path.write_text(json.dumps({"scenario": "scenario.json"}))
+    assert load_dmaic_config(None).scenario.controls.s9.credential_store
+    assert load_dmaic_config(path).scenario.controls == ControlLayerConfig(
+        s9=S9Config(per_session_latency_ms=7)
     )
 
 

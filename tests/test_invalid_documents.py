@@ -23,7 +23,6 @@ from helpers import ABSENT, rejected, resolve_error, run_main
 from helpers import REFERENCES as REFERENCE_KEYS
 from smartbizsim.costs import CostRates, load_dmaic_config
 from smartbizsim.errors import Record
-from smartbizsim.middleware import ControlLayerConfig
 from smartbizsim.scenario import ScenarioConfig, parse_scenario
 
 # a small scenario that holds every kind of entry, every intent and every layer
@@ -73,21 +72,18 @@ CONFIG = {
     "residual_factor": "1/2",
     "rates": {"capital_item": 100, "operational_event": 10, "latency_ms": 1,
               "wire_byte": 1, "session": 5},
-    "controls": {"s9": {"review_period_days": 7}, "s10": {"overhead_bytes": 32},
-                 "s17": {"detection_window_s": 30}},
 }
 
 
 class ConfigDocument(Record):
     """The keys of a pipeline config document, as `load_dmaic_config` reads
-    them: five references, the control layers and the knobs."""
+    them: five references and the knobs."""
 
     risk_catalog: str | None = None
     control_catalog: str | None = None
     mapping: str | None = None
     action_library: str | None = None
     scenario: str | None = None
-    controls: ControlLayerConfig = ControlLayerConfig()
     rates: CostRates = CostRates()
     top_k: int = 3
     residual_factor: Fraction = Fraction(0)
@@ -102,7 +98,7 @@ NON_NEGATIVE = {
         ("commands", "*", "duration_min"), ("working_hours", "days", "*"),
         ("controls", "*", "*"),
     ],
-    "config": [("top_k",), ("rates", "*"), ("controls", "*", "*")],
+    "config": [("top_k",), ("rates", "*")],
 }
 # the lists whose entries an id or a link pair must tell apart
 REPEATABLE = ("nodes", "reminders", "attendees", "links")
@@ -245,7 +241,7 @@ def test_the_documents_are_valid_and_each_family_has_a_site(tmp_path):
     (tmp_path / "scenario.json").write_text(json.dumps(SCENARIO))
     (tmp_path / "config.json").write_text(json.dumps(CONFIG))
     config = load_dmaic_config(tmp_path / "config.json")
-    assert config.scenario == parse_scenario(json.dumps(SCENARIO), CONFIG["controls"])
+    assert config.scenario == parse_scenario(json.dumps(SCENARIO))
     families = {name: {family for family, _, _ in sites} for name, sites in SITES.items()}
     assert families["scenario"] == {"swap", "huge", "unknown", "drop", "negative", "repeat",
                                     "dangling"}
@@ -346,8 +342,7 @@ def test_every_row_names_a_real_path_or_is_a_named_exception():
     # the paths to a value not there: a key map that leaves a node out, and
     # a meeting's attendees left to their default
     assert sorted(name for name, kind in kinds.items() if kind == "absent") == [
-        "define-key-ids-partial", "ref-scenario-key-ids-from-config", "small-key-ids-partial",
-        "small-meeting-without-attendees"]
+        "define-key-ids-partial", "small-key-ids-partial", "small-meeting-without-attendees"]
     assert list(kinds.values()).count(None) >= 110  # the resolver still reads most rows
 
 

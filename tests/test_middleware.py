@@ -244,6 +244,27 @@ def test_failed_backup_serves_again_after_it_recovers():
     assert by_msg[3]["delivered"]["to"] == "device-c"
 
 
+@pytest.mark.parametrize("first_down, to", [(False, "device-c"), (True, "device-d")],
+                         ids=["both-up", "first-down"])
+def test_a_pool_serves_from_its_first_member_that_is_up(first_down, to):
+    # a message sent in the detection window waits, then goes to the
+    # substitute: the first member of the pool, in declared order, that is up
+    pool = ("device-c", "device-d")
+    base = _failover_scenario(message_times=(1010,), failures=(("device-b", 1000, 3600),))
+    nodes = tuple(replace(n, backup_pool=pool) if n.id == "device-b" else n for n in base.nodes)
+    down = (FailureSpec(node="device-c", at=900, duration_s=3600),) if first_down else ()
+    scenario = replace(
+        base,
+        nodes=nodes + tuple(NodeSpec(id=m, kind="SmartDevice", site="CityB") for m in pool),
+        links=base.links + tuple(LinkSpec(a=m, b="cloud", latency_ms=50) for m in pool),
+        failures=base.failures + down,
+    )
+    _, records = run(scenario, {"S17"})
+    switches = [s for s in by_kind(records, "failover") if s["failed"] == "device-b"]
+    assert [(s["time"], s["substitute"]) for s in switches] == [(1060, to)]
+    assert [(d["time"], d["to"]) for d in by_kind(records, "delivered")] == [(1060, to)]
+
+
 def test_recovery_before_detection_window_flushes_to_the_primary():
     scenario = _failover_scenario(
         window=300, message_times=(1050,), failures=(("device-b", 1000, 100),)

@@ -198,17 +198,13 @@ def test_a_scenario_is_validated_once_however_many_worlds_use_it(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("scenario_ref", [None, "scenario.json"], ids=["default", "file"])
-@pytest.mark.parametrize("controls", [None, {"s10": {"overhead_bytes": 500}}],
-                         ids=["no-controls", "controls"])
-def test_a_config_scenario_is_validated_once_with_or_without_controls(
-    monkeypatch, tmp_path, scenario_ref, controls
-):
+@pytest.mark.parametrize("given", ["default", "file", "flag"])
+def test_a_config_scenario_is_validated_once(monkeypatch, tmp_path, given):
+    # no scenario at all, one the config names, or one `dmaic --scenario` names
     (tmp_path / "scenario.json").write_text(canonical_json(default_scenario()))
-    config = {} if scenario_ref is None else {"scenario": scenario_ref}
-    if controls is not None:
-        config["controls"] = controls
+    config = {"scenario": "scenario.json"} if given == "file" else {}
     (tmp_path / "config.json").write_text(json.dumps(config))
+    flags = {"scenario": str(tmp_path / "scenario.json")} if given == "flag" else None
     calls = []
     validate = scenario_module.validate_scenario
 
@@ -217,10 +213,9 @@ def test_a_config_scenario_is_validated_once_with_or_without_controls(
         validate(scenario)
 
     monkeypatch.setattr(scenario_module, "validate_scenario", counted)
-    loaded = load_dmaic_config(tmp_path / "config.json").scenario
+    loaded = load_dmaic_config(tmp_path / "config.json", flags).scenario
     assert len(calls) == 1
     assert calls[0] is loaded
-    assert loaded.controls.s10.overhead_bytes == (500 if controls else 64)
     assert loaded.controls.s9.credential_store == default_scenario().controls.s9.credential_store
 
 
